@@ -23,8 +23,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DomainError, EqseqError, ParseError, ResourceError
-from .limits import max_period
-from .lincomp import AnalysisReport, berlekamp_massey, linear_complexity, minimal_polynomial_gcd, verify_theorem
+from .limits import check_budget, max_period
+from .lincomp import AnalysisReport, berlekamp_massey, minimal_polynomial_gcd, verify_theorem
 from .ntcore import PrimePair, is_prime
 from .sequence import BitSequence, generate_threshold, least_period
 from .structverify import DEFAULT_SEED, audit_structure
@@ -93,6 +93,7 @@ def parse_packed(data: bytes) -> tuple[int, int, BitSequence]:
     n = int.from_bytes(data[16:24], "little")
     if n < 1:
         raise ParseError(f"packed header declares N={n}", column=17)
+    check_budget("sequence length", n)
     payload = data[24:]
     expected = (n + 7) // 8
     if len(payload) != expected:
@@ -186,6 +187,7 @@ def _load_sequence(path: str) -> BitSequence:
     bits = parse_ascii(text)
     if not bits:
         raise ParseError("no sequence bits found in file")
+    check_budget("sequence length", len(bits))
     packed = 0
     for i, b in enumerate(bits):
         packed |= b << i
@@ -213,24 +215,28 @@ def _cmd_analyze(args) -> int:
         t = args.period
         if t < 1 or t > seq.length:
             return _fail(EXIT_USAGE, f"--period {t} out of range 1..{seq.length}")
-        for i in range(seq.length):
-            if seq.bit(i) != seq.bit(i % t):
-                return _fail(
-                    EXIT_USAGE,
-                    f"file content is not {t}-periodic (first break at index {i})",
-                )
-        seq = BitSequence(bits=seq.bits & ((1 << t) - 1), length=t, origin=seq.origin)
+        block = seq.bits & ((1 << t) - 1)
+        tiled, width = block, t
+        while width < seq.length:
+            tiled |= tiled << width
+            width *= 2
+        breaks = (tiled & ((1 << seq.length) - 1)) ^ seq.bits
+        if breaks:
+            i = (breaks & -breaks).bit_length() - 1
+            return _fail(
+                EXIT_USAGE,
+                f"file content is not {t}-periodic (first break at index {i})",
+            )
+        seq = BitSequence(bits=block, length=t, origin=seq.origin)
 
-    lc_gcd = linear_complexity(seq)
-    two = BitSequence(bits=seq.bits | (seq.bits << seq.length),
-                      length=2 * seq.length, origin=seq.origin)
-    lc_bm, _ = berlekamp_massey(two)
+    minpoly = minimal_polynomial_gcd(seq)
+    lc_bm, _ = berlekamp_massey(seq.two_periods())
     _print_json({
         "n": seq.length,
         "least_period": least_period(seq),
-        "lc_gcd": lc_gcd,
+        "lc_gcd": minpoly.bits.bit_length() - 1,
         "lc_berlekamp_massey": lc_bm,
-        "minpoly": minimal_polynomial_gcd(seq).render(),
+        "minpoly": minpoly.render(),
     })
     return EXIT_OK
 

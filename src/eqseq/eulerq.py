@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, InternalConsistencyError, ResourceError
-from .limits import max_period
+from .errors import DomainError, InternalConsistencyError
+from .limits import check_budget
 from .ntcore import GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, pow_wide_mod
 
 
@@ -94,11 +94,7 @@ class EulerQuotientTable:
 
 def build_table(pair: PrimePair) -> EulerQuotientTable:
     """Memoize psi(t) for every t in [0, pq^2)."""
-    budget = max_period()
-    if pair.period > budget:
-        raise ResourceError(
-            f"period {pair.period} exceeds budget {budget} (EQSEQ_MAX_PERIOD)"
-        )
+    check_budget("period", pair.period)
     p, q = pair.p, pair.q
     pq = p * q
     wide = pq * pq

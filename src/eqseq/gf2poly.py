@@ -6,19 +6,23 @@ XOR, multiplication is carry-less shift-XOR, and two polynomials are equal
 exactly when their integers are equal, so the representation is canonical by
 construction.
 
-The module also builds cyclotomic polynomials over GF(2) by recursive exact
-division, which is valid for odd index because reduction mod 2 commutes with
-the defining divisions there.
+The module also builds cyclotomic polynomials over GF(2) by composition:
+Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_mp(x) =
+Phi_m(x^p) / Phi_m(x) for a prime p not dividing m, starting from Phi_1 = x + 1.
+Both identities hold in Z[x] and every division in them is exact by a monic
+polynomial, so they survive reduction mod 2.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DomainError, InternalConsistencyError, ResourceError, UnsupportedInputError
-from .limits import max_period
+from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
+from .limits import check_budget
+from .ntcore import factorize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequence import BitSequence
@@ -56,6 +60,11 @@ def _int_mod(f: int, g: int) -> int:
     return f
 
 
+def _int_compose(f: int, k: int) -> int:
+    # f(x^k): bit i moves to bit i*k, by spreading the binary digits apart
+    return int(("0" * (k - 1)).join(format(f, "b")), 2)
+
+
 def _int_gcd(f: int, g: int) -> int:
     while g:
         f, g = g, _int_mod(f, g)
@@ -79,12 +88,6 @@ class Gf2Poly:
     @classmethod
     def one(cls) -> "Gf2Poly":
         return cls(1)
-
-    @classmethod
-    def x_power(cls, k: int) -> "Gf2Poly":
-        if k < 0:
-            raise DomainError(f"exponent must be nonnegative, got {k}")
-        return cls(1 << k)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "Gf2Poly":
@@ -168,18 +171,6 @@ class Gf2Poly:
         return " + ".join(parts)
 
 
-def add(f: Gf2Poly, g: Gf2Poly) -> Gf2Poly:
-    return f + g
-
-
-def mul(f: Gf2Poly, g: Gf2Poly) -> Gf2Poly:
-    return f * g
-
-
-def divrem(f: Gf2Poly, g: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
-    return divmod(f, g)
-
-
 def gcd(f: Gf2Poly, g: Gf2Poly) -> Gf2Poly:
     """Greatest common divisor (monic automatically over GF(2))."""
     if f.is_zero and g.is_zero:
@@ -193,41 +184,33 @@ def compose_power(f: Gf2Poly, k: int) -> Gf2Poly:
         raise DomainError(f"compose_power requires k >= 1, got {k}")
     if k == 1 or f.is_zero:
         return f
-    out_degree = (f.bits.bit_length() - 1) * k
-    budget = max_period()
-    if out_degree > budget:
-        raise ResourceError(
-            f"composed degree {out_degree} exceeds budget {budget} "
-            "(EQSEQ_MAX_PERIOD)"
-        )
-    bits = 0
-    src = f.bits
-    while src:
-        low = src & -src
-        bits |= 1 << ((low.bit_length() - 1) * k)
-        src ^= low
-    return Gf2Poly(bits)
+    check_budget("composed degree", (f.bits.bit_length() - 1) * k)
+    return Gf2Poly(_int_compose(f.bits, k))
 
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_bits(n: int) -> int:
-    f = (1 << n) | 1  # x^n + 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _int_divmod(f, _cyclotomic_bits(d))
-            if r:
-                raise InternalConsistencyError(
-                    f"cyclotomic division for n={n} left a remainder"
-                )
-            f = q
-    return f
+    primes = sorted(set(factorize(n)))
+    radical = math.prod(primes)
+    if radical != n:
+        return _int_compose(_cyclotomic_bits(radical), n // radical)
+    if n == 1:
+        return 0b11  # x + 1
+    m = n // primes[-1]
+    phi_m = _cyclotomic_bits(m)
+    q, r = _int_divmod(_int_compose(phi_m, primes[-1]), phi_m)
+    if r:
+        raise InternalConsistencyError(
+            f"cyclotomic division for n={n} left a remainder"
+        )
+    return q
 
 
 def cyclotomic_f2(n: int) -> Gf2Poly:
     """n-th cyclotomic polynomial reduced mod 2, for odd n (or n == 1).
 
-    Computed as (x^n + 1) divided by the cyclotomic polynomials of all proper
-    divisors, so x^n - 1 = prod_{d | n} Phi_d holds by construction.
+    Built by composition from Phi_1 = x + 1: Phi_n(x) = Phi_r(x^(n/r)) for the
+    radical r of n, and Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for squarefree mp.
     """
     if n < 1:
         raise DomainError(f"cyclotomic index must be positive, got {n}")
@@ -235,9 +218,7 @@ def cyclotomic_f2(n: int) -> Gf2Poly:
         raise UnsupportedInputError(
             f"cyclotomic_f2 supports odd n only (x^n - 1 squarefree), got {n}"
         )
-    budget = max_period()
-    if n > budget:
-        raise ResourceError(f"cyclotomic index {n} exceeds budget {budget} (EQSEQ_MAX_PERIOD)")
+    check_budget("cyclotomic index", n)
     return Gf2Poly(_cyclotomic_bits(n))
 
 

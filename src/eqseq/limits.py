@@ -8,6 +8,8 @@ not correctness.
 
 import os
 
+from .errors import ResourceError
+
 DEFAULT_MAX_PERIOD = 10**6
 
 _ENV_VAR = "EQSEQ_MAX_PERIOD"
@@ -21,7 +23,14 @@ def max_period() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ResourceError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
+        raise ResourceError(f"{_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def check_budget(label: str, size: int) -> None:
+    """Raise ResourceError when `size` (named by `label`) exceeds the budget."""
+    budget = max_period()
+    if size > budget:
+        raise ResourceError(f"{label} {size} exceeds budget {budget} ({_ENV_VAR})")

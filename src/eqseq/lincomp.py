@@ -49,6 +49,10 @@ def _as_packed(bits) -> tuple[int, int]:
     return packed, len(seq)
 
 
+#: Steps between truncations of the working products in berlekamp_massey.
+_TRUNCATE_EVERY = 2048
+
+
 def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly]:
     """Shortest LFSR (length L, connection polynomial C) generating the prefix.
 
@@ -58,7 +62,11 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
 
     Invariants of the incremental form: with mlast the step of the last
     length change, sb == (S*B) >> mlast throughout, and sc == (S*C) >> a where
-    a = n - m, so the discrepancy at step n is bit m of sc.
+    a = n - m, so the discrepancy at step n is bit m of sc.  Bit j of sc is
+    coefficient n - m + j of S*C and no coefficient past nbits - 1 is ever
+    read, so every _TRUNCATE_EVERY steps sc is cut to its low
+    nbits - n + m + 2 bits; sb is XORed into sc at base n or later, so the
+    same mask covers it.
     """
     s, nbits = _as_packed(bits)
     sc = s
@@ -67,8 +75,13 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
     length = 0
     mlast = -1
     m = 0
+    every = _TRUNCATE_EVERY
     for n in range(nbits):
-        if (sc >> m) & 1:
+        if n % every == 0:
+            mask = (1 << (nbits - n + m + 2)) - 1
+            sc &= mask
+            sb &= mask
+        if sc & (1 << m):
             sc >>= m
             m = 0
             new_c = c_poly ^ (b_poly << (n - mlast))
@@ -219,10 +232,7 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
     minpoly = minimal_polynomial_gcd(seq)
     lc_gcd = minpoly.bits.bit_length() - 1
 
-    two_periods = BitSequence(
-        bits=seq.bits | (seq.bits << seq.length), length=2 * seq.length, origin=seq.origin
-    )
-    lc_bm, _connection = berlekamp_massey(two_periods)
+    lc_bm, _connection = berlekamp_massey(seq.two_periods())
     if lc_bm != lc_gcd:
         raise InternalConsistencyError(
             f"LC disagreement for {(pair.p, pair.q)}: gcd={lc_gcd}, bm={lc_bm}"

@@ -54,6 +54,11 @@ class BitSequence:
     def ones(self) -> int:
         return self.bits.bit_count()
 
+    def two_periods(self) -> "BitSequence":
+        """The period written out twice, the input Berlekamp-Massey needs."""
+        return BitSequence(bits=self.bits | (self.bits << self.length),
+                           length=2 * self.length, origin=self.origin)
+
 
 def _pack(flags: list[bool]) -> int:
     return int("".join("1" if f else "0" for f in reversed(flags)), 2) if flags else 0

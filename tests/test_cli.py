@@ -13,8 +13,11 @@ from eqseq.cli import (
     main,
     parse_ascii,
     parse_packed,
+    write_ascii,
+    write_packed,
 )
 from eqseq.errors import ParseError
+from eqseq.sequence import BitSequence
 
 from golden import EXAMPLE1_STRING, SWEEP_PAIRS
 
@@ -140,6 +143,15 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "not 7-periodic" in err
 
+    def test_inconsistent_period_reports_first_break(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        # two good copies of 0010111, then a third that differs at offset 3,
+        # then a partial copy that differs again
+        f.write_text("0010111 0010111 0011111 011\n")
+        code, _, err = run(capsys, "analyze", "--in", str(f), "--period", "7")
+        assert code == EXIT_USAGE
+        assert "file content is not 7-periodic (first break at index 17)" in err
+
     def test_with_pair(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--p", "3", "--q", "13")
         assert code == EXIT_OK
@@ -234,6 +246,29 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--max-period", "1000")
         assert code == EXIT_USAGE
         assert "EQSEQ_MAX_PERIOD" in err
+
+
+class TestBudget:
+    def test_non_integer_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "abc")
+        code, stdout, err = run(capsys, "verify", "--p", "3", "--q", "7")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "EQSEQ_MAX_PERIOD must be an integer" in err
+
+    @pytest.mark.parametrize("fmt", ["ascii", "packed"])
+    def test_analyze_file_over_budget(self, capsys, monkeypatch, tmp_path, fmt):
+        seq = BitSequence(bits=(1 << 3000) - 1, length=3000, origin="external")
+        f = tmp_path / f"big.{fmt}"
+        if fmt == "ascii":
+            f.write_text(write_ascii(seq, 3, 7))
+        else:
+            f.write_bytes(write_packed(seq, 3, 7))
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
+        code, stdout, err = run(capsys, "analyze", "--in", str(f))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "sequence length 3000 exceeds budget 100" in err
 
 
 class TestEnumeratePairs:

@@ -1,0 +1,112 @@
+"""Differential tests: the fast kernels against the slow code they replaced.
+
+The oracles in oracles.py are the previous Berlekamp-Massey loop and the
+previous recursive-division cyclotomic construction; sympy gives an outside
+check of the cyclotomic polynomials.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy import cyclotomic_poly, symbols
+
+from eqseq import BitSequence, Gf2Poly, cyclotomic_f2, synthesize_sequence
+from eqseq import lincomp
+from eqseq.lincomp import berlekamp_massey
+
+import oracles
+
+# lengths around the truncation interval of berlekamp_massey, plus small ones
+EDGE_LENGTHS = [1, 2, 3, 64, 2047, 2048, 2049, 4097]
+lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(min_value=1, max_value=4200)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_bits(seed: int, n: int) -> BitSequence:
+    return BitSequence(bits=random.Random(seed).getrandbits(n), length=n, origin="external")
+
+
+def lfsr_bits(seed: int, n: int) -> BitSequence:
+    rng = random.Random(seed)
+    register = rng.randint(1, max(1, min(n, 600)))
+    connection = Gf2Poly((1 << register) | (rng.getrandbits(register) & ~1) | 1)
+    start = BitSequence(bits=rng.getrandbits(register) | 1, length=register, origin="external")
+    return synthesize_sequence(connection, start, n)
+
+
+def periodic_bits(seed: int, n: int) -> BitSequence:
+    # two copies of one random period; odd n continues into a third copy
+    if n < 2:
+        return random_bits(seed, n)
+    two = random_bits(seed, n // 2).two_periods()
+    return BitSequence(bits=two.bits | ((two.bits & 1) << two.length), length=n,
+                       origin="external") if n % 2 else two
+
+
+KINDS = {"random": random_bits, "lfsr": lfsr_bits, "periodic": periodic_bits}
+
+
+def assert_same_as_oracle(seq: BitSequence) -> None:
+    assert berlekamp_massey(seq) == oracles.berlekamp_massey(seq)
+
+
+class TestBerlekampMasseyDifferential:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_edge_lengths(self, kind, n):
+        for seed in range(3):
+            assert_same_as_oracle(KINDS[kind](seed, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, lengths)
+    @example("random", 0, 2049)
+    @example("lfsr", 1, 4097)
+    @example("periodic", 2, 4096)
+    def test_matches_oracle(self, kind, seed, n):
+        assert_same_as_oracle(KINDS[kind](seed, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=40))
+    def test_matches_oracle_with_frequent_truncation(self, kind, seed, n, every):
+        # a short interval truncates many times within a small input
+        seq = KINDS[kind](seed, n)
+        expected = oracles.berlekamp_massey(seq)
+        saved = lincomp._TRUNCATE_EVERY
+        lincomp._TRUNCATE_EVERY = every
+        try:
+            assert berlekamp_massey(seq) == expected
+        finally:
+            lincomp._TRUNCATE_EVERY = saved
+
+    def test_all_zero_and_all_one(self):
+        for n in (2047, 2049):
+            assert_same_as_oracle(BitSequence(bits=0, length=n, origin="external"))
+            assert_same_as_oracle(BitSequence(bits=(1 << n) - 1, length=n, origin="external"))
+
+
+def sympy_cyclotomic_mod2(n: int) -> Gf2Poly:
+    bits = 0
+    for c in cyclotomic_poly(n, symbols("x"), polys=True).all_coeffs():
+        bits = (bits << 1) | (int(c) & 1)
+    return Gf2Poly(bits)
+
+
+class TestCyclotomicDifferential:
+    def test_matches_recursive_oracle(self):
+        for n in range(1, 2001, 2):
+            assert cyclotomic_f2(n).bits == oracles.cyclotomic_bits(n), n
+
+    def test_matches_sympy_small(self):
+        for n in range(1, 400, 2):
+            assert cyclotomic_f2(n) == sympy_cyclotomic_mod2(n), n
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=200, max_value=1000).map(lambda k: 2 * k + 1))
+    @example(1155)  # 3*5*7*11, squarefree with four primes
+    @example(1575)  # 3^2*5^2*7, not squarefree
+    @example(1999)  # prime
+    @example(2001)  # 3*23*29
+    def test_matches_sympy_large(self, n):
+        assert cyclotomic_f2(n) == sympy_cyclotomic_mod2(n)
