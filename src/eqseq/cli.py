@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,7 +27,7 @@ from .errors import DomainError, EqseqError, ParseError, ResourceError
 from .limits import check_budget, max_period
 from .lincomp import AnalysisReport, berlekamp_massey, minimal_polynomial_gcd, verify_theorem
 from .ntcore import PrimePair, is_prime
-from .sequence import BitSequence, generate_threshold, least_period
+from .sequence import BitSequence, generate_threshold, least_period, pack_bits
 from .structverify import DEFAULT_SEED, audit_structure
 
 EXIT_OK = 0
@@ -188,10 +189,7 @@ def _load_sequence(path: str) -> BitSequence:
     if not bits:
         raise ParseError("no sequence bits found in file")
     check_budget("sequence length", len(bits))
-    packed = 0
-    for i, b in enumerate(bits):
-        packed |= b << i
-    return BitSequence(bits=packed, length=len(bits), origin="external")
+    return BitSequence(bits=pack_bits(bits), length=len(bits), origin="external")
 
 
 def _cmd_analyze(args) -> int:
@@ -306,6 +304,8 @@ def _scan_row(result: dict) -> tuple[list, bool]:
 
 
 def _cmd_scan(args) -> int:
+    if args.jobs < 1:
+        return _fail(EXIT_USAGE, f"--jobs must be at least 1, got {args.jobs}")
     budget = max_period()
     if args.max_period > budget:
         return _fail(
@@ -314,8 +314,10 @@ def _cmd_scan(args) -> int:
             "(raise EQSEQ_MAX_PERIOD to allow it)",
         )
     pairs = enumerate_pairs(args.max_period)
-    if args.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # never more workers than pairs or CPUs: the pool starts them all at once
+    workers = min(args.jobs, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, pairs))
     else:
         results = [_scan_worker(pq) for pq in pairs]

@@ -13,7 +13,7 @@ sequence definition and the structural checks elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
@@ -80,8 +80,7 @@ def derive_generators(pair: PrimePair) -> GroupGenerators:
     pair.require_divides()
     g = find_common_primitive_root(pair)
     h = crt_lift([(g % pair.p, pair.p), (1, pair.q * pair.q)])
-    gens = GroupGenerators(g=g, h=h, ghat=0)
-    return replace(gens, ghat=find_ghat(pair, gens))
+    return GroupGenerators(g=g, h=h, ghat=_ghat_from_g(pair, g))
 
 
 @dataclass(frozen=True)

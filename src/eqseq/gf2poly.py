@@ -125,8 +125,8 @@ class Gf2Poly:
 
     def term_degrees(self) -> list[int]:
         """Degrees of the nonzero terms, descending."""
-        return [i for i in range(self.bits.bit_length() - 1, -1, -1)
-                if (self.bits >> i) & 1]
+        top = self.bits.bit_length() - 1
+        return [top - i for i, c in enumerate(format(self.bits, "b")) if c == "1"]
 
     def __bool__(self) -> bool:
         return self.bits != 0

@@ -27,7 +27,7 @@ from . import eulerq
 from .errors import DomainError, InternalConsistencyError
 from .gf2poly import Gf2Poly, cyclotomic_f2, gcd, generating_polynomial
 from .ntcore import PrimePair, pow_wide_mod
-from .sequence import BitSequence, generate_threshold, least_period
+from .sequence import BitSequence, generate_threshold, least_period, pack_bits
 
 
 def wieferich_ok(q: int) -> bool:
@@ -41,12 +41,7 @@ def _as_packed(bits) -> tuple[int, int]:
     if isinstance(bits, int):
         raise DomainError("pass a BitSequence or an iterable of bits, not a bare int")
     seq = list(bits)
-    packed = 0
-    for i, b in enumerate(seq):
-        if b not in (0, 1):
-            raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        packed |= b << i
-    return packed, len(seq)
+    return pack_bits(seq), len(seq)
 
 
 #: Steps between truncations of the working products in berlekamp_massey.

@@ -8,7 +8,9 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .eulerq import build_table
@@ -60,8 +62,22 @@ class BitSequence:
                            length=2 * self.length, origin=self.origin)
 
 
-def _pack(flags: list[bool]) -> int:
-    return int("".join("1" if f else "0" for f in reversed(flags)), 2) if flags else 0
+_DIGITS = {0: "0", 1: "1"}
+
+
+def pack_bits(bits: Sequence[int]) -> int:
+    """The integer whose bit i is bits[i] (0, 1 or a bool), by one linear base-2 parse."""
+    try:
+        digits = "".join([_DIGITS[b] for b in reversed(bits)])
+    except (KeyError, TypeError):
+        bad = next(b for b in bits if b not in (0, 1))
+        raise DomainError(f"bits must be 0 or 1, got {bad!r}") from None
+    return int(digits, 2) if digits else 0
+
+
+def pack_flags(flags: np.ndarray) -> int:
+    """The integer whose bit i is set where the boolean array is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def generate_threshold(pair: PrimePair) -> BitSequence:
@@ -69,7 +85,7 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     table = build_table(pair)
     pq = pair.p * pair.q
     flags = [2 * v >= pq for v in table.values]
-    return BitSequence(bits=_pack(flags), length=pair.period, origin=(pair.p, pair.q))
+    return BitSequence(bits=pack_bits(flags), length=pair.period, origin=(pair.p, pair.q))
 
 
 def generate_by_cosets(pair: PrimePair, partition: "CosetPartition") -> BitSequence:
@@ -82,11 +98,7 @@ def generate_by_cosets(pair: PrimePair, partition: "CosetPartition") -> BitSeque
             f"partition built for {(partition.pair.p, partition.pair.q)}, "
             f"not {(pair.p, pair.q)}"
         )
-    q = pair.q
-    bits = 0
-    for ell in range((q + 1) // 2, q):
-        for u in partition.cosets[ell]:
-            bits |= 1 << u
+    bits = pack_flags(partition.index >= (pair.q + 1) // 2)
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 

@@ -1,5 +1,7 @@
 """Structural audit of the coset partition behind the threshold sequence.
 
+The partition is one dense coset index over a period: index[t] = psi(t)/p on
+the units of Z_{pq^2} and -1 elsewhere, so D_ell = {t : index[t] == ell}.
 Eight facts are checked per pair: the quotient map is a surjective
 homomorphism with the stated kernel and image; the units split into q cosets
 of equal size; multiplication translates cosets; reductions of a coset modulo
@@ -9,68 +11,80 @@ evaluation at primitive roots of unity in an extension field: agreement modulo
 the n-th cyclotomic polynomial is equivalent to agreement at every primitive
 n-th root, and stays in plain GF(2)[x] arithmetic.
 
-Set-level checks run exhaustively below EXHAUSTIVE_LIMIT elements; above that
-the quadratic product grids are sampled with a fixed, configurable seed, and
-everything linear stays exhaustive.
+Residues are counted as keys coset * m + (t mod m) over the units; a coset
+polynomial mod x^m - 1 is the parity of its keys.
+
+Set-level checks run exhaustively below EXHAUSTIVE_LIMIT elements, on one
+product grid shared by additivity and translation; above that the grids are
+sampled with a fixed, configurable seed, and everything linear stays
+exhaustive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .eulerq import EulerQuotientTable, build_table, coset_index, derive_generators
-from .gf2poly import cyclotomic_f2
+from .gf2poly import _int_mod, cyclotomic_f2
 from .lincomp import wieferich_ok
 from .ntcore import GroupGenerators, PrimePair
+from .sequence import pack_flags
 
 EXHAUSTIVE_LIMIT = 10_000   # full product grids for periods up to this
 SAMPLE_COUNT = 10_000       # random pairs checked above the limit
 DEFAULT_SEED = 1729
+_GRID_CHUNK = 1 << 16       # products per slice of the exhaustive grid
+
+ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
 
 _CHECK_NAMES = ("lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetPartition:
-    """The q cosets D_0..D_{q-1} of units plus the non-unit positions P."""
+    """The coset index over one period: D_ell holds the t with index[t] == ell,
+    and the non-units P those with index[t] == -1."""
 
     pair: PrimePair
-    cosets: tuple[frozenset[int], ...]
-    non_units: frozenset[int]
+    index: np.ndarray   # int32, length p*q^2
 
-    @property
-    def units_count(self) -> int:
-        return sum(len(c) for c in self.cosets)
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """All units, ascending."""
+        return np.flatnonzero(self.index >= 0)
+
+    @functools.cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """D_0..D_{q-1}, each ascending, split from one stable argsort."""
+        q = self.pair.q
+        order = np.argsort(self.index, kind="stable")
+        sizes = np.bincount(self.index + 1, minlength=q + 1)
+        return tuple(np.split(order, np.cumsum(sizes)[:-1])[1:q + 1])
 
 
 def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
-    """Populate the partition from the coset index over one full period."""
+    """Fill the coset index over one full period from the Euler quotients."""
     pair.require_divides()
     if table is None:
         table = build_table(pair)
     p, q = pair.p, pair.q
-    pq = p * q
-    cosets: list[set[int]] = [set() for _ in range(q)]
-    non_units: set[int] = set()
-    for t, value in enumerate(table.values):
-        if math.gcd(t, pq) == 1:
-            if value % p != 0:
-                raise InternalConsistencyError(
-                    f"psi({t}) = {value} not divisible by p={p}"
-                )
-            cosets[value // p].add(t)
-        else:
-            non_units.add(t)
-    return CosetPartition(
-        pair=pair,
-        cosets=tuple(frozenset(c) for c in cosets),
-        non_units=frozenset(non_units),
-    )
+    values = np.asarray(table.values, dtype=np.int64)
+    t = np.arange(pair.period)
+    unit = (t % p != 0) & (t % q != 0)
+    stray = np.flatnonzero(unit & (values % p != 0))
+    if stray.size:
+        t0 = int(stray[0])
+        raise InternalConsistencyError(
+            f"psi({t0}) = {table.values[t0]} not divisible by p={p}"
+        )
+    index = np.where(unit, values // p, -1).astype(np.int32)
+    return CosetPartition(pair=pair, index=index)
 
 
 def two_coset_index(pair: PrimePair) -> int:
@@ -94,224 +108,206 @@ def two_coset_index(pair: PrimePair) -> int:
 # internal granular checks; each returns a list of failure messages
 
 
-def _coset_arrays(partition: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(units sorted ascending, index lookup over [0, period)) as int64 arrays."""
-    n = partition.pair.period
-    idx = np.full(n, -1, dtype=np.int64)
-    for ell, coset in enumerate(partition.cosets):
-        idx[np.fromiter(coset, dtype=np.int64)] = ell
-    units = np.flatnonzero(idx >= 0).astype(np.int64)
-    return units, idx
+def _powers(base: int, count: int, n: int) -> np.ndarray:
+    """base^0, base^1, ..., base^(count-1) mod n."""
+    return np.array([pow(base, i, n) for i in range(count)], dtype=np.int64)
+
+
+def _grid_failures(partition: CosetPartition) -> np.ndarray | None:
+    """Units u whose row of the product grid breaks index additivity, ascending.
+
+    Row u holds index[u*v] == (index[u] + index[v]) mod q for every unit v.
+    The grid is symmetric, so only the slices on and above the diagonal are
+    computed, about _GRID_CHUNK products each, and a failing cell marks both
+    its row and its column.  None above EXHAUSTIVE_LIMIT, where the grid is
+    sampled instead.
+    """
+    n, q = partition.pair.period, partition.pair.q
+    if n > EXHAUSTIVE_LIMIT:
+        return None
+    units = partition.units.astype(np.int32)   # products stay below n^2 < 2^31
+    iu = partition.index[units]
+    # index[u*v] - index[u] - index[v] is 0 or -q exactly when the cell holds;
+    # a non-unit product reads as -2q, which can give neither
+    lookup = np.where(partition.index >= 0, partition.index, -2 * q).astype(np.int32)
+    step = max(1, _GRID_CHUNK // max(len(units), 1))
+    bad = [units[:0]]
+    for lo in range(0, len(units), step):
+        prod = np.outer(units[lo:lo + step], units[lo:])
+        prod %= n
+        diff = lookup.take(prod)
+        diff -= iu[lo:]
+        diff -= iu[lo:lo + step, None]
+        fails = (diff != 0) & (diff != -q)
+        bad += [units[lo:lo + step][fails.any(axis=1)], units[lo:][fails.any(axis=0)]]
+    return np.unique(np.concatenate(bad))
+
+
+def _sampled_additivity(partition: CosetPartition, rng: np.random.Generator) -> bool:
+    n, q = partition.pair.period, partition.pair.q
+    units, index = partition.units, partition.index
+    u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+    v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+    return np.array_equal(index[u * v % n], (index[u] + index[v]) % q)
 
 
 def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[str]:
+    # the index gives each t exactly one label, so the cosets and P partition
+    # the period by construction; what remains are the sizes
     problems = []
     expected = pair.phi_pq
-    for ell, coset in enumerate(partition.cosets):
+    for ell, coset in enumerate(partition.members):
         if len(coset) != expected:
             problems.append(f"|D_{ell}| = {len(coset)}, expected {expected}")
-    covered = set().union(*partition.cosets) | partition.non_units
-    if len(covered) != pair.period or partition.units_count + len(partition.non_units) != pair.period:
-        problems.append("cosets and non-units do not partition the period")
+    non_units = pair.period - len(partition.units)
     expected_p = pair.period - pair.q * pair.phi_pq
-    if len(partition.non_units) != expected_p:
-        problems.append(f"|P| = {len(partition.non_units)}, expected {expected_p}")
+    if non_units != expected_p:
+        problems.append(f"|P| = {non_units}, expected {expected_p}")
     return problems
 
 
 def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
     problems = []
-    n = pair.period
-    d0 = partition.cosets[0]
-    shifted = d0
+    shifted = partition.members[0]
     for ell in range(1, pair.q):
-        shifted = {gens.ghat * t % n for t in shifted}
-        if shifted != partition.cosets[ell]:
+        shifted = np.sort(gens.ghat * shifted % pair.period)   # ghat is a unit: no repeats
+        if not np.array_equal(shifted, partition.members[ell]):
             problems.append(f"ghat^{ell} * D_0 != D_{ell}")
     return problems
 
 
-def _check_kernel_image(
-    pair: PrimePair,
-    gens: GroupGenerators,
-    partition: CosetPartition,
-    table: EulerQuotientTable,
-    rng: np.random.Generator,
-) -> list[str]:
+def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition,
+                        grid_failures: np.ndarray | None, rng: np.random.Generator) -> list[str]:
     problems = []
     n, p, q = pair.period, pair.p, pair.q
 
     # kernel: the subgroup generated by g^q and h equals D_0
-    gq = pow(gens.g, q, n)
-    kernel = set()
-    x = 1
-    for _ in range(pair.e):
-        y = x
-        for _ in range(pair.d):
-            kernel.add(y)
-            y = y * gens.h % n
-        x = x * gq % n
-    if kernel != partition.cosets[0]:
+    kernel = np.unique(np.outer(_powers(pow(gens.g, q, n), pair.e, n), _powers(gens.h, pair.d, n)) % n)
+    if not np.array_equal(kernel, partition.members[0]):
         problems.append(
             f"subgroup <g^q, h> has {len(kernel)} elements and differs from D_0"
         )
 
     # image over units is exactly {0, p, 2p, ..., (q-1)p}
-    pq = p * q
-    image = {v for t, v in enumerate(table.values) if math.gcd(t, pq) == 1}
-    if image != {p * ell for ell in range(q)}:
-        problems.append(f"image of the quotient map is {sorted(image)}")
+    image = np.flatnonzero(np.bincount(partition.index[partition.units], minlength=q))
+    if not np.array_equal(image, np.arange(q)):
+        problems.append(f"image of the quotient map is {(p * image).tolist()}")
 
     # additivity of the coset index over products
-    units, idx = _coset_arrays(partition)
-    if n <= EXHAUSTIVE_LIMIT:
-        step = max(1, (1 << 22) // max(len(units), 1))
-        for lo in range(0, len(units), step):
-            chunk = units[lo:lo + step]
-            prod = chunk[:, None] * units[None, :] % n
-            want = (idx[chunk][:, None] + idx[units][None, :]) % q
-            if not np.array_equal(idx[prod], want):
-                problems.append("index additivity fails on the full product grid")
-                break
-    else:
-        u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-        v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-        if not np.array_equal(idx[u * v % n], (idx[u] + idx[v]) % q):
-            problems.append("index additivity fails on sampled products")
+    if grid_failures is not None:
+        if grid_failures.size:
+            problems.append("index additivity fails on the full product grid")
+    elif not _sampled_additivity(partition, rng):
+        problems.append("index additivity fails on sampled products")
     return problems
 
 
-def _check_translation(
-    pair: PrimePair,
-    partition: CosetPartition,
-    rng: np.random.Generator,
-) -> list[str]:
+def _check_translation(pair: PrimePair, partition: CosetPartition,
+                       grid_failures: np.ndarray | None, rng: np.random.Generator) -> list[str]:
     # u in D_j maps D_i onto D_{i+j}: index additivity over u*v plus equal
     # cardinalities gives the set equality, since multiplication by a unit is
-    # injective.
+    # injective.  On the full grid, D_j fails exactly when one of its rows does.
+    if grid_failures is not None:
+        return [f"translation by D_{j} leaves its target coset"
+                for j in np.unique(partition.index[grid_failures]).tolist()]
     problems = []
     n, q = pair.period, pair.q
-    units, idx = _coset_arrays(partition)
-    if n <= EXHAUSTIVE_LIMIT:
-        for j in range(q):
-            dj = np.fromiter(partition.cosets[j], dtype=np.int64)
-            prod = dj[:, None] * units[None, :] % n
-            want = (j + idx[units][None, :]) % q
-            if not np.array_equal(idx[prod], np.broadcast_to(want, prod.shape)):
-                problems.append(f"translation by D_{j} leaves its target coset")
-    else:
-        u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-        v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-        if not np.array_equal(idx[u * v % n], (idx[u] + idx[v]) % q):
-            problems.append("translation fails on sampled products")
-        # a few full set translations as well
-        for _ in range(8):
-            u0 = int(units[rng.integers(0, len(units))])
-            i = int(rng.integers(0, q))
-            j = int(idx[u0])
-            image = {u0 * v % n for v in partition.cosets[i]}
-            if image != partition.cosets[(i + j) % q]:
-                problems.append(f"{u0} * D_{i} != D_{(i + j) % q}")
+    units = partition.units
+    if not _sampled_additivity(partition, rng):
+        problems.append("translation fails on sampled products")
+    # a few full set translations as well
+    for _ in range(8):
+        u0 = int(units[rng.integers(0, len(units))])
+        i = int(rng.integers(0, q))
+        j = int(partition.index[u0])
+        image = np.unique(u0 * partition.members[i] % n)
+        if not np.array_equal(image, partition.members[(i + j) % q]):
+            problems.append(f"{u0} * D_{i} != D_{(i + j) % q}")
     return problems
 
 
-def _check_residue_multisets(
-    pair: PrimePair,
-    gens: GroupGenerators,
-    partition: CosetPartition,
-) -> dict[str, list[str]]:
+def _residue_counts(partition: CosetPartition) -> dict[int, ResidueCounts]:
+    """For m in p, q, pq, q^2: sorted keys coset * m + (t mod m) over the units, with counts."""
+    p, q = partition.pair.p, partition.pair.q
+    units = partition.units
+    cosets = partition.index[units].astype(np.int64)
+    return {m: np.unique(cosets * m + units % m, return_counts=True)
+            for m in (p, q, p * q, q * q)}
+
+
+def _bad_cosets(found: ResidueCounts, expected_keys: np.ndarray, count: int, m: int) -> set[int]:
+    """Cosets whose keys differ from the expected (sorted, distinct) ones or occur not `count` times."""
+    keys, counts = found
+    stray = np.setxor1d(keys, expected_keys, assume_unique=True)
+    return set((stray // m).tolist()) | set((keys[counts != count] // m).tolist())
+
+
+def _check_residue_multisets(pair: PrimePair, gens: GroupGenerators,
+                             counts: dict[int, ResidueCounts]) -> dict[str, list[str]]:
     p, q = pair.p, pair.q
     pq, q2 = p * q, q * q
     out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
 
-    frak_g = gens.g % q2
-    frak_ghat = gens.ghat % q2
-    subgroup = []
-    x = 1
-    gq = pow(frak_g, q, q2)
-    for _ in range(q - 1):
-        subgroup.append(x)
-        x = x * gq % q2
+    def keys(m: int, residues: np.ndarray) -> np.ndarray:
+        return (np.arange(q)[:, None] * m + residues).ravel()
 
-    units_pq = sorted(t for t in range(pq) if math.gcd(t, pq) == 1)
+    # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q
+    subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
+    target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
+    units_pq = np.array([t for t in range(pq) if math.gcd(t, pq) == 1])
 
-    for ell, coset in enumerate(partition.cosets):
-        mod_p = Counter(u % p for u in coset)
-        if mod_p != {r: q - 1 for r in range(1, p)}:
-            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {dict(mod_p)}")
-        mod_q = Counter(u % q for u in coset)
-        if mod_q != {r: p - 1 for r in range(1, q)}:
+    bad_p = _bad_cosets(counts[p], keys(p, np.arange(1, p)), q - 1, p)
+    bad_q = _bad_cosets(counts[q], keys(q, np.arange(1, q)), p - 1, q)
+    bad_pq = _bad_cosets(counts[pq], keys(pq, units_pq), 1, pq)
+    bad_q2 = _bad_cosets(counts[q2], np.unique(keys(q2, target)), p - 1, q2)
+
+    keys_p, counts_p = counts[p]
+    for ell in range(q):
+        if ell in bad_p:
+            mine = keys_p // p == ell
+            mod_p = dict(zip((keys_p[mine] % p).tolist(), counts_p[mine].tolist()))
+            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {mod_p}")
+        if ell in bad_q:
             out["lemma5"].append(f"D_{ell} mod q multiset wrong")
-        if sorted(u % pq for u in coset) != units_pq:
+        if ell in bad_pq:
             out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
-        coset_q2 = Counter(u % q2 for u in coset)
-        target = Counter()
-        shift = pow(frak_ghat, ell, q2)
-        for s in subgroup:
-            target[shift * s % q2] = p - 1
-        if coset_q2 != target:
+        if ell in bad_q2:
             out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
     return out
 
 
-def _residue_pass(n: int, modulus_bits: int, idx: list[int], buckets: int) -> list[int]:
-    """Reduce sum_{t in bucket} x^t mod the modulus, one linear sweep.
-
-    Maintains x^t mod f incrementally (shift, conditional XOR), so huge
-    exponents never materialize as dense polynomials.
-    """
-    acc = [0] * buckets
-    deg = modulus_bits.bit_length() - 1
-    r = 1
-    for t in range(n):
-        i = idx[t]
-        if i >= 0:
-            acc[i] ^= r
-        r <<= 1
-        if (r >> deg) & 1:
-            r ^= modulus_bits
-    return acc
+def _coset_residues(found: ResidueCounts, m: int, q: int) -> list[int]:
+    """Each coset polynomial mod Phi_m: the parity of its keys gives it mod x^m - 1."""
+    keys, counts = found
+    odd = keys[counts % 2 == 1]
+    bounds = np.searchsorted(odd, np.arange(q + 1) * m)
+    modulus = cyclotomic_f2(m).bits
+    residues = []
+    for ell in range(q):
+        folded = np.zeros(m, dtype=bool)
+        folded[odd[bounds[ell]:bounds[ell + 1]] - ell * m] = True
+        residues.append(_int_mod(pack_flags(folded), modulus))
+    return residues
 
 
-def _check_congruences(pair: PrimePair, partition: CosetPartition) -> dict[str, list[str]]:
-    p, q, n = pair.p, pair.q, pair.period
+def _check_congruences(pair: PrimePair, partition: CosetPartition,
+                       counts: dict[int, ResidueCounts]) -> dict[str, list[str]]:
+    p, q = pair.p, pair.q
     out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
 
-    idx = [-1] * n
-    for ell, coset in enumerate(partition.cosets):
-        for t in coset:
-            idx[t] = ell
-
-    acc_by_modulus: dict[str, list[int]] = {}
-    per_coset_expect = {"pq": 1, "p": 0, "q": 0, "q2": 0}
-    moduli = {
-        "pq": cyclotomic_f2(p * q).bits,
-        "p": cyclotomic_f2(p).bits,
-        "q": cyclotomic_f2(q).bits,
-        "q2": cyclotomic_f2(q * q).bits,
-    }
-    for name, bits in moduli.items():
-        acc = _residue_pass(n, bits, idx, q)
-        acc_by_modulus[name] = acc
-        expect = per_coset_expect[name]
-        bad = [ell for ell, r in enumerate(acc) if r != expect]
+    # each coset polynomial, and so their sum over the q cosets, is 1 modulo
+    # the pq cyclotomic and 0 modulo the p, q and q^2 ones
+    for name, m, expect in (("pq", p * q, 1), ("p", p, 0), ("q", q, 0), ("q2", q * q, 0)):
+        residues = _coset_residues(counts[m], m, q)
+        bad = [ell for ell, r in enumerate(residues) if r != expect]
         if bad:
             out["lemma8"].append(
                 f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
             )
-
-    # the sum over all cosets: 1 modulo the pq cyclotomic, 0 modulo the rest
-    sum_expect = {"pq": 1, "p": 0, "q": 0, "q2": 0}
-    for name, acc in acc_by_modulus.items():
-        total = 0
-        for r in acc:
-            total ^= r
-        if total != sum_expect[name]:
-            out["lemma9"].append(f"summed coset polynomial is not {sum_expect[name]} mod {name}")
-    total_pq2 = 0
-    for r in _residue_pass(n, cyclotomic_f2(n).bits, idx, q):
-        total_pq2 ^= r
-    if total_pq2 != 0:
+        if functools.reduce(operator.xor, residues, 0) != expect:
+            out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
+    # the sum over all cosets is the units indicator, 0 modulo the pq^2 cyclotomic
+    if _int_mod(pack_flags(partition.index >= 0), cyclotomic_f2(pair.period).bits) != 0:
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
@@ -324,13 +320,11 @@ def check_kernel_image(
     pair: PrimePair,
     gens: GroupGenerators,
     partition: CosetPartition,
-    table: EulerQuotientTable | None = None,
     seed: int = DEFAULT_SEED,
 ) -> tuple[bool, list[str]]:
     """Kernel equals <g^q, h>, image is the multiples of p, index is additive."""
-    if table is None:
-        table = build_table(pair)
-    problems = _check_kernel_image(pair, gens, partition, table, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    problems = _check_kernel_image(pair, gens, partition, _grid_failures(partition), rng)
     return not problems, problems
 
 
@@ -343,7 +337,8 @@ def check_translation(
     """uD_i = D_{i+j} for u in D_j, and D_ell = ghat^ell * D_0."""
     if gens is None:
         gens = derive_generators(pair)
-    problems = _check_translation(pair, partition, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    problems = _check_translation(pair, partition, _grid_failures(partition), rng)
     problems += _check_ghat_law(pair, gens, partition)
     return not problems, problems
 
@@ -356,14 +351,14 @@ def check_residue_multisets(
     """Coset reductions mod p, q, pq and q^2 hit the prescribed multisets."""
     if gens is None:
         gens = derive_generators(pair)
-    per = _check_residue_multisets(pair, gens, partition)
+    per = _check_residue_multisets(pair, gens, _residue_counts(partition))
     problems = per["lemma5"] + per["lemma6"] + per["lemma7"]
     return not problems, problems
 
 
 def check_congruences(pair: PrimePair, partition: CosetPartition) -> tuple[bool, list[str]]:
     """Coset polynomials are 1 mod the pq cyclotomic and 0 mod the p, q, q^2 ones."""
-    per = _check_congruences(pair, partition)
+    per = _check_congruences(pair, partition, _residue_counts(partition))
     problems = per["lemma8"] + per["lemma9"]
     return not problems, problems
 
@@ -411,25 +406,19 @@ class StructureReport:
 def audit_structure(pair: PrimePair, seed: int = DEFAULT_SEED) -> StructureReport:
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
-    table = build_table(pair)
-    partition = build_partition(pair, table=table)
+    partition = build_partition(pair)
     gens = derive_generators(pair)
     rng = np.random.default_rng(seed)
+    grid_failures = _grid_failures(partition)
+    counts = _residue_counts(partition)
 
-    failures: dict[str, list[str]] = {name: [] for name in _CHECK_NAMES}
-    failures["lemma2"] = _check_kernel_image(pair, gens, partition, table, rng)
+    failures = {"lemma2": _check_kernel_image(pair, gens, partition, grid_failures, rng)}
     failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
-    failures["lemma4"] = _check_translation(pair, partition, rng)
-    residues = _check_residue_multisets(pair, gens, partition)
-    failures["lemma5"] = residues["lemma5"]
-    failures["lemma6"] = residues["lemma6"]
-    failures["lemma7"] = residues["lemma7"]
-    congruences = _check_congruences(pair, partition)
-    failures["lemma8"] = congruences["lemma8"]
-    failures["lemma9"] = congruences["lemma9"]
+    failures["lemma4"] = _check_translation(pair, partition, grid_failures, rng)
+    failures.update(_check_residue_multisets(pair, gens, counts))
+    failures.update(_check_congruences(pair, partition, counts))
 
-    sigma = coset_index(2, pair)
-    assert sigma is not None  # 2 is a unit for odd p, q
+    sigma = int(partition.index[2])   # 2 is a unit for odd p, q
     if wieferich_ok(pair.q):
         sigma = two_coset_index(pair)
 

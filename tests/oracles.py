@@ -3,19 +3,36 @@
 `berlekamp_massey` is the incremental Berlekamp-Massey loop without the
 single-bit discrepancy test and without truncation; `cyclotomic_bits` builds
 the n-th cyclotomic polynomial over GF(2) by dividing x^n + 1 by the
-cyclotomic polynomials of every proper divisor.  Both are kept as they were
-before the fast paths replaced them in the package.
+cyclotomic polynomials of every proper divisor.  `term_degrees` (with
+`render` on top of it) and `pack_bits` are the per-bit loops that rendering
+and bit packing used.
+
+The structural audit follows: the frozenset `CosetPartition` and
+`build_partition`, the two product grids, the Counter multisets and the
+per-bit `_residue_pass` behind the congruences, each as the package had them
+before the dense coset index replaced them.  `audit_failures` runs them in the
+order `audit_structure` did and returns the failure messages per lemma;
+`partition_from_index` turns a (possibly corrupted) coset index into the
+frozenset form so both sides can be fed the same partition.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence as SequenceABC
 
+import numpy as np
+
 from eqseq import BitSequence, Gf2Poly
-from eqseq.errors import InternalConsistencyError
-from eqseq.gf2poly import _int_divmod
+from eqseq.errors import DomainError, InternalConsistencyError
+from eqseq.eulerq import EulerQuotientTable, build_table
+from eqseq.gf2poly import _int_divmod, cyclotomic_f2
 from eqseq.lincomp import _as_packed
+from eqseq.ntcore import GroupGenerators, PrimePair
+from eqseq.structverify import EXHAUSTIVE_LIMIT, SAMPLE_COUNT
 
 
 def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly]:
@@ -64,3 +81,323 @@ def cyclotomic_bits(n: int) -> int:
                 )
             f = q
     return f
+
+
+def term_degrees(bits: int) -> list[int]:
+    """Degrees of the nonzero terms, descending."""
+    return [i for i in range(bits.bit_length() - 1, -1, -1)
+            if (bits >> i) & 1]
+
+
+def render(bits: int) -> str:
+    """Text form in descending powers: \"x^3 + x + 1\", \"x\", \"1\", \"0\"."""
+    if bits == 0:
+        return "0"
+    parts = []
+    for d in term_degrees(bits):
+        if d == 0:
+            parts.append("1")
+        elif d == 1:
+            parts.append("x")
+        else:
+            parts.append(f"x^{d}")
+    return " + ".join(parts)
+
+
+def pack_bits(bits) -> tuple[int, int]:
+    seq = list(bits)
+    packed = 0
+    for i, b in enumerate(seq):
+        if b not in (0, 1):
+            raise DomainError(f"bits must be 0 or 1, got {b!r}")
+        packed |= b << i
+    return packed, len(seq)
+
+
+# ---------------------------------------------------------------------------
+# structural audit over frozensets
+
+
+@dataclass(frozen=True)
+class CosetPartition:
+    """The q cosets D_0..D_{q-1} of units plus the non-unit positions P."""
+
+    pair: PrimePair
+    cosets: tuple[frozenset[int], ...]
+    non_units: frozenset[int]
+
+    @property
+    def units_count(self) -> int:
+        return sum(len(c) for c in self.cosets)
+
+
+def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
+    """Populate the partition from the coset index over one full period."""
+    pair.require_divides()
+    if table is None:
+        table = build_table(pair)
+    p, q = pair.p, pair.q
+    pq = p * q
+    cosets: list[set[int]] = [set() for _ in range(q)]
+    non_units: set[int] = set()
+    for t, value in enumerate(table.values):
+        if math.gcd(t, pq) == 1:
+            if value % p != 0:
+                raise InternalConsistencyError(
+                    f"psi({t}) = {value} not divisible by p={p}"
+                )
+            cosets[value // p].add(t)
+        else:
+            non_units.add(t)
+    return CosetPartition(
+        pair=pair,
+        cosets=tuple(frozenset(c) for c in cosets),
+        non_units=frozenset(non_units),
+    )
+
+
+
+def _coset_arrays(partition: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(units sorted ascending, index lookup over [0, period)) as int64 arrays."""
+    n = partition.pair.period
+    idx = np.full(n, -1, dtype=np.int64)
+    for ell, coset in enumerate(partition.cosets):
+        idx[np.fromiter(coset, dtype=np.int64)] = ell
+    units = np.flatnonzero(idx >= 0).astype(np.int64)
+    return units, idx
+
+
+def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[str]:
+    problems = []
+    expected = pair.phi_pq
+    for ell, coset in enumerate(partition.cosets):
+        if len(coset) != expected:
+            problems.append(f"|D_{ell}| = {len(coset)}, expected {expected}")
+    covered = set().union(*partition.cosets) | partition.non_units
+    if len(covered) != pair.period or partition.units_count + len(partition.non_units) != pair.period:
+        problems.append("cosets and non-units do not partition the period")
+    expected_p = pair.period - pair.q * pair.phi_pq
+    if len(partition.non_units) != expected_p:
+        problems.append(f"|P| = {len(partition.non_units)}, expected {expected_p}")
+    return problems
+
+
+def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
+    problems = []
+    n = pair.period
+    d0 = partition.cosets[0]
+    shifted = d0
+    for ell in range(1, pair.q):
+        shifted = {gens.ghat * t % n for t in shifted}
+        if shifted != partition.cosets[ell]:
+            problems.append(f"ghat^{ell} * D_0 != D_{ell}")
+    return problems
+
+
+def _check_kernel_image(
+    pair: PrimePair,
+    gens: GroupGenerators,
+    partition: CosetPartition,
+    table: EulerQuotientTable,
+    rng: np.random.Generator,
+) -> list[str]:
+    problems = []
+    n, p, q = pair.period, pair.p, pair.q
+
+    # kernel: the subgroup generated by g^q and h equals D_0
+    gq = pow(gens.g, q, n)
+    kernel = set()
+    x = 1
+    for _ in range(pair.e):
+        y = x
+        for _ in range(pair.d):
+            kernel.add(y)
+            y = y * gens.h % n
+        x = x * gq % n
+    if kernel != partition.cosets[0]:
+        problems.append(
+            f"subgroup <g^q, h> has {len(kernel)} elements and differs from D_0"
+        )
+
+    # image over units is exactly {0, p, 2p, ..., (q-1)p}
+    pq = p * q
+    image = {v for t, v in enumerate(table.values) if math.gcd(t, pq) == 1}
+    if image != {p * ell for ell in range(q)}:
+        problems.append(f"image of the quotient map is {sorted(image)}")
+
+    # additivity of the coset index over products
+    units, idx = _coset_arrays(partition)
+    if n <= EXHAUSTIVE_LIMIT:
+        step = max(1, (1 << 22) // max(len(units), 1))
+        for lo in range(0, len(units), step):
+            chunk = units[lo:lo + step]
+            prod = chunk[:, None] * units[None, :] % n
+            want = (idx[chunk][:, None] + idx[units][None, :]) % q
+            if not np.array_equal(idx[prod], want):
+                problems.append("index additivity fails on the full product grid")
+                break
+    else:
+        u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+        v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+        if not np.array_equal(idx[u * v % n], (idx[u] + idx[v]) % q):
+            problems.append("index additivity fails on sampled products")
+    return problems
+
+
+def _check_translation(
+    pair: PrimePair,
+    partition: CosetPartition,
+    rng: np.random.Generator,
+) -> list[str]:
+    # u in D_j maps D_i onto D_{i+j}: index additivity over u*v plus equal
+    # cardinalities gives the set equality, since multiplication by a unit is
+    # injective.
+    problems = []
+    n, q = pair.period, pair.q
+    units, idx = _coset_arrays(partition)
+    if n <= EXHAUSTIVE_LIMIT:
+        for j in range(q):
+            dj = np.fromiter(partition.cosets[j], dtype=np.int64)
+            prod = dj[:, None] * units[None, :] % n
+            want = (j + idx[units][None, :]) % q
+            if not np.array_equal(idx[prod], np.broadcast_to(want, prod.shape)):
+                problems.append(f"translation by D_{j} leaves its target coset")
+    else:
+        u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+        v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
+        if not np.array_equal(idx[u * v % n], (idx[u] + idx[v]) % q):
+            problems.append("translation fails on sampled products")
+        # a few full set translations as well
+        for _ in range(8):
+            u0 = int(units[rng.integers(0, len(units))])
+            i = int(rng.integers(0, q))
+            j = int(idx[u0])
+            image = {u0 * v % n for v in partition.cosets[i]}
+            if image != partition.cosets[(i + j) % q]:
+                problems.append(f"{u0} * D_{i} != D_{(i + j) % q}")
+    return problems
+
+
+def _check_residue_multisets(
+    pair: PrimePair,
+    gens: GroupGenerators,
+    partition: CosetPartition,
+) -> dict[str, list[str]]:
+    p, q = pair.p, pair.q
+    pq, q2 = p * q, q * q
+    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
+
+    frak_g = gens.g % q2
+    frak_ghat = gens.ghat % q2
+    subgroup = []
+    x = 1
+    gq = pow(frak_g, q, q2)
+    for _ in range(q - 1):
+        subgroup.append(x)
+        x = x * gq % q2
+
+    units_pq = sorted(t for t in range(pq) if math.gcd(t, pq) == 1)
+
+    for ell, coset in enumerate(partition.cosets):
+        mod_p = Counter(u % p for u in coset)
+        if mod_p != {r: q - 1 for r in range(1, p)}:
+            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {dict(mod_p)}")
+        mod_q = Counter(u % q for u in coset)
+        if mod_q != {r: p - 1 for r in range(1, q)}:
+            out["lemma5"].append(f"D_{ell} mod q multiset wrong")
+        if sorted(u % pq for u in coset) != units_pq:
+            out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
+        coset_q2 = Counter(u % q2 for u in coset)
+        target = Counter()
+        shift = pow(frak_ghat, ell, q2)
+        for s in subgroup:
+            target[shift * s % q2] = p - 1
+        if coset_q2 != target:
+            out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
+    return out
+
+
+def _residue_pass(n: int, modulus_bits: int, idx: list[int], buckets: int) -> list[int]:
+    """Reduce sum_{t in bucket} x^t mod the modulus, one linear sweep.
+
+    Maintains x^t mod f incrementally (shift, conditional XOR), so huge
+    exponents never materialize as dense polynomials.
+    """
+    acc = [0] * buckets
+    deg = modulus_bits.bit_length() - 1
+    r = 1
+    for t in range(n):
+        i = idx[t]
+        if i >= 0:
+            acc[i] ^= r
+        r <<= 1
+        if (r >> deg) & 1:
+            r ^= modulus_bits
+    return acc
+
+
+def _check_congruences(pair: PrimePair, partition: CosetPartition) -> dict[str, list[str]]:
+    p, q, n = pair.p, pair.q, pair.period
+    out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
+
+    idx = [-1] * n
+    for ell, coset in enumerate(partition.cosets):
+        for t in coset:
+            idx[t] = ell
+
+    acc_by_modulus: dict[str, list[int]] = {}
+    per_coset_expect = {"pq": 1, "p": 0, "q": 0, "q2": 0}
+    moduli = {
+        "pq": cyclotomic_f2(p * q).bits,
+        "p": cyclotomic_f2(p).bits,
+        "q": cyclotomic_f2(q).bits,
+        "q2": cyclotomic_f2(q * q).bits,
+    }
+    for name, bits in moduli.items():
+        acc = _residue_pass(n, bits, idx, q)
+        acc_by_modulus[name] = acc
+        expect = per_coset_expect[name]
+        bad = [ell for ell, r in enumerate(acc) if r != expect]
+        if bad:
+            out["lemma8"].append(
+                f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
+            )
+
+    # the sum over all cosets: 1 modulo the pq cyclotomic, 0 modulo the rest
+    sum_expect = {"pq": 1, "p": 0, "q": 0, "q2": 0}
+    for name, acc in acc_by_modulus.items():
+        total = 0
+        for r in acc:
+            total ^= r
+        if total != sum_expect[name]:
+            out["lemma9"].append(f"summed coset polynomial is not {sum_expect[name]} mod {name}")
+    total_pq2 = 0
+    for r in _residue_pass(n, cyclotomic_f2(n).bits, idx, q):
+        total_pq2 ^= r
+    if total_pq2 != 0:
+        out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
+    return out
+
+
+def partition_from_index(pair: PrimePair, index) -> CosetPartition:
+    """The frozenset partition whose coset ell holds the t with index[t] == ell."""
+    cosets = [frozenset(np.flatnonzero(index == ell).tolist()) for ell in range(pair.q)]
+    return CosetPartition(pair=pair, cosets=tuple(cosets),
+                          non_units=frozenset(np.flatnonzero(index < 0).tolist()))
+
+
+def audit_failures(
+    pair: PrimePair,
+    gens: GroupGenerators,
+    partition: CosetPartition,
+    table: EulerQuotientTable,
+    seed: int,
+) -> dict[str, list[str]]:
+    """Failure messages per lemma, in the order audit_structure produced them."""
+    rng = np.random.default_rng(seed)
+    failures = {"lemma2": _check_kernel_image(pair, gens, partition, table, rng)}
+    failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
+    failures["lemma4"] = _check_translation(pair, partition, rng)
+    failures.update(_check_residue_multisets(pair, gens, partition))
+    failures.update(_check_congruences(pair, partition))
+    return failures

@@ -1,0 +1,185 @@
+"""Differential tests: the audit on the dense coset index against the frozenset audit.
+
+oracles.audit_failures runs the previous checks (frozenset partition, two
+product grids, Counter multisets, per-bit residue pass) in the order
+audit_structure ran them.  Both sides get the same coset index, clean or
+corrupted in one of three ways, and must report the same lemmas with the same
+messages.  The grid rows are also checked cell by cell, and the folded coset
+residues against the per-bit residue pass.
+"""
+
+import ast
+import re
+
+import numpy as np
+import pytest
+
+from eqseq import PrimePair, build_table, derive_generators
+from eqseq import structverify as sv
+from eqseq.errors import InternalConsistencyError
+from eqseq.eulerq import EulerQuotientTable
+from eqseq.gf2poly import _int_mod, cyclotomic_f2
+from eqseq.sequence import pack_flags
+
+import oracles
+from golden import SWEEP_PAIRS
+
+SMALL_PAIRS = [pq for pq in SWEEP_PAIRS if pq[0] * pq[1] ** 2 <= sv.EXHAUSTIVE_LIMIT]
+CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted")
+
+
+def new_failures(pair, gens, partition, seed):
+    """Failure messages per lemma from the checks audit_structure runs."""
+    rng = np.random.default_rng(seed)
+    grid = sv._grid_failures(partition)
+    counts = sv._residue_counts(partition)
+    failures = {"lemma2": sv._check_kernel_image(pair, gens, partition, grid, rng)}
+    failures["lemma3"] = sv._check_partition_shape(pair, partition) + sv._check_ghat_law(pair, gens, partition)
+    failures["lemma4"] = sv._check_translation(pair, partition, grid, rng)
+    failures.update(sv._check_residue_multisets(pair, gens, counts))
+    failures.update(sv._check_congruences(pair, partition, counts))
+    return failures
+
+
+def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
+    out = index.copy()
+    units = np.flatnonzero(index >= 0)
+    if kind == "swap":
+        # two units trade cosets
+        a = units[5]
+        b = units[np.flatnonzero(index[units] != index[a])[7]]
+        out[a], out[b] = index[b], index[a]
+    elif kind == "unit_dropped":
+        out[units[11]] = -1
+    elif kind == "coset_shifted":
+        # D_2 relabelled as ghat * D_2, which is D_3
+        out[index == 2] = 3 % q
+    return out
+
+
+def oracle_table(pair, table, index) -> EulerQuotientTable:
+    """The quotient table the index claims: p * index on labelled positions."""
+    values = [pair.p * int(i) if i >= 0 else v for i, v in zip(index.tolist(), table.values)]
+    return EulerQuotientTable(pair=pair, values=values)
+
+
+_DICT = re.compile(r"\{[^{}]*\}")
+
+
+def normalized(failures):
+    # the mod-p message prints a dict of residue counts; the oracle lists it in
+    # frozenset iteration order, the index in ascending residue order
+    def norm(msg):
+        return _DICT.sub(lambda m: repr(sorted(ast.literal_eval(m.group()).items())), msg)
+    return {name: [norm(m) for m in msgs] for name, msgs in failures.items()}
+
+
+def assert_same_audit(pair, table, gens, index, seed):
+    partition = sv.CosetPartition(pair=pair, index=index)
+    got = new_failures(pair, gens, partition, seed)
+    want = oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
+                                  oracle_table(pair, table, index), seed)
+    assert {k: not v for k, v in got.items()} == {k: not v for k, v in want.items()}
+    assert normalized(got) == normalized(want)
+    return got
+
+
+class TestAuditDifferential:
+    def test_every_sweep_pair(self):
+        for p, q in SWEEP_PAIRS:
+            pair = PrimePair.create(p, q)
+            table = build_table(pair)
+            index = sv.build_partition(pair, table).index
+            got = assert_same_audit(pair, table, derive_generators(pair), index, sv.DEFAULT_SEED)
+            assert not any(got.values()), (p, q)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (5, 31), (3, 61)])
+    def test_corrupted_index(self, p, q, kind):
+        # (3, 61) is above the exhaustive limit, so it runs the sampled branch
+        pair = PrimePair.create(p, q)
+        table = build_table(pair)
+        index = corrupt(sv.build_partition(pair, table).index, kind, q)
+        for seed in (sv.DEFAULT_SEED, 5):
+            got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
+            assert any(got.values()), (p, q, kind)
+
+    def test_swap_fails_lemma_4_per_coset(self):
+        pair = PrimePair.create(3, 7)
+        table = build_table(pair)
+        index = corrupt(sv.build_partition(pair, table).index, "swap", 7)
+        got = assert_same_audit(pair, table, derive_generators(pair), index, sv.DEFAULT_SEED)
+        assert got["lemma4"] == [f"translation by D_{j} leaves its target coset" for j in range(7)]
+
+
+def grid_rows_by_cell(pair, index) -> list[int]:
+    """Units whose row of the product grid breaks additivity, cell by cell."""
+    n, q = pair.period, pair.q
+    units = [t for t in range(n) if index[t] >= 0]
+    return [u for u in units
+            if any(index[u * v % n] != (index[u] + index[v]) % q for v in units)]
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("p,q", [(3, 7), (3, 13), (5, 11)])
+    def test_rows_match_cell_by_cell(self, p, q):
+        pair = PrimePair.create(p, q)
+        clean = sv.build_partition(pair).index
+        units = np.flatnonzero(clean >= 0)
+        dropped_top = clean.copy()
+        dropped_top[units[clean[units] == q - 1][3]] = -1   # a unit of D_{q-1} dropped
+        indices = [clean, dropped_top] + [corrupt(clean, kind, q) for kind in CORRUPTIONS]
+        for index in indices:
+            rows = sv._grid_failures(sv.CosetPartition(pair=pair, index=index))
+            assert rows.tolist() == grid_rows_by_cell(pair, index.tolist())
+        # a dropped unit d breaks every row but that of 1, which maps d to itself
+        rows = sv._grid_failures(sv.CosetPartition(pair=pair, index=dropped_top))
+        assert rows.tolist() == [u for u in np.flatnonzero(dropped_top >= 0).tolist() if u != 1]
+
+    def test_small_chunks(self, monkeypatch):
+        # slices of a few rows each still cover the whole grid
+        pair = PrimePair.create(3, 13)
+        index = corrupt(sv.build_partition(pair).index, "swap", 13)
+        want = grid_rows_by_cell(pair, index.tolist())
+        monkeypatch.setattr(sv, "_GRID_CHUNK", 1000)
+        assert sv._grid_failures(sv.CosetPartition(pair=pair, index=index)).tolist() == want
+
+
+class TestBuildPartition:
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (3, 61)])
+    def test_same_cosets_as_frozensets(self, p, q):
+        pair = PrimePair.create(p, q)
+        partition = sv.build_partition(pair)
+        old = oracles.build_partition(pair)
+        assert [set(m.tolist()) for m in partition.members] == [set(c) for c in old.cosets]
+        assert set(np.flatnonzero(partition.index < 0).tolist()) == old.non_units
+        assert partition.units.tolist() == sorted(set().union(*old.cosets))
+
+    def test_quotient_not_divisible_by_p(self):
+        pair = PrimePair.create(3, 7)
+        values = list(build_table(pair).values)
+        values[4] += 1
+        with pytest.raises(InternalConsistencyError, match=r"psi\(4\) = .* not divisible by p=3"):
+            sv.build_partition(pair, EulerQuotientTable(pair=pair, values=values))
+
+
+class TestFoldedResidues:
+    @pytest.mark.parametrize("corruption", [None, "swap", "coset_shifted"])
+    def test_match_residue_pass(self, corruption):
+        for p, q in SMALL_PAIRS:
+            pair = PrimePair.create(p, q)
+            n = pair.period
+            index = sv.build_partition(pair).index
+            if corruption:
+                index = corrupt(index, corruption, q)
+            partition = sv.CosetPartition(pair=pair, index=index)
+            counts = sv._residue_counts(partition)
+            idx = index.tolist()
+            for m in (p, q, p * q, q * q):
+                want = oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
+                assert sv._coset_residues(counts[m], m, q) == want, (p, q, m)
+            # the sum over every coset is the units indicator
+            total = 0
+            for r in oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q):
+                total ^= r
+            assert _int_mod(pack_flags(index >= 0), cyclotomic_f2(n).bits) == total, (p, q)

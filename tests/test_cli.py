@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eqseq import cli
 from eqseq.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -240,6 +241,44 @@ class TestScan:
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
         assert strip_millis(a) == strip_millis(b)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, stdout, err = run(capsys, "scan", "--max-period", "1000", "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert f"--jobs must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("jobs,cpus,max_period,workers", [
+        ("3", 2, "1000", 2),      # clamped to the CPUs
+        ("4", 8, "1000", 3),      # clamped to the three pairs
+        ("2", 8, "10000", 2),     # as asked
+        ("3", None, "1000", None),  # CPU count unknown: run serially
+        ("3", 8, "147", None),    # one pair: run serially
+    ])
+    def test_jobs_clamped(self, capsys, monkeypatch, jobs, cpus, max_period, workers):
+        # a stand-in pool records its size and runs the pairs in this process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, stdout, _ = run(capsys, "scan", "--max-period", max_period, "--jobs", jobs)
+        assert code == EXIT_OK
+        assert started == ([] if workers is None else [workers])
+        assert len(stdout.splitlines()) == 1 + len(enumerate_pairs(int(max_period)))
 
     def test_budget_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "500")

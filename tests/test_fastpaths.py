@@ -1,8 +1,10 @@
 """Differential tests: the fast kernels against the slow code they replaced.
 
-The oracles in oracles.py are the previous Berlekamp-Massey loop and the
-previous recursive-division cyclotomic construction; sympy gives an outside
-check of the cyclotomic polynomials.
+The oracles in oracles.py are the previous Berlekamp-Massey loop, the
+previous recursive-division cyclotomic construction and the per-bit loops
+that rendered polynomials and packed bits; sympy gives an outside check of
+the cyclotomic polynomials.  The structural audit has its own differential
+tests in test_audit_differential.py.
 """
 
 import random
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import cyclotomic_poly, symbols
 
-from eqseq import BitSequence, Gf2Poly, cyclotomic_f2, synthesize_sequence
+from eqseq import BitSequence, DomainError, Gf2Poly, cyclotomic_f2, synthesize_sequence
 from eqseq import lincomp
 from eqseq.lincomp import berlekamp_massey
+from eqseq.sequence import pack_bits
 
 import oracles
 
@@ -110,3 +113,39 @@ class TestCyclotomicDifferential:
     @example(2001)  # 3*23*29
     def test_matches_sympy_large(self, n):
         assert cyclotomic_f2(n) == sympy_cyclotomic_mod2(n)
+
+
+class TestRenderDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**3000))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    def test_matches_per_bit_loop(self, bits):
+        poly = Gf2Poly(bits)
+        assert poly.term_degrees() == oracles.term_degrees(bits)
+        assert poly.render() == oracles.render(bits)
+
+    def test_large_random(self):
+        rng = random.Random(7)
+        for n in (64, 65, 4097, 160_000):
+            bits = rng.getrandbits(n) | (1 << (n - 1))
+            assert Gf2Poly(bits).render() == oracles.render(bits)
+
+
+class TestPackBitsDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
+    def test_matches_per_bit_loop(self, bits):
+        assert lincomp._as_packed(bits) == oracles.pack_bits(bits)
+        assert pack_bits(bits) == oracles.pack_bits(bits)[0]
+
+    @pytest.mark.parametrize("bad", [2, -1, "1", None, [1]])
+    def test_rejects_non_bits_like_the_loop(self, bad):
+        bits = [1, 0, bad, 1, 3]
+        with pytest.raises(DomainError) as new:
+            lincomp._as_packed(bits)
+        with pytest.raises(DomainError) as old:
+            oracles.pack_bits(bits)
+        assert str(new.value) == str(old.value) == f"bits must be 0 or 1, got {bad!r}"

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from eqseq import (
@@ -30,25 +31,37 @@ def _coset_poly(coset) -> int:
     return bits
 
 
+def _coset(partition, ell: int) -> set[int]:
+    """D_ell read straight off the coset index (ell = -1 gives the non-units)."""
+    return set(np.flatnonzero(partition.index == ell).tolist())
+
+
 class TestBuildPartition:
     def test_shape_3_7(self, pair37):
         partition = build_partition(pair37)
-        assert len(partition.cosets) == 7
-        assert all(len(c) == 12 for c in partition.cosets)
-        assert len(partition.non_units) == 63
+        assert len(partition.members) == 7
+        assert all(len(_coset(partition, ell)) == 12 for ell in range(7))
+        assert all(len(c) == 12 for c in partition.members)
+        assert len(_coset(partition, -1)) == 63
+        assert partition.index.dtype == np.int32 and len(partition.index) == 147
 
     def test_membership(self, pair37):
         partition = build_partition(pair37)
-        assert 1 in partition.cosets[0]
-        assert 2 in partition.cosets[2]
+        assert 1 in _coset(partition, 0)
+        assert 2 in _coset(partition, 2)
+        assert partition.index[1] == 0 and partition.index[2] == 2
 
     def test_disjoint_union(self, pair37):
         partition = build_partition(pair37)
-        total = set(partition.non_units)
-        for coset in partition.cosets:
+        total = _coset(partition, -1)
+        for ell in range(7):
+            coset = _coset(partition, ell)
             assert not (total & coset)
             total |= coset
         assert total == set(range(147))
+        # the per-coset members split from the argsort are the same sets
+        for ell, members in enumerate(partition.members):
+            assert members.tolist() == sorted(_coset(partition, ell))
 
     def test_requires_divisibility(self):
         with pytest.raises(DomainError):
@@ -70,7 +83,7 @@ class TestKernelImage:
 
     def test_kernel_cardinality(self, pair37):
         partition = build_partition(pair37)
-        assert len(partition.cosets[0]) == 12
+        assert len(_coset(partition, 0)) == 12
 
 
 class TestTranslation:
@@ -82,19 +95,19 @@ class TestTranslation:
     def test_specific_translation(self, pair37):
         # 2 lies in D_2, so 2 * D_3 = D_5
         partition = build_partition(pair37)
-        image = {2 * v % 147 for v in partition.cosets[3]}
-        assert image == partition.cosets[5]
+        image = {2 * v % 147 for v in _coset(partition, 3)}
+        assert image == _coset(partition, 5)
 
     def test_identity_translation(self, pair37):
         partition = build_partition(pair37)
         for i in range(7):
-            assert {1 * v % 147 for v in partition.cosets[i]} == partition.cosets[i]
+            assert {1 * v % 147 for v in _coset(partition, i)} == _coset(partition, i)
 
     def test_ghat_shifts_kernel(self, pair37):
         partition = build_partition(pair37)
         gens = derive_generators(pair37)
         assert gens.ghat == 43
-        assert {43 * v % 147 for v in partition.cosets[0]} == partition.cosets[1]
+        assert {43 * v % 147 for v in _coset(partition, 0)} == _coset(partition, 1)
 
     def test_sampled_branch(self):
         # (3, 61) has period 11163, above the exhaustive limit
@@ -112,17 +125,17 @@ class TestResidueMultisets:
 
     def test_mod_p_multiset(self, pair37):
         partition = build_partition(pair37)
-        counts = Counter(u % 3 for u in partition.cosets[0])
+        counts = Counter(u % 3 for u in _coset(partition, 0))
         assert counts == {1: 6, 2: 6}
 
     def test_mod_pq_bijection(self, pair37):
         partition = build_partition(pair37)
-        residues = sorted(u % 21 for u in partition.cosets[0])
+        residues = sorted(u % 21 for u in _coset(partition, 0))
         assert residues == sorted(t for t in range(21) if math.gcd(t, 21) == 1)
 
     def test_mod_q2_multiset(self, pair37):
         partition = build_partition(pair37)
-        counts = Counter(u % 49 for u in partition.cosets[0])
+        counts = Counter(u % 49 for u in _coset(partition, 0))
         subgroup = {pow(pow(5, 7, 49), i, 49) for i in range(6)}
         assert set(counts) == subgroup
         assert all(v == 2 for v in counts.values())
@@ -136,17 +149,17 @@ class TestCongruences:
 
     def test_d0_mod_phi21(self, pair37):
         partition = build_partition(pair37)
-        assert _int_mod(_coset_poly(partition.cosets[0]), cyclotomic_f2(21).bits) == 1
+        assert _int_mod(_coset_poly(_coset(partition, 0)), cyclotomic_f2(21).bits) == 1
 
     def test_d4_mod_phi49(self, pair37):
         partition = build_partition(pair37)
-        assert _int_mod(_coset_poly(partition.cosets[4]), cyclotomic_f2(49).bits) == 0
+        assert _int_mod(_coset_poly(_coset(partition, 4)), cyclotomic_f2(49).bits) == 0
 
     def test_sum_mod_phi147(self, pair37):
         partition = build_partition(pair37)
         total = 0
-        for coset in partition.cosets:
-            total ^= _coset_poly(coset)
+        for ell in range(7):
+            total ^= _coset_poly(_coset(partition, ell))
         assert _int_mod(total, cyclotomic_f2(147).bits) == 0
         # evaluation at 1 vanishes too: the unit count is even
         assert _int_mod(total, 0b11) == 0
@@ -173,8 +186,8 @@ class TestFrobeniusAction:
         partition = build_partition(pair37)
         sigma = coset_index(2, pair37)
         for ell in range(7):
-            doubled = {2 * u % 147 for u in partition.cosets[ell]}
-            assert doubled == partition.cosets[(ell + sigma) % 7]
+            doubled = {2 * u % 147 for u in _coset(partition, ell)}
+            assert doubled == _coset(partition, (ell + sigma) % 7)
 
 
 class TestUpperHalfPolynomial:
@@ -184,7 +197,7 @@ class TestUpperHalfPolynomial:
         partition = build_partition(pair37)
         total = 0
         for ell in range(4, 7):
-            total ^= _coset_poly(partition.cosets[ell])
+            total ^= _coset_poly(_coset(partition, ell))
         seq = generate_threshold(pair37)
         assert Gf2Poly(total) == generating_polynomial(seq)
 
@@ -209,10 +222,11 @@ class TestAuditStructure:
             partition = build_partition(pair, table=table)
             gens = derive_generators(pair)
 
-            assert all(len(c) == pair.phi_pq for c in partition.cosets), (p, q)
-            assert len(partition.non_units) == pair.period - q * pair.phi_pq
+            cosets = [_coset(partition, ell) for ell in range(q)]
+            assert all(len(c) == pair.phi_pq for c in cosets), (p, q)
+            assert len(_coset(partition, -1)) == pair.period - q * pair.phi_pq
 
-            ok, problems = check_kernel_image(pair, gens, partition, table=table)
+            ok, problems = check_kernel_image(pair, gens, partition)
             assert ok, (p, q, problems)
             ok, problems = check_translation(pair, partition, gens)
             assert ok, (p, q, problems)
@@ -225,13 +239,13 @@ class TestAuditStructure:
             sigma = two_coset_index(pair)
             n = pair.period
             for ell in range(q):
-                doubled = {2 * u % n for u in partition.cosets[ell]}
-                assert doubled == partition.cosets[(ell + sigma) % q], (p, q, ell)
+                doubled = {2 * u % n for u in cosets[ell]}
+                assert doubled == cosets[(ell + sigma) % q], (p, q, ell)
 
             # the upper-half coset polynomials sum to the generating polynomial
             total = 0
             for ell in range((q + 1) // 2, q):
-                total ^= _coset_poly(partition.cosets[ell])
+                total ^= _coset_poly(cosets[ell])
             assert total == generating_polynomial(generate_threshold(pair)).bits, (p, q)
 
     def test_json_keys(self, pair37):
