@@ -80,6 +80,8 @@ def parse_ascii(text: str) -> list[int]:
 
 def write_packed(seq: BitSequence, p: int, q: int) -> bytes:
     n = seq.length
+    if not (0 <= p < 1 << 32 and 0 <= q < 1 << 32):
+        raise DomainError(f"packed header stores p and q in 32 bits, got p={p}, q={q}")
     header = PACKED_MAGIC + p.to_bytes(4, "little") + q.to_bytes(4, "little") + n.to_bytes(8, "little")
     return header + seq.bits.to_bytes((n + 7) // 8, "little")
 

@@ -5,6 +5,13 @@ extended by psi(t) = 0 for the remaining t.  The huge power is never formed:
 t^phi(pq) mod (pq)^2 determines the quotient mod pq exactly, because
 t^phi(pq) - 1 is divisible by pq for units.
 
+A full-period table never forms more than pq powers.  Writing
+t = r + k*pq with r in [0, pq), the binomial theorem gives
+(r + k*pq)^phi = r^phi + phi*k*pq*r^(phi-1) (mod (pq)^2), and r^(phi-1) is
+r^-1 mod pq, so psi(r + k*pq) = psi(r) + phi*k*r^-1 (mod pq): the quotient is
+affine in k on each residue class.  `build_table` computes psi(r) and the
+step phi*r^-1 on one residue system and lifts them to all q classes at once.
+
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
 sequence definition and the structural checks elsewhere in the package.
@@ -14,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
@@ -88,19 +97,34 @@ class EulerQuotientTable:
     """psi over one full period [0, pq^2); entry t is 0 for non-units."""
 
     pair: PrimePair
-    values: list[int]
+    values: np.ndarray  # read-only int64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EulerQuotientTable):
+            return NotImplemented
+        return self.pair == other.pair and np.array_equal(self.values, other.values)
 
 
 def build_table(pair: PrimePair) -> EulerQuotientTable:
-    """Memoize psi(t) for every t in [0, pq^2)."""
+    """psi(t) for every t in [0, pq^2), lifted from the residues mod pq."""
     check_budget("period", pair.period)
-    p, q = pair.p, pair.q
-    pq = p * q
+    pq = pair.p * pair.q
     wide = pq * pq
     phi = pair.phi_pq
-    values = [0] * pair.period
-    for t in range(pair.period):
-        if math.gcd(t, pq) == 1:
-            power = pow(t, phi, wide)
-            values[t] = ((power - 1) // pq) % pq
-    return EulerQuotientTable(pair=pair, values=values)
+    base = np.zeros(pq, dtype=np.int64)
+    step = np.zeros(pq, dtype=np.int64)
+    for r in range(pq):
+        if math.gcd(r, pq) == 1:
+            power = pow(r, phi, wide)
+            if (power - 1) % pq != 0:
+                raise InternalConsistencyError(
+                    f"t^phi - 1 not divisible by pq for unit t={r}"
+                )
+            base[r] = ((power - 1) // pq) % pq
+            step[r] = phi * pow(r, -1, pq) % pq
+    # row k holds t = r + k*pq; non-unit columns stay 0 since base and step are 0
+    values = np.arange(pair.q, dtype=np.int64)[:, None] * step
+    values += base
+    values %= pq
+    values.flags.writeable = False
+    return EulerQuotientTable(pair=pair, values=values.reshape(-1))

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
 from .limits import check_budget
 from .ntcore import factorize
+from .sequence import pack_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequence import BitSequence
@@ -92,20 +93,25 @@ class Gf2Poly:
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "Gf2Poly":
         """Build from coefficients in ascending order of degree."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise DomainError(f"coefficients must be 0 or 1, got {c}")
-            bits |= c << i
-        return cls(bits)
+        coeffs = list(coeffs)
+        try:
+            return cls(pack_bits(coeffs))
+        except DomainError:
+            bad = next(c for c in coeffs if c not in (0, 1))
+            raise DomainError(f"coefficients must be 0 or 1, got {bad}") from None
 
     @classmethod
     def from_terms(cls, degrees: Iterable[int]) -> "Gf2Poly":
-        """Build from the degrees of the nonzero terms."""
-        bits = 0
+        """Build from the degrees of the nonzero terms; repeated degrees count once."""
+        degrees = list(degrees)
+        if not degrees:
+            return cls(0)
+        if min(degrees) < 0:
+            raise DomainError(f"term degrees must be nonnegative, got {min(degrees)}")
+        buf = bytearray(max(degrees) // 8 + 1)
         for d in degrees:
-            bits |= 1 << d
-        return cls(bits)
+            buf[d >> 3] |= 1 << (d & 7)
+        return cls(int.from_bytes(buf, "little"))
 
     @property
     def degree(self) -> int | float:

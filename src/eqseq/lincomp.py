@@ -26,6 +26,7 @@ from typing import Sequence as SequenceABC
 from . import eulerq
 from .errors import DomainError, InternalConsistencyError
 from .gf2poly import Gf2Poly, cyclotomic_f2, gcd, generating_polynomial
+from .limits import check_budget
 from .ntcore import PrimePair, pow_wide_mod
 from .sequence import BitSequence, generate_threshold, least_period, pack_bits
 
@@ -62,8 +63,12 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
     read, so every _TRUNCATE_EVERY steps sc is cut to its low
     nbits - n + m + 2 bits; sb is XORed into sc at base n or later, so the
     same mask covers it.
+
+    The period the prefix implies, half its length rounded up, must lie
+    within the budget, so two periods of an in-budget sequence pass.
     """
     s, nbits = _as_packed(bits)
+    check_budget("period", (nbits + 1) // 2)
     sc = s
     sb = s << 1  # (S*B) >> mlast with B = 1, mlast = -1
     b_poly, c_poly = 1, 1
@@ -97,6 +102,7 @@ def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
     The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
     """
     n = seq.length
+    check_budget("sequence length", n)
     a = generating_polynomial(seq)
     x_n_1 = Gf2Poly((1 << n) | 1)
     if a.is_zero:

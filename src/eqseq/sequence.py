@@ -82,10 +82,8 @@ def pack_flags(flags: np.ndarray) -> int:
 
 def generate_threshold(pair: PrimePair) -> BitSequence:
     """The threshold sequence of one full period pq^2."""
-    table = build_table(pair)
-    pq = pair.p * pair.q
-    flags = [2 * v >= pq for v in table.values]
-    return BitSequence(bits=pack_bits(flags), length=pair.period, origin=(pair.p, pair.q))
+    bits = pack_flags(2 * build_table(pair).values >= pair.p * pair.q)
+    return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 
 def generate_by_cosets(pair: PrimePair, partition: "CosetPartition") -> BitSequence:

@@ -4,8 +4,10 @@
 single-bit discrepancy test and without truncation; `cyclotomic_bits` builds
 the n-th cyclotomic polynomial over GF(2) by dividing x^n + 1 by the
 cyclotomic polynomials of every proper divisor.  `term_degrees` (with
-`render` on top of it) and `pack_bits` are the per-bit loops that rendering
-and bit packing used.
+`render` on top of it), `from_coeffs`, `from_terms` and `pack_bits` are the
+per-bit loops that rendering, polynomial construction and bit packing used.
+`build_table` fills the Euler-quotient table with one modular power per
+position, and `generate_threshold` packs the threshold flags from it.
 
 The structural audit follows: the frozenset `CosetPartition` and
 `build_partition`, the two product grids, the Counter multisets and the
@@ -28,8 +30,9 @@ import numpy as np
 
 from eqseq import BitSequence, Gf2Poly
 from eqseq.errors import DomainError, InternalConsistencyError
-from eqseq.eulerq import EulerQuotientTable, build_table
+from eqseq.eulerq import EulerQuotientTable
 from eqseq.gf2poly import _int_divmod, cyclotomic_f2
+from eqseq.limits import check_budget
 from eqseq.lincomp import _as_packed
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.structverify import EXHAUSTIVE_LIMIT, SAMPLE_COUNT
@@ -102,6 +105,45 @@ def render(bits: int) -> str:
         else:
             parts.append(f"x^{d}")
     return " + ".join(parts)
+
+
+def build_table(pair: PrimePair) -> EulerQuotientTable:
+    """Memoize psi(t) for every t in [0, pq^2)."""
+    check_budget("period", pair.period)
+    p, q = pair.p, pair.q
+    pq = p * q
+    wide = pq * pq
+    phi = pair.phi_pq
+    values = [0] * pair.period
+    for t in range(pair.period):
+        if math.gcd(t, pq) == 1:
+            power = pow(t, phi, wide)
+            values[t] = ((power - 1) // pq) % pq
+    return EulerQuotientTable(pair=pair, values=values)
+
+
+def generate_threshold(pair: PrimePair) -> int:
+    """Packed bits of the threshold sequence, one flag per table entry."""
+    table = build_table(pair)
+    pq = pair.p * pair.q
+    flags = [2 * v >= pq for v in table.values]
+    return pack_bits(flags)[0]
+
+
+def from_coeffs(coeffs) -> Gf2Poly:
+    bits = 0
+    for i, c in enumerate(coeffs):
+        if c not in (0, 1):
+            raise DomainError(f"coefficients must be 0 or 1, got {c}")
+        bits |= c << i
+    return Gf2Poly(bits)
+
+
+def from_terms(degrees) -> Gf2Poly:
+    bits = 0
+    for d in degrees:
+        bits |= 1 << d
+    return Gf2Poly(bits)
 
 
 def pack_bits(bits) -> tuple[int, int]:

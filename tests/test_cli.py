@@ -17,7 +17,7 @@ from eqseq.cli import (
     write_ascii,
     write_packed,
 )
-from eqseq.errors import ParseError
+from eqseq.errors import DomainError, ParseError
 from eqseq.sequence import BitSequence
 
 from golden import EXAMPLE1_STRING, SWEEP_PAIRS
@@ -308,6 +308,19 @@ class TestBudget:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "sequence length 3000 exceeds budget 100" in err
+
+
+class TestPackedHeader:
+    @pytest.mark.parametrize("p, q", [(2**32, 7), (3, 2**32 + 15), (-3, 7)])
+    def test_rejects_primes_wider_than_header(self, p, q):
+        seq = BitSequence(bits=1, length=3, origin="external")
+        with pytest.raises(DomainError, match=f"32 bits, got p={p}, q={q}"):
+            write_packed(seq, p, q)
+
+    def test_widest_header_round_trips(self):
+        seq = BitSequence(bits=5, length=3, origin="external")
+        p, q, back = parse_packed(write_packed(seq, 2**32 - 5, 7))
+        assert (p, q, back.bits, back.length) == (2**32 - 5, 7, 5, 3)
 
 
 class TestEnumeratePairs:

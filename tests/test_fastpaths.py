@@ -1,24 +1,41 @@
 """Differential tests: the fast kernels against the slow code they replaced.
 
 The oracles in oracles.py are the previous Berlekamp-Massey loop, the
-previous recursive-division cyclotomic construction and the per-bit loops
-that rendered polynomials and packed bits; sympy gives an outside check of
-the cyclotomic polynomials.  The structural audit has its own differential
-tests in test_audit_differential.py.
+previous recursive-division cyclotomic construction, the per-position
+Euler-quotient table with the threshold flags packed from it, and the
+per-bit loops that rendered, built and packed polynomials and bits; sympy
+gives an outside check of the cyclotomic polynomials.  The structural audit
+has its own differential tests in test_audit_differential.py.
 """
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import cyclotomic_poly, symbols
 
-from eqseq import BitSequence, DomainError, Gf2Poly, cyclotomic_f2, synthesize_sequence
+from eqseq import (
+    BitSequence,
+    DomainError,
+    Gf2Poly,
+    PrimePair,
+    build_table,
+    cyclotomic_f2,
+    euler_quotient,
+    generate_threshold,
+    synthesize_sequence,
+)
 from eqseq import lincomp
 from eqseq.lincomp import berlekamp_massey
 from eqseq.sequence import pack_bits
 
 import oracles
+from golden import SWEEP_PAIRS
+
+# pairs with p not dividing q - 1: the lift holds for every pair, not only these
+NON_DIVIDING_PAIRS = [(5, 7), (7, 3), (11, 13)]
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
 # lengths around the truncation interval of berlekamp_massey, plus small ones
 EDGE_LENGTHS = [1, 2, 3, 64, 2047, 2048, 2049, 4097]
@@ -149,3 +166,79 @@ class TestPackBitsDifferential:
         with pytest.raises(DomainError) as old:
             oracles.pack_bits(bits)
         assert str(new.value) == str(old.value) == f"bits must be 0 or 1, got {bad!r}"
+
+
+class TestEulerTableDifferential:
+    @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
+    def test_matches_per_position_loop(self, p, q):
+        pair = PrimePair.create(p, q)
+        assert build_table(pair).values.tolist() == oracles.build_table(pair).values
+
+    @pytest.mark.parametrize("p, q", SWEEP_PAIRS)
+    def test_threshold_matches_per_entry_flags(self, p, q):
+        pair = PrimePair.create(p, q)
+        assert generate_threshold(pair).bits == oracles.generate_threshold(pair)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.sampled_from(SMALL_PRIMES))
+    def test_small_pairs(self, p, q):
+        assume(p != q)
+        pair = PrimePair.create(p, q)
+        assert build_table(pair).values.tolist() == oracles.build_table(pair).values
+        assert generate_threshold(pair).bits == oracles.generate_threshold(pair)
+
+    def test_sampled_entries_of_largest_pair(self):
+        pair = PrimePair.create(3, 577)
+        values = build_table(pair).values
+        for t in random.Random(3).sample(range(pair.period), 20_000):
+            assert values[t] == euler_quotient(t, pair), t
+
+    def test_read_only_int64(self, pair37):
+        values = build_table(pair37).values
+        assert values.dtype == np.int64
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[22] = 0
+        assert values[22] == 12
+
+    def test_equality_by_value(self, pair37, pair313):
+        table = build_table(pair37)
+        assert table == build_table(pair37)
+        assert table == oracles.build_table(pair37)
+        assert table != build_table(pair313)
+
+
+class TestPolyConstructionDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
+    def test_from_coeffs_matches_per_bit_loop(self, coeffs):
+        assert Gf2Poly.from_coeffs(coeffs) == oracles.from_coeffs(coeffs)
+        assert Gf2Poly.from_coeffs(iter(coeffs)) == oracles.from_coeffs(coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=400))
+    def test_from_terms_matches_per_bit_loop(self, degrees):
+        # repeated degrees are ORed, not added mod 2
+        doubled = degrees + degrees[::2]
+        assert Gf2Poly.from_terms(doubled) == oracles.from_terms(doubled)
+        assert Gf2Poly.from_terms(iter(degrees)) == oracles.from_terms(degrees)
+
+    def test_large_random(self):
+        rng = random.Random(11)
+        coeffs = [rng.getrandbits(1) for _ in range(160_000)]
+        assert Gf2Poly.from_coeffs(coeffs) == oracles.from_coeffs(coeffs)
+        degrees = [rng.randrange(160_000) for _ in range(80_000)]
+        assert Gf2Poly.from_terms(degrees) == oracles.from_terms(degrees)
+
+    @pytest.mark.parametrize("bad", [2, -1, "1", None, [1]])
+    def test_rejects_non_bits_like_the_loop(self, bad):
+        coeffs = [1, 0, bad, 1, 3]
+        with pytest.raises(DomainError) as new:
+            Gf2Poly.from_coeffs(coeffs)
+        with pytest.raises(DomainError) as old:
+            oracles.from_coeffs(coeffs)
+        assert str(new.value) == str(old.value) == f"coefficients must be 0 or 1, got {bad}"
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(DomainError, match="nonnegative, got -1"):
+            Gf2Poly.from_terms([3, -1])

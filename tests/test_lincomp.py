@@ -8,6 +8,7 @@ from eqseq import (
     Gf2Poly,
     InternalConsistencyError,
     PrimePair,
+    ResourceError,
     berlekamp_massey,
     cyclotomic_f2,
     gcd,
@@ -273,3 +274,21 @@ class TestVerifyTheorem:
         assert d["lc_predicted"] == "n/a"
         assert d["minpoly_predicted"] == "n/a"
         assert d["sigma"] == "n/a"
+
+
+class TestBudgetGuards:
+    def test_gcd_checks_sequence_length(self, monkeypatch):
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
+        assert minimal_polynomial_gcd(BitSequence(bits=1, length=100, origin="external")).degree == 100
+        with pytest.raises(ResourceError, match="sequence length 101 exceeds budget 100"):
+            minimal_polynomial_gcd(BitSequence(bits=1, length=101, origin="external"))
+
+    def test_bm_checks_implied_period(self, monkeypatch):
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
+        period = BitSequence(bits=1, length=100, origin="external")
+        assert berlekamp_massey(period.two_periods())[0] == 100
+        assert berlekamp_massey([0] * 198 + [1])[0] == 199
+        with pytest.raises(ResourceError, match="period 101 exceeds budget 100"):
+            berlekamp_massey([0] * 201)
+        with pytest.raises(ResourceError, match="period 101 exceeds budget 100"):
+            berlekamp_massey(BitSequence(bits=1, length=101, origin="external").two_periods())
