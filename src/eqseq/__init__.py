@@ -18,6 +18,7 @@ from .eulerq import EulerQuotientTable, build_table, coset_index, derive_generat
 from .gf2poly import Gf2Poly, compose_power, cyclotomic_f2, gcd, generating_polynomial
 from .lincomp import (
     AnalysisReport,
+    analyze_period,
     berlekamp_massey,
     linear_complexity,
     minimal_polynomial_gcd,
@@ -42,10 +43,7 @@ from .structverify import (
     StructureReport,
     audit_structure,
     build_partition,
-    check_congruences,
-    check_kernel_image,
-    check_residue_multisets,
-    check_translation,
+    lemma_failures,
     two_coset_index,
 )
 
@@ -66,15 +64,12 @@ __all__ = [
     "ResourceError",
     "StructureReport",
     "UnsupportedInputError",
+    "analyze_period",
     "audit_structure",
     "balance",
     "berlekamp_massey",
     "build_partition",
     "build_table",
-    "check_congruences",
-    "check_kernel_image",
-    "check_residue_multisets",
-    "check_translation",
     "compose_power",
     "coset_index",
     "crt_lift",
@@ -90,6 +85,7 @@ __all__ = [
     "generating_polynomial",
     "is_prime",
     "least_period",
+    "lemma_failures",
     "linear_complexity",
     "minimal_polynomial_gcd",
     "multiplicative_order",

@@ -20,14 +20,15 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import DomainError, EqseqError, ParseError, ResourceError
+from .errors import DomainError, EqseqError, ParseError
 from .limits import check_budget, max_period
-from .lincomp import AnalysisReport, berlekamp_massey, minimal_polynomial_gcd, verify_theorem
+from .lincomp import AnalysisReport, analyze_period, verify_theorem
 from .ntcore import PrimePair, is_prime
-from .sequence import BitSequence, generate_threshold, least_period, pack_bits
+from .sequence import BitSequence, generate_threshold
 from .structverify import DEFAULT_SEED, audit_structure
 
 EXIT_OK = 0
@@ -37,6 +38,8 @@ EXIT_MISMATCH = 3
 EXIT_IO = 4
 
 PACKED_MAGIC = b"EQSEQ\x00\x01\x00"
+
+_NOT_DIGIT = re.compile(r"[^01\s]")
 
 CSV_HEADER = [
     "p", "q", "q_mod_4", "wieferich_ok", "divisibility_ok", "period",
@@ -61,21 +64,22 @@ def write_ascii(seq: BitSequence, p: int, q: int) -> str:
     return f"# eqseq p={p} q={q} N={seq.length}\n{seq.to01()}\n"
 
 
-def parse_ascii(text: str) -> list[int]:
-    """Bits from ASCII text; raises ParseError with a 1-based position."""
-    bits: list[int] = []
+def parse_ascii(text: str) -> str:
+    """The '0'/'1' digits of the text, s_0 first; raises ParseError with a
+    1-based position.  Whitespace means str.isspace(), which the regex class
+    \\s and str.split() also use."""
+    digits: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
-        for colno, ch in enumerate(line, start=1):
-            if ch in "01":
-                bits.append(ord(ch) - ord("0"))
-            elif not ch.isspace():
-                raise ParseError(
-                    f"unexpected character {ch!r} in sequence file",
-                    line=lineno, column=colno,
-                )
-    return bits
+        bad = _NOT_DIGIT.search(line)
+        if bad:
+            raise ParseError(
+                f"unexpected character {bad.group()!r} in sequence file",
+                line=lineno, column=bad.start() + 1,
+            )
+        digits.append("".join(line.split()))
+    return "".join(digits)
 
 
 def write_packed(seq: BitSequence, p: int, q: int) -> bytes:
@@ -134,10 +138,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _make_pair(p: int, q: int) -> PrimePair:
-    return PrimePair.create(p, q)
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -147,16 +147,10 @@ def _print_json(obj) -> None:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        pair = _make_pair(args.p, args.q)
-    except DomainError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    pair = PrimePair.create(args.p, args.q)
     if not pair.divides:
         return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
-    try:
-        seq = generate_threshold(pair)
-    except ResourceError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    seq = generate_threshold(pair)
     try:
         if args.format == "ascii":
             text = write_ascii(seq, pair.p, pair.q)
@@ -187,11 +181,11 @@ def _load_sequence(path: str) -> BitSequence:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not ASCII and not packed: {exc}") from None
-    bits = parse_ascii(text)
-    if not bits:
+    digits = parse_ascii(text)
+    if not digits:
         raise ParseError("no sequence bits found in file")
-    check_budget("sequence length", len(bits))
-    return BitSequence(bits=pack_bits(bits), length=len(bits), origin="external")
+    check_budget("sequence length", len(digits))
+    return BitSequence(bits=int(digits[::-1], 2), length=len(digits), origin="external")
 
 
 def _cmd_analyze(args) -> int:
@@ -201,10 +195,7 @@ def _cmd_analyze(args) -> int:
     if have_pair:
         if args.p is None or args.q is None:
             return _fail(EXIT_USAGE, "--p and --q must be given together")
-        try:
-            pair = _make_pair(args.p, args.q)
-        except DomainError as exc:
-            return _fail(EXIT_USAGE, str(exc))
+        pair = PrimePair.create(args.p, args.q)
         if not pair.divides:
             return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
         seq = generate_threshold(pair)
@@ -229,27 +220,20 @@ def _cmd_analyze(args) -> int:
             )
         seq = BitSequence(bits=block, length=t, origin=seq.origin)
 
-    minpoly = minimal_polynomial_gcd(seq)
-    lc_bm, _ = berlekamp_massey(seq.two_periods())
+    period, minpoly = analyze_period(seq)
+    lc = minpoly.bits.bit_length() - 1
     _print_json({
         "n": seq.length,
-        "least_period": least_period(seq),
-        "lc_gcd": minpoly.bits.bit_length() - 1,
-        "lc_berlekamp_massey": lc_bm,
+        "least_period": period,
+        "lc_gcd": lc,
+        "lc_berlekamp_massey": lc,
         "minpoly": minpoly.render(),
     })
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    try:
-        pair = _make_pair(args.p, args.q)
-    except DomainError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        report = verify_theorem(pair)
-    except ResourceError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    report = verify_theorem(PrimePair.create(args.p, args.q))
     _print_json(report.to_json_dict())
     if not (report.divisibility_ok and report.wieferich_ok):
         return EXIT_INAPPLICABLE
@@ -257,16 +241,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    try:
-        pair = _make_pair(args.p, args.q)
-    except DomainError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    pair = PrimePair.create(args.p, args.q)
     if not pair.divides:
         return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
-    try:
-        report = audit_structure(pair, seed=args.seed)
-    except ResourceError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    report = audit_structure(pair, seed=args.seed)
     print(report.format_table(), file=sys.stderr)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
@@ -394,12 +372,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:   # ParseError first: it is an EqseqError
         return _fail(EXIT_IO, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ResourceError as exc:
-        return _fail(EXIT_USAGE, str(exc))
     except EqseqError as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -114,6 +114,23 @@ def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
     return quotient
 
 
+def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
+    """Least period and minimal polynomial of one period, by both LC routes.
+
+    The gcd route gives the minimal polynomial; Berlekamp-Massey on two
+    periods must reach the same LC, and a disagreement raises rather than
+    being silently resolved.
+    """
+    minpoly = minimal_polynomial_gcd(seq)
+    lc_gcd = minpoly.bits.bit_length() - 1
+    lc_bm, _connection = berlekamp_massey(seq.two_periods())
+    if lc_bm != lc_gcd:
+        raise InternalConsistencyError(
+            f"LC disagreement for {seq.origin}: gcd={lc_gcd}, bm={lc_bm}"
+        )
+    return least_period(seq), minpoly
+
+
 def linear_complexity(seq: BitSequence) -> int:
     """N - deg gcd(x^N + 1, A(x)); equals the Berlekamp-Massey length."""
     m = minimal_polynomial_gcd(seq)
@@ -220,24 +237,15 @@ class AnalysisReport:
 def verify_theorem(pair: PrimePair) -> AnalysisReport:
     """Full pipeline for one pair: generate, measure, predict, compare.
 
-    Both empirical LC routes always run and must agree; a disagreement raises
-    rather than being silently resolved.  When p does not divide q-1 the
-    closed form does not apply and only the empirical fields are populated.
+    `analyze_period` measures the sequence and cross-checks the two LC
+    routes.  When p does not divide q-1 the closed form does not apply and
+    only the empirical fields are populated.
     """
     start = time.perf_counter()
     div_ok = pair.divides
     wief_ok = wieferich_ok(pair.q)
 
-    seq = generate_threshold(pair)
-    period = least_period(seq)
-    minpoly = minimal_polynomial_gcd(seq)
-    lc_gcd = minpoly.bits.bit_length() - 1
-
-    lc_bm, _connection = berlekamp_massey(seq.two_periods())
-    if lc_bm != lc_gcd:
-        raise InternalConsistencyError(
-            f"LC disagreement for {(pair.p, pair.q)}: gcd={lc_gcd}, bm={lc_bm}"
-        )
+    period, minpoly = analyze_period(generate_threshold(pair))
 
     sigma: int | None = None
     predicted: Gf2Poly | None = None
@@ -261,7 +269,7 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
         divisibility_ok=div_ok,
         wieferich_ok=wief_ok,
         period_found=period,
-        lc_empirical=lc_gcd,
+        lc_empirical=minpoly.bits.bit_length() - 1,
         lc_predicted=lc_predicted,
         minpoly_empirical=minpoly,
         minpoly_predicted=predicted,

@@ -105,7 +105,7 @@ def two_coset_index(pair: PrimePair) -> int:
 
 
 # ---------------------------------------------------------------------------
-# internal granular checks; each returns a list of failure messages
+# the checks behind lemma_failures; each returns failure messages
 
 
 def _powers(base: int, count: int, n: int) -> np.ndarray:
@@ -312,55 +312,23 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition,
     return out
 
 
-# ---------------------------------------------------------------------------
-# public check operations
+def lemma_failures(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition,
+                   seed: int) -> dict[str, list[str]]:
+    """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
 
-
-def check_kernel_image(
-    pair: PrimePair,
-    gens: GroupGenerators,
-    partition: CosetPartition,
-    seed: int = DEFAULT_SEED,
-) -> tuple[bool, list[str]]:
-    """Kernel equals <g^q, h>, image is the multiples of p, index is additive."""
+    One product grid (or one seeded sample above EXHAUSTIVE_LIMIT) serves
+    lemmas 2 and 4, and one set of residue counts lemmas 5-9.
+    """
     rng = np.random.default_rng(seed)
-    problems = _check_kernel_image(pair, gens, partition, _grid_failures(partition), rng)
-    return not problems, problems
+    grid_failures = _grid_failures(partition)
+    counts = _residue_counts(partition)
 
-
-def check_translation(
-    pair: PrimePair,
-    partition: CosetPartition,
-    gens: GroupGenerators | None = None,
-    seed: int = DEFAULT_SEED,
-) -> tuple[bool, list[str]]:
-    """uD_i = D_{i+j} for u in D_j, and D_ell = ghat^ell * D_0."""
-    if gens is None:
-        gens = derive_generators(pair)
-    rng = np.random.default_rng(seed)
-    problems = _check_translation(pair, partition, _grid_failures(partition), rng)
-    problems += _check_ghat_law(pair, gens, partition)
-    return not problems, problems
-
-
-def check_residue_multisets(
-    pair: PrimePair,
-    partition: CosetPartition,
-    gens: GroupGenerators | None = None,
-) -> tuple[bool, list[str]]:
-    """Coset reductions mod p, q, pq and q^2 hit the prescribed multisets."""
-    if gens is None:
-        gens = derive_generators(pair)
-    per = _check_residue_multisets(pair, gens, _residue_counts(partition))
-    problems = per["lemma5"] + per["lemma6"] + per["lemma7"]
-    return not problems, problems
-
-
-def check_congruences(pair: PrimePair, partition: CosetPartition) -> tuple[bool, list[str]]:
-    """Coset polynomials are 1 mod the pq cyclotomic and 0 mod the p, q, q^2 ones."""
-    per = _check_congruences(pair, partition, _residue_counts(partition))
-    problems = per["lemma8"] + per["lemma9"]
-    return not problems, problems
+    failures = {"lemma2": _check_kernel_image(pair, gens, partition, grid_failures, rng)}
+    failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
+    failures["lemma4"] = _check_translation(pair, partition, grid_failures, rng)
+    failures.update(_check_residue_multisets(pair, gens, counts))
+    failures.update(_check_congruences(pair, partition, counts))
+    return failures
 
 
 @dataclass(frozen=True)
@@ -407,16 +375,7 @@ def audit_structure(pair: PrimePair, seed: int = DEFAULT_SEED) -> StructureRepor
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
     partition = build_partition(pair)
-    gens = derive_generators(pair)
-    rng = np.random.default_rng(seed)
-    grid_failures = _grid_failures(partition)
-    counts = _residue_counts(partition)
-
-    failures = {"lemma2": _check_kernel_image(pair, gens, partition, grid_failures, rng)}
-    failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
-    failures["lemma4"] = _check_translation(pair, partition, grid_failures, rng)
-    failures.update(_check_residue_multisets(pair, gens, counts))
-    failures.update(_check_congruences(pair, partition, counts))
+    failures = lemma_failures(pair, derive_generators(pair), partition, seed)
 
     sigma = int(partition.index[2])   # 2 is a unit for odd p, q
     if wieferich_ok(pair.q):

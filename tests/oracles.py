@@ -5,7 +5,8 @@ single-bit discrepancy test and without truncation; `cyclotomic_bits` builds
 the n-th cyclotomic polynomial over GF(2) by dividing x^n + 1 by the
 cyclotomic polynomials of every proper divisor.  `term_degrees` (with
 `render` on top of it), `from_coeffs`, `from_terms` and `pack_bits` are the
-per-bit loops that rendering, polynomial construction and bit packing used.
+per-bit loops that rendering, polynomial construction and bit packing used;
+`parse_ascii` is the per-character ASCII parser that returned a list of bits.
 `build_table` fills the Euler-quotient table with one modular power per
 position, and `generate_threshold` packs the threshold flags from it.
 
@@ -29,7 +30,7 @@ from typing import Sequence as SequenceABC
 import numpy as np
 
 from eqseq import BitSequence, Gf2Poly
-from eqseq.errors import DomainError, InternalConsistencyError
+from eqseq.errors import DomainError, InternalConsistencyError, ParseError
 from eqseq.eulerq import EulerQuotientTable
 from eqseq.gf2poly import _int_divmod, cyclotomic_f2
 from eqseq.limits import check_budget
@@ -154,6 +155,23 @@ def pack_bits(bits) -> tuple[int, int]:
             raise DomainError(f"bits must be 0 or 1, got {b!r}")
         packed |= b << i
     return packed, len(seq)
+
+
+def parse_ascii(text: str) -> list[int]:
+    """Bits from ASCII text; raises ParseError with a 1-based position."""
+    bits: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith("#"):
+            continue
+        for colno, ch in enumerate(line, start=1):
+            if ch in "01":
+                bits.append(ord(ch) - ord("0"))
+            elif not ch.isspace():
+                raise ParseError(
+                    f"unexpected character {ch!r} in sequence file",
+                    line=lineno, column=colno,
+                )
+    return bits
 
 
 # ---------------------------------------------------------------------------

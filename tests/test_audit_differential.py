@@ -28,19 +28,6 @@ SMALL_PAIRS = [pq for pq in SWEEP_PAIRS if pq[0] * pq[1] ** 2 <= sv.EXHAUSTIVE_L
 CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted")
 
 
-def new_failures(pair, gens, partition, seed):
-    """Failure messages per lemma from the checks audit_structure runs."""
-    rng = np.random.default_rng(seed)
-    grid = sv._grid_failures(partition)
-    counts = sv._residue_counts(partition)
-    failures = {"lemma2": sv._check_kernel_image(pair, gens, partition, grid, rng)}
-    failures["lemma3"] = sv._check_partition_shape(pair, partition) + sv._check_ghat_law(pair, gens, partition)
-    failures["lemma4"] = sv._check_translation(pair, partition, grid, rng)
-    failures.update(sv._check_residue_multisets(pair, gens, counts))
-    failures.update(sv._check_congruences(pair, partition, counts))
-    return failures
-
-
 def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     out = index.copy()
     units = np.flatnonzero(index >= 0)
@@ -76,7 +63,7 @@ def normalized(failures):
 
 def assert_same_audit(pair, table, gens, index, seed):
     partition = sv.CosetPartition(pair=pair, index=index)
-    got = new_failures(pair, gens, partition, seed)
+    got = sv.lemma_failures(pair, gens, partition, seed)
     want = oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
                                   oracle_table(pair, table, index), seed)
     assert {k: not v for k, v in got.items()} == {k: not v for k, v in want.items()}

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from eqseq import cli
+from eqseq import Gf2Poly, cli, lincomp
 from eqseq.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -17,7 +18,8 @@ from eqseq.cli import (
     write_ascii,
     write_packed,
 )
-from eqseq.errors import DomainError, ParseError
+from eqseq.errors import DomainError, ParseError, ResourceError
+from eqseq.limits import max_period
 from eqseq.sequence import BitSequence
 
 from golden import EXAMPLE1_STRING, SWEEP_PAIRS
@@ -71,7 +73,7 @@ class TestGenerate:
 
 class TestAsciiFormat:
     def test_comments_and_whitespace(self):
-        assert parse_ascii("# c\n0 1\n\t1\n01\n") == [0, 1, 1, 0, 1]
+        assert parse_ascii("# c\n0 1\n\t1\n01\n") == "01101"
 
     def test_position_in_error(self):
         with pytest.raises(ParseError) as info:
@@ -176,6 +178,16 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "analyze", "--in", "/nonexistent/path")
         assert code == EXIT_IO
+
+    def test_lc_disagreement_is_an_error(self, capsys, monkeypatch, tmp_path):
+        # only a bug can make the two routes differ; one is faked here
+        f = tmp_path / "m.txt"
+        f.write_text("0010111\n")
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits: (2, Gf2Poly.one()))
+        code, stdout, err = run(capsys, "analyze", "--in", str(f))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == "eqseq: error: LC disagreement for external: gcd=3, bm=2\n"
 
 
 class TestVerify:
@@ -308,6 +320,94 @@ class TestBudget:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "sequence length 3000 exceeds budget 100" in err
+
+
+class TestExitContract:
+    # every subcommand that builds a pair maps bad primes and budget errors to
+    # exit 1 with one "eqseq: error:" line and no output
+    CASES = [
+        (["--p", "9", "--q", "7"], None, "p must be an odd prime, got 9"),
+        (["--p", "7", "--q", "7"], None, "p and q must be distinct, got p == q == 7"),
+        (["--p", "3", "--q", "7"], "100", "period 147 exceeds budget 100 (EQSEQ_MAX_PERIOD)"),
+        (["--p", "3", "--q", "7"], "abc", "EQSEQ_MAX_PERIOD must be an integer, got 'abc'"),
+    ]
+
+    @pytest.mark.parametrize("command", ["generate", "analyze", "verify", "structure"])
+    @pytest.mark.parametrize("args,limit,message", CASES)
+    def test_usage_errors(self, capsys, monkeypatch, command, args, limit, message):
+        if limit is not None:
+            monkeypatch.setenv("EQSEQ_MAX_PERIOD", limit)
+        code, stdout, err = run(capsys, command, *args)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == f"eqseq: error: {message}\n"
+
+    def test_missing_file(self, capsys):
+        code, stdout, err = run(capsys, "analyze", "--in", "/nonexistent/path")
+        assert code == EXIT_IO
+        assert stdout == ""
+        assert err == "eqseq: error: [Errno 2] No such file or directory: '/nonexistent/path'\n"
+
+
+def packed_file(p: int, q: int, n: int, extra: int, payload: int, clean: bool) -> bytes:
+    """A packed header and a payload of about the length it implies, with the
+    bits beyond N cleared when `clean`."""
+    if clean and n < 48:
+        payload &= (1 << n) - 1
+    body = payload.to_bytes(6, "little")[:max(0, (n + 7) // 8 + extra)]
+    return (PACKED_MAGIC + p.to_bytes(4, "little") + q.to_bytes(4, "little")
+            + n.to_bytes(8, "little") + body)
+
+
+packed_headers = st.builds(
+    packed_file, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.integers(1, 40) | st.integers(0, 2**64 - 1), st.integers(-1, 1),
+    st.integers(0, 2**48 - 1), st.booleans(),
+)
+
+
+class TestParserFuzz:
+    # a parser either rejects its input with ParseError, refuses a header N
+    # over the budget with ResourceError, or returns a valid sequence
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: PACKED_MAGIC + b) | packed_headers)
+    @example(PACKED_MAGIC + bytes(16) + b"\x01")
+    def test_parse_packed(self, data):
+        try:
+            p, q, seq = parse_packed(data)
+        except ParseError:
+            return
+        except ResourceError:
+            assert int.from_bytes(data[16:24], "little") > max_period()
+            return
+        assert seq.length >= 1 and 0 <= seq.bits < 1 << seq.length
+        assert write_packed(seq, p, q) == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=80) | st.text(alphabet="01# \t\n\x0bx", max_size=80))
+    def test_parse_ascii(self, text):
+        try:
+            digits = parse_ascii(text)
+        except ParseError:
+            return
+        assert set(digits) <= {"0", "1"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: PACKED_MAGIC + b)
+           | packed_headers | st.text(alphabet="01# \n", max_size=64).map(str.encode))
+    def test_load_sequence(self, tmp_path_factory, data):
+        f = tmp_path_factory.mktemp("fuzz") / "s"
+        f.write_bytes(data)
+        try:
+            seq = cli._load_sequence(str(f))
+        except ParseError:
+            return
+        except ResourceError:
+            assert data.startswith(PACKED_MAGIC) and int.from_bytes(data[16:24], "little") > max_period()
+            return
+        assert seq.length >= 1 and 0 <= seq.bits < 1 << seq.length
+        if not data.startswith(PACKED_MAGIC):
+            assert seq.to01() == parse_ascii(data.decode("ascii"))
 
 
 class TestPackedHeader:

@@ -3,8 +3,9 @@
 The oracles in oracles.py are the previous Berlekamp-Massey loop, the
 previous recursive-division cyclotomic construction, the per-position
 Euler-quotient table with the threshold flags packed from it, and the
-per-bit loops that rendered, built and packed polynomials and bits; sympy
-gives an outside check of the cyclotomic polynomials.  The structural audit
+per-bit loops that rendered, built and packed polynomials and bits, and the
+per-character ASCII parser; sympy gives an outside check of the cyclotomic
+polynomials.  The structural audit
 has its own differential tests in test_audit_differential.py.
 """
 
@@ -27,6 +28,8 @@ from eqseq import (
     synthesize_sequence,
 )
 from eqseq import lincomp
+from eqseq.cli import parse_ascii
+from eqseq.errors import ParseError
 from eqseq.lincomp import berlekamp_massey
 from eqseq.sequence import pack_bits
 
@@ -242,3 +245,35 @@ class TestPolyConstructionDifferential:
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError, match="nonnegative, got -1"):
             Gf2Poly.from_terms([3, -1])
+
+
+def parse_outcome(parse, text):
+    """The parsed bits as a '0'/'1' string, or the ParseError's text and position."""
+    try:
+        bits = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return bits if isinstance(bits, str) else "".join(map(str, bits))
+
+
+class TestParseAsciiDifferential:
+    # \x0b, \x0c, \x1c and \x85 end a line for splitlines(); \x1c and \x0b are
+    # also whitespace inside one, as is \x1f, which does not end a line
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01#x \t\r\n\x0b\x0c\x1c\x85", max_size=200))
+    @example("# c\n0 1\n\t1\n01\n")
+    @example("  # 01\n0\x1f1\x1e#\n10")
+    @example("01\x85x")
+    def test_matches_per_character_loop(self, text):
+        assert parse_outcome(parse_ascii, text) == parse_outcome(oracles.parse_ascii, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_matches_on_any_characters(self, text):
+        assert parse_outcome(parse_ascii, text) == parse_outcome(oracles.parse_ascii, text)
+
+    def test_large_file(self):
+        rng = random.Random(13)
+        lines = ["# header"] + ["".join(rng.choice("01 ") for _ in range(80)) for _ in range(2000)]
+        text = "\n".join(lines)
+        assert parse_ascii(text) == parse_outcome(oracles.parse_ascii, text)

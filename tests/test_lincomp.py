@@ -9,6 +9,7 @@ from eqseq import (
     InternalConsistencyError,
     PrimePair,
     ResourceError,
+    analyze_period,
     berlekamp_massey,
     cyclotomic_f2,
     gcd,
@@ -21,6 +22,7 @@ from eqseq import (
     verify_theorem,
     wieferich_ok,
 )
+from eqseq import lincomp
 
 from golden import (
     EXAMPLE1_LC,
@@ -274,6 +276,29 @@ class TestVerifyTheorem:
         assert d["lc_predicted"] == "n/a"
         assert d["minpoly_predicted"] == "n/a"
         assert d["sigma"] == "n/a"
+
+
+class TestAnalyzePeriod:
+    def test_golden(self, pair37):
+        period, minpoly = analyze_period(generate_threshold(pair37))
+        assert period == EXAMPLE1_PERIOD
+        assert minpoly == predicted_minimal_polynomial(pair37)
+
+    def test_shorter_least_period(self):
+        seq = BitSequence(bits=0b0010111_0010111, length=14, origin="external")
+        period, minpoly = analyze_period(seq)
+        assert period == 7
+        assert minpoly.bits.bit_length() - 1 == linear_complexity(seq)
+
+    def test_disagreement_raises(self, monkeypatch, pair37):
+        # only a bug can make the two routes differ; BM is made to undercount
+        real = lincomp.berlekamp_massey
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits: (real(bits)[0] - 1, Gf2Poly.one()))
+        message = r"^LC disagreement for \(3, 7\): gcd=96, bm=95$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            analyze_period(generate_threshold(pair37))
+        with pytest.raises(InternalConsistencyError, match=message):
+            verify_theorem(pair37)
 
 
 class TestBudgetGuards:

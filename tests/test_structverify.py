@@ -9,19 +9,17 @@ from eqseq import (
     PrimePair,
     audit_structure,
     build_partition,
-    check_congruences,
-    check_kernel_image,
-    check_residue_multisets,
-    check_translation,
     coset_index,
     cyclotomic_f2,
     derive_generators,
     euler_quotient,
     generate_threshold,
     generating_polynomial,
+    lemma_failures,
     two_coset_index,
 )
 from eqseq.gf2poly import Gf2Poly, _int_mod
+from eqseq.structverify import DEFAULT_SEED
 
 
 def _coset_poly(coset) -> int:
@@ -34,6 +32,12 @@ def _coset_poly(coset) -> int:
 def _coset(partition, ell: int) -> set[int]:
     """D_ell read straight off the coset index (ell = -1 gives the non-units)."""
     return set(np.flatnonzero(partition.index == ell).tolist())
+
+
+def _failures(pair, partition, *lemmas, seed=DEFAULT_SEED) -> list[str]:
+    """The failure messages of the named lemmas from one lemma_failures run."""
+    failures = lemma_failures(pair, derive_generators(pair), partition, seed)
+    return [msg for lemma in lemmas for msg in failures[lemma]]
 
 
 class TestBuildPartition:
@@ -70,10 +74,8 @@ class TestBuildPartition:
 
 class TestKernelImage:
     def test_3_7(self, pair37):
-        gens = derive_generators(pair37)
         partition = build_partition(pair37)
-        ok, problems = check_kernel_image(pair37, gens, partition)
-        assert ok, problems
+        assert _failures(pair37, partition, "lemma2") == []
 
     def test_named_kernel_elements(self, pair37):
         gens = derive_generators(pair37)
@@ -89,8 +91,7 @@ class TestKernelImage:
 class TestTranslation:
     def test_3_7(self, pair37):
         partition = build_partition(pair37)
-        ok, problems = check_translation(pair37, partition)
-        assert ok, problems
+        assert _failures(pair37, partition, "lemma3", "lemma4") == []
 
     def test_specific_translation(self, pair37):
         # 2 lies in D_2, so 2 * D_3 = D_5
@@ -113,15 +114,13 @@ class TestTranslation:
         # (3, 61) has period 11163, above the exhaustive limit
         pair = PrimePair.create(3, 61)
         partition = build_partition(pair)
-        ok, problems = check_translation(pair, partition, seed=123)
-        assert ok, problems
+        assert _failures(pair, partition, "lemma3", "lemma4", seed=123) == []
 
 
 class TestResidueMultisets:
     def test_3_7(self, pair37):
         partition = build_partition(pair37)
-        ok, problems = check_residue_multisets(pair37, partition)
-        assert ok, problems
+        assert _failures(pair37, partition, "lemma5", "lemma6", "lemma7") == []
 
     def test_mod_p_multiset(self, pair37):
         partition = build_partition(pair37)
@@ -144,8 +143,7 @@ class TestResidueMultisets:
 class TestCongruences:
     def test_3_7(self, pair37):
         partition = build_partition(pair37)
-        ok, problems = check_congruences(pair37, partition)
-        assert ok, problems
+        assert _failures(pair37, partition, "lemma8", "lemma9") == []
 
     def test_d0_mod_phi21(self, pair37):
         partition = build_partition(pair37)
@@ -226,14 +224,9 @@ class TestAuditStructure:
             assert all(len(c) == pair.phi_pq for c in cosets), (p, q)
             assert len(_coset(partition, -1)) == pair.period - q * pair.phi_pq
 
-            ok, problems = check_kernel_image(pair, gens, partition)
-            assert ok, (p, q, problems)
-            ok, problems = check_translation(pair, partition, gens)
-            assert ok, (p, q, problems)
-            ok, problems = check_residue_multisets(pair, partition, gens)
-            assert ok, (p, q, problems)
-            ok, problems = check_congruences(pair, partition)
-            assert ok, (p, q, problems)
+            failures = lemma_failures(pair, gens, partition, DEFAULT_SEED)
+            assert list(failures) == [f"lemma{i}" for i in range(2, 10)], (p, q)
+            assert not any(failures.values()), (p, q, failures)
 
             # doubling the exponents advances every coset by sigma
             sigma = two_coset_index(pair)
