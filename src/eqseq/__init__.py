@@ -14,18 +14,23 @@ from .errors import (
     ResourceError,
     UnsupportedInputError,
 )
-from .eulerq import EulerQuotientTable, build_table, coset_index, derive_generators, euler_quotient, find_ghat
+from .eulerq import (
+    EulerQuotientTable,
+    build_table,
+    coset_index,
+    derive_generators,
+    euler_quotient,
+    two_coset_index,
+)
 from .gf2poly import Gf2Poly, compose_power, cyclotomic_f2, gcd, generating_polynomial
 from .lincomp import (
     AnalysisReport,
     analyze_period,
     berlekamp_massey,
-    linear_complexity,
     minimal_polynomial_gcd,
     predicted_minimal_polynomial,
     synthesize_sequence,
     verify_theorem,
-    wieferich_ok,
 )
 from .ntcore import (
     GroupGenerators,
@@ -36,6 +41,7 @@ from .ntcore import (
     is_prime,
     multiplicative_order,
     pow_wide_mod,
+    wieferich_ok,
 )
 from .sequence import BitSequence, balance, generate_by_cosets, generate_threshold, least_period
 from .structverify import (
@@ -44,7 +50,6 @@ from .structverify import (
     audit_structure,
     build_partition,
     lemma_failures,
-    two_coset_index,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +83,6 @@ __all__ = [
     "euler_quotient",
     "factorize",
     "find_common_primitive_root",
-    "find_ghat",
     "gcd",
     "generate_by_cosets",
     "generate_threshold",
@@ -86,7 +90,6 @@ __all__ = [
     "is_prime",
     "least_period",
     "lemma_failures",
-    "linear_complexity",
     "minimal_polynomial_gcd",
     "multiplicative_order",
     "pow_wide_mod",

@@ -221,7 +221,7 @@ def _cmd_analyze(args) -> int:
         seq = BitSequence(bits=block, length=t, origin=seq.origin)
 
     period, minpoly = analyze_period(seq)
-    lc = minpoly.bits.bit_length() - 1
+    lc = minpoly.degree
     _print_json({
         "n": seq.length,
         "least_period": period,

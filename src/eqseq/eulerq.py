@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
-from .ntcore import GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, pow_wide_mod
+from .ntcore import (
+    GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, pow_wide_mod, wieferich_ok,
+)
 
 
 def euler_quotient(t: int, pair: PrimePair) -> int:
@@ -62,34 +64,35 @@ def coset_index(t: int, pair: PrimePair) -> int | None:
     return value // pair.p
 
 
-def _ghat_from_g(pair: PrimePair, g: int) -> int:
-    # psi(g) = p*a mod pq with a invertible mod q; ghat = g^(a^-1 mod q)
+def two_coset_index(pair: PrimePair) -> int:
+    """The coset index sigma of 2 (a unit for odd p, q); 0 exactly when
+    2^(q-1) == 1 mod q^2, which the closed form excludes."""
+    sigma = coset_index(2, pair)
+    if sigma == 0 and wieferich_ok(pair.q):
+        raise InternalConsistencyError(
+            f"coset index of 2 is zero for {(pair.p, pair.q)} despite "
+            "2^(q-1) != 1 mod q^2"
+        )
+    return sigma
+
+
+def derive_generators(pair: PrimePair) -> GroupGenerators:
+    """Compute (g, h, ghat) for a pair with p | q-1; ghat = g^b has psi(ghat) == p."""
+    pair.require_divides()
     p, q = pair.p, pair.q
+    g = find_common_primitive_root(pair)
+    h = crt_lift([(g % p, p), (1, q * q)])
+    # psi(g) = p*a mod pq with a invertible mod q; ghat = g^(a^-1 mod q)
     psi_g = euler_quotient(g, pair)
     if psi_g % p != 0:
         raise InternalConsistencyError(f"psi(g) = {psi_g} not divisible by p")
     a = (psi_g // p) % q
     if a == 0:
         raise InternalConsistencyError("psi(g)/p vanishes mod q for a primitive root g")
-    b = pow(a, -1, q)
-    ghat = pow(g, b, pair.period)
+    ghat = pow(g, pow(a, -1, q), pair.period)
     if euler_quotient(ghat, pair) != p:
         raise InternalConsistencyError("constructed ghat does not satisfy psi(ghat) == p")
-    return ghat
-
-
-def find_ghat(pair: PrimePair, gens: GroupGenerators) -> int:
-    """The distinguished unit ghat = g^b with psi(ghat) == p."""
-    pair.require_divides()
-    return _ghat_from_g(pair, gens.g)
-
-
-def derive_generators(pair: PrimePair) -> GroupGenerators:
-    """Compute (g, h, ghat) for a pair with p | q-1."""
-    pair.require_divides()
-    g = find_common_primitive_root(pair)
-    h = crt_lift([(g % pair.p, pair.p), (1, pair.q * pair.q)])
-    return GroupGenerators(g=g, h=h, ghat=_ghat_from_g(pair, g))
+    return GroupGenerators(g=g, h=h, ghat=ghat)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,6 @@ from .sequence import pack_bits
 if TYPE_CHECKING:  # pragma: no cover
     from .sequence import BitSequence
 
-#: Degree of the zero polynomial; compares below every integer degree.
-NEG_INFINITY = float("-inf")
-
 
 def _int_mul(a: int, b: int) -> int:
     # schoolbook carry-less product, iterating over the sparser operand
@@ -83,10 +80,6 @@ class Gf2Poly:
             raise DomainError("polynomial bits must be a nonnegative integer")
 
     @classmethod
-    def zero(cls) -> "Gf2Poly":
-        return cls(0)
-
-    @classmethod
     def one(cls) -> "Gf2Poly":
         return cls(1)
 
@@ -114,9 +107,9 @@ class Gf2Poly:
         return cls(int.from_bytes(buf, "little"))
 
     @property
-    def degree(self) -> int | float:
-        """Degree, or NEG_INFINITY for the zero polynomial."""
-        return self.bits.bit_length() - 1 if self.bits else NEG_INFINITY
+    def degree(self) -> int:
+        """Degree, or -1 for the zero polynomial."""
+        return self.bits.bit_length() - 1
 
     @property
     def is_zero(self) -> bool:
@@ -131,7 +124,7 @@ class Gf2Poly:
 
     def term_degrees(self) -> list[int]:
         """Degrees of the nonzero terms, descending."""
-        top = self.bits.bit_length() - 1
+        top = self.degree
         return [top - i for i, c in enumerate(format(self.bits, "b")) if c == "1"]
 
     def __bool__(self) -> bool:
@@ -190,7 +183,7 @@ def compose_power(f: Gf2Poly, k: int) -> Gf2Poly:
         raise DomainError(f"compose_power requires k >= 1, got {k}")
     if k == 1 or f.is_zero:
         return f
-    check_budget("composed degree", (f.bits.bit_length() - 1) * k)
+    check_budget("composed degree", f.degree * k)
     return Gf2Poly(_int_compose(f.bits, k))
 
 

@@ -27,13 +27,8 @@ from . import eulerq
 from .errors import DomainError, InternalConsistencyError
 from .gf2poly import Gf2Poly, cyclotomic_f2, gcd, generating_polynomial
 from .limits import check_budget
-from .ntcore import PrimePair, pow_wide_mod
+from .ntcore import PrimePair, wieferich_ok
 from .sequence import BitSequence, generate_threshold, least_period, pack_bits
-
-
-def wieferich_ok(q: int) -> bool:
-    """True when 2^(q-1) is not 1 mod q^2 (the hypothesis on q)."""
-    return pow_wide_mod(2, q - 1, q * q) != 1
 
 
 def _as_packed(bits) -> tuple[int, int]:
@@ -122,19 +117,13 @@ def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
     being silently resolved.
     """
     minpoly = minimal_polynomial_gcd(seq)
-    lc_gcd = minpoly.bits.bit_length() - 1
+    lc_gcd = minpoly.degree
     lc_bm, _connection = berlekamp_massey(seq.two_periods())
     if lc_bm != lc_gcd:
         raise InternalConsistencyError(
             f"LC disagreement for {seq.origin}: gcd={lc_gcd}, bm={lc_bm}"
         )
     return least_period(seq), minpoly
-
-
-def linear_complexity(seq: BitSequence) -> int:
-    """N - deg gcd(x^N + 1, A(x)); equals the Berlekamp-Massey length."""
-    m = minimal_polynomial_gcd(seq)
-    return m.bits.bit_length() - 1
 
 
 def synthesize_sequence(
@@ -156,11 +145,10 @@ def synthesize_sequence(
         raise DomainError(f"length must be positive, got {length}")
     if connection.is_zero or not connection.coefficient(0):
         raise DomainError("connection polynomial must have constant term 1")
-    l = connection.bits.bit_length() - 1 if register_length is None else register_length
-    if l < connection.bits.bit_length() - 1:
+    l = connection.degree if register_length is None else register_length
+    if l < connection.degree:
         raise DomainError(
-            f"register length {l} is below the connection degree "
-            f"{connection.bits.bit_length() - 1}"
+            f"register length {l} is below the connection degree {connection.degree}"
         )
     if seed.length < l:
         raise DomainError(f"seed provides {seed.length} bits, need {l}")
@@ -197,20 +185,32 @@ def predicted_minimal_polynomial(pair: PrimePair) -> Gf2Poly:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Per-pair verdict: hypothesis flags, empirical vs predicted results."""
+    """Per-pair verdict: hypothesis flags, empirical vs predicted results.
+
+    The LCs and the verdict are read off the two minimal polynomials.
+    """
 
     pair: tuple[int, int]
     q_mod_4: int
     divisibility_ok: bool
     wieferich_ok: bool
     period_found: int
-    lc_empirical: int
-    lc_predicted: int | None
     minpoly_empirical: Gf2Poly
     minpoly_predicted: Gf2Poly | None
-    match: bool
     sigma: int | None
     elapsed: float
+
+    @property
+    def lc_empirical(self) -> int:
+        return self.minpoly_empirical.degree
+
+    @property
+    def lc_predicted(self) -> int | None:
+        return None if self.minpoly_predicted is None else self.minpoly_predicted.degree
+
+    @property
+    def match(self) -> bool:
+        return self.minpoly_predicted == self.minpoly_empirical
 
     def to_json_dict(self) -> dict:
         def opt(v):
@@ -246,22 +246,8 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
     wief_ok = wieferich_ok(pair.q)
 
     period, minpoly = analyze_period(generate_threshold(pair))
-
-    sigma: int | None = None
-    predicted: Gf2Poly | None = None
-    lc_predicted: int | None = None
-    match = False
-    if div_ok:
-        sigma = eulerq.coset_index(2, pair)
-        if wief_ok:
-            if sigma == 0:
-                raise InternalConsistencyError(
-                    f"coset index of 2 is zero for {(pair.p, pair.q)} despite "
-                    "2^(q-1) != 1 mod q^2"
-                )
-            predicted = predicted_minimal_polynomial(pair)
-            lc_predicted = predicted.bits.bit_length() - 1
-            match = predicted == minpoly
+    sigma = eulerq.two_coset_index(pair) if div_ok else None
+    predicted = predicted_minimal_polynomial(pair) if div_ok and wief_ok else None
 
     return AnalysisReport(
         pair=(pair.p, pair.q),
@@ -269,11 +255,8 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
         divisibility_ok=div_ok,
         wieferich_ok=wief_ok,
         period_found=period,
-        lc_empirical=minpoly.bits.bit_length() - 1,
-        lc_predicted=lc_predicted,
         minpoly_empirical=minpoly,
         minpoly_predicted=predicted,
-        match=match,
         sigma=sigma,
         elapsed=time.perf_counter() - start,
     )

@@ -87,6 +87,11 @@ def pow_wide_mod(base: int, exp: int, modulus: int) -> int:
     return pow(base, exp, modulus)
 
 
+def wieferich_ok(q: int) -> bool:
+    """True when 2^(q-1) is not 1 mod q^2 (the hypothesis on q)."""
+    return pow_wide_mod(2, q - 1, q * q) != 1
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Smallest k >= 1 with a**k == 1 (mod n).
 

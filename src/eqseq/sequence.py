@@ -52,10 +52,6 @@ class BitSequence:
         """The period as a left-to-right '0'/'1' string (s_0 first)."""
         return format(self.bits, f"0{self.length}b")[::-1]
 
-    @property
-    def ones(self) -> int:
-        return self.bits.bit_count()
-
     def two_periods(self) -> "BitSequence":
         """The period written out twice, the input Berlekamp-Massey needs."""
         return BitSequence(bits=self.bits | (self.bits << self.length),

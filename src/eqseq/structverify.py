@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
-from .eulerq import EulerQuotientTable, build_table, coset_index, derive_generators
+from .errors import InternalConsistencyError
+from .eulerq import EulerQuotientTable, build_table, derive_generators, two_coset_index
 from .gf2poly import _int_mod, cyclotomic_f2
-from .lincomp import wieferich_ok
 from .ntcore import GroupGenerators, PrimePair
 from .sequence import pack_flags
 
@@ -42,8 +41,6 @@ DEFAULT_SEED = 1729
 _GRID_CHUNK = 1 << 16       # products per slice of the exhaustive grid
 
 ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
-
-_CHECK_NAMES = ("lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma7", "lemma8", "lemma9")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,23 +82,6 @@ def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) ->
         )
     index = np.where(unit, values // p, -1).astype(np.int32)
     return CosetPartition(pair=pair, index=index)
-
-
-def two_coset_index(pair: PrimePair) -> int:
-    """The coset index sigma of 2; guaranteed nonzero under the hypotheses."""
-    pair.require_divides()
-    if not wieferich_ok(pair.q):
-        raise DomainError(
-            f"two_coset_index requires 2^(q-1) != 1 mod q^2; fails for q={pair.q}"
-        )
-    sigma = coset_index(2, pair)
-    if sigma == 0:
-        raise InternalConsistencyError(
-            f"2 lies in the kernel coset for {(pair.p, pair.q)}, contradicting "
-            "2^(q-1) != 1 mod q^2"
-        )
-    assert sigma is not None
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -333,56 +313,38 @@ def lemma_failures(pair: PrimePair, gens: GroupGenerators, partition: CosetParti
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Aggregated verdict of the eight structural checks for one pair."""
+    """Verdict of the eight structural checks for one pair, read off the
+    failure messages of each lemma (empty where it holds)."""
 
     pair: tuple[int, int]
-    lemma2_ok: bool
-    lemma3_ok: bool
-    lemma4_ok: bool
-    lemma5_ok: bool
-    lemma6_ok: bool
-    lemma7_ok: bool
-    lemma8_ok: bool
-    lemma9_ok: bool
     sigma: int
-    details: dict[str, str]
+    failures: dict[str, list[str]]
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            getattr(self, f"{name}_ok") for name in _CHECK_NAMES
-        )
+        return not any(self.failures.values())
+
+    @property
+    def details(self) -> dict[str, str]:
+        return {name: "; ".join(msgs) for name, msgs in self.failures.items() if msgs}
 
     def to_json_dict(self) -> dict:
         out: dict = {"pair": list(self.pair)}
-        for name in _CHECK_NAMES:
-            out[f"{name}_ok"] = getattr(self, f"{name}_ok")
+        out.update((f"{name}_ok", not msgs) for name, msgs in self.failures.items())
         out["sigma"] = self.sigma
-        out["details"] = dict(self.details)
+        out["details"] = self.details
         return out
 
     def format_table(self) -> str:
         lines = [f"structure audit for p={self.pair[0]}, q={self.pair[1]} (sigma={self.sigma})"]
-        for name in _CHECK_NAMES:
-            ok = getattr(self, f"{name}_ok")
-            status = "ok" if ok else "FAIL"
-            note = "" if ok else f"  {self.details.get(name, '')}"
-            lines.append(f"  {name:<8} {status}{note}")
+        for name, msgs in self.failures.items():
+            verdict = f"FAIL  {self.details[name]}" if msgs else "ok"
+            lines.append(f"  {name:<8} {verdict}")
         return "\n".join(lines)
 
 
 def audit_structure(pair: PrimePair, seed: int = DEFAULT_SEED) -> StructureReport:
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
-    partition = build_partition(pair)
-    failures = lemma_failures(pair, derive_generators(pair), partition, seed)
-
-    sigma = int(partition.index[2])   # 2 is a unit for odd p, q
-    if wieferich_ok(pair.q):
-        sigma = two_coset_index(pair)
-
-    flags = {f"{name}_ok": not failures[name] for name in _CHECK_NAMES}
-    details = {name: "; ".join(msgs) for name, msgs in failures.items() if msgs}
-    return StructureReport(
-        pair=(pair.p, pair.q), sigma=sigma, details=details, **flags
-    )
+    failures = lemma_failures(pair, derive_generators(pair), build_partition(pair), seed)
+    return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair), failures=failures)

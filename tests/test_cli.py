@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import Gf2Poly, cli, lincomp
+from eqseq import Gf2Poly, cli, lincomp, structverify
 from eqseq.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -205,6 +205,17 @@ class TestVerify:
         assert report["divisibility_ok"] is False
         assert report["lc_predicted"] == "n/a"
 
+    def test_mismatch(self, capsys, monkeypatch):
+        # a wrong closed form stands in for a counterexample
+        monkeypatch.setattr(lincomp, "predicted_minimal_polynomial", lambda pair: Gf2Poly(0b11))
+        code, stdout, _ = run(capsys, "verify", "--p", "3", "--q", "7")
+        assert code == EXIT_MISMATCH
+        report = json.loads(stdout)
+        assert report["lc_empirical"] == 96
+        assert report["lc_predicted"] == 1
+        assert report["minpoly_predicted"] == "x + 1"
+        assert report["match"] is False
+
 
 class TestStructure:
     def test_3_7(self, capsys):
@@ -223,6 +234,24 @@ class TestStructure:
         code, _, _ = run(capsys, "structure", "--p", "5", "--q", "7")
         assert code == EXIT_INAPPLICABLE
 
+    def test_failed_lemma(self, capsys, monkeypatch):
+        real = structverify.lemma_failures
+
+        def failing(*args):
+            failures = real(*args)
+            failures["lemma5"] = ["D_0 mod q multiset wrong", "D_3 mod q multiset wrong"]
+            return failures
+
+        monkeypatch.setattr(structverify, "lemma_failures", failing)
+        code, stdout, err = run(capsys, "structure", "--p", "3", "--q", "7")
+        assert code == EXIT_MISMATCH
+        report = json.loads(stdout)
+        assert report["lemma5_ok"] is False
+        assert all(report[f"lemma{i}_ok"] for i in (2, 3, 4, 6, 7, 8, 9))
+        assert report["details"] == {"lemma5": "D_0 mod q multiset wrong; D_3 mod q multiset wrong"}
+        assert "  lemma5   FAIL  D_0 mod q multiset wrong; D_3 mod q multiset wrong\n" in err
+        assert "  lemma4   ok\n" in err
+
 
 class TestScan:
     def test_small_scan(self, capsys):
@@ -235,6 +264,14 @@ class TestScan:
         assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 7), (3, 13), (5, 11)]
         assert all(r[8] == "true" for r in rows)
         assert [int(r[5]) for r in rows] == [147, 507, 605]
+
+    def test_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(lincomp, "predicted_minimal_polynomial", lambda pair: Gf2Poly(0b11))
+        code, stdout, _ = run(capsys, "scan", "--max-period", "1000")
+        assert code == EXIT_MISMATCH
+        rows = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 7), (3, 13), (5, 11)]
+        assert all(r[7] == "1" and r[8] == "false" for r in rows)
 
     def test_empty_scan(self, capsys):
         code, stdout, _ = run(capsys, "scan", "--max-period", "146")

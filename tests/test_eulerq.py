@@ -11,7 +11,6 @@ from eqseq import (
     coset_index,
     derive_generators,
     euler_quotient,
-    find_ghat,
 )
 
 
@@ -98,7 +97,6 @@ class TestFindGhat:
         assert gens.g == 5
         assert gens.h == 50
         assert gens.ghat == 43
-        assert find_ghat(pair37, gens) == 43
         assert euler_quotient(43, pair37) == 3
 
     def test_quotient_of_ghat_is_p(self, pair37, pair313, pair511):

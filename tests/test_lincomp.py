@@ -15,7 +15,6 @@ from eqseq import (
     gcd,
     generating_polynomial,
     generate_threshold,
-    linear_complexity,
     minimal_polynomial_gcd,
     predicted_minimal_polynomial,
     synthesize_sequence,
@@ -131,7 +130,7 @@ class TestMinimalPolynomialGcd:
     def test_all_zero(self):
         seq = BitSequence(bits=0, length=12, origin="external")
         assert minimal_polynomial_gcd(seq) == Gf2Poly.one()
-        assert linear_complexity(seq) == 0
+        assert minimal_polynomial_gcd(seq).degree == 0
 
     def test_divides_x_n_plus_one(self):
         rng = random.Random(5)
@@ -144,8 +143,8 @@ class TestMinimalPolynomialGcd:
 
 class TestLinearComplexity:
     def test_examples(self, pair37, pair313):
-        assert linear_complexity(generate_threshold(pair37)) == 96
-        assert linear_complexity(generate_threshold(pair313)) == 312
+        assert minimal_polynomial_gcd(generate_threshold(pair37)).degree == 96
+        assert minimal_polynomial_gcd(generate_threshold(pair313)).degree == 312
 
     def test_agrees_with_bm_on_random_periodic(self):
         rng = random.Random(99)
@@ -154,7 +153,7 @@ class TestLinearComplexity:
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="external")
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n, origin="external")
             length, _ = berlekamp_massey(two)
-            assert length == linear_complexity(seq)
+            assert length == minimal_polynomial_gcd(seq).degree
 
 
 class TestSynthesize:
@@ -288,7 +287,7 @@ class TestAnalyzePeriod:
         seq = BitSequence(bits=0b0010111_0010111, length=14, origin="external")
         period, minpoly = analyze_period(seq)
         assert period == 7
-        assert minpoly.bits.bit_length() - 1 == linear_complexity(seq)
+        assert minpoly.degree == minimal_polynomial_gcd(seq).degree
 
     def test_disagreement_raises(self, monkeypatch, pair37):
         # only a bug can make the two routes differ; BM is made to undercount

@@ -177,6 +177,17 @@ class TestTwoCosetIndex:
         with pytest.raises(DomainError):
             two_coset_index(PrimePair.create(5, 7))
 
+    def test_zero_for_wieferich_q(self, monkeypatch):
+        # 2^1092 == 1 mod 1093^2 puts 2 in the kernel coset; N = 3583947 is
+        # over the default budget, so sigma must come without a table
+        from eqseq import eulerq
+
+        def no_table(pair):
+            raise AssertionError("two_coset_index built a table")
+
+        monkeypatch.setattr(eulerq, "build_table", no_table)
+        assert two_coset_index(PrimePair.create(3, 1093)) == 0
+
 
 class TestFrobeniusAction:
     def test_doubling_shifts_cosets(self, pair37):
