@@ -1,0 +1,174 @@
+"""Stage timings of the linear-complexity pipeline on a ladder of pairs.
+
+Run from the root of a source checkout; it needs only the standard library
+and the package under src/ (nothing is installed):
+
+    python3 bench/ladder.py --label change --out BENCH.json
+    python3 bench/ladder.py --label change --out BENCH.json --full-scan
+
+For each pair it reports the median over --repeats runs of each stage:
+table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
+the folds of the period (block route only), the gcd route, Berlekamp-Massey,
+the least period and the closed-form prediction.  Cyclotomic caches are
+cleared before every run, so each stage starts cold as in one command-line
+call.  On a checkout without the block route the gcd stage is
+`minimal_polynomial_gcd` on the whole of x^N + 1 and the BM stage is
+`berlekamp_massey` on two periods, so one script times both.  It then times
+`eqseq scan --max-period --jobs 2` in a fresh interpreter (median of
+--repeats), and with --full-scan one scan to 1000000.
+
+The results go under "runs" -> LABEL in the --out JSON file, which keeps
+the runs of other labels, together with a description of the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import importlib.metadata
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from eqseq import (  # noqa: E402
+    PrimePair,
+    berlekamp_massey,
+    generate_threshold,
+    gf2poly,
+    least_period,
+    lincomp,
+    minimal_polynomial_gcd,
+    predicted_minimal_polynomial,
+)
+
+LADDER = ["23,47", "3,181", "3,313", "3,577"]
+
+
+def machine() -> dict:
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "platform": platform.platform(),
+        "cpu": model or platform.processor(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+    }
+
+
+def clear_caches() -> None:
+    for obj in vars(gf2poly).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
+def one_run(pair: PrimePair) -> tuple[dict, dict]:
+    """Seconds per stage for one pair, and the LCs each route found."""
+    clear_caches()
+    seq, t_table = timed(generate_threshold, pair)
+    stages = {"table_pack_s": t_table}
+    if hasattr(lincomp, "_block_folds"):
+        folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
+        minpolys, stages["gcd_s"] = timed(
+            lambda: [lincomp._block_minpoly(u, block) for block, u in folds])
+        lcs, stages["bm_s"] = timed(
+            lambda: [lincomp._block_lc(u, block, seq.origin) for block, u in folds])
+        lc_gcd = sum(f.degree for f in minpolys)
+        lc_bm = sum(lcs)
+    else:
+        stages["blocks_fold_s"] = None
+        minpoly, stages["gcd_s"] = timed(minimal_polynomial_gcd, seq)
+        (lc_bm, _), stages["bm_s"] = timed(berlekamp_massey, seq.two_periods())
+        lc_gcd = minpoly.degree
+    period, stages["least_period_s"] = timed(least_period, seq)
+    predicted, stages["prediction_s"] = timed(predicted_minimal_polynomial, pair)
+    lcs = {"lc_gcd": lc_gcd, "lc_bm": lc_bm, "lc_predicted": predicted.degree,
+           "period": period}
+    return stages, lcs
+
+
+def ladder(pairs: list[str], repeats: int) -> dict:
+    out = {}
+    for text in pairs:
+        p, q = (int(v) for v in text.split(","))
+        pair = PrimePair.create(p, q)
+        runs = [one_run(pair) for _ in range(repeats)]
+        stages = {
+            name: (None if runs[0][0][name] is None
+                   else statistics.median(r[name] for r, _ in runs))
+            for name in runs[0][0]
+        }
+        lcs = runs[0][1]
+        out[text] = {"N": pair.period, "median_of": repeats, "stages": stages, **lcs,
+                     "match": lcs["lc_gcd"] == lcs["lc_bm"] == lcs["lc_predicted"]}
+        print(f"({text}) N={pair.period} " + " ".join(
+            f"{k}={v:.3f}" for k, v in stages.items() if v is not None), file=sys.stderr)
+    return out
+
+
+def scan(bound: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-m", "eqseq.cli", "scan", "--max-period", str(bound), "--jobs", "2"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    return {"wall_s": wall, "exit_code": proc.returncode, "pairs": len(rows),
+            "matching": sum(row["match"] == "true" for row in rows)}
+
+
+def scans(bound: int, repeats: int) -> dict:
+    runs = [scan(bound) for _ in range(repeats)]
+    result = dict(runs[-1], wall_s=statistics.median(r["wall_s"] for r in runs),
+                  wall_s_runs=[r["wall_s"] for r in runs], median_of=repeats)
+    print(f"scan {bound}: {result['wall_s']:.2f} s, "
+          f"{result['matching']}/{result['pairs']} matching", file=sys.stderr)
+    return result
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", required=True, help="JSON file to create or update")
+    ap.add_argument("--pairs", nargs="*", default=LADDER, help="pairs as P,Q")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--scan", type=int, default=100_000, help="period bound of the timed scan")
+    ap.add_argument("--full-scan", action="store_true", help="also scan to 1000000 once")
+    args = ap.parse_args()
+
+    run = {"ladder": ladder(args.pairs, args.repeats),
+           f"scan_{args.scan}": scans(args.scan, args.repeats)}
+    if args.full_scan:
+        run["scan_1000000"] = scans(1_000_000, 1)
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["machine"] = machine()
+    doc.setdefault("runs", {})[args.label] = run
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -237,7 +237,11 @@ def _cmd_verify(args) -> int:
     _print_json(report.to_json_dict())
     if not (report.divisibility_ok and report.wieferich_ok):
         return EXIT_INAPPLICABLE
-    return EXIT_OK if report.match else EXIT_MISMATCH
+    if report.match:
+        return EXIT_OK
+    for d, lc, closed in report.blocks_off_closed_form():
+        print(f"eqseq: block d={d}: lc {lc}, closed form {closed}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def _cmd_structure(args) -> int:

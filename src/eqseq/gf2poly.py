@@ -10,7 +10,10 @@ The module also builds cyclotomic polynomials over GF(2) by composition:
 Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_mp(x) =
 Phi_m(x^p) / Phi_m(x) for a prime p not dividing m, starting from Phi_1 = x + 1.
 Both identities hold in Z[x] and every division in them is exact by a monic
-polynomial, so they survive reduction mod 2.
+polynomial, so they survive reduction mod 2.  Each squarefree n also carries
+its cofactor H_n = (x^n + 1) / Phi_n, with H_mp(x) = H_m(x^p) Phi_m(x), so the
+division by Phi_m becomes a product with H_m and an exact division by
+x^m + 1, which is a stride-m prefix XOR and is checked.
 """
 
 from __future__ import annotations
@@ -42,19 +45,19 @@ def _int_mul(a: int, b: int) -> int:
 
 
 def _int_divmod(f: int, g: int) -> tuple[int, int]:
-    dg = g.bit_length() - 1
+    # a zero shift XORs g itself: g << 0 would copy the whole integer
+    dg = g.bit_length()
     q = 0
-    while f.bit_length() - 1 >= dg:
-        shift = f.bit_length() - 1 - dg
+    while (shift := f.bit_length() - dg) >= 0:
         q |= 1 << shift
-        f ^= g << shift
+        f ^= (g << shift) if shift else g
     return q, f
 
 
 def _int_mod(f: int, g: int) -> int:
-    dg = g.bit_length() - 1
-    while f.bit_length() - 1 >= dg:
-        f ^= g << (f.bit_length() - 1 - dg)
+    dg = g.bit_length()
+    while (shift := f.bit_length() - dg) >= 0:
+        f ^= (g << shift) if shift else g
     return f
 
 
@@ -187,29 +190,48 @@ def compose_power(f: Gf2Poly, k: int) -> Gf2Poly:
     return Gf2Poly(_int_compose(f.bits, k))
 
 
+def _int_div_binomial(f: int, m: int) -> int:
+    # f / (x^m + 1) when exact: quotient bit i is f_i + q_(i-m), a stride-m
+    # prefix XOR, done by doubling the stride
+    top = f.bit_length() - 1 - m
+    q, stride = f, m
+    while stride <= top:
+        q ^= q << stride
+        stride <<= 1
+    return q & ((1 << (top + 1)) - 1)
+
+
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_bits(n: int) -> int:
-    primes = sorted(set(factorize(n)))
-    radical = math.prod(primes)
-    if radical != n:
-        return _int_compose(_cyclotomic_bits(radical), n // radical)
+def _cyclotomic_pair(n: int) -> tuple[int, int]:
+    """(Phi_n, (x^n + 1) / Phi_n) for squarefree odd n."""
     if n == 1:
-        return 0b11  # x + 1
-    m = n // primes[-1]
-    phi_m = _cyclotomic_bits(m)
-    q, r = _int_divmod(_int_compose(phi_m, primes[-1]), phi_m)
-    if r:
+        return 0b11, 1
+    p = factorize(n)[-1]
+    m = n // p
+    if m == 1:
+        return (1 << p) - 1, 0b11  # 1 + x + ... + x^(p-1), and x + 1
+    phi_m, h_m = _cyclotomic_pair(m)
+    product = _int_mul(_int_compose(phi_m, p), h_m)
+    phi = _int_div_binomial(product, m)
+    if (phi << m) ^ phi != product:
         raise InternalConsistencyError(
             f"cyclotomic division for n={n} left a remainder"
         )
-    return q
+    return phi, _int_mul(_int_compose(h_m, p), phi_m)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_bits(n: int) -> int:
+    radical = math.prod(set(factorize(n)))
+    return _int_compose(_cyclotomic_pair(radical)[0], n // radical)
 
 
 def cyclotomic_f2(n: int) -> Gf2Poly:
     """n-th cyclotomic polynomial reduced mod 2, for odd n (or n == 1).
 
     Built by composition from Phi_1 = x + 1: Phi_n(x) = Phi_r(x^(n/r)) for the
-    radical r of n, and Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for squarefree mp.
+    radical r of n, and Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for squarefree mp,
+    divided as Phi_m(x^p) H_m(x) / (x^m + 1) with H_m = (x^m + 1) / Phi_m.
     """
     if n < 1:
         raise DomainError(f"cyclotomic index must be positive, got {n}")

@@ -12,23 +12,49 @@ cross-checked:
 * The closed form  M(x) = (x^N + 1) / gcd(x^N + 1, A(x))  from the generating
   polynomial A of one period, with LC = deg M.
 
+Both run block by block.  With N = 2^k m, m odd, x^N + 1 is the product of
+the pairwise coprime F_e = Phi_e(x^(2^k)) over the divisors e of m, so M is
+the product of the blocks' F_e / gcd(F_e, A), and each block's LC is also
+found by Berlekamp-Massey on the block's component of the sequence.  The
+two must agree on every block.  Each run checks that the F_e multiply to
+x^N + 1, so the measured M does not rest on the cyclotomic construction
+being right, and it never reads the prediction.
+
 The predicted minimal polynomial is a product of cyclotomic polynomials
-selected by q mod 4; `verify_theorem` compares it against both empirical
-routes and reports the verdict.
+selected by q mod 4; `verify_theorem` compares it against the measured one
+and reports the verdict, with the LC of every block.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 from typing import Sequence as SequenceABC
 
 from . import eulerq
 from .errors import DomainError, InternalConsistencyError
-from .gf2poly import Gf2Poly, cyclotomic_f2, gcd, generating_polynomial
+from .gf2poly import (
+    Gf2Poly,
+    _cyclotomic_pair,
+    _int_compose,
+    _int_divmod,
+    _int_mod,
+    _int_mul,
+    cyclotomic_f2,
+    gcd,
+)
 from .limits import check_budget
-from .ntcore import PrimePair, wieferich_ok
-from .sequence import BitSequence, generate_threshold, least_period, pack_bits
+from .ntcore import PrimePair, factorize, wieferich_ok
+from .sequence import (
+    BitSequence,
+    _divisors_ascending,
+    generate_threshold,
+    least_period,
+    pack_bits,
+)
 
 
 def _as_packed(bits) -> tuple[int, int]:
@@ -44,20 +70,25 @@ def _as_packed(bits) -> tuple[int, int]:
 _TRUNCATE_EVERY = 2048
 
 
-def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly]:
+def berlekamp_massey(
+    bits: BitSequence | SequenceABC[int], *, connection: bool = True
+) -> tuple[int, Gf2Poly | None]:
     """Shortest LFSR (length L, connection polynomial C) generating the prefix.
 
     C(x) = 1 + c_1 x + ... encodes the recurrence
     s_n = c_1 s_{n-1} + ... + c_L s_{n-L}.  Fed two full periods of an
-    N-periodic sequence, L is its linear complexity.
+    N-periodic sequence, L is its linear complexity.  With
+    connection=False only L is found: the updates of C and of the previous
+    connection B are skipped, and None stands in for C.
 
     Invariants of the incremental form: with mlast the step of the last
     length change, sb == (S*B) >> mlast throughout, and sc == (S*C) >> a where
-    a = n - m, so the discrepancy at step n is bit m of sc.  Bit j of sc is
-    coefficient n - m + j of S*C and no coefficient past nbits - 1 is ever
-    read, so every _TRUNCATE_EVERY steps sc is cut to its low
-    nbits - n + m + 2 bits; sb is XORed into sc at base n or later, so the
-    same mask covers it.
+    a = n - m, so the discrepancy at step n is bit m of sc.  Coefficients
+    below n are never read again and none past nbits - 1 is ever read, so
+    every _TRUNCATE_EVERY steps sc is shifted to base n (m = 0), which keeps
+    the bit tested small through a long run without discrepancies, and cut
+    to its low nbits - n + 2 bits; sb is XORed into sc at base n or later,
+    so the same mask covers it.
 
     The period the prefix implies, half its length rounded up, must lie
     within the budget, so two periods of an in-budget sequence pass.
@@ -73,57 +104,161 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
     every = _TRUNCATE_EVERY
     for n in range(nbits):
         if n % every == 0:
-            mask = (1 << (nbits - n + m + 2)) - 1
+            sc >>= m
+            m = 0
+            mask = (1 << (nbits - n + 2)) - 1
             sc &= mask
             sb &= mask
         if sc & (1 << m):
             sc >>= m
             m = 0
-            new_c = c_poly ^ (b_poly << (n - mlast))
             if 2 * length <= n:
                 sb, sc = sc, sb
-                b_poly = c_poly
+                if connection:
+                    b_poly, c_poly = c_poly, c_poly ^ (b_poly << (n - mlast))
                 mlast = n
                 length = n + 1 - length
-            c_poly = new_c
+            elif connection:
+                c_poly ^= b_poly << (n - mlast)
             sc ^= sb
         m += 1
-    return length, Gf2Poly(c_poly)
+    return length, Gf2Poly(c_poly) if connection else None
+
+
+class _Block(NamedTuple):
+    """One factor F_e of x^N + 1 = prod_e F_e, over the divisors e of the odd
+    part m of N = 2^k m.
+
+    F_e = Phi_e(x^(2^k)) = Phi_r(x^s) for the radical r of e and the stride
+    s = d / r, where d = 2^k e; F_e divides x^d + 1 with cofactor
+    H = H_r(x^s).  The factors are pairwise coprime, so the minimal
+    polynomial of a period A is the product over the blocks of
+    F_e / gcd(F_e, A mod (x^d + 1)).
+    """
+
+    d: int
+    stride: int    # s
+    phi: int       # Phi_r
+    factor: int    # F_e
+    cofactor: int  # H = (x^d + 1) / F_e
+
+
+def _blocks(n: int) -> list[_Block]:
+    """The blocks of x^n + 1 by ascending d, each checked to satisfy
+    Phi_r H_r = x^r + 1, and all together to multiply to x^n + 1."""
+    k = (n & -n).bit_length() - 1
+    blocks = []
+    product = 1
+    for e in _divisors_ascending(n >> k):
+        radical = math.prod(set(factorize(e)))
+        phi, h = _cyclotomic_pair(radical)
+        if _int_mul(phi, h) != (1 << radical) | 1:
+            raise InternalConsistencyError(f"cyclotomic cofactor for n={radical} is wrong")
+        stride = (e << k) // radical
+        block = _Block(e << k, stride, phi, _int_compose(phi, stride), _int_compose(h, stride))
+        product = _int_mul(product, block.factor)
+        blocks.append(block)
+    if product != (1 << n) | 1:
+        raise InternalConsistencyError(f"cyclotomic blocks do not multiply to x^{n} + 1")
+    return blocks
+
+
+def _fold(a: int, n: int, d: int) -> int:
+    """a mod (x^d + 1), the XOR of the n/d length-d chunks of a, for a of
+    degree below n, a multiple of d.  x^h = 1 mod x^d + 1 for every multiple
+    h of d, so XORing the high part onto the low h bits keeps the residue."""
+    while n > d:
+        half = n // d // 2 * d
+        a = (a & ((1 << half) - 1)) ^ (a >> half)
+        n -= half
+    return a
+
+
+def _block_folds(seq: BitSequence) -> Iterator[tuple[_Block, int]]:
+    """Each block of x^N + 1 with one period folded to its length d."""
+    n = seq.length
+    check_budget("sequence length", n)
+    for block in _blocks(n):
+        yield block, _fold(seq.bits, n, block.d)
+
+
+def _reduce_polyphase(u: int, block: _Block) -> int:
+    """u mod F_e for u of degree below d.  F_e = Phi_r(x^s), so each of the
+    s polyphase parts of u (coefficients j, j + s, j + 2s, ...) reduces mod
+    Phi_r on its own."""
+    degree = Gf2Poly(block.factor).degree
+    if u.bit_length() <= degree:
+        return u
+    s = block.stride
+    digits = format(u, f"0{block.d}b")[::-1]  # coefficient i at index i
+    out = bytearray(b"0" * degree)
+    for j in range(s):
+        part = _int_mod(int(digits[j::s][::-1], 2), block.phi)
+        out[j::s] = format(part, f"0{degree // s}b")[::-1].encode()
+    return int(out[::-1], 2)
+
+
+def _block_minpoly(u: int, block: _Block) -> Gf2Poly:
+    """gcd route: F_e / gcd(F_e, u mod F_e)."""
+    g = gcd(Gf2Poly(block.factor), Gf2Poly(_reduce_polyphase(u, block))).bits
+    if g == 1:
+        return Gf2Poly(block.factor)
+    quotient, remainder = _int_divmod(block.factor, g)
+    if remainder:
+        raise InternalConsistencyError(f"gcd does not divide the block factor for d={block.d}")
+    return Gf2Poly(quotient)
+
+
+def _block_lc(u: int, block: _Block, origin) -> int:
+    """BM route: the LC of the F_e-component v = u H mod (x^d + 1), whose
+    minimal polynomial is F_e / gcd(F_e, u).  That LC is at most deg F_e, so
+    2 deg F_e bits of two periods of v determine it."""
+    d = block.d
+    v = _int_mul(u, block.cofactor)
+    v = (v & ((1 << d) - 1)) ^ (v >> d)
+    nbits = 2 * Gf2Poly(block.factor).degree
+    two = (v | (v << d)) & ((1 << nbits) - 1)
+    return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin),
+                            connection=False)[0]
+
+
+def _product(polys: Iterable[Gf2Poly]) -> Gf2Poly:
+    return Gf2Poly(functools.reduce(_int_mul, (f.bits for f in polys), 1))
 
 
 def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
-    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)).
+    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)), block by block.
 
     The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
     """
-    n = seq.length
-    check_budget("sequence length", n)
-    a = generating_polynomial(seq)
-    x_n_1 = Gf2Poly((1 << n) | 1)
-    if a.is_zero:
-        return Gf2Poly.one()
-    g = gcd(x_n_1, a)
-    quotient, remainder = divmod(x_n_1, g)
-    if not remainder.is_zero:
-        raise InternalConsistencyError("gcd does not divide x^N + 1")
-    return quotient
+    return _product(_block_minpoly(u, block) for block, u in _block_folds(seq))
+
+
+def _minpolys_by_block(seq: BitSequence) -> dict[int, Gf2Poly]:
+    """The minimal polynomial of each block by the gcd route, keyed by d,
+    with its degree checked against Berlekamp-Massey on the block."""
+    out = {}
+    for block, u in _block_folds(seq):
+        minpoly = _block_minpoly(u, block)
+        lc_bm = _block_lc(u, block, seq.origin)
+        if lc_bm != minpoly.degree:
+            raise InternalConsistencyError(
+                f"LC disagreement for {seq.origin} in block d={block.d}: "
+                f"gcd={minpoly.degree}, bm={lc_bm}"
+            )
+        out[block.d] = minpoly
+    return out
 
 
 def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
     """Least period and minimal polynomial of one period, by both LC routes.
 
-    The gcd route gives the minimal polynomial; Berlekamp-Massey on two
-    periods must reach the same LC, and a disagreement raises rather than
+    Both routes run on every cyclotomic block of x^N + 1: the gcd route
+    gives the block's minimal polynomial, Berlekamp-Massey on the block's
+    component must reach the same LC, and a disagreement raises rather than
     being silently resolved.
     """
-    minpoly = minimal_polynomial_gcd(seq)
-    lc_gcd = minpoly.degree
-    lc_bm, _connection = berlekamp_massey(seq.two_periods())
-    if lc_bm != lc_gcd:
-        raise InternalConsistencyError(
-            f"LC disagreement for {seq.origin}: gcd={lc_gcd}, bm={lc_bm}"
-        )
-    return least_period(seq), minpoly
+    return least_period(seq), _product(_minpolys_by_block(seq).values())
 
 
 def synthesize_sequence(
@@ -199,6 +334,7 @@ class AnalysisReport:
     minpoly_predicted: Gf2Poly | None
     sigma: int | None
     elapsed: float
+    lc_by_divisor: tuple[tuple[int, int], ...]  # (d, LC of the block), ascending d
 
     @property
     def lc_empirical(self) -> int:
@@ -211,6 +347,19 @@ class AnalysisReport:
     @property
     def match(self) -> bool:
         return self.minpoly_predicted == self.minpoly_empirical
+
+    def blocks_off_closed_form(self) -> list[tuple[int, int, int]]:
+        """(d, measured LC, closed-form LC) for each block where they differ.
+
+        The closed form has LC phi(N) at d = N, phi(pq) at d = pq when
+        q = 3 mod 4, and 0 elsewhere.
+        """
+        p, q = self.pair
+        closed = {p * q * q: (p - 1) * q * (q - 1)}
+        if q % 4 == 3:
+            closed[p * q] = (p - 1) * (q - 1)
+        return [(d, lc, closed.get(d, 0)) for d, lc in self.lc_by_divisor
+                if lc != closed.get(d, 0)]
 
     def to_json_dict(self) -> dict:
         def opt(v):
@@ -231,21 +380,23 @@ class AnalysisReport:
             "match": self.match,
             "sigma": opt(self.sigma),
             "elapsed": self.elapsed,
+            "lc_by_divisor": {str(d): lc for d, lc in self.lc_by_divisor},
         }
 
 
 def verify_theorem(pair: PrimePair) -> AnalysisReport:
     """Full pipeline for one pair: generate, measure, predict, compare.
 
-    `analyze_period` measures the sequence and cross-checks the two LC
-    routes.  When p does not divide q-1 the closed form does not apply and
+    The sequence is measured as in `analyze_period`, keeping the LC of each
+    block.  When p does not divide q-1 the closed form does not apply and
     only the empirical fields are populated.
     """
     start = time.perf_counter()
     div_ok = pair.divides
     wief_ok = wieferich_ok(pair.q)
 
-    period, minpoly = analyze_period(generate_threshold(pair))
+    seq = generate_threshold(pair)
+    blocks = _minpolys_by_block(seq)
     sigma = eulerq.two_coset_index(pair) if div_ok else None
     predicted = predicted_minimal_polynomial(pair) if div_ok and wief_ok else None
 
@@ -254,9 +405,10 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
         q_mod_4=pair.q % 4,
         divisibility_ok=div_ok,
         wieferich_ok=wief_ok,
-        period_found=period,
-        minpoly_empirical=minpoly,
+        period_found=least_period(seq),
+        minpoly_empirical=_product(blocks.values()),
         minpoly_predicted=predicted,
         sigma=sigma,
         elapsed=time.perf_counter() - start,
+        lc_by_divisor=tuple((d, f.degree) for d, f in blocks.items()),
     )

@@ -314,30 +314,31 @@ def lemma_failures(pair: PrimePair, gens: GroupGenerators, partition: CosetParti
 @dataclass(frozen=True)
 class StructureReport:
     """Verdict of the eight structural checks for one pair, read off the
-    failure messages of each lemma (empty where it holds)."""
+    failure messages of each lemma (empty where it holds), kept as
+    (lemma, messages) pairs in lemma order so the report is hashable."""
 
     pair: tuple[int, int]
     sigma: int
-    failures: dict[str, list[str]]
+    failures: tuple[tuple[str, tuple[str, ...]], ...]
 
     @property
     def all_ok(self) -> bool:
-        return not any(self.failures.values())
+        return not any(msgs for _, msgs in self.failures)
 
     @property
     def details(self) -> dict[str, str]:
-        return {name: "; ".join(msgs) for name, msgs in self.failures.items() if msgs}
+        return {name: "; ".join(msgs) for name, msgs in self.failures if msgs}
 
     def to_json_dict(self) -> dict:
         out: dict = {"pair": list(self.pair)}
-        out.update((f"{name}_ok", not msgs) for name, msgs in self.failures.items())
+        out.update((f"{name}_ok", not msgs) for name, msgs in self.failures)
         out["sigma"] = self.sigma
         out["details"] = self.details
         return out
 
     def format_table(self) -> str:
         lines = [f"structure audit for p={self.pair[0]}, q={self.pair[1]} (sigma={self.sigma})"]
-        for name, msgs in self.failures.items():
+        for name, msgs in self.failures:
             verdict = f"FAIL  {self.details[name]}" if msgs else "ok"
             lines.append(f"  {name:<8} {verdict}")
         return "\n".join(lines)
@@ -347,4 +348,5 @@ def audit_structure(pair: PrimePair, seed: int = DEFAULT_SEED) -> StructureRepor
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
     failures = lemma_failures(pair, derive_generators(pair), build_partition(pair), seed)
-    return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair), failures=failures)
+    return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair),
+                           failures=tuple((name, tuple(msgs)) for name, msgs in failures.items()))

@@ -9,6 +9,10 @@ per-bit loops that rendering, polynomial construction and bit packing used;
 `parse_ascii` is the per-character ASCII parser that returned a list of bits.
 `build_table` fills the Euler-quotient table with one modular power per
 position, and `generate_threshold` packs the threshold flags from it.
+`int_mod` and `int_divmod` are the long divisions that shifted the divisor
+even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
+whole of x^N + 1 that the block route replaced, and `fold` reduces a period
+mod x^d + 1 one bit at a time.
 
 The structural audit follows: the frozenset `CosetPartition` and
 `build_partition`, the two product grids, the Counter multisets and the
@@ -32,7 +36,7 @@ import numpy as np
 from eqseq import BitSequence, Gf2Poly
 from eqseq.errors import DomainError, InternalConsistencyError, ParseError
 from eqseq.eulerq import EulerQuotientTable
-from eqseq.gf2poly import _int_divmod, cyclotomic_f2
+from eqseq.gf2poly import cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.lincomp import _as_packed
 from eqseq.ntcore import GroupGenerators, PrimePair
@@ -73,12 +77,55 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
     return length, Gf2Poly(c_poly)
 
 
+def int_divmod(f: int, g: int) -> tuple[int, int]:
+    dg = g.bit_length() - 1
+    q = 0
+    while f.bit_length() - 1 >= dg:
+        shift = f.bit_length() - 1 - dg
+        q |= 1 << shift
+        f ^= g << shift
+    return q, f
+
+
+def int_mod(f: int, g: int) -> int:
+    dg = g.bit_length() - 1
+    while f.bit_length() - 1 >= dg:
+        f ^= g << (f.bit_length() - 1 - dg)
+    return f
+
+
+def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
+    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)).
+
+    The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
+    """
+    x_n_1 = (1 << seq.length) | 1
+    if seq.bits == 0:
+        return Gf2Poly(1)
+    f, g = x_n_1, seq.bits
+    while g:
+        f, g = g, int_mod(f, g)
+    quotient, remainder = int_divmod(x_n_1, f)
+    if remainder:
+        raise InternalConsistencyError("gcd does not divide x^N + 1")
+    return Gf2Poly(quotient)
+
+
+def fold(bits: int, n: int, d: int) -> int:
+    """A mod (x^d + 1) for a period A of n bits: bit t lands on bit t mod d."""
+    out = 0
+    for t in range(n):
+        if (bits >> t) & 1:
+            out ^= 1 << (t % d)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_bits(n: int) -> int:
     f = (1 << n) | 1  # x^n + 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = _int_divmod(f, cyclotomic_bits(d))
+            q, r = int_divmod(f, cyclotomic_bits(d))
             if r:
                 raise InternalConsistencyError(
                     f"cyclotomic division for n={n} left a remainder"

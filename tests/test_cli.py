@@ -183,11 +183,11 @@ class TestAnalyze:
         # only a bug can make the two routes differ; one is faked here
         f = tmp_path / "m.txt"
         f.write_text("0010111\n")
-        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits: (2, Gf2Poly.one()))
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits, **kw: (2, Gf2Poly.one()))
         code, stdout, err = run(capsys, "analyze", "--in", str(f))
         assert code == EXIT_USAGE
         assert stdout == ""
-        assert err == "eqseq: error: LC disagreement for external: gcd=3, bm=2\n"
+        assert err == "eqseq: error: LC disagreement for external in block d=1: gcd=0, bm=2\n"
 
 
 class TestVerify:
@@ -215,6 +215,36 @@ class TestVerify:
         assert report["lc_predicted"] == 1
         assert report["minpoly_predicted"] == "x + 1"
         assert report["match"] is False
+
+    def test_lc_by_divisor_is_the_last_key(self, capsys):
+        code, stdout, err = run(capsys, "verify", "--p", "3", "--q", "7")
+        assert code == EXIT_OK and err == ""
+        report = json.loads(stdout)
+        assert list(report)[-2:] == ["elapsed", "lc_by_divisor"]
+        assert report["lc_by_divisor"] == {"1": 0, "3": 0, "7": 0, "21": 12, "49": 0, "147": 84}
+        assert list(report["lc_by_divisor"]) == ["1", "3", "7", "21", "49", "147"]
+
+    @pytest.mark.parametrize("q, named", [
+        (7, "eqseq: block d=21: lc 0, closed form 12\n"),
+        (13, "eqseq: block d=39: lc 24, closed form 0\n"),
+    ])
+    def test_mismatch_names_the_block(self, capsys, monkeypatch, q, named):
+        # flipping every bit of coset D_0 stands in for a counterexample: it
+        # clears the pq block when q = 3 mod 4 and fills it when q = 1 mod 4
+        real = lincomp.generate_threshold
+
+        def corrupted(pair):
+            seq = real(pair)
+            coset = structverify.build_partition(pair).members[0]
+            flip = sum(1 << int(t) for t in coset)
+            return BitSequence(bits=seq.bits ^ flip, length=seq.length, origin=seq.origin)
+
+        monkeypatch.setattr(lincomp, "generate_threshold", corrupted)
+        code, stdout, err = run(capsys, "verify", "--p", "3", "--q", str(q))
+        assert code == EXIT_MISMATCH
+        report = json.loads(stdout)
+        assert report["match"] is False
+        assert err == named
 
 
 class TestStructure:

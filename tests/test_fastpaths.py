@@ -1,15 +1,19 @@
 """Differential tests: the fast kernels against the slow code they replaced.
 
 The oracles in oracles.py are the previous Berlekamp-Massey loop, the
-previous recursive-division cyclotomic construction, the per-position
-Euler-quotient table with the threshold flags packed from it, and the
-per-bit loops that rendered, built and packed polynomials and bits, and the
-per-character ASCII parser; sympy gives an outside check of the cyclotomic
-polynomials.  The structural audit
-has its own differential tests in test_audit_differential.py.
+previous recursive-division cyclotomic construction, the long divisions
+that shifted by zero, the Euclidean minimal polynomial on the whole of
+x^N + 1, the per-bit fold, the per-position Euler-quotient table with the
+threshold flags packed from it, and the per-bit loops that rendered, built
+and packed polynomials and bits, and the per-character ASCII parser; sympy
+gives an outside check of the cyclotomic polynomials.  The block route is
+also checked against Berlekamp-Massey on two whole periods.  The structural
+audit has its own differential tests in test_audit_differential.py.
 """
 
+import contextlib
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -27,9 +31,11 @@ from eqseq import (
     generate_threshold,
     synthesize_sequence,
 )
-from eqseq import lincomp
+from eqseq import InternalConsistencyError, analyze_period, compose_power, lincomp
+from eqseq import minimal_polynomial_gcd
 from eqseq.cli import parse_ascii
 from eqseq.errors import ParseError
+from eqseq.gf2poly import _int_divmod, _int_mod
 from eqseq.lincomp import berlekamp_massey
 from eqseq.sequence import pack_bits
 
@@ -108,6 +114,154 @@ class TestBerlekampMasseyDifferential:
             assert_same_as_oracle(BitSequence(bits=0, length=n, origin="external"))
             assert_same_as_oracle(BitSequence(bits=(1 << n) - 1, length=n, origin="external"))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, lengths, st.sampled_from([3, 40, 2048]))
+    @example("periodic", 0, 4096, 2048)
+    @example("random", 1, 300, 3)
+    def test_count_only_matches_oracle_length(self, kind, seed, n, every):
+        seq = KINDS[kind](seed, n)
+        expected = oracles.berlekamp_massey(seq)[0]
+        saved = lincomp._TRUNCATE_EVERY
+        lincomp._TRUNCATE_EVERY = every
+        try:
+            assert berlekamp_massey(seq, connection=False) == (expected, None)
+        finally:
+            lincomp._TRUNCATE_EVERY = saved
+
+    def test_long_run_without_discrepancy(self):
+        # a single 1 after many zeros: the bit tested must follow the shifts
+        for n in (2047, 2048, 4097, 9000):
+            seq = BitSequence(bits=1 << (n - 1), length=n, origin="external")
+            assert_same_as_oracle(seq)
+            assert berlekamp_massey(seq, connection=False)[0] == n
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError instead of hanging: a division loop whose shift is
+    off by one never ends, and each call here takes well under a millisecond."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_divisions_match(f: int, g: int) -> None:
+    with time_limit(1.0):
+        got = _int_mod(f, g), _int_divmod(f, g)
+    assert got == (oracles.int_mod(f, g), oracles.int_divmod(f, g))
+
+
+class TestIntDivisionDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**700), st.integers(min_value=1, max_value=2**300))
+    @example(0, 1)
+    @example(0b111, 0b1)
+    @example(0b110, 0b11)
+    @example(0b1011, 0b1001)
+    def test_matches_shifting_loop(self, f, g):
+        assert_divisions_match(f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=400), seeds)
+    def test_equal_degrees(self, degree, seed):
+        # every step of these divisions ends on a zero shift
+        rng = random.Random(seed)
+        g = (1 << degree) | rng.getrandbits(degree)
+        assert_divisions_match(g ^ rng.getrandbits(degree), g)
+        assert_divisions_match((g << 1) ^ rng.getrandbits(degree + 1), g)
+
+
+def assert_block_route_matches(seq: BitSequence) -> None:
+    """Both block routes against the Euclidean oracle and whole-period BM."""
+    want = oracles.minimal_polynomial_gcd(seq)
+    assert minimal_polynomial_gcd(seq) == want
+    assert analyze_period(seq)[1] == want
+    assert berlekamp_massey(seq.two_periods(), connection=False)[0] == want.degree
+
+
+# N prime, a power of 2, even with an odd part, odd with many divisors
+SPECIAL_LENGTHS = [1, 2, 4099, 4096, 6930, 15015, 61425]
+
+
+class TestBlockRouteDifferential:
+    @pytest.mark.parametrize("p, q", SWEEP_PAIRS)
+    def test_sweep_pairs(self, p, q):
+        assert_block_route_matches(generate_threshold(PrimePair.create(p, q)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=3000))
+    @example("random", 0, 2)
+    @example("lfsr", 1, 2048)
+    @example("periodic", 2, 1890)
+    def test_matches_oracle(self, kind, seed, n):
+        assert_block_route_matches(KINDS[kind](seed, n))
+
+    @pytest.mark.parametrize("n", SPECIAL_LENGTHS)
+    @pytest.mark.parametrize("kind", ["random", "lfsr"])
+    def test_special_lengths(self, kind, n):
+        assert_block_route_matches(KINDS[kind](n, n))
+
+    def test_all_zero_and_all_one(self):
+        for n in (1, 6, 147, 4096):
+            assert_block_route_matches(BitSequence(bits=0, length=n, origin="external"))
+            assert_block_route_matches(BitSequence(bits=(1 << n) - 1, length=n, origin="external"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=3000))
+    @example("random", 0, 61425 // 25)
+    def test_fold_and_reduction_match_per_bit_loops(self, kind, seed, n):
+        seq = KINDS[kind](seed, n)
+        for block, u in lincomp._block_folds(seq):
+            assert u == oracles.fold(seq.bits, n, block.d), block.d
+            assert lincomp._reduce_polyphase(u, block) == oracles.int_mod(u, block.factor), block.d
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
+    def test_blocks_are_the_cyclotomic_factors(self, n):
+        k = (n & -n).bit_length() - 1
+        blocks = lincomp._blocks(n)
+        assert [b.d for b in blocks] == [d for d in range(1, n + 1)
+                                         if n % d == 0 and d % (1 << k) == 0]
+        for block in blocks:
+            phi_e = Gf2Poly(oracles.cyclotomic_bits(block.d >> k))
+            power = phi_e
+            for _ in range(k):
+                power = power * power
+            assert block.factor == power.bits == compose_power(phi_e, 1 << k).bits
+            assert (Gf2Poly(block.factor) * Gf2Poly(block.cofactor)).bits == (1 << block.d) | 1
+
+
+class TestBlockRuntimeChecks:
+    def test_factors_must_multiply_to_x_n_plus_1(self, monkeypatch, pair37):
+        # x^r + 1 in place of Phi_r: each block is self-consistent, the product is not
+        monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: ((1 << r) | 1, 1))
+        seq = generate_threshold(pair37)
+        for route in (analyze_period, minimal_polynomial_gcd):
+            with pytest.raises(InternalConsistencyError,
+                               match=r"^cyclotomic blocks do not multiply to x\^147 \+ 1$"):
+                route(seq)
+
+    def test_cofactor_must_complete_the_factor(self, monkeypatch, pair37):
+        real = lincomp._cyclotomic_pair
+        monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: (real(r)[0], real(r)[1] ^ 0b10))
+        with pytest.raises(InternalConsistencyError, match=r"^cyclotomic cofactor for n=1 is wrong$"):
+            analyze_period(generate_threshold(pair37))
+
+    def test_block_routes_must_agree(self, monkeypatch, pair37):
+        # filtering by the factor instead of the cofactor picks the wrong component
+        real = lincomp._blocks
+        monkeypatch.setattr(lincomp, "_blocks", lambda n: [
+            b._replace(cofactor=b.factor) for b in real(n)])
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
+            analyze_period(generate_threshold(pair37))
+
 
 def sympy_cyclotomic_mod2(n: int) -> Gf2Poly:
     bits = 0
@@ -133,6 +287,15 @@ class TestCyclotomicDifferential:
     @example(2001)  # 3*23*29
     def test_matches_sympy_large(self, n):
         assert cyclotomic_f2(n) == sympy_cyclotomic_mod2(n)
+
+    # primes above 2001, and m*p with a large prime p
+    @pytest.mark.parametrize("n", [2003, 4099, 3 * 2003, 3 * 5 * 1009])
+    def test_matches_sympy_large_prime_factor(self, n):
+        assert cyclotomic_f2(n) == sympy_cyclotomic_mod2(n)
+
+    def test_prime_is_all_ones(self):
+        for p in (3, 2003, 60029):
+            assert cyclotomic_f2(p).bits == (1 << p) - 1
 
 
 class TestRenderDifferential:

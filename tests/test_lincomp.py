@@ -265,7 +265,7 @@ class TestVerifyTheorem:
             "pair", "q_mod_4", "divisibility_ok", "wieferich_ok",
             "period_found", "lc_empirical", "lc_predicted",
             "minpoly_empirical", "minpoly_predicted", "match", "sigma",
-            "elapsed",
+            "elapsed", "lc_by_divisor",
         ]
         assert d["pair"] == [3, 7]
         assert d["minpoly_empirical"].startswith("x^96 + x^95")
@@ -292,8 +292,9 @@ class TestAnalyzePeriod:
     def test_disagreement_raises(self, monkeypatch, pair37):
         # only a bug can make the two routes differ; BM is made to undercount
         real = lincomp.berlekamp_massey
-        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits: (real(bits)[0] - 1, Gf2Poly.one()))
-        message = r"^LC disagreement for \(3, 7\): gcd=96, bm=95$"
+        monkeypatch.setattr(lincomp, "berlekamp_massey",
+                            lambda bits, **kw: (real(bits, **kw)[0] - 1, Gf2Poly.one()))
+        message = r"^LC disagreement for \(3, 7\) in block d=1: gcd=0, bm=-1$"
         with pytest.raises(InternalConsistencyError, match=message):
             analyze_period(generate_threshold(pair37))
         with pytest.raises(InternalConsistencyError, match=message):

@@ -265,6 +265,14 @@ class TestAuditStructure:
         table = audit_structure(pair37).format_table()
         assert "lemma9" in table and "FAIL" not in table
 
+    def test_report_is_hashable_and_equal_by_value(self, pair37, pair313):
+        report = audit_structure(pair37)
+        again = audit_structure(pair37)
+        assert report == again and hash(report) == hash(again)
+        assert report != audit_structure(pair313)
+        assert {report: "3, 7"}[again] == "3, 7"
+        assert [name for name, _ in report.failures] == [f"lemma{i}" for i in range(2, 10)]
+
     def test_requires_divisibility(self):
         with pytest.raises(DomainError):
             audit_structure(PrimePair.create(5, 7))
