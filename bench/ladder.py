@@ -17,6 +17,13 @@ call.  On a checkout without the block route the gcd stage is
 `eqseq scan --max-period --jobs 2` in a fresh interpreter (median of
 --repeats), and with --full-scan one scan to 1000000.
 
+The audit stage times `lemma_failures` on one pair on each side of
+`structverify.EXHAUSTIVE_LIMIT`, each run cold on a fresh partition with the
+generators built beforehand, and `audit_structure` over every pair of the
+timed scan, caches cleared once per run as in one `structure` call per pair
+from one process; both are medians of --repeats.  `--pairs` with no pairs
+skips the ladder.
+
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.
 """
@@ -42,16 +49,21 @@ sys.path.insert(0, str(SRC))
 
 from eqseq import (  # noqa: E402
     PrimePair,
+    audit_structure,
     berlekamp_massey,
+    derive_generators,
     generate_threshold,
     gf2poly,
     least_period,
     lincomp,
     minimal_polynomial_gcd,
     predicted_minimal_polynomial,
+    structverify,
 )
+from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
+AUDIT_PAIRS = ["5,41", "3,181"]   # N = 8405 and 98283, either side of EXHAUSTIVE_LIMIT
 
 
 def machine() -> dict:
@@ -127,6 +139,41 @@ def ladder(pairs: list[str], repeats: int) -> dict:
     return out
 
 
+def audit(pairs: list[str], bound: int, repeats: int) -> dict:
+    """Median seconds of lemma_failures per pair and of audit_structure over the scan's pairs."""
+    out: dict = {"lemma_failures": {}}
+    for text in pairs:
+        p, q = (int(v) for v in text.split(","))
+        pair = PrimePair.create(p, q)
+        gens, index = derive_generators(pair), structverify.build_partition(pair).index
+        runs = []
+        for _ in range(repeats):
+            clear_caches()
+            runs.append(timed(structverify.lemma_failures, pair, gens,
+                              structverify.CosetPartition(pair=pair, index=index),
+                              structverify.DEFAULT_SEED))
+        out["lemma_failures"][text] = {
+            "N": pair.period, "exhaustive": pair.period <= structverify.EXHAUSTIVE_LIMIT,
+            "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
+            "ok": not any(runs[0][0].values())}
+        print(f"lemma_failures ({text}) N={pair.period}: "
+              f"{out['lemma_failures'][text]['seconds']:.4f} s", file=sys.stderr)
+
+    sweep = [PrimePair.create(p, q) for p, q in enumerate_pairs(bound)]
+
+    def structure_all():
+        clear_caches()
+        return [audit_structure(pair).all_ok for pair in sweep]
+
+    runs = [timed(structure_all) for _ in range(repeats)]
+    out[f"structure_{bound}"] = {
+        "pairs": len(sweep), "pairs_ok": sum(runs[0][0]), "median_of": repeats,
+        "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs]}
+    print(f"structure over {len(sweep)} pairs to {bound}: "
+          f"{out[f'structure_{bound}']['seconds']:.3f} s", file=sys.stderr)
+    return out
+
+
 def scan(bound: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-m", "eqseq.cli", "scan", "--max-period", str(bound), "--jobs", "2"]
@@ -158,6 +205,7 @@ def main() -> int:
     args = ap.parse_args()
 
     run = {"ladder": ladder(args.pairs, args.repeats),
+           "audit": audit(AUDIT_PAIRS, args.scan, args.repeats),
            f"scan_{args.scan}": scans(args.scan, args.repeats)}
     if args.full_scan:
         run["scan_1000000"] = scans(1_000_000, 1)

@@ -14,10 +14,18 @@ n-th root, and stays in plain GF(2)[x] arithmetic.
 Residues are counted as keys coset * m + (t mod m) over the units; a coset
 polynomial mod x^m - 1 is the parity of its keys.
 
-Set-level checks run exhaustively below EXHAUSTIVE_LIMIT elements, on one
-product grid shared by additivity and translation; above that the grids are
-sampled with a fixed, configurable seed, and everything linear stays
-exhaustive.
+Index additivity (lemmas 2 and 4) is decided from two generators.  The units
+are the direct product <h> x <g2>, with h = CRT(g mod p, 1 mod q^2) of order
+p-1 and g2 = CRT(1 mod p, g mod q^2) of order q(q-1), so each unit is
+h^a * g2^b for exactly one pair (a, b).  A homomorphism I to Z_q has
+I(h) = 0, since (p-1) I(h) = 0 and gcd(p-1, q) = 1; so the index is additive
+exactly when I(h^a g2^b) = b I(g2) mod q for every a and b.  The one product
+grid over the labelled positions also flags a labelled non-unit, so the test
+further asks that exactly (p-1)q(q-1) positions carry a label.  When both hold,
+the grid would name no failing unit and is not built.  Otherwise, below
+EXHAUSTIVE_LIMIT elements, the grid is built to name the failing units for
+the messages of both lemmas; above the limit the products are sampled with a
+fixed, configurable seed, and everything linear stays exhaustive.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .eulerq import EulerQuotientTable, build_table, derive_generators, two_coset_index
 from .gf2poly import _int_mod, cyclotomic_f2
-from .ntcore import GroupGenerators, PrimePair
+from .ntcore import GroupGenerators, PrimePair, crt_lift
 from .sequence import pack_flags
 
-EXHAUSTIVE_LIMIT = 10_000   # full product grids for periods up to this
+EXHAUSTIVE_LIMIT = 10_000   # additivity decided over every unit for periods up to this
 SAMPLE_COUNT = 10_000       # random pairs checked above the limit
 DEFAULT_SEED = 1729
 _GRID_CHUNK = 1 << 16       # products per slice of the exhaustive grid
@@ -57,12 +65,15 @@ class CosetPartition:
         return np.flatnonzero(self.index >= 0)
 
     @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """|D_0|, |D_1|, ... from one bincount; longer than q only on a corrupted index."""
+        return np.bincount(self.index + 1, minlength=self.pair.q + 1)[1:]
+
+    @functools.cached_property
     def members(self) -> tuple[np.ndarray, ...]:
         """D_0..D_{q-1}, each ascending, split from one stable argsort."""
-        q = self.pair.q
-        order = np.argsort(self.index, kind="stable")
-        sizes = np.bincount(self.index + 1, minlength=q + 1)
-        return tuple(np.split(order, np.cumsum(sizes)[:-1])[1:q + 1])
+        order = np.argsort(self.index, kind="stable")[self.index.size - self.sizes.sum():]
+        return tuple(np.split(order, np.cumsum(self.sizes))[:self.pair.q])
 
 
 def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
@@ -123,6 +134,25 @@ def _grid_failures(partition: CosetPartition) -> np.ndarray | None:
     return np.unique(np.concatenate(bad))
 
 
+def _unit_coordinates(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
+    """Every unit once: row a, column b holds h^a * g2^b mod N, for a < p-1 and
+    b < q(q-1), where g2 = CRT(1 mod p, g mod q^2)."""
+    n, p, q2 = pair.period, pair.p, pair.q * pair.q
+    g2 = crt_lift([(1, p), (gens.g % q2, q2)])
+    return np.outer(_powers(gens.h, p - 1, n), _powers(g2, pair.q * (pair.q - 1), n)) % n
+
+
+def _additive_by_generators(pair: PrimePair, gens: GroupGenerators,
+                            partition: CosetPartition) -> bool:
+    """True exactly when the index is a homomorphism from the units to Z_q that
+    labels nothing else; then the product grid has no failing row."""
+    coords = _unit_coordinates(pair, gens)
+    index = partition.index
+    expected = np.arange(coords.shape[1]) * int(index[coords[0, 1]]) % pair.q   # b * I(g2)
+    return (np.count_nonzero(index >= 0) == coords.size
+            and bool((index.take(coords) == expected).all()))
+
+
 def _sampled_additivity(partition: CosetPartition, rng: np.random.Generator) -> bool:
     n, q = partition.pair.period, partition.pair.q
     units, index = partition.units, partition.index
@@ -136,9 +166,9 @@ def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[s
     # the period by construction; what remains are the sizes
     problems = []
     expected = pair.phi_pq
-    for ell, coset in enumerate(partition.members):
-        if len(coset) != expected:
-            problems.append(f"|D_{ell}| = {len(coset)}, expected {expected}")
+    for ell, size in enumerate(partition.sizes[:pair.q].tolist()):
+        if size != expected:
+            problems.append(f"|D_{ell}| = {size}, expected {expected}")
     non_units = pair.period - len(partition.units)
     expected_p = pair.period - pair.q * pair.phi_pq
     if non_units != expected_p:
@@ -147,13 +177,13 @@ def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[s
 
 
 def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
-    problems = []
-    shifted = partition.members[0]
-    for ell in range(1, pair.q):
-        shifted = np.sort(gens.ghat * shifted % pair.period)   # ghat is a unit: no repeats
-        if not np.array_equal(shifted, partition.members[ell]):
-            problems.append(f"ghat^{ell} * D_0 != D_{ell}")
-    return problems
+    # multiplication by the unit ghat^ell is injective, so ghat^ell * D_0 = D_ell
+    # exactly when every image is labelled ell and |D_ell| = |D_0|
+    n, q, sizes = pair.period, pair.q, partition.sizes
+    d0 = np.flatnonzero(partition.index == 0)
+    labels = partition.index.take(np.outer(_powers(gens.ghat, q, n)[1:], d0) % n)
+    holds = (labels == np.arange(1, q)[:, None]).all(axis=1) & (sizes[1:q] == sizes[0])
+    return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
 def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition,
@@ -162,14 +192,15 @@ def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: Coset
     n, p, q = pair.period, pair.p, pair.q
 
     # kernel: the subgroup generated by g^q and h equals D_0
-    kernel = np.unique(np.outer(_powers(pow(gens.g, q, n), pair.e, n), _powers(gens.h, pair.d, n)) % n)
-    if not np.array_equal(kernel, partition.members[0]):
+    mark = np.zeros(n, dtype=bool)
+    mark[np.outer(_powers(pow(gens.g, q, n), pair.e, n), _powers(gens.h, pair.d, n)) % n] = True
+    if not np.array_equal(mark, partition.index == 0):
         problems.append(
-            f"subgroup <g^q, h> has {len(kernel)} elements and differs from D_0"
+            f"subgroup <g^q, h> has {mark.sum()} elements and differs from D_0"
         )
 
     # image over units is exactly {0, p, 2p, ..., (q-1)p}
-    image = np.flatnonzero(np.bincount(partition.index[partition.units], minlength=q))
+    image = np.flatnonzero(partition.sizes)
     if not np.array_equal(image, np.arange(q)):
         problems.append(f"image of the quotient map is {(p * image).tolist()}")
 
@@ -296,11 +327,18 @@ def lemma_failures(pair: PrimePair, gens: GroupGenerators, partition: CosetParti
                    seed: int) -> dict[str, list[str]]:
     """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
 
-    One product grid (or one seeded sample above EXHAUSTIVE_LIMIT) serves
-    lemmas 2 and 4, and one set of residue counts lemmas 5-9.
+    Index additivity serves lemmas 2 and 4.  Up to EXHAUSTIVE_LIMIT it is
+    decided from the generators h and g2 of the units: the index must read
+    b * I(g2) mod q at h^a * g2^b, and exactly (p-1)q(q-1) positions may carry
+    a label.  Then the product grid has no failing row, so it is built only
+    when the test fails, to name the rows.  Above the limit one seeded sample
+    of products serves both.  One set of residue counts serves lemmas 5-9.
     """
     rng = np.random.default_rng(seed)
-    grid_failures = _grid_failures(partition)
+    if pair.period <= EXHAUSTIVE_LIMIT and _additive_by_generators(pair, gens, partition):
+        grid_failures = partition.units[:0]
+    else:
+        grid_failures = _grid_failures(partition)
     counts = _residue_counts(partition)
 
     failures = {"lemma2": _check_kernel_image(pair, gens, partition, grid_failures, rng)}

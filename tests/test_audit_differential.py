@@ -3,12 +3,14 @@
 oracles.audit_failures runs the previous checks (frozenset partition, two
 product grids, Counter multisets, per-bit residue pass) in the order
 audit_structure ran them.  Both sides get the same coset index, clean or
-corrupted in one of three ways, and must report the same lemmas with the same
-messages.  The grid rows are also checked cell by cell, and the folded coset
-residues against the per-bit residue pass.
+corrupted in one of five ways, and must report the same lemmas with the same
+messages.  The grid rows are also checked cell by cell, the additivity test
+from the generators against the grid, and the folded coset residues against
+the per-bit residue pass.
 """
 
 import ast
+import math
 import re
 
 import numpy as np
@@ -25,12 +27,13 @@ import oracles
 from golden import SWEEP_PAIRS
 
 SMALL_PAIRS = [pq for pq in SWEEP_PAIRS if pq[0] * pq[1] ** 2 <= sv.EXHAUSTIVE_LIMIT]
-CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted")
+CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted", "twisted", "nonunit_labelled")
 
 
 def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     out = index.copy()
     units = np.flatnonzero(index >= 0)
+    p = index.size // (q * q)
     if kind == "swap":
         # two units trade cosets
         a = units[5]
@@ -41,6 +44,14 @@ def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     elif kind == "coset_shifted":
         # D_2 relabelled as ghat * D_2, which is D_3
         out[index == 2] = 3 % q
+    elif kind == "twisted":
+        # I(h^a g2^b) + a mod q, with a the log of t mod p (h^a g2^b is g^a
+        # mod p): linear in (a, b), but no homomorphism, since h^(p-1) = 1
+        g = derive_generators(PrimePair.create(p, q)).g
+        log = {pow(g, a, p): a for a in range(p - 1)}
+        out[units] = (index[units] + [log[t % p] for t in units.tolist()]) % q
+    elif kind == "nonunit_labelled":
+        out[p] = 0
     return out
 
 
@@ -130,6 +141,34 @@ class TestGridRows:
         want = grid_rows_by_cell(pair, index.tolist())
         monkeypatch.setattr(sv, "_GRID_CHUNK", 1000)
         assert sv._grid_failures(sv.CosetPartition(pair=pair, index=index)).tolist() == want
+
+
+class TestGenerators:
+    def test_unit_coordinates(self):
+        # row a, column b holds h^a g2^b: g^a mod p and g^b mod q^2, each unit once
+        for p, q in SMALL_PAIRS:
+            pair = PrimePair.create(p, q)
+            n, q2 = pair.period, q * q
+            gens = derive_generators(pair)
+            g = gens.g
+            coords = sv._unit_coordinates(pair, gens)
+            assert coords.shape == (p - 1, q * (q - 1)), (p, q)
+            assert sorted(coords.ravel().tolist()) == [t for t in range(n) if math.gcd(t, n) == 1]
+            assert (coords % p == np.array([pow(g, a, p) for a in range(p - 1)])[:, None]).all()
+            assert (coords % q2 == np.array([pow(g, b, q2) for b in range(q * (q - 1))])).all()
+
+    @pytest.mark.parametrize("kind", (None,) + CORRUPTIONS)
+    def test_verdict_matches_grid(self, kind):
+        # the generator test passes exactly when the grid names no failing row
+        for p, q in SMALL_PAIRS:
+            pair = PrimePair.create(p, q)
+            index = sv.build_partition(pair).index
+            if kind:
+                index = corrupt(index, kind, q)
+            partition = sv.CosetPartition(pair=pair, index=index)
+            additive = sv._additive_by_generators(pair, derive_generators(pair), partition)
+            assert additive == (sv._grid_failures(partition).size == 0), (p, q, kind)
+            assert additive == (kind is None), (p, q, kind)
 
 
 class TestBuildPartition:
