@@ -8,14 +8,17 @@ and the package under src/ (nothing is installed):
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
-the folds of the period (block route only), the gcd route, Berlekamp-Massey,
-the least period and the closed-form prediction.  Cyclotomic caches are
-cleared before every run, so each stage starts cold as in one command-line
-call.  On a checkout without the block route the gcd stage is
-`minimal_polynomial_gcd` on the whole of x^N + 1 and the BM stage is
-`berlekamp_massey` on two periods, so one script times both.  It then times
-`eqseq scan --max-period --jobs 2` in a fresh interpreter (median of
---repeats), and with --full-scan one scan to 1000000.
+the folds of the period (block route only), the descent of each block's
+product tree to the residues and components of its sub-blocks (sub-block
+route only), the gcd route, Berlekamp-Massey, the least period and the
+closed-form prediction.  Cyclotomic caches are cleared before every run, so
+each stage starts cold as in one command-line call.  On a checkout with
+blocks but no sub-blocks the gcd and BM stages run once per block; without
+the block route the gcd stage is `minimal_polynomial_gcd` on the whole of
+x^N + 1 and the BM stage is `berlekamp_massey` on two periods, so one script
+times all three.  It then times, each in a fresh interpreter and as the
+median of --repeats, `eqseq verify` on the last pair of the ladder and
+`eqseq scan --max-period --jobs 2`, and with --full-scan one scan to 1000000.
 
 The audit stage times `lemma_failures` on one pair on each side of
 `structverify.EXHAUSTIVE_LIMIT`, each run cold on a fresh partition with the
@@ -100,7 +103,18 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     clear_caches()
     seq, t_table = timed(generate_threshold, pair)
     stages = {"table_pack_s": t_table}
-    if hasattr(lincomp, "_block_folds"):
+    if hasattr(lincomp, "_sub_blocks"):
+        folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
+        subs, stages["sub_blocks_s"] = timed(lambda: [
+            (block.d, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
+        minpolys, stages["gcd_s"] = timed(
+            lambda: [lincomp._sub_minpoly(g, w, d) for d, (g, w, _) in subs])
+        lcs, stages["bm_s"] = timed(
+            lambda: [lincomp._component_lc(v, g, d, seq.origin) for d, (g, _, v) in subs])
+        lc_gcd = sum(f.degree for f in minpolys)
+        lc_bm = sum(lcs)
+    elif hasattr(lincomp, "_block_folds"):
+        stages["sub_blocks_s"] = None
         folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
         minpolys, stages["gcd_s"] = timed(
             lambda: [lincomp._block_minpoly(u, block) for block, u in folds])
@@ -109,7 +123,7 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
         lc_gcd = sum(f.degree for f in minpolys)
         lc_bm = sum(lcs)
     else:
-        stages["blocks_fold_s"] = None
+        stages["blocks_fold_s"] = stages["sub_blocks_s"] = None
         minpoly, stages["gcd_s"] = timed(minimal_polynomial_gcd, seq)
         (lc_bm, _), stages["bm_s"] = timed(berlekamp_massey, seq.two_periods())
         lc_gcd = minpoly.degree
@@ -174,12 +188,27 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
     return out
 
 
-def scan(bound: int) -> dict:
+def run_cli(*args: str) -> tuple[subprocess.CompletedProcess, float]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    cmd = [sys.executable, "-m", "eqseq.cli", "scan", "--max-period", str(bound), "--jobs", "2"]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
-    wall = time.perf_counter() - start
+    proc = subprocess.run([sys.executable, "-m", "eqseq.cli", *args], env=env,
+                          capture_output=True, text=True, check=False)
+    return proc, time.perf_counter() - start
+
+
+def verify(text: str, repeats: int) -> dict:
+    p, q = text.split(",")
+    runs = [run_cli("verify", "--p", p, "--q", q) for _ in range(repeats)]
+    walls = [wall for _, wall in runs]
+    proc = runs[-1][0]
+    result = {"wall_s": statistics.median(walls), "wall_s_runs": walls, "median_of": repeats,
+              "exit_code": proc.returncode, "match": json.loads(proc.stdout)["match"]}
+    print(f"verify ({text}): {result['wall_s']:.2f} s, match={result['match']}", file=sys.stderr)
+    return result
+
+
+def scan(bound: int) -> dict:
+    proc, wall = run_cli("scan", "--max-period", str(bound), "--jobs", "2")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     return {"wall_s": wall, "exit_code": proc.returncode, "pairs": len(rows),
             "matching": sum(row["match"] == "true" for row in rows)}
@@ -205,8 +234,10 @@ def main() -> int:
     args = ap.parse_args()
 
     run = {"ladder": ladder(args.pairs, args.repeats),
-           "audit": audit(AUDIT_PAIRS, args.scan, args.repeats),
-           f"scan_{args.scan}": scans(args.scan, args.repeats)}
+           "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
+    if args.pairs:
+        run[f"verify_{args.pairs[-1].replace(',', '_')}"] = verify(args.pairs[-1], args.repeats)
+    run[f"scan_{args.scan}"] = scans(args.scan, args.repeats)
     if args.full_scan:
         run["scan_1000000"] = scans(1_000_000, 1)
 

@@ -13,7 +13,8 @@ Both identities hold in Z[x] and every division in them is exact by a monic
 polynomial, so they survive reduction mod 2.  Each squarefree n also carries
 its cofactor H_n = (x^n + 1) / Phi_n, with H_mp(x) = H_m(x^p) Phi_m(x), so the
 division by Phi_m becomes a product with H_m and an exact division by
-x^m + 1, which is a stride-m prefix XOR and is checked.
+x^m + 1, which is a stride-m prefix XOR and is checked.  Phi_n for
+squarefree odd n is also split into its irreducible factors over GF(2).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
 from .limits import check_budget
-from .ntcore import factorize
+from .ntcore import factorize, multiplicative_order
 from .sequence import pack_bits
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -218,6 +219,43 @@ def _cyclotomic_pair(n: int) -> tuple[int, int]:
             f"cyclotomic division for n={n} left a remainder"
         )
     return phi, _int_mul(_int_compose(h_m, p), phi_m)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_factors(n: int) -> tuple[int, ...]:
+    """The irreducible factors of Phi_n over GF(2) for squarefree odd n, ascending.
+
+    Each has degree ord_n(2), so there are phi(n) / ord_n(2) of them.  They
+    are split apart by the coset sums e_C, the sum of x^k over a 2-cyclotomic
+    coset C mod n: e_C(x)^2 = e_C(x^2) = e_C mod x^n + 1, so e_C is 0 or 1 at
+    each root of Phi_n, and the e_C span every such 0/1 pattern on the
+    factors, so some e_C tells any two factors apart.  A factor f splits
+    into gcd(f, e_C) and its cofactor; one of degree ord_n(2) is already
+    irreducible.
+    """
+    phi = _cyclotomic_pair(n)[0]
+    order = multiplicative_order(2, n) if n > 1 else 1
+    count = (phi.bit_length() - 1) // order
+    factors = [phi]
+    seen = bytearray(n)
+    for k in range(1, n):
+        if len(factors) == count:
+            break
+        if seen[k]:
+            continue
+        coset = []
+        j = k
+        while not seen[j]:
+            seen[j] = 1
+            coset.append(j)
+            j = 2 * j % n
+        e = _int_mod(Gf2Poly.from_terms(coset).bits, phi)
+        split = []
+        for f in factors:
+            g = 1 if f.bit_length() - 1 == order else _int_gcd(f, _int_mod(e, f))
+            split += [g, _int_divmod(f, g)[0]] if 1 < g < f else [f]
+        factors = split
+    return tuple(sorted(factors))
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,13 +12,18 @@ cross-checked:
 * The closed form  M(x) = (x^N + 1) / gcd(x^N + 1, A(x))  from the generating
   polynomial A of one period, with LC = deg M.
 
-Both run block by block.  With N = 2^k m, m odd, x^N + 1 is the product of
-the pairwise coprime F_e = Phi_e(x^(2^k)) over the divisors e of m, so M is
-the product of the blocks' F_e / gcd(F_e, A), and each block's LC is also
-found by Berlekamp-Massey on the block's component of the sequence.  The
-two must agree on every block.  Each run checks that the F_e multiply to
-x^N + 1, so the measured M does not rest on the cyclotomic construction
-being right, and it never reads the prediction.
+Both run sub-block by sub-block.  With N = 2^k m, m odd, x^N + 1 is the
+product of the pairwise coprime blocks F_e = Phi_e(x^(2^k)) = Phi_r(x^s)
+over the divisors e of m, r the radical of e; and with Phi_r = prod_i f_i
+over GF(2), each F_e is the product of the pairwise coprime sub-blocks
+G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A), and each
+sub-block's LC is also found by Berlekamp-Massey on the sub-block's
+component of the sequence.  The two must agree on every sub-block.  The
+residues and components reach the sub-blocks down a product tree over the
+f_i, so the quadratic kernels run on sub-blocks while the shared linear work
+is done once per tree node.  Each run checks that the sub-blocks multiply to
+x^N + 1, so the measured M does not rest on the cyclotomic construction or
+the factor split being right, and it never reads the prediction.
 
 The predicted minimal polynomial is a product of cyclotomic polynomials
 selected by q mod 4; `verify_theorem` compares it against the measured one
@@ -38,6 +43,7 @@ from . import eulerq
 from .errors import DomainError, InternalConsistencyError
 from .gf2poly import (
     Gf2Poly,
+    _cyclotomic_factors,
     _cyclotomic_pair,
     _int_compose,
     _int_divmod,
@@ -79,7 +85,8 @@ def berlekamp_massey(
     s_n = c_1 s_{n-1} + ... + c_L s_{n-L}.  Fed two full periods of an
     N-periodic sequence, L is its linear complexity.  With
     connection=False only L is found: the updates of C and of the previous
-    connection B are skipped, and None stands in for C.
+    connection B are skipped, and None stands in for C.  An all-zero prefix
+    returns L = 0 and C = 1 at once.
 
     Invariants of the incremental form: with mlast the step of the last
     length change, sb == (S*B) >> mlast throughout, and sc == (S*C) >> a where
@@ -95,6 +102,8 @@ def berlekamp_massey(
     """
     s, nbits = _as_packed(bits)
     check_budget("period", (nbits + 1) // 2)
+    if not s:
+        return 0, Gf2Poly(1) if connection else None
     sc = s
     sb = s << 1  # (S*B) >> mlast with B = 1, mlast = -1
     b_poly, c_poly = 1, 1
@@ -125,37 +134,60 @@ def berlekamp_massey(
     return length, Gf2Poly(c_poly) if connection else None
 
 
+class _Node(NamedTuple):
+    """A node of the product tree over the GF(2) factors of Phi_r: poly is the
+    product, in x, of the factors at the leaves below it."""
+
+    poly: int
+    children: tuple  # () at a leaf, else (left, right)
+
+
+def _factor_tree(factors: SequenceABC[int]) -> _Node:
+    if len(factors) == 1:
+        return _Node(factors[0], ())
+    half = len(factors) // 2
+    left, right = _factor_tree(factors[:half]), _factor_tree(factors[half:])
+    return _Node(_int_mul(left.poly, right.poly), (left, right))
+
+
 class _Block(NamedTuple):
     """One factor F_e of x^N + 1 = prod_e F_e, over the divisors e of the odd
     part m of N = 2^k m.
 
     F_e = Phi_e(x^(2^k)) = Phi_r(x^s) for the radical r of e and the stride
     s = d / r, where d = 2^k e; F_e divides x^d + 1 with cofactor
-    H = H_r(x^s).  The factors are pairwise coprime, so the minimal
-    polynomial of a period A is the product over the blocks of
-    F_e / gcd(F_e, A mod (x^d + 1)).
+    H = H_r(x^s).  With Phi_r = prod_i f_i over GF(2), F_e is the product of
+    the sub-blocks G_i = f_i(x^s), held as a product tree over the f_i.  All
+    the G_i are pairwise coprime, so the minimal polynomial of a period A is
+    the product over the sub-blocks of G_i / gcd(G_i, A mod (x^d + 1)).
     """
 
     d: int
     stride: int    # s
-    phi: int       # Phi_r
-    factor: int    # F_e
+    tree: _Node    # over the factors of Phi_r; its root is their product
+    factor: int    # F_e, the root composed with x^s
     cofactor: int  # H = (x^d + 1) / F_e
 
 
 def _blocks(n: int) -> list[_Block]:
     """The blocks of x^n + 1 by ascending d, each checked to satisfy
-    Phi_r H_r = x^r + 1, and all together to multiply to x^n + 1."""
+    Phi_r H_r = x^r + 1, and all their sub-blocks together to multiply to
+    x^n + 1."""
     k = (n & -n).bit_length() - 1
     blocks = []
+    trees: dict[int, _Node] = {}
     product = 1
     for e in _divisors_ascending(n >> k):
         radical = math.prod(set(factorize(e)))
         phi, h = _cyclotomic_pair(radical)
         if _int_mul(phi, h) != (1 << radical) | 1:
             raise InternalConsistencyError(f"cyclotomic cofactor for n={radical} is wrong")
+        if radical not in trees:
+            trees[radical] = _factor_tree(_cyclotomic_factors(radical))
+        tree = trees[radical]
         stride = (e << k) // radical
-        block = _Block(e << k, stride, phi, _int_compose(phi, stride), _int_compose(h, stride))
+        block = _Block(e << k, stride, tree, _int_compose(tree.poly, stride),
+                       _int_compose(h, stride))
         product = _int_mul(product, block.factor)
         blocks.append(block)
     if product != (1 << n) | 1:
@@ -182,41 +214,77 @@ def _block_folds(seq: BitSequence) -> Iterator[tuple[_Block, int]]:
         yield block, _fold(seq.bits, n, block.d)
 
 
-def _reduce_polyphase(u: int, block: _Block) -> int:
-    """u mod F_e for u of degree below d.  F_e = Phi_r(x^s), so each of the
-    s polyphase parts of u (coefficients j, j + s, j + 2s, ...) reduces mod
-    Phi_r on its own."""
-    degree = Gf2Poly(block.factor).degree
-    if u.bit_length() <= degree:
-        return u
-    s = block.stride
-    digits = format(u, f"0{block.d}b")[::-1]  # coefficient i at index i
-    out = bytearray(b"0" * degree)
-    for j in range(s):
-        part = _int_mod(int(digits[j::s][::-1], 2), block.phi)
-        out[j::s] = format(part, f"0{degree // s}b")[::-1].encode()
+def _phases(u: int, s: int, length: int) -> list[int]:
+    """The s polyphase parts of u, of degree below length: part j holds the
+    coefficients j, j + s, j + 2s, ... of u."""
+    digits = format(u, f"0{length}b")[::-1]  # coefficient i at index i
+    return [int(digits[j::s][::-1], 2) for j in range(s)]
+
+
+def _interleave(parts: list[int], s: int, width: int) -> int:
+    """The inverse of _phases for parts of degree below width."""
+    out = bytearray(b"0" * (width * s))
+    for j, part in enumerate(parts):
+        out[j::s] = format(part, f"0{width}b")[::-1].encode()
     return int(out[::-1], 2)
 
 
-def _block_minpoly(u: int, block: _Block) -> Gf2Poly:
-    """gcd route: F_e / gcd(F_e, u mod F_e)."""
-    g = gcd(Gf2Poly(block.factor), Gf2Poly(_reduce_polyphase(u, block))).bits
-    if g == 1:
-        return Gf2Poly(block.factor)
-    quotient, remainder = _int_divmod(block.factor, g)
+def _times_mod(v: int, f: int, d: int) -> int:
+    """v f mod (x^d + 1), for v and f of degree below d."""
+    v = _int_mul(v, f)
+    return (v & ((1 << d) - 1)) ^ (v >> d)
+
+
+def _descend(node: _Node, parts: list[int], v: int,
+             block: _Block) -> Iterator[tuple[int, int, int]]:
+    # parts: the polyphase parts of u mod node(x^s); v: the node's component
+    s = block.stride
+    if not node.children:
+        width = node.poly.bit_length() - 1
+        yield _int_compose(node.poly, s), _interleave(parts, s, width), v
+        return
+    if not v and not any(parts):
+        return
+    left, right = node.children
+    for child, sibling in ((left, right), (right, left)):
+        yield from _descend(child, [_int_mod(x, child.poly) for x in parts],
+                            _times_mod(v, _int_compose(sibling.poly, s), block.d), block)
+
+
+def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
+    """(G, u mod G, v) for the sub-blocks G = f(x^s) of a block, where
+    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u.
+
+    Both descend the product tree from the root, where the residue is
+    u mod F_e and the component u H.  A child's residue is reduced from its
+    parent's, each of the s polyphase parts on its own, since the child
+    divides the parent and both are polynomials in x^s; a child's component
+    is the parent's times the sibling, since (x^d + 1) / child =
+    (x^d + 1) / parent * sibling.  An inner node whose residue and
+    component are both 0 has only zero sub-blocks below it, where both
+    routes give LC 0, and is not descended; a leaf is always yielded.
+    """
+    s, d, tree = block.stride, block.d, block.tree
+    parts = [_int_mod(x, tree.poly) for x in _phases(u, s, d)]
+    return _descend(tree, parts, _times_mod(u, block.cofactor, d), block)
+
+
+def _sub_minpoly(g: int, w: int, d: int) -> Gf2Poly:
+    """gcd route: G / gcd(G, w) for a sub-block G of block d and w = u mod G."""
+    common = gcd(Gf2Poly(g), Gf2Poly(w)).bits
+    if common == 1:
+        return Gf2Poly(g)
+    quotient, remainder = _int_divmod(g, common)
     if remainder:
-        raise InternalConsistencyError(f"gcd does not divide the block factor for d={block.d}")
+        raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
     return Gf2Poly(quotient)
 
 
-def _block_lc(u: int, block: _Block, origin) -> int:
-    """BM route: the LC of the F_e-component v = u H mod (x^d + 1), whose
-    minimal polynomial is F_e / gcd(F_e, u).  That LC is at most deg F_e, so
-    2 deg F_e bits of two periods of v determine it."""
-    d = block.d
-    v = _int_mul(u, block.cofactor)
-    v = (v & ((1 << d) - 1)) ^ (v >> d)
-    nbits = 2 * Gf2Poly(block.factor).degree
+def _component_lc(v: int, g: int, d: int, origin) -> int:
+    """BM route: the LC of the G-component v of block d, whose minimal
+    polynomial is G / gcd(G, u).  That LC is at most deg G, so 2 deg G bits
+    of two periods of v determine it."""
+    nbits = 2 * (g.bit_length() - 1)
     two = (v | (v << d)) & ((1 << nbits) - 1)
     return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin),
                             connection=False)[0]
@@ -227,36 +295,42 @@ def _product(polys: Iterable[Gf2Poly]) -> Gf2Poly:
 
 
 def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
-    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)), block by block.
+    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)), sub-block by
+    sub-block.
 
     The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
     """
-    return _product(_block_minpoly(u, block) for block, u in _block_folds(seq))
+    return _product(_sub_minpoly(g, w, block.d)
+                    for block, u in _block_folds(seq) for g, w, _ in _sub_blocks(u, block))
 
 
 def _minpolys_by_block(seq: BitSequence) -> dict[int, Gf2Poly]:
     """The minimal polynomial of each block by the gcd route, keyed by d,
-    with its degree checked against Berlekamp-Massey on the block."""
+    with the LC of each of its sub-blocks checked against Berlekamp-Massey
+    on the sub-block's component."""
     out = {}
     for block, u in _block_folds(seq):
-        minpoly = _block_minpoly(u, block)
-        lc_bm = _block_lc(u, block, seq.origin)
-        if lc_bm != minpoly.degree:
-            raise InternalConsistencyError(
-                f"LC disagreement for {seq.origin} in block d={block.d}: "
-                f"gcd={minpoly.degree}, bm={lc_bm}"
-            )
-        out[block.d] = minpoly
+        minpoly = 1
+        for g, w, v in _sub_blocks(u, block):
+            sub = _sub_minpoly(g, w, block.d)
+            lc_bm = _component_lc(v, g, block.d, seq.origin)
+            if lc_bm != sub.degree:
+                raise InternalConsistencyError(
+                    f"LC disagreement for {seq.origin} in block d={block.d}: "
+                    f"gcd={sub.degree}, bm={lc_bm}"
+                )
+            minpoly = _int_mul(minpoly, sub.bits)
+        out[block.d] = Gf2Poly(minpoly)
     return out
 
 
 def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
     """Least period and minimal polynomial of one period, by both LC routes.
 
-    Both routes run on every cyclotomic block of x^N + 1: the gcd route
-    gives the block's minimal polynomial, Berlekamp-Massey on the block's
-    component must reach the same LC, and a disagreement raises rather than
-    being silently resolved.
+    Both routes run on every sub-block of x^N + 1: the gcd route gives the
+    sub-block's minimal polynomial, Berlekamp-Massey on the sub-block's
+    component must reach the same LC, and a disagreement raises, naming the
+    block, rather than being silently resolved.
     """
     return least_period(seq), _product(_minpolys_by_block(seq).values())
 

@@ -47,6 +47,7 @@ EXHAUSTIVE_LIMIT = 10_000   # additivity decided over every unit for periods up 
 SAMPLE_COUNT = 10_000       # random pairs checked above the limit
 DEFAULT_SEED = 1729
 _GRID_CHUNK = 1 << 16       # products per slice of the exhaustive grid
+_FOLD_CHUNK = 1 << 20       # flags per slice of the folded coset residues
 
 ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
 
@@ -68,12 +69,6 @@ class CosetPartition:
     def sizes(self) -> np.ndarray:
         """|D_0|, |D_1|, ... from one bincount; longer than q only on a corrupted index."""
         return np.bincount(self.index + 1, minlength=self.pair.q + 1)[1:]
-
-    @functools.cached_property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """D_0..D_{q-1}, each ascending, split from one stable argsort."""
-        order = np.argsort(self.index, kind="stable")[self.index.size - self.sizes.sum():]
-        return tuple(np.split(order, np.cumsum(self.sizes))[:self.pair.q])
 
 
 def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
@@ -223,16 +218,16 @@ def _check_translation(pair: PrimePair, partition: CosetPartition,
                 for j in np.unique(partition.index[grid_failures]).tolist()]
     problems = []
     n, q = pair.period, pair.q
-    units = partition.units
+    units, index = partition.units, partition.index
     if not _sampled_additivity(partition, rng):
         problems.append("translation fails on sampled products")
     # a few full set translations as well
     for _ in range(8):
         u0 = int(units[rng.integers(0, len(units))])
         i = int(rng.integers(0, q))
-        j = int(partition.index[u0])
-        image = np.unique(u0 * partition.members[i] % n)
-        if not np.array_equal(image, partition.members[(i + j) % q]):
+        j = int(index[u0])
+        image = np.unique(u0 * np.flatnonzero(index == i) % n)
+        if not np.array_equal(image, np.flatnonzero(index == (i + j) % q)):
             problems.append(f"{u0} * D_{i} != D_{(i + j) % q}")
     return problems
 
@@ -288,16 +283,22 @@ def _check_residue_multisets(pair: PrimePair, gens: GroupGenerators,
 
 
 def _coset_residues(found: ResidueCounts, m: int, q: int) -> list[int]:
-    """Each coset polynomial mod Phi_m: the parity of its keys gives it mod x^m - 1."""
+    """Each coset polynomial mod Phi_m: the parity of its keys gives it mod x^m - 1.
+
+    The cosets are folded as the rows of (cosets, m) boolean arrays of about
+    _FOLD_CHUNK flags each, since q rows of m = q^2 flags can reach q^3.
+    """
     keys, counts = found
     odd = keys[counts % 2 == 1]
-    bounds = np.searchsorted(odd, np.arange(q + 1) * m)
     modulus = cyclotomic_f2(m).bits
+    rows = max(1, _FOLD_CHUNK // m)
+    bounds = np.searchsorted(odd, np.arange(0, q + rows, rows).clip(max=q) * m)
     residues = []
-    for ell in range(q):
-        folded = np.zeros(m, dtype=bool)
-        folded[odd[bounds[ell]:bounds[ell + 1]] - ell * m] = True
-        residues.append(_int_mod(pack_flags(folded), modulus))
+    for lo, a, b in zip(range(0, q, rows), bounds, bounds[1:]):
+        folded = np.zeros((min(rows, q - lo), m), dtype=bool)
+        folded.flat[odd[a:b] - lo * m] = True
+        residues += [_int_mod(int.from_bytes(row.tobytes(), "little"), modulus)
+                     for row in np.packbits(folded, axis=1, bitorder="little")]
     return residues
 
 

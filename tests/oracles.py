@@ -12,7 +12,8 @@ position, and `generate_threshold` packs the threshold flags from it.
 `int_mod` and `int_divmod` are the long divisions that shifted the divisor
 even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
 whole of x^N + 1 that the block route replaced, and `fold` reduces a period
-mod x^d + 1 one bit at a time.
+mod x^d + 1 one bit at a time.  `coset_residues` is the per-coset loop that
+folded each coset's residue keys into its own boolean array.
 
 The structural audit follows: the frozenset `CosetPartition` and
 `build_partition`, the two product grids, the Counter multisets and the
@@ -40,6 +41,7 @@ from eqseq.gf2poly import cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.lincomp import _as_packed
 from eqseq.ntcore import GroupGenerators, PrimePair
+from eqseq.sequence import pack_flags
 from eqseq.structverify import EXHAUSTIVE_LIMIT, SAMPLE_COUNT
 
 
@@ -441,6 +443,21 @@ def _residue_pass(n: int, modulus_bits: int, idx: list[int], buckets: int) -> li
         if (r >> deg) & 1:
             r ^= modulus_bits
     return acc
+
+
+def coset_residues(found: tuple[np.ndarray, np.ndarray], m: int, q: int) -> list[int]:
+    """Each coset polynomial mod Phi_m from the sorted residue keys
+    coset * m + (t mod m) and their counts, one coset at a time."""
+    keys, counts = found
+    odd = keys[counts % 2 == 1]
+    bounds = np.searchsorted(odd, np.arange(q + 1) * m)
+    modulus = cyclotomic_f2(m).bits
+    residues = []
+    for ell in range(q):
+        folded = np.zeros(m, dtype=bool)
+        folded[odd[bounds[ell]:bounds[ell + 1]] - ell * m] = True
+        residues.append(int_mod(pack_flags(folded), modulus))
+    return residues
 
 
 def _check_congruences(pair: PrimePair, partition: CosetPartition) -> dict[str, list[str]]:

@@ -6,7 +6,8 @@ audit_structure ran them.  Both sides get the same coset index, clean or
 corrupted in one of five ways, and must report the same lemmas with the same
 messages.  The grid rows are also checked cell by cell, the additivity test
 from the generators against the grid, and the folded coset residues against
-the per-bit residue pass.
+the per-bit residue pass and against the loop that folded them one coset at
+a time.
 """
 
 import ast
@@ -177,7 +178,8 @@ class TestBuildPartition:
         pair = PrimePair.create(p, q)
         partition = sv.build_partition(pair)
         old = oracles.build_partition(pair)
-        assert [set(m.tolist()) for m in partition.members] == [set(c) for c in old.cosets]
+        assert [set(np.flatnonzero(partition.index == ell).tolist())
+                for ell in range(q)] == [set(c) for c in old.cosets]
         assert set(np.flatnonzero(partition.index < 0).tolist()) == old.non_units
         assert partition.units.tolist() == sorted(set().union(*old.cosets))
 
@@ -209,3 +211,20 @@ class TestFoldedResidues:
             for r in oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q):
                 total ^= r
             assert _int_mod(pack_flags(index >= 0), cyclotomic_f2(n).bits) == total, (p, q)
+
+    @pytest.mark.parametrize("corruption", (None, "label_q") + CORRUPTIONS)
+    def test_match_per_coset_loop(self, corruption):
+        # the (cosets, m) arrays against the loop that folded one coset at a
+        # time; both ignore a label q, which names no coset
+        for p, q in SWEEP_PAIRS:
+            pair = PrimePair.create(p, q)
+            index = sv.build_partition(pair).index
+            if corruption == "label_q":
+                index = index.copy()
+                index[np.flatnonzero(index >= 0)[-1]] = q
+            elif corruption:
+                index = corrupt(index, corruption, q)
+            counts = sv._residue_counts(sv.CosetPartition(pair=pair, index=index))
+            for m in (p, q, p * q, q * q):
+                assert (sv._coset_residues(counts[m], m, q)
+                        == oracles.coset_residues(counts[m], m, q)), (p, q, m, corruption)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -235,7 +236,7 @@ class TestVerify:
 
         def corrupted(pair):
             seq = real(pair)
-            coset = structverify.build_partition(pair).members[0]
+            coset = np.flatnonzero(structverify.build_partition(pair).index == 0)
             flip = sum(1 << int(t) for t in coset)
             return BitSequence(bits=seq.bits ^ flip, length=seq.length, origin=seq.origin)
 

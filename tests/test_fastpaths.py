@@ -6,19 +6,23 @@ that shifted by zero, the Euclidean minimal polynomial on the whole of
 x^N + 1, the per-bit fold, the per-position Euler-quotient table with the
 threshold flags packed from it, and the per-bit loops that rendered, built
 and packed polynomials and bits, and the per-character ASCII parser; sympy
-gives an outside check of the cyclotomic polynomials.  The block route is
-also checked against Berlekamp-Massey on two whole periods.  The structural
-audit has its own differential tests in test_audit_differential.py.
+gives an outside check of the cyclotomic polynomials and of their factors
+over GF(2).  The sub-block route is also checked against Berlekamp-Massey
+on two whole periods, and each sub-block's residue and component against
+long division.  The structural audit has its own differential tests in
+test_audit_differential.py.
 """
 
 import contextlib
+import functools
+import math
 import random
 import signal
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from sympy import cyclotomic_poly, symbols
+from sympy import Poly, cyclotomic_poly, factor_list, symbols
 
 from eqseq import (
     BitSequence,
@@ -35,8 +39,9 @@ from eqseq import InternalConsistencyError, analyze_period, compose_power, linco
 from eqseq import minimal_polynomial_gcd
 from eqseq.cli import parse_ascii
 from eqseq.errors import ParseError
-from eqseq.gf2poly import _int_divmod, _int_mod
+from eqseq.gf2poly import _cyclotomic_factors, _int_divmod, _int_mod
 from eqseq.lincomp import berlekamp_massey
+from eqseq.ntcore import euler_phi, multiplicative_order
 from eqseq.sequence import pack_bits
 
 import oracles
@@ -108,6 +113,14 @@ class TestBerlekampMasseyDifferential:
             assert berlekamp_massey(seq) == expected
         finally:
             lincomp._TRUNCATE_EVERY = saved
+
+    @pytest.mark.parametrize("n", [1, 2048, 2049, 4097])
+    def test_all_zero_returns_at_once(self, monkeypatch, n):
+        seq = BitSequence(bits=0, length=n, origin="external")
+        # the loop would take n % 0 at its first step, so it never runs
+        monkeypatch.setattr(lincomp, "_TRUNCATE_EVERY", 0)
+        assert berlekamp_massey(seq) == oracles.berlekamp_massey(seq) == (0, Gf2Poly(1))
+        assert berlekamp_massey(seq, connection=False) == (0, None)
 
     def test_all_zero_and_all_one(self):
         for n in (2047, 2049):
@@ -217,10 +230,21 @@ class TestBlockRouteDifferential:
     @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=3000))
     @example("random", 0, 61425 // 25)
     def test_fold_and_reduction_match_per_bit_loops(self, kind, seed, n):
+        # each sub-block's residue and component against long division, and
+        # the sub-blocks not descended into hold no part of the fold
         seq = KINDS[kind](seed, n)
         for block, u in lincomp._block_folds(seq):
-            assert u == oracles.fold(seq.bits, n, block.d), block.d
-            assert lincomp._reduce_polyphase(u, block) == oracles.int_mod(u, block.factor), block.d
+            d = block.d
+            assert u == oracles.fold(seq.bits, n, d), d
+            seen = 1
+            for g, w, v in lincomp._sub_blocks(u, block):
+                assert w == oracles.int_mod(u, g), d
+                cofactor, rest = oracles.int_divmod((1 << d) | 1, g)
+                assert rest == 0
+                assert v == oracles.int_mod((Gf2Poly(u) * Gf2Poly(cofactor)).bits, (1 << d) | 1), d
+                seen = (Gf2Poly(seen) * Gf2Poly(g)).bits
+            skipped, rest = oracles.int_divmod(block.factor, seen)
+            assert rest == 0 and oracles.int_mod(u, skipped) == 0, d
 
     @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
     def test_blocks_are_the_cyclotomic_factors(self, n):
@@ -239,8 +263,28 @@ class TestBlockRouteDifferential:
 
 class TestBlockRuntimeChecks:
     def test_factors_must_multiply_to_x_n_plus_1(self, monkeypatch, pair37):
-        # x^r + 1 in place of Phi_r: each block is self-consistent, the product is not
+        # x^r + 1 in place of Phi_r and of its factor list: each block is
+        # self-consistent, the product is not
         monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: ((1 << r) | 1, 1))
+        monkeypatch.setattr(lincomp, "_cyclotomic_factors", lambda r: ((1 << r) | 1,))
+        seq = generate_threshold(pair37)
+        for route in (analyze_period, minimal_polynomial_gcd):
+            with pytest.raises(InternalConsistencyError,
+                               match=r"^cyclotomic blocks do not multiply to x\^147 \+ 1$"):
+                route(seq)
+
+    @pytest.mark.parametrize("change", ["drop", "duplicate"])
+    def test_factor_list_must_be_complete(self, monkeypatch, pair37, change):
+        # Phi_21 has two factors over GF(2); the list loses or repeats one
+        real = lincomp._cyclotomic_factors
+
+        def factors(r):
+            out = real(r)
+            if len(out) < 2:
+                return out
+            return out[1:] if change == "drop" else out + out[:1]
+
+        monkeypatch.setattr(lincomp, "_cyclotomic_factors", factors)
         seq = generate_threshold(pair37)
         for route in (analyze_period, minimal_polynomial_gcd):
             with pytest.raises(InternalConsistencyError,
@@ -261,6 +305,65 @@ class TestBlockRuntimeChecks:
         with pytest.raises(InternalConsistencyError,
                            match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
             analyze_period(generate_threshold(pair37))
+
+
+def odd_squarefree(limit: int) -> list[int]:
+    return [r for r in range(1, limit + 1, 2)
+            if all(r % (p * p) for p in range(3, math.isqrt(r) + 1, 2))]
+
+
+def sympy_factors_mod2(n: int) -> list[int]:
+    x = symbols("x")
+    out = []
+    for factor, _ in factor_list(cyclotomic_poly(n, x), x, modulus=2)[1]:
+        bits = 0
+        for c in Poly(factor, x).all_coeffs():
+            bits = (bits << 1) | (int(c) & 1)
+        out.append(bits)
+    return sorted(out)
+
+
+class TestCyclotomicFactors:
+    """Every irreducible factor of Phi_r over GF(2) has degree ord_r(2), so a
+    list of phi(r) / ord_r(2) polynomials of that degree whose product is
+    Phi_r is the factorization."""
+
+    def test_count_degree_and_product(self):
+        limit = 2000
+        for r in odd_squarefree(limit) + [1731, 60029]:
+            factors = _cyclotomic_factors(r)
+            order = multiplicative_order(2, r) if r > 1 else 1
+            assert len(factors) == euler_phi(r) // order, r
+            assert all(f.bit_length() - 1 == order for f in factors), r
+            assert list(factors) == sorted(set(factors)), r
+            phi = oracles.cyclotomic_bits(r) if r <= limit else cyclotomic_f2(r).bits
+            assert functools.reduce(lambda a, b: (Gf2Poly(a) * Gf2Poly(b)).bits, factors) == phi, r
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy's own sort of GF(2) factors
+    def test_matches_sympy(self):
+        # sympy factors mod 2 in pure Python: about a minute for r < 400 and
+        # a minute and a half for r = 1731, so it checks the small r and two
+        # with many factors
+        for r in odd_squarefree(127) + [543, 1365]:
+            assert list(_cyclotomic_factors(r)) == sympy_factors_mod2(r), r
+
+    def test_sub_blocks_of_the_top_block(self, monkeypatch, pair37):
+        # N = 147: Phi_21 = f_1 f_2 over GF(2), so the top block has two
+        # sub-blocks f_i(x^7) of degree 42, each run by both routes
+        top = lincomp._blocks(147)[-1]
+        assert top.d == 147 and top.stride == 7
+        assert [leaf.poly for leaf in top.tree.children] == list(_cyclotomic_factors(21))
+        lengths = []
+        real = lincomp.berlekamp_massey
+
+        def spy(bits, **kw):
+            lengths.append(bits.length)
+            return real(bits, **kw)
+
+        monkeypatch.setattr(lincomp, "berlekamp_massey", spy)
+        report = lincomp.verify_theorem(pair37)
+        assert report.match and dict(report.lc_by_divisor)[147] == 84
+        assert lengths.count(2 * 42) == 2
 
 
 def sympy_cyclotomic_mod2(n: int) -> Gf2Poly:
