@@ -8,24 +8,20 @@ and the package under src/ (nothing is installed):
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
-the folds of the period (block route only), the descent of each block's
-product tree to the residues and components of its sub-blocks (sub-block
-route only), the gcd route, Berlekamp-Massey, the least period and the
-closed-form prediction.  Cyclotomic caches are cleared before every run, so
-each stage starts cold as in one command-line call.  On a checkout with
-blocks but no sub-blocks the gcd and BM stages run once per block; without
-the block route the gcd stage is `minimal_polynomial_gcd` on the whole of
-x^N + 1 and the BM stage is `berlekamp_massey` on two periods, so one script
-times all three.  It then times, each in a fresh interpreter and as the
-median of --repeats, `eqseq verify` on the last pair of the ladder and
-`eqseq scan --max-period --jobs 2`, and with --full-scan one scan to 1000000.
+the folds of the period, the descent of each block's product tree to the
+residues and components of its sub-blocks, the gcd route and
+Berlekamp-Massey on every sub-block, the least period and the closed-form
+prediction.  Cyclotomic caches are cleared before every run, so each stage
+starts cold as in one command-line call.  It then times, each in a fresh
+interpreter and as the median of --repeats, `eqseq verify` on the last pair
+of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
+one scan to 1000000.
 
-The audit stage times `lemma_failures` on one pair on each side of
-`structverify.EXHAUSTIVE_LIMIT`, each run cold on a fresh partition with the
-generators built beforehand, and `audit_structure` over every pair of the
-timed scan, caches cleared once per run as in one `structure` call per pair
-from one process; both are medians of --repeats.  `--pairs` with no pairs
-skips the ladder.
+The audit stage times `lemma_failures` on a small and a large pair, each run
+cold on a fresh partition with the generators built beforehand, and
+`audit_structure` over every pair of the timed scan, caches cleared once per
+run as in one `structure` call per pair from one process; both are medians
+of --repeats.  `--pairs` with no pairs skips the ladder.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.
@@ -53,20 +49,18 @@ sys.path.insert(0, str(SRC))
 from eqseq import (  # noqa: E402
     PrimePair,
     audit_structure,
-    berlekamp_massey,
     derive_generators,
     generate_threshold,
     gf2poly,
     least_period,
     lincomp,
-    minimal_polynomial_gcd,
     predicted_minimal_polynomial,
     structverify,
 )
 from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
-AUDIT_PAIRS = ["5,41", "3,181"]   # N = 8405 and 98283, either side of EXHAUSTIVE_LIMIT
+AUDIT_PAIRS = ["5,41", "3,181"]   # N = 8405 and 98283
 
 
 def machine() -> dict:
@@ -103,30 +97,15 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     clear_caches()
     seq, t_table = timed(generate_threshold, pair)
     stages = {"table_pack_s": t_table}
-    if hasattr(lincomp, "_sub_blocks"):
-        folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
-        subs, stages["sub_blocks_s"] = timed(lambda: [
-            (block.d, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
-        minpolys, stages["gcd_s"] = timed(
-            lambda: [lincomp._sub_minpoly(g, w, d) for d, (g, w, _) in subs])
-        lcs, stages["bm_s"] = timed(
-            lambda: [lincomp._component_lc(v, g, d, seq.origin) for d, (g, _, v) in subs])
-        lc_gcd = sum(f.degree for f in minpolys)
-        lc_bm = sum(lcs)
-    elif hasattr(lincomp, "_block_folds"):
-        stages["sub_blocks_s"] = None
-        folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
-        minpolys, stages["gcd_s"] = timed(
-            lambda: [lincomp._block_minpoly(u, block) for block, u in folds])
-        lcs, stages["bm_s"] = timed(
-            lambda: [lincomp._block_lc(u, block, seq.origin) for block, u in folds])
-        lc_gcd = sum(f.degree for f in minpolys)
-        lc_bm = sum(lcs)
-    else:
-        stages["blocks_fold_s"] = stages["sub_blocks_s"] = None
-        minpoly, stages["gcd_s"] = timed(minimal_polynomial_gcd, seq)
-        (lc_bm, _), stages["bm_s"] = timed(berlekamp_massey, seq.two_periods())
-        lc_gcd = minpoly.degree
+    folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
+    subs, stages["sub_blocks_s"] = timed(lambda: [
+        (block.d, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
+    minpolys, stages["gcd_s"] = timed(
+        lambda: [lincomp._sub_minpoly(g, w, d) for d, (g, w, _) in subs])
+    lcs, stages["bm_s"] = timed(
+        lambda: [lincomp._component_lc(v, g, d, seq.origin) for d, (g, _, v) in subs])
+    lc_gcd = sum(f.degree for f in minpolys)
+    lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)
     predicted, stages["prediction_s"] = timed(predicted_minimal_polynomial, pair)
     lcs = {"lc_gcd": lc_gcd, "lc_bm": lc_bm, "lc_predicted": predicted.degree,
@@ -140,16 +119,12 @@ def ladder(pairs: list[str], repeats: int) -> dict:
         p, q = (int(v) for v in text.split(","))
         pair = PrimePair.create(p, q)
         runs = [one_run(pair) for _ in range(repeats)]
-        stages = {
-            name: (None if runs[0][0][name] is None
-                   else statistics.median(r[name] for r, _ in runs))
-            for name in runs[0][0]
-        }
+        stages = {name: statistics.median(r[name] for r, _ in runs) for name in runs[0][0]}
         lcs = runs[0][1]
         out[text] = {"N": pair.period, "median_of": repeats, "stages": stages, **lcs,
                      "match": lcs["lc_gcd"] == lcs["lc_bm"] == lcs["lc_predicted"]}
         print(f"({text}) N={pair.period} " + " ".join(
-            f"{k}={v:.3f}" for k, v in stages.items() if v is not None), file=sys.stderr)
+            f"{k}={v:.3f}" for k, v in stages.items()), file=sys.stderr)
     return out
 
 
@@ -164,11 +139,9 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
         for _ in range(repeats):
             clear_caches()
             runs.append(timed(structverify.lemma_failures, pair, gens,
-                              structverify.CosetPartition(pair=pair, index=index),
-                              structverify.DEFAULT_SEED))
+                              structverify.CosetPartition(pair=pair, index=index)))
         out["lemma_failures"][text] = {
-            "N": pair.period, "exhaustive": pair.period <= structverify.EXHAUSTIVE_LIMIT,
-            "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
+            "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
             "ok": not any(runs[0][0].values())}
         print(f"lemma_failures ({text}) N={pair.period}: "
               f"{out['lemma_failures'][text]['seconds']:.4f} s", file=sys.stderr)

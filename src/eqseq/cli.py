@@ -29,7 +29,7 @@ from .limits import check_budget, max_period
 from .lincomp import AnalysisReport, analyze_period, verify_theorem
 from .ntcore import PrimePair, is_prime
 from .sequence import BitSequence, generate_threshold
-from .structverify import DEFAULT_SEED, audit_structure
+from .structverify import audit_structure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -248,7 +248,7 @@ def _cmd_structure(args) -> int:
     pair = PrimePair.create(args.p, args.q)
     if not pair.divides:
         return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
-    report = audit_structure(pair, seed=args.seed)
+    report = audit_structure(pair)
     print(report.format_table(), file=sys.stderr)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
@@ -355,8 +355,7 @@ def build_parser() -> _Parser:
     struct = sub.add_parser("structure", help="run the eight structural checks")
     struct.add_argument("--p", type=int, required=True)
     struct.add_argument("--q", type=int, required=True)
-    struct.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for sampled checks above the exhaustive limit")
+    struct.add_argument("--seed", type=int, help="accepted and ignored: every check is exact")
     struct.set_defaults(func=_cmd_structure)
 
     scan = sub.add_parser("scan", help="verify every qualifying pair up to a period bound")

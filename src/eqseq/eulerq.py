@@ -107,23 +107,20 @@ class EulerQuotientTable:
             return NotImplemented
         return self.pair == other.pair and np.array_equal(self.values, other.values)
 
+    def __hash__(self) -> int:
+        return hash((self.pair, np.asarray(self.values, dtype=np.int64).tobytes()))
+
 
 def build_table(pair: PrimePair) -> EulerQuotientTable:
     """psi(t) for every t in [0, pq^2), lifted from the residues mod pq."""
     check_budget("period", pair.period)
     pq = pair.p * pair.q
-    wide = pq * pq
     phi = pair.phi_pq
     base = np.zeros(pq, dtype=np.int64)
     step = np.zeros(pq, dtype=np.int64)
     for r in range(pq):
         if math.gcd(r, pq) == 1:
-            power = pow(r, phi, wide)
-            if (power - 1) % pq != 0:
-                raise InternalConsistencyError(
-                    f"t^phi - 1 not divisible by pq for unit t={r}"
-                )
-            base[r] = ((power - 1) // pq) % pq
+            base[r] = euler_quotient(r, pair)
             step[r] = phi * pow(r, -1, pq) % pq
     # row k holds t = r + k*pq; non-unit columns stay 0 since base and step are 0
     values = np.arange(pair.q, dtype=np.int64)[:, None] * step

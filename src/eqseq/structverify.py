@@ -14,18 +14,17 @@ n-th root, and stays in plain GF(2)[x] arithmetic.
 Residues are counted as keys coset * m + (t mod m) over the units; a coset
 polynomial mod x^m - 1 is the parity of its keys.
 
-Index additivity (lemmas 2 and 4) is decided from two generators.  The units
-are the direct product <h> x <g2>, with h = CRT(g mod p, 1 mod q^2) of order
-p-1 and g2 = CRT(1 mod p, g mod q^2) of order q(q-1), so each unit is
-h^a * g2^b for exactly one pair (a, b).  A homomorphism I to Z_q has
-I(h) = 0, since (p-1) I(h) = 0 and gcd(p-1, q) = 1; so the index is additive
-exactly when I(h^a g2^b) = b I(g2) mod q for every a and b.  The one product
-grid over the labelled positions also flags a labelled non-unit, so the test
-further asks that exactly (p-1)q(q-1) positions carry a label.  When both hold,
-the grid would name no failing unit and is not built.  Otherwise, below
-EXHAUSTIVE_LIMIT elements, the grid is built to name the failing units for
-the messages of both lemmas; above the limit the products are sampled with a
-fixed, configurable seed, and everything linear stays exhaustive.
+Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
+every period.  The units are the direct product <h> x <g2>, with
+h = CRT(g mod p, 1 mod q^2) of order p-1 and g2 = CRT(1 mod p, g mod q^2) of
+order q(q-1), so each unit is h^a * g2^b for exactly one pair (a, b).  A
+homomorphism I to Z_q has I(h) = 0, since (p-1) I(h) = 0 and gcd(p-1, q) = 1;
+so the index is additive exactly when I(h^a g2^b) = b I(g2) mod q for every a
+and b.  The index must also label nothing but units, so the test further asks
+that exactly (p-1)q(q-1) positions carry a label.  Lemma 4 reads the same
+verdict: multiplication by a unit is injective and the fibres of a
+homomorphism have equal size, so u in D_j maps D_i onto D_{i+j} for every i
+and j exactly when the index is additive.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 from .sequence import pack_flags
 
-EXHAUSTIVE_LIMIT = 10_000   # additivity decided over every unit for periods up to this
-SAMPLE_COUNT = 10_000       # random pairs checked above the limit
-DEFAULT_SEED = 1729
-_GRID_CHUNK = 1 << 16       # products per slice of the exhaustive grid
 _FOLD_CHUNK = 1 << 20       # flags per slice of the folded coset residues
 
 ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
@@ -95,38 +90,16 @@ def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) ->
 
 
 def _powers(base: int, count: int, n: int) -> np.ndarray:
-    """base^0, base^1, ..., base^(count-1) mod n."""
-    return np.array([pow(base, i, n) for i in range(count)], dtype=np.int64)
-
-
-def _grid_failures(partition: CosetPartition) -> np.ndarray | None:
-    """Units u whose row of the product grid breaks index additivity, ascending.
-
-    Row u holds index[u*v] == (index[u] + index[v]) mod q for every unit v.
-    The grid is symmetric, so only the slices on and above the diagonal are
-    computed, about _GRID_CHUNK products each, and a failing cell marks both
-    its row and its column.  None above EXHAUSTIVE_LIMIT, where the grid is
-    sampled instead.
-    """
-    n, q = partition.pair.period, partition.pair.q
-    if n > EXHAUSTIVE_LIMIT:
-        return None
-    units = partition.units.astype(np.int32)   # products stay below n^2 < 2^31
-    iu = partition.index[units]
-    # index[u*v] - index[u] - index[v] is 0 or -q exactly when the cell holds;
-    # a non-unit product reads as -2q, which can give neither
-    lookup = np.where(partition.index >= 0, partition.index, -2 * q).astype(np.int32)
-    step = max(1, _GRID_CHUNK // max(len(units), 1))
-    bad = [units[:0]]
-    for lo in range(0, len(units), step):
-        prod = np.outer(units[lo:lo + step], units[lo:])
-        prod %= n
-        diff = lookup.take(prod)
-        diff -= iu[lo:]
-        diff -= iu[lo:lo + step, None]
-        fails = (diff != 0) & (diff != -q)
-        bad += [units[lo:lo + step][fails.any(axis=1)], units[lo:][fails.any(axis=0)]]
-    return np.unique(np.concatenate(bad))
+    """base^0, base^1, ..., base^(count-1) mod n, doubling the filled prefix;
+    each product stays below n^2."""
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1 % n
+    k = 1
+    while k < count:
+        step = min(k, count - k)
+        out[k:k + step] = out[:step] * pow(base, k, n) % n
+        k += step
+    return out
 
 
 def _unit_coordinates(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
@@ -137,23 +110,24 @@ def _unit_coordinates(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
     return np.outer(_powers(gens.h, p - 1, n), _powers(g2, pair.q * (pair.q - 1), n)) % n
 
 
-def _additive_by_generators(pair: PrimePair, gens: GroupGenerators,
-                            partition: CosetPartition) -> bool:
-    """True exactly when the index is a homomorphism from the units to Z_q that
-    labels nothing else; then the product grid has no failing row."""
+def _check_additivity(pair: PrimePair, gens: GroupGenerators,
+                      partition: CosetPartition) -> list[str]:
+    """Empty exactly when the index is a homomorphism from the units to Z_q
+    that labels nothing else; otherwise one witness."""
     coords = _unit_coordinates(pair, gens)
     index = partition.index
+    labelled = len(partition.units)
+    if labelled != coords.size:
+        return [f"index additivity fails: {labelled} positions carry a label, "
+                f"expected (p-1)q(q-1) = {coords.size}"]
     expected = np.arange(coords.shape[1]) * int(index[coords[0, 1]]) % pair.q   # b * I(g2)
-    return (np.count_nonzero(index >= 0) == coords.size
-            and bool((index.take(coords) == expected).all()))
-
-
-def _sampled_additivity(partition: CosetPartition, rng: np.random.Generator) -> bool:
-    n, q = partition.pair.period, partition.pair.q
-    units, index = partition.units, partition.index
-    u = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-    v = units[rng.integers(0, len(units), size=SAMPLE_COUNT)]
-    return np.array_equal(index[u * v % n], (index[u] + index[v]) % q)
+    bad = np.argwhere(index.take(coords) != expected)
+    if bad.size:
+        a, b = bad[0].tolist()
+        t = int(coords[a, b])
+        return [f"index additivity fails: I(h^{a} * g2^{b}) = I({t}) = {index[t]}, "
+                f"expected b * I(g2) = {expected[b]} mod q"]
+    return []
 
 
 def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[str]:
@@ -181,8 +155,7 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, partition: CosetPart
     return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
-def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition,
-                        grid_failures: np.ndarray | None, rng: np.random.Generator) -> list[str]:
+def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
     problems = []
     n, p, q = pair.period, pair.p, pair.q
 
@@ -198,37 +171,6 @@ def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: Coset
     image = np.flatnonzero(partition.sizes)
     if not np.array_equal(image, np.arange(q)):
         problems.append(f"image of the quotient map is {(p * image).tolist()}")
-
-    # additivity of the coset index over products
-    if grid_failures is not None:
-        if grid_failures.size:
-            problems.append("index additivity fails on the full product grid")
-    elif not _sampled_additivity(partition, rng):
-        problems.append("index additivity fails on sampled products")
-    return problems
-
-
-def _check_translation(pair: PrimePair, partition: CosetPartition,
-                       grid_failures: np.ndarray | None, rng: np.random.Generator) -> list[str]:
-    # u in D_j maps D_i onto D_{i+j}: index additivity over u*v plus equal
-    # cardinalities gives the set equality, since multiplication by a unit is
-    # injective.  On the full grid, D_j fails exactly when one of its rows does.
-    if grid_failures is not None:
-        return [f"translation by D_{j} leaves its target coset"
-                for j in np.unique(partition.index[grid_failures]).tolist()]
-    problems = []
-    n, q = pair.period, pair.q
-    units, index = partition.units, partition.index
-    if not _sampled_additivity(partition, rng):
-        problems.append("translation fails on sampled products")
-    # a few full set translations as well
-    for _ in range(8):
-        u0 = int(units[rng.integers(0, len(units))])
-        i = int(rng.integers(0, q))
-        j = int(index[u0])
-        image = np.unique(u0 * np.flatnonzero(index == i) % n)
-        if not np.array_equal(image, np.flatnonzero(index == (i + j) % q)):
-            problems.append(f"{u0} * D_{i} != D_{(i + j) % q}")
     return problems
 
 
@@ -324,27 +266,20 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition,
     return out
 
 
-def lemma_failures(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition,
-                   seed: int) -> dict[str, list[str]]:
+def lemma_failures(pair: PrimePair, gens: GroupGenerators,
+                   partition: CosetPartition) -> dict[str, list[str]]:
     """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
 
-    Index additivity serves lemmas 2 and 4.  Up to EXHAUSTIVE_LIMIT it is
-    decided from the generators h and g2 of the units: the index must read
-    b * I(g2) mod q at h^a * g2^b, and exactly (p-1)q(q-1) positions may carry
-    a label.  Then the product grid has no failing row, so it is built only
-    when the test fails, to name the rows.  Above the limit one seeded sample
-    of products serves both.  One set of residue counts serves lemmas 5-9.
+    One exact additivity test from the generators h and g2 serves lemmas 2
+    and 4, and one set of residue counts serves lemmas 5-9.
     """
-    rng = np.random.default_rng(seed)
-    if pair.period <= EXHAUSTIVE_LIMIT and _additive_by_generators(pair, gens, partition):
-        grid_failures = partition.units[:0]
-    else:
-        grid_failures = _grid_failures(partition)
+    additivity = _check_additivity(pair, gens, partition)
     counts = _residue_counts(partition)
 
-    failures = {"lemma2": _check_kernel_image(pair, gens, partition, grid_failures, rng)}
+    failures = {"lemma2": _check_kernel_image(pair, gens, partition) + additivity}
     failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
-    failures["lemma4"] = _check_translation(pair, partition, grid_failures, rng)
+    failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]
+                          if additivity else [])
     failures.update(_check_residue_multisets(pair, gens, counts))
     failures.update(_check_congruences(pair, partition, counts))
     return failures
@@ -383,9 +318,9 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def audit_structure(pair: PrimePair, seed: int = DEFAULT_SEED) -> StructureReport:
+def audit_structure(pair: PrimePair) -> StructureReport:
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
-    failures = lemma_failures(pair, derive_generators(pair), build_partition(pair), seed)
+    failures = lemma_failures(pair, derive_generators(pair), build_partition(pair))
     return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair),
                            failures=tuple((name, tuple(msgs)) for name, msgs in failures.items()))

@@ -19,9 +19,12 @@ The structural audit follows: the frozenset `CosetPartition` and
 `build_partition`, the two product grids, the Counter multisets and the
 per-bit `_residue_pass` behind the congruences, each as the package had them
 before the dense coset index replaced them.  `audit_failures` runs them in the
-order `audit_structure` did and returns the failure messages per lemma;
+order `audit_structure` did and returns the failure messages per lemma, with
+the seeded sample of products above EXHAUSTIVE_LIMIT that it used then;
 `partition_from_index` turns a (possibly corrupted) coset index into the
-frozenset form so both sides can be fed the same partition.
+frozenset form so both sides can be fed the same partition.  `_grid_failures`
+is the one product grid on the dense index that named the failing rows, here
+also above EXHAUSTIVE_LIMIT, and `_powers` the per-exponent modular powers.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ from eqseq.limits import check_budget
 from eqseq.lincomp import _as_packed
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
-from eqseq.structverify import EXHAUSTIVE_LIMIT, SAMPLE_COUNT
+from eqseq.structverify import CosetPartition as IndexPartition
+
+EXHAUSTIVE_LIMIT = SAMPLE_COUNT = 10_000   # the old audit's grid bound and sample size
+_GRID_CHUNK = 1 << 16                      # products per slice of the dense-index grid
 
 
 def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly]:
@@ -264,6 +270,38 @@ def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) ->
         non_units=frozenset(non_units),
     )
 
+
+
+def _powers(base: int, count: int, n: int) -> np.ndarray:
+    """base^0, base^1, ..., base^(count-1) mod n."""
+    return np.array([pow(base, i, n) for i in range(count)], dtype=np.int64)
+
+
+def _grid_failures(partition: IndexPartition) -> np.ndarray:
+    """Units u whose row of the product grid breaks index additivity, ascending.
+
+    Row u holds index[u*v] == (index[u] + index[v]) mod q for every unit v.
+    The grid is symmetric, so only the slices on and above the diagonal are
+    computed, about _GRID_CHUNK products each, and a failing cell marks both
+    its row and its column.
+    """
+    n, q = partition.pair.period, partition.pair.q
+    units = partition.units.astype(np.int32)   # products stay below n^2 < 2^31
+    iu = partition.index[units]
+    # index[u*v] - index[u] - index[v] is 0 or -q exactly when the cell holds;
+    # a non-unit product reads as -2q, which can give neither
+    lookup = np.where(partition.index >= 0, partition.index, -2 * q).astype(np.int32)
+    step = max(1, _GRID_CHUNK // max(len(units), 1))
+    bad = [units[:0]]
+    for lo in range(0, len(units), step):
+        prod = np.outer(units[lo:lo + step], units[lo:])
+        prod %= n
+        diff = lookup.take(prod)
+        diff -= iu[lo:]
+        diff -= iu[lo:lo + step, None]
+        fails = (diff != 0) & (diff != -q)
+        bad += [units[lo:lo + step][fails.any(axis=1)], units[lo:][fails.any(axis=0)]]
+    return np.unique(np.concatenate(bad))
 
 
 def _coset_arrays(partition: CosetPartition) -> tuple[np.ndarray, np.ndarray]:

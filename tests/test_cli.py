@@ -265,6 +265,19 @@ class TestStructure:
         code, _, _ = run(capsys, "structure", "--p", "5", "--q", "7")
         assert code == EXIT_INAPPLICABLE
 
+    def test_seed_is_ignored(self, capsys):
+        # every check is exact, so the seed reaches nothing, not even a negative one
+        plain = run(capsys, "structure", "--p", "3", "--q", "7")
+        assert plain[0] == EXIT_OK
+        for seed in ("-1", "5"):
+            assert run(capsys, "structure", "--p", "3", "--q", "7", "--seed", seed) == plain
+
+    def test_seed_must_be_an_integer(self, capsys):
+        code, stdout, err = run(capsys, "structure", "--p", "3", "--q", "7", "--seed", "abc")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "argument --seed: invalid int value: 'abc'" in err
+
     def test_failed_lemma(self, capsys, monkeypatch):
         real = structverify.lemma_failures
 

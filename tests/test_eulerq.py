@@ -12,6 +12,7 @@ from eqseq import (
     derive_generators,
     euler_quotient,
 )
+from eqseq.eulerq import EulerQuotientTable
 
 
 class TestEulerQuotient:
@@ -131,6 +132,16 @@ class TestBuildTable:
     def test_values_divisible_by_p(self, pair37):
         table = build_table(pair37)
         assert all(v % 3 == 0 for v in table.values)
+
+    def test_hashable_and_equal_by_value(self, pair37, pair313):
+        table = build_table(pair37)
+        again = build_table(pair37)
+        assert table == again and hash(table) == hash(again)
+        assert {table: "3, 7"}[again] == "3, 7"
+        assert table != build_table(pair313)
+        # the same values held in a list compare and hash alike
+        listed = EulerQuotientTable(pair=pair37, values=table.values.tolist())
+        assert listed == table and hash(listed) == hash(table)
 
     def test_budget(self, pair37, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")

@@ -51,3 +51,16 @@ def test_one_sigma_and_one_wieferich_test():
     assert eqseq.two_coset_index is eulerq.two_coset_index
     assert eqseq.wieferich_ok is ntcore.wieferich_ok
     assert not hasattr(structverify, "wieferich_ok") and not hasattr(lincomp, "two_coset_index")
+
+
+def test_audit_is_exact_and_unseeded():
+    # one exact additivity test at every period: no sample, limit or seed
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(eqseq.__file__).parent.glob("*.py"))}
+    for word in ("numpy.random", "np.random", "default_rng", "EXHAUSTIVE_LIMIT"):
+        assert [name for name, text in sources.items() if word in text] == [], word
+    for name in ("SAMPLE_COUNT", "DEFAULT_SEED", "_grid_failures", "_sampled_additivity",
+                 "_check_translation", "_GRID_CHUNK"):
+        assert not hasattr(structverify, name), name
+    for fn in (structverify.lemma_failures, structverify.audit_structure):
+        assert "seed" not in inspect.signature(fn).parameters, fn.__name__

@@ -19,7 +19,6 @@ from eqseq import (
     two_coset_index,
 )
 from eqseq.gf2poly import Gf2Poly, _int_mod
-from eqseq.structverify import DEFAULT_SEED
 
 
 def _coset_poly(coset) -> int:
@@ -34,9 +33,9 @@ def _coset(partition, ell: int) -> set[int]:
     return set(np.flatnonzero(partition.index == ell).tolist())
 
 
-def _failures(pair, partition, *lemmas, seed=DEFAULT_SEED) -> list[str]:
+def _failures(pair, partition, *lemmas) -> list[str]:
     """The failure messages of the named lemmas from one lemma_failures run."""
-    failures = lemma_failures(pair, derive_generators(pair), partition, seed)
+    failures = lemma_failures(pair, derive_generators(pair), partition)
     return [msg for lemma in lemmas for msg in failures[lemma]]
 
 
@@ -110,11 +109,11 @@ class TestTranslation:
         assert gens.ghat == 43
         assert {43 * v % 147 for v in _coset(partition, 0)} == _coset(partition, 1)
 
-    def test_sampled_branch(self):
-        # (3, 61) has period 11163, above the exhaustive limit
+    def test_above_ten_thousand(self):
+        # (3, 61) has period 11163, above 10^4
         pair = PrimePair.create(3, 61)
         partition = build_partition(pair)
-        assert _failures(pair, partition, "lemma3", "lemma4", seed=123) == []
+        assert _failures(pair, partition, "lemma2", "lemma3", "lemma4") == []
 
 
 class TestResidueMultisets:
@@ -220,7 +219,7 @@ class TestAuditStructure:
 
     def test_every_qualifying_pair_in_range(self):
         # the checks hold for every pair the closed form covers, up to the
-        # sweep bound; quadratic grids switch to sampling above 10^4
+        # sweep bound, each decided exactly
         from eqseq import generate_threshold, generating_polynomial
         from eqseq.eulerq import build_table
         from golden import SWEEP_PAIRS
@@ -235,7 +234,7 @@ class TestAuditStructure:
             assert all(len(c) == pair.phi_pq for c in cosets), (p, q)
             assert len(_coset(partition, -1)) == pair.period - q * pair.phi_pq
 
-            failures = lemma_failures(pair, gens, partition, DEFAULT_SEED)
+            failures = lemma_failures(pair, gens, partition)
             assert list(failures) == [f"lemma{i}" for i in range(2, 10)], (p, q)
             assert not any(failures.values()), (p, q, failures)
 
