@@ -104,7 +104,7 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
         lambda: [lincomp._sub_minpoly(g, w, d) for d, (g, w, _) in subs])
     lcs, stages["bm_s"] = timed(
         lambda: [lincomp._component_lc(v, g, d, seq.origin) for d, (g, _, v) in subs])
-    lc_gcd = sum(f.degree for f in minpolys)
+    lc_gcd = sum(f.bit_length() - 1 for f in minpolys)
     lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)
     predicted, stages["prediction_s"] = timed(predicted_minimal_polynomial, pair)

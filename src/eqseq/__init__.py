@@ -22,14 +22,13 @@ from .eulerq import (
     euler_quotient,
     two_coset_index,
 )
-from .gf2poly import Gf2Poly, compose_power, cyclotomic_f2, gcd, generating_polynomial
+from .gf2poly import Gf2Poly, cyclotomic_f2, gcd
 from .lincomp import (
     AnalysisReport,
     analyze_period,
     berlekamp_massey,
     minimal_polynomial_gcd,
     predicted_minimal_polynomial,
-    synthesize_sequence,
     verify_theorem,
 )
 from .ntcore import (
@@ -40,10 +39,9 @@ from .ntcore import (
     find_common_primitive_root,
     is_prime,
     multiplicative_order,
-    pow_wide_mod,
     wieferich_ok,
 )
-from .sequence import BitSequence, balance, generate_by_cosets, generate_threshold, least_period
+from .sequence import BitSequence, generate_by_cosets, generate_threshold, least_period
 from .structverify import (
     CosetPartition,
     StructureReport,
@@ -71,11 +69,9 @@ __all__ = [
     "UnsupportedInputError",
     "analyze_period",
     "audit_structure",
-    "balance",
     "berlekamp_massey",
     "build_partition",
     "build_table",
-    "compose_power",
     "coset_index",
     "crt_lift",
     "cyclotomic_f2",
@@ -86,15 +82,12 @@ __all__ = [
     "gcd",
     "generate_by_cosets",
     "generate_threshold",
-    "generating_polynomial",
     "is_prime",
     "least_period",
     "lemma_failures",
     "minimal_polynomial_gcd",
     "multiplicative_order",
-    "pow_wide_mod",
     "predicted_minimal_polynomial",
-    "synthesize_sequence",
     "two_coset_index",
     "verify_theorem",
     "wieferich_ok",

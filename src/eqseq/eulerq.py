@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
-from .ntcore import (
-    GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, pow_wide_mod, wieferich_ok,
-)
+from .ntcore import GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, wieferich_ok
 
 
 def euler_quotient(t: int, pair: PrimePair) -> int:
@@ -39,7 +37,7 @@ def euler_quotient(t: int, pair: PrimePair) -> int:
     if math.gcd(t, pq) != 1:
         return 0
     wide = pq * pq
-    power = pow_wide_mod(t, pair.phi_pq, wide)
+    power = pow(t, pair.phi_pq, wide)
     if (power - 1) % pq != 0:
         raise InternalConsistencyError(
             f"t^phi - 1 not divisible by pq for unit t={t}"

@@ -1,10 +1,12 @@
 """Dense polynomial arithmetic over GF(2) on bit-packed integers.
 
-A polynomial a_0 + a_1 x + ... + a_n x^n is stored as the Python integer with
-bit i equal to a_i, the same convention used for bit sequences.  Addition is
-XOR, multiplication is carry-less shift-XOR, and two polynomials are equal
+A polynomial a_0 + a_1 x + ... + a_n x^n is the Python integer with bit i
+equal to a_i, the same convention used for bit sequences.  Addition is XOR,
+and the kernels `_int_mul`, `_int_divmod`, `_int_mod`, `_int_compose` and
+`_int_gcd` are the package's one polynomial layer.  Two polynomials are equal
 exactly when their integers are equal, so the representation is canonical by
-construction.
+construction.  `Gf2Poly` wraps a finished result for reports: its degree,
+terms and rendering.
 
 The module also builds cyclotomic polynomials over GF(2) by composition:
 Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_mp(x) =
@@ -22,15 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
 from .limits import check_budget
 from .ntcore import factorize, multiplicative_order
-from .sequence import pack_bits
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sequence import BitSequence
 
 
 def _int_mul(a: int, b: int) -> int:
@@ -75,27 +73,13 @@ def _int_gcd(f: int, g: int) -> int:
 
 @dataclass(frozen=True)
 class Gf2Poly:
-    """Immutable GF(2)[x] polynomial; bit i of `bits` is the coefficient of x^i."""
+    """A GF(2)[x] polynomial in a report; bit i of `bits` is the coefficient of x^i."""
 
     bits: int
 
     def __post_init__(self) -> None:
         if self.bits < 0:
             raise DomainError("polynomial bits must be a nonnegative integer")
-
-    @classmethod
-    def one(cls) -> "Gf2Poly":
-        return cls(1)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "Gf2Poly":
-        """Build from coefficients in ascending order of degree."""
-        coeffs = list(coeffs)
-        try:
-            return cls(pack_bits(coeffs))
-        except DomainError:
-            bad = next(c for c in coeffs if c not in (0, 1))
-            raise DomainError(f"coefficients must be 0 or 1, got {bad}") from None
 
     @classmethod
     def from_terms(cls, degrees: Iterable[int]) -> "Gf2Poly":
@@ -105,6 +89,7 @@ class Gf2Poly:
             return cls(0)
         if min(degrees) < 0:
             raise DomainError(f"term degrees must be nonnegative, got {min(degrees)}")
+        check_budget("polynomial degree", max(degrees))
         buf = bytearray(max(degrees) // 8 + 1)
         for d in degrees:
             buf[d >> 3] |= 1 << (d & 7)
@@ -115,46 +100,10 @@ class Gf2Poly:
         """Degree, or -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    @property
-    def num_terms(self) -> int:
-        return self.bits.bit_count()
-
-    def coefficient(self, i: int) -> int:
-        return (self.bits >> i) & 1 if i >= 0 else 0
-
     def term_degrees(self) -> list[int]:
         """Degrees of the nonzero terms, descending."""
         top = self.degree
         return [top - i for i, c in enumerate(format(self.bits, "b")) if c == "1"]
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(_int_mul(self.bits, other.bits))
-
-    def __divmod__(self, other: "Gf2Poly") -> tuple["Gf2Poly", "Gf2Poly"]:
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        q, r = _int_divmod(self.bits, other.bits)
-        return Gf2Poly(q), Gf2Poly(r)
-
-    def __floordiv__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        return Gf2Poly(_int_mod(self.bits, other.bits))
 
     def __str__(self) -> str:
         return self.render()
@@ -176,19 +125,9 @@ class Gf2Poly:
 
 def gcd(f: Gf2Poly, g: Gf2Poly) -> Gf2Poly:
     """Greatest common divisor (monic automatically over GF(2))."""
-    if f.is_zero and g.is_zero:
+    if not (f.bits or g.bits):
         raise DomainError("gcd(0, 0) is undefined")
     return Gf2Poly(_int_gcd(f.bits, g.bits))
-
-
-def compose_power(f: Gf2Poly, k: int) -> Gf2Poly:
-    """f(x^k): bit i of f moves to bit i*k."""
-    if k < 1:
-        raise DomainError(f"compose_power requires k >= 1, got {k}")
-    if k == 1 or f.is_zero:
-        return f
-    check_budget("composed degree", f.degree * k)
-    return Gf2Poly(_int_compose(f.bits, k))
 
 
 def _int_div_binomial(f: int, m: int) -> int:
@@ -279,8 +218,3 @@ def cyclotomic_f2(n: int) -> Gf2Poly:
         )
     check_budget("cyclotomic index", n)
     return Gf2Poly(_cyclotomic_bits(n))
-
-
-def generating_polynomial(seq: "BitSequence") -> Gf2Poly:
-    """One period of a sequence read as polynomial coefficients (bit t -> x^t)."""
-    return Gf2Poly(seq.bits)

@@ -269,15 +269,16 @@ def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
     return _descend(tree, parts, _times_mod(u, block.cofactor, d), block)
 
 
-def _sub_minpoly(g: int, w: int, d: int) -> Gf2Poly:
+def _sub_minpoly(g: int, w: int, d: int) -> int:
     """gcd route: G / gcd(G, w) for a sub-block G of block d and w = u mod G."""
+    # Euclid runs through the public `gcd` so that perfbench's span on it sees every run
     common = gcd(Gf2Poly(g), Gf2Poly(w)).bits
     if common == 1:
-        return Gf2Poly(g)
+        return g
     quotient, remainder = _int_divmod(g, common)
     if remainder:
         raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
-    return Gf2Poly(quotient)
+    return quotient
 
 
 def _component_lc(v: int, g: int, d: int, origin) -> int:
@@ -290,8 +291,8 @@ def _component_lc(v: int, g: int, d: int, origin) -> int:
                             connection=False)[0]
 
 
-def _product(polys: Iterable[Gf2Poly]) -> Gf2Poly:
-    return Gf2Poly(functools.reduce(_int_mul, (f.bits for f in polys), 1))
+def _product(polys: Iterable[int]) -> int:
+    return functools.reduce(_int_mul, polys, 1)
 
 
 def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
@@ -300,11 +301,11 @@ def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
 
     The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
     """
-    return _product(_sub_minpoly(g, w, block.d)
-                    for block, u in _block_folds(seq) for g, w, _ in _sub_blocks(u, block))
+    return Gf2Poly(_product(_sub_minpoly(g, w, block.d) for block, u in _block_folds(seq)
+                            for g, w, _ in _sub_blocks(u, block)))
 
 
-def _minpolys_by_block(seq: BitSequence) -> dict[int, Gf2Poly]:
+def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
     """The minimal polynomial of each block by the gcd route, keyed by d,
     with the LC of each of its sub-blocks checked against Berlekamp-Massey
     on the sub-block's component."""
@@ -313,14 +314,15 @@ def _minpolys_by_block(seq: BitSequence) -> dict[int, Gf2Poly]:
         minpoly = 1
         for g, w, v in _sub_blocks(u, block):
             sub = _sub_minpoly(g, w, block.d)
+            lc_gcd = sub.bit_length() - 1
             lc_bm = _component_lc(v, g, block.d, seq.origin)
-            if lc_bm != sub.degree:
+            if lc_bm != lc_gcd:
                 raise InternalConsistencyError(
                     f"LC disagreement for {seq.origin} in block d={block.d}: "
-                    f"gcd={sub.degree}, bm={lc_bm}"
+                    f"gcd={lc_gcd}, bm={lc_bm}"
                 )
-            minpoly = _int_mul(minpoly, sub.bits)
-        out[block.d] = Gf2Poly(minpoly)
+            minpoly = _int_mul(minpoly, sub)
+        out[block.d] = minpoly
     return out
 
 
@@ -332,47 +334,7 @@ def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
     component must reach the same LC, and a disagreement raises, naming the
     block, rather than being silently resolved.
     """
-    return least_period(seq), _product(_minpolys_by_block(seq).values())
-
-
-def synthesize_sequence(
-    connection: Gf2Poly,
-    seed: BitSequence,
-    length: int,
-    register_length: int | None = None,
-) -> BitSequence:
-    """Run the LFSR recurrence s_t = c_1 s_{t-1} + ... + c_L s_{t-L}.
-
-    `connection` is in the feedback convention shared by berlekamp_massey and
-    minimal_polynomial_gcd: coefficient i multiplies the bit i steps back, and
-    the constant term is 1.  The register length L defaults to the degree of
-    the connection polynomial (exact for a minimal polynomial) but may exceed
-    it, as a Berlekamp-Massey connection sometimes does.  The first L bits of
-    `seed` initialize the register.
-    """
-    if length < 1:
-        raise DomainError(f"length must be positive, got {length}")
-    if connection.is_zero or not connection.coefficient(0):
-        raise DomainError("connection polynomial must have constant term 1")
-    l = connection.degree if register_length is None else register_length
-    if l < connection.degree:
-        raise DomainError(
-            f"register length {l} is below the connection degree {connection.degree}"
-        )
-    if seed.length < l:
-        raise DomainError(f"seed provides {seed.length} bits, need {l}")
-    # reverse c_1..c_L so the tap vector lines up with an ascending window
-    taps = 0
-    low = connection.bits >> 1
-    for j in range(l):
-        if (low >> j) & 1:
-            taps |= 1 << (l - 1 - j)
-    mask = (1 << l) - 1
-    s = seed.bits & mask
-    for t in range(l, length):
-        window = (s >> (t - l)) & mask
-        s |= ((window & taps).bit_count() & 1) << t
-    return BitSequence(bits=s & ((1 << length) - 1), length=length, origin="lfsr")
+    return least_period(seq), Gf2Poly(_product(_minpolys_by_block(seq).values()))
 
 
 def predicted_minimal_polynomial(pair: PrimePair) -> Gf2Poly:
@@ -389,7 +351,7 @@ def predicted_minimal_polynomial(pair: PrimePair) -> Gf2Poly:
     phi_pq2 = cyclotomic_f2(pair.period)
     if pair.q % 4 == 1:
         return phi_pq2
-    return phi_pq2 * cyclotomic_f2(pair.p * pair.q)
+    return Gf2Poly(_int_mul(phi_pq2.bits, cyclotomic_f2(pair.p * pair.q).bits))
 
 
 @dataclass(frozen=True)
@@ -448,8 +410,8 @@ class AnalysisReport:
             "lc_empirical": self.lc_empirical,
             "lc_predicted": opt(self.lc_predicted),
             "minpoly_empirical": self.minpoly_empirical.render(),
-            "minpoly_predicted": opt(
-                self.minpoly_predicted.render() if self.minpoly_predicted else None
+            "minpoly_predicted": (
+                "n/a" if self.minpoly_predicted is None else self.minpoly_predicted.render()
             ),
             "match": self.match,
             "sigma": opt(self.sigma),
@@ -480,9 +442,9 @@ def verify_theorem(pair: PrimePair) -> AnalysisReport:
         divisibility_ok=div_ok,
         wieferich_ok=wief_ok,
         period_found=least_period(seq),
-        minpoly_empirical=_product(blocks.values()),
+        minpoly_empirical=Gf2Poly(_product(blocks.values())),
         minpoly_predicted=predicted,
         sigma=sigma,
         elapsed=time.perf_counter() - start,
-        lc_by_divisor=tuple((d, f.degree) for d, f in blocks.items()),
+        lc_by_divisor=tuple((d, f.bit_length() - 1) for d, f in blocks.items()),
     )

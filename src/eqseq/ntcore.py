@@ -74,22 +74,9 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def pow_wide_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, exact.
-
-    Python integers are arbitrary precision, so there is no upper bound on the
-    modulus; the only rejected inputs are modulus < 2 and negative exponents.
-    """
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise DomainError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def wieferich_ok(q: int) -> bool:
     """True when 2^(q-1) is not 1 mod q^2 (the hypothesis on q)."""
-    return pow_wide_mod(2, q - 1, q * q) != 1
+    return pow(2, q - 1, q * q) != 1
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -1,4 +1,4 @@
-"""Binary threshold sequences over one period: generation, least period, balance.
+"""Binary threshold sequences over one period: generation and least period.
 
 Bit t is 1 exactly when the Euler quotient psi(t), as an integer in [0, pq),
 satisfies 2*psi(t) >= pq.  The comparison is pure integer arithmetic; no
@@ -8,7 +8,7 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -24,8 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class BitSequence:
     """One period of a binary sequence, packed into an integer (bit t = s_t).
 
-    Analysis treats the stored window as a full period; indices are reduced
-    mod `length`, taking nonnegative representatives.
+    Analysis treats the stored window as a full period.
     """
 
     bits: int
@@ -38,24 +37,9 @@ class BitSequence:
         if not 0 <= self.bits < (1 << self.length):
             raise DomainError("sequence bits exceed the declared length")
 
-    def __len__(self) -> int:
-        return self.length
-
-    def bit(self, t: int) -> int:
-        return (self.bits >> (t % self.length)) & 1
-
-    def iter_bits(self) -> Iterator[int]:
-        for t in range(self.length):
-            yield (self.bits >> t) & 1
-
     def to01(self) -> str:
         """The period as a left-to-right '0'/'1' string (s_0 first)."""
         return format(self.bits, f"0{self.length}b")[::-1]
-
-    def two_periods(self) -> "BitSequence":
-        """The period written out twice, the input Berlekamp-Massey needs."""
-        return BitSequence(bits=self.bits | (self.bits << self.length),
-                           length=2 * self.length, origin=self.origin)
 
 
 _DIGITS = {0: "0", 1: "1"}
@@ -121,9 +105,3 @@ def least_period(seq: BitSequence) -> int:
         if (((s << t) & mask) | (s >> (n - t))) == s:
             return t
     return n
-
-
-def balance(seq: BitSequence) -> tuple[int, int]:
-    """(zeros, ones) over one period."""
-    ones = seq.bits.bit_count()
-    return seq.length - ones, ones

@@ -14,6 +14,9 @@ even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
 whole of x^N + 1 that the block route replaced, and `fold` reduces a period
 mod x^d + 1 one bit at a time.  `coset_residues` is the per-coset loop that
 folded each coset's residue keys into its own boolean array.
+`synthesize_sequence` runs an LFSR recurrence, the generator that the
+Berlekamp-Massey tests regenerate sequences with, and `two_periods` writes a
+period out twice, the input Berlekamp-Massey reads.
 
 The structural audit follows: the frozenset `CosetPartition` and
 `build_partition`, the two product grids, the Counter multisets and the
@@ -83,6 +86,51 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
             sc ^= sb
         m += 1
     return length, Gf2Poly(c_poly)
+
+
+def synthesize_sequence(
+    connection: Gf2Poly,
+    seed: BitSequence,
+    length: int,
+    register_length: int | None = None,
+) -> BitSequence:
+    """Run the LFSR recurrence s_t = c_1 s_{t-1} + ... + c_L s_{t-L}.
+
+    `connection` is in the feedback convention shared by berlekamp_massey and
+    minimal_polynomial_gcd: coefficient i multiplies the bit i steps back, and
+    the constant term is 1.  The register length L defaults to the degree of
+    the connection polynomial (exact for a minimal polynomial) but may exceed
+    it, as a Berlekamp-Massey connection sometimes does.  The first L bits of
+    `seed` initialize the register.
+    """
+    if length < 1:
+        raise DomainError(f"length must be positive, got {length}")
+    if not connection.bits & 1:
+        raise DomainError("connection polynomial must have constant term 1")
+    l = connection.degree if register_length is None else register_length
+    if l < connection.degree:
+        raise DomainError(
+            f"register length {l} is below the connection degree {connection.degree}"
+        )
+    if seed.length < l:
+        raise DomainError(f"seed provides {seed.length} bits, need {l}")
+    # reverse c_1..c_L so the tap vector lines up with an ascending window
+    taps = 0
+    low = connection.bits >> 1
+    for j in range(l):
+        if (low >> j) & 1:
+            taps |= 1 << (l - 1 - j)
+    mask = (1 << l) - 1
+    s = seed.bits & mask
+    for t in range(l, length):
+        window = (s >> (t - l)) & mask
+        s |= ((window & taps).bit_count() & 1) << t
+    return BitSequence(bits=s & ((1 << length) - 1), length=length, origin="lfsr")
+
+
+def two_periods(seq: BitSequence) -> BitSequence:
+    return BitSequence(bits=seq.bits | (seq.bits << seq.length), length=2 * seq.length,
+                       origin=seq.origin)
 
 
 def int_divmod(f: int, g: int) -> tuple[int, int]:

@@ -184,7 +184,7 @@ class TestAnalyze:
         # only a bug can make the two routes differ; one is faked here
         f = tmp_path / "m.txt"
         f.write_text("0010111\n")
-        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits, **kw: (2, Gf2Poly.one()))
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits, **kw: (2, Gf2Poly(1)))
         code, stdout, err = run(capsys, "analyze", "--in", str(f))
         assert code == EXIT_USAGE
         assert stdout == ""

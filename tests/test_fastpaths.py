@@ -33,13 +33,12 @@ from eqseq import (
     cyclotomic_f2,
     euler_quotient,
     generate_threshold,
-    synthesize_sequence,
 )
-from eqseq import InternalConsistencyError, analyze_period, compose_power, lincomp
+from eqseq import InternalConsistencyError, analyze_period, lincomp
 from eqseq import minimal_polynomial_gcd
 from eqseq.cli import parse_ascii
 from eqseq.errors import ParseError
-from eqseq.gf2poly import _cyclotomic_factors, _int_divmod, _int_mod
+from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
 from eqseq.lincomp import berlekamp_massey
 from eqseq.ntcore import euler_phi, multiplicative_order
 from eqseq.sequence import pack_bits
@@ -66,14 +65,14 @@ def lfsr_bits(seed: int, n: int) -> BitSequence:
     register = rng.randint(1, max(1, min(n, 600)))
     connection = Gf2Poly((1 << register) | (rng.getrandbits(register) & ~1) | 1)
     start = BitSequence(bits=rng.getrandbits(register) | 1, length=register, origin="external")
-    return synthesize_sequence(connection, start, n)
+    return oracles.synthesize_sequence(connection, start, n)
 
 
 def periodic_bits(seed: int, n: int) -> BitSequence:
     # two copies of one random period; odd n continues into a third copy
     if n < 2:
         return random_bits(seed, n)
-    two = random_bits(seed, n // 2).two_periods()
+    two = oracles.two_periods(random_bits(seed, n // 2))
     return BitSequence(bits=two.bits | ((two.bits & 1) << two.length), length=n,
                        origin="external") if n % 2 else two
 
@@ -196,7 +195,7 @@ def assert_block_route_matches(seq: BitSequence) -> None:
     want = oracles.minimal_polynomial_gcd(seq)
     assert minimal_polynomial_gcd(seq) == want
     assert analyze_period(seq)[1] == want
-    assert berlekamp_massey(seq.two_periods(), connection=False)[0] == want.degree
+    assert berlekamp_massey(oracles.two_periods(seq), connection=False)[0] == want.degree
 
 
 # N prime, a power of 2, even with an odd part, odd with many divisors
@@ -241,8 +240,8 @@ class TestBlockRouteDifferential:
                 assert w == oracles.int_mod(u, g), d
                 cofactor, rest = oracles.int_divmod((1 << d) | 1, g)
                 assert rest == 0
-                assert v == oracles.int_mod((Gf2Poly(u) * Gf2Poly(cofactor)).bits, (1 << d) | 1), d
-                seen = (Gf2Poly(seen) * Gf2Poly(g)).bits
+                assert v == oracles.int_mod(_int_mul(u, cofactor), (1 << d) | 1), d
+                seen = _int_mul(seen, g)
             skipped, rest = oracles.int_divmod(block.factor, seen)
             assert rest == 0 and oracles.int_mod(u, skipped) == 0, d
 
@@ -253,12 +252,12 @@ class TestBlockRouteDifferential:
         assert [b.d for b in blocks] == [d for d in range(1, n + 1)
                                          if n % d == 0 and d % (1 << k) == 0]
         for block in blocks:
-            phi_e = Gf2Poly(oracles.cyclotomic_bits(block.d >> k))
+            phi_e = oracles.cyclotomic_bits(block.d >> k)
             power = phi_e
             for _ in range(k):
-                power = power * power
-            assert block.factor == power.bits == compose_power(phi_e, 1 << k).bits
-            assert (Gf2Poly(block.factor) * Gf2Poly(block.cofactor)).bits == (1 << block.d) | 1
+                power = _int_mul(power, power)
+            assert block.factor == power == _int_compose(phi_e, 1 << k)
+            assert _int_mul(block.factor, block.cofactor) == (1 << block.d) | 1
 
 
 class TestBlockRuntimeChecks:
@@ -337,7 +336,7 @@ class TestCyclotomicFactors:
             assert all(f.bit_length() - 1 == order for f in factors), r
             assert list(factors) == sorted(set(factors)), r
             phi = oracles.cyclotomic_bits(r) if r <= limit else cyclotomic_f2(r).bits
-            assert functools.reduce(lambda a, b: (Gf2Poly(a) * Gf2Poly(b)).bits, factors) == phi, r
+            assert functools.reduce(_int_mul, factors) == phi, r
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy's own sort of GF(2) factors
     def test_matches_sympy(self):
@@ -481,8 +480,8 @@ class TestPolyConstructionDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
     def test_from_coeffs_matches_per_bit_loop(self, coeffs):
-        assert Gf2Poly.from_coeffs(coeffs) == oracles.from_coeffs(coeffs)
-        assert Gf2Poly.from_coeffs(iter(coeffs)) == oracles.from_coeffs(coeffs)
+        # a coefficient list is packed by pack_bits
+        assert Gf2Poly(pack_bits(coeffs)) == oracles.from_coeffs(coeffs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=400))
@@ -495,7 +494,7 @@ class TestPolyConstructionDifferential:
     def test_large_random(self):
         rng = random.Random(11)
         coeffs = [rng.getrandbits(1) for _ in range(160_000)]
-        assert Gf2Poly.from_coeffs(coeffs) == oracles.from_coeffs(coeffs)
+        assert Gf2Poly(pack_bits(coeffs)) == oracles.from_coeffs(coeffs)
         degrees = [rng.randrange(160_000) for _ in range(80_000)]
         assert Gf2Poly.from_terms(degrees) == oracles.from_terms(degrees)
 
@@ -503,10 +502,12 @@ class TestPolyConstructionDifferential:
     def test_rejects_non_bits_like_the_loop(self, bad):
         coeffs = [1, 0, bad, 1, 3]
         with pytest.raises(DomainError) as new:
-            Gf2Poly.from_coeffs(coeffs)
+            pack_bits(coeffs)
         with pytest.raises(DomainError) as old:
             oracles.from_coeffs(coeffs)
-        assert str(new.value) == str(old.value) == f"coefficients must be 0 or 1, got {bad}"
+        # both name the first bad coefficient
+        assert str(new.value) == f"bits must be 0 or 1, got {bad!r}"
+        assert str(old.value) == f"coefficients must be 0 or 1, got {bad}"
 
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError, match="nonnegative, got -1"):

@@ -12,7 +12,7 @@ from eqseq import (
     find_common_primitive_root,
     is_prime,
     multiplicative_order,
-    pow_wide_mod,
+    wieferich_ok,
 )
 from eqseq.ntcore import euler_phi
 
@@ -64,23 +64,20 @@ class TestFactorize:
 
 
 class TestPowWideMod:
+    # the package takes wide modular powers (Euler quotients mod (pq)^2, the
+    # Wieferich test mod q^2) with the built-in three-argument pow
     def test_examples(self):
-        assert pow_wide_mod(2, 6, 49) == 15
-        assert pow_wide_mod(5, 0, 441) == 1
-        assert pow_wide_mod(2, 12, 169) == 40
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(DomainError):
-            pow_wide_mod(2, 3, 1)
-        with pytest.raises(DomainError):
-            pow_wide_mod(2, -1, 5)
+        assert pow(2, 6, 49) == 15
+        assert pow(5, 0, 441) == 1
+        assert pow(2, 12, 169) == 40
+        assert wieferich_ok(7) and not wieferich_ok(1093)
 
     @given(st.integers(0, 10**6), st.integers(0, 64), st.integers(2, 10**6))
     def test_matches_repeated_multiplication(self, base, exp, mod):
         expected = 1
         for _ in range(exp):
             expected = expected * base % mod
-        assert pow_wide_mod(base, exp, mod) == expected
+        assert pow(base, exp, mod) == expected
 
     def test_euler_theorem(self):
         rng = random.Random(7)
@@ -89,7 +86,7 @@ class TestPowWideMod:
             for _ in range(25):
                 a = rng.randrange(1, n)
                 if math.gcd(a, n) == 1:
-                    assert pow_wide_mod(a, phi, n) == 1
+                    assert pow(a, phi, n) == 1
 
 
 class TestMultiplicativeOrder:

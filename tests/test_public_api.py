@@ -3,11 +3,24 @@ import re
 from pathlib import Path
 
 import eqseq
-from eqseq import eulerq, gf2poly, lincomp, ntcore, structverify
+from eqseq import eulerq, gf2poly, lincomp, ntcore, sequence, structverify
 
 REMOVED = [
-    "check_congruences", "check_kernel_image", "check_residue_multisets", "check_translation",
-    "find_ghat", "linear_complexity",
+    "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
+    "check_translation", "compose_power", "find_ghat", "generating_polynomial",
+    "linear_complexity", "pow_wide_mod", "synthesize_sequence",
+]
+
+PUBLIC = [
+    "AnalysisReport", "BitSequence", "CosetPartition", "DomainError", "EqseqError",
+    "EulerQuotientTable", "Gf2Poly", "GroupGenerators", "InternalConsistencyError",
+    "ParseError", "PrimePair", "ResourceError", "StructureReport", "UnsupportedInputError",
+    "analyze_period", "audit_structure", "berlekamp_massey", "build_partition", "build_table",
+    "coset_index", "crt_lift", "cyclotomic_f2", "derive_generators", "euler_quotient",
+    "factorize", "find_common_primitive_root", "gcd", "generate_by_cosets",
+    "generate_threshold", "is_prime", "least_period", "lemma_failures",
+    "minimal_polynomial_gcd", "multiplicative_order", "predicted_minimal_polynomial",
+    "two_coset_index", "verify_theorem", "wieferich_ok",
 ]
 
 
@@ -19,13 +32,34 @@ def test_all_resolves_sorted_and_unique():
         assert hasattr(eqseq, name), name
 
 
+def test_public_names_are_pinned():
+    # a new public name is a deliberate edit of this list
+    assert eqseq.__all__ == PUBLIC
+
+
 def test_removed_wrappers_are_gone():
     for name in REMOVED:
         assert name not in eqseq.__all__
         assert not hasattr(eqseq, name), name
-        assert not hasattr(structverify, name), name
+        for module in (structverify, lincomp, gf2poly, ntcore, sequence):
+            assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(eulerq, "find_ghat")
-    assert not hasattr(lincomp, "linear_complexity")
+
+
+def test_gf2poly_is_a_report_type():
+    # arithmetic runs on the packed-int kernels; Gf2Poly only reports a result
+    for name in ("one", "from_coeffs", "is_zero", "num_terms", "coefficient", "__bool__",
+                 "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__", "__mod__"):
+        assert not hasattr(eqseq.Gf2Poly, name), name
+    for name in ("__len__", "bit", "iter_bits", "two_periods"):
+        assert not hasattr(eqseq.BitSequence, name), name
+
+
+def test_readme_library_use_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_one_degree_accessor():

@@ -5,7 +5,6 @@ from eqseq import (
     BitSequence,
     DomainError,
     PrimePair,
-    balance,
     build_partition,
     generate_by_cosets,
     generate_threshold,
@@ -18,13 +17,13 @@ from golden import EXAMPLE1_BITS, EXAMPLE1_ONES, EXAMPLE1_STRING
 class TestGenerateThreshold:
     def test_golden_period(self, pair37):
         seq = generate_threshold(pair37)
-        assert list(seq.iter_bits()) == EXAMPLE1_BITS
+        assert [int(c) for c in seq.to01()] == EXAMPLE1_BITS
         assert seq.to01() == EXAMPLE1_STRING
 
     def test_named_bits(self, pair37):
         seq = generate_threshold(pair37)
-        assert seq.bit(1) == 0
-        assert seq.bit(22) == 1
+        assert (seq.bits >> 1) & 1 == 0
+        assert (seq.bits >> 22) & 1 == 1
 
     def test_works_without_divisibility(self):
         # threshold generation needs only the quotient values
@@ -41,7 +40,7 @@ class TestGenerateByCosets:
     def test_bit_two_is_zero(self, pair37):
         # coset index of 2 is 2, below the threshold half
         partition = build_partition(pair37)
-        assert generate_by_cosets(pair37, partition).bit(2) == 0
+        assert (generate_by_cosets(pair37, partition).bits >> 2) & 1 == 0
 
     def test_non_units_are_zero(self, pair37):
         import math
@@ -49,7 +48,7 @@ class TestGenerateByCosets:
         seq = generate_by_cosets(pair37, build_partition(pair37))
         for t in range(147):
             if math.gcd(t, 21) != 1:
-                assert seq.bit(t) == 0
+                assert (seq.bits >> t) & 1 == 0
 
     def test_pair_mismatch(self, pair37, pair313):
         partition = build_partition(pair37)
@@ -80,6 +79,12 @@ class TestLeastPeriod:
         assert n % least_period(seq) == 0
 
 
+def balance(seq: BitSequence) -> tuple[int, int]:
+    """(zeros, ones) over one period."""
+    ones = seq.bits.bit_count()
+    return seq.length - ones, ones
+
+
 class TestBalance:
     def test_golden(self, pair37):
         assert balance(generate_threshold(pair37)) == (111, 36)
@@ -94,8 +99,10 @@ class TestBalance:
     @given(st.integers(1, 400), st.data())
     def test_sums_to_length(self, n, data):
         bits = data.draw(st.integers(0, (1 << n) - 1))
-        zeros, ones = balance(BitSequence(bits=bits, length=n, origin="external"))
+        seq = BitSequence(bits=bits, length=n, origin="external")
+        zeros, ones = balance(seq)
         assert zeros + ones == n
+        assert (zeros, ones) == (seq.to01().count("0"), seq.to01().count("1"))
 
 
 class TestBitSequence:
@@ -104,7 +111,3 @@ class TestBitSequence:
             BitSequence(bits=0, length=0, origin="external")
         with pytest.raises(DomainError):
             BitSequence(bits=4, length=2, origin="external")
-
-    def test_indices_wrap(self):
-        seq = BitSequence(bits=0b011, length=3, origin="external")
-        assert [seq.bit(t) for t in (0, 1, 2, 3, 4)] == [1, 1, 0, 1, 1]

@@ -14,11 +14,10 @@ from eqseq import (
     derive_generators,
     euler_quotient,
     generate_threshold,
-    generating_polynomial,
     lemma_failures,
     two_coset_index,
 )
-from eqseq.gf2poly import Gf2Poly, _int_mod
+from eqseq.gf2poly import _int_mod
 
 
 def _coset_poly(coset) -> int:
@@ -207,7 +206,7 @@ class TestUpperHalfPolynomial:
         for ell in range(4, 7):
             total ^= _coset_poly(_coset(partition, ell))
         seq = generate_threshold(pair37)
-        assert Gf2Poly(total) == generating_polynomial(seq)
+        assert total == seq.bits
 
 
 class TestAuditStructure:
@@ -220,7 +219,7 @@ class TestAuditStructure:
     def test_every_qualifying_pair_in_range(self):
         # the checks hold for every pair the closed form covers, up to the
         # sweep bound, each decided exactly
-        from eqseq import generate_threshold, generating_polynomial
+        from eqseq import generate_threshold
         from eqseq.eulerq import build_table
         from golden import SWEEP_PAIRS
 
@@ -249,7 +248,7 @@ class TestAuditStructure:
             total = 0
             for ell in range((q + 1) // 2, q):
                 total ^= _coset_poly(cosets[ell])
-            assert total == generating_polynomial(generate_threshold(pair)).bits, (p, q)
+            assert total == generate_threshold(pair).bits, (p, q)
 
     def test_json_keys(self, pair37):
         d = audit_structure(pair37).to_json_dict()
