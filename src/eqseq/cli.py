@@ -206,19 +206,15 @@ def _cmd_analyze(args) -> int:
         t = args.period
         if t < 1 or t > seq.length:
             return _fail(EXIT_USAGE, f"--period {t} out of range 1..{seq.length}")
-        block = seq.bits & ((1 << t) - 1)
-        tiled, width = block, t
-        while width < seq.length:
-            tiled |= tiled << width
-            width *= 2
-        breaks = (tiled & ((1 << seq.length) - 1)) ^ seq.bits
+        # bit i of breaks is s_(i+t) ^ s_i; the first i + t set is the first break
+        breaks = (seq.bits >> t) ^ (seq.bits & ((1 << (seq.length - t)) - 1))
         if breaks:
-            i = (breaks & -breaks).bit_length() - 1
+            i = (breaks & -breaks).bit_length() - 1 + t
             return _fail(
                 EXIT_USAGE,
                 f"file content is not {t}-periodic (first break at index {i})",
             )
-        seq = BitSequence(bits=block, length=t, origin=seq.origin)
+        seq = BitSequence(bits=seq.bits & ((1 << t) - 1), length=t, origin=seq.origin)
 
     period, minpoly = analyze_period(seq)
     lc = minpoly.degree
@@ -298,8 +294,11 @@ def _cmd_scan(args) -> int:
             "(raise EQSEQ_MAX_PERIOD to allow it)",
         )
     pairs = enumerate_pairs(args.max_period)
-    # never more workers than pairs or CPUs: the pool starts them all at once
-    workers = min(args.jobs, len(pairs), os.cpu_count() or 1)
+    # never more workers than pairs or CPUs this process may run on: the
+    # pool starts them all at once
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    workers = min(args.jobs, len(pairs), cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_worker, pairs))

@@ -3,11 +3,12 @@
 Two independent routes to the linear complexity are implemented and always
 cross-checked:
 
-* Berlekamp-Massey synthesis of the shortest LFSR from a bit prefix.  The
-  discrepancy is not recomputed from scratch each step; instead the products
-  of the input with the two working connection polynomials are maintained
-  incrementally as packed integers, so each step costs a constant number of
-  big-integer operations instead of a coefficient loop.
+* Count-only Berlekamp-Massey: the length of the shortest LFSR generating a
+  bit prefix, with no connection polynomial built.  The discrepancy is not
+  recomputed from scratch each step; instead the products of the input with
+  the two working connection polynomials are maintained incrementally as
+  packed integers, so each step costs a constant number of big-integer
+  operations instead of a coefficient loop.
 
 * The closed form  M(x) = (x^N + 1) / gcd(x^N + 1, A(x))  from the generating
   polynomial A of one period, with LC = deg M.
@@ -59,56 +60,40 @@ from .sequence import (
     _divisors_ascending,
     generate_threshold,
     least_period,
-    pack_bits,
 )
-
-
-def _as_packed(bits) -> tuple[int, int]:
-    if isinstance(bits, BitSequence):
-        return bits.bits, bits.length
-    if isinstance(bits, int):
-        raise DomainError("pass a BitSequence or an iterable of bits, not a bare int")
-    seq = list(bits)
-    return pack_bits(seq), len(seq)
 
 
 #: Steps between truncations of the working products in berlekamp_massey.
 _TRUNCATE_EVERY = 2048
 
 
-def berlekamp_massey(
-    bits: BitSequence | SequenceABC[int], *, connection: bool = True
-) -> tuple[int, Gf2Poly | None]:
-    """Shortest LFSR (length L, connection polynomial C) generating the prefix.
+def berlekamp_massey(seq: BitSequence) -> int:
+    """Length L of the shortest LFSR generating the prefix seq.
 
-    C(x) = 1 + c_1 x + ... encodes the recurrence
-    s_n = c_1 s_{n-1} + ... + c_L s_{n-L}.  Fed two full periods of an
-    N-periodic sequence, L is its linear complexity.  With
-    connection=False only L is found: the updates of C and of the previous
-    connection B are skipped, and None stands in for C.  An all-zero prefix
-    returns L = 0 and C = 1 at once.
+    Fed two full periods of an N-periodic sequence, L is its linear
+    complexity.  Only L is found: the connection polynomial is not built.
+    An all-zero prefix returns L = 0 at once.
 
-    Invariants of the incremental form: with mlast the step of the last
-    length change, sb == (S*B) >> mlast throughout, and sc == (S*C) >> a where
-    a = n - m, so the discrepancy at step n is bit m of sc.  Coefficients
-    below n are never read again and none past nbits - 1 is ever read, so
-    every _TRUNCATE_EVERY steps sc is shifted to base n (m = 0), which keeps
-    the bit tested small through a long run without discrepancies, and cut
-    to its low nbits - n + 2 bits; sb is XORed into sc at base n or later,
-    so the same mask covers it.
+    Invariants of the incremental form: with C the current connection
+    polynomial and B the one before the last length change, made at step k,
+    sb == (S*B) >> k throughout (k = -1 and B = 1 at the start), and
+    sc == (S*C) >> (n - m), so the discrepancy at step n is bit m of sc.
+    Coefficients below n are never read again and none past nbits - 1 is
+    ever read, so every _TRUNCATE_EVERY steps sc is shifted to base n
+    (m = 0), which keeps the bit tested small through a long run without
+    discrepancies, and cut to its low nbits - n + 2 bits; sb is XORed into
+    sc at base n or later, so the same mask covers it.
 
     The period the prefix implies, half its length rounded up, must lie
     within the budget, so two periods of an in-budget sequence pass.
     """
-    s, nbits = _as_packed(bits)
+    s, nbits = seq.bits, seq.length
     check_budget("period", (nbits + 1) // 2)
     if not s:
-        return 0, Gf2Poly(1) if connection else None
+        return 0
     sc = s
-    sb = s << 1  # (S*B) >> mlast with B = 1, mlast = -1
-    b_poly, c_poly = 1, 1
+    sb = s << 1  # (S*B) >> k with B = 1, k = -1
     length = 0
-    mlast = -1
     m = 0
     every = _TRUNCATE_EVERY
     for n in range(nbits):
@@ -123,15 +108,10 @@ def berlekamp_massey(
             m = 0
             if 2 * length <= n:
                 sb, sc = sc, sb
-                if connection:
-                    b_poly, c_poly = c_poly, c_poly ^ (b_poly << (n - mlast))
-                mlast = n
                 length = n + 1 - length
-            elif connection:
-                c_poly ^= b_poly << (n - mlast)
             sc ^= sb
         m += 1
-    return length, Gf2Poly(c_poly) if connection else None
+    return length
 
 
 class _Node(NamedTuple):
@@ -287,8 +267,7 @@ def _component_lc(v: int, g: int, d: int, origin) -> int:
     of two periods of v determine it."""
     nbits = 2 * (g.bit_length() - 1)
     two = (v | (v << d)) & ((1 << nbits) - 1)
-    return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin),
-                            connection=False)[0]
+    return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin))
 
 
 def _product(polys: Iterable[int]) -> int:

@@ -8,7 +8,7 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,19 +40,6 @@ class BitSequence:
     def to01(self) -> str:
         """The period as a left-to-right '0'/'1' string (s_0 first)."""
         return format(self.bits, f"0{self.length}b")[::-1]
-
-
-_DIGITS = {0: "0", 1: "1"}
-
-
-def pack_bits(bits: Sequence[int]) -> int:
-    """The integer whose bit i is bits[i] (0, 1 or a bool), by one linear base-2 parse."""
-    try:
-        digits = "".join([_DIGITS[b] for b in reversed(bits)])
-    except (KeyError, TypeError):
-        bad = next(b for b in bits if b not in (0, 1))
-        raise DomainError(f"bits must be 0 or 1, got {bad!r}") from None
-    return int(digits, 2) if digits else 0
 
 
 def pack_flags(flags: np.ndarray) -> int:

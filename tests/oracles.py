@@ -1,12 +1,15 @@
 """Slow reference implementations kept as oracles for the fast paths.
 
 `berlekamp_massey` is the incremental Berlekamp-Massey loop without the
-single-bit discrepancy test and without truncation; `cyclotomic_bits` builds
-the n-th cyclotomic polynomial over GF(2) by dividing x^n + 1 by the
-cyclotomic polynomials of every proper divisor.  `term_degrees` (with
-`render` on top of it), `from_coeffs`, `from_terms` and `pack_bits` are the
-per-bit loops that rendering, polynomial construction and bit packing used;
-`parse_ascii` is the per-character ASCII parser that returned a list of bits.
+single-bit discrepancy test and without truncation; it also builds the
+connection polynomial, which the package's count-only loop never does, and
+takes a BitSequence or a list of bits, packed by `pack_bits`.
+`cyclotomic_bits` builds the n-th cyclotomic polynomial over GF(2) by
+dividing x^n + 1 by the cyclotomic polynomials of every proper divisor.
+`term_degrees` (with `render` on top of it), `from_coeffs`, `from_terms` and
+`pack_bits` are the per-bit loops that rendering, polynomial construction
+and bit packing used; `parse_ascii` is the per-character ASCII parser that
+returned a list of bits.
 `build_table` fills the Euler-quotient table with one modular power per
 position, and `generate_threshold` packs the threshold flags from it.
 `int_mod` and `int_divmod` are the long divisions that shifted the divisor
@@ -45,7 +48,6 @@ from eqseq.errors import DomainError, InternalConsistencyError, ParseError
 from eqseq.eulerq import EulerQuotientTable
 from eqseq.gf2poly import cyclotomic_f2
 from eqseq.limits import check_budget
-from eqseq.lincomp import _as_packed
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
 from eqseq.structverify import CosetPartition as IndexPartition
@@ -65,7 +67,7 @@ def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly
     length change, sb == (S*B) >> mlast throughout, and sc == (S*C) >> a where
     a = n - m, so the discrepancy at step n is bit m of sc.
     """
-    s, nbits = _as_packed(bits)
+    s, nbits = (bits.bits, bits.length) if isinstance(bits, BitSequence) else pack_bits(bits)
     sc = s
     sb = s << 1  # (S*B) >> mlast with B = 1, mlast = -1
     b_poly, c_poly = 1, 1

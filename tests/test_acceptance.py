@@ -64,7 +64,7 @@ def test_criterion_1_golden_example():
 
         lc_gcd = minimal_polynomial_gcd(seq).degree
         two = BitSequence(bits=seq.bits | (seq.bits << 147), length=294, origin=seq.origin)
-        lc_bm, _ = berlekamp_massey(two)
+        lc_bm = berlekamp_massey(two)
         assert lc_gcd == lc_bm == EXAMPLE1_LC
 
         minpoly = minimal_polynomial_gcd(seq)
@@ -107,7 +107,7 @@ def test_criterion_4_oracle_equivalence():
             lc_gcd = minimal_polynomial_gcd(seq).degree
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n,
                               origin="random")
-            lc_bm, _ = berlekamp_massey(two)
+            lc_bm = berlekamp_massey(two)
             assert lc_gcd == lc_bm, (trial, n)
             minpoly = minimal_polynomial_gcd(seq)
             regenerated = synthesize_sequence(minpoly, seq, n)

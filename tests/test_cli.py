@@ -156,6 +156,27 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "file content is not 7-periodic (first break at index 17)" in err
 
+    @pytest.mark.parametrize("text,index", [
+        ("0010111 0010111 000\n", 16),  # in a partial last block: 7 does not divide 17
+        ("0010111 1010111\n", 7),       # at index t, the first bit of the second block
+    ])
+    def test_period_break_index(self, capsys, tmp_path, text, index):
+        f = tmp_path / "m.txt"
+        f.write_text(text)
+        code, stdout, err = run(capsys, "analyze", "--in", str(f), "--period", "7")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == f"eqseq: error: file content is not 7-periodic (first break at index {index})\n"
+
+    def test_period_equal_to_length(self, capsys, tmp_path):
+        # t = n leaves nothing to compare: the whole file is the period
+        f = tmp_path / "m.txt"
+        f.write_text("0010110\n")
+        code, stdout, _ = run(capsys, "analyze", "--in", str(f), "--period", "7")
+        assert code == EXIT_OK
+        report = json.loads(stdout)
+        assert (report["n"], report["least_period"]) == (7, 7)
+
     def test_with_pair(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--p", "3", "--q", "13")
         assert code == EXIT_OK
@@ -184,7 +205,7 @@ class TestAnalyze:
         # only a bug can make the two routes differ; one is faked here
         f = tmp_path / "m.txt"
         f.write_text("0010111\n")
-        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda bits, **kw: (2, Gf2Poly(1)))
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda seq: 2)
         code, stdout, err = run(capsys, "analyze", "--in", str(f))
         assert code == EXIT_USAGE
         assert stdout == ""
@@ -343,13 +364,33 @@ class TestScan:
         assert f"--jobs must be at least 1, got {jobs}" in err
 
     @pytest.mark.parametrize("jobs,cpus,max_period,workers", [
-        ("3", 2, "1000", 2),      # clamped to the CPUs
+        ("3", 2, "1000", 2),      # clamped to the CPUs this process may use
+        ("2", 1, "1000", None),   # one usable CPU of the host's 8: run serially
         ("4", 8, "1000", 3),      # clamped to the three pairs
         ("2", 8, "10000", 2),     # as asked
-        ("3", None, "1000", None),  # CPU count unknown: run serially
+        ("3", None, "1000", None),  # no affinity and CPU count unknown: run serially
         ("3", 8, "147", None),    # one pair: run serially
     ])
     def test_jobs_clamped(self, capsys, monkeypatch, jobs, cpus, max_period, workers):
+        # cpus is the affinity; the host reports 8, which must not count
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert self.started_workers(capsys, monkeypatch, jobs, max_period) == (
+            [] if workers is None else [workers])
+
+    def test_jobs_without_affinity(self, capsys, monkeypatch):
+        # where os has no sched_getaffinity, the host's CPU count caps the pool
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert self.started_workers(capsys, monkeypatch, "3", "1000") == [2]
+
+    @staticmethod
+    def started_workers(capsys, monkeypatch, jobs, max_period):
         # a stand-in pool records its size and runs the pairs in this process
         started = []
 
@@ -367,11 +408,10 @@ class TestScan:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, stdout, _ = run(capsys, "scan", "--max-period", max_period, "--jobs", jobs)
         assert code == EXIT_OK
-        assert started == ([] if workers is None else [workers])
         assert len(stdout.splitlines()) == 1 + len(enumerate_pairs(int(max_period)))
+        return started
 
     def test_budget_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "500")

@@ -1,16 +1,16 @@
 """Differential tests: the fast kernels against the slow code they replaced.
 
-The oracles in oracles.py are the previous Berlekamp-Massey loop, the
-previous recursive-division cyclotomic construction, the long divisions
-that shifted by zero, the Euclidean minimal polynomial on the whole of
-x^N + 1, the per-bit fold, the per-position Euler-quotient table with the
-threshold flags packed from it, and the per-bit loops that rendered, built
-and packed polynomials and bits, and the per-character ASCII parser; sympy
-gives an outside check of the cyclotomic polynomials and of their factors
-over GF(2).  The sub-block route is also checked against Berlekamp-Massey
-on two whole periods, and each sub-block's residue and component against
-long division.  The structural audit has its own differential tests in
-test_audit_differential.py.
+The oracles in oracles.py are the previous Berlekamp-Massey loop, whose
+length L the count-only loop must reach, the previous recursive-division
+cyclotomic construction, the long divisions that shifted by zero, the
+Euclidean minimal polynomial on the whole of x^N + 1, the per-bit fold, the
+per-position Euler-quotient table with the threshold flags packed from it,
+the per-bit loops that rendered and built polynomials, and the
+per-character ASCII parser; sympy gives an outside check of the cyclotomic
+polynomials and of their factors over GF(2).  The sub-block route is also
+checked against Berlekamp-Massey on two whole periods, and each sub-block's
+residue and component against long division.  The structural audit has its
+own differential tests in test_audit_differential.py.
 """
 
 import contextlib
@@ -41,7 +41,6 @@ from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
 from eqseq.lincomp import berlekamp_massey
 from eqseq.ntcore import euler_phi, multiplicative_order
-from eqseq.sequence import pack_bits
 
 import oracles
 from golden import SWEEP_PAIRS
@@ -81,7 +80,7 @@ KINDS = {"random": random_bits, "lfsr": lfsr_bits, "periodic": periodic_bits}
 
 
 def assert_same_as_oracle(seq: BitSequence) -> None:
-    assert berlekamp_massey(seq) == oracles.berlekamp_massey(seq)
+    assert berlekamp_massey(seq) == oracles.berlekamp_massey(seq)[0]
 
 
 class TestBerlekampMasseyDifferential:
@@ -105,7 +104,7 @@ class TestBerlekampMasseyDifferential:
     def test_matches_oracle_with_frequent_truncation(self, kind, seed, n, every):
         # a short interval truncates many times within a small input
         seq = KINDS[kind](seed, n)
-        expected = oracles.berlekamp_massey(seq)
+        expected = oracles.berlekamp_massey(seq)[0]
         saved = lincomp._TRUNCATE_EVERY
         lincomp._TRUNCATE_EVERY = every
         try:
@@ -118,8 +117,8 @@ class TestBerlekampMasseyDifferential:
         seq = BitSequence(bits=0, length=n, origin="external")
         # the loop would take n % 0 at its first step, so it never runs
         monkeypatch.setattr(lincomp, "_TRUNCATE_EVERY", 0)
-        assert berlekamp_massey(seq) == oracles.berlekamp_massey(seq) == (0, Gf2Poly(1))
-        assert berlekamp_massey(seq, connection=False) == (0, None)
+        assert berlekamp_massey(seq) == 0
+        assert oracles.berlekamp_massey(seq) == (0, Gf2Poly(1))
 
     def test_all_zero_and_all_one(self):
         for n in (2047, 2049):
@@ -136,7 +135,7 @@ class TestBerlekampMasseyDifferential:
         saved = lincomp._TRUNCATE_EVERY
         lincomp._TRUNCATE_EVERY = every
         try:
-            assert berlekamp_massey(seq, connection=False) == (expected, None)
+            assert berlekamp_massey(seq) == expected
         finally:
             lincomp._TRUNCATE_EVERY = saved
 
@@ -145,7 +144,7 @@ class TestBerlekampMasseyDifferential:
         for n in (2047, 2048, 4097, 9000):
             seq = BitSequence(bits=1 << (n - 1), length=n, origin="external")
             assert_same_as_oracle(seq)
-            assert berlekamp_massey(seq, connection=False)[0] == n
+            assert berlekamp_massey(seq) == n
 
 
 @contextlib.contextmanager
@@ -195,7 +194,7 @@ def assert_block_route_matches(seq: BitSequence) -> None:
     want = oracles.minimal_polynomial_gcd(seq)
     assert minimal_polynomial_gcd(seq) == want
     assert analyze_period(seq)[1] == want
-    assert berlekamp_massey(oracles.two_periods(seq), connection=False)[0] == want.degree
+    assert berlekamp_massey(oracles.two_periods(seq)) == want.degree
 
 
 # N prime, a power of 2, even with an odd part, odd with many divisors
@@ -355,9 +354,9 @@ class TestCyclotomicFactors:
         lengths = []
         real = lincomp.berlekamp_massey
 
-        def spy(bits, **kw):
-            lengths.append(bits.length)
-            return real(bits, **kw)
+        def spy(seq):
+            lengths.append(seq.length)
+            return real(seq)
 
         monkeypatch.setattr(lincomp, "berlekamp_massey", spy)
         report = lincomp.verify_theorem(pair37)
@@ -419,23 +418,6 @@ class TestRenderDifferential:
             assert Gf2Poly(bits).render() == oracles.render(bits)
 
 
-class TestPackBitsDifferential:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
-    def test_matches_per_bit_loop(self, bits):
-        assert lincomp._as_packed(bits) == oracles.pack_bits(bits)
-        assert pack_bits(bits) == oracles.pack_bits(bits)[0]
-
-    @pytest.mark.parametrize("bad", [2, -1, "1", None, [1]])
-    def test_rejects_non_bits_like_the_loop(self, bad):
-        bits = [1, 0, bad, 1, 3]
-        with pytest.raises(DomainError) as new:
-            lincomp._as_packed(bits)
-        with pytest.raises(DomainError) as old:
-            oracles.pack_bits(bits)
-        assert str(new.value) == str(old.value) == f"bits must be 0 or 1, got {bad!r}"
-
-
 class TestEulerTableDifferential:
     @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
     def test_matches_per_position_loop(self, p, q):
@@ -480,8 +462,8 @@ class TestPolyConstructionDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
     def test_from_coeffs_matches_per_bit_loop(self, coeffs):
-        # a coefficient list is packed by pack_bits
-        assert Gf2Poly(pack_bits(coeffs)) == oracles.from_coeffs(coeffs)
+        # a coefficient list is packed by the reference packer
+        assert Gf2Poly(oracles.pack_bits(coeffs)[0]) == oracles.from_coeffs(coeffs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=400))
@@ -494,7 +476,7 @@ class TestPolyConstructionDifferential:
     def test_large_random(self):
         rng = random.Random(11)
         coeffs = [rng.getrandbits(1) for _ in range(160_000)]
-        assert Gf2Poly(pack_bits(coeffs)) == oracles.from_coeffs(coeffs)
+        assert Gf2Poly(oracles.pack_bits(coeffs)[0]) == oracles.from_coeffs(coeffs)
         degrees = [rng.randrange(160_000) for _ in range(80_000)]
         assert Gf2Poly.from_terms(degrees) == oracles.from_terms(degrees)
 
@@ -502,7 +484,7 @@ class TestPolyConstructionDifferential:
     def test_rejects_non_bits_like_the_loop(self, bad):
         coeffs = [1, 0, bad, 1, 3]
         with pytest.raises(DomainError) as new:
-            pack_bits(coeffs)
+            oracles.pack_bits(coeffs)
         with pytest.raises(DomainError) as old:
             oracles.from_coeffs(coeffs)
         # both name the first bad coefficient

@@ -1,0 +1,32 @@
+"""Smoke test of bench/ladder.py, which reaches into the private stages of
+`lincomp` (`_block_folds`, `_sub_blocks`, `_sub_minpoly`, `_component_lc`)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from eqseq import PrimePair
+
+LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_run_reports_both_routes(ladder):
+    stages, lcs = ladder.one_run(PrimePair.create(3, 7))
+    assert lcs == {"lc_gcd": 96, "lc_bm": 96, "lc_predicted": 96, "period": 147}
+    assert all(seconds >= 0 for seconds in stages.values())
+
+
+def test_audit_reports_every_pair_ok(ladder):
+    out = ladder.audit(["3,7"], 1000, 1)
+    assert out["lemma_failures"]["3,7"]["ok"]
+    sweep = out["structure_1000"]
+    assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"]

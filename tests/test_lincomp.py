@@ -22,6 +22,7 @@ from eqseq import (
 from eqseq import lincomp
 from eqseq.gf2poly import _int_mod, _int_mul
 
+import oracles
 from oracles import synthesize_sequence, two_periods
 
 from golden import (
@@ -69,40 +70,39 @@ def _connection_consistent(bits: list[int], length: int, connection: Gf2Poly) ->
     return True
 
 
+def packed(bits: list[int]) -> BitSequence:
+    return BitSequence(bits=oracles.pack_bits(bits)[0], length=len(bits), origin="external")
+
+
 class TestBerlekampMassey:
     def test_all_zero(self):
-        assert berlekamp_massey([0] * 20) == (0, Gf2Poly(1))
+        assert berlekamp_massey(packed([0] * 20)) == 0
+        assert oracles.berlekamp_massey([0] * 20) == (0, Gf2Poly(1))
 
     def test_m_sequence(self):
         bits = [0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-        length, connection = berlekamp_massey(bits)
+        assert berlekamp_massey(packed(bits)) == 3 == brute_force_lc(bits)
+        length, connection = oracles.berlekamp_massey(bits)
         assert length == 3
-        assert length == brute_force_lc(bits)
         assert _connection_consistent(bits, length, connection)
 
     def test_golden_two_periods(self, pair37):
         seq = generate_threshold(pair37)
         two = BitSequence(bits=seq.bits | (seq.bits << 147), length=294, origin=seq.origin)
-        length, connection = berlekamp_massey(two)
+        assert berlekamp_massey(two) == EXAMPLE1_LC
+        length, connection = oracles.berlekamp_massey(two)
         assert length == EXAMPLE1_LC
         assert _connection_consistent([int(c) for c in two.to01()], length, connection)
 
     def test_exhaustive_against_oracle(self):
-        # every sequence of length 8: the oracle fixes L, the returned
-        # connection must reproduce the prefix
+        # every sequence of length 8: brute force fixes L, which both loops
+        # must find, and the reference's connection must reproduce the prefix
         for value in range(256):
             bits = [(value >> i) & 1 for i in range(8)]
-            length, connection = berlekamp_massey(bits)
+            assert berlekamp_massey(packed(bits)) == brute_force_lc(bits), bits
+            length, connection = oracles.berlekamp_massey(bits)
             assert length == brute_force_lc(bits), bits
             assert _connection_consistent(bits, length, connection), bits
-
-    def test_accepts_bit_sequence(self):
-        seq = BitSequence(bits=0b1110100, length=7, origin="external")
-        assert berlekamp_massey(seq) == berlekamp_massey([int(c) for c in seq.to01()])
-
-    def test_rejects_bare_int(self):
-        with pytest.raises(DomainError):
-            berlekamp_massey(5)
 
 
 class TestMinimalPolynomialGcd:
@@ -153,8 +153,7 @@ class TestLinearComplexity:
             n = rng.randint(1, 256)
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="external")
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n, origin="external")
-            length, _ = berlekamp_massey(two)
-            assert length == minimal_polynomial_gcd(seq).degree
+            assert berlekamp_massey(two) == minimal_polynomial_gcd(seq).degree
 
 
 class TestSynthesize:
@@ -180,7 +179,8 @@ class TestSynthesize:
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="external")
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n,
                               origin="external")
-            length, connection = berlekamp_massey(two)
+            length, connection = oracles.berlekamp_massey(two)
+            assert berlekamp_massey(two) == length
             regen = synthesize_sequence(connection, two, 2 * n, register_length=length)
             assert regen.bits == two.bits
 
@@ -293,8 +293,7 @@ class TestAnalyzePeriod:
     def test_disagreement_raises(self, monkeypatch, pair37):
         # only a bug can make the two routes differ; BM is made to undercount
         real = lincomp.berlekamp_massey
-        monkeypatch.setattr(lincomp, "berlekamp_massey",
-                            lambda bits, **kw: (real(bits, **kw)[0] - 1, Gf2Poly(1)))
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda seq: real(seq) - 1)
         message = r"^LC disagreement for \(3, 7\) in block d=1: gcd=0, bm=-1$"
         with pytest.raises(InternalConsistencyError, match=message):
             analyze_period(generate_threshold(pair37))
@@ -312,9 +311,9 @@ class TestBudgetGuards:
     def test_bm_checks_implied_period(self, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
         period = BitSequence(bits=1, length=100, origin="external")
-        assert berlekamp_massey(two_periods(period))[0] == 100
-        assert berlekamp_massey([0] * 198 + [1])[0] == 199
+        assert berlekamp_massey(two_periods(period)) == 100
+        assert berlekamp_massey(packed([0] * 198 + [1])) == 199
         with pytest.raises(ResourceError, match="period 101 exceeds budget 100"):
-            berlekamp_massey([0] * 201)
+            berlekamp_massey(packed([0] * 201))
         with pytest.raises(ResourceError, match="period 101 exceeds budget 100"):
             berlekamp_massey(two_periods(BitSequence(bits=1, length=101, origin="external")))

@@ -98,3 +98,13 @@ def test_audit_is_exact_and_unseeded():
         assert not hasattr(structverify, name), name
     for fn in (structverify.lemma_failures, structverify.audit_structure):
         assert "seed" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_one_count_only_berlekamp_massey():
+    # one BM: one BitSequence in, L out; only the reference under tests/
+    # builds the connection polynomial or packs a list of bits
+    assert list(inspect.signature(eqseq.berlekamp_massey).parameters) == ["seq"]
+    seq = eqseq.BitSequence(bits=0b1110100, length=7, origin="external")
+    assert type(eqseq.berlekamp_massey(seq)) is int
+    assert not hasattr(sequence, "pack_bits") and not hasattr(sequence, "_DIGITS")
+    assert not hasattr(lincomp, "_as_packed")
