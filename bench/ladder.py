@@ -9,9 +9,9 @@ and the package under src/ (nothing is installed):
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
 the folds of the period, the descent of each block's product tree to the
-residues and components of its sub-blocks, the gcd route and
-Berlekamp-Massey on every sub-block, the least period and the closed-form
-prediction.  Cyclotomic caches are cleared before every run, so each stage
+residues and components of its sub-blocks, the gcd route (Euclid only on
+sub-blocks that split) and Berlekamp-Massey on every sub-block, the least
+period and the closed-form prediction.  Cyclotomic caches are cleared before every run, so each stage
 starts cold as in one command-line call.  It then times, each in a fresh
 interpreter and as the median of --repeats, `eqseq verify` on the last pair
 of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
@@ -63,6 +63,14 @@ LADDER = ["23,47", "3,181", "3,313", "3,577"]
 AUDIT_PAIRS = ["5,41", "3,181"]   # N = 8405 and 98283
 
 
+def nproc() -> int:
+    """The CPUs this process may run on, or the host's count where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -74,7 +82,7 @@ def machine() -> dict:
     return {
         "platform": platform.platform(),
         "cpu": model or platform.processor(),
-        "nproc": os.cpu_count(),
+        "nproc": nproc(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
     }
@@ -99,11 +107,11 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     stages = {"table_pack_s": t_table}
     folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
     subs, stages["sub_blocks_s"] = timed(lambda: [
-        (block.d, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
+        (block, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
     minpolys, stages["gcd_s"] = timed(
-        lambda: [lincomp._sub_minpoly(g, w, d) for d, (g, w, _) in subs])
+        lambda: [lincomp._sub_minpoly(g, w, block) for block, (g, w, _) in subs])
     lcs, stages["bm_s"] = timed(
-        lambda: [lincomp._component_lc(v, g, d, seq.origin) for d, (g, _, v) in subs])
+        lambda: [lincomp._component_lc(v, g, block.d, seq.origin) for block, (g, _, v) in subs])
     lc_gcd = sum(f.bit_length() - 1 for f in minpolys)
     lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)

@@ -26,6 +26,14 @@ is done once per tree node.  Each run checks that the sub-blocks multiply to
 x^N + 1, so the measured M does not rest on the cyclotomic construction or
 the factor split being right, and it never reads the prediction.
 
+Most sub-blocks need no Euclid.  For odd d every irreducible factor of Phi_d
+over GF(2) has degree ord_d(2) (Lidl and Niederreiter, Finite Fields,
+Thm 2.47), and a sub-block G of the block d divides Phi_d, so G is
+irreducible exactly when deg G = ord_d(2); then gcd(G, A) is G or 1 by
+whether A mod G is 0.  Euclid runs only on the sub-blocks that split and on
+the blocks of even d, where f(x^(2^k)) = f^(2^k) always splits.  A wrong
+verdict would still be caught: Berlekamp-Massey runs on every sub-block.
+
 The predicted minimal polynomial is a product of cyclotomic polynomials
 selected by q mod 4; `verify_theorem` compares it against the measured one
 and reports the verdict, with the LC of every block.
@@ -54,7 +62,7 @@ from .gf2poly import (
     gcd,
 )
 from .limits import check_budget
-from .ntcore import PrimePair, factorize, wieferich_ok
+from .ntcore import PrimePair, factorize, multiplicative_order, wieferich_ok
 from .sequence import (
     BitSequence,
     _divisors_ascending,
@@ -143,6 +151,7 @@ class _Block(NamedTuple):
     """
 
     d: int
+    order: int     # ord_d(2), the degree of every GF(2) factor of Phi_d; 0 for even d
     stride: int    # s
     tree: _Node    # over the factors of Phi_r; its root is their product
     factor: int    # F_e, the root composed with x^s
@@ -165,8 +174,10 @@ def _blocks(n: int) -> list[_Block]:
         if radical not in trees:
             trees[radical] = _factor_tree(_cyclotomic_factors(radical))
         tree = trees[radical]
-        stride = (e << k) // radical
-        block = _Block(e << k, stride, tree, _int_compose(tree.poly, stride),
+        d = e << k
+        order = 1 if d == 1 else 0 if k else multiplicative_order(2, d)
+        stride = d // radical
+        block = _Block(d, order, stride, tree, _int_compose(tree.poly, stride),
                        _int_compose(h, stride))
         product = _int_mul(product, block.factor)
         blocks.append(block)
@@ -215,9 +226,10 @@ def _times_mod(v: int, f: int, d: int) -> int:
     return (v & ((1 << d) - 1)) ^ (v >> d)
 
 
-def _descend(node: _Node, parts: list[int], v: int,
-             block: _Block) -> Iterator[tuple[int, int, int]]:
-    # parts: the polyphase parts of u mod node(x^s); v: the node's component
+def _descend(node: _Node, parts: list[int], v: int | None,
+             block: _Block) -> Iterator[tuple[int, int, int | None]]:
+    # parts: the polyphase parts of u mod node(x^s); v: the node's component,
+    # None when only the residues are carried
     s = block.stride
     if not node.children:
         width = node.poly.bit_length() - 1
@@ -228,12 +240,15 @@ def _descend(node: _Node, parts: list[int], v: int,
     left, right = node.children
     for child, sibling in ((left, right), (right, left)):
         yield from _descend(child, [_int_mod(x, child.poly) for x in parts],
+                            None if v is None else
                             _times_mod(v, _int_compose(sibling.poly, s), block.d), block)
 
 
-def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
+def _sub_blocks(u: int, block: _Block,
+                components: bool = True) -> Iterator[tuple[int, int, int | None]]:
     """(G, u mod G, v) for the sub-blocks G = f(x^s) of a block, where
-    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u.
+    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u, or
+    None with components=False, for the gcd route alone.
 
     Both descend the product tree from the root, where the residue is
     u mod F_e and the component u H.  A child's residue is reduced from its
@@ -242,22 +257,31 @@ def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
     is the parent's times the sibling, since (x^d + 1) / child =
     (x^d + 1) / parent * sibling.  An inner node whose residue and
     component are both 0 has only zero sub-blocks below it, where both
-    routes give LC 0, and is not descended; a leaf is always yielded.
+    routes give LC 0, and is not descended; a leaf is always yielded.  The
+    component is 0 exactly when the residue is, so carrying the residues
+    alone reaches the same sub-blocks.
     """
     s, d, tree = block.stride, block.d, block.tree
     parts = [_int_mod(x, tree.poly) for x in _phases(u, s, d)]
-    return _descend(tree, parts, _times_mod(u, block.cofactor, d), block)
+    v = _times_mod(u, block.cofactor, d) if components else None
+    return _descend(tree, parts, v, block)
 
 
-def _sub_minpoly(g: int, w: int, d: int) -> int:
-    """gcd route: G / gcd(G, w) for a sub-block G of block d and w = u mod G."""
+def _sub_minpoly(g: int, w: int, block: _Block) -> int:
+    """gcd route: G / gcd(G, w) for a sub-block G of the block and w = u mod G.
+
+    A G of degree ord_d(2) is irreducible, so the gcd is G when w is 0 and 1
+    otherwise, and Euclid runs only on a G that splits.
+    """
+    if g.bit_length() - 1 == block.order:
+        return g if w else 1
     # Euclid runs through the public `gcd` so that perfbench's span on it sees every run
     common = gcd(Gf2Poly(g), Gf2Poly(w)).bits
     if common == 1:
         return g
     quotient, remainder = _int_divmod(g, common)
     if remainder:
-        raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
+        raise InternalConsistencyError(f"gcd does not divide the block factor for d={block.d}")
     return quotient
 
 
@@ -280,8 +304,8 @@ def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
 
     The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
     """
-    return Gf2Poly(_product(_sub_minpoly(g, w, block.d) for block, u in _block_folds(seq)
-                            for g, w, _ in _sub_blocks(u, block)))
+    return Gf2Poly(_product(_sub_minpoly(g, w, block) for block, u in _block_folds(seq)
+                            for g, w, _ in _sub_blocks(u, block, components=False)))
 
 
 def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
@@ -292,7 +316,7 @@ def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
     for block, u in _block_folds(seq):
         minpoly = 1
         for g, w, v in _sub_blocks(u, block):
-            sub = _sub_minpoly(g, w, block.d)
+            sub = _sub_minpoly(g, w, block)
             lc_gcd = sub.bit_length() - 1
             lc_bm = _component_lc(v, g, block.d, seq.origin)
             if lc_bm != lc_gcd:

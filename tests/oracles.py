@@ -14,8 +14,10 @@ returned a list of bits.
 position, and `generate_threshold` packs the threshold flags from it.
 `int_mod` and `int_divmod` are the long divisions that shifted the divisor
 even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
-whole of x^N + 1 that the block route replaced, and `fold` reduces a period
-mod x^d + 1 one bit at a time.  `coset_residues` is the per-coset loop that
+whole of x^N + 1 that the block route replaced, `sub_minpoly` the gcd route
+on one sub-block with Euclid on every sub-block, before irreducible ones
+were decided by their degree, and `fold` reduces a period mod x^d + 1 one
+bit at a time.  `coset_residues` is the per-coset loop that
 folded each coset's residue keys into its own boolean array.
 `synthesize_sequence` runs an LFSR recurrence, the generator that the
 Berlekamp-Massey tests regenerate sequences with, and `two_periods` writes a
@@ -46,7 +48,7 @@ import numpy as np
 from eqseq import BitSequence, Gf2Poly
 from eqseq.errors import DomainError, InternalConsistencyError, ParseError
 from eqseq.eulerq import EulerQuotientTable
-from eqseq.gf2poly import cyclotomic_f2
+from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
@@ -167,6 +169,17 @@ def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
     if remainder:
         raise InternalConsistencyError("gcd does not divide x^N + 1")
     return Gf2Poly(quotient)
+
+
+def sub_minpoly(g: int, w: int, d: int) -> int:
+    """G / gcd(G, w) for a sub-block G of block d and w = u mod G, by Euclid."""
+    common = _int_gcd(g, w)
+    if common == 1:
+        return g
+    quotient, remainder = _int_divmod(g, common)
+    if remainder:
+        raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
+    return quotient
 
 
 def fold(bits: int, n: int, d: int) -> int:

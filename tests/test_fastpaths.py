@@ -18,6 +18,7 @@ import functools
 import math
 import random
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +244,10 @@ class TestBlockRouteDifferential:
                 seen = _int_mul(seen, g)
             skipped, rest = oracles.int_divmod(block.factor, seen)
             assert rest == 0 and oracles.int_mod(u, skipped) == 0, d
+            # the residues alone reach the same sub-blocks, with no component
+            full = [(g, w) for g, w, _ in lincomp._sub_blocks(u, block)]
+            bare = list(lincomp._sub_blocks(u, block, components=False))
+            assert [(g, w) for g, w, _ in bare] == full and all(v is None for *_, v in bare), d
 
     @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
     def test_blocks_are_the_cyclotomic_factors(self, n):
@@ -364,6 +369,104 @@ class TestCyclotomicFactors:
         assert lengths.count(2 * 42) == 2
 
 
+def sympy_factor_multiplicities(bits: int) -> list[int]:
+    """The multiplicity of each irreducible factor of a GF(2)[x] polynomial."""
+    coeffs = [(bits >> i) & 1 for i in range(bits.bit_length() - 1, -1, -1)]
+    return [m for _, m in Poly(coeffs, symbols("x"), modulus=2).factor_list()[1]]
+
+
+def tree_leaves(node) -> list[int]:
+    return [node.poly] if not node.children else [
+        leaf for child in node.children for leaf in tree_leaves(child)]
+
+
+def assert_gcd_route_matches_euclid(seq: BitSequence) -> None:
+    """On every sub-block: the guarded gcd route equals Euclid everywhere, a
+    sub-block of degree ord_d(2) gets 1 or G from Euclid, and the guarded
+    route calls Euclid exactly on the sub-blocks of any other degree."""
+    euclid = []
+    real = lincomp.gcd
+
+    def spy(f, g):
+        euclid.append(f.bits)
+        return real(f, g)
+
+    with mock.patch.object(lincomp, "gcd", spy):
+        for block, u in lincomp._block_folds(seq):
+            for g, w, _ in lincomp._sub_blocks(u, block):
+                want = oracles.sub_minpoly(g, w, block.d)
+                irreducible = g.bit_length() - 1 == block.order
+                if irreducible:
+                    assert want in (1, g), (block.d, g)
+                euclid.clear()
+                assert lincomp._sub_minpoly(g, w, block) == want, (block.d, g)
+                assert euclid == ([] if irreducible else [g]), (block.d, g)
+
+
+# the odd d < 200 whose sub-blocks f(x^s) split, since ord_d(2) is below
+# their degree s ord_r(2): 6 < 18 at 63 = 9 * 7, 12 < 36 at 117 = 9 * 13,
+# 18 < 54 at 171 = 9 * 19 and at 189 = 27 * 7
+SPLIT_D = [63, 117, 171, 189]
+
+
+class TestIrreducibleSubBlocks:
+    """For odd d every GF(2) factor of Phi_d has degree ord_d(2), so a
+    sub-block of that degree is irreducible and the gcd route decides it by
+    whether its residue is 0; Euclid on every sub-block is the oracle."""
+
+    @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
+    def test_pairs_match_euclid(self, p, q):
+        assert_gcd_route_matches_euclid(generate_threshold(PrimePair.create(p, q)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds,
+           st.integers(min_value=0, max_value=1500).map(lambda k: 2 * k + 1))
+    @example("lfsr", 0, 63)
+    @example("random", 1, 189)
+    @example("periodic", 2, 3 * 63)
+    @example("random", 3, 1)
+    def test_odd_lengths_match_euclid(self, kind, seed, n):
+        assert_gcd_route_matches_euclid(KINDS[kind](seed, n))
+
+    @pytest.mark.parametrize("n", [2, 12, 126, 4096])
+    def test_even_lengths_always_run_euclid(self, n):
+        assert all(block.order == 0 for block in lincomp._blocks(n))
+        assert_gcd_route_matches_euclid(random_bits(n, n))
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy's own sort of GF(2) factors
+    def test_verdict_matches_sympy(self):
+        # the degree test calls a sub-block irreducible exactly when sympy
+        # finds one factor of multiplicity 1; even d always splits
+        verdicts = {}
+        for d in list(range(1, 200, 2)) + [2, 6, 12, 18, 20]:
+            block = lincomp._blocks(d)[-1]
+            assert block.d == d
+            for leaf in tree_leaves(block.tree):
+                g = _int_compose(leaf, block.stride)
+                verdict = g.bit_length() - 1 == block.order
+                assert verdict == (sympy_factor_multiplicities(g) == [1]), (d, g)
+                verdicts.setdefault(d, set()).add(verdict)
+        assert {d for d, v in verdicts.items() if False in v} == {
+            2, 6, 12, 18, 20, *SPLIT_D}
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy's own sort of GF(2) factors
+    def test_bm_catches_a_wrong_verdict(self, monkeypatch):
+        # an LFSR whose minimal polynomial is one degree-6 factor of Phi_63:
+        # it lies in a sub-block f(x^3) of degree 18 that splits into three
+        h = sympy_factors_mod2(63)[0]
+        seed = BitSequence(bits=1, length=6, origin="lfsr")
+        seq = oracles.synthesize_sequence(Gf2Poly(h), seed, 63)
+        assert analyze_period(seq) == (63, Gf2Poly(h))
+        # every sub-block counted as irreducible
+        real = lincomp._blocks
+        monkeypatch.setattr(lincomp, "_blocks", lambda n: [
+            b._replace(order=b.stride * (_cyclotomic_factors(b.d // b.stride)[0].bit_length() - 1))
+            for b in real(n)])
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^LC disagreement for lfsr in block d=63: gcd=18, bm=6$"):
+            analyze_period(seq)
+
+
 def sympy_cyclotomic_mod2(n: int) -> Gf2Poly:
     bits = 0
     for c in cyclotomic_poly(n, symbols("x"), polys=True).all_coeffs():
@@ -462,8 +565,8 @@ class TestPolyConstructionDifferential:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
     def test_from_coeffs_matches_per_bit_loop(self, coeffs):
-        # a coefficient list is packed by the reference packer
-        assert Gf2Poly(oracles.pack_bits(coeffs)[0]) == oracles.from_coeffs(coeffs)
+        # a coefficient list is built from the degrees of its nonzero terms
+        assert Gf2Poly.from_terms(i for i, c in enumerate(coeffs) if c) == oracles.from_coeffs(coeffs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=400))
@@ -476,20 +579,25 @@ class TestPolyConstructionDifferential:
     def test_large_random(self):
         rng = random.Random(11)
         coeffs = [rng.getrandbits(1) for _ in range(160_000)]
-        assert Gf2Poly(oracles.pack_bits(coeffs)[0]) == oracles.from_coeffs(coeffs)
+        assert Gf2Poly.from_terms(i for i, c in enumerate(coeffs) if c) == oracles.from_coeffs(coeffs)
         degrees = [rng.randrange(160_000) for _ in range(80_000)]
         assert Gf2Poly.from_terms(degrees) == oracles.from_terms(degrees)
 
     @pytest.mark.parametrize("bad", [2, -1, "1", None, [1]])
     def test_rejects_non_bits_like_the_loop(self, bad):
-        coeffs = [1, 0, bad, 1, 3]
-        with pytest.raises(DomainError) as new:
-            oracles.pack_bits(coeffs)
-        with pytest.raises(DomainError) as old:
-            oracles.from_coeffs(coeffs)
-        # both name the first bad coefficient
-        assert str(new.value) == f"bits must be 0 or 1, got {bad!r}"
-        assert str(old.value) == f"coefficients must be 0 or 1, got {bad}"
+        # read as term degrees, from_terms accepts what the per-bit loop can
+        # place and rejects what it cannot: a negative degree by name
+        degrees = [1, 0, bad, 1, 3]
+        try:
+            want = oracles.from_terms(degrees)
+        except ValueError:
+            with pytest.raises(DomainError, match=f"^term degrees must be nonnegative, got {bad}$"):
+                Gf2Poly.from_terms(degrees)
+        except TypeError:
+            with pytest.raises(TypeError):
+                Gf2Poly.from_terms(degrees)
+        else:
+            assert Gf2Poly.from_terms(degrees) == want
 
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError, match="nonnegative, got -1"):

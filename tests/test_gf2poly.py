@@ -17,8 +17,6 @@ from eqseq import (
 from eqseq.gf2poly import _int_compose, _int_divmod, _int_mod, _int_mul
 from eqseq.ntcore import euler_phi
 
-import oracles
-
 polys = st.integers(min_value=0, max_value=(1 << 256) - 1)
 big_polys = st.integers(min_value=0, max_value=(1 << 4096) - 1)
 
@@ -49,10 +47,10 @@ class TestBasics:
         assert P(2, 0) != P(2, 1)
 
     def test_from_coeffs(self):
-        # a coefficient list is packed by the reference packer, ascending
-        assert Gf2Poly(oracles.pack_bits([1, 0, 1])[0]) == P(2, 0)
+        # the coefficients [1, 0, 1], ascending, given as the degrees of their terms
+        assert Gf2Poly.from_terms([0, 2]) == Gf2Poly(0b101)
         with pytest.raises(DomainError):
-            oracles.pack_bits([2])
+            Gf2Poly.from_terms([-1])
 
     def test_from_terms_budget(self, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "1000")

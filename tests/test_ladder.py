@@ -25,6 +25,14 @@ def test_one_run_reports_both_routes(ladder):
     assert all(seconds >= 0 for seconds in stages.values())
 
 
+def test_nproc_counts_the_cpus_the_process_may_use(ladder, monkeypatch):
+    monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(ladder.os, "cpu_count", lambda: 64)
+    assert ladder.machine()["nproc"] == 1
+    monkeypatch.delattr(ladder.os, "sched_getaffinity")
+    assert ladder.machine()["nproc"] == 64
+
+
 def test_audit_reports_every_pair_ok(ladder):
     out = ladder.audit(["3,7"], 1000, 1)
     assert out["lemma_failures"]["3,7"]["ok"]
