@@ -11,7 +11,9 @@ table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
 the folds of the period, the descent of each block's product tree to the
 residues and components of its sub-blocks, the gcd route (Euclid only on
 sub-blocks that split) and Berlekamp-Massey on every sub-block, the least
-period and the closed-form prediction.  Cyclotomic caches are cleared before every run, so each stage
+period and, for pairs inside the closed form's hypotheses, the closed-form
+prediction; elsewhere `lc_predicted` is null and `match` compares the two
+routes.  Cyclotomic caches are cleared before every run, so each stage
 starts cold as in one command-line call.  It then times, each in a fresh
 interpreter and as the median of --repeats, `eqseq verify` on the last pair
 of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
@@ -56,6 +58,7 @@ from eqseq import (  # noqa: E402
     lincomp,
     predicted_minimal_polynomial,
     structverify,
+    wieferich_ok,
 )
 from eqseq.cli import enumerate_pairs  # noqa: E402
 
@@ -115,8 +118,11 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     lc_gcd = sum(f.bit_length() - 1 for f in minpolys)
     lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)
-    predicted, stages["prediction_s"] = timed(predicted_minimal_polynomial, pair)
-    lcs = {"lc_gcd": lc_gcd, "lc_bm": lc_bm, "lc_predicted": predicted.degree,
+    lc_predicted = None   # outside the closed form's hypotheses
+    if pair.divides and wieferich_ok(pair.q):
+        predicted, stages["prediction_s"] = timed(predicted_minimal_polynomial, pair)
+        lc_predicted = predicted.degree
+    lcs = {"lc_gcd": lc_gcd, "lc_bm": lc_bm, "lc_predicted": lc_predicted,
            "period": period}
     return stages, lcs
 
@@ -130,7 +136,8 @@ def ladder(pairs: list[str], repeats: int) -> dict:
         stages = {name: statistics.median(r[name] for r, _ in runs) for name in runs[0][0]}
         lcs = runs[0][1]
         out[text] = {"N": pair.period, "median_of": repeats, "stages": stages, **lcs,
-                     "match": lcs["lc_gcd"] == lcs["lc_bm"] == lcs["lc_predicted"]}
+                     "match": lcs["lc_gcd"] == lcs["lc_bm"]
+                     and lcs["lc_predicted"] in (None, lcs["lc_gcd"])}
         print(f"({text}) N={pair.period} " + " ".join(
             f"{k}={v:.3f}" for k, v in stages.items()), file=sys.stderr)
     return out

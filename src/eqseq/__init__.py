@@ -15,7 +15,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .eulerq import (
-    EulerQuotientTable,
     build_table,
     coset_index,
     derive_generators,
@@ -58,7 +57,6 @@ __all__ = [
     "CosetPartition",
     "DomainError",
     "EqseqError",
-    "EulerQuotientTable",
     "Gf2Poly",
     "GroupGenerators",
     "InternalConsistencyError",

@@ -20,7 +20,6 @@ sequence definition and the structural checks elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +75,7 @@ def two_coset_index(pair: PrimePair) -> int:
 
 def derive_generators(pair: PrimePair) -> GroupGenerators:
     """Compute (g, h, ghat) for a pair with p | q-1; ghat = g^b has psi(ghat) == p."""
+    check_budget("period", pair.period)   # before factoring q^2 for the primitive root
     pair.require_divides()
     p, q = pair.p, pair.q
     g = find_common_primitive_root(pair)
@@ -93,24 +93,9 @@ def derive_generators(pair: PrimePair) -> GroupGenerators:
     return GroupGenerators(g=g, h=h, ghat=ghat)
 
 
-@dataclass(frozen=True)
-class EulerQuotientTable:
-    """psi over one full period [0, pq^2); entry t is 0 for non-units."""
-
-    pair: PrimePair
-    values: np.ndarray  # read-only int64
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EulerQuotientTable):
-            return NotImplemented
-        return self.pair == other.pair and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.pair, np.asarray(self.values, dtype=np.int64).tobytes()))
-
-
-def build_table(pair: PrimePair) -> EulerQuotientTable:
-    """psi(t) for every t in [0, pq^2), lifted from the residues mod pq."""
+def build_table(pair: PrimePair) -> np.ndarray:
+    """psi(t) for every t in [0, pq^2), lifted from the residues mod pq, as a
+    read-only int64 array; entry t is 0 for non-units."""
     check_budget("period", pair.period)
     pq = pair.p * pair.q
     phi = pair.phi_pq
@@ -125,4 +110,4 @@ def build_table(pair: PrimePair) -> EulerQuotientTable:
     values += base
     values %= pq
     values.flags.writeable = False
-    return EulerQuotientTable(pair=pair, values=values.reshape(-1))
+    return values.reshape(-1)

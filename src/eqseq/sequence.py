@@ -49,7 +49,7 @@ def pack_flags(flags: np.ndarray) -> int:
 
 def generate_threshold(pair: PrimePair) -> BitSequence:
     """The threshold sequence of one full period pq^2."""
-    bits = pack_flags(2 * build_table(pair).values >= pair.p * pair.q)
+    bits = pack_flags(2 * build_table(pair) >= pair.p * pair.q)
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
-from .eulerq import EulerQuotientTable, build_table, derive_generators, two_coset_index
+from .errors import DomainError, InternalConsistencyError
+from .eulerq import build_table, derive_generators, two_coset_index
 from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 from .sequence import pack_flags
@@ -66,20 +66,21 @@ class CosetPartition:
         return np.bincount(self.index + 1, minlength=self.pair.q + 1)[1:]
 
 
-def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
-    """Fill the coset index over one full period from the Euler quotients."""
+def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> CosetPartition:
+    """Fill the coset index over one full period from the Euler quotients
+    `values` (build_table(pair) by default); N = pq^2 fixes the pair."""
     pair.require_divides()
-    if table is None:
-        table = build_table(pair)
+    values = np.asarray(build_table(pair) if values is None else values, dtype=np.int64)
+    if values.shape != (pair.period,):
+        raise DomainError(f"psi table of shape {values.shape} is not one period N = {pair.period}")
     p, q = pair.p, pair.q
-    values = np.asarray(table.values, dtype=np.int64)
     t = np.arange(pair.period)
     unit = (t % p != 0) & (t % q != 0)
     stray = np.flatnonzero(unit & (values % p != 0))
     if stray.size:
         t0 = int(stray[0])
         raise InternalConsistencyError(
-            f"psi({t0}) = {table.values[t0]} not divisible by p={p}"
+            f"psi({t0}) = {values[t0]} not divisible by p={p}"
         )
     index = np.where(unit, values // p, -1).astype(np.int32)
     return CosetPartition(pair=pair, index=index)

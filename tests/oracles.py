@@ -10,8 +10,8 @@ dividing x^n + 1 by the cyclotomic polynomials of every proper divisor.
 `pack_bits` are the per-bit loops that rendering, polynomial construction
 and bit packing used; `parse_ascii` is the per-character ASCII parser that
 returned a list of bits.
-`build_table` fills the Euler-quotient table with one modular power per
-position, and `generate_threshold` packs the threshold flags from it.
+`build_table` lists the Euler quotients over one period with one modular
+power per position, and `generate_threshold` packs the threshold flags from it.
 `int_mod` and `int_divmod` are the long divisions that shifted the divisor
 even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
 whole of x^N + 1 that the block route replaced, `sub_minpoly` the gcd route
@@ -47,7 +47,6 @@ import numpy as np
 
 from eqseq import BitSequence, Gf2Poly
 from eqseq.errors import DomainError, InternalConsistencyError, ParseError
-from eqseq.eulerq import EulerQuotientTable
 from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.ntcore import GroupGenerators, PrimePair
@@ -226,7 +225,7 @@ def render(bits: int) -> str:
     return " + ".join(parts)
 
 
-def build_table(pair: PrimePair) -> EulerQuotientTable:
+def build_table(pair: PrimePair) -> list[int]:
     """Memoize psi(t) for every t in [0, pq^2)."""
     check_budget("period", pair.period)
     p, q = pair.p, pair.q
@@ -238,14 +237,13 @@ def build_table(pair: PrimePair) -> EulerQuotientTable:
         if math.gcd(t, pq) == 1:
             power = pow(t, phi, wide)
             values[t] = ((power - 1) // pq) % pq
-    return EulerQuotientTable(pair=pair, values=values)
+    return values
 
 
 def generate_threshold(pair: PrimePair) -> int:
     """Packed bits of the threshold sequence, one flag per table entry."""
-    table = build_table(pair)
     pq = pair.p * pair.q
-    flags = [2 * v >= pq for v in table.values]
+    flags = [2 * v >= pq for v in build_table(pair)]
     return pack_bits(flags)[0]
 
 
@@ -309,7 +307,7 @@ class CosetPartition:
         return sum(len(c) for c in self.cosets)
 
 
-def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) -> CosetPartition:
+def build_partition(pair: PrimePair, table: SequenceABC[int] | None = None) -> CosetPartition:
     """Populate the partition from the coset index over one full period."""
     pair.require_divides()
     if table is None:
@@ -318,7 +316,7 @@ def build_partition(pair: PrimePair, table: EulerQuotientTable | None = None) ->
     pq = p * q
     cosets: list[set[int]] = [set() for _ in range(q)]
     non_units: set[int] = set()
-    for t, value in enumerate(table.values):
+    for t, value in enumerate(table):
         if math.gcd(t, pq) == 1:
             if value % p != 0:
                 raise InternalConsistencyError(
@@ -408,7 +406,7 @@ def _check_kernel_image(
     pair: PrimePair,
     gens: GroupGenerators,
     partition: CosetPartition,
-    table: EulerQuotientTable,
+    table: SequenceABC[int],
     rng: np.random.Generator,
 ) -> list[str]:
     problems = []
@@ -431,7 +429,7 @@ def _check_kernel_image(
 
     # image over units is exactly {0, p, 2p, ..., (q-1)p}
     pq = p * q
-    image = {v for t, v in enumerate(table.values) if math.gcd(t, pq) == 1}
+    image = {v for t, v in enumerate(table) if math.gcd(t, pq) == 1}
     if image != {p * ell for ell in range(q)}:
         problems.append(f"image of the quotient map is {sorted(image)}")
 
@@ -615,7 +613,7 @@ def audit_failures(
     pair: PrimePair,
     gens: GroupGenerators,
     partition: CosetPartition,
-    table: EulerQuotientTable,
+    table: SequenceABC[int],
     seed: int,
 ) -> dict[str, list[str]]:
     """Failure messages per lemma, in the order audit_structure produced them."""

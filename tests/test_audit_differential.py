@@ -23,8 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqseq import PrimePair, build_table, derive_generators
 from eqseq import structverify as sv
-from eqseq.errors import InternalConsistencyError
-from eqseq.eulerq import EulerQuotientTable
+from eqseq.errors import DomainError, InternalConsistencyError
 from eqseq.gf2poly import _int_mod, cyclotomic_f2
 from eqseq.ntcore import crt_lift
 from eqseq.sequence import pack_flags
@@ -63,10 +62,9 @@ def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     return out
 
 
-def oracle_table(pair, table, index) -> EulerQuotientTable:
+def oracle_table(pair, table, index) -> list[int]:
     """The quotient table the index claims: p * index on labelled positions."""
-    values = [pair.p * int(i) if i >= 0 else v for i, v in zip(index.tolist(), table.values)]
-    return EulerQuotientTable(pair=pair, values=values)
+    return [pair.p * int(i) if i >= 0 else int(v) for i, v in zip(index.tolist(), table)]
 
 
 _DICT = re.compile(r"\{[^{}]*\}")
@@ -260,10 +258,19 @@ class TestBuildPartition:
 
     def test_quotient_not_divisible_by_p(self):
         pair = PrimePair.create(3, 7)
-        values = list(build_table(pair).values)
+        values = build_table(pair).tolist()
         values[4] += 1
         with pytest.raises(InternalConsistencyError, match=r"psi\(4\) = .* not divisible by p=3"):
-            sv.build_partition(pair, EulerQuotientTable(pair=pair, values=values))
+            sv.build_partition(pair, values)
+
+    def test_another_pairs_table(self):
+        # N = pq^2 fixes the pair: a table of another length is refused
+        # before any broadcast
+        pair = PrimePair.create(3, 7)
+        for values in (build_table(PrimePair.create(3, 13)), build_table(pair)[:-1],
+                       build_table(pair).reshape(21, 7)):
+            with pytest.raises(DomainError, match=r"is not one period N = 147"):
+                sv.build_partition(pair, values)
 
 
 class TestFoldedResidues:

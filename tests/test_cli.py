@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import Gf2Poly, cli, lincomp, structverify
+from eqseq import Gf2Poly, cli, eulerq, lincomp, structverify
 from eqseq.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -19,7 +19,7 @@ from eqseq.cli import (
     write_ascii,
     write_packed,
 )
-from eqseq.errors import DomainError, ParseError, ResourceError
+from eqseq.errors import DomainError, InternalConsistencyError, ParseError, ResourceError
 from eqseq.limits import max_period
 from eqseq.sequence import BitSequence
 
@@ -338,6 +338,32 @@ class TestScan:
         assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 7), (3, 13), (5, 11)]
         assert all(r[7] == "1" and r[8] == "false" for r in rows)
 
+    def test_error_row(self, capsys, monkeypatch):
+        # a pair whose verification raises gets an n/a row and one stderr line;
+        # the other rows are those of a clean scan
+        _, clean, _ = run(capsys, "scan", "--max-period", "1000", "--jobs", "1")
+        verify = cli.verify_theorem
+
+        def failing(pair):
+            if (pair.p, pair.q) == (3, 13):
+                raise InternalConsistencyError("injected failure")
+            return verify(pair)
+
+        monkeypatch.setattr(cli, "verify_theorem", failing)
+        code, stdout, err = run(capsys, "scan", "--max-period", "1000", "--jobs", "1")
+        assert code == EXIT_MISMATCH
+        lines = stdout.strip().splitlines()
+        assert lines[2] == "3,13,1,n/a,n/a,n/a,n/a,n/a,false,n/a,n/a"
+        assert err == "eqseq: scan error for (3, 13): injected failure\n"
+
+        def strip_millis(rows):
+            return [row.rsplit(",", 1)[0] for row in rows]
+
+        clean_lines = clean.strip().splitlines()
+        assert clean_lines[2].startswith("3,13,")
+        assert strip_millis(lines[:2] + lines[3:]) == strip_millis(clean_lines[:2] + clean_lines[3:])
+        assert [line.split(",", 2)[:2] for line in lines[1:]] == [["3", "7"], ["3", "13"], ["5", "11"]]
+
     def test_empty_scan(self, capsys):
         code, stdout, _ = run(capsys, "scan", "--max-period", "146")
         assert code == EXIT_OK
@@ -462,6 +488,19 @@ class TestExitContract:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert err == f"eqseq: error: {message}\n"
+
+    def test_structure_over_budget_before_primitive_root(self, capsys, monkeypatch):
+        # the primitive-root search factors q^2 by trial division: a pair
+        # over the budget must fail before it, not after
+        def no_search(pair):
+            raise AssertionError("primitive root searched for a pair over the budget")
+
+        monkeypatch.setattr(eulerq, "find_common_primitive_root", no_search)
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
+        code, stdout, err = run(capsys, "structure", "--p", "3", "--q", "7")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == "eqseq: error: period 147 exceeds budget 100 (EQSEQ_MAX_PERIOD)\n"
 
     def test_missing_file(self, capsys):
         code, stdout, err = run(capsys, "analyze", "--in", "/nonexistent/path")

@@ -25,6 +25,14 @@ def test_one_run_reports_both_routes(ladder):
     assert all(seconds >= 0 for seconds in stages.values())
 
 
+def test_one_run_outside_the_closed_form(ladder):
+    # p does not divide q-1: no prediction, and match compares the two routes
+    stages, lcs = ladder.one_run(PrimePair.create(7, 3))
+    assert lcs == {"lc_gcd": 60, "lc_bm": 60, "lc_predicted": None, "period": 63}
+    assert "prediction_s" not in stages
+    assert ladder.ladder(["7,3"], 1)["7,3"]["match"]
+
+
 def test_nproc_counts_the_cpus_the_process_may_use(ladder, monkeypatch):
     monkeypatch.setattr(ladder.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(ladder.os, "cpu_count", lambda: 64)

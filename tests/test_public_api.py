@@ -7,13 +7,13 @@ from eqseq import eulerq, gf2poly, lincomp, ntcore, sequence, structverify
 
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
-    "check_translation", "compose_power", "find_ghat", "generating_polynomial",
-    "linear_complexity", "pow_wide_mod", "synthesize_sequence",
+    "check_translation", "compose_power", "EulerQuotientTable", "find_ghat",
+    "generating_polynomial", "linear_complexity", "pow_wide_mod", "synthesize_sequence",
 ]
 
 PUBLIC = [
     "AnalysisReport", "BitSequence", "CosetPartition", "DomainError", "EqseqError",
-    "EulerQuotientTable", "Gf2Poly", "GroupGenerators", "InternalConsistencyError",
+    "Gf2Poly", "GroupGenerators", "InternalConsistencyError",
     "ParseError", "PrimePair", "ResourceError", "StructureReport", "UnsupportedInputError",
     "analyze_period", "audit_structure", "berlekamp_massey", "build_partition", "build_table",
     "coset_index", "crt_lift", "cyclotomic_f2", "derive_generators", "euler_quotient",
@@ -41,9 +41,8 @@ def test_removed_wrappers_are_gone():
     for name in REMOVED:
         assert name not in eqseq.__all__
         assert not hasattr(eqseq, name), name
-        for module in (structverify, lincomp, gf2poly, ntcore, sequence):
+        for module in (eulerq, structverify, lincomp, gf2poly, ntcore, sequence):
             assert not hasattr(module, name), (module.__name__, name)
-    assert not hasattr(eulerq, "find_ghat")
 
 
 def test_gf2poly_is_a_report_type():

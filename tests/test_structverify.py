@@ -226,7 +226,7 @@ class TestAuditStructure:
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             table = build_table(pair)
-            partition = build_partition(pair, table=table)
+            partition = build_partition(pair, values=table)
             gens = derive_generators(pair)
 
             cosets = [_coset(partition, ell) for ell in range(q)]
