@@ -26,7 +26,6 @@ from .lincomp import (
     AnalysisReport,
     analyze_period,
     berlekamp_massey,
-    minimal_polynomial_gcd,
     predicted_minimal_polynomial,
     verify_theorem,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "is_prime",
     "least_period",
     "lemma_failures",
-    "minimal_polynomial_gcd",
     "multiplicative_order",
     "predicted_minimal_polynomial",
     "two_coset_index",

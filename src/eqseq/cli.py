@@ -142,6 +142,22 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _write_out(path: str, data: str | bytes) -> int:
+    """Write data to path, or to stdout for '-': text through sys.stdout and
+    bytes through its buffer.  A file is written as bytes, text as ASCII."""
+    try:
+        if path != "-":
+            with open(path, "wb") as fh:
+                fh.write(data.encode("ascii") if isinstance(data, str) else data)
+        elif isinstance(data, str):
+            sys.stdout.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write {path}: {exc}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -151,24 +167,8 @@ def _cmd_generate(args) -> int:
     if not pair.divides:
         return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
     seq = generate_threshold(pair)
-    try:
-        if args.format == "ascii":
-            text = write_ascii(seq, pair.p, pair.q)
-            if args.out == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.out, "w", encoding="ascii") as fh:
-                    fh.write(text)
-        else:
-            blob = write_packed(seq, pair.p, pair.q)
-            if args.out == "-":
-                sys.stdout.buffer.write(blob)
-            else:
-                with open(args.out, "wb") as fh:
-                    fh.write(blob)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
-    return EXIT_OK
+    write = write_ascii if args.format == "ascii" else write_packed
+    return _write_out(args.out, write(seq, pair.p, pair.q))
 
 
 def _load_sequence(path: str) -> BitSequence:
@@ -314,14 +314,8 @@ def _cmd_scan(args) -> int:
         row, ok = _scan_row(result)
         writer.writerow(row)
         all_match = all_match and ok
-    try:
-        if args.csv == "-":
-            sys.stdout.write(buf.getvalue())
-        else:
-            with open(args.csv, "w", encoding="ascii", newline="") as fh:
-                fh.write(buf.getvalue())
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.csv}: {exc}")
+    if _write_out(args.csv, buf.getvalue()) != EXIT_OK:
+        return EXIT_IO
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 

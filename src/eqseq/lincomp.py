@@ -226,10 +226,9 @@ def _times_mod(v: int, f: int, d: int) -> int:
     return (v & ((1 << d) - 1)) ^ (v >> d)
 
 
-def _descend(node: _Node, parts: list[int], v: int | None,
-             block: _Block) -> Iterator[tuple[int, int, int | None]]:
-    # parts: the polyphase parts of u mod node(x^s); v: the node's component,
-    # None when only the residues are carried
+def _descend(node: _Node, parts: list[int], v: int,
+             block: _Block) -> Iterator[tuple[int, int, int]]:
+    # parts: the polyphase parts of u mod node(x^s); v: the node's component
     s = block.stride
     if not node.children:
         width = node.poly.bit_length() - 1
@@ -240,15 +239,12 @@ def _descend(node: _Node, parts: list[int], v: int | None,
     left, right = node.children
     for child, sibling in ((left, right), (right, left)):
         yield from _descend(child, [_int_mod(x, child.poly) for x in parts],
-                            None if v is None else
                             _times_mod(v, _int_compose(sibling.poly, s), block.d), block)
 
 
-def _sub_blocks(u: int, block: _Block,
-                components: bool = True) -> Iterator[tuple[int, int, int | None]]:
+def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
     """(G, u mod G, v) for the sub-blocks G = f(x^s) of a block, where
-    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u, or
-    None with components=False, for the gcd route alone.
+    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u.
 
     Both descend the product tree from the root, where the residue is
     u mod F_e and the component u H.  A child's residue is reduced from its
@@ -257,14 +253,11 @@ def _sub_blocks(u: int, block: _Block,
     is the parent's times the sibling, since (x^d + 1) / child =
     (x^d + 1) / parent * sibling.  An inner node whose residue and
     component are both 0 has only zero sub-blocks below it, where both
-    routes give LC 0, and is not descended; a leaf is always yielded.  The
-    component is 0 exactly when the residue is, so carrying the residues
-    alone reaches the same sub-blocks.
+    routes give LC 0, and is not descended; a leaf is always yielded.
     """
     s, d, tree = block.stride, block.d, block.tree
     parts = [_int_mod(x, tree.poly) for x in _phases(u, s, d)]
-    v = _times_mod(u, block.cofactor, d) if components else None
-    return _descend(tree, parts, v, block)
+    return _descend(tree, parts, _times_mod(u, block.cofactor, d), block)
 
 
 def _sub_minpoly(g: int, w: int, block: _Block) -> int:
@@ -296,16 +289,6 @@ def _component_lc(v: int, g: int, d: int, origin) -> int:
 
 def _product(polys: Iterable[int]) -> int:
     return functools.reduce(_int_mul, polys, 1)
-
-
-def minimal_polynomial_gcd(seq: BitSequence) -> Gf2Poly:
-    """Exact minimal polynomial (x^N + 1) / gcd(x^N + 1, A(x)), sub-block by
-    sub-block.
-
-    The all-zero sequence yields 1 (reading gcd(x^N + 1, 0) as x^N + 1).
-    """
-    return Gf2Poly(_product(_sub_minpoly(g, w, block) for block, u in _block_folds(seq)
-                            for g, w, _ in _sub_blocks(u, block, components=False)))
 
 
 def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:

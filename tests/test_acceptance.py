@@ -12,11 +12,11 @@ from contextlib import contextmanager
 from eqseq import (
     BitSequence,
     PrimePair,
+    analyze_period,
     berlekamp_massey,
     cyclotomic_f2,
     generate_threshold,
     least_period,
-    minimal_polynomial_gcd,
     verify_theorem,
     wieferich_ok,
 )
@@ -62,12 +62,12 @@ def test_criterion_1_golden_example():
         assert [int(c) for c in seq.to01()] == EXAMPLE1_BITS
         assert least_period(seq) == EXAMPLE1_PERIOD
 
-        lc_gcd = minimal_polynomial_gcd(seq).degree
+        lc_gcd = analyze_period(seq)[1].degree
         two = BitSequence(bits=seq.bits | (seq.bits << 147), length=294, origin=seq.origin)
         lc_bm = berlekamp_massey(two)
         assert lc_gcd == lc_bm == EXAMPLE1_LC
 
-        minpoly = minimal_polynomial_gcd(seq)
+        minpoly = analyze_period(seq)[1]
         assert minpoly.bits == _int_mul(cyclotomic_f2(147).bits, cyclotomic_f2(21).bits)
         assert minpoly.term_degrees() == EXAMPLE1_MINPOLY_DEGREES
         assert minpoly.render() == minpoly_render()
@@ -104,12 +104,12 @@ def test_criterion_4_oracle_equivalence():
         for trial in range(200):
             n = rng.randint(1, 512)
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="random")
-            lc_gcd = minimal_polynomial_gcd(seq).degree
+            lc_gcd = analyze_period(seq)[1].degree
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n,
                               origin="random")
             lc_bm = berlekamp_massey(two)
             assert lc_gcd == lc_bm, (trial, n)
-            minpoly = minimal_polynomial_gcd(seq)
+            minpoly = analyze_period(seq)[1]
             regenerated = synthesize_sequence(minpoly, seq, n)
             assert regenerated.bits == seq.bits, (trial, n)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import Gf2Poly, cli, eulerq, lincomp, structverify
+from eqseq import Gf2Poly, PrimePair, cli, eulerq, generate_threshold, lincomp, structverify
 from eqseq.cli import (
     EXIT_INAPPLICABLE,
     EXIT_IO,
@@ -66,10 +66,19 @@ class TestGenerate:
         p, q, seq = parse_packed(data)
         assert (p, q, seq.length) == (3, 13, 507)
 
+    def test_packed_stdout(self, capsysbinary):
+        code = main(["generate", "--p", "3", "--q", "13", "--format", "packed"])
+        assert code == EXIT_OK
+        seq = generate_threshold(PrimePair.create(3, 13))
+        assert capsysbinary.readouterr().out == write_packed(seq, 3, 13)
+
     def test_unwritable_path(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "generate", "--p", "3", "--q", "7",
-                         "--out", str(tmp_path / "no" / "dir" / "f.txt"))
+        path = tmp_path / "no" / "dir" / "f.txt"
+        code, stdout, err = run(capsys, "generate", "--p", "3", "--q", "7", "--out", str(path))
         assert code == EXIT_IO
+        assert stdout == ""
+        assert err == (f"eqseq: error: cannot write {path}: "
+                       f"[Errno 2] No such file or directory: '{path}'\n")
 
 
 class TestAsciiFormat:
@@ -329,6 +338,14 @@ class TestScan:
         assert [(int(r[0]), int(r[1])) for r in rows] == [(3, 7), (3, 13), (5, 11)]
         assert all(r[8] == "true" for r in rows)
         assert [int(r[5]) for r in rows] == [147, 507, 605]
+
+    def test_unwritable_csv(self, capsys, tmp_path):
+        path = tmp_path / "no" / "dir" / "x.csv"
+        code, stdout, err = run(capsys, "scan", "--max-period", "1000", "--csv", str(path))
+        assert code == EXIT_IO
+        assert stdout == ""
+        assert err == (f"eqseq: error: cannot write {path}: "
+                       f"[Errno 2] No such file or directory: '{path}'\n")
 
     def test_mismatch(self, capsys, monkeypatch):
         monkeypatch.setattr(lincomp, "predicted_minimal_polynomial", lambda pair: Gf2Poly(0b11))

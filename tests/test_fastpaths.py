@@ -35,8 +35,7 @@ from eqseq import (
     euler_quotient,
     generate_threshold,
 )
-from eqseq import InternalConsistencyError, analyze_period, lincomp
-from eqseq import minimal_polynomial_gcd
+from eqseq import InternalConsistencyError, analyze_period, lincomp, verify_theorem
 from eqseq.cli import parse_ascii
 from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
@@ -191,9 +190,9 @@ class TestIntDivisionDifferential:
 
 
 def assert_block_route_matches(seq: BitSequence) -> None:
-    """Both block routes against the Euclidean oracle and whole-period BM."""
+    """The block route, which runs both LC routes on every sub-block, against
+    the Euclidean oracle and whole-period BM."""
     want = oracles.minimal_polynomial_gcd(seq)
-    assert minimal_polynomial_gcd(seq) == want
     assert analyze_period(seq)[1] == want
     assert berlekamp_massey(oracles.two_periods(seq)) == want.degree
 
@@ -229,8 +228,10 @@ class TestBlockRouteDifferential:
     @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=3000))
     @example("random", 0, 61425 // 25)
     def test_fold_and_reduction_match_per_bit_loops(self, kind, seed, n):
-        # each sub-block's residue and component against long division, and
-        # the sub-blocks not descended into hold no part of the fold
+        # each sub-block's residue and component against long division, the
+        # sub-blocks not descended into hold no part of the fold, and a
+        # component is 0 exactly when the residue is: G | u if and only if
+        # x^d + 1 | u (x^d + 1) / G, which is why the descent prunes on both
         seq = KINDS[kind](seed, n)
         for block, u in lincomp._block_folds(seq):
             d = block.d
@@ -241,13 +242,10 @@ class TestBlockRouteDifferential:
                 cofactor, rest = oracles.int_divmod((1 << d) | 1, g)
                 assert rest == 0
                 assert v == oracles.int_mod(_int_mul(u, cofactor), (1 << d) | 1), d
+                assert (v == 0) == (w == 0), d
                 seen = _int_mul(seen, g)
             skipped, rest = oracles.int_divmod(block.factor, seen)
             assert rest == 0 and oracles.int_mod(u, skipped) == 0, d
-            # the residues alone reach the same sub-blocks, with no component
-            full = [(g, w) for g, w, _ in lincomp._sub_blocks(u, block)]
-            bare = list(lincomp._sub_blocks(u, block, components=False))
-            assert [(g, w) for g, w, _ in bare] == full and all(v is None for *_, v in bare), d
 
     @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
     def test_blocks_are_the_cyclotomic_factors(self, n):
@@ -271,10 +269,10 @@ class TestBlockRuntimeChecks:
         monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: ((1 << r) | 1, 1))
         monkeypatch.setattr(lincomp, "_cyclotomic_factors", lambda r: ((1 << r) | 1,))
         seq = generate_threshold(pair37)
-        for route in (analyze_period, minimal_polynomial_gcd):
+        for route in (lambda: analyze_period(seq), lambda: verify_theorem(pair37)):
             with pytest.raises(InternalConsistencyError,
                                match=r"^cyclotomic blocks do not multiply to x\^147 \+ 1$"):
-                route(seq)
+                route()
 
     @pytest.mark.parametrize("change", ["drop", "duplicate"])
     def test_factor_list_must_be_complete(self, monkeypatch, pair37, change):
@@ -289,10 +287,10 @@ class TestBlockRuntimeChecks:
 
         monkeypatch.setattr(lincomp, "_cyclotomic_factors", factors)
         seq = generate_threshold(pair37)
-        for route in (analyze_period, minimal_polynomial_gcd):
+        for route in (lambda: analyze_period(seq), lambda: verify_theorem(pair37)):
             with pytest.raises(InternalConsistencyError,
                                match=r"^cyclotomic blocks do not multiply to x\^147 \+ 1$"):
-                route(seq)
+                route()
 
     def test_cofactor_must_complete_the_factor(self, monkeypatch, pair37):
         real = lincomp._cyclotomic_pair

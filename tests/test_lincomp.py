@@ -14,7 +14,6 @@ from eqseq import (
     cyclotomic_f2,
     gcd,
     generate_threshold,
-    minimal_polynomial_gcd,
     predicted_minimal_polynomial,
     verify_theorem,
     wieferich_ok,
@@ -108,7 +107,7 @@ class TestBerlekampMassey:
 class TestMinimalPolynomialGcd:
     def test_golden(self, pair37):
         seq = generate_threshold(pair37)
-        minpoly = minimal_polynomial_gcd(seq)
+        minpoly = analyze_period(seq)[1]
         assert minpoly.degree == 96
         assert minpoly.bits == _int_mul(cyclotomic_f2(147).bits, cyclotomic_f2(21).bits)
         assert minpoly.term_degrees() == EXAMPLE1_MINPOLY_DEGREES
@@ -126,26 +125,27 @@ class TestMinimalPolynomialGcd:
 
     def test_impulse(self):
         seq = BitSequence(bits=1, length=31, origin="external")
-        assert minimal_polynomial_gcd(seq) == Gf2Poly((1 << 31) | 1)
+        assert analyze_period(seq)[1] == Gf2Poly((1 << 31) | 1)
 
     def test_all_zero(self):
         seq = BitSequence(bits=0, length=12, origin="external")
-        assert minimal_polynomial_gcd(seq) == Gf2Poly(1)
-        assert minimal_polynomial_gcd(seq).degree == 0
+        minpoly = analyze_period(seq)[1]
+        assert minpoly == Gf2Poly(1)
+        assert minpoly.degree == 0
 
     def test_divides_x_n_plus_one(self):
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(1, 200)
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="external")
-            minpoly = minimal_polynomial_gcd(seq)
+            minpoly = analyze_period(seq)[1]
             assert _int_mod((1 << n) | 1, minpoly.bits) == 0
 
 
 class TestLinearComplexity:
     def test_examples(self, pair37, pair313):
-        assert minimal_polynomial_gcd(generate_threshold(pair37)).degree == 96
-        assert minimal_polynomial_gcd(generate_threshold(pair313)).degree == 312
+        assert analyze_period(generate_threshold(pair37))[1].degree == 96
+        assert analyze_period(generate_threshold(pair313))[1].degree == 312
 
     def test_agrees_with_bm_on_random_periodic(self):
         rng = random.Random(99)
@@ -153,13 +153,13 @@ class TestLinearComplexity:
             n = rng.randint(1, 256)
             seq = BitSequence(bits=rng.getrandbits(n), length=n, origin="external")
             two = BitSequence(bits=seq.bits | (seq.bits << n), length=2 * n, origin="external")
-            assert berlekamp_massey(two) == minimal_polynomial_gcd(seq).degree
+            assert berlekamp_massey(two) == analyze_period(seq)[1].degree
 
 
 class TestSynthesize:
     def test_regenerates_golden(self, pair37):
         seq = generate_threshold(pair37)
-        minpoly = minimal_polynomial_gcd(seq)
+        minpoly = analyze_period(seq)[1]
         again = synthesize_sequence(minpoly, seq, seq.length)
         assert again.bits == seq.bits
 
@@ -167,7 +167,7 @@ class TestSynthesize:
         # period-7 m-sequence: the minimal polynomial x^3+x^2+1 is not
         # self-reciprocal, so this pins down the recurrence direction
         seq = BitSequence(bits=0b1110100, length=7, origin="external")
-        minpoly = minimal_polynomial_gcd(seq)
+        minpoly = analyze_period(seq)[1]
         assert minpoly == Gf2Poly.from_terms([3, 2, 0])
         again = synthesize_sequence(minpoly, seq, 7)
         assert again.bits == seq.bits
@@ -288,7 +288,7 @@ class TestAnalyzePeriod:
         seq = BitSequence(bits=0b0010111_0010111, length=14, origin="external")
         period, minpoly = analyze_period(seq)
         assert period == 7
-        assert minpoly.degree == minimal_polynomial_gcd(seq).degree
+        assert minpoly == oracles.minimal_polynomial_gcd(seq)
 
     def test_disagreement_raises(self, monkeypatch, pair37):
         # only a bug can make the two routes differ; BM is made to undercount
@@ -304,9 +304,11 @@ class TestAnalyzePeriod:
 class TestBudgetGuards:
     def test_gcd_checks_sequence_length(self, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
-        assert minimal_polynomial_gcd(BitSequence(bits=1, length=100, origin="external")).degree == 100
+        # N = budget passes: BM's implied-period check inside the sub-blocks does not fire
+        period, minpoly = analyze_period(BitSequence(bits=1, length=100, origin="external"))
+        assert (period, minpoly.degree) == (100, 100)
         with pytest.raises(ResourceError, match="sequence length 101 exceeds budget 100"):
-            minimal_polynomial_gcd(BitSequence(bits=1, length=101, origin="external"))
+            analyze_period(BitSequence(bits=1, length=101, origin="external"))
 
     def test_bm_checks_implied_period(self, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")

@@ -8,7 +8,8 @@ from eqseq import eulerq, gf2poly, lincomp, ntcore, sequence, structverify
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
     "check_translation", "compose_power", "EulerQuotientTable", "find_ghat",
-    "generating_polynomial", "linear_complexity", "pow_wide_mod", "synthesize_sequence",
+    "generating_polynomial", "linear_complexity", "minimal_polynomial_gcd", "pow_wide_mod",
+    "synthesize_sequence",
 ]
 
 PUBLIC = [
@@ -19,7 +20,7 @@ PUBLIC = [
     "coset_index", "crt_lift", "cyclotomic_f2", "derive_generators", "euler_quotient",
     "factorize", "find_common_primitive_root", "gcd", "generate_by_cosets",
     "generate_threshold", "is_prime", "least_period", "lemma_failures",
-    "minimal_polynomial_gcd", "multiplicative_order", "predicted_minimal_polynomial",
+    "multiplicative_order", "predicted_minimal_polynomial",
     "two_coset_index", "verify_theorem", "wieferich_ok",
 ]
 
