@@ -19,11 +19,13 @@ interpreter and as the median of --repeats, `eqseq verify` on the last pair
 of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
 one scan to 1000000.
 
-The audit stage times `lemma_failures` on a small and a large pair, each run
-cold on a fresh partition with the generators built beforehand, and
-`audit_structure` over every pair of the timed scan, caches cleared once per
-run as in one `structure` call per pair from one process; both are medians
-of --repeats.  `--pairs` with no pairs skips the ladder.
+The audit stage times `lemma_failures` on a small, a large and the largest
+pair in budget, each run cold on a fresh partition with the generators built
+beforehand, and apart from it, also cold, the residue counts, the lemma 5-7
+multisets and the lemma 8-9 congruences; then `audit_structure` over every
+pair of the timed scan, caches cleared once per run as in one `structure`
+call per pair from one process.  All are medians of --repeats.  `--pairs`
+with no pairs skips the ladder.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.
@@ -63,7 +65,7 @@ from eqseq import (  # noqa: E402
 from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
-AUDIT_PAIRS = ["5,41", "3,181"]   # N = 8405 and 98283
+AUDIT_PAIRS = ["5,41", "3,181", "3,577"]   # N = 8405, 98283 and 998787
 
 
 def nproc() -> int:
@@ -143,23 +145,38 @@ def ladder(pairs: list[str], repeats: int) -> dict:
     return out
 
 
+def residue_stages(pair: PrimePair, gens, partition) -> dict:
+    """Seconds of the residue counts and of the lemma 5-7 and 8-9 checks on them."""
+    # a tree without _residue_tables counts into one dict of sorted keys per modulus
+    count = getattr(structverify, "_residue_tables", None) or structverify._residue_counts
+    found, t_counts = timed(count, partition)
+    found = found if isinstance(found, tuple) else (found,)
+    _, t_multisets = timed(structverify._check_residue_multisets, pair, gens, *found)
+    _, t_congruences = timed(structverify._check_congruences, pair, partition, *found)
+    return {"counts_s": t_counts, "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
+
+
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
-    """Median seconds of lemma_failures per pair and of audit_structure over the scan's pairs."""
+    """Median seconds of lemma_failures and of its residue stages per pair, and
+    of audit_structure over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
         p, q = (int(v) for v in text.split(","))
         pair = PrimePair.create(p, q)
         gens, index = derive_generators(pair), structverify.build_partition(pair).index
-        runs = []
+        runs, stages = [], []
         for _ in range(repeats):
             clear_caches()
             runs.append(timed(structverify.lemma_failures, pair, gens,
                               structverify.CosetPartition(pair=pair, index=index)))
-        out["lemma_failures"][text] = {
+            clear_caches()
+            stages.append(residue_stages(pair, gens, structverify.CosetPartition(pair=pair, index=index)))
+        result = out["lemma_failures"][text] = {
             "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
+            **{name: statistics.median(s[name] for s in stages) for name in stages[0]},
             "ok": not any(runs[0][0].values())}
-        print(f"lemma_failures ({text}) N={pair.period}: "
-              f"{out['lemma_failures'][text]['seconds']:.4f} s", file=sys.stderr)
+        print(f"lemma_failures ({text}) N={pair.period}: " + " ".join(
+            f"{k}={result[k]:.4f}" for k in ("seconds", *stages[0])), file=sys.stderr)
 
     sweep = [PrimePair.create(p, q) for p, q in enumerate_pairs(bound)]
 

@@ -11,8 +11,14 @@ evaluation at primitive roots of unity in an extension field: agreement modulo
 the n-th cyclotomic polynomial is equivalent to agreement at every primitive
 n-th root, and stays in plain GF(2)[x] arithmetic.
 
-Residues are counted as keys coset * m + (t mod m) over the units; a coset
-polynomial mod x^m - 1 is the parity of its keys.
+Residues are counted once per modulus.  For m = p, q and pq, one bincount of
+coset * m + (t mod m) over the units gives a (q, m) table whose row ell counts
+D_ell in each class mod m (q * m <= N).  Lemmas 5 and 6 compare each row with
+the expected one, and a coset polynomial mod x^m - 1 is the low bits of its
+row, reduced by Phi_m.  Mod q^2 the table would have q^3 cells, so the keys
+coset * q^2 + (t mod q^2) are sorted once and counted by run length.  Lemma
+9's pq^2 term reduces the q polyphase parts of the summed indicator by Phi_pq,
+since Phi_{pq^2}(x) = Phi_pq(x^q).
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -30,7 +36,6 @@ and j exactly when the index is additive.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -40,7 +45,6 @@ from .errors import DomainError, InternalConsistencyError
 from .eulerq import build_table, derive_generators, two_coset_index
 from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-from .sequence import pack_flags
 
 _FOLD_CHUNK = 1 << 20       # flags per slice of the folded coset residues
 
@@ -175,61 +179,69 @@ def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: Coset
     return problems
 
 
-def _residue_counts(partition: CosetPartition) -> dict[int, ResidueCounts]:
-    """For m in p, q, pq, q^2: sorted keys coset * m + (t mod m) over the units, with counts."""
+def _residue_tables(partition: CosetPartition) -> tuple[dict[int, np.ndarray], ResidueCounts]:
+    """Residues of the units per coset.  For m in p, q and pq, row ell of a
+    (q, m) table counts the units of D_ell in each class mod m, from one
+    bincount of coset * m + (t mod m); q * m <= N, and a label q or more lands
+    past the table.  For q^2, whose table would have q^3 cells, the sorted
+    distinct keys coset * q^2 + (t mod q^2) with their run lengths."""
     p, q = partition.pair.p, partition.pair.q
     units = partition.units
     cosets = partition.index[units].astype(np.int64)
-    return {m: np.unique(cosets * m + units % m, return_counts=True)
-            for m in (p, q, p * q, q * q)}
+    tables = {m: np.bincount(cosets * m + units % m, minlength=q * m)[:q * m].reshape(q, m)
+              for m in (p, q, p * q)}
+    keys = np.sort(cosets * (q * q) + units % (q * q))
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return tables, (keys[starts], np.diff(starts, append=keys.size))
 
 
-def _bad_cosets(found: ResidueCounts, expected_keys: np.ndarray, count: int, m: int) -> set[int]:
-    """Cosets whose keys differ from the expected (sorted, distinct) ones or occur not `count` times."""
-    keys, counts = found
-    stray = np.setxor1d(keys, expected_keys, assume_unique=True)
-    return set((stray // m).tolist()) | set((keys[counts != count] // m).tolist())
-
-
-def _check_residue_multisets(pair: PrimePair, gens: GroupGenerators,
-                             counts: dict[int, ResidueCounts]) -> dict[str, list[str]]:
+def _check_residue_multisets(pair: PrimePair, gens: GroupGenerators, tables: dict[int, np.ndarray],
+                             found_q2: ResidueCounts) -> dict[str, list[str]]:
     p, q = pair.p, pair.q
     pq, q2 = p * q, q * q
     out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
 
-    def keys(m: int, residues: np.ndarray) -> np.ndarray:
-        return (np.arange(q)[:, None] * m + residues).ravel()
+    # mod m in p, q and pq, a coset hits every unit of Z_m equally often
+    bad = {}
+    for m, table in tables.items():
+        unit = np.gcd(np.arange(m), m) == 1
+        expected = unit * (pair.phi_pq // int(unit.sum()))
+        bad[m] = set(np.flatnonzero((table != expected).any(axis=1)).tolist())
 
-    # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q
+    # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q, each p - 1 times
     subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
     target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
-    units_pq = np.array([t for t in range(pq) if math.gcd(t, pq) == 1])
+    expected_q2 = np.sort((np.arange(q)[:, None] * q2 + target).ravel())
+    keys, counts = found_q2
+    stray = (keys[:0] if np.array_equal(keys, expected_q2)
+             else np.setxor1d(keys, expected_q2, assume_unique=True))
+    bad[q2] = set((stray // q2).tolist()) | set((keys[counts != p - 1] // q2).tolist())
 
-    bad_p = _bad_cosets(counts[p], keys(p, np.arange(1, p)), q - 1, p)
-    bad_q = _bad_cosets(counts[q], keys(q, np.arange(1, q)), p - 1, q)
-    bad_pq = _bad_cosets(counts[pq], keys(pq, units_pq), 1, pq)
-    bad_q2 = _bad_cosets(counts[q2], np.unique(keys(q2, target)), p - 1, q2)
-
-    keys_p, counts_p = counts[p]
     for ell in range(q):
-        if ell in bad_p:
-            mine = keys_p // p == ell
-            mod_p = dict(zip((keys_p[mine] % p).tolist(), counts_p[mine].tolist()))
+        if ell in bad[p]:
+            mod_p = {r: c for r, c in enumerate(tables[p][ell].tolist()) if c}
             out["lemma5"].append(f"D_{ell} mod p multiset wrong: {mod_p}")
-        if ell in bad_q:
+        if ell in bad[q]:
             out["lemma5"].append(f"D_{ell} mod q multiset wrong")
-        if ell in bad_pq:
+        if ell in bad[pq]:
             out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
-        if ell in bad_q2:
+        if ell in bad[q2]:
             out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
     return out
+
+
+def _row_residues(flags: np.ndarray, modulus: int) -> list[int]:
+    """Each row of a 2-D array, bit i set where entry i is nonzero, reduced by the modulus."""
+    return [_int_mod(int.from_bytes(row.tobytes(), "little"), modulus)
+            for row in np.packbits(flags, axis=1, bitorder="little")]
 
 
 def _coset_residues(found: ResidueCounts, m: int, q: int) -> list[int]:
     """Each coset polynomial mod Phi_m: the parity of its keys gives it mod x^m - 1.
 
     The cosets are folded as the rows of (cosets, m) boolean arrays of about
-    _FOLD_CHUNK flags each, since q rows of m = q^2 flags can reach q^3.
+    _FOLD_CHUNK flags each, since q rows of m = q^2 flags can reach q^3; a
+    slice with no odd key is all zero and is not built.
     """
     keys, counts = found
     odd = keys[counts % 2 == 1]
@@ -238,22 +250,27 @@ def _coset_residues(found: ResidueCounts, m: int, q: int) -> list[int]:
     bounds = np.searchsorted(odd, np.arange(0, q + rows, rows).clip(max=q) * m)
     residues = []
     for lo, a, b in zip(range(0, q, rows), bounds, bounds[1:]):
+        if a == b:   # no odd key: every row of the slice is 0
+            residues += [0] * min(rows, q - lo)
+            continue
         folded = np.zeros((min(rows, q - lo), m), dtype=bool)
         folded.flat[odd[a:b] - lo * m] = True
-        residues += [_int_mod(int.from_bytes(row.tobytes(), "little"), modulus)
-                     for row in np.packbits(folded, axis=1, bitorder="little")]
+        residues += _row_residues(folded, modulus)
     return residues
 
 
-def _check_congruences(pair: PrimePair, partition: CosetPartition,
-                       counts: dict[int, ResidueCounts]) -> dict[str, list[str]]:
+def _check_congruences(pair: PrimePair, partition: CosetPartition, tables: dict[int, np.ndarray],
+                       found_q2: ResidueCounts) -> dict[str, list[str]]:
     p, q = pair.p, pair.q
+    pq, q2 = p * q, q * q
     out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
 
     # each coset polynomial, and so their sum over the q cosets, is 1 modulo
-    # the pq cyclotomic and 0 modulo the p, q and q^2 ones
-    for name, m, expect in (("pq", p * q, 1), ("p", p, 0), ("q", q, 0), ("q2", q * q, 0)):
-        residues = _coset_residues(counts[m], m, q)
+    # the pq cyclotomic and 0 modulo the p, q and q^2 ones; mod x^m - 1 it is
+    # the parity of its residue counts
+    for name, m, expect in (("pq", pq, 1), ("p", p, 0), ("q", q, 0), ("q2", q2, 0)):
+        residues = (_coset_residues(found_q2, m, q) if m == q2
+                    else _row_residues(tables[m] & 1, cyclotomic_f2(m).bits))
         bad = [ell for ell, r in enumerate(residues) if r != expect]
         if bad:
             out["lemma8"].append(
@@ -261,8 +278,12 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition,
             )
         if functools.reduce(operator.xor, residues, 0) != expect:
             out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
-    # the sum over all cosets is the units indicator, 0 modulo the pq^2 cyclotomic
-    if _int_mod(pack_flags(partition.index >= 0), cyclotomic_f2(pair.period).bits) != 0:
+    # the sum over all cosets, the indicator of labels 0..q-1, is 0 modulo the
+    # pq^2 cyclotomic Phi_pq(x^q) exactly when each of its q polyphase parts
+    # (bits j, j + q, j + 2q, ...) is 0 modulo Phi_pq: part j of the remainder
+    # is the remainder of part j, and the parts have disjoint supports
+    labelled = (partition.index >= 0) & (partition.index < q)
+    if any(_row_residues(labelled.reshape(pq, q).T, cyclotomic_f2(pq).bits)):
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
@@ -272,17 +293,17 @@ def lemma_failures(pair: PrimePair, gens: GroupGenerators,
     """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
 
     One exact additivity test from the generators h and g2 serves lemmas 2
-    and 4, and one set of residue counts serves lemmas 5-9.
+    and 4, and one set of residue tables serves lemmas 5-9.
     """
     additivity = _check_additivity(pair, gens, partition)
-    counts = _residue_counts(partition)
+    tables, found_q2 = _residue_tables(partition)
 
     failures = {"lemma2": _check_kernel_image(pair, gens, partition) + additivity}
     failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]
                           if additivity else [])
-    failures.update(_check_residue_multisets(pair, gens, counts))
-    failures.update(_check_congruences(pair, partition, counts))
+    failures.update(_check_residue_multisets(pair, gens, tables, found_q2))
+    failures.update(_check_congruences(pair, partition, tables, found_q2))
     return failures
 
 

@@ -33,6 +33,10 @@ the seeded sample of products above EXHAUSTIVE_LIMIT that it used then;
 frozenset form so both sides can be fed the same partition.  `_grid_failures`
 is the one product grid on the dense index that named the failing rows, here
 also above EXHAUSTIVE_LIMIT, and `_powers` the per-exponent modular powers.
+`_residue_counts`, `_bad_cosets` and `_check_key_multisets` are the audit's
+lemma 5-7 route on the dense index before the per-modulus tables: np.unique
+keys coset * m + (t mod m) with their counts for every m, compared with the
+expected keys by np.setxor1d.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
-from eqseq.structverify import CosetPartition as IndexPartition
+from eqseq.structverify import CosetPartition as IndexPartition, ResidueCounts
 
 EXHAUSTIVE_LIMIT = SAMPLE_COUNT = 10_000   # the old audit's grid bound and sample size
 _GRID_CHUNK = 1 << 16                      # products per slice of the dense-index grid
@@ -557,6 +561,56 @@ def coset_residues(found: tuple[np.ndarray, np.ndarray], m: int, q: int) -> list
         folded[odd[bounds[ell]:bounds[ell + 1]] - ell * m] = True
         residues.append(int_mod(pack_flags(folded), modulus))
     return residues
+
+
+def _residue_counts(partition: IndexPartition) -> dict[int, ResidueCounts]:
+    """For m in p, q, pq, q^2: sorted keys coset * m + (t mod m) over the units, with counts."""
+    p, q = partition.pair.p, partition.pair.q
+    units = partition.units
+    cosets = partition.index[units].astype(np.int64)
+    return {m: np.unique(cosets * m + units % m, return_counts=True)
+            for m in (p, q, p * q, q * q)}
+
+
+def _bad_cosets(found: ResidueCounts, expected_keys: np.ndarray, count: int, m: int) -> set[int]:
+    """Cosets whose keys differ from the expected (sorted, distinct) ones or occur not `count` times."""
+    keys, counts = found
+    stray = np.setxor1d(keys, expected_keys, assume_unique=True)
+    return set((stray // m).tolist()) | set((keys[counts != count] // m).tolist())
+
+
+def _check_key_multisets(pair: PrimePair, gens: GroupGenerators,
+                         counts: dict[int, ResidueCounts]) -> dict[str, list[str]]:
+    p, q = pair.p, pair.q
+    pq, q2 = p * q, q * q
+    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
+
+    def keys(m: int, residues: np.ndarray) -> np.ndarray:
+        return (np.arange(q)[:, None] * m + residues).ravel()
+
+    # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q
+    subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
+    target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
+    units_pq = np.array([t for t in range(pq) if math.gcd(t, pq) == 1])
+
+    bad_p = _bad_cosets(counts[p], keys(p, np.arange(1, p)), q - 1, p)
+    bad_q = _bad_cosets(counts[q], keys(q, np.arange(1, q)), p - 1, q)
+    bad_pq = _bad_cosets(counts[pq], keys(pq, units_pq), 1, pq)
+    bad_q2 = _bad_cosets(counts[q2], np.unique(keys(q2, target)), p - 1, q2)
+
+    keys_p, counts_p = counts[p]
+    for ell in range(q):
+        if ell in bad_p:
+            mine = keys_p // p == ell
+            mod_p = dict(zip((keys_p[mine] % p).tolist(), counts_p[mine].tolist()))
+            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {mod_p}")
+        if ell in bad_q:
+            out["lemma5"].append(f"D_{ell} mod q multiset wrong")
+        if ell in bad_pq:
+            out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
+        if ell in bad_q2:
+            out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
+    return out
 
 
 def _check_congruences(pair: PrimePair, partition: CosetPartition) -> dict[str, list[str]]:

@@ -3,14 +3,17 @@
 oracles.audit_failures runs the previous checks (frozenset partition, two
 product grids or a seeded sample of products, Counter multisets, per-bit
 residue pass) in the order audit_structure ran them.  Both sides get the same
-coset index, clean or corrupted in one of five ways, and must fail the same
+coset index, clean or corrupted in one of six ways, and must fail the same
 lemmas with the same messages, except for index additivity: its one message
 names a witness, found here with one modular power per unit, and lemma 4
 reads the same verdict.  The oracle grid rows are also checked cell by cell,
 the additivity test from the generators against that grid, the doubled powers
 against one power per exponent, and the folded coset residues against the
 per-bit residue pass and against the loop that folded them one coset at a
-time.
+time.  The residue tables per modulus and the q^2 run lengths are checked
+against the sorted keys and counts of np.unique that they replaced, and the
+polyphase test of lemma 9's pq^2 term against one reduction of the whole
+indicator.
 """
 
 import ast
@@ -24,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from eqseq import PrimePair, build_table, derive_generators
 from eqseq import structverify as sv
 from eqseq.errors import DomainError, InternalConsistencyError
-from eqseq.gf2poly import _int_mod, cyclotomic_f2
+from eqseq.gf2poly import _int_mod, _int_mul, cyclotomic_f2
 from eqseq.ntcore import crt_lift
 from eqseq.sequence import pack_flags
 
@@ -34,7 +37,9 @@ from golden import SWEEP_PAIRS
 SMALL_PAIRS = [pq for pq in SWEEP_PAIRS if pq[0] * pq[1] ** 2 <= oracles.EXHAUSTIVE_LIMIT]
 ORACLE_SEEDS = (1729, 5)   # the old audit samples products above its limit
 LEMMA4 = "the index is not additive, so a translation leaves its target coset"
-CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted", "twisted", "nonunit_labelled")
+CORRUPTIONS = ("swap", "unit_dropped", "coset_shifted", "twisted", "nonunit_labelled",
+               "swap_same_pq")
+PHI_N = "summed coset polynomial is nonzero mod the pq^2 cyclotomic"
 
 
 def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
@@ -59,6 +64,16 @@ def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
         out[units] = (index[units] + [log[t % p] for t in units.tolist()]) % q
     elif kind == "nonunit_labelled":
         out[p] = 0
+    elif kind == "swap_same_pq":
+        # two units congruent mod pq trade cosets: a coset meets each unit
+        # class mod pq once, so a and a + pq lie in different cosets, and the
+        # counts mod p, q and pq stay exact while those mod q^2 do not
+        a = units[5]
+        b = (a + p * q) % index.size
+        out[a], out[b] = index[b], index[a]
+    elif kind == "label_q":
+        # a label q names no coset
+        out[units[-1]] = q
     return out
 
 
@@ -273,6 +288,20 @@ class TestBuildPartition:
                 sv.build_partition(pair, values)
 
 
+def table_residues(pair, partition) -> dict[int, list[int]]:
+    """Each coset polynomial mod Phi_m for m in p, q, pq and q^2, as lemma 8 reads them."""
+    q = pair.q
+    tables, found_q2 = sv._residue_tables(partition)
+    out = {m: sv._row_residues(table & 1, cyclotomic_f2(m).bits) for m, table in tables.items()}
+    out[q * q] = sv._coset_residues(found_q2, q * q, q)
+    return out
+
+
+def flags_of(bits: int, n: int) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+                         count=n, bitorder="little").astype(bool)
+
+
 class TestFoldedResidues:
     @pytest.mark.parametrize("corruption", [None, "swap", "coset_shifted"])
     def test_match_residue_pass(self, corruption):
@@ -283,30 +312,119 @@ class TestFoldedResidues:
             if corruption:
                 index = corrupt(index, corruption, q)
             partition = sv.CosetPartition(pair=pair, index=index)
-            counts = sv._residue_counts(partition)
+            residues = table_residues(pair, partition)
             idx = index.tolist()
             for m in (p, q, p * q, q * q):
                 want = oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
-                assert sv._coset_residues(counts[m], m, q) == want, (p, q, m)
+                assert residues[m] == want, (p, q, m)
             # the sum over every coset is the units indicator
             total = 0
             for r in oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q):
                 total ^= r
-            assert _int_mod(pack_flags(index >= 0), cyclotomic_f2(n).bits) == total, (p, q)
+            congruences = sv._check_congruences(pair, partition, *sv._residue_tables(partition))
+            assert (PHI_N in congruences["lemma9"]) == (total != 0), (p, q)
 
     @pytest.mark.parametrize("corruption", (None, "label_q") + CORRUPTIONS)
     def test_match_per_coset_loop(self, corruption):
-        # the (cosets, m) arrays against the loop that folded one coset at a
-        # time; both ignore a label q, which names no coset
+        # the tables and the (cosets, q^2) arrays against the loop that folded
+        # the sorted keys one coset at a time; both ignore a label q, which
+        # names no coset
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             index = sv.build_partition(pair).index
-            if corruption == "label_q":
-                index = index.copy()
-                index[np.flatnonzero(index >= 0)[-1]] = q
-            elif corruption:
+            if corruption:
                 index = corrupt(index, corruption, q)
-            counts = sv._residue_counts(sv.CosetPartition(pair=pair, index=index))
+            partition = sv.CosetPartition(pair=pair, index=index)
+            counts = oracles._residue_counts(partition)
+            residues = table_residues(pair, partition)
             for m in (p, q, p * q, q * q):
-                assert (sv._coset_residues(counts[m], m, q)
-                        == oracles.coset_residues(counts[m], m, q)), (p, q, m, corruption)
+                assert residues[m] == oracles.coset_residues(counts[m], m, q), (p, q, m, corruption)
+
+
+class TestResidueTables:
+    """The bincount tables mod p, q and pq and the run lengths mod q^2 against
+    the np.unique keys and counts, and the lemma 5-7 check on them against the
+    check on those keys (oracles._check_key_multisets)."""
+
+    @pytest.mark.parametrize("variant", (None, "label_q") + CORRUPTIONS)
+    def test_match_sorted_keys(self, variant):
+        for p, q in SWEEP_PAIRS:
+            pair = PrimePair.create(p, q)
+            gens = derive_generators(pair)
+            index = sv.build_partition(pair).index
+            if variant:
+                index = corrupt(index, variant, q)
+            partition = sv.CosetPartition(pair=pair, index=index)
+            tables, found_q2 = sv._residue_tables(partition)
+            counts = oracles._residue_counts(partition)
+            # each table is the keys of cosets below q scattered with their counts
+            for m, table in tables.items():
+                keys, multiplicity = counts[m]
+                inside = keys < q * m
+                dense = np.zeros(q * m, dtype=np.int64)
+                dense[keys[inside]] = multiplicity[inside]
+                assert table.shape == (q, m) and np.array_equal(table.ravel(), dense), (p, q, m)
+            assert [a.tolist() for a in found_q2] == [a.tolist() for a in counts[q * q]], (p, q)
+            # each message names one coset and one modulus, and the mod-p one
+            # its dict: equal lists are equal bad-coset sets per m and equal dicts
+            got = sv._check_residue_multisets(pair, gens, tables, found_q2)
+            assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
+            assert any(got.values()) == (variant is not None), (p, q)
+            # lemma 9's pq^2 term reads the labels 0..q-1
+            labelled = (index >= 0) & (index < q)
+            whole = _int_mod(pack_flags(labelled), cyclotomic_f2(pair.period).bits)
+            lemma9 = sv._check_congruences(pair, partition, tables, found_q2)["lemma9"]
+            assert (PHI_N in lemma9) == (whole != 0), (p, q)
+
+    def test_swap_same_pq_reaches_only_q2(self):
+        # the tables mod p, q and pq stay exact, so lemmas 5 and 6 hold while
+        # the q^2 keys fail lemmas 7 and 8
+        for p, q in [(3, 7), (5, 11), (5, 31), (3, 61)]:
+            pair = PrimePair.create(p, q)
+            clean = sv.build_partition(pair).index
+            index = corrupt(clean, "swap_same_pq", q)
+            moved = np.flatnonzero(index != clean)
+            assert moved.size == 2 and (moved[1] - moved[0]) % (p * q) == 0
+            got = sv.lemma_failures(pair, derive_generators(pair), sv.CosetPartition(pair=pair, index=index))
+            assert not got["lemma5"] and not got["lemma6"], (p, q)
+            assert got["lemma7"] and got["lemma8"], (p, q)
+
+
+class TestLemma9PhiN:
+    """Lemma 9's pq^2 term sums the labels 0..q-1 and reduces the q polyphase
+    parts of that indicator by Phi_pq, since Phi_{pq^2}(x) = Phi_pq(x^q)."""
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 31)])
+    def test_label_q_matches_oracle(self, p, q):
+        pair = PrimePair.create(p, q)
+        table = build_table(pair)
+        gens = derive_generators(pair)
+        index = corrupt(sv.build_partition(pair, table).index, "label_q", q)
+        got = normalized(sv.lemma_failures(pair, gens, sv.CosetPartition(pair=pair, index=index)))
+        want = normalized(oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
+                                                 oracle_table(pair, table, index), ORACLE_SEEDS[0]))
+        for lemma in ("lemma5", "lemma6", "lemma7", "lemma8", "lemma9"):
+            assert got[lemma] == want[lemma], lemma
+        assert PHI_N in got["lemma9"]
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (3, 13)])
+    def test_verdict_matches_whole_reduction(self, p, q):
+        # the clean indicator, each one-flag flip of it, and multiples of
+        # Phi_N (of degree below N) with and without one flag flipped
+        pair = PrimePair.create(p, q)
+        n = pair.period
+        gens = derive_generators(pair)
+        phi_n = cyclotomic_f2(n).bits
+        clean = sv.build_partition(pair).index >= 0
+        rng = np.random.default_rng(11)
+        multiples = [_int_mul(int(r), phi_n) for r in rng.integers(1, 1 << 40, size=4)]
+        cases = [clean] + [clean ^ (np.arange(n) == t) for t in range(n)]
+        cases += [flags_of(f ^ flip, n) for f in multiples
+                  for flip in (0, 1, 1 << (n // 2), 1 << (n - 1))]
+        verdicts = []
+        for flags in cases:
+            partition = sv.CosetPartition(pair=pair, index=np.where(flags, 0, -1).astype(np.int32))
+            verdicts.append(PHI_N in sv.lemma_failures(pair, gens, partition)["lemma9"])
+            assert verdicts[-1] == (_int_mod(pack_flags(flags), phi_n) != 0)
+        # only the clean indicator and the unflipped multiples hold
+        assert verdicts.count(False) == 1 + len(multiples)

@@ -44,5 +44,7 @@ def test_nproc_counts_the_cpus_the_process_may_use(ladder, monkeypatch):
 def test_audit_reports_every_pair_ok(ladder):
     out = ladder.audit(["3,7"], 1000, 1)
     assert out["lemma_failures"]["3,7"]["ok"]
+    assert all(out["lemma_failures"]["3,7"][stage] >= 0
+               for stage in ("counts_s", "lemmas_5_7_s", "lemmas_8_9_s"))
     sweep = out["structure_1000"]
     assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"]
