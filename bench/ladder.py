@@ -28,7 +28,11 @@ call per pair from one process.  All are medians of --repeats.  `--pairs`
 with no pairs skips the ladder.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
-the runs of other labels, together with a description of the machine.
+the runs of other labels, together with a description of the machine.  Each
+label is its own invocation, at its own time, so a change of the host between
+invocations (other load, clock, cache) reads as a change between labels: a
+stage that both labels run through the same code, such as the scan when only
+the audit changed, shows how far the host moved.
 """
 
 from __future__ import annotations
@@ -147,10 +151,7 @@ def ladder(pairs: list[str], repeats: int) -> dict:
 
 def residue_stages(pair: PrimePair, gens, partition) -> dict:
     """Seconds of the residue counts and of the lemma 5-7 and 8-9 checks on them."""
-    # a tree without _residue_tables counts into one dict of sorted keys per modulus
-    count = getattr(structverify, "_residue_tables", None) or structverify._residue_counts
-    found, t_counts = timed(count, partition)
-    found = found if isinstance(found, tuple) else (found,)
+    found, t_counts = timed(structverify._residue_tables, partition)
     _, t_multisets = timed(structverify._check_residue_multisets, pair, gens, *found)
     _, t_congruences = timed(structverify._check_congruences, pair, partition, *found)
     return {"counts_s": t_counts, "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}

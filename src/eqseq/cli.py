@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DomainError, EqseqError, ParseError
 from .limits import check_budget, max_period
-from .lincomp import AnalysisReport, analyze_period, verify_theorem
+from .lincomp import analyze_period, verify_theorem
 from .ntcore import PrimePair, is_prime
 from .sequence import BitSequence, generate_threshold
 from .structverify import audit_structure
@@ -250,37 +250,21 @@ def _cmd_structure(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
 
 
-def _scan_worker(pq: tuple[int, int]) -> dict:
+def _scan_row(pq: tuple[int, int]) -> tuple[list, str | None]:
+    """The scan's CSV cells for one pair, and the error text or None.  It runs
+    in the worker, so only the cells and the text cross to the parent."""
     p, q = pq
     try:
         report = verify_theorem(PrimePair.create(p, q))
     except EqseqError as exc:
-        return {"p": p, "q": q, "error": str(exc)}
-    return {"p": p, "q": q, "report": report}
-
-
-def _scan_row(result: dict) -> tuple[list, bool]:
-    p, q = result["p"], result["q"]
-    if "error" in result:
-        print(f"eqseq: scan error for ({p}, {q}): {result['error']}", file=sys.stderr)
-        row = [p, q, q % 4, "n/a", "n/a", "n/a", "n/a", "n/a", "false", "n/a", "n/a"]
-        return row, False
-
-    report: AnalysisReport = result["report"]
-
-    def boolean(v: bool) -> str:
-        return "true" if v else "false"
-
-    def opt(v):
-        return "n/a" if v is None else v
-
-    row = [
-        p, q, report.q_mod_4, boolean(report.wieferich_ok),
-        boolean(report.divisibility_ok), report.period_found,
-        report.lc_empirical, opt(report.lc_predicted), boolean(report.match),
-        opt(report.sigma), int(round(report.elapsed * 1000)),
+        return [p, q, q % 4, "n/a", "n/a", "n/a", "n/a", "n/a", "false", "n/a", "n/a"], str(exc)
+    cells = [
+        p, q, report.q_mod_4, report.wieferich_ok, report.divisibility_ok, report.period_found,
+        report.lc_empirical, report.lc_predicted, report.match, report.sigma,
+        int(round(report.elapsed * 1000)),
     ]
-    return row, report.match
+    return [str(v).lower() if isinstance(v, bool) else "n/a" if v is None else v
+            for v in cells], None
 
 
 def _cmd_scan(args) -> int:
@@ -299,24 +283,23 @@ def _cmd_scan(args) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     workers = min(args.jobs, len(pairs), cpus or 1)
+    # map keeps the order of pairs, which enumerate_pairs sorts
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_worker, pairs))
+            results = list(pool.map(_scan_row, pairs))
     else:
-        results = [_scan_worker(pq) for pq in pairs]
-    results.sort(key=lambda r: (r["p"], r["q"]))
+        results = list(map(_scan_row, pairs))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    all_match = True
-    for result in results:
-        row, ok = _scan_row(result)
+    for row, error in results:
+        if error is not None:
+            print(f"eqseq: scan error for ({row[0]}, {row[1]}): {error}", file=sys.stderr)
         writer.writerow(row)
-        all_match = all_match and ok
     if _write_out(args.csv, buf.getvalue()) != EXIT_OK:
         return EXIT_IO
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    return EXIT_OK if all(row[8] == "true" for row, _ in results) else EXIT_MISMATCH   # match
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ coset * m + (t mod m) over the units gives a (q, m) table whose row ell counts
 D_ell in each class mod m (q * m <= N).  Lemmas 5 and 6 compare each row with
 the expected one, and a coset polynomial mod x^m - 1 is the low bits of its
 row, reduced by Phi_m.  Mod q^2 the table would have q^3 cells, so the keys
-coset * q^2 + (t mod q^2) are sorted once and counted by run length.  Lemma
-9's pq^2 term reduces the q polyphase parts of the summed indicator by Phi_pq,
-since Phi_{pq^2}(x) = Phi_pq(x^q).
+coset * q^2 + (t mod q^2) are sorted once and counted by run length.  A
+coset polynomial is 0 mod Phi_{q^2} = Phi_q(x^q) exactly when each class
+mod q of its odd-count keys holds 0 or q of them, so the q^2 congruences
+come from class counts, with no q^3 table either.  Lemma 9's pq^2 term
+reduces the q polyphase parts of the summed indicator by Phi_pq, since
+Phi_{pq^2}(x) = Phi_pq(x^q).
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -45,8 +48,6 @@ from .errors import DomainError, InternalConsistencyError
 from .eulerq import build_table, derive_generators, two_coset_index
 from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-
-_FOLD_CHUNK = 1 << 20       # flags per slice of the folded coset residues
 
 ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
 
@@ -236,27 +237,13 @@ def _row_residues(flags: np.ndarray, modulus: int) -> list[int]:
             for row in np.packbits(flags, axis=1, bitorder="little")]
 
 
-def _coset_residues(found: ResidueCounts, m: int, q: int) -> list[int]:
-    """Each coset polynomial mod Phi_m: the parity of its keys gives it mod x^m - 1.
-
-    The cosets are folded as the rows of (cosets, m) boolean arrays of about
-    _FOLD_CHUNK flags each, since q rows of m = q^2 flags can reach q^3; a
-    slice with no odd key is all zero and is not built.
-    """
-    keys, counts = found
-    odd = keys[counts % 2 == 1]
-    modulus = cyclotomic_f2(m).bits
-    rows = max(1, _FOLD_CHUNK // m)
-    bounds = np.searchsorted(odd, np.arange(0, q + rows, rows).clip(max=q) * m)
-    residues = []
-    for lo, a, b in zip(range(0, q, rows), bounds, bounds[1:]):
-        if a == b:   # no odd key: every row of the slice is 0
-            residues += [0] * min(rows, q - lo)
-            continue
-        folded = np.zeros((min(rows, q - lo), m), dtype=bool)
-        folded.flat[odd[a:b] - lo * m] = True
-        residues += _row_residues(folded, modulus)
-    return residues
+def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
+    """The rows ell, ascending, whose distinct keys ell * q^2 + a (a < q^2) set a
+    polynomial that is not 0 mod Phi_{q^2} = Phi_q(x^q): part j of its remainder
+    is the remainder of the class a = j mod q, a polynomial of degree below q,
+    which is 0 exactly when the class holds 0 or q keys, since Phi_q is all ones."""
+    counts = np.bincount(keys // (q * q) * q + keys % q)
+    return sorted(set((np.flatnonzero(counts % q) // q).tolist()))
 
 
 def _check_congruences(pair: PrimePair, partition: CosetPartition, tables: dict[int, np.ndarray],
@@ -267,16 +254,23 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition, tables: dict[
 
     # each coset polynomial, and so their sum over the q cosets, is 1 modulo
     # the pq cyclotomic and 0 modulo the p, q and q^2 ones; mod x^m - 1 it is
-    # the parity of its residue counts
+    # the parity of its residue counts: mod q^2 the odd-count keys of the
+    # cosets below q, and for the sum the parity of each exponent over them
+    keys, counts = found_q2
+    odd = keys[(counts % 2 == 1) & (keys < q * q2)]
     for name, m, expect in (("pq", pq, 1), ("p", p, 0), ("q", q, 0), ("q2", q2, 0)):
-        residues = (_coset_residues(found_q2, m, q) if m == q2
-                    else _row_residues(tables[m] & 1, cyclotomic_f2(m).bits))
-        bad = [ell for ell, r in enumerate(residues) if r != expect]
+        if m == q2:
+            bad = _off_phi_q2(odd, q)
+            summed_off = bool(_off_phi_q2(np.flatnonzero(np.bincount(odd % q2) % 2), q))
+        else:
+            residues = _row_residues(tables[m] & 1, cyclotomic_f2(m).bits)
+            bad = [ell for ell, r in enumerate(residues) if r != expect]
+            summed_off = functools.reduce(operator.xor, residues, 0) != expect
         if bad:
             out["lemma8"].append(
                 f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
             )
-        if functools.reduce(operator.xor, residues, 0) != expect:
+        if summed_off:
             out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
     # the sum over all cosets, the indicator of labels 0..q-1, is 0 modulo the
     # pq^2 cyclotomic Phi_pq(x^q) exactly when each of its q polyphase parts

@@ -8,9 +8,10 @@ lemmas with the same messages, except for index additivity: its one message
 names a witness, found here with one modular power per unit, and lemma 4
 reads the same verdict.  The oracle grid rows are also checked cell by cell,
 the additivity test from the generators against that grid, the doubled powers
-against one power per exponent, and the folded coset residues against the
-per-bit residue pass and against the loop that folded them one coset at a
-time.  The residue tables per modulus and the q^2 run lengths are checked
+against one power per exponent, and the coset residues (mod Phi_{q^2}, only
+whether each is zero) against the per-bit residue pass and against the loop
+that folded them one coset at a time, which also checks the class-count rule
+for Phi_{q^2} on random key sets.  The residue tables per modulus and the q^2 run lengths are checked
 against the sorted keys and counts of np.unique that they replaced, and the
 polyphase test of lemma 9's pq^2 term against one reduction of the whole
 indicator.
@@ -288,13 +289,31 @@ class TestBuildPartition:
                 sv.build_partition(pair, values)
 
 
-def table_residues(pair, partition) -> dict[int, list[int]]:
-    """Each coset polynomial mod Phi_m for m in p, q, pq and q^2, as lemma 8 reads them."""
+def table_residues(pair, partition) -> dict[int, list]:
+    """Each coset polynomial mod Phi_m for m in p, q and pq, as lemma 8 reads
+    them, and mod Phi_{q^2} whether it is nonzero, as lemma 8 reads that."""
     q = pair.q
-    tables, found_q2 = sv._residue_tables(partition)
+    tables, (keys, counts) = sv._residue_tables(partition)
     out = {m: sv._row_residues(table & 1, cyclotomic_f2(m).bits) for m, table in tables.items()}
-    out[q * q] = sv._coset_residues(found_q2, q * q, q)
+    off = sv._off_phi_q2(keys[(counts % 2 == 1) & (keys < q ** 3)], q)
+    out[q * q] = [ell in off for ell in range(q)]
     return out
+
+
+def as_read(residues: list[int], m: int, q: int) -> list:
+    """Residues as table_residues gives them: mod Phi_{q^2} only whether each is nonzero."""
+    return [r != 0 for r in residues] if m == q * q else residues
+
+
+@st.composite
+def odd_key_sets(draw):
+    """A prime q and sorted distinct keys ell * q^2 + a (ell, a < q): loose
+    keys, symmetric-differenced with whole classes a = j mod q of some rows."""
+    q = draw(st.sampled_from([3, 5, 7, 13]))
+    loose = draw(st.sets(st.integers(0, q ** 3 - 1), max_size=2 * q))
+    whole = draw(st.sets(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=4))
+    keys = loose ^ {ell * q * q + j + q * i for ell, j in whole for i in range(q)}
+    return q, np.array(sorted(keys), dtype=np.int64)
 
 
 def flags_of(bits: int, n: int) -> np.ndarray:
@@ -316,7 +335,7 @@ class TestFoldedResidues:
             idx = index.tolist()
             for m in (p, q, p * q, q * q):
                 want = oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
-                assert residues[m] == want, (p, q, m)
+                assert residues[m] == as_read(want, m, q), (p, q, m)
             # the sum over every coset is the units indicator
             total = 0
             for r in oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q):
@@ -338,7 +357,20 @@ class TestFoldedResidues:
             counts = oracles._residue_counts(partition)
             residues = table_residues(pair, partition)
             for m in (p, q, p * q, q * q):
-                assert residues[m] == oracles.coset_residues(counts[m], m, q), (p, q, m, corruption)
+                want = oracles.coset_residues(counts[m], m, q)
+                assert residues[m] == as_read(want, m, q), (p, q, m, corruption)
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_key_sets())
+    @example((3, np.array([0, 3, 6])))             # Phi_9 itself: a nonzero row, 0 mod Phi_9
+    @example((5, np.array([26, 31, 36, 41, 46])))  # row 1, class 1 mod 5 filled
+    @example((3, np.array([0, 3])))                # a class neither empty nor full
+    def test_phi_q2_rule(self, case):
+        # a row is 0 mod Phi_{q^2} exactly when each class mod q holds 0 or q
+        # of its keys; the folded residue of each row says the same
+        q, keys = case
+        residues = oracles.coset_residues((keys, np.ones_like(keys)), q * q, q)
+        assert sv._off_phi_q2(keys, q) == [ell for ell, r in enumerate(residues) if r]
 
 
 class TestResidueTables:

@@ -356,9 +356,22 @@ class TestScan:
         assert all(r[7] == "1" and r[8] == "false" for r in rows)
 
     def test_error_row(self, capsys, monkeypatch):
+        self.check_error_row(capsys, monkeypatch, "1")
+
+    def test_error_row_pooled(self, capsys, monkeypatch):
+        # the same through the pool, whose map computes the pairs in reverse
+        # but returns them in input order: the rows follow map, not completion
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started, computed = self.stand_in_pool(monkeypatch, reverse=True)
+        self.check_error_row(capsys, monkeypatch, "2")
+        assert started == [2, 2]
+        assert computed == [(5, 11), (3, 13), (3, 7)] * 2
+
+    @staticmethod
+    def check_error_row(capsys, monkeypatch, jobs):
         # a pair whose verification raises gets an n/a row and one stderr line;
         # the other rows are those of a clean scan
-        _, clean, _ = run(capsys, "scan", "--max-period", "1000", "--jobs", "1")
+        _, clean, _ = run(capsys, "scan", "--max-period", "1000", "--jobs", jobs)
         verify = cli.verify_theorem
 
         def failing(pair):
@@ -367,7 +380,7 @@ class TestScan:
             return verify(pair)
 
         monkeypatch.setattr(cli, "verify_theorem", failing)
-        code, stdout, err = run(capsys, "scan", "--max-period", "1000", "--jobs", "1")
+        code, stdout, err = run(capsys, "scan", "--max-period", "1000", "--jobs", jobs)
         assert code == EXIT_MISMATCH
         lines = stdout.strip().splitlines()
         assert lines[2] == "3,13,1,n/a,n/a,n/a,n/a,n/a,false,n/a,n/a"
@@ -433,9 +446,11 @@ class TestScan:
         assert self.started_workers(capsys, monkeypatch, "3", "1000") == [2]
 
     @staticmethod
-    def started_workers(capsys, monkeypatch, jobs, max_period):
-        # a stand-in pool records its size and runs the pairs in this process
-        started = []
+    def stand_in_pool(monkeypatch, reverse=False):
+        # a stand-in pool records its size and the pairs in the order it
+        # computes them, in this process; with reverse it computes the last
+        # first, and returns the results in input order as Executor.map does
+        started, computed = [], []
 
         class Pool:
             def __init__(self, max_workers):
@@ -448,9 +463,17 @@ class TestScan:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                order = list(items)[::-1] if reverse else list(items)
+                computed.extend(order)
+                results = [fn(item) for item in order]
+                return results[::-1] if reverse else results
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        return started, computed
+
+    @classmethod
+    def started_workers(cls, capsys, monkeypatch, jobs, max_period):
+        started, _ = cls.stand_in_pool(monkeypatch)
         code, stdout, _ = run(capsys, "scan", "--max-period", max_period, "--jobs", jobs)
         assert code == EXIT_OK
         assert len(stdout.splitlines()) == 1 + len(enumerate_pairs(int(max_period)))
