@@ -21,11 +21,16 @@ one scan to 1000000.
 
 The audit stage times `lemma_failures` on a small, a large and the largest
 pair in budget, each run cold on a fresh partition with the generators built
-beforehand, and apart from it, also cold, the residue counts, the lemma 5-7
-multisets and the lemma 8-9 congruences; then `audit_structure` over every
-pair of the timed scan, caches cleared once per run as in one `structure`
-call per pair from one process.  All are medians of --repeats.  `--pairs`
-with no pairs skips the ladder.
+beforehand, and apart from it, also cold, the Euler-quotient table, the
+partition built from it, the residue counts, the lemma 5-7 multisets and the
+lemma 8-9 congruences; then `audit_structure` over every pair of the timed
+scan, caches cleared once per run as in one `structure` call per pair from
+one process; and the same pairs through `eqseq.cli.main(["structure", ...])`,
+each run in a fresh interpreter that imports `eqseq.cli` untimed, as a
+perfbench `audit` pass runs them: against `audit_structure` this adds the
+command line (the parser, the JSON and the table on stderr) and the cold
+start of the first calls.  All are medians of --repeats.  `--pairs` with no
+pairs skips the ladder.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.  Each
@@ -57,6 +62,7 @@ sys.path.insert(0, str(SRC))
 from eqseq import (  # noqa: E402
     PrimePair,
     audit_structure,
+    build_table,
     derive_generators,
     generate_threshold,
     gf2poly,
@@ -149,6 +155,19 @@ def ladder(pairs: list[str], repeats: int) -> dict:
     return out
 
 
+# one run of structure_cli: the structure command on each pair from argv, in this process
+STRUCTURE_CLI = """
+import contextlib, io, json, sys, time
+from eqseq import cli
+pairs = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    start = time.perf_counter()
+    codes = [cli.main(["structure", "--p", str(p), "--q", str(q)]) for p, q in pairs]
+    seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds, "codes": codes}))
+"""
+
+
 def residue_stages(pair: PrimePair, gens, partition) -> dict:
     """Seconds of the residue counts and of the lemma 5-7 and 8-9 checks on them."""
     found, t_counts = timed(structverify._residue_tables, partition)
@@ -158,8 +177,9 @@ def residue_stages(pair: PrimePair, gens, partition) -> dict:
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
-    """Median seconds of lemma_failures and of its residue stages per pair, and
-    of audit_structure over the scan's pairs."""
+    """Median seconds of lemma_failures, of the table and partition and of the
+    residue stages per pair, and of audit_structure and of the structure
+    command over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
         p, q = (int(v) for v in text.split(","))
@@ -171,7 +191,10 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             runs.append(timed(structverify.lemma_failures, pair, gens,
                               structverify.CosetPartition(pair=pair, index=index)))
             clear_caches()
-            stages.append(residue_stages(pair, gens, structverify.CosetPartition(pair=pair, index=index)))
+            table, t_table = timed(build_table, pair)
+            _, t_partition = timed(structverify.build_partition, pair, table)
+            stages.append({"table_s": t_table, "partition_s": t_partition, **residue_stages(
+                pair, gens, structverify.CosetPartition(pair=pair, index=index))})
         result = out["lemma_failures"][text] = {
             "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
             **{name: statistics.median(s[name] for s in stages) for name in stages[0]},
@@ -191,6 +214,17 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
         "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs]}
     print(f"structure over {len(sweep)} pairs to {bound}: "
           f"{out[f'structure_{bound}']['seconds']:.3f} s", file=sys.stderr)
+
+    argv = [sys.executable, "-c", STRUCTURE_CLI, json.dumps([[pair.p, pair.q] for pair in sweep])]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [json.loads(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                      check=True).stdout) for _ in range(repeats)]
+    cli_runs = [run["seconds"] for run in runs]
+    out[f"structure_cli_{bound}"] = {
+        "pairs": len(sweep), "pairs_ok": runs[0]["codes"].count(0), "median_of": repeats,
+        "seconds": statistics.median(cli_runs), "seconds_runs": cli_runs}
+    print(f"structure command over {len(sweep)} pairs to {bound}: "
+          f"{out[f'structure_cli_{bound}']['seconds']:.3f} s", file=sys.stderr)
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -270,6 +271,8 @@ def _scan_row(pq: tuple[int, int]) -> tuple[list, str | None]:
 def _cmd_scan(args) -> int:
     if args.jobs < 1:
         return _fail(EXIT_USAGE, f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_period < 1:
+        return _fail(EXIT_USAGE, f"--max-period must be at least 1, got {args.max_period}")
     budget = max_period()
     if args.max_period > budget:
         return _fail(
@@ -305,7 +308,10 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use: parsing reads it
+    and never changes it, so every call shares it."""
     parser = _Parser(prog="eqseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -11,17 +11,18 @@ evaluation at primitive roots of unity in an extension field: agreement modulo
 the n-th cyclotomic polynomial is equivalent to agreement at every primitive
 n-th root, and stays in plain GF(2)[x] arithmetic.
 
-Residues are counted once per modulus.  For m = p, q and pq, one bincount of
-coset * m + (t mod m) over the units gives a (q, m) table whose row ell counts
-D_ell in each class mod m (q * m <= N).  Lemmas 5 and 6 compare each row with
-the expected one, and a coset polynomial mod x^m - 1 is the low bits of its
-row, reduced by Phi_m.  Mod q^2 the table would have q^3 cells, so the keys
-coset * q^2 + (t mod q^2) are sorted once and counted by run length.  A
-coset polynomial is 0 mod Phi_{q^2} = Phi_q(x^q) exactly when each class
-mod q of its odd-count keys holds 0 or q of them, so the q^2 congruences
-come from class counts, with no q^3 table either.  Lemma 9's pq^2 term
-reduces the q polyphase parts of the summed indicator by Phi_pq, since
-Phi_{pq^2}(x) = Phi_pq(x^q).
+Residues are counted once.  One bincount of coset * pq + (t mod pq) over the
+units gives a (q, pq) table whose row ell counts D_ell in each class mod pq
+(q * pq = N); summing the columns of each class mod p, or mod q, gives the
+(q, p) and (q, q) tables.  Lemmas 5 and 6 compare each row with the expected
+one, and a coset polynomial mod x^m - 1 is the low bits of its row in the
+table mod m, reduced by Phi_m.  Mod q^2 the table would have q^3 cells, so
+the keys coset * q^2 + (t mod q^2) are sorted once and counted by run
+length.  A coset polynomial is 0 mod Phi_{q^2} = Phi_q(x^q) exactly when
+each class mod q of its odd-count keys holds 0 or q of them, so the q^2
+congruences come from class counts, with no q^3 table either.  Lemma 9's
+pq^2 term reduces the q polyphase parts of the summed indicator by Phi_pq,
+since Phi_{pq^2}(x) = Phi_pq(x^q).
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .eulerq import build_table, derive_generators, two_coset_index
+from .eulerq import build_table, derive_generators, two_coset_index, unit_residues
 from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 
@@ -79,16 +80,18 @@ def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> CosetP
     if values.shape != (pair.period,):
         raise DomainError(f"psi table of shape {values.shape} is not one period N = {pair.period}")
     p, q = pair.p, pair.q
-    t = np.arange(pair.period)
-    unit = (t % p != 0) & (t % q != 0)
-    stray = np.flatnonzero(unit & (values % p != 0))
+    # row k of the (q, pq) view holds t = r + k*pq, a unit exactly when r is one
+    unit = unit_residues(pair)
+    quotient, rest = np.divmod(values.reshape(q, p * q), p)
+    stray = np.flatnonzero(unit & (rest != 0))
     if stray.size:
         t0 = int(stray[0])
         raise InternalConsistencyError(
             f"psi({t0}) = {values[t0]} not divisible by p={p}"
         )
-    index = np.where(unit, values // p, -1).astype(np.int32)
-    return CosetPartition(pair=pair, index=index)
+    index = quotient.astype(np.int32)
+    index[:, ~unit] = -1
+    return CosetPartition(pair=pair, index=index.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +185,24 @@ def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: Coset
 
 def _residue_tables(partition: CosetPartition) -> tuple[dict[int, np.ndarray], ResidueCounts]:
     """Residues of the units per coset.  For m in p, q and pq, row ell of a
-    (q, m) table counts the units of D_ell in each class mod m, from one
-    bincount of coset * m + (t mod m); q * m <= N, and a label q or more lands
-    past the table.  For q^2, whose table would have q^3 cells, the sorted
-    distinct keys coset * q^2 + (t mod q^2) with their run lengths."""
+    (q, m) table counts the units of D_ell in each class mod m: one bincount
+    of coset * pq + (t mod pq) gives the pq table, a label q or more landing
+    past it, and column c of it is the class c mod p of the (q, q, p) view and
+    c mod q of the (q, p, q) view.  For q^2, whose table would have q^3 cells,
+    the sorted distinct keys coset * q^2 + (t mod q^2) with their run lengths."""
     p, q = partition.pair.p, partition.pair.q
+    pq = p * q
     units = partition.units
     cosets = partition.index[units].astype(np.int64)
-    tables = {m: np.bincount(cosets * m + units % m, minlength=q * m)[:q * m].reshape(q, m)
-              for m in (p, q, p * q)}
-    keys = np.sort(cosets * (q * q) + units % (q * q))
+    # the keys are built and sorted in place, the q^2 ones in the buffer of the
+    # pq ones: fewer unit-length temporaries keep the audit's peak memory down
+    keys = units % pq
+    keys += cosets * pq
+    table = np.bincount(keys, minlength=q * pq)[:q * pq].reshape(q, pq)
+    tables = {p: table.reshape(q, q, p).sum(axis=1), q: table.reshape(q, p, q).sum(axis=1), pq: table}
+    np.remainder(units, q * q, out=keys)
+    keys += cosets * (q * q)
+    keys.sort()
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return tables, (keys[starts], np.diff(starts, append=keys.size))
 

@@ -36,7 +36,8 @@ also above EXHAUSTIVE_LIMIT, and `_powers` the per-exponent modular powers.
 `_residue_counts`, `_bad_cosets` and `_check_key_multisets` are the audit's
 lemma 5-7 route on the dense index before the per-modulus tables: np.unique
 keys coset * m + (t mod m) with their counts for every m, compared with the
-expected keys by np.setxor1d.
+expected keys by np.setxor1d.  `residue_tables` is the per-modulus route that
+followed it: one bincount of coset * m + (t mod m) for each of m = p, q, pq.
 """
 
 from __future__ import annotations
@@ -570,6 +571,16 @@ def _residue_counts(partition: IndexPartition) -> dict[int, ResidueCounts]:
     cosets = partition.index[units].astype(np.int64)
     return {m: np.unique(cosets * m + units % m, return_counts=True)
             for m in (p, q, p * q, q * q)}
+
+
+def residue_tables(partition: IndexPartition) -> dict[int, np.ndarray]:
+    """For m in p, q and pq, the (q, m) table of the units of each coset per
+    class mod m, one bincount per modulus; a label q or more lands past it."""
+    p, q = partition.pair.p, partition.pair.q
+    units = partition.units
+    cosets = partition.index[units].astype(np.int64)
+    return {m: np.bincount(cosets * m + units % m, minlength=q * m)[:q * m].reshape(q, m)
+            for m in (p, q, p * q)}
 
 
 def _bad_cosets(found: ResidueCounts, expected_keys: np.ndarray, count: int, m: int) -> set[int]:

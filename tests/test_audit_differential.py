@@ -11,7 +11,8 @@ the additivity test from the generators against that grid, the doubled powers
 against one power per exponent, and the coset residues (mod Phi_{q^2}, only
 whether each is zero) against the per-bit residue pass and against the loop
 that folded them one coset at a time, which also checks the class-count rule
-for Phi_{q^2} on random key sets.  The residue tables per modulus and the q^2 run lengths are checked
+for Phi_{q^2} on random key sets.  The residue tables mod p, q and pq are
+checked against one bincount per modulus, and with the q^2 run lengths
 against the sorted keys and counts of np.unique that they replaced, and the
 polyphase test of lemma 9's pq^2 term against one reduction of the whole
 indicator.
@@ -374,9 +375,10 @@ class TestFoldedResidues:
 
 
 class TestResidueTables:
-    """The bincount tables mod p, q and pq and the run lengths mod q^2 against
-    the np.unique keys and counts, and the lemma 5-7 check on them against the
-    check on those keys (oracles._check_key_multisets)."""
+    """The tables mod p, q and pq, folded from one bincount mod pq, against a
+    bincount per modulus, and with the run lengths mod q^2 against the
+    np.unique keys and counts; the lemma 5-7 check on them against the check
+    on those keys (oracles._check_key_multisets)."""
 
     @pytest.mark.parametrize("variant", (None, "label_q") + CORRUPTIONS)
     def test_match_sorted_keys(self, variant):
@@ -388,6 +390,10 @@ class TestResidueTables:
                 index = corrupt(index, variant, q)
             partition = sv.CosetPartition(pair=pair, index=index)
             tables, found_q2 = sv._residue_tables(partition)
+            # the folds of the pq table are the bincounts per modulus
+            per_modulus = oracles.residue_tables(partition)
+            assert tables.keys() == per_modulus.keys()
+            assert all(np.array_equal(tables[m], per_modulus[m]) for m in tables), (p, q)
             counts = oracles._residue_counts(partition)
             # each table is the keys of cosets below q scattered with their counts
             for m, table in tables.items():

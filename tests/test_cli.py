@@ -419,6 +419,14 @@ class TestScan:
         assert stdout == ""
         assert f"--jobs must be at least 1, got {jobs}" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_max_period_below_one_is_usage_error(self, capsys, bound):
+        # not a bare header: test_empty_scan keeps that for a bound with no pairs
+        code, stdout, err = run(capsys, "scan", "--max-period", bound)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == f"eqseq: error: --max-period must be at least 1, got {bound}\n"
+
     @pytest.mark.parametrize("jobs,cpus,max_period,workers", [
         ("3", 2, "1000", 2),      # clamped to the CPUs this process may use
         ("2", 1, "1000", None),   # one usable CPU of the host's 8: run serially
@@ -647,3 +655,23 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys, tmp_path):
+        # a usage error from a subcommand and one from argparse, then two
+        # good calls: each reads as it does in a process whose first call it is
+        path = tmp_path / "s.txt"
+        assert main(["generate", "--p", "3", "--q", "13", "--out", str(path)]) == EXIT_OK
+        calls = [["scan", "--jobs", "0", "--max-period", "1000"], ["structure", "--p", "3"],
+                 ["structure", "--p", "3", "--q", "13"], ["analyze", "--in", str(path)]]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        in_turn = [run(capsys, *argv) for argv in calls]
+        assert in_turn == alone
+        assert [code for code, _, _ in alone] == [EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK]
