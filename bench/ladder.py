@@ -8,9 +8,10 @@ and the package under src/ (nothing is installed):
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
-the folds of the period, the descent of each block's product tree to the
-residues and components of its sub-blocks, the gcd route (Euclid only on
-sub-blocks that split) and Berlekamp-Massey on every sub-block, the least
+the folds of the period, the component walk down each block's product tree
+to the components of its sub-blocks, the gcd route's walk of the polyphase
+parts down the same tree with Euclid on the sub-blocks that split, and
+Berlekamp-Massey on every sub-block the component walk reaches, the least
 period and, for pairs inside the closed form's hypotheses, the closed-form
 prediction; elsewhere `lc_predicted` is null and `match` compares the two
 routes.  Cyclotomic caches are cleared before every run, so each stage
@@ -121,13 +122,14 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     seq, t_table = timed(generate_threshold, pair)
     stages = {"table_pack_s": t_table}
     folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
-    subs, stages["sub_blocks_s"] = timed(lambda: [
-        (block, sub) for block, u in folds for sub in lincomp._sub_blocks(u, block)])
-    minpolys, stages["gcd_s"] = timed(
-        lambda: [lincomp._sub_minpoly(g, w, block) for block, (g, w, _) in subs])
-    lcs, stages["bm_s"] = timed(
-        lambda: [lincomp._component_lc(v, g, block.d, seq.origin) for block, (g, _, v) in subs])
-    lc_gcd = sum(f.bit_length() - 1 for f in minpolys)
+    components, stages["components_s"] = timed(lambda: [
+        (block, f, v) for block, u in folds for f, v in lincomp._components(u, block)])
+    minpolys, stages["gcd_s"] = timed(lambda: [
+        sub for block, u in folds for _, sub in lincomp._gcd_route(u, block)])
+    lcs, stages["bm_s"] = timed(lambda: [
+        lincomp._component_lc(v, (f.bit_length() - 1) * block.stride, block.d, seq.origin)
+        for block, f, v in components if v is not None])
+    lc_gcd = sum(sub.bit_length() - 1 for sub in minpolys if sub is not None)
     lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)
     lc_predicted = None   # outside the closed form's hypotheses

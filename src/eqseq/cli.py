@@ -286,10 +286,12 @@ def _cmd_scan(args) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     workers = min(args.jobs, len(pairs), cpus or 1)
-    # map keeps the order of pairs, which enumerate_pairs sorts
+    # largest N first, so no long pair starts last; rows keep the sorted order
     if workers > 1:
+        by_size = sorted(pairs, key=lambda pq: pq[0] * pq[1] ** 2, reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_row, pairs))
+            rows = dict(zip(by_size, pool.map(_scan_row, by_size)))
+        results = [rows[pq] for pq in pairs]
     else:
         results = list(map(_scan_row, pairs))
 

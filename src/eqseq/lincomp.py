@@ -19,20 +19,23 @@ over the divisors e of m, r the radical of e; and with Phi_r = prod_i f_i
 over GF(2), each F_e is the product of the pairwise coprime sub-blocks
 G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A), and each
 sub-block's LC is also found by Berlekamp-Massey on the sub-block's
-component of the sequence.  The two must agree on every sub-block.  The
-residues and components reach the sub-blocks down a product tree over the
-f_i, so the quadratic kernels run on sub-blocks while the shared linear work
-is done once per tree node.  Each run checks that the sub-blocks multiply to
-x^N + 1, so the measured M does not rest on the cyclotomic construction or
-the factor split being right, and it never reads the prediction.
+component of the sequence.  The two must agree on every sub-block.  Each
+route walks a product tree over the f_i apart from the other, from the fold
+u = A mod (x^d + 1): the components go down it as products with siblings,
+and the polyphase parts u_j of u = sum_j x^j u_j(x^s) as their residues,
+since u mod G_i = sum_j x^j (u_j mod f_i)(x^s).  Each run checks that the
+sub-blocks multiply to x^N + 1, so the measured M does not rest on the
+cyclotomic construction or the factor split being right, and it never
+reads the prediction.
 
 Most sub-blocks need no Euclid.  For odd d every irreducible factor of Phi_d
 over GF(2) has degree ord_d(2) (Lidl and Niederreiter, Finite Fields,
 Thm 2.47), and a sub-block G of the block d divides Phi_d, so G is
-irreducible exactly when deg G = ord_d(2); then gcd(G, A) is G or 1 by
-whether A mod G is 0.  Euclid runs only on the sub-blocks that split and on
-the blocks of even d, where f(x^(2^k)) = f^(2^k) always splits.  A wrong
-verdict would still be caught: Berlekamp-Massey runs on every sub-block.
+irreducible exactly when deg G = ord_d(2); then gcd(G, A) is 1 if some
+u_j mod f_i is nonzero, settled at the first such part, and G if none is.
+Euclid runs only on the sub-blocks that split and on the blocks of even d,
+where f(x^(2^k)) = f^(2^k) always splits.  A wrong verdict would still be
+caught: Berlekamp-Massey runs on every sub-block.
 
 The predicted minimal polynomial is a product of cyclotomic polynomials
 selected by q mod 4; `verify_theorem` compares it against the measured one
@@ -42,6 +45,7 @@ and reports the verdict, with the LC of every block.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -72,7 +76,7 @@ from .sequence import (
 
 
 #: Steps between truncations of the working products in berlekamp_massey.
-_TRUNCATE_EVERY = 2048
+_TRUNCATE_EVERY = 512
 
 
 def berlekamp_massey(seq: BitSequence) -> int:
@@ -87,10 +91,10 @@ def berlekamp_massey(seq: BitSequence) -> int:
     sb == (S*B) >> k throughout (k = -1 and B = 1 at the start), and
     sc == (S*C) >> (n - m), so the discrepancy at step n is bit m of sc.
     Coefficients below n are never read again and none past nbits - 1 is
-    ever read, so every _TRUNCATE_EVERY steps sc is shifted to base n
-    (m = 0), which keeps the bit tested small through a long run without
-    discrepancies, and cut to its low nbits - n + 2 bits; sb is XORed into
-    sc at base n or later, so the same mask covers it.
+    ever read, so at the start of each window of _TRUNCATE_EVERY steps sc
+    is shifted to base n (m = 0), which keeps the bit tested small through a
+    long run without discrepancies, and cut to its low nbits - n + 2 bits;
+    sb is XORed into sc at base n or later, so the same mask covers it.
 
     The period the prefix implies, half its length rounded up, must lie
     within the budget, so two periods of an in-budget sequence pass.
@@ -103,22 +107,21 @@ def berlekamp_massey(seq: BitSequence) -> int:
     sb = s << 1  # (S*B) >> k with B = 1, k = -1
     length = 0
     m = 0
-    every = _TRUNCATE_EVERY
-    for n in range(nbits):
-        if n % every == 0:
-            sc >>= m
-            m = 0
-            mask = (1 << (nbits - n + 2)) - 1
-            sc &= mask
-            sb &= mask
-        if sc & (1 << m):
-            sc >>= m
-            m = 0
-            if 2 * length <= n:
-                sb, sc = sc, sb
-                length = n + 1 - length
-            sc ^= sb
-        m += 1
+    for start in range(0, nbits, _TRUNCATE_EVERY):
+        sc >>= m
+        m = 0
+        mask = (1 << (nbits - start + 2)) - 1
+        sc &= mask
+        sb &= mask
+        for n in range(start, min(start + _TRUNCATE_EVERY, nbits)):
+            if sc & (1 << m):
+                sc >>= m
+                m = 0
+                if 2 * length <= n:
+                    sb, sc = sc, sb
+                    length = n + 1 - length
+                sc ^= sb
+            m += 1
     return length
 
 
@@ -128,14 +131,15 @@ class _Node(NamedTuple):
 
     poly: int
     children: tuple  # () at a leaf, else (left, right)
+    leaves: tuple[int, ...]  # the factors below, in leaf order
 
 
 def _factor_tree(factors: SequenceABC[int]) -> _Node:
     if len(factors) == 1:
-        return _Node(factors[0], ())
+        return _Node(factors[0], (), tuple(factors))
     half = len(factors) // 2
     left, right = _factor_tree(factors[:half]), _factor_tree(factors[half:])
-    return _Node(_int_mul(left.poly, right.poly), (left, right))
+    return _Node(_int_mul(left.poly, right.poly), (left, right), tuple(factors))
 
 
 class _Block(NamedTuple):
@@ -205,84 +209,79 @@ def _block_folds(seq: BitSequence) -> Iterator[tuple[_Block, int]]:
         yield block, _fold(seq.bits, n, block.d)
 
 
-def _phases(u: int, s: int, length: int) -> list[int]:
-    """The s polyphase parts of u, of degree below length: part j holds the
-    coefficients j, j + s, j + 2s, ... of u."""
-    digits = format(u, f"0{length}b")[::-1]  # coefficient i at index i
-    return [int(digits[j::s][::-1], 2) for j in range(s)]
-
-
-def _interleave(parts: list[int], s: int, width: int) -> int:
-    """The inverse of _phases for parts of degree below width."""
-    out = bytearray(b"0" * (width * s))
-    for j, part in enumerate(parts):
-        out[j::s] = format(part, f"0{width}b")[::-1].encode()
-    return int(out[::-1], 2)
-
-
 def _times_mod(v: int, f: int, d: int) -> int:
     """v f mod (x^d + 1), for v and f of degree below d."""
     v = _int_mul(v, f)
     return (v & ((1 << d) - 1)) ^ (v >> d)
 
 
-def _descend(node: _Node, parts: list[int], v: int,
-             block: _Block) -> Iterator[tuple[int, int, int]]:
-    # parts: the polyphase parts of u mod node(x^s); v: the node's component
-    s = block.stride
-    if not node.children:
-        width = node.poly.bit_length() - 1
-        yield _int_compose(node.poly, s), _interleave(parts, s, width), v
-        return
-    if not v and not any(parts):
-        return
-    left, right = node.children
-    for child, sibling in ((left, right), (right, left)):
-        yield from _descend(child, [_int_mod(x, child.poly) for x in parts],
-                            _times_mod(v, _int_compose(sibling.poly, s), block.d), block)
+def _components(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
+    """BM route: (f, v) for each sub-block G = f(x^s) in leaf order, v the
+    G-component u (x^d + 1) / G mod (x^d + 1) of the fold u, or None under
+    an inner node whose component is 0.  The root's component is u H, and a
+    child's is its parent's times the sibling."""
+
+    def walk(node, v):
+        if not node.children:
+            yield node.poly, v
+        elif not v:
+            yield from ((f, None) for f in node.leaves)
+        else:
+            left, right = node.children
+            for child, sibling in ((left, right), (right, left)):
+                yield from walk(child, _times_mod(v, _int_compose(sibling.poly, block.stride), block.d))
+
+    return walk(block.tree, _times_mod(u, block.cofactor, block.d))
 
 
-def _sub_blocks(u: int, block: _Block) -> Iterator[tuple[int, int, int]]:
-    """(G, u mod G, v) for the sub-blocks G = f(x^s) of a block, where
-    v = u (x^d + 1) / G mod (x^d + 1) is the G-component of the fold u.
+def _gcd_route(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
+    """gcd route: (f, G / gcd(G, u)) for each sub-block G = f(x^s) in leaf
+    order, or None under an inner node whose residue is 0.
 
-    Both descend the product tree from the root, where the residue is
-    u mod F_e and the component u H.  A child's residue is reduced from its
-    parent's, each of the s polyphase parts on its own, since the child
-    divides the parent and both are polynomials in x^s; a child's component
-    is the parent's times the sibling, since (x^d + 1) / child =
-    (x^d + 1) / parent * sibling.  An inner node whose residue and
-    component are both 0 has only zero sub-blocks below it, where both
-    routes give LC 0, and is not descended; a leaf is always yielded.
-    """
-    s, d, tree = block.stride, block.d, block.tree
-    parts = [_int_mod(x, tree.poly) for x in _phases(u, s, d)]
-    return _descend(tree, parts, _times_mod(u, block.cofactor, d), block)
+    The parts u_j of u = sum_j x^j u_j(x^s) stream down the tree as their
+    nonzero residues, each reduced at a node only when a sub-block below
+    reads it.  An irreducible G reads up to its first nonzero u_j mod f; one
+    that splits reads every part, interleaving them into
+    u mod G = sum_j x^j (u_j mod f)(x^s) for Euclid."""
+    s, d = block.stride, block.d
+    width = block.tree.leaves[0].bit_length() - 1   # deg f, equal for every factor of Phi_r
+    irreducible = width * s == block.order
+    digits = format(u, f"0{d}b")[::-1]   # coefficient i at index i
+    phases = [int(digits[j::s][::-1], 2) for j in range(s)]
+
+    def reduced(pairs, f):   # the nonzero (j, x mod f) for the (j, x) in pairs
+        return ((j, y) for j, x in pairs if (y := _int_mod(x, f)))
+
+    def walk(node, parts):   # parts: the nonzero (j, u_j mod node), reduced as they are read
+        first = next(parts, None)
+        if node.children and first is None:
+            yield from ((f, None) for f in node.leaves)
+        elif node.children:
+            for child, branch in zip(node.children, itertools.tee(itertools.chain([first], parts))):
+                yield from walk(child, reduced(branch, child.poly))
+        else:   # a G that splits runs Euclid through the public `gcd`, which perfbench spans
+            w = bytearray(b"0" * (width * s))   # u mod G, coefficient i at index i
+            for j, x in itertools.chain([first] if first else [], () if irreducible else parts):
+                if x.bit_length() > width:
+                    raise InternalConsistencyError(
+                        f"residue of degree {x.bit_length() - 1} exceeds its sub-block in block d={d}")
+                w[j::s] = format(x, f"0{width}b")[::-1].encode()
+            w = int(w[::-1], 2)
+            g = _int_compose(node.poly, s)
+            common = (1 if w else g) if irreducible else gcd(Gf2Poly(g), Gf2Poly(w)).bits
+            quotient, remainder = (g, 0) if common == 1 else _int_divmod(g, common)
+            if remainder:
+                raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
+            yield node.poly, quotient
+
+    return walk(block.tree, reduced(enumerate(phases), block.tree.poly))
 
 
-def _sub_minpoly(g: int, w: int, block: _Block) -> int:
-    """gcd route: G / gcd(G, w) for a sub-block G of the block and w = u mod G.
-
-    A G of degree ord_d(2) is irreducible, so the gcd is G when w is 0 and 1
-    otherwise, and Euclid runs only on a G that splits.
-    """
-    if g.bit_length() - 1 == block.order:
-        return g if w else 1
-    # Euclid runs through the public `gcd` so that perfbench's span on it sees every run
-    common = gcd(Gf2Poly(g), Gf2Poly(w)).bits
-    if common == 1:
-        return g
-    quotient, remainder = _int_divmod(g, common)
-    if remainder:
-        raise InternalConsistencyError(f"gcd does not divide the block factor for d={block.d}")
-    return quotient
-
-
-def _component_lc(v: int, g: int, d: int, origin) -> int:
-    """BM route: the LC of the G-component v of block d, whose minimal
-    polynomial is G / gcd(G, u).  That LC is at most deg G, so 2 deg G bits
-    of two periods of v determine it."""
-    nbits = 2 * (g.bit_length() - 1)
+def _component_lc(v: int, degree: int, d: int, origin) -> int:
+    """BM route: the LC of the component v of block d for a sub-block G of
+    the given degree, whose minimal polynomial is G / gcd(G, u).  That LC is
+    at most deg G, so 2 deg G bits of two periods of v determine it."""
+    nbits = 2 * degree
     two = (v | (v << d)) & ((1 << nbits) - 1)
     return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin))
 
@@ -293,22 +292,21 @@ def _product(polys: Iterable[int]) -> int:
 
 def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
     """The minimal polynomial of each block by the gcd route, keyed by d,
-    with the LC of each of its sub-blocks checked against Berlekamp-Massey
-    on the sub-block's component."""
+    with the LC of each sub-block checked against Berlekamp-Massey on its
+    component.  A sub-block that a walk leaves out has LC 0 on that route,
+    and one that both leave out is not run."""
     out = {}
     for block, u in _block_folds(seq):
+        s, d = block.stride, block.d
         minpoly = 1
-        for g, w, v in _sub_blocks(u, block):
-            sub = _sub_minpoly(g, w, block)
-            lc_gcd = sub.bit_length() - 1
-            lc_bm = _component_lc(v, g, block.d, seq.origin)
+        for (f, sub), (_, v) in zip(_gcd_route(u, block), _components(u, block), strict=True):
+            lc_gcd = 0 if sub is None else sub.bit_length() - 1
+            lc_bm = 0 if v is None else _component_lc(v, (f.bit_length() - 1) * s, d, seq.origin)
             if lc_bm != lc_gcd:
                 raise InternalConsistencyError(
-                    f"LC disagreement for {seq.origin} in block d={block.d}: "
-                    f"gcd={lc_gcd}, bm={lc_bm}"
-                )
-            minpoly = _int_mul(minpoly, sub)
-        out[block.d] = minpoly
+                    f"LC disagreement for {seq.origin} in block d={d}: gcd={lc_gcd}, bm={lc_bm}")
+            minpoly = _int_mul(minpoly, sub) if lc_gcd else minpoly
+        out[d] = minpoly
     return out
 
 

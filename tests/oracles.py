@@ -16,8 +16,9 @@ power per position, and `generate_threshold` packs the threshold flags from it.
 even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
 whole of x^N + 1 that the block route replaced, `sub_minpoly` the gcd route
 on one sub-block with Euclid on every sub-block, before irreducible ones
-were decided by their degree, and `fold` reduces a period mod x^d + 1 one
-bit at a time.  `coset_residues` is the per-coset loop that
+were decided by their degree, `component` the sub-block's component of a
+fold by long division and a per-bit product `int_mul`, and `fold` reduces a
+period mod x^d + 1 one bit at a time.  `coset_residues` is the per-coset loop that
 folded each coset's residue keys into its own boolean array.
 `synthesize_sequence` runs an LFSR recurrence, the generator that the
 Berlekamp-Massey tests regenerate sequences with, and `two_periods` writes a
@@ -184,6 +185,24 @@ def sub_minpoly(g: int, w: int, d: int) -> int:
     if remainder:
         raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
     return quotient
+
+
+def int_mul(a: int, b: int) -> int:
+    """Carry-less product, one bit of a at a time."""
+    out = 0
+    for i in range(a.bit_length()):
+        if (a >> i) & 1:
+            out ^= b << i
+    return out
+
+
+def component(u: int, g: int, d: int) -> int:
+    """u (x^d + 1) / g mod (x^d + 1), the g-component of a fold u, for g
+    dividing x^d + 1, by long division."""
+    cofactor, rest = int_divmod((1 << d) | 1, g)
+    if rest:
+        raise InternalConsistencyError(f"g does not divide x^{d} + 1")
+    return int_mod(int_mul(u, cofactor), (1 << d) | 1)
 
 
 def fold(bits: int, n: int, d: int) -> int:

@@ -359,13 +359,24 @@ class TestScan:
         self.check_error_row(capsys, monkeypatch, "1")
 
     def test_error_row_pooled(self, capsys, monkeypatch):
-        # the same through the pool, whose map computes the pairs in reverse
-        # but returns them in input order: the rows follow map, not completion
+        # the same through the pool, which is fed the largest N first
+        # (605, 507, 147) and computes them in reverse, but returns them in
+        # input order: the rows follow the pairs, not the feed or completion
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         started, computed = self.stand_in_pool(monkeypatch, reverse=True)
         self.check_error_row(capsys, monkeypatch, "2")
         assert started == [2, 2]
-        assert computed == [(5, 11), (3, 13), (3, 7)] * 2
+        assert computed == [(3, 7), (3, 13), (5, 11)] * 2
+
+    def test_pool_takes_the_largest_period_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        _, computed = self.stand_in_pool(monkeypatch)
+        code, stdout, _ = run(capsys, "scan", "--max-period", "10000", "--jobs", "2")
+        assert code == EXIT_OK
+        pairs = enumerate_pairs(10000)
+        assert computed == sorted(pairs, key=lambda pq: pq[0] * pq[1] ** 2, reverse=True)
+        assert computed != pairs[::-1]   # N does not grow with (p, q)
+        assert [tuple(map(int, line.split(",")[:2])) for line in stdout.splitlines()[1:]] == pairs
 
     @staticmethod
     def check_error_row(capsys, monkeypatch, jobs):
@@ -402,10 +413,12 @@ class TestScan:
             "lc_empirical,lc_predicted,match,sigma,millis"
         ]
 
-    def test_jobs_reproducible(self, capsys, tmp_path):
+    def test_jobs_reproducible(self, capsys, monkeypatch, tmp_path):
+        # two real workers even on one CPU, fed the largest N first
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(capsys, "scan", "--max-period", "1000", "--csv", str(a))[0] == EXIT_OK
-        assert run(capsys, "scan", "--max-period", "1000", "--jobs", "2", "--csv", str(b))[0] == EXIT_OK
+        assert run(capsys, "scan", "--max-period", "10000", "--csv", str(a))[0] == EXIT_OK
+        assert run(capsys, "scan", "--max-period", "10000", "--jobs", "2", "--csv", str(b))[0] == EXIT_OK
 
         def strip_millis(path):
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]

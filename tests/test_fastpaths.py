@@ -15,9 +15,12 @@ own differential tests in test_audit_differential.py.
 
 import contextlib
 import functools
+import inspect
+import json
 import math
 import random
 import signal
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -35,8 +38,8 @@ from eqseq import (
     euler_quotient,
     generate_threshold,
 )
-from eqseq import InternalConsistencyError, analyze_period, lincomp, verify_theorem
-from eqseq.cli import parse_ascii
+from eqseq import InternalConsistencyError, analyze_period, cli, lincomp, verify_theorem
+from eqseq.cli import EXIT_OK, EXIT_USAGE, parse_ascii
 from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
 from eqseq.lincomp import berlekamp_massey
@@ -49,7 +52,7 @@ from golden import SWEEP_PAIRS
 NON_DIVIDING_PAIRS = [(5, 7), (7, 3), (11, 13)]
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
-# lengths around the truncation interval of berlekamp_massey, plus small ones
+# lengths around multiples of the truncation interval of berlekamp_massey, plus small ones
 EDGE_LENGTHS = [1, 2, 3, 64, 2047, 2048, 2049, 4097]
 lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(min_value=1, max_value=4200)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -147,6 +150,33 @@ class TestBerlekampMasseyDifferential:
             assert berlekamp_massey(seq) == n
 
 
+class TestBerlekampMasseyWindows:
+    """The loop runs window by window, truncating at the start of each; the
+    lengths around the window edges against the full BM that builds C."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", [511, 512, 513, 1023, 1024, 1025, 2049])
+    def test_window_edges(self, kind, n):
+        assert lincomp._TRUNCATE_EVERY == 512
+        for seed in range(3):
+            assert_same_as_oracle(KINDS[kind](seed, n))
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1024, 2049])
+    def test_all_zero_and_single_one(self, n):
+        assert_same_as_oracle(BitSequence(bits=0, length=n, origin="external"))
+        for i in sorted({0, n // 2, 511 % n, 512 % n, n - 1}):
+            seq = BitSequence(bits=1 << i, length=n, origin="external")
+            assert_same_as_oracle(seq)
+            assert berlekamp_massey(seq) == i + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=2600))
+    @example("lfsr", 0, 1536)
+    @example("periodic", 1, 1025)
+    def test_matches_oracle(self, kind, seed, n):
+        assert_same_as_oracle(KINDS[kind](seed, n))
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
     """Raise TimeoutError instead of hanging: a division loop whose shift is
@@ -189,6 +219,17 @@ class TestIntDivisionDifferential:
         assert_divisions_match((g << 1) ^ rng.getrandbits(degree + 1), g)
 
 
+def walked_sub_blocks(u: int, block) -> list[tuple[int, int | None, int | None]]:
+    """Both walks of a block side by side: (G, G / gcd(G, u), component) per
+    sub-block G = f(x^s) in leaf order, None where a walk leaves G out."""
+    out = []
+    for (f, sub), (f_bm, v) in zip(lincomp._gcd_route(u, block), lincomp._components(u, block),
+                                   strict=True):
+        assert f == f_bm
+        out.append((_int_compose(f, block.stride), sub, v))
+    return out
+
+
 def assert_block_route_matches(seq: BitSequence) -> None:
     """The block route, which runs both LC routes on every sub-block, against
     the Euclidean oracle and whole-period BM."""
@@ -227,25 +268,27 @@ class TestBlockRouteDifferential:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(KINDS)), seeds, st.integers(min_value=1, max_value=3000))
     @example("random", 0, 61425 // 25)
+    @example("periodic", 1, 1890)
     def test_fold_and_reduction_match_per_bit_loops(self, kind, seed, n):
-        # each sub-block's residue and component against long division, the
-        # sub-blocks not descended into hold no part of the fold, and a
-        # component is 0 exactly when the residue is: G | u if and only if
-        # x^d + 1 | u (x^d + 1) / G, which is why the descent prunes on both
+        # each sub-block's gcd-route polynomial and component against long
+        # division; a sub-block is left out by both walks or by neither, and
+        # only where it holds no part of the fold: G | u exactly when
+        # x^d + 1 | u (x^d + 1) / G, so the two walks prune alike
         seq = KINDS[kind](seed, n)
         for block, u in lincomp._block_folds(seq):
             d = block.d
             assert u == oracles.fold(seq.bits, n, d), d
-            seen = 1
-            for g, w, v in lincomp._sub_blocks(u, block):
-                assert w == oracles.int_mod(u, g), d
-                cofactor, rest = oracles.int_divmod((1 << d) | 1, g)
-                assert rest == 0
-                assert v == oracles.int_mod(_int_mul(u, cofactor), (1 << d) | 1), d
-                assert (v == 0) == (w == 0), d
-                seen = _int_mul(seen, g)
-            skipped, rest = oracles.int_divmod(block.factor, seen)
-            assert rest == 0 and oracles.int_mod(u, skipped) == 0, d
+            walked = walked_sub_blocks(u, block)
+            assert [g for g, _, _ in walked] == [
+                _int_compose(f, block.stride) for f in block.tree.leaves], d
+            for g, sub, v in walked:
+                w = oracles.int_mod(u, g)
+                assert (sub is None) == (v is None), (d, g)
+                if sub is None:
+                    assert w == 0 and block.tree.children, (d, g)
+                    continue
+                assert sub == oracles.sub_minpoly(g, w, d), (d, g)
+                assert v == oracles.component(u, g, d), (d, g)
 
     @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
     def test_blocks_are_the_cyclotomic_factors(self, n):
@@ -306,6 +349,136 @@ class TestBlockRuntimeChecks:
         with pytest.raises(InternalConsistencyError,
                            match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
             analyze_period(generate_threshold(pair37))
+
+
+def polyphase_parts(u: int, s: int, d: int) -> list[int]:
+    """The s polyphase parts of u, of degree below d, one bit at a time."""
+    return [sum(((u >> (j + i * s)) & 1) << i for i in range(d // s)) for j in range(s)]
+
+
+class TestGcdRouteWalk:
+    @pytest.mark.parametrize("seq", [
+        *(generate_threshold(PrimePair.create(p, q)) for p, q in [(3, 7), (5, 11), (3, 61), (23, 47)]),
+        *(random_bits(n, n) for n in [63, 189, 1890, 2457]),
+        BitSequence(bits=0, length=147, origin="external"),
+    ], ids=lambda seq: f"{seq.origin}-{seq.length}")
+    def test_parts_read(self, monkeypatch, seq):
+        # an irreducible sub-block closes at its first nonzero part, and the
+        # walk reads no part once every sub-block is closed; a block whose
+        # sub-blocks split reads every part
+        # every part read is reduced by the root, Phi_r, and nothing else is
+        divisors = []
+        real = lincomp._int_mod
+
+        def counting(f, g):
+            divisors.append(g)
+            return real(f, g)
+
+        monkeypatch.setattr(lincomp, "_int_mod", counting)
+        read = []
+        for block, u in lincomp._block_folds(seq):
+            divisors.clear()
+            list(lincomp._gcd_route(u, block))
+            read.append(divisors.count(block.tree.poly))
+            s, leaves = block.stride, block.tree.leaves
+            parts = polyphase_parts(u, s, block.d)
+            if (leaves[0].bit_length() - 1) * s == block.order:
+                first = [next((j for j, a in enumerate(parts) if oracles.int_mod(a, f)), s)
+                         for f in leaves]
+                assert read[-1] == min(s, max(first) + 1), block.d
+            else:
+                assert read[-1] == s, block.d
+
+    # pairs with a zero block of several sub-blocks: d = 49, 39, 31, 31, 43
+    @pytest.mark.parametrize("p, q", [(3, 7), (3, 13), (3, 31), (5, 31), (3, 43)])
+    def test_walks_leave_out_what_an_inner_node_divides(self, monkeypatch, p, q):
+        # a sub-block under an inner node whose product divides u is left out
+        # by both walks and run by neither; a single leaf is always run
+        def divided(node, u, s, above=False):
+            if not node.children:
+                return [above]
+            here = above or oracles.int_mod(u, _int_compose(node.poly, s)) == 0
+            return [x for child in node.children for x in divided(child, u, s, here)]
+
+        seq = generate_threshold(PrimePair.create(p, q))
+        total = left_out = 0
+        for block, u in lincomp._block_folds(seq):
+            want = divided(block.tree, u, block.stride)
+            walked = walked_sub_blocks(u, block)
+            assert [sub is None for _, sub, _ in walked] == want, block.d
+            assert [v is None for _, _, v in walked] == want, block.d
+            total, left_out = total + len(want), left_out + sum(want)
+        assert left_out > 0
+        runs = []
+        real = lincomp._component_lc
+        monkeypatch.setattr(lincomp, "_component_lc", lambda *args: runs.append(args) or real(*args))
+        lincomp._minpolys_by_block(seq)
+        assert len(runs) == total - left_out
+
+    def test_residue_degree_is_guarded(self, monkeypatch):
+        # a residue too long for its sub-block is an internal error, not a
+        # ValueError from the interleaving
+        monkeypatch.setattr(lincomp, "_int_mod", lambda f, g: f)
+        block, u = list(lincomp._block_folds(random_bits(5, 63)))[-1]
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^residue of degree \d+ exceeds its sub-block in block d=63$"):
+            list(lincomp._gcd_route(u, block))
+
+
+def mutate(monkeypatch, name: str, old: str, new: str) -> None:
+    """Patch lincomp.<name> with its own source, old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(lincomp, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(lincomp))
+    exec(compile(source.replace(old, new), lincomp.__file__, "exec"), namespace)
+    monkeypatch.setattr(lincomp, name, namespace[name])
+
+
+STEP = "yield from walk(child, _times_mod(v, _int_compose(sibling.poly, block.stride), block.d))"
+WALK_MUTATIONS = {
+    "right_component_zeroed": ("_components", STEP, STEP.replace(
+        "_times_mod(", "0 if child is right else _times_mod(")),
+    "component_times_child": ("_components", "sibling.poly", "child.poly"),
+    "residue_by_sibling": ("_gcd_route", "reduced(branch, child.poly)",
+                           "reduced(branch, next(c for c in node.children if c is not child).poly)"),
+}
+
+
+class TestWalkMutations:
+    """Faults in one walk.  The routes share only the fold and M comes from
+    the gcd route, so a fault ends in InternalConsistencyError or leaves M
+    right: never a theorem mismatch (exit 3), never a traceback."""
+
+    @pytest.mark.parametrize("mutation", sorted(WALK_MUTATIONS))
+    def test_sweep_pairs(self, monkeypatch, capsys, mutation):
+        mutate(monkeypatch, *WALK_MUTATIONS[mutation])
+        caught = 0
+        for p, q in SWEEP_PAIRS:
+            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
+            out, err = capsys.readouterr()
+            if code == EXIT_OK:
+                assert json.loads(out)["match"], (p, q)
+            else:
+                assert code == EXIT_USAGE and out == "", (p, q)
+                assert err.startswith("eqseq: error: ") and err.count("\n") == 1, (p, q)
+                caught += 1
+        # every top block has a right child whose component is not 0
+        assert caught == len(SWEEP_PAIRS) if mutation == "right_component_zeroed" else caught > 0
+
+    @pytest.mark.parametrize("mutation", sorted(WALK_MUTATIONS))
+    def test_split_and_even_lengths(self, monkeypatch, mutation):
+        seqs = [random_bits(n, n) for n in SPLIT_D + [126, 1890, 2457, 4096]]
+        wants = [oracles.minimal_polynomial_gcd(seq) for seq in seqs]
+        mutate(monkeypatch, *WALK_MUTATIONS[mutation])
+        caught = 0
+        for seq, want in zip(seqs, wants):
+            try:
+                got = analyze_period(seq)[1]
+            except InternalConsistencyError:
+                caught += 1
+            else:
+                assert got == want, seq.length
+        assert caught > 0
 
 
 def odd_squarefree(limit: int) -> list[int]:
@@ -379,9 +552,10 @@ def tree_leaves(node) -> list[int]:
 
 
 def assert_gcd_route_matches_euclid(seq: BitSequence) -> None:
-    """On every sub-block: the guarded gcd route equals Euclid everywhere, a
-    sub-block of degree ord_d(2) gets 1 or G from Euclid, and the guarded
-    route calls Euclid exactly on the sub-blocks of any other degree."""
+    """On every sub-block: the gcd route equals Euclid everywhere (1 where it
+    leaves a sub-block out), a sub-block of degree ord_d(2) gets 1 or G from
+    Euclid, and the route calls Euclid exactly on the sub-blocks of any other
+    degree that it runs, in leaf order."""
     euclid = []
     real = lincomp.gcd
 
@@ -391,14 +565,18 @@ def assert_gcd_route_matches_euclid(seq: BitSequence) -> None:
 
     with mock.patch.object(lincomp, "gcd", spy):
         for block, u in lincomp._block_folds(seq):
-            for g, w, _ in lincomp._sub_blocks(u, block):
-                want = oracles.sub_minpoly(g, w, block.d)
+            euclid.clear()
+            ran = []
+            for f, sub in lincomp._gcd_route(u, block):
+                g = _int_compose(f, block.stride)
+                want = oracles.sub_minpoly(g, oracles.int_mod(u, g), block.d)
                 irreducible = g.bit_length() - 1 == block.order
                 if irreducible:
                     assert want in (1, g), (block.d, g)
-                euclid.clear()
-                assert lincomp._sub_minpoly(g, w, block) == want, (block.d, g)
-                assert euclid == ([] if irreducible else [g]), (block.d, g)
+                assert (1 if sub is None else sub) == want, (block.d, g)
+                if sub is not None and not irreducible:
+                    ran.append(g)
+            assert euclid == ran, block.d
 
 
 # the odd d < 200 whose sub-blocks f(x^s) split, since ord_d(2) is below

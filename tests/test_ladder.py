@@ -1,5 +1,5 @@
 """Smoke test of bench/ladder.py, which reaches into the private stages of
-`lincomp` (`_block_folds`, `_sub_blocks`, `_sub_minpoly`, `_component_lc`)."""
+`lincomp` (`_block_folds`, `_components`, `_gcd_route`, `_component_lc`)."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +22,8 @@ def ladder():
 def test_one_run_reports_both_routes(ladder):
     stages, lcs = ladder.one_run(PrimePair.create(3, 7))
     assert lcs == {"lc_gcd": 96, "lc_bm": 96, "lc_predicted": 96, "period": 147}
+    assert list(stages) == ["table_pack_s", "blocks_fold_s", "components_s", "gcd_s", "bm_s",
+                            "least_period_s", "prediction_s"]
     assert all(seconds >= 0 for seconds in stages.values())
 
 
