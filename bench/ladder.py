@@ -23,10 +23,12 @@ one scan to 1000000.
 The audit stage times `lemma_failures` on a small, a large and the largest
 pair in budget, each run cold on a fresh partition with the generators built
 beforehand, and apart from it, also cold, the Euler-quotient table, the
-partition built from it, the residue counts, the lemma 5-7 multisets and the
-lemma 8-9 congruences; then `audit_structure` over every pair of the timed
-scan, caches cleared once per run as in one `structure` call per pair from
-one process; and the same pairs through `eqseq.cli.main(["structure", ...])`,
+partition built from it, the counts on the (p, q) torus (`counts_s`), the
+(p, q^2) columns (`columns_s`), the lemma 5-7 multisets and the lemma 8-9
+congruences; then `audit_structure` over every pair of the timed scan, caches
+cleared once per run as in one `structure` call per pair from one process,
+with one more untimed run per pair under tracemalloc for its traced peak;
+and the same pairs through `eqseq.cli.main(["structure", ...])`,
 each run in a fresh interpreter that imports `eqseq.cli` untimed, as a
 perfbench `audit` pass runs them: against `audit_structure` this adds the
 command line (the parser, the JSON and the table on stderr) and the cold
@@ -54,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,11 +174,26 @@ print(json.dumps({"seconds": seconds, "codes": codes}))
 
 
 def residue_stages(pair: PrimePair, gens, partition) -> dict:
-    """Seconds of the residue counts and of the lemma 5-7 and 8-9 checks on them."""
-    found, t_counts = timed(structverify._residue_tables, partition)
-    _, t_multisets = timed(structverify._check_residue_multisets, pair, gens, *found)
-    _, t_congruences = timed(structverify._check_congruences, pair, partition, *found)
-    return {"counts_s": t_counts, "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
+    """Seconds of the torus counts, of the q^2 columns and of the lemma 5-7
+    and 8-9 checks on them."""
+    counts, t_counts = timed(structverify._torus_counts, partition)
+    (bad_q2, odd_q2), t_columns = timed(structverify._q2_columns, pair, gens, partition)
+    _, t_multisets = timed(structverify._check_residue_multisets, pair, counts, bad_q2)
+    _, t_congruences = timed(structverify._check_congruences, pair, partition, counts, odd_q2)
+    return {"counts_s": t_counts, "columns_s": t_columns, "lemmas_5_7_s": t_multisets,
+            "lemmas_8_9_s": t_congruences}
+
+
+def traced_peak_mb(pair: PrimePair) -> float:
+    """Peak of the memory tracemalloc traces during one cold audit_structure:
+    steadier than the RSS, which moves with heap layout."""
+    clear_caches()
+    tracemalloc.start()
+    try:
+        audit_structure(pair)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
@@ -211,11 +229,14 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
         return [audit_structure(pair).all_ok for pair in sweep]
 
     runs = [timed(structure_all) for _ in range(repeats)]
+    peaks = {f"{pair.p},{pair.q}": traced_peak_mb(pair) for pair in sweep}
     out[f"structure_{bound}"] = {
         "pairs": len(sweep), "pairs_ok": sum(runs[0][0]), "median_of": repeats,
-        "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs]}
+        "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs],
+        "traced_peak_mb": max(peaks.values()), "traced_peak_mb_by_pair": peaks}
     print(f"structure over {len(sweep)} pairs to {bound}: "
-          f"{out[f'structure_{bound}']['seconds']:.3f} s", file=sys.stderr)
+          f"{out[f'structure_{bound}']['seconds']:.3f} s, "
+          f"traced peak {max(peaks.values()):.2f} MB", file=sys.stderr)
 
     argv = [sys.executable, "-c", STRUCTURE_CLI, json.dumps([[pair.p, pair.q] for pair in sweep])]
     env = dict(os.environ, PYTHONPATH=str(SRC))

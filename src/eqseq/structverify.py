@@ -11,18 +11,18 @@ evaluation at primitive roots of unity in an extension field: agreement modulo
 the n-th cyclotomic polynomial is equivalent to agreement at every primitive
 n-th root, and stays in plain GF(2)[x] arithmetic.
 
-Residues are counted once.  One bincount of coset * pq + (t mod pq) over the
-units gives a (q, pq) table whose row ell counts D_ell in each class mod pq
-(q * pq = N); summing the columns of each class mod p, or mod q, gives the
-(q, p) and (q, q) tables.  Lemmas 5 and 6 compare each row with the expected
-one, and a coset polynomial mod x^m - 1 is the low bits of its row in the
-table mod m, reduced by Phi_m.  Mod q^2 the table would have q^3 cells, so
-the keys coset * q^2 + (t mod q^2) are sorted once and counted by run
-length.  A coset polynomial is 0 mod Phi_{q^2} = Phi_q(x^q) exactly when
-each class mod q of its odd-count keys holds 0 or q of them, so the q^2
-congruences come from class counts, with no q^3 table either.  Lemma 9's
-pq^2 term reduces the q polyphase parts of the summed indicator by Phi_pq,
-since Phi_{pq^2}(x) = Phi_pq(x^q).
+Residues are read off two views of the index.  Column c of the (q, pq) view
+holds the t = c mod pq, so one bincount counts each coset on the (p, q) torus
+of (t mod p, t mod q); summed over one axis it counts mod p or mod q.  As
+gcd(p, q) = 1, x^i -> y^(i mod p) z^(i mod q) maps GF(2)[x]/(x^pq + 1) onto
+GF(2)[y, z]/(y^p + 1, z^q + 1), semisimple as pq is odd, where Phi_pq vanishes
+at the roots w*v with w, v != 1: so R = c mod Phi_pq exactly when
+(y + 1)(z + 1)(R - c) = 0, and for a prime m, R = c mod Phi_m exactly when
+R - c mod x^m + 1 is constant.  Lemma 9's pq^2 term tests the q polyphase
+parts of the labelled indicator alike, as Phi_{pq^2}(x) = Phi_pq(x^q).  Column
+r of the (p, q^2) view holds the t = r mod q^2, so a coset is counted in the
+columns of ghat^ell <g^q>, and its odd counts give the q^2 congruences by
+class counts mod q, as Phi_{q^2}(x) = Phi_q(x^q).
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -40,17 +40,13 @@ and j exactly when the index is additive.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .eulerq import build_table, derive_generators, two_coset_index, unit_residues
-from .gf2poly import _int_mod, cyclotomic_f2
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-
-ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +121,7 @@ def _check_additivity(pair: PrimePair, gens: GroupGenerators,
     that labels nothing else; otherwise one witness."""
     coords = _unit_coordinates(pair, gens)
     index = partition.index
-    labelled = len(partition.units)
+    labelled = int(partition.sizes.sum())
     if labelled != coords.size:
         return [f"index additivity fails: {labelled} positions carry a label, "
                 f"expected (p-1)q(q-1) = {coords.size}"]
@@ -147,7 +143,7 @@ def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[s
     for ell, size in enumerate(partition.sizes[:pair.q].tolist()):
         if size != expected:
             problems.append(f"|D_{ell}| = {size}, expected {expected}")
-    non_units = pair.period - len(partition.units)
+    non_units = pair.period - int(partition.sizes.sum())
     expected_p = pair.period - pair.q * pair.phi_pq
     if non_units != expected_p:
         problems.append(f"|P| = {non_units}, expected {expected_p}")
@@ -183,69 +179,92 @@ def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: Coset
     return problems
 
 
-def _residue_tables(partition: CosetPartition) -> tuple[dict[int, np.ndarray], ResidueCounts]:
-    """Residues of the units per coset.  For m in p, q and pq, row ell of a
-    (q, m) table counts the units of D_ell in each class mod m: one bincount
-    of coset * pq + (t mod pq) gives the pq table, a label q or more landing
-    past it, and column c of it is the class c mod p of the (q, q, p) view and
-    c mod q of the (q, p, q) view.  For q^2, whose table would have q^3 cells,
-    the sorted distinct keys coset * q^2 + (t mod q^2) with their run lengths."""
+def _torus_cells(p: int, q: int) -> np.ndarray:
+    """For each c < pq, its cell (c mod p) * q + (c mod q) of the (p, q) torus."""
+    c = np.arange(p * q)
+    return c % p * q + c % q
+
+
+def _torus_counts(partition: CosetPartition) -> np.ndarray:
+    """Entry (ell, a, b) counts the units of D_ell with t = a mod p and t = b
+    mod q: one bincount over the (q, pq) view, whose column c holds the t = c
+    mod pq, with label -1 in a block before the table and q or more past it."""
     p, q = partition.pair.p, partition.pair.q
     pq = p * q
-    units = partition.units
-    cosets = partition.index[units].astype(np.int64)
-    # the keys are built and sorted in place, the q^2 ones in the buffer of the
-    # pq ones: fewer unit-length temporaries keep the audit's peak memory down
-    keys = units % pq
-    keys += cosets * pq
-    table = np.bincount(keys, minlength=q * pq)[:q * pq].reshape(q, pq)
-    tables = {p: table.reshape(q, q, p).sum(axis=1), q: table.reshape(q, p, q).sum(axis=1), pq: table}
-    np.remainder(units, q * q, out=keys)
-    keys += cosets * (q * q)
-    keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return tables, (keys[starts], np.diff(starts, append=keys.size))
+    keys = partition.index.astype(np.int64).reshape(q, pq)
+    keys += 1
+    keys *= pq
+    keys += _torus_cells(p, q)
+    return np.bincount(keys.ravel(), minlength=(q + 1) * pq)[pq:(q + 1) * pq].reshape(q, p, q)
 
 
-def _check_residue_multisets(pair: PrimePair, gens: GroupGenerators, tables: dict[int, np.ndarray],
-                             found_q2: ResidueCounts) -> dict[str, list[str]]:
+def _q2_columns(pair: PrimePair, gens: GroupGenerators,
+                partition: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2:
+    whether each coset misses its multiset mod q^2, and the keys coset * q^2 + r
+    (coset below q) that an odd number of units hold."""
     p, q = pair.p, pair.q
-    pq, q2 = p * q, q * q
-    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
-
-    # mod m in p, q and pq, a coset hits every unit of Z_m equally often
-    bad = {}
-    for m, table in tables.items():
-        unit = np.gcd(np.arange(m), m) == 1
-        expected = unit * (pair.phi_pq // int(unit.sum()))
-        bad[m] = set(np.flatnonzero((table != expected).any(axis=1)).tolist())
-
+    q2 = q * q
     # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q, each p - 1 times
     subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
     target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
-    expected_q2 = np.sort((np.arange(q)[:, None] * q2 + target).ravel())
-    keys, counts = found_q2
-    stray = (keys[:0] if np.array_equal(keys, expected_q2)
-             else np.setxor1d(keys, expected_q2, assume_unique=True))
-    bad[q2] = set((stray // q2).tolist()) | set((keys[counts != p - 1] // q2).tolist())
+    ell = np.arange(q)[:, None]
+    expected = np.full(q2, -1, dtype=partition.index.dtype)
+    expected[target] = ell
+    view = partition.index.reshape(p, q2)
+    hit = view == expected
+    per_column = hit.sum(axis=0)
+    # the claims (expected[r], r) not held p - 1 times, among them, as p - 1
+    # is even, all those held an odd number of times
+    claimed = expected >= 0
+    r = np.flatnonzero(claimed & (per_column != p - 1))
+    keys, counts = expected[r] * np.int64(q2) + r, per_column[r]
+    off = ~hit & (view >= 0)
+    found = view[off] * np.int64(q2) + np.nonzero(off)[1] if off.any() else keys[:0]
+    if np.count_nonzero(claimed) < target.size:
+        # cosets share a column (never for derive_generators' output), which
+        # expects only the last of them: count the others there on their own
+        lost = np.unique((ell * q2 + target)[expected[target] != ell], return_counts=True)[0]
+        found = found[~np.isin(found, lost)]
+        keys = np.concatenate([keys, lost])
+        counts = np.concatenate([counts, (view[:, lost % q2] == lost // q2).sum(axis=0)])
+    stray, times = np.unique(found, return_counts=True)
+    bad = np.bincount(np.concatenate([keys[counts != p - 1], stray]) // q2, minlength=q)[:q] > 0
+    odd = np.concatenate([keys[counts % 2 == 1], stray[(times % 2 == 1) & (stray < q * q2)]])
+    return bad, odd
 
-    for ell in range(q):
-        if ell in bad[p]:
-            mod_p = {r: c for r, c in enumerate(tables[p][ell].tolist()) if c}
-            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {mod_p}")
-        if ell in bad[q]:
+
+def _check_residue_multisets(pair: PrimePair, counts: np.ndarray,
+                             bad_q2: np.ndarray) -> dict[str, list[str]]:
+    p, q = pair.p, pair.q
+    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
+    # a coset meets each unit class mod pq, a torus cell (a, b) with a, b != 0,
+    # once, and so each unit class mod p q - 1 times and mod q p - 1 times
+    unit_p, unit_q = np.arange(p) != 0, np.arange(q) != 0
+    mod_p = counts.sum(axis=2)
+    bad = zip((mod_p != unit_p * (q - 1)).any(axis=1).tolist(),
+              (counts.sum(axis=1) != unit_q * (p - 1)).any(axis=1).tolist(),
+              (counts != np.outer(unit_p, unit_q)).any(axis=(1, 2)).tolist(), bad_q2.tolist())
+    for ell, (off_p, off_q, off_pq, off_q2) in enumerate(bad):
+        if off_p:
+            residues = {r: c for r, c in enumerate(mod_p[ell].tolist()) if c}
+            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {residues}")
+        if off_q:
             out["lemma5"].append(f"D_{ell} mod q multiset wrong")
-        if ell in bad[pq]:
+        if off_pq:
             out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
-        if ell in bad[q2]:
+        if off_q2:
             out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
     return out
 
 
-def _row_residues(flags: np.ndarray, modulus: int) -> list[int]:
-    """Each row of a 2-D array, bit i set where entry i is nonzero, reduced by the modulus."""
-    return [_int_mod(int.from_bytes(row.tobytes(), "little"), modulus)
-            for row in np.packbits(flags, axis=1, bitorder="little")]
+def _off_phi_pq(planes: np.ndarray) -> np.ndarray:
+    """Whether each (p, q) plane of parities (the last two axes), as the
+    polynomial it sets through x^i -> y^(i mod p) z^(i mod q), is nonzero mod
+    Phi_pq: exactly when (y + 1)(z + 1) times it is nonzero, that is when some
+    entry (a, b) differs from the sum of (a, 0), (0, b) and (0, 0)."""
+    mixed = planes ^ planes[..., :1]
+    return (mixed ^ mixed[..., :1, :]).any(axis=(-2, -1))
 
 
 def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
@@ -257,38 +276,40 @@ def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
     return sorted(set((np.flatnonzero(counts % q) // q).tolist()))
 
 
-def _check_congruences(pair: PrimePair, partition: CosetPartition, tables: dict[int, np.ndarray],
-                       found_q2: ResidueCounts) -> dict[str, list[str]]:
+def _check_congruences(pair: PrimePair, partition: CosetPartition, counts: np.ndarray,
+                       odd_q2: np.ndarray) -> dict[str, list[str]]:
     p, q = pair.p, pair.q
-    pq, q2 = p * q, q * q
     out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
 
-    # each coset polynomial, and so their sum over the q cosets, is 1 modulo
-    # the pq cyclotomic and 0 modulo the p, q and q^2 ones; mod x^m - 1 it is
-    # the parity of its residue counts: mod q^2 the odd-count keys of the
-    # cosets below q, and for the sum the parity of each exponent over them
-    keys, counts = found_q2
-    odd = keys[(counts % 2 == 1) & (keys < q * q2)]
-    for name, m, expect in (("pq", pq, 1), ("p", p, 0), ("q", q, 0), ("q2", q2, 0)):
-        if m == q2:
-            bad = _off_phi_q2(odd, q)
-            summed_off = bool(_off_phi_q2(np.flatnonzero(np.bincount(odd % q2) % 2), q))
-        else:
-            residues = _row_residues(tables[m] & 1, cyclotomic_f2(m).bits)
-            bad = [ell for ell, r in enumerate(residues) if r != expect]
-            summed_off = functools.reduce(operator.xor, residues, 0) != expect
+    # each coset polynomial, and so their sum (row q), is 1 modulo the pq
+    # cyclotomic and 0 modulo the p, q and q^2 ones; mod x^pq + 1 it is its
+    # parities on the torus, and mod x^m + 1 for m = p or q their sum over the
+    # other axis, which is c mod the prime Phi_m exactly when it is c plus 0 or
+    # Phi_m (all ones); uint8 sums wrap mod 256, which keeps their parity
+    parity = counts.astype(np.uint8) & 1
+    planes = np.concatenate([parity, parity.sum(axis=0, keepdims=True, dtype=np.uint8) & 1])
+    mod_p, mod_q = (planes.sum(axis=axis, dtype=np.uint8) & 1 for axis in (2, 1))
+    planes[:, 0, 0] ^= 1
+    summed_q2 = np.flatnonzero(np.bincount(odd_q2 % (q * q)) % 2)
+    for name, expect, off in (
+            ("pq", 1, np.flatnonzero(_off_phi_pq(planes)).tolist()),
+            ("p", 0, np.flatnonzero((mod_p != mod_p[:, :1]).any(axis=1)).tolist()),
+            ("q", 0, np.flatnonzero((mod_q != mod_q[:, :1]).any(axis=1)).tolist()),
+            ("q2", 0, _off_phi_q2(odd_q2, q) + [q] * bool(_off_phi_q2(summed_q2, q)))):
+        bad = [ell for ell in off if ell < q]
         if bad:
             out["lemma8"].append(
                 f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
             )
-        if summed_off:
+        if q in off:
             out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
     # the sum over all cosets, the indicator of labels 0..q-1, is 0 modulo the
     # pq^2 cyclotomic Phi_pq(x^q) exactly when each of its q polyphase parts
     # (bits j, j + q, j + 2q, ...) is 0 modulo Phi_pq: part j of the remainder
     # is the remainder of part j, and the parts have disjoint supports
     labelled = (partition.index >= 0) & (partition.index < q)
-    if any(_row_residues(labelled.reshape(pq, q).T, cyclotomic_f2(pq).bits)):
+    parts = labelled.reshape(p * q, q).T[:, np.argsort(_torus_cells(p, q)).reshape(p, q)]
+    if _off_phi_pq(parts).any():
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
@@ -298,17 +319,18 @@ def lemma_failures(pair: PrimePair, gens: GroupGenerators,
     """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
 
     One exact additivity test from the generators h and g2 serves lemmas 2
-    and 4, and one set of residue tables serves lemmas 5-9.
+    and 4, and the torus counts and the q^2 columns serve lemmas 5-9.
     """
     additivity = _check_additivity(pair, gens, partition)
-    tables, found_q2 = _residue_tables(partition)
+    counts = _torus_counts(partition)
+    bad_q2, odd_q2 = _q2_columns(pair, gens, partition)
 
     failures = {"lemma2": _check_kernel_image(pair, gens, partition) + additivity}
     failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]
                           if additivity else [])
-    failures.update(_check_residue_multisets(pair, gens, tables, found_q2))
-    failures.update(_check_congruences(pair, partition, tables, found_q2))
+    failures.update(_check_residue_multisets(pair, counts, bad_q2))
+    failures.update(_check_congruences(pair, partition, counts, odd_q2))
     return failures
 
 

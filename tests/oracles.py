@@ -57,10 +57,11 @@ from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
-from eqseq.structverify import CosetPartition as IndexPartition, ResidueCounts
+from eqseq.structverify import CosetPartition as IndexPartition
 
 EXHAUSTIVE_LIMIT = SAMPLE_COUNT = 10_000   # the old audit's grid bound and sample size
 _GRID_CHUNK = 1 << 16                      # products per slice of the dense-index grid
+ResidueCounts = tuple[np.ndarray, np.ndarray]   # sorted keys and their multiplicities
 
 
 def berlekamp_massey(bits: BitSequence | SequenceABC[int]) -> tuple[int, Gf2Poly]:

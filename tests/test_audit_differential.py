@@ -8,18 +8,23 @@ lemmas with the same messages, except for index additivity: its one message
 names a witness, found here with one modular power per unit, and lemma 4
 reads the same verdict.  The oracle grid rows are also checked cell by cell,
 the additivity test from the generators against that grid, the doubled powers
-against one power per exponent, and the coset residues (mod Phi_{q^2}, only
-whether each is zero) against the per-bit residue pass and against the loop
-that folded them one coset at a time, which also checks the class-count rule
-for Phi_{q^2} on random key sets.  The residue tables mod p, q and pq are
-checked against one bincount per modulus, and with the q^2 run lengths
-against the sorted keys and counts of np.unique that they replaced, and the
-polyphase test of lemma 9's pq^2 term against one reduction of the whole
-indicator.
+against one power per exponent, and the congruence messages of lemmas 8 and 9
+against those the per-bit residue pass and the loop that folded the coset
+residues one coset at a time call for, which also checks the class-count rule
+for Phi_{q^2} on random key sets.  The torus counts, summed over either axis
+and read at each class mod pq, are checked against one bincount per modulus,
+the q^2 columns against the sorted keys and counts of np.unique, also for
+generators whose expected sets mod q^2 overlap, the torus test for Phi_pq,
+Phi_p and Phi_q against one reduction per row, and the polyphase test of
+lemma 9's pq^2 term against one reduction of the whole indicator.
 """
 
 import ast
+import dataclasses
+import functools
 import math
+import operator
+import random
 import re
 
 import numpy as np
@@ -76,6 +81,10 @@ def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     elif kind == "label_q":
         # a label q names no coset
         out[units[-1]] = q
+    elif kind == "doubled":
+        # ell -> 2 ell mod q, an automorphism of Z_q: still additive, but
+        # ghat^ell * D_0 is now D_{2 ell}
+        out[units] = 2 * index[units] % q
     return out
 
 
@@ -154,6 +163,16 @@ class TestAuditDifferential:
         for seed in ORACLE_SEEDS:
             got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
             assert any(got.values()), (p, q, kind)
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (5, 31), (3, 61)])
+    def test_doubled_labels(self, p, q):
+        # only the ghat law (lemma 3) and the cosets mod q^2 (lemma 7) see it
+        pair = PrimePair.create(p, q)
+        table = build_table(pair)
+        index = corrupt(sv.build_partition(pair, table).index, "doubled", q)
+        for seed in ORACLE_SEEDS:
+            got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
+            assert [lemma for lemma, msgs in got.items() if msgs] == ["lemma3", "lemma7"], (p, q)
 
     def test_swap_fails_lemma_4_once(self):
         # the oracle's grid rows named every coset; lemma 4 now names the cause once
@@ -290,20 +309,33 @@ class TestBuildPartition:
                 sv.build_partition(pair, values)
 
 
-def table_residues(pair, partition) -> dict[int, list]:
-    """Each coset polynomial mod Phi_m for m in p, q and pq, as lemma 8 reads
-    them, and mod Phi_{q^2} whether it is nonzero, as lemma 8 reads that."""
-    q = pair.q
-    tables, (keys, counts) = sv._residue_tables(partition)
-    out = {m: sv._row_residues(table & 1, cyclotomic_f2(m).bits) for m, table in tables.items()}
-    off = sv._off_phi_q2(keys[(counts % 2 == 1) & (keys < q ** 3)], q)
-    out[q * q] = [ell in off for ell in range(q)]
+def table_congruences(pair, partition) -> dict[str, list[str]]:
+    """The lemma 8 and 9 messages, from the torus counts and the q^2 columns."""
+    counts = sv._torus_counts(partition)
+    _, odd_q2 = sv._q2_columns(pair, derive_generators(pair), partition)
+    return sv._check_congruences(pair, partition, counts, odd_q2)
+
+
+def residue_congruences(residues: dict[int, list[int]], pair, summed_n: int) -> dict[str, list[str]]:
+    """The same messages from the residue of each coset polynomial mod Phi_m
+    (m = pq, p, q, q^2) and of the summed one mod Phi_N: the cosets off their
+    constant, and the sum of their residues off it."""
+    p, q = pair.p, pair.q
+    out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
+    for name, m, expect in (("pq", p * q, 1), ("p", p, 0), ("q", q, 0), ("q2", q * q, 0)):
+        bad = [ell for ell, r in enumerate(residues[m]) if r != expect]
+        if bad:
+            out["lemma8"].append(f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic")
+        if functools.reduce(operator.xor, residues[m], 0) != expect:
+            out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
+    out["lemma9"] += [PHI_N] * (summed_n != 0)
     return out
 
 
-def as_read(residues: list[int], m: int, q: int) -> list:
-    """Residues as table_residues gives them: mod Phi_{q^2} only whether each is nonzero."""
-    return [r != 0 for r in residues] if m == q * q else residues
+def labelled_mod_phi_n(pair, index) -> int:
+    """The indicator of the labels 0..q-1, reduced by Phi_N in one go."""
+    labelled = (index >= 0) & (index < pair.q)
+    return _int_mod(pack_flags(labelled), cyclotomic_f2(pair.period).bits)
 
 
 @st.composite
@@ -332,23 +364,19 @@ class TestFoldedResidues:
             if corruption:
                 index = corrupt(index, corruption, q)
             partition = sv.CosetPartition(pair=pair, index=index)
-            residues = table_residues(pair, partition)
             idx = index.tolist()
-            for m in (p, q, p * q, q * q):
-                want = oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
-                assert residues[m] == as_read(want, m, q), (p, q, m)
+            residues = {m: oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
+                        for m in (p, q, p * q, q * q)}
             # the sum over every coset is the units indicator
-            total = 0
-            for r in oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q):
-                total ^= r
-            congruences = sv._check_congruences(pair, partition, *sv._residue_tables(partition))
-            assert (PHI_N in congruences["lemma9"]) == (total != 0), (p, q)
+            summed_n = functools.reduce(
+                operator.xor, oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q), 0)
+            want = residue_congruences(residues, pair, summed_n)
+            assert table_congruences(pair, partition) == want, (p, q)
 
-    @pytest.mark.parametrize("corruption", (None, "label_q") + CORRUPTIONS)
+    @pytest.mark.parametrize("corruption", (None, "label_q", "doubled") + CORRUPTIONS)
     def test_match_per_coset_loop(self, corruption):
-        # the tables and the (cosets, q^2) arrays against the loop that folded
-        # the sorted keys one coset at a time; both ignore a label q, which
-        # names no coset
+        # the messages against the loop that folded the sorted keys one coset
+        # at a time; both ignore a label q, which names no coset
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             index = sv.build_partition(pair).index
@@ -356,10 +384,9 @@ class TestFoldedResidues:
                 index = corrupt(index, corruption, q)
             partition = sv.CosetPartition(pair=pair, index=index)
             counts = oracles._residue_counts(partition)
-            residues = table_residues(pair, partition)
-            for m in (p, q, p * q, q * q):
-                want = oracles.coset_residues(counts[m], m, q)
-                assert residues[m] == as_read(want, m, q), (p, q, m, corruption)
+            residues = {m: oracles.coset_residues(counts[m], m, q) for m in (p, q, p * q, q * q)}
+            want = residue_congruences(residues, pair, labelled_mod_phi_n(pair, index))
+            assert table_congruences(pair, partition) == want, (p, q, corruption)
 
     @settings(max_examples=300, deadline=None)
     @given(odd_key_sets())
@@ -374,13 +401,44 @@ class TestFoldedResidues:
         assert sv._off_phi_q2(keys, q) == [ell for ell, r in enumerate(residues) if r]
 
 
-class TestResidueTables:
-    """The tables mod p, q and pq, folded from one bincount mod pq, against a
-    bincount per modulus, and with the run lengths mod q^2 against the
-    np.unique keys and counts; the lemma 5-7 check on them against the check
-    on those keys (oracles._check_key_multisets)."""
+class TestTorusCongruences:
+    """The verdicts mod Phi_pq, Phi_p and Phi_q, read off parities on the
+    (p, q) torus, against one reduction per row by _int_mod: random rows, and
+    exact c + k Phi_m for c in 0 and 1, which are c mod Phi_m and mostly off
+    it for the other two moduli."""
 
-    @pytest.mark.parametrize("variant", (None, "label_q") + CORRUPTIONS)
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (3, 13), (7, 29), (11, 23)])
+    def test_match_int_mod(self, p, q):
+        pair = PrimePair.create(p, q)
+        pq = p * q
+        rand = random.Random(pq)
+        partition = sv.build_partition(pair)
+        cells = sv._torus_cells(p, q)
+        batches = [[rand.getrandbits(pq) for _ in range(q)] for _ in range(2)]
+        for m in (pq, p, q):
+            phi = cyclotomic_f2(m).bits
+            batches += [[c ^ _int_mul(rand.getrandbits(pq - phi.bit_length() + 1), phi)
+                         for _ in range(q)] for c in (0, 1)]
+        for rows in batches:
+            # each row as torus counts: bit c at the cell of c, plus an even count
+            counts = np.array([[2 * rand.randrange(3) + (row >> c & 1) for c in range(pq)]
+                               for row in rows])
+            torus = np.zeros_like(counts)
+            torus[:, cells] = counts
+            residues = {m: [_int_mod(row, cyclotomic_f2(m).bits) for row in rows] for m in (pq, p, q)}
+            residues[q * q] = [0] * q
+            got = sv._check_congruences(pair, partition, torus.reshape(q, p, q), np.zeros(0, np.int64))
+            assert got == residue_congruences(residues, pair, 0), (p, q)
+
+
+class TestResidueTables:
+    """The torus counts, summed over b and over a and read at the cell of each
+    class mod pq, against a bincount per modulus and the np.unique keys and
+    counts; the q^2 columns against the np.unique keys and counts mod q^2; the
+    lemma 5-7 check on them against the check on those keys
+    (oracles._check_key_multisets)."""
+
+    @pytest.mark.parametrize("variant", (None, "label_q", "doubled") + CORRUPTIONS)
     def test_match_sorted_keys(self, variant):
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
@@ -389,8 +447,10 @@ class TestResidueTables:
             if variant:
                 index = corrupt(index, variant, q)
             partition = sv.CosetPartition(pair=pair, index=index)
-            tables, found_q2 = sv._residue_tables(partition)
-            # the folds of the pq table are the bincounts per modulus
+            torus = sv._torus_counts(partition)
+            bad_q2, odd_q2 = sv._q2_columns(pair, gens, partition)
+            tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
+                      p * q: torus.reshape(q, p * q)[:, sv._torus_cells(p, q)]}
             per_modulus = oracles.residue_tables(partition)
             assert tables.keys() == per_modulus.keys()
             assert all(np.array_equal(tables[m], per_modulus[m]) for m in tables), (p, q)
@@ -402,17 +462,18 @@ class TestResidueTables:
                 dense = np.zeros(q * m, dtype=np.int64)
                 dense[keys[inside]] = multiplicity[inside]
                 assert table.shape == (q, m) and np.array_equal(table.ravel(), dense), (p, q, m)
-            assert [a.tolist() for a in found_q2] == [a.tolist() for a in counts[q * q]], (p, q)
+            # the q^2 columns find the keys of cosets below q held an odd number of times
+            keys, multiplicity = counts[q * q]
+            odd = keys[(multiplicity % 2 == 1) & (keys < q ** 3)]
+            assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q)
             # each message names one coset and one modulus, and the mod-p one
             # its dict: equal lists are equal bad-coset sets per m and equal dicts
-            got = sv._check_residue_multisets(pair, gens, tables, found_q2)
+            got = sv._check_residue_multisets(pair, torus, bad_q2)
             assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
             assert any(got.values()) == (variant is not None), (p, q)
             # lemma 9's pq^2 term reads the labels 0..q-1
-            labelled = (index >= 0) & (index < q)
-            whole = _int_mod(pack_flags(labelled), cyclotomic_f2(pair.period).bits)
-            lemma9 = sv._check_congruences(pair, partition, tables, found_q2)["lemma9"]
-            assert (PHI_N in lemma9) == (whole != 0), (p, q)
+            lemma9 = sv._check_congruences(pair, partition, torus, odd_q2)["lemma9"]
+            assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
     def test_swap_same_pq_reaches_only_q2(self):
         # the tables mod p, q and pq stay exact, so lemmas 5 and 6 hold while
@@ -426,6 +487,40 @@ class TestResidueTables:
             got = sv.lemma_failures(pair, derive_generators(pair), sv.CosetPartition(pair=pair, index=index))
             assert not got["lemma5"] and not got["lemma6"], (p, q)
             assert got["lemma7"] and got["lemma8"], (p, q)
+
+
+class TestForeignGenerators:
+    """lemma_failures takes any generators.  With ghat = 1 or h, or with ghat
+    or g squared, the sets ghat^ell <g^q> mod q^2 overlap or repeat, so more
+    than one coset claims a column of the q^2 view, or one coset claims it
+    twice; the q^2 columns must still agree with the np.unique keys and counts."""
+
+    @pytest.mark.parametrize("variant", (None, "swap", "swap_same_pq", "label_q", "doubled"))
+    def test_match_unique_keys(self, variant):
+        for p, q in [(3, 7), (5, 11), (3, 13), (7, 29), (5, 31)]:
+            pair = PrimePair.create(p, q)
+            n = pair.period
+            gens = derive_generators(pair)
+            index = sv.build_partition(pair).index
+            if variant:
+                index = corrupt(index, variant, q)
+            partition = sv.CosetPartition(pair=pair, index=index)
+            counts = oracles._residue_counts(partition)
+            keys, multiplicity = counts[q * q]
+            odd = keys[(multiplicity % 2 == 1) & (keys < q ** 3)]
+            for foreign in (dataclasses.replace(gens, ghat=1),
+                            dataclasses.replace(gens, ghat=gens.ghat ** 2 % n),
+                            dataclasses.replace(gens, ghat=gens.h),
+                            dataclasses.replace(gens, g=gens.g ** 2 % n),
+                            dataclasses.replace(gens, g=gens.g ** 2 % n, ghat=1)):
+                bad_q2, odd_q2 = sv._q2_columns(pair, foreign, partition)
+                got = sv._check_residue_multisets(pair, sv._torus_counts(partition), bad_q2)
+                assert got == oracles._check_key_multisets(pair, foreign, counts), (p, q, foreign)
+                assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q, foreign)
+            if variant is None:
+                # ghat = 1 expects every coset where D_0 lies: all but D_0 fail
+                got = sv.lemma_failures(pair, dataclasses.replace(gens, ghat=1), partition)
+                assert got["lemma7"] == [f"D_{ell} mod q^2 multiset wrong" for ell in range(1, q)]
 
 
 class TestLemma9PhiN:

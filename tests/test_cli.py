@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,25 @@ class TestStructure:
         assert report["details"] == {"lemma5": "D_0 mod q multiset wrong; D_3 mod q multiset wrong"}
         assert "  lemma5   FAIL  D_0 mod q multiset wrong; D_3 mod q multiset wrong\n" in err
         assert "  lemma4   ok\n" in err
+
+    def test_numpy_ma_stays_unimported(self):
+        # in NumPy 2.4, np.unique without return_counts or an index takes a hash
+        # path whose first call imports numpy.ma, 1.2 MB of resident memory that
+        # no command needs; a fresh interpreter shows whether any path takes it
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from eqseq import cli",
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "    for argv in (['structure', '--p', '3', '--q', '7'], ['structure', '--p', '5', '--q', '11'],",
+            "                 ['verify', '--p', '3', '--q', '7'], ['scan', '--max-period', '3000']):",
+            "        assert cli.main(argv) == 0, argv",
+            "assert 'numpy.ma' not in sys.modules",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScan:

@@ -47,8 +47,12 @@ def test_audit_reports_every_pair_ok(ladder):
     out = ladder.audit(["3,7"], 1000, 1)
     assert out["lemma_failures"]["3,7"]["ok"]
     assert all(out["lemma_failures"]["3,7"][stage] >= 0
-               for stage in ("table_s", "partition_s", "counts_s", "lemmas_5_7_s", "lemmas_8_9_s"))
+               for stage in ("table_s", "partition_s", "counts_s", "columns_s", "lemmas_5_7_s",
+                             "lemmas_8_9_s"))
     for name in ("structure_1000", "structure_cli_1000"):
         sweep = out[name]
         assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"], name
         assert sweep["seconds"] > 0, name
+    peaks = out["structure_1000"]["traced_peak_mb_by_pair"]
+    assert list(peaks) == ["3,7", "3,13", "5,11"]
+    assert out["structure_1000"]["traced_peak_mb"] == max(peaks.values()) > 0
