@@ -9,12 +9,11 @@ A full-period table never forms more than pq powers.  Writing
 t = r + k*pq with r in [0, pq), the binomial theorem gives
 (r + k*pq)^phi = r^phi + phi*k*pq*r^(phi-1) (mod (pq)^2), and r^(phi-1) is
 r^-1 mod pq, so psi(r + k*pq) = psi(r) + phi*k*r^-1 (mod pq): the quotient is
-affine in k on each residue class.  `build_table` computes psi(r) and the
-step on all the units r mod pq at once, by square-and-multiply on int64
-arrays mod p^2 and mod q^2: t^phi = 1 + pq*k gives qk mod p and pk mod q,
-joined by the CRT.  A product splits one factor at bit 21, so the table is
-exact while max(p, q)^2 < 2^41, for every pair with N < 1.3e7; a larger
-pair is refused with ResourceError before any arithmetic.
+affine in k on each residue class.  `build_table` takes psi(r) from one
+modular power per unit r mod pq, by the same checked formula as
+`euler_quotient`, and the step phi*r^-1 from one modular inverse, then lifts
+both to the period in one numpy broadcast.  Every int64 value it holds is
+below N, so no bound on p or q beyond the period budget applies.
 
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
@@ -27,28 +26,30 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, ResourceError
+from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
 from .ntcore import GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, wieferich_ok
-
-# moduli below 2^41 multiply exactly in int64 when one factor is split at bit 21
-_MODULUS_BITS, _SPLIT_BITS = 41, 21
 
 
 def euler_quotient(t: int, pair: PrimePair) -> int:
     """psi(t) as the canonical representative in [0, pq); 0 for non-units."""
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    pq = pair.p * pair.q
-    if math.gcd(t, pq) != 1:
+    if math.gcd(t, pair.p * pair.q) != 1:
         return 0
-    wide = pq * pq
-    power = pow(t, pair.phi_pq, wide)
+    return _unit_quotient(t, pair)
+
+
+def _unit_quotient(t: int, pair: PrimePair) -> int:
+    """psi(t) for a unit t, from t^phi mod (pq)^2, which lies in [1, (pq)^2);
+    raises when pq does not divide t^phi - 1."""
+    pq = pair.p * pair.q
+    power = pow(t, pair.phi_pq, pq * pq)
     if (power - 1) % pq != 0:
         raise InternalConsistencyError(
             f"t^phi - 1 not divisible by pq for unit t={t}"
         )
-    return ((power - 1) // pq) % pq
+    return (power - 1) // pq
 
 
 def coset_index(t: int, pair: PrimePair) -> int | None:
@@ -106,60 +107,20 @@ def unit_residues(pair: PrimePair) -> np.ndarray:
     return (r % pair.p != 0) & (r % pair.q != 0)
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """a * b mod modulus, elementwise, for residues below a modulus under 2^41:
-    b splits at bit 21, so each product is below 2^62 and their sum below 2^63."""
-    high = a * (b >> _SPLIT_BITS) % modulus << _SPLIT_BITS
-    return (high + a * (b & ((1 << _SPLIT_BITS) - 1))) % modulus
-
-
-def _pow_mod(base: np.ndarray, exponent: int, modulus: np.ndarray) -> np.ndarray:
-    """base^exponent mod modulus, elementwise, by square-and-multiply."""
-    out = np.ones_like(base)
-    for bit in bin(exponent)[2:]:
-        out = _mul_mod(out, out, modulus)
-        if bit == "1":
-            out = _mul_mod(out, base, modulus)
-    return out
-
-
 def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
-    """psi(r) and the step phi*r^-1 mod pq for r in [0, pq), both 0 on non-units,
-    from the powers of the units mod p^2 and mod q^2 (see the module docstring)."""
-    p, q = pair.p, pair.q
-    pq = p * q
-    if max(p, q) ** 2 >> _MODULUS_BITS:
-        raise ResourceError(
-            f"Euler quotients for p={p}, q={q} need residues mod {max(p, q) ** 2}, "
-            f"past the int64-exact bound 2^{_MODULUS_BITS}")
-    units = np.flatnonzero(unit_residues(pair))
-    primes = np.array([[p], [q]])
-    squares = primes * primes
-    base = units % squares
-    below = _pow_mod(base, pair.phi_pq - 1, squares)   # r^(phi-1) mod p^2 and mod q^2
-    power = _mul_mod(below, base, squares)             # r^phi
-    off = np.flatnonzero(((power - 1) % primes).any(axis=0))
-    if off.size:
-        raise InternalConsistencyError(
-            f"t^phi - 1 not divisible by pq for unit t={units[off[0]]}"
-        )
-    q_inv = pow(q, -1, p)
-    # k mod p and k mod q of t^phi = 1 + pq*k
-    k = (power - 1) // primes * np.array([[q_inv], [pow(p, -1, q)]]) % primes
-
-    def crt(rows: np.ndarray) -> np.ndarray:   # the residue mod pq of rows (mod p, mod q)
-        return rows[1] + q * ((rows[0] - rows[1]) * q_inv % p)
-
+    """psi(r) and the step phi*r^-1 mod pq for r in [0, pq), both 0 on non-units."""
+    pq = pair.p * pair.q
+    units = np.flatnonzero(unit_residues(pair)).tolist()
     psi, step = np.zeros(pq, dtype=np.int64), np.zeros(pq, dtype=np.int64)
-    psi[units] = crt(k)
-    step[units] = crt(below % primes * (pair.phi_pq % primes) % primes)   # r^(phi-1) = r^-1
+    psi[units] = [_unit_quotient(r, pair) for r in units]
+    step[units] = [pair.phi_pq * pow(r, -1, pq) % pq for r in units]
     return psi, step
 
 
 def build_table(pair: PrimePair) -> np.ndarray:
     """psi(t) for every t in [0, pq^2), lifted from the residues mod pq, as a
     read-only int64 array; entry t is 0 for non-units.  Refused with
-    ResourceError past the budget or when max(p, q)^2 reaches 2^41."""
+    ResourceError past the budget."""
     check_budget("period", pair.period)
     base, step = _residue_quotients(pair)
     # row k holds t = r + k*pq; non-unit columns stay 0 since base and step are 0

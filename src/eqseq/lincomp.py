@@ -66,7 +66,7 @@ from .gf2poly import (
     gcd,
 )
 from .limits import check_budget
-from .ntcore import PrimePair, factorize, multiplicative_order, wieferich_ok
+from .ntcore import PrimePair, euler_phi, factorize, multiplicative_order, wieferich_ok
 from .sequence import (
     BitSequence,
     _divisors_ascending,
@@ -322,8 +322,8 @@ def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
 
 
 def predicted_minimal_polynomial(pair: PrimePair) -> Gf2Poly:
-    """Closed-form minimal polynomial: the pq^2 cyclotomic polynomial, times
-    the pq one when q = 3 mod 4."""
+    """Closed-form minimal polynomial: the product of the cyclotomic
+    polynomials Phi_d over the blocks d of `_closed_form_blocks`."""
     if not pair.divides:
         raise DomainError(
             f"prediction requires p | q-1; p={pair.p}, q={pair.q}"
@@ -332,10 +332,14 @@ def predicted_minimal_polynomial(pair: PrimePair) -> Gf2Poly:
         raise DomainError(
             f"prediction requires 2^(q-1) != 1 mod q^2; fails for q={pair.q}"
         )
-    phi_pq2 = cyclotomic_f2(pair.period)
-    if pair.q % 4 == 1:
-        return phi_pq2
-    return Gf2Poly(_int_mul(phi_pq2.bits, cyclotomic_f2(pair.p * pair.q).bits))
+    return Gf2Poly(_product(cyclotomic_f2(d).bits for d in _closed_form_blocks(pair.p, pair.q)))
+
+
+def _closed_form_blocks(p: int, q: int) -> tuple[int, ...]:
+    """The blocks d of x^N + 1 that the closed form fills, each with LC
+    phi(d): d = pq^2, and d = pq when q = 3 mod 4.  Every other block has
+    LC 0."""
+    return (p * q * q, p * q) if q % 4 == 3 else (p * q * q,)
 
 
 @dataclass(frozen=True)
@@ -369,15 +373,8 @@ class AnalysisReport:
         return self.minpoly_predicted == self.minpoly_empirical
 
     def blocks_off_closed_form(self) -> list[tuple[int, int, int]]:
-        """(d, measured LC, closed-form LC) for each block where they differ.
-
-        The closed form has LC phi(N) at d = N, phi(pq) at d = pq when
-        q = 3 mod 4, and 0 elsewhere.
-        """
-        p, q = self.pair
-        closed = {p * q * q: (p - 1) * q * (q - 1)}
-        if q % 4 == 3:
-            closed[p * q] = (p - 1) * (q - 1)
+        """(d, measured LC, closed-form LC) for each block where they differ."""
+        closed = {d: euler_phi(d) for d in _closed_form_blocks(*self.pair)}
         return [(d, lc, closed.get(d, 0)) for d, lc in self.lc_by_divisor
                 if lc != closed.get(d, 0)]
 

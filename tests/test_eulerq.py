@@ -150,9 +150,10 @@ class TestBuildTable:
         with pytest.raises(ResourceError):
             build_table(pair37)
 
-    @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(7, 3), (5, 7), (3, 5), (3, 313)])
+    @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(7, 3), (5, 7), (3, 5), (3, 313), (101, 3), (997, 5)])
     def test_matches_one_power_per_position(self, p, q):
-        # the sweep pairs, pairs outside p | q-1 and a larger one
+        # the sweep pairs, pairs outside p | q-1 (the last two with pq large
+        # against N) and a larger one
         pair = PrimePair.create(p, q)
         table = build_table(pair)
         assert table.dtype == np.int64 and not table.flags.writeable
@@ -160,8 +161,9 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("p,q", [(65537, 3), (3, 65539)])
     def test_residue_step_past_int64_squares(self, p, q):
-        # (pq)^4 and max(p, q)^4 are past 2^63, so products of residues mod
-        # (pq)^2, p^2 or q^2 would overflow; the N-length table is never built
+        # a product of two residues mod (pq)^2 reaches (pq)^4, past 2^63, so
+        # the powers must be Python ints, not int64; the N-length table is
+        # never built
         pair = PrimePair.create(p, q)
         pq = pair.p * pair.q
         psi, step = eulerq._residue_quotients(pair)
@@ -169,17 +171,6 @@ class TestBuildTable:
             unit = math.gcd(r, pq) == 1
             assert psi[r] == euler_quotient(r, pair), r
             assert step[r] == (pair.phi_pq * pow(r, -1, pq) % pq if unit else 0), r
-
-    def test_refused_past_the_int64_bound(self, monkeypatch):
-        # max(p, q)^2 reaches 2^41 at p = 1482919; N = 13346271 is inside the
-        # raised budget, and no array is built before the refusal
-        monkeypatch.setenv("EQSEQ_MAX_PERIOD", str(10**8))
-        monkeypatch.setattr(eulerq, "unit_residues", None)
-        for pair in (PrimePair.create(1482919, 3), PrimePair.create(3, 1482919)):
-            with pytest.raises(ResourceError, match=r"past the int64-exact bound 2\^41"):
-                eulerq._residue_quotients(pair)
-        with pytest.raises(ResourceError, match=r"residues mod 2199048760561, past"):
-            build_table(PrimePair.create(1482919, 3))
 
     def test_wrong_phi_is_caught(self, pair37):
         # t^phi' - 1 with phi' = phi + 1 is t - 1 mod pq: 1 passes, 2 does not
