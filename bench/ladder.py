@@ -21,9 +21,9 @@ of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
 one scan to 1000000.
 
 The audit stage times `lemma_failures` on a small, a large and the largest
-pair in budget, each run cold on a fresh partition with the generators built
+pair in budget, each run cold with the coset index and the generators built
 beforehand, and apart from it, also cold, the Euler-quotient table, the
-partition built from it, the counts on the (p, q) torus (`counts_s`), the
+coset index built from it, the counts on the (p, q) torus (`counts_s`), the
 (p, q^2) columns (`columns_s`), the lemma 5-7 multisets and the lemma 8-9
 congruences; then `audit_structure` over every pair of the timed scan, caches
 cleared once per run as in one `structure` call per pair from one process,
@@ -173,13 +173,13 @@ print(json.dumps({"seconds": seconds, "codes": codes}))
 """
 
 
-def residue_stages(pair: PrimePair, gens, partition) -> dict:
+def residue_stages(pair: PrimePair, gens, index) -> dict:
     """Seconds of the torus counts, of the q^2 columns and of the lemma 5-7
     and 8-9 checks on them."""
-    counts, t_counts = timed(structverify._torus_counts, partition)
-    (bad_q2, odd_q2), t_columns = timed(structverify._q2_columns, pair, gens, partition)
+    counts, t_counts = timed(structverify._torus_counts, pair, index)
+    (bad_q2, odd_q2), t_columns = timed(structverify._q2_columns, pair, gens, index)
     _, t_multisets = timed(structverify._check_residue_multisets, pair, counts, bad_q2)
-    _, t_congruences = timed(structverify._check_congruences, pair, partition, counts, odd_q2)
+    _, t_congruences = timed(structverify._check_congruences, pair, index, counts, odd_q2)
     return {"counts_s": t_counts, "columns_s": t_columns, "lemmas_5_7_s": t_multisets,
             "lemmas_8_9_s": t_congruences}
 
@@ -204,17 +204,16 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
     for text in pairs:
         p, q = (int(v) for v in text.split(","))
         pair = PrimePair.create(p, q)
-        gens, index = derive_generators(pair), structverify.build_partition(pair).index
+        gens, index = derive_generators(pair), structverify.build_partition(pair)
         runs, stages = [], []
         for _ in range(repeats):
             clear_caches()
-            runs.append(timed(structverify.lemma_failures, pair, gens,
-                              structverify.CosetPartition(pair=pair, index=index)))
+            runs.append(timed(structverify.lemma_failures, pair, gens, index))
             clear_caches()
             table, t_table = timed(build_table, pair)
             _, t_partition = timed(structverify.build_partition, pair, table)
-            stages.append({"table_s": t_table, "partition_s": t_partition, **residue_stages(
-                pair, gens, structverify.CosetPartition(pair=pair, index=index))})
+            stages.append({"table_s": t_table, "partition_s": t_partition,
+                           **residue_stages(pair, gens, index)})
         result = out["lemma_failures"][text] = {
             "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
             **{name: statistics.median(s[name] for s in stages) for name in stages[0]},

@@ -41,7 +41,6 @@ from .ntcore import (
 )
 from .sequence import BitSequence, generate_by_cosets, generate_threshold, least_period
 from .structverify import (
-    CosetPartition,
     StructureReport,
     audit_structure,
     build_partition,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BitSequence",
-    "CosetPartition",
     "DomainError",
     "EqseqError",
     "Gf2Poly",

@@ -163,8 +163,8 @@ class _Block(NamedTuple):
 
 
 def _blocks(n: int) -> list[_Block]:
-    """The blocks of x^n + 1 by ascending d, each checked to satisfy
-    Phi_r H_r = x^r + 1, and all their sub-blocks together to multiply to
+    """The blocks of x^n + 1 by ascending d, with Phi_r H_r = x^r + 1 checked
+    once per radical r, and all their sub-blocks together to multiply to
     x^n + 1."""
     k = (n & -n).bit_length() - 1
     blocks = []
@@ -173,9 +173,9 @@ def _blocks(n: int) -> list[_Block]:
     for e in _divisors_ascending(n >> k):
         radical = math.prod(set(factorize(e)))
         phi, h = _cyclotomic_pair(radical)
-        if _int_mul(phi, h) != (1 << radical) | 1:
-            raise InternalConsistencyError(f"cyclotomic cofactor for n={radical} is wrong")
         if radical not in trees:
+            if _int_mul(phi, h) != (1 << radical) | 1:
+                raise InternalConsistencyError(f"cyclotomic cofactor for n={radical} is wrong")
             trees[radical] = _factor_tree(_cyclotomic_factors(radical))
         tree = trees[radical]
         d = e << k

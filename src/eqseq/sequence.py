@@ -8,16 +8,12 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .eulerq import build_table
 from .ntcore import PrimePair
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .structverify import CosetPartition
 
 
 @dataclass(frozen=True)
@@ -53,17 +49,15 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 
-def generate_by_cosets(pair: PrimePair, partition: "CosetPartition") -> BitSequence:
-    """Equivalent coset form: bit t = 1 iff t lies in an upper-half coset.
+def generate_by_cosets(pair: PrimePair, index: np.ndarray) -> BitSequence:
+    """Equivalent coset form: bit t = 1 iff t lies in an upper-half coset of
+    the coset index, which must cover one period N = pq^2 (N fixes the pair).
 
     Must agree bit-for-bit with generate_threshold for the same pair.
     """
-    if partition.pair != pair:
-        raise DomainError(
-            f"partition built for {(partition.pair.p, partition.pair.q)}, "
-            f"not {(pair.p, pair.q)}"
-        )
-    bits = pack_flags(partition.index >= (pair.q + 1) // 2)
+    if np.shape(index) != (pair.period,):
+        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    bits = pack_flags(index >= (pair.q + 1) // 2)
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 

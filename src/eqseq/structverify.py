@@ -1,7 +1,8 @@
 """Structural audit of the coset partition behind the threshold sequence.
 
-The partition is one dense coset index over a period: index[t] = psi(t)/p on
-the units of Z_{pq^2} and -1 elsewhere, so D_ell = {t : index[t] == ell}.
+The partition is the coset index itself, one int32 array over a period:
+index[t] = psi(t)/p on the units of Z_{pq^2} and -1 elsewhere, so
+D_ell = {t : index[t] == ell}.  Its length N = pq^2 fixes the pair.
 Eight facts are checked per pair: the quotient map is a surjective
 homomorphism with the stated kernel and image; the units split into q cosets
 of equal size; multiplication translates cosets; reductions of a coset modulo
@@ -39,7 +40,6 @@ and j exactly when the index is additive.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,28 +49,9 @@ from .eulerq import build_table, derive_generators, two_coset_index, unit_residu
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 
 
-@dataclass(frozen=True, eq=False)
-class CosetPartition:
-    """The coset index over one period: D_ell holds the t with index[t] == ell,
-    and the non-units P those with index[t] == -1."""
-
-    pair: PrimePair
-    index: np.ndarray   # int32, length p*q^2
-
-    @functools.cached_property
-    def units(self) -> np.ndarray:
-        """All units, ascending."""
-        return np.flatnonzero(self.index >= 0)
-
-    @functools.cached_property
-    def sizes(self) -> np.ndarray:
-        """|D_0|, |D_1|, ... from one bincount; longer than q only on a corrupted index."""
-        return np.bincount(self.index + 1, minlength=self.pair.q + 1)[1:]
-
-
-def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> CosetPartition:
-    """Fill the coset index over one full period from the Euler quotients
-    `values` (build_table(pair) by default); N = pq^2 fixes the pair."""
+def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> np.ndarray:
+    """The coset index over one full period, from the Euler quotients `values`
+    (build_table(pair) by default); N = pq^2 fixes the pair."""
     pair.require_divides()
     values = np.asarray(build_table(pair) if values is None else values, dtype=np.int64)
     if values.shape != (pair.period,):
@@ -87,7 +68,7 @@ def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> CosetP
         )
     index = quotient.astype(np.int32)
     index[:, ~unit] = -1
-    return CosetPartition(pair=pair, index=index.reshape(-1))
+    return index.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +96,12 @@ def _unit_coordinates(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
     return np.outer(_powers(gens.h, p - 1, n), _powers(g2, pair.q * (pair.q - 1), n)) % n
 
 
-def _check_additivity(pair: PrimePair, gens: GroupGenerators,
-                      partition: CosetPartition) -> list[str]:
+def _check_additivity(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
+                      sizes: np.ndarray) -> list[str]:
     """Empty exactly when the index is a homomorphism from the units to Z_q
     that labels nothing else; otherwise one witness."""
     coords = _unit_coordinates(pair, gens)
-    index = partition.index
-    labelled = int(partition.sizes.sum())
+    labelled = int(sizes.sum())
     if labelled != coords.size:
         return [f"index additivity fails: {labelled} positions carry a label, "
                 f"expected (p-1)q(q-1) = {coords.size}"]
@@ -135,45 +115,47 @@ def _check_additivity(pair: PrimePair, gens: GroupGenerators,
     return []
 
 
-def _check_partition_shape(pair: PrimePair, partition: CosetPartition) -> list[str]:
+def _check_partition_shape(pair: PrimePair, sizes: np.ndarray) -> list[str]:
     # the index gives each t exactly one label, so the cosets and P partition
     # the period by construction; what remains are the sizes
     problems = []
     expected = pair.phi_pq
-    for ell, size in enumerate(partition.sizes[:pair.q].tolist()):
+    for ell, size in enumerate(sizes[:pair.q].tolist()):
         if size != expected:
             problems.append(f"|D_{ell}| = {size}, expected {expected}")
-    non_units = pair.period - int(partition.sizes.sum())
+    non_units = pair.period - int(sizes.sum())
     expected_p = pair.period - pair.q * pair.phi_pq
     if non_units != expected_p:
         problems.append(f"|P| = {non_units}, expected {expected_p}")
     return problems
 
 
-def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
+def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
+                    sizes: np.ndarray) -> list[str]:
     # multiplication by the unit ghat^ell is injective, so ghat^ell * D_0 = D_ell
     # exactly when every image is labelled ell and |D_ell| = |D_0|
-    n, q, sizes = pair.period, pair.q, partition.sizes
-    d0 = np.flatnonzero(partition.index == 0)
-    labels = partition.index.take(np.outer(_powers(gens.ghat, q, n)[1:], d0) % n)
+    n, q = pair.period, pair.q
+    d0 = np.flatnonzero(index == 0)
+    labels = index.take(np.outer(_powers(gens.ghat, q, n)[1:], d0) % n)
     holds = (labels == np.arange(1, q)[:, None]).all(axis=1) & (sizes[1:q] == sizes[0])
     return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
-def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, partition: CosetPartition) -> list[str]:
+def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
+                        sizes: np.ndarray) -> list[str]:
     problems = []
     n, p, q = pair.period, pair.p, pair.q
 
     # kernel: the subgroup generated by g^q and h equals D_0
     mark = np.zeros(n, dtype=bool)
     mark[np.outer(_powers(pow(gens.g, q, n), pair.e, n), _powers(gens.h, pair.d, n)) % n] = True
-    if not np.array_equal(mark, partition.index == 0):
+    if not np.array_equal(mark, index == 0):
         problems.append(
             f"subgroup <g^q, h> has {mark.sum()} elements and differs from D_0"
         )
 
     # image over units is exactly {0, p, 2p, ..., (q-1)p}
-    image = np.flatnonzero(partition.sizes)
+    image = np.flatnonzero(sizes)
     if not np.array_equal(image, np.arange(q)):
         problems.append(f"image of the quotient map is {(p * image).tolist()}")
     return problems
@@ -185,13 +167,13 @@ def _torus_cells(p: int, q: int) -> np.ndarray:
     return c % p * q + c % q
 
 
-def _torus_counts(partition: CosetPartition) -> np.ndarray:
+def _torus_counts(pair: PrimePair, index: np.ndarray) -> np.ndarray:
     """Entry (ell, a, b) counts the units of D_ell with t = a mod p and t = b
     mod q: one bincount over the (q, pq) view, whose column c holds the t = c
     mod pq, with label -1 in a block before the table and q or more past it."""
-    p, q = partition.pair.p, partition.pair.q
+    p, q = pair.p, pair.q
     pq = p * q
-    keys = partition.index.astype(np.int64).reshape(q, pq)
+    keys = index.astype(np.int64).reshape(q, pq)
     keys += 1
     keys *= pq
     keys += _torus_cells(p, q)
@@ -199,7 +181,7 @@ def _torus_counts(partition: CosetPartition) -> np.ndarray:
 
 
 def _q2_columns(pair: PrimePair, gens: GroupGenerators,
-                partition: CosetPartition) -> tuple[np.ndarray, np.ndarray]:
+                index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2:
     whether each coset misses its multiset mod q^2, and the keys coset * q^2 + r
     (coset below q) that an odd number of units hold."""
@@ -209,9 +191,9 @@ def _q2_columns(pair: PrimePair, gens: GroupGenerators,
     subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
     target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
     ell = np.arange(q)[:, None]
-    expected = np.full(q2, -1, dtype=partition.index.dtype)
+    expected = np.full(q2, -1, dtype=index.dtype)
     expected[target] = ell
-    view = partition.index.reshape(p, q2)
+    view = index.reshape(p, q2)
     hit = view == expected
     per_column = hit.sum(axis=0)
     # the claims (expected[r], r) not held p - 1 times, among them, as p - 1
@@ -276,7 +258,7 @@ def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
     return sorted(set((np.flatnonzero(counts % q) // q).tolist()))
 
 
-def _check_congruences(pair: PrimePair, partition: CosetPartition, counts: np.ndarray,
+def _check_congruences(pair: PrimePair, index: np.ndarray, counts: np.ndarray,
                        odd_q2: np.ndarray) -> dict[str, list[str]]:
     p, q = pair.p, pair.q
     out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
@@ -307,7 +289,7 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition, counts: np.nd
     # pq^2 cyclotomic Phi_pq(x^q) exactly when each of its q polyphase parts
     # (bits j, j + q, j + 2q, ...) is 0 modulo Phi_pq: part j of the remainder
     # is the remainder of part j, and the parts have disjoint supports
-    labelled = (partition.index >= 0) & (partition.index < q)
+    labelled = (index >= 0) & (index < q)
     parts = labelled.reshape(p * q, q).T[:, np.argsort(_torus_cells(p, q)).reshape(p, q)]
     if _off_phi_pq(parts).any():
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
@@ -315,22 +297,29 @@ def _check_congruences(pair: PrimePair, partition: CosetPartition, counts: np.nd
 
 
 def lemma_failures(pair: PrimePair, gens: GroupGenerators,
-                   partition: CosetPartition) -> dict[str, list[str]]:
-    """Failure messages of each of lemmas 2-9 on a partition, empty where it holds.
+                   index: np.ndarray) -> dict[str, list[str]]:
+    """Failure messages of each of lemmas 2-9 on the coset index, which is the
+    partition, empty where it holds; an index not one period long is refused,
+    as N = pq^2 fixes the pair.
 
     One exact additivity test from the generators h and g2 serves lemmas 2
     and 4, and the torus counts and the q^2 columns serve lemmas 5-9.
     """
-    additivity = _check_additivity(pair, gens, partition)
-    counts = _torus_counts(partition)
-    bad_q2, odd_q2 = _q2_columns(pair, gens, partition)
+    if np.shape(index) != (pair.period,):
+        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    # |D_0|, |D_1|, ...; longer than q only on a corrupted index
+    sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
+    additivity = _check_additivity(pair, gens, index, sizes)
+    counts = _torus_counts(pair, index)
+    bad_q2, odd_q2 = _q2_columns(pair, gens, index)
 
-    failures = {"lemma2": _check_kernel_image(pair, gens, partition) + additivity}
-    failures["lemma3"] = _check_partition_shape(pair, partition) + _check_ghat_law(pair, gens, partition)
+    failures = {"lemma2": _check_kernel_image(pair, gens, index, sizes) + additivity}
+    failures["lemma3"] = (_check_partition_shape(pair, sizes)
+                          + _check_ghat_law(pair, gens, index, sizes))
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]
                           if additivity else [])
     failures.update(_check_residue_multisets(pair, counts, bad_q2))
-    failures.update(_check_congruences(pair, partition, counts, odd_q2))
+    failures.update(_check_congruences(pair, index, counts, odd_q2))
     return failures
 
 

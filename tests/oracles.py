@@ -57,7 +57,6 @@ from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
-from eqseq.structverify import CosetPartition as IndexPartition
 
 EXHAUSTIVE_LIMIT = SAMPLE_COUNT = 10_000   # the old audit's grid bound and sample size
 _GRID_CHUNK = 1 << 16                      # products per slice of the dense-index grid
@@ -363,7 +362,7 @@ def _powers(base: int, count: int, n: int) -> np.ndarray:
     return np.array([pow(base, i, n) for i in range(count)], dtype=np.int64)
 
 
-def _grid_failures(partition: IndexPartition) -> np.ndarray:
+def _grid_failures(pair: PrimePair, index: np.ndarray) -> np.ndarray:
     """Units u whose row of the product grid breaks index additivity, ascending.
 
     Row u holds index[u*v] == (index[u] + index[v]) mod q for every unit v.
@@ -371,12 +370,12 @@ def _grid_failures(partition: IndexPartition) -> np.ndarray:
     computed, about _GRID_CHUNK products each, and a failing cell marks both
     its row and its column.
     """
-    n, q = partition.pair.period, partition.pair.q
-    units = partition.units.astype(np.int32)   # products stay below n^2 < 2^31
-    iu = partition.index[units]
+    n, q = pair.period, pair.q
+    units = np.flatnonzero(index >= 0).astype(np.int32)   # products stay below n^2 < 2^31
+    iu = index[units]
     # index[u*v] - index[u] - index[v] is 0 or -q exactly when the cell holds;
     # a non-unit product reads as -2q, which can give neither
-    lookup = np.where(partition.index >= 0, partition.index, -2 * q).astype(np.int32)
+    lookup = np.where(index >= 0, index, -2 * q).astype(np.int32)
     step = max(1, _GRID_CHUNK // max(len(units), 1))
     bad = [units[:0]]
     for lo in range(0, len(units), step):
@@ -584,21 +583,21 @@ def coset_residues(found: tuple[np.ndarray, np.ndarray], m: int, q: int) -> list
     return residues
 
 
-def _residue_counts(partition: IndexPartition) -> dict[int, ResidueCounts]:
+def _residue_counts(pair: PrimePair, index: np.ndarray) -> dict[int, ResidueCounts]:
     """For m in p, q, pq, q^2: sorted keys coset * m + (t mod m) over the units, with counts."""
-    p, q = partition.pair.p, partition.pair.q
-    units = partition.units
-    cosets = partition.index[units].astype(np.int64)
+    p, q = pair.p, pair.q
+    units = np.flatnonzero(index >= 0)
+    cosets = index[units].astype(np.int64)
     return {m: np.unique(cosets * m + units % m, return_counts=True)
             for m in (p, q, p * q, q * q)}
 
 
-def residue_tables(partition: IndexPartition) -> dict[int, np.ndarray]:
+def residue_tables(pair: PrimePair, index: np.ndarray) -> dict[int, np.ndarray]:
     """For m in p, q and pq, the (q, m) table of the units of each coset per
     class mod m, one bincount per modulus; a label q or more lands past it."""
-    p, q = partition.pair.p, partition.pair.q
-    units = partition.units
-    cosets = partition.index[units].astype(np.int64)
+    p, q = pair.p, pair.q
+    units = np.flatnonzero(index >= 0)
+    cosets = index[units].astype(np.int64)
     return {m: np.bincount(cosets * m + units % m, minlength=q * m)[:q * m].reshape(q, m)
             for m in (p, q, p * q)}
 

@@ -127,8 +127,7 @@ def additivity_witness(pair, gens, index) -> list[str]:
 
 def assert_same_audit(pair, table, gens, index, seed):
     """Same verdicts as the oracle; the same messages but for additivity."""
-    partition = sv.CosetPartition(pair=pair, index=index)
-    got = sv.lemma_failures(pair, gens, partition)
+    got = sv.lemma_failures(pair, gens, index)
     want = oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
                                   oracle_table(pair, table, index), seed)
     assert {k: not v for k, v in got.items()} == {k: not v for k, v in want.items()}
@@ -149,7 +148,7 @@ class TestAuditDifferential:
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             table = build_table(pair)
-            index = sv.build_partition(pair, table).index
+            index = sv.build_partition(pair, table)
             got = assert_same_audit(pair, table, derive_generators(pair), index, ORACLE_SEEDS[0])
             assert not any(got.values()), (p, q)
 
@@ -159,7 +158,7 @@ class TestAuditDifferential:
         # (3, 61) is above the oracle's exhaustive limit, so the oracle samples
         pair = PrimePair.create(p, q)
         table = build_table(pair)
-        index = corrupt(sv.build_partition(pair, table).index, kind, q)
+        index = corrupt(sv.build_partition(pair, table), kind, q)
         for seed in ORACLE_SEEDS:
             got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
             assert any(got.values()), (p, q, kind)
@@ -169,7 +168,7 @@ class TestAuditDifferential:
         # only the ghat law (lemma 3) and the cosets mod q^2 (lemma 7) see it
         pair = PrimePair.create(p, q)
         table = build_table(pair)
-        index = corrupt(sv.build_partition(pair, table).index, "doubled", q)
+        index = corrupt(sv.build_partition(pair, table), "doubled", q)
         for seed in ORACLE_SEEDS:
             got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
             assert [lemma for lemma, msgs in got.items() if msgs] == ["lemma3", "lemma7"], (p, q)
@@ -179,7 +178,7 @@ class TestAuditDifferential:
         pair = PrimePair.create(3, 7)
         table = build_table(pair)
         gens = derive_generators(pair)
-        index = corrupt(sv.build_partition(pair, table).index, "swap", 7)
+        index = corrupt(sv.build_partition(pair, table), "swap", 7)
         got = assert_same_audit(pair, table, gens, index, ORACLE_SEEDS[0])
         assert got["lemma4"] == [LEMMA4]
         want = oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
@@ -189,9 +188,9 @@ class TestAuditDifferential:
     def test_additivity_messages(self):
         pair = PrimePair.create(3, 7)
         gens = derive_generators(pair)
-        clean = sv.build_partition(pair).index
-        failures = {kind: sv.lemma_failures(pair, gens, sv.CosetPartition(
-            pair=pair, index=corrupt(clean, kind, 7))) for kind in CORRUPTIONS}
+        clean = sv.build_partition(pair)
+        failures = {kind: sv.lemma_failures(pair, gens, corrupt(clean, kind, 7))
+                    for kind in CORRUPTIONS}
         # the additivity witness is the last message of lemma 2
         assert failures["nonunit_labelled"]["lemma2"][-1] == (
             "index additivity fails: 85 positions carry a label, expected (p-1)q(q-1) = 84")
@@ -211,25 +210,25 @@ class TestGridRows:
     @pytest.mark.parametrize("p,q", [(3, 7), (3, 13), (5, 11)])
     def test_rows_match_cell_by_cell(self, p, q):
         pair = PrimePair.create(p, q)
-        clean = sv.build_partition(pair).index
+        clean = sv.build_partition(pair)
         units = np.flatnonzero(clean >= 0)
         dropped_top = clean.copy()
         dropped_top[units[clean[units] == q - 1][3]] = -1   # a unit of D_{q-1} dropped
         indices = [clean, dropped_top] + [corrupt(clean, kind, q) for kind in CORRUPTIONS]
         for index in indices:
-            rows = oracles._grid_failures(sv.CosetPartition(pair=pair, index=index))
+            rows = oracles._grid_failures(pair, index)
             assert rows.tolist() == grid_rows_by_cell(pair, index.tolist())
         # a dropped unit d breaks every row but that of 1, which maps d to itself
-        rows = oracles._grid_failures(sv.CosetPartition(pair=pair, index=dropped_top))
+        rows = oracles._grid_failures(pair, dropped_top)
         assert rows.tolist() == [u for u in np.flatnonzero(dropped_top >= 0).tolist() if u != 1]
 
     def test_small_chunks(self, monkeypatch):
         # slices of a few rows each still cover the whole grid
         pair = PrimePair.create(3, 13)
-        index = corrupt(sv.build_partition(pair).index, "swap", 13)
+        index = corrupt(sv.build_partition(pair), "swap", 13)
         want = grid_rows_by_cell(pair, index.tolist())
         monkeypatch.setattr(oracles, "_GRID_CHUNK", 1000)
-        assert oracles._grid_failures(sv.CosetPartition(pair=pair, index=index)).tolist() == want
+        assert oracles._grid_failures(pair, index).tolist() == want
 
 
 class TestGenerators:
@@ -252,12 +251,12 @@ class TestGenerators:
         # also at (3, 61), above the oracle's exhaustive limit
         for p, q in SMALL_PAIRS + [(3, 61)]:
             pair = PrimePair.create(p, q)
-            index = sv.build_partition(pair).index
+            index = sv.build_partition(pair)
             if kind:
                 index = corrupt(index, kind, q)
-            partition = sv.CosetPartition(pair=pair, index=index)
-            additive = not sv._check_additivity(pair, derive_generators(pair), partition)
-            assert additive == (oracles._grid_failures(partition).size == 0), (p, q, kind)
+            sizes = np.bincount(index + 1, minlength=q + 1)[1:]
+            additive = not sv._check_additivity(pair, derive_generators(pair), index, sizes)
+            assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
 
 
@@ -285,12 +284,12 @@ class TestBuildPartition:
     @pytest.mark.parametrize("p,q", [(3, 7), (5, 11), (3, 61)])
     def test_same_cosets_as_frozensets(self, p, q):
         pair = PrimePair.create(p, q)
-        partition = sv.build_partition(pair)
+        index = sv.build_partition(pair)
         old = oracles.build_partition(pair)
-        assert [set(np.flatnonzero(partition.index == ell).tolist())
+        assert [set(np.flatnonzero(index == ell).tolist())
                 for ell in range(q)] == [set(c) for c in old.cosets]
-        assert set(np.flatnonzero(partition.index < 0).tolist()) == old.non_units
-        assert partition.units.tolist() == sorted(set().union(*old.cosets))
+        assert set(np.flatnonzero(index < 0).tolist()) == old.non_units
+        assert np.flatnonzero(index >= 0).tolist() == sorted(set().union(*old.cosets))
 
     def test_quotient_not_divisible_by_p(self):
         pair = PrimePair.create(3, 7)
@@ -309,11 +308,29 @@ class TestBuildPartition:
                 sv.build_partition(pair, values)
 
 
-def table_congruences(pair, partition) -> dict[str, list[str]]:
+class TestIndexShape:
+    """lemma_failures refuses an index that is not one period of its pair,
+    with an EqseqError rather than a numpy error from a reshape."""
+
+    def test_another_pairs_index(self):
+        # N = pq^2 fixes the pair: the (3, 13) index has 507 labels, not 147
+        pair = PrimePair.create(3, 7)
+        with pytest.raises(DomainError, match=r"^coset index of shape \(507,\) is not one period N = 147$"):
+            sv.lemma_failures(pair, derive_generators(pair), sv.build_partition(PrimePair.create(3, 13)))
+
+    def test_short_or_reshaped_index(self):
+        pair = PrimePair.create(3, 7)
+        index = sv.build_partition(pair)
+        for bad in (index[:-1], index[:10], index.reshape(21, 7), np.zeros(0, np.int32)):
+            with pytest.raises(DomainError, match=r"is not one period N = 147$"):
+                sv.lemma_failures(pair, derive_generators(pair), bad)
+
+
+def table_congruences(pair, index) -> dict[str, list[str]]:
     """The lemma 8 and 9 messages, from the torus counts and the q^2 columns."""
-    counts = sv._torus_counts(partition)
-    _, odd_q2 = sv._q2_columns(pair, derive_generators(pair), partition)
-    return sv._check_congruences(pair, partition, counts, odd_q2)
+    counts = sv._torus_counts(pair, index)
+    _, odd_q2 = sv._q2_columns(pair, derive_generators(pair), index)
+    return sv._check_congruences(pair, index, counts, odd_q2)
 
 
 def residue_congruences(residues: dict[int, list[int]], pair, summed_n: int) -> dict[str, list[str]]:
@@ -360,10 +377,9 @@ class TestFoldedResidues:
         for p, q in SMALL_PAIRS:
             pair = PrimePair.create(p, q)
             n = pair.period
-            index = sv.build_partition(pair).index
+            index = sv.build_partition(pair)
             if corruption:
                 index = corrupt(index, corruption, q)
-            partition = sv.CosetPartition(pair=pair, index=index)
             idx = index.tolist()
             residues = {m: oracles._residue_pass(n, cyclotomic_f2(m).bits, idx, q)
                         for m in (p, q, p * q, q * q)}
@@ -371,7 +387,7 @@ class TestFoldedResidues:
             summed_n = functools.reduce(
                 operator.xor, oracles._residue_pass(n, cyclotomic_f2(n).bits, idx, q), 0)
             want = residue_congruences(residues, pair, summed_n)
-            assert table_congruences(pair, partition) == want, (p, q)
+            assert table_congruences(pair, index) == want, (p, q)
 
     @pytest.mark.parametrize("corruption", (None, "label_q", "doubled") + CORRUPTIONS)
     def test_match_per_coset_loop(self, corruption):
@@ -379,14 +395,13 @@ class TestFoldedResidues:
         # at a time; both ignore a label q, which names no coset
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
-            index = sv.build_partition(pair).index
+            index = sv.build_partition(pair)
             if corruption:
                 index = corrupt(index, corruption, q)
-            partition = sv.CosetPartition(pair=pair, index=index)
-            counts = oracles._residue_counts(partition)
+            counts = oracles._residue_counts(pair, index)
             residues = {m: oracles.coset_residues(counts[m], m, q) for m in (p, q, p * q, q * q)}
             want = residue_congruences(residues, pair, labelled_mod_phi_n(pair, index))
-            assert table_congruences(pair, partition) == want, (p, q, corruption)
+            assert table_congruences(pair, index) == want, (p, q, corruption)
 
     @settings(max_examples=300, deadline=None)
     @given(odd_key_sets())
@@ -412,7 +427,7 @@ class TestTorusCongruences:
         pair = PrimePair.create(p, q)
         pq = p * q
         rand = random.Random(pq)
-        partition = sv.build_partition(pair)
+        index = sv.build_partition(pair)
         cells = sv._torus_cells(p, q)
         batches = [[rand.getrandbits(pq) for _ in range(q)] for _ in range(2)]
         for m in (pq, p, q):
@@ -427,7 +442,7 @@ class TestTorusCongruences:
             torus[:, cells] = counts
             residues = {m: [_int_mod(row, cyclotomic_f2(m).bits) for row in rows] for m in (pq, p, q)}
             residues[q * q] = [0] * q
-            got = sv._check_congruences(pair, partition, torus.reshape(q, p, q), np.zeros(0, np.int64))
+            got = sv._check_congruences(pair, index, torus.reshape(q, p, q), np.zeros(0, np.int64))
             assert got == residue_congruences(residues, pair, 0), (p, q)
 
 
@@ -443,18 +458,17 @@ class TestResidueTables:
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
-            index = sv.build_partition(pair).index
+            index = sv.build_partition(pair)
             if variant:
                 index = corrupt(index, variant, q)
-            partition = sv.CosetPartition(pair=pair, index=index)
-            torus = sv._torus_counts(partition)
-            bad_q2, odd_q2 = sv._q2_columns(pair, gens, partition)
+            torus = sv._torus_counts(pair, index)
+            bad_q2, odd_q2 = sv._q2_columns(pair, gens, index)
             tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
                       p * q: torus.reshape(q, p * q)[:, sv._torus_cells(p, q)]}
-            per_modulus = oracles.residue_tables(partition)
+            per_modulus = oracles.residue_tables(pair, index)
             assert tables.keys() == per_modulus.keys()
             assert all(np.array_equal(tables[m], per_modulus[m]) for m in tables), (p, q)
-            counts = oracles._residue_counts(partition)
+            counts = oracles._residue_counts(pair, index)
             # each table is the keys of cosets below q scattered with their counts
             for m, table in tables.items():
                 keys, multiplicity = counts[m]
@@ -472,7 +486,7 @@ class TestResidueTables:
             assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
             assert any(got.values()) == (variant is not None), (p, q)
             # lemma 9's pq^2 term reads the labels 0..q-1
-            lemma9 = sv._check_congruences(pair, partition, torus, odd_q2)["lemma9"]
+            lemma9 = sv._check_congruences(pair, index, torus, odd_q2)["lemma9"]
             assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
     def test_swap_same_pq_reaches_only_q2(self):
@@ -480,11 +494,11 @@ class TestResidueTables:
         # the q^2 keys fail lemmas 7 and 8
         for p, q in [(3, 7), (5, 11), (5, 31), (3, 61)]:
             pair = PrimePair.create(p, q)
-            clean = sv.build_partition(pair).index
+            clean = sv.build_partition(pair)
             index = corrupt(clean, "swap_same_pq", q)
             moved = np.flatnonzero(index != clean)
             assert moved.size == 2 and (moved[1] - moved[0]) % (p * q) == 0
-            got = sv.lemma_failures(pair, derive_generators(pair), sv.CosetPartition(pair=pair, index=index))
+            got = sv.lemma_failures(pair, derive_generators(pair), index)
             assert not got["lemma5"] and not got["lemma6"], (p, q)
             assert got["lemma7"] and got["lemma8"], (p, q)
 
@@ -501,11 +515,10 @@ class TestForeignGenerators:
             pair = PrimePair.create(p, q)
             n = pair.period
             gens = derive_generators(pair)
-            index = sv.build_partition(pair).index
+            index = sv.build_partition(pair)
             if variant:
                 index = corrupt(index, variant, q)
-            partition = sv.CosetPartition(pair=pair, index=index)
-            counts = oracles._residue_counts(partition)
+            counts = oracles._residue_counts(pair, index)
             keys, multiplicity = counts[q * q]
             odd = keys[(multiplicity % 2 == 1) & (keys < q ** 3)]
             for foreign in (dataclasses.replace(gens, ghat=1),
@@ -513,13 +526,13 @@ class TestForeignGenerators:
                             dataclasses.replace(gens, ghat=gens.h),
                             dataclasses.replace(gens, g=gens.g ** 2 % n),
                             dataclasses.replace(gens, g=gens.g ** 2 % n, ghat=1)):
-                bad_q2, odd_q2 = sv._q2_columns(pair, foreign, partition)
-                got = sv._check_residue_multisets(pair, sv._torus_counts(partition), bad_q2)
+                bad_q2, odd_q2 = sv._q2_columns(pair, foreign, index)
+                got = sv._check_residue_multisets(pair, sv._torus_counts(pair, index), bad_q2)
                 assert got == oracles._check_key_multisets(pair, foreign, counts), (p, q, foreign)
                 assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q, foreign)
             if variant is None:
                 # ghat = 1 expects every coset where D_0 lies: all but D_0 fail
-                got = sv.lemma_failures(pair, dataclasses.replace(gens, ghat=1), partition)
+                got = sv.lemma_failures(pair, dataclasses.replace(gens, ghat=1), index)
                 assert got["lemma7"] == [f"D_{ell} mod q^2 multiset wrong" for ell in range(1, q)]
 
 
@@ -532,8 +545,8 @@ class TestLemma9PhiN:
         pair = PrimePair.create(p, q)
         table = build_table(pair)
         gens = derive_generators(pair)
-        index = corrupt(sv.build_partition(pair, table).index, "label_q", q)
-        got = normalized(sv.lemma_failures(pair, gens, sv.CosetPartition(pair=pair, index=index)))
+        index = corrupt(sv.build_partition(pair, table), "label_q", q)
+        got = normalized(sv.lemma_failures(pair, gens, index))
         want = normalized(oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
                                                  oracle_table(pair, table, index), ORACLE_SEEDS[0]))
         for lemma in ("lemma5", "lemma6", "lemma7", "lemma8", "lemma9"):
@@ -548,7 +561,7 @@ class TestLemma9PhiN:
         n = pair.period
         gens = derive_generators(pair)
         phi_n = cyclotomic_f2(n).bits
-        clean = sv.build_partition(pair).index >= 0
+        clean = sv.build_partition(pair) >= 0
         rng = np.random.default_rng(11)
         multiples = [_int_mul(int(r), phi_n) for r in rng.integers(1, 1 << 40, size=4)]
         cases = [clean] + [clean ^ (np.arange(n) == t) for t in range(n)]
@@ -556,8 +569,8 @@ class TestLemma9PhiN:
                   for flip in (0, 1, 1 << (n // 2), 1 << (n - 1))]
         verdicts = []
         for flags in cases:
-            partition = sv.CosetPartition(pair=pair, index=np.where(flags, 0, -1).astype(np.int32))
-            verdicts.append(PHI_N in sv.lemma_failures(pair, gens, partition)["lemma9"])
+            index = np.where(flags, 0, -1).astype(np.int32)
+            verdicts.append(PHI_N in sv.lemma_failures(pair, gens, index)["lemma9"])
             assert verdicts[-1] == (_int_mod(pack_flags(flags), phi_n) != 0)
         # only the clean indicator and the unflipped multiples hold
         assert verdicts.count(False) == 1 + len(multiples)

@@ -270,7 +270,7 @@ class TestVerify:
 
         def corrupted(pair):
             seq = real(pair)
-            coset = np.flatnonzero(structverify.build_partition(pair).index == 0)
+            coset = np.flatnonzero(structverify.build_partition(pair) == 0)
             flip = sum(1 << int(t) for t in coset)
             return BitSequence(bits=seq.bits ^ flip, length=seq.length, origin=seq.origin)
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -7,13 +8,13 @@ from eqseq import eulerq, gf2poly, lincomp, ntcore, sequence, structverify
 
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
-    "check_translation", "compose_power", "EulerQuotientTable", "find_ghat",
+    "check_translation", "compose_power", "CosetPartition", "EulerQuotientTable", "find_ghat",
     "generating_polynomial", "linear_complexity", "minimal_polynomial_gcd", "pow_wide_mod",
     "synthesize_sequence",
 ]
 
 PUBLIC = [
-    "AnalysisReport", "BitSequence", "CosetPartition", "DomainError", "EqseqError",
+    "AnalysisReport", "BitSequence", "DomainError", "EqseqError",
     "Gf2Poly", "GroupGenerators", "InternalConsistencyError",
     "ParseError", "PrimePair", "ResourceError", "StructureReport", "UnsupportedInputError",
     "analyze_period", "audit_structure", "berlekamp_massey", "build_partition", "build_table",
@@ -44,6 +45,15 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(eqseq, name), name
         for module in (eulerq, structverify, lincomp, gf2poly, ntcore, sequence):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_sequence_imports_nothing_from_structverify():
+    # the coset index is a plain array, so the lower layer needs no audit type
+    tree = ast.parse(Path(sequence.__file__).read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [name for name in imported if name and "structverify" in name], imported
 
 
 def test_gf2poly_is_a_report_type():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,13 +35,13 @@ class TestGenerateThreshold:
 class TestGenerateByCosets:
     def test_agrees_with_threshold(self, pair37, pair313, pair511):
         for pair in (pair37, pair313, pair511):
-            partition = build_partition(pair)
-            assert generate_by_cosets(pair, partition).bits == generate_threshold(pair).bits
+            index = build_partition(pair)
+            assert generate_by_cosets(pair, index).bits == generate_threshold(pair).bits
 
     def test_bit_two_is_zero(self, pair37):
         # coset index of 2 is 2, below the threshold half
-        partition = build_partition(pair37)
-        assert (generate_by_cosets(pair37, partition).bits >> 2) & 1 == 0
+        index = build_partition(pair37)
+        assert (generate_by_cosets(pair37, index).bits >> 2) & 1 == 0
 
     def test_non_units_are_zero(self, pair37):
         import math
@@ -51,9 +52,16 @@ class TestGenerateByCosets:
                 assert (seq.bits >> t) & 1 == 0
 
     def test_pair_mismatch(self, pair37, pair313):
-        partition = build_partition(pair37)
-        with pytest.raises(DomainError):
-            generate_by_cosets(pair313, partition)
+        # N = pq^2 fixes the pair, so another pair's index has the wrong length
+        index = build_partition(pair37)
+        with pytest.raises(DomainError, match=r"^coset index of shape \(147,\) is not one period N = 507$"):
+            generate_by_cosets(pair313, index)
+
+    def test_short_index(self, pair37):
+        # a sequence of one period is never built from fewer labels
+        for index in (np.zeros(10), build_partition(pair37)[:-1], build_partition(pair37).reshape(21, 7)):
+            with pytest.raises(DomainError, match=r"is not one period N = 147$"):
+                generate_by_cosets(pair37, index)
 
 
 class TestLeastPeriod:
