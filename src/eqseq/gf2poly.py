@@ -197,12 +197,6 @@ def _cyclotomic_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_bits(n: int) -> int:
-    radical = math.prod(set(factorize(n)))
-    return _int_compose(_cyclotomic_pair(radical)[0], n // radical)
-
-
 def cyclotomic_f2(n: int) -> Gf2Poly:
     """n-th cyclotomic polynomial reduced mod 2, for odd n (or n == 1).
 
@@ -217,4 +211,5 @@ def cyclotomic_f2(n: int) -> Gf2Poly:
             f"cyclotomic_f2 supports odd n only (x^n - 1 squarefree), got {n}"
         )
     check_budget("cyclotomic index", n)
-    return Gf2Poly(_cyclotomic_bits(n))
+    radical = math.prod(set(factorize(n)))
+    return Gf2Poly(_int_compose(_cyclotomic_pair(radical)[0], n // radical))

@@ -49,14 +49,23 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 
+def check_index(pair: PrimePair, index: np.ndarray) -> None:
+    """Refuse a coset index that is not a signed-integer array over one period
+    N = pq^2 (N fixes the pair)."""
+    if np.shape(index) != (pair.period,):
+        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    if not isinstance(index, np.ndarray) or index.dtype.kind != "i":
+        kind = getattr(index, "dtype", type(index).__name__)
+        raise DomainError(f"coset index of type {kind} is not a signed integer array")
+
+
 def generate_by_cosets(pair: PrimePair, index: np.ndarray) -> BitSequence:
     """Equivalent coset form: bit t = 1 iff t lies in an upper-half coset of
-    the coset index, which must cover one period N = pq^2 (N fixes the pair).
+    the coset index (see check_index).
 
     Must agree bit-for-bit with generate_threshold for the same pair.
     """
-    if np.shape(index) != (pair.period,):
-        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    check_index(pair, index)
     bits = pack_flags(index >= (pair.q + 1) // 2)
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 

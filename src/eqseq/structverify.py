@@ -47,6 +47,7 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError
 from .eulerq import build_table, derive_generators, two_coset_index, unit_residues
 from .ntcore import GroupGenerators, PrimePair, crt_lift
+from .sequence import check_index
 
 
 def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> np.ndarray:
@@ -190,26 +191,20 @@ def _q2_columns(pair: PrimePair, gens: GroupGenerators,
     # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q, each p - 1 times
     subgroup = _powers(pow(gens.g % q2, q, q2), q - 1, q2)
     target = np.outer(_powers(gens.ghat % q2, q, q2), subgroup) % q2
-    ell = np.arange(q)[:, None]
+    # and no two cosets share a column: (Z/q^2)*/<g^q> has prime order q, so an
+    # overlap would put ghat in <g^q, h>, the kernel of the coset index, against
+    # psi(ghat) = p, which derive_generators checks
     expected = np.full(q2, -1, dtype=index.dtype)
-    expected[target] = ell
+    expected[target] = np.arange(q)[:, None]
     view = index.reshape(p, q2)
     hit = view == expected
     per_column = hit.sum(axis=0)
     # the claims (expected[r], r) not held p - 1 times, among them, as p - 1
     # is even, all those held an odd number of times
-    claimed = expected >= 0
-    r = np.flatnonzero(claimed & (per_column != p - 1))
+    r = np.flatnonzero((expected >= 0) & (per_column != p - 1))
     keys, counts = expected[r] * np.int64(q2) + r, per_column[r]
     off = ~hit & (view >= 0)
     found = view[off] * np.int64(q2) + np.nonzero(off)[1] if off.any() else keys[:0]
-    if np.count_nonzero(claimed) < target.size:
-        # cosets share a column (never for derive_generators' output), which
-        # expects only the last of them: count the others there on their own
-        lost = np.unique((ell * q2 + target)[expected[target] != ell], return_counts=True)[0]
-        found = found[~np.isin(found, lost)]
-        keys = np.concatenate([keys, lost])
-        counts = np.concatenate([counts, (view[:, lost % q2] == lost // q2).sum(axis=0)])
     stray, times = np.unique(found, return_counts=True)
     bad = np.bincount(np.concatenate([keys[counts != p - 1], stray]) // q2, minlength=q)[:q] > 0
     odd = np.concatenate([keys[counts % 2 == 1], stray[(times % 2 == 1) & (stray < q * q2)]])
@@ -296,17 +291,16 @@ def _check_congruences(pair: PrimePair, index: np.ndarray, counts: np.ndarray,
     return out
 
 
-def lemma_failures(pair: PrimePair, gens: GroupGenerators,
-                   index: np.ndarray) -> dict[str, list[str]]:
-    """Failure messages of each of lemmas 2-9 on the coset index, which is the
-    partition, empty where it holds; an index not one period long is refused,
-    as N = pq^2 fixes the pair.
+def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
+    """Failure messages of each of lemmas 2-9 on the coset index (see
+    check_index), empty where it holds, for the generators g, h and ghat that
+    (p, q) fixes, from derive_generators.
 
-    One exact additivity test from the generators h and g2 serves lemmas 2
-    and 4, and the torus counts and the q^2 columns serve lemmas 5-9.
+    One exact additivity test from h and g2 serves lemmas 2 and 4, and the
+    torus counts and the q^2 columns serve lemmas 5-9.
     """
-    if np.shape(index) != (pair.period,):
-        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    check_index(pair, index)
+    gens = derive_generators(pair)
     # |D_0|, |D_1|, ...; longer than q only on a corrupted index
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
     additivity = _check_additivity(pair, gens, index, sizes)
@@ -359,6 +353,6 @@ class StructureReport:
 def audit_structure(pair: PrimePair) -> StructureReport:
     """Run all eight structural checks for one pair and collect the verdict."""
     pair.require_divides()
-    failures = lemma_failures(pair, derive_generators(pair), build_partition(pair))
+    failures = lemma_failures(pair, build_partition(pair))
     return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair),
                            failures=tuple((name, tuple(msgs)) for name, msgs in failures.items()))

@@ -13,14 +13,13 @@ against those the per-bit residue pass and the loop that folded the coset
 residues one coset at a time call for, which also checks the class-count rule
 for Phi_{q^2} on random key sets.  The torus counts, summed over either axis
 and read at each class mod pq, are checked against one bincount per modulus,
-the q^2 columns against the sorted keys and counts of np.unique, also for
-generators whose expected sets mod q^2 overlap, the torus test for Phi_pq,
-Phi_p and Phi_q against one reduction per row, and the polyphase test of
-lemma 9's pq^2 term against one reduction of the whole indicator.
+the q^2 columns against the sorted keys and counts of np.unique, the torus
+test for Phi_pq, Phi_p and Phi_q against one reduction per row, and the
+polyphase test of lemma 9's pq^2 term against one reduction of the whole
+indicator.
 """
 
 import ast
-import dataclasses
 import functools
 import math
 import operator
@@ -33,6 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqseq import PrimePair, build_table, derive_generators
 from eqseq import structverify as sv
+from eqseq.cli import enumerate_pairs
 from eqseq.errors import DomainError, InternalConsistencyError
 from eqseq.gf2poly import _int_mod, _int_mul, cyclotomic_f2
 from eqseq.ntcore import crt_lift
@@ -127,7 +127,7 @@ def additivity_witness(pair, gens, index) -> list[str]:
 
 def assert_same_audit(pair, table, gens, index, seed):
     """Same verdicts as the oracle; the same messages but for additivity."""
-    got = sv.lemma_failures(pair, gens, index)
+    got = sv.lemma_failures(pair, index)
     want = oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
                                   oracle_table(pair, table, index), seed)
     assert {k: not v for k, v in got.items()} == {k: not v for k, v in want.items()}
@@ -187,9 +187,8 @@ class TestAuditDifferential:
 
     def test_additivity_messages(self):
         pair = PrimePair.create(3, 7)
-        gens = derive_generators(pair)
         clean = sv.build_partition(pair)
-        failures = {kind: sv.lemma_failures(pair, gens, corrupt(clean, kind, 7))
+        failures = {kind: sv.lemma_failures(pair, corrupt(clean, kind, 7))
                     for kind in CORRUPTIONS}
         # the additivity witness is the last message of lemma 2
         assert failures["nonunit_labelled"]["lemma2"][-1] == (
@@ -309,21 +308,29 @@ class TestBuildPartition:
 
 
 class TestIndexShape:
-    """lemma_failures refuses an index that is not one period of its pair,
-    with an EqseqError rather than a numpy error from a reshape."""
+    """lemma_failures refuses an index that is not a signed-integer array one
+    period of its pair long, with an EqseqError rather than a numpy error."""
 
     def test_another_pairs_index(self):
         # N = pq^2 fixes the pair: the (3, 13) index has 507 labels, not 147
         pair = PrimePair.create(3, 7)
         with pytest.raises(DomainError, match=r"^coset index of shape \(507,\) is not one period N = 147$"):
-            sv.lemma_failures(pair, derive_generators(pair), sv.build_partition(PrimePair.create(3, 13)))
+            sv.lemma_failures(pair, sv.build_partition(PrimePair.create(3, 13)))
 
     def test_short_or_reshaped_index(self):
         pair = PrimePair.create(3, 7)
         index = sv.build_partition(pair)
         for bad in (index[:-1], index[:10], index.reshape(21, 7), np.zeros(0, np.int32)):
             with pytest.raises(DomainError, match=r"is not one period N = 147$"):
-                sv.lemma_failures(pair, derive_generators(pair), bad)
+                sv.lemma_failures(pair, bad)
+
+    def test_float_or_list_index(self):
+        # the right length, but not labels numpy can count or reshape
+        pair = PrimePair.create(3, 7)
+        index = sv.build_partition(pair)
+        for bad, kind in ((index.astype(float), "float64"), (index.tolist(), "list")):
+            with pytest.raises(DomainError, match=rf"^coset index of type {kind} is not a signed integer array$"):
+                sv.lemma_failures(pair, bad)
 
 
 def table_congruences(pair, index) -> dict[str, list[str]]:
@@ -489,6 +496,18 @@ class TestResidueTables:
             lemma9 = sv._check_congruences(pair, index, torus, odd_q2)["lemma9"]
             assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
+    def test_q2_targets_are_disjoint(self):
+        # ghat^ell <g^q> mod q^2 (ell < q) are pairwise disjoint for the
+        # generators the audit derives, so each column of the (p, q^2) view
+        # expects one coset
+        for p, q in enumerate_pairs(10**6):
+            pair = PrimePair.create(p, q)
+            gens = derive_generators(pair)
+            q2 = q * q
+            subgroup = sv._powers(pow(gens.g % q2, q, q2), q - 1, q2)
+            target = np.outer(sv._powers(gens.ghat % q2, q, q2), subgroup) % q2
+            assert np.unique(target).size == q * (q - 1), (p, q)
+
     def test_swap_same_pq_reaches_only_q2(self):
         # the tables mod p, q and pq stay exact, so lemmas 5 and 6 hold while
         # the q^2 keys fail lemmas 7 and 8
@@ -498,42 +517,9 @@ class TestResidueTables:
             index = corrupt(clean, "swap_same_pq", q)
             moved = np.flatnonzero(index != clean)
             assert moved.size == 2 and (moved[1] - moved[0]) % (p * q) == 0
-            got = sv.lemma_failures(pair, derive_generators(pair), index)
+            got = sv.lemma_failures(pair, index)
             assert not got["lemma5"] and not got["lemma6"], (p, q)
             assert got["lemma7"] and got["lemma8"], (p, q)
-
-
-class TestForeignGenerators:
-    """lemma_failures takes any generators.  With ghat = 1 or h, or with ghat
-    or g squared, the sets ghat^ell <g^q> mod q^2 overlap or repeat, so more
-    than one coset claims a column of the q^2 view, or one coset claims it
-    twice; the q^2 columns must still agree with the np.unique keys and counts."""
-
-    @pytest.mark.parametrize("variant", (None, "swap", "swap_same_pq", "label_q", "doubled"))
-    def test_match_unique_keys(self, variant):
-        for p, q in [(3, 7), (5, 11), (3, 13), (7, 29), (5, 31)]:
-            pair = PrimePair.create(p, q)
-            n = pair.period
-            gens = derive_generators(pair)
-            index = sv.build_partition(pair)
-            if variant:
-                index = corrupt(index, variant, q)
-            counts = oracles._residue_counts(pair, index)
-            keys, multiplicity = counts[q * q]
-            odd = keys[(multiplicity % 2 == 1) & (keys < q ** 3)]
-            for foreign in (dataclasses.replace(gens, ghat=1),
-                            dataclasses.replace(gens, ghat=gens.ghat ** 2 % n),
-                            dataclasses.replace(gens, ghat=gens.h),
-                            dataclasses.replace(gens, g=gens.g ** 2 % n),
-                            dataclasses.replace(gens, g=gens.g ** 2 % n, ghat=1)):
-                bad_q2, odd_q2 = sv._q2_columns(pair, foreign, index)
-                got = sv._check_residue_multisets(pair, sv._torus_counts(pair, index), bad_q2)
-                assert got == oracles._check_key_multisets(pair, foreign, counts), (p, q, foreign)
-                assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q, foreign)
-            if variant is None:
-                # ghat = 1 expects every coset where D_0 lies: all but D_0 fail
-                got = sv.lemma_failures(pair, dataclasses.replace(gens, ghat=1), index)
-                assert got["lemma7"] == [f"D_{ell} mod q^2 multiset wrong" for ell in range(1, q)]
 
 
 class TestLemma9PhiN:
@@ -546,7 +532,7 @@ class TestLemma9PhiN:
         table = build_table(pair)
         gens = derive_generators(pair)
         index = corrupt(sv.build_partition(pair, table), "label_q", q)
-        got = normalized(sv.lemma_failures(pair, gens, index))
+        got = normalized(sv.lemma_failures(pair, index))
         want = normalized(oracles.audit_failures(pair, gens, oracles.partition_from_index(pair, index),
                                                  oracle_table(pair, table, index), ORACLE_SEEDS[0]))
         for lemma in ("lemma5", "lemma6", "lemma7", "lemma8", "lemma9"):
@@ -559,7 +545,6 @@ class TestLemma9PhiN:
         # Phi_N (of degree below N) with and without one flag flipped
         pair = PrimePair.create(p, q)
         n = pair.period
-        gens = derive_generators(pair)
         phi_n = cyclotomic_f2(n).bits
         clean = sv.build_partition(pair) >= 0
         rng = np.random.default_rng(11)
@@ -570,7 +555,7 @@ class TestLemma9PhiN:
         verdicts = []
         for flags in cases:
             index = np.where(flags, 0, -1).astype(np.int32)
-            verdicts.append(PHI_N in sv.lemma_failures(pair, gens, index)["lemma9"])
+            verdicts.append(PHI_N in sv.lemma_failures(pair, index)["lemma9"])
             assert verdicts[-1] == (_int_mod(pack_flags(flags), phi_n) != 0)
         # only the clean indicator and the unflipped multiples hold
         assert verdicts.count(False) == 1 + len(multiples)

@@ -91,6 +91,11 @@ def test_one_period_analysis_and_one_lemma_runner_exported():
     assert eqseq.lemma_failures is structverify.lemma_failures
 
 
+def test_lemma_failures_derives_its_generators():
+    # (p, q) fixes g, h and ghat, so the audit takes only the pair and the index
+    assert list(inspect.signature(structverify.lemma_failures).parameters) == ["pair", "index"]
+
+
 def test_one_sigma_and_one_wieferich_test():
     assert eqseq.two_coset_index is eulerq.two_coset_index
     assert eqseq.wieferich_ok is ntcore.wieferich_ok

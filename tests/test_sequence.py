@@ -63,6 +63,13 @@ class TestGenerateByCosets:
             with pytest.raises(DomainError, match=r"is not one period N = 147$"):
                 generate_by_cosets(pair37, index)
 
+    def test_float_or_list_index(self, pair37):
+        # the right length, but not integer labels
+        index = build_partition(pair37)
+        for bad, kind in ((index.astype(float), "float64"), (index.tolist(), "list")):
+            with pytest.raises(DomainError, match=rf"^coset index of type {kind} is not a signed integer array$"):
+                generate_by_cosets(pair37, bad)
+
 
 class TestLeastPeriod:
     def test_golden(self, pair37):

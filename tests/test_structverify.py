@@ -34,7 +34,7 @@ def _coset(index, ell: int) -> set[int]:
 
 def _failures(pair, partition, *lemmas) -> list[str]:
     """The failure messages of the named lemmas from one lemma_failures run."""
-    failures = lemma_failures(pair, derive_generators(pair), partition)
+    failures = lemma_failures(pair, partition)
     return [msg for lemma in lemmas for msg in failures[lemma]]
 
 
@@ -228,13 +228,12 @@ class TestAuditStructure:
             pair = PrimePair.create(p, q)
             table = build_table(pair)
             partition = build_partition(pair, values=table)
-            gens = derive_generators(pair)
 
             cosets = [_coset(partition, ell) for ell in range(q)]
             assert all(len(c) == pair.phi_pq for c in cosets), (p, q)
             assert len(_coset(partition, -1)) == pair.period - q * pair.phi_pq
 
-            failures = lemma_failures(pair, gens, partition)
+            failures = lemma_failures(pair, partition)
             assert list(failures) == [f"lemma{i}" for i in range(2, 10)], (p, q)
             assert not any(failures.values()), (p, q, failures)
 
