@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
 from .limits import check_budget
@@ -80,20 +79,6 @@ class Gf2Poly:
     def __post_init__(self) -> None:
         if self.bits < 0:
             raise DomainError("polynomial bits must be a nonnegative integer")
-
-    @classmethod
-    def from_terms(cls, degrees: Iterable[int]) -> "Gf2Poly":
-        """Build from the degrees of the nonzero terms; repeated degrees count once."""
-        degrees = list(degrees)
-        if not degrees:
-            return cls(0)
-        if min(degrees) < 0:
-            raise DomainError(f"term degrees must be nonnegative, got {min(degrees)}")
-        check_budget("polynomial degree", max(degrees))
-        buf = bytearray(max(degrees) // 8 + 1)
-        for d in degrees:
-            buf[d >> 3] |= 1 << (d & 7)
-        return cls(int.from_bytes(buf, "little"))
 
     @property
     def degree(self) -> int:
@@ -182,13 +167,13 @@ def _cyclotomic_factors(n: int) -> tuple[int, ...]:
             break
         if seen[k]:
             continue
-        coset = []
+        coset = bytearray(n // 8 + 1)   # bit j of e_C, for j in C
         j = k
         while not seen[j]:
             seen[j] = 1
-            coset.append(j)
+            coset[j >> 3] |= 1 << (j & 7)
             j = 2 * j % n
-        e = _int_mod(Gf2Poly.from_terms(coset).bits, phi)
+        e = _int_mod(int.from_bytes(coset, "little"), phi)
         split = []
         for f in factors:
             g = 1 if f.bit_length() - 1 == order else _int_gcd(f, _int_mod(e, f))

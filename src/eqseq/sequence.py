@@ -50,13 +50,18 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
 
 
 def check_index(pair: PrimePair, index: np.ndarray) -> None:
-    """Refuse a coset index that is not a signed-integer array over one period
-    N = pq^2 (N fixes the pair)."""
+    """Refuse a coset index that is not one period N = pq^2 long (N fixes the
+    pair), is not an array of signed integers, or holds a label outside
+    -1..q-1 (-1 off the units, a coset of Z_q on them)."""
     if np.shape(index) != (pair.period,):
         raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
     if not isinstance(index, np.ndarray) or index.dtype.kind != "i":
         kind = getattr(index, "dtype", type(index).__name__)
         raise DomainError(f"coset index of type {kind} is not a signed integer array")
+    low, high = int(index.min()), int(index.max())
+    if low < -1 or high >= pair.q:
+        raise DomainError(f"coset index holds label {low if low < -1 else high}, "
+                          f"outside -1..{pair.q - 1}")
 
 
 def generate_by_cosets(pair: PrimePair, index: np.ndarray) -> BitSequence:

@@ -2,7 +2,9 @@
 
 The partition is the coset index itself, one int32 array over a period:
 index[t] = psi(t)/p on the units of Z_{pq^2} and -1 elsewhere, so
-D_ell = {t : index[t] == ell}.  Its length N = pq^2 fixes the pair.
+D_ell = {t : index[t] == ell}.  Its length N = pq^2 fixes the pair, and
+lemma_failures refuses (sequence.check_index) an index that is not one period
+long, is not an array of signed integers, or has a label outside -1..q-1.
 Eight facts are checked per pair: the quotient map is a surjective
 homomorphism with the stated kernel and image; the units split into q cosets
 of equal size; multiplication translates cosets; reductions of a coset modulo
@@ -121,7 +123,7 @@ def _check_partition_shape(pair: PrimePair, sizes: np.ndarray) -> list[str]:
     # the period by construction; what remains are the sizes
     problems = []
     expected = pair.phi_pq
-    for ell, size in enumerate(sizes[:pair.q].tolist()):
+    for ell, size in enumerate(sizes.tolist()):
         if size != expected:
             problems.append(f"|D_{ell}| = {size}, expected {expected}")
     non_units = pair.period - int(sizes.sum())
@@ -138,7 +140,7 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
     n, q = pair.period, pair.q
     d0 = np.flatnonzero(index == 0)
     labels = index.take(np.outer(_powers(gens.ghat, q, n)[1:], d0) % n)
-    holds = (labels == np.arange(1, q)[:, None]).all(axis=1) & (sizes[1:q] == sizes[0])
+    holds = (labels == np.arange(1, q)[:, None]).all(axis=1) & (sizes[1:] == sizes[0])
     return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
@@ -171,21 +173,21 @@ def _torus_cells(p: int, q: int) -> np.ndarray:
 def _torus_counts(pair: PrimePair, index: np.ndarray) -> np.ndarray:
     """Entry (ell, a, b) counts the units of D_ell with t = a mod p and t = b
     mod q: one bincount over the (q, pq) view, whose column c holds the t = c
-    mod pq, with label -1 in a block before the table and q or more past it."""
+    mod pq, with label -1 in a block before the table."""
     p, q = pair.p, pair.q
     pq = p * q
     keys = index.astype(np.int64).reshape(q, pq)
     keys += 1
     keys *= pq
     keys += _torus_cells(p, q)
-    return np.bincount(keys.ravel(), minlength=(q + 1) * pq)[pq:(q + 1) * pq].reshape(q, p, q)
+    return np.bincount(keys.ravel(), minlength=(q + 1) * pq)[pq:].reshape(q, p, q)
 
 
 def _q2_columns(pair: PrimePair, gens: GroupGenerators,
                 index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2:
     whether each coset misses its multiset mod q^2, and the keys coset * q^2 + r
-    (coset below q) that an odd number of units hold."""
+    that an odd number of units hold."""
     p, q = pair.p, pair.q
     q2 = q * q
     # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q, each p - 1 times
@@ -206,8 +208,8 @@ def _q2_columns(pair: PrimePair, gens: GroupGenerators,
     off = ~hit & (view >= 0)
     found = view[off] * np.int64(q2) + np.nonzero(off)[1] if off.any() else keys[:0]
     stray, times = np.unique(found, return_counts=True)
-    bad = np.bincount(np.concatenate([keys[counts != p - 1], stray]) // q2, minlength=q)[:q] > 0
-    odd = np.concatenate([keys[counts % 2 == 1], stray[(times % 2 == 1) & (stray < q * q2)]])
+    bad = np.bincount(np.concatenate([keys[counts != p - 1], stray]) // q2, minlength=q) > 0
+    odd = np.concatenate([keys[counts % 2 == 1], stray[times % 2 == 1]])
     return bad, odd
 
 
@@ -284,7 +286,7 @@ def _check_congruences(pair: PrimePair, index: np.ndarray, counts: np.ndarray,
     # pq^2 cyclotomic Phi_pq(x^q) exactly when each of its q polyphase parts
     # (bits j, j + q, j + 2q, ...) is 0 modulo Phi_pq: part j of the remainder
     # is the remainder of part j, and the parts have disjoint supports
-    labelled = (index >= 0) & (index < q)
+    labelled = index >= 0
     parts = labelled.reshape(p * q, q).T[:, np.argsort(_torus_cells(p, q)).reshape(p, q)]
     if _off_phi_pq(parts).any():
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
@@ -301,7 +303,6 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     """
     check_index(pair, index)
     gens = derive_generators(pair)
-    # |D_0|, |D_1|, ...; longer than q only on a corrupted index
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
     additivity = _check_additivity(pair, gens, index, sizes)
     counts = _torus_counts(pair, index)
@@ -352,7 +353,6 @@ class StructureReport:
 
 def audit_structure(pair: PrimePair) -> StructureReport:
     """Run all eight structural checks for one pair and collect the verdict."""
-    pair.require_divides()
     failures = lemma_failures(pair, build_partition(pair))
     return StructureReport(pair=(pair.p, pair.q), sigma=two_coset_index(pair),
                            failures=tuple((name, tuple(msgs)) for name, msgs in failures.items()))

@@ -6,10 +6,10 @@ connection polynomial, which the package's count-only loop never does, and
 takes a BitSequence or a list of bits, packed by `pack_bits`.
 `cyclotomic_bits` builds the n-th cyclotomic polynomial over GF(2) by
 dividing x^n + 1 by the cyclotomic polynomials of every proper divisor.
-`term_degrees` (with `render` on top of it), `from_coeffs`, `from_terms` and
-`pack_bits` are the per-bit loops that rendering, polynomial construction
-and bit packing used; `parse_ascii` is the per-character ASCII parser that
-returned a list of bits.
+`term_degrees` (with `render` on top of it) and `pack_bits` are the per-bit
+loops that rendering and bit packing used, and `from_coeffs` and `from_terms`
+build the tests' polynomials from coefficients or term degrees;
+`parse_ascii` is the per-character ASCII parser that returned a list of bits.
 `build_table` lists the Euler quotients over one period with one modular
 power per position, and `generate_threshold` packs the threshold flags from it.
 `int_mod` and `int_divmod` are the long divisions that shifted the divisor

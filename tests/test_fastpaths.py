@@ -5,7 +5,7 @@ length L the count-only loop must reach, the previous recursive-division
 cyclotomic construction, the long divisions that shifted by zero, the
 Euclidean minimal polynomial on the whole of x^N + 1, the per-bit fold, the
 per-position Euler-quotient table with the threshold flags packed from it,
-the per-bit loops that rendered and built polynomials, and the
+the per-bit loop that rendered polynomials, and the
 per-character ASCII parser; sympy gives an outside check of the cyclotomic
 polynomials and of their factors over GF(2).  The sub-block route is also
 checked against Berlekamp-Massey on two whole periods, and each sub-block's
@@ -30,7 +30,6 @@ from sympy import Poly, cyclotomic_poly, factor_list, symbols
 
 from eqseq import (
     BitSequence,
-    DomainError,
     Gf2Poly,
     PrimePair,
     build_table,
@@ -729,49 +728,6 @@ class TestEulerTableDifferential:
         with pytest.raises(ValueError):
             values[22] = 0
         assert values[22] == 12
-
-
-class TestPolyConstructionDifferential:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=3000))
-    def test_from_coeffs_matches_per_bit_loop(self, coeffs):
-        # a coefficient list is built from the degrees of its nonzero terms
-        assert Gf2Poly.from_terms(i for i, c in enumerate(coeffs) if c) == oracles.from_coeffs(coeffs)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=400))
-    def test_from_terms_matches_per_bit_loop(self, degrees):
-        # repeated degrees are ORed, not added mod 2
-        doubled = degrees + degrees[::2]
-        assert Gf2Poly.from_terms(doubled) == oracles.from_terms(doubled)
-        assert Gf2Poly.from_terms(iter(degrees)) == oracles.from_terms(degrees)
-
-    def test_large_random(self):
-        rng = random.Random(11)
-        coeffs = [rng.getrandbits(1) for _ in range(160_000)]
-        assert Gf2Poly.from_terms(i for i, c in enumerate(coeffs) if c) == oracles.from_coeffs(coeffs)
-        degrees = [rng.randrange(160_000) for _ in range(80_000)]
-        assert Gf2Poly.from_terms(degrees) == oracles.from_terms(degrees)
-
-    @pytest.mark.parametrize("bad", [2, -1, "1", None, [1]])
-    def test_rejects_non_bits_like_the_loop(self, bad):
-        # read as term degrees, from_terms accepts what the per-bit loop can
-        # place and rejects what it cannot: a negative degree by name
-        degrees = [1, 0, bad, 1, 3]
-        try:
-            want = oracles.from_terms(degrees)
-        except ValueError:
-            with pytest.raises(DomainError, match=f"^term degrees must be nonnegative, got {bad}$"):
-                Gf2Poly.from_terms(degrees)
-        except TypeError:
-            with pytest.raises(TypeError):
-                Gf2Poly.from_terms(degrees)
-        else:
-            assert Gf2Poly.from_terms(degrees) == want
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(DomainError, match="nonnegative, got -1"):
-            Gf2Poly.from_terms([3, -1])
 
 
 def parse_outcome(parse, text):

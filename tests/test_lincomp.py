@@ -168,7 +168,7 @@ class TestSynthesize:
         # self-reciprocal, so this pins down the recurrence direction
         seq = BitSequence(bits=0b1110100, length=7, origin="external")
         minpoly = analyze_period(seq)[1]
-        assert minpoly == Gf2Poly.from_terms([3, 2, 0])
+        assert minpoly == oracles.from_terms([3, 2, 0])
         again = synthesize_sequence(minpoly, seq, 7)
         assert again.bits == seq.bits
 
@@ -191,7 +191,7 @@ class TestSynthesize:
     def test_needs_enough_seed(self):
         with pytest.raises(DomainError):
             synthesize_sequence(
-                Gf2Poly.from_terms([5, 0]),
+                oracles.from_terms([5, 0]),
                 BitSequence(bits=1, length=3, origin="external"),
                 10,
             )
@@ -199,7 +199,7 @@ class TestSynthesize:
     def test_rejects_even_constant_term(self):
         with pytest.raises(DomainError):
             synthesize_sequence(
-                Gf2Poly.from_terms([3, 1]),
+                oracles.from_terms([3, 1]),
                 BitSequence(bits=0, length=3, origin="external"),
                 5,
             )

@@ -58,8 +58,9 @@ def test_sequence_imports_nothing_from_structverify():
 
 def test_gf2poly_is_a_report_type():
     # arithmetic runs on the packed-int kernels; Gf2Poly only reports a result
-    for name in ("one", "from_coeffs", "is_zero", "num_terms", "coefficient", "__bool__",
-                 "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__", "__mod__"):
+    for name in ("one", "from_coeffs", "from_terms", "is_zero", "num_terms", "coefficient",
+                 "__bool__", "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__",
+                 "__mod__"):
         assert not hasattr(eqseq.Gf2Poly, name), name
     for name in ("__len__", "bit", "iter_bits", "two_periods"):
         assert not hasattr(eqseq.BitSequence, name), name
@@ -70,6 +71,13 @@ def test_readme_library_use_runs():
     section = readme.split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_names_every_benchmark_file():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    files = sorted(path.name for path in root.glob("BENCH_*.json"))
+    assert files and [name for name in files if f"`{name}`" not in readme] == []
 
 
 def test_one_degree_accessor():

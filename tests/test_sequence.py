@@ -70,6 +70,15 @@ class TestGenerateByCosets:
             with pytest.raises(DomainError, match=rf"^coset index of type {kind} is not a signed integer array$"):
                 generate_by_cosets(pair37, bad)
 
+    @pytest.mark.parametrize("label", [-2, 7, 8, 5_000_000])
+    def test_label_outside_range(self, pair37, label):
+        # -1 and the cosets 0..q-1 are the only labels; the threshold would
+        # read any other as a coset that is not there
+        index = build_partition(pair37)
+        index[1] = label
+        with pytest.raises(DomainError, match=rf"^coset index holds label {label}, outside -1\.\.6$"):
+            generate_by_cosets(pair37, index)
+
 
 class TestLeastPeriod:
     def test_golden(self, pair37):
