@@ -23,8 +23,10 @@ one scan to 1000000.
 The audit stage times `lemma_failures` on a small, a large and the largest
 pair in budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
-from it, also cold, the Euler-quotient table, the coset index built from
-it, the counts on the (p, q) torus (`counts_s`), the
+from it, also cold, the Euler-quotient table (`table_s`), the coset index
+(`partition_s`, which builds its own table, so it includes `table_s` and
+is not comparable with `partition_s` in a BENCH file from before the
+index took only the pair), the counts on the (p, q) torus (`counts_s`), the
 (p, q^2) columns (`columns_s`), the lemma 5-7 multisets and the lemma 8-9
 congruences; then `audit_structure` over every pair of the timed scan, caches
 cleared once per run as in one `structure` call per pair from one process,
@@ -211,8 +213,8 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             clear_caches()
             runs.append(timed(structverify.lemma_failures, pair, index))
             clear_caches()
-            table, t_table = timed(build_table, pair)
-            _, t_partition = timed(structverify.build_partition, pair, table)
+            _, t_table = timed(build_table, pair)
+            _, t_partition = timed(structverify.build_partition, pair)
             stages.append({"table_s": t_table, "partition_s": t_partition,
                            **residue_stages(pair, gens, index)})
         result = out["lemma_failures"][text] = {

@@ -26,7 +26,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DomainError, EqseqError, ParseError
-from .limits import check_budget, max_period
+from .limits import check_budget
 from .lincomp import analyze_period, verify_theorem
 from .ntcore import PrimePair, is_prime
 from .sequence import BitSequence, generate_threshold
@@ -46,15 +46,6 @@ CSV_HEADER = [
     "p", "q", "q_mod_4", "wieferich_ok", "divisibility_ok", "period",
     "lc_empirical", "lc_predicted", "match", "sigma", "millis",
 ]
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with the package's usage code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +264,7 @@ def _cmd_scan(args) -> int:
         return _fail(EXIT_USAGE, f"--jobs must be at least 1, got {args.jobs}")
     if args.max_period < 1:
         return _fail(EXIT_USAGE, f"--max-period must be at least 1, got {args.max_period}")
-    budget = max_period()
-    if args.max_period > budget:
-        return _fail(
-            EXIT_USAGE,
-            f"--max-period {args.max_period} exceeds budget {budget} "
-            "(raise EQSEQ_MAX_PERIOD to allow it)",
-        )
+    check_budget("--max-period", args.max_period)
     pairs = enumerate_pairs(args.max_period)
     # never more workers than pairs or CPUs this process may run on: the
     # pool starts them all at once
@@ -311,11 +296,11 @@ def _cmd_scan(args) -> int:
 
 
 @functools.cache
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: parsing reads it
     and never changes it, so every call shares it."""
-    parser = _Parser(prog="eqseq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="eqseq", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write one period of a threshold sequence")
     gen.add_argument("--p", type=int, required=True)
@@ -355,8 +340,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:   # ParseError first: it is an EqseqError

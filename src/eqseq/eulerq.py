@@ -89,14 +89,11 @@ def derive_generators(pair: PrimePair) -> GroupGenerators:
     g = find_common_primitive_root(pair)
     h = crt_lift([(g % p, p), (1, q * q)])
     # psi(g) = p*a mod pq with a invertible mod q; ghat = g^(a^-1 mod q)
-    psi_g = euler_quotient(g, pair)
-    if psi_g % p != 0:
-        raise InternalConsistencyError(f"psi(g) = {psi_g} not divisible by p")
-    a = (psi_g // p) % q
+    a = coset_index(g, pair)
     if a == 0:
         raise InternalConsistencyError("psi(g)/p vanishes mod q for a primitive root g")
     ghat = pow(g, pow(a, -1, q), pair.period)
-    if euler_quotient(ghat, pair) != p:
+    if coset_index(ghat, pair) != 1:
         raise InternalConsistencyError("constructed ghat does not satisfy psi(ghat) == p")
     return GroupGenerators(g=g, h=h, ghat=ghat)
 

@@ -15,8 +15,9 @@ Both identities hold in Z[x] and every division in them is exact by a monic
 polynomial, so they survive reduction mod 2.  Each squarefree n also carries
 its cofactor H_n = (x^n + 1) / Phi_n, with H_mp(x) = H_m(x^p) Phi_m(x), so the
 division by Phi_m becomes a product with H_m and an exact division by
-x^m + 1, which is a stride-m prefix XOR and is checked.  Phi_n for
-squarefree odd n is also split into its irreducible factors over GF(2).
+x^m + 1, a stride-m prefix XOR.  Phi_n H_n = x^n + 1 is checked once per n,
+where the pair is built.  Phi_n for squarefree odd n is also split into its
+irreducible factors over GF(2).
 """
 
 from __future__ import annotations
@@ -136,13 +137,12 @@ def _cyclotomic_pair(n: int) -> tuple[int, int]:
     if m == 1:
         return (1 << p) - 1, 0b11  # 1 + x + ... + x^(p-1), and x + 1
     phi_m, h_m = _cyclotomic_pair(m)
-    product = _int_mul(_int_compose(phi_m, p), h_m)
-    phi = _int_div_binomial(product, m)
-    if (phi << m) ^ phi != product:
-        raise InternalConsistencyError(
-            f"cyclotomic division for n={n} left a remainder"
-        )
-    return phi, _int_mul(_int_compose(h_m, p), phi_m)
+    phi = _int_div_binomial(_int_mul(_int_compose(phi_m, p), h_m), m)
+    h = _int_mul(_int_compose(h_m, p), phi_m)
+    # H_n is right when Phi_m and H_m are, and then x^n + 1 = Phi_n H_n fixes Phi_n
+    if _int_mul(phi, h) != (1 << n) | 1:
+        raise InternalConsistencyError(f"cyclotomic cofactor for n={n} is wrong")
+    return phi, h
 
 
 @functools.lru_cache(maxsize=None)

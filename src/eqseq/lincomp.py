@@ -26,7 +26,8 @@ and the polyphase parts u_j of u = sum_j x^j u_j(x^s) as their residues,
 since u mod G_i = sum_j x^j (u_j mod f_i)(x^s).  Each run checks that the
 sub-blocks multiply to x^N + 1, so the measured M does not rest on the
 cyclotomic construction or the factor split being right, and it never
-reads the prediction.
+reads the prediction.  The cofactors H_r = (x^r + 1) / Phi_r that start the
+component walk are checked once per r, where gf2poly builds them.
 
 Most sub-blocks need no Euclid.  For odd d every irreducible factor of Phi_d
 over GF(2) has degree ord_d(2) (Lidl and Niederreiter, Finite Fields,
@@ -157,34 +158,29 @@ class _Block(NamedTuple):
     d: int
     order: int     # ord_d(2), the degree of every GF(2) factor of Phi_d; 0 for even d
     stride: int    # s
-    tree: _Node    # over the factors of Phi_r; its root is their product
-    factor: int    # F_e, the root composed with x^s
+    tree: _Node    # over the factors of Phi_r; its root is their product, F_e = root(x^s)
     cofactor: int  # H = (x^d + 1) / F_e
 
 
 def _blocks(n: int) -> list[_Block]:
-    """The blocks of x^n + 1 by ascending d, with Phi_r H_r = x^r + 1 checked
-    once per radical r, and all their sub-blocks together to multiply to
-    x^n + 1."""
+    """The blocks of x^n + 1 by ascending d, checked on every call for all
+    their sub-blocks together to multiply to x^n + 1; Phi_r H_r = x^r + 1 is
+    checked once per radical r, where `_cyclotomic_pair` builds the pair."""
     k = (n & -n).bit_length() - 1
     blocks = []
     trees: dict[int, _Node] = {}
     product = 1
     for e in _divisors_ascending(n >> k):
         radical = math.prod(set(factorize(e)))
-        phi, h = _cyclotomic_pair(radical)
         if radical not in trees:
-            if _int_mul(phi, h) != (1 << radical) | 1:
-                raise InternalConsistencyError(f"cyclotomic cofactor for n={radical} is wrong")
             trees[radical] = _factor_tree(_cyclotomic_factors(radical))
         tree = trees[radical]
         d = e << k
         order = 1 if d == 1 else 0 if k else multiplicative_order(2, d)
         stride = d // radical
-        block = _Block(d, order, stride, tree, _int_compose(tree.poly, stride),
-                       _int_compose(h, stride))
-        product = _int_mul(product, block.factor)
-        blocks.append(block)
+        product = _int_mul(product, _int_compose(tree.poly, stride))
+        blocks.append(_Block(d, order, stride, tree,
+                             _int_compose(_cyclotomic_pair(radical)[1], stride)))
     if product != (1 << n) | 1:
         raise InternalConsistencyError(f"cyclotomic blocks do not multiply to x^{n} + 1")
     return blocks

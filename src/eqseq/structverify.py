@@ -46,19 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .eulerq import build_table, derive_generators, two_coset_index, unit_residues
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 from .sequence import check_index
 
 
-def build_partition(pair: PrimePair, values: np.ndarray | None = None) -> np.ndarray:
-    """The coset index over one full period, from the Euler quotients `values`
-    (build_table(pair) by default); N = pq^2 fixes the pair."""
+def build_partition(pair: PrimePair) -> np.ndarray:
+    """The coset index over one full period, from the Euler quotients of
+    build_table(pair)."""
     pair.require_divides()
-    values = np.asarray(build_table(pair) if values is None else values, dtype=np.int64)
-    if values.shape != (pair.period,):
-        raise DomainError(f"psi table of shape {values.shape} is not one period N = {pair.period}")
+    values = build_table(pair)
     p, q = pair.p, pair.q
     # row k of the (q, pq) view holds t = r + k*pq, a unit exactly when r is one
     unit = unit_residues(pair)

@@ -525,9 +525,10 @@ class TestScan:
 
     def test_budget_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "500")
-        code, _, err = run(capsys, "scan", "--max-period", "1000")
+        code, stdout, err = run(capsys, "scan", "--max-period", "1000")
         assert code == EXIT_USAGE
-        assert "EQSEQ_MAX_PERIOD" in err
+        assert stdout == ""
+        assert err == "eqseq: error: --max-period 1000 exceeds budget 500 (EQSEQ_MAX_PERIOD)\n"
 
 
 class TestBudget:

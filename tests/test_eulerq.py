@@ -116,6 +116,18 @@ class TestFindGhat:
         assert gens.ghat == 256  # psi(2) = 15 = 3*5, 5^-1 = 8 mod 13, 2^8 = 256
         assert euler_quotient(256, pair313) == 3
 
+    @pytest.mark.parametrize("fault,message", [
+        (lambda t, v: v + 1 if t == 5 else v, r"^psi\(5\) = \d+ is not divisible by p=3$"),
+        (lambda t, v: 0 if t == 5 else v, r"^psi\(g\)/p vanishes mod q for a primitive root g$"),
+        (lambda t, v: 6 if t == 43 else v, r"^constructed ghat does not satisfy psi\(ghat\) == p$"),
+    ], ids=["psi_g_not_divisible", "g_in_kernel", "ghat_off"])
+    def test_faulty_quotient_is_refused(self, pair37, monkeypatch, fault, message):
+        # a wrong psi at g = 5 or at ghat = 43, read through coset_index
+        real = eulerq.euler_quotient
+        monkeypatch.setattr(eulerq, "euler_quotient", lambda t, pair: fault(t, real(t, pair)))
+        with pytest.raises(InternalConsistencyError, match=message):
+            derive_generators(pair37)
+
     def test_budget(self, pair37, monkeypatch):
         # checked before the primitive root, whose search factors q^2
         monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")

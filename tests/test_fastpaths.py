@@ -37,7 +37,7 @@ from eqseq import (
     euler_quotient,
     generate_threshold,
 )
-from eqseq import InternalConsistencyError, analyze_period, cli, lincomp, verify_theorem
+from eqseq import InternalConsistencyError, analyze_period, cli, gf2poly, lincomp, verify_theorem
 from eqseq.cli import EXIT_OK, EXIT_USAGE, parse_ascii
 from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
@@ -300,8 +300,9 @@ class TestBlockRouteDifferential:
             power = phi_e
             for _ in range(k):
                 power = _int_mul(power, power)
-            assert block.factor == power == _int_compose(phi_e, 1 << k)
-            assert _int_mul(block.factor, block.cofactor) == (1 << block.d) | 1
+            factor = _int_compose(block.tree.poly, block.stride)
+            assert factor == power == _int_compose(phi_e, 1 << k)
+            assert _int_mul(factor, block.cofactor) == (1 << block.d) | 1
 
 
 class TestBlockRuntimeChecks:
@@ -334,17 +335,28 @@ class TestBlockRuntimeChecks:
                                match=r"^cyclotomic blocks do not multiply to x\^147 \+ 1$"):
                 route()
 
-    def test_cofactor_must_complete_the_factor(self, monkeypatch, pair37):
+    def test_cofactor_must_complete_the_factor(self, monkeypatch):
+        # H_21 = H_3(x^7) Phi_3: a wrong H_3(x^7) leaves Phi_21 right, so only
+        # the product check where the pair is built sees it
+        real = gf2poly._int_compose
+        monkeypatch.setattr(gf2poly, "_int_compose",
+                            lambda f, k: real(f, k) ^ (0b10 if f == 0b11 else 0))
+        with pytest.raises(InternalConsistencyError, match=r"^cyclotomic cofactor for n=21 is wrong$"):
+            gf2poly._cyclotomic_pair.__wrapped__(21)
+
+    def test_wrong_cofactor_reaches_the_routes(self, monkeypatch, pair37):
+        # a wrong H handed to the blocks starts the component walk wrong
         real = lincomp._cyclotomic_pair
         monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: (real(r)[0], real(r)[1] ^ 0b10))
-        with pytest.raises(InternalConsistencyError, match=r"^cyclotomic cofactor for n=1 is wrong$"):
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
             analyze_period(generate_threshold(pair37))
 
     def test_block_routes_must_agree(self, monkeypatch, pair37):
         # filtering by the factor instead of the cofactor picks the wrong component
         real = lincomp._blocks
         monkeypatch.setattr(lincomp, "_blocks", lambda n: [
-            b._replace(cofactor=b.factor) for b in real(n)])
+            b._replace(cofactor=_int_compose(b.tree.poly, b.stride)) for b in real(n)])
         with pytest.raises(InternalConsistencyError,
                            match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
             analyze_period(generate_threshold(pair37))

@@ -9,10 +9,12 @@ from eqseq import (
     BitSequence,
     DomainError,
     Gf2Poly,
+    InternalConsistencyError,
     ResourceError,
     UnsupportedInputError,
     cyclotomic_f2,
     gcd,
+    gf2poly,
 )
 from eqseq.gf2poly import _int_compose, _int_divmod, _int_mod, _int_mul
 from eqseq.ntcore import euler_phi
@@ -169,6 +171,13 @@ class TestCyclotomic:
                 if n % d == 0:
                     product = _int_mul(product, cyclotomic_f2(d).bits)
             assert product == B(n, 0)
+
+    def test_faulty_division_is_refused(self, monkeypatch):
+        # Phi_21 = Phi_3(x^7) H_3 / (x^3 + 1); a quotient one bit off breaks Phi_21 H_21
+        real = gf2poly._int_div_binomial
+        monkeypatch.setattr(gf2poly, "_int_div_binomial", lambda f, m: real(f, m) ^ 0b10)
+        with pytest.raises(InternalConsistencyError, match=r"^cyclotomic cofactor for n=21 is wrong$"):
+            gf2poly._cyclotomic_pair.__wrapped__(21)
 
 
 class TestGeneratingPolynomial:

@@ -104,6 +104,11 @@ def test_lemma_failures_derives_its_generators():
     assert list(inspect.signature(structverify.lemma_failures).parameters) == ["pair", "index"]
 
 
+def test_build_partition_builds_its_table():
+    # the index is built from build_table(pair), the one psi table
+    assert list(inspect.signature(structverify.build_partition).parameters) == ["pair"]
+
+
 def test_one_sigma_and_one_wieferich_test():
     assert eqseq.two_coset_index is eulerq.two_coset_index
     assert eqseq.wieferich_ok is ntcore.wieferich_ok

@@ -221,13 +221,11 @@ class TestAuditStructure:
         # the checks hold for every pair the closed form covers, up to the
         # sweep bound, each decided exactly
         from eqseq import generate_threshold
-        from eqseq.eulerq import build_table
         from golden import SWEEP_PAIRS
 
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
-            table = build_table(pair)
-            partition = build_partition(pair, values=table)
+            partition = build_partition(pair)
 
             cosets = [_coset(partition, ell) for ell in range(q)]
             assert all(len(c) == pair.phi_pq for c in cosets), (p, q)
