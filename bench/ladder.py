@@ -7,18 +7,21 @@ and the package under src/ (nothing is installed):
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
 
 For each pair it reports the median over --repeats runs of each stage:
-table + pack (`generate_threshold`), the cyclotomic blocks of x^N + 1 with
-the folds of the period, the component walk down each block's product tree
-to the components of its sub-blocks, the gcd route's walk of the polyphase
-parts down the same tree with Euclid on the sub-blocks that split, and
-Berlekamp-Massey on every sub-block the component walk reaches, the least
-period and, for pairs inside the closed form's hypotheses, the closed-form
-prediction; elsewhere `lc_predicted` is null and `match` compares the two
-routes.  Cyclotomic caches are cleared before every run, so each stage
-starts cold as in one command-line call.  It then times, each in a fresh
-interpreter and as the median of --repeats, `eqseq verify` on the last pair
-of the ladder and `eqseq scan --max-period --jobs 2`, and with --full-scan
-one scan to 1000000.
+table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
+`lincomp._sub_blocks`, which builds the cyclotomic blocks of x^N + 1, folds
+the period to each, walks each block's product tree for the gcd route, with
+Euclid on the sub-blocks that split, and for the components, and pairs the
+two walks by factor), Berlekamp-Massey on every record with a component
+(`bm_s`), the least period and, for pairs inside the closed form's
+hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
+`match` compares the two routes.  `plan_s` and `bm_s` are not comparable
+with the `blocks_fold_s`, `components_s` and `gcd_s` of earlier BENCH files,
+which timed the fold and each walk apart.  Cyclotomic caches are cleared
+before every run, so each stage starts cold as in one command-line call.  It
+then times, each in a fresh interpreter and as the median of --repeats,
+`eqseq verify` on the last pair of the ladder and on (17, 239), the slowest
+pair in the default budget, and `eqseq scan --max-period --jobs 2`, and with
+--full-scan one scan to 1000000.
 
 The audit stage times `lemma_failures` on a small, a large and the largest
 pair in budget, each run cold with the coset index built beforehand (its
@@ -83,6 +86,7 @@ from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
 AUDIT_PAIRS = ["5,41", "3,181", "3,577"]   # N = 8405, 98283 and 998787
+SLOWEST = "17,239"   # slowest verify in budget: BM goes as phi(N)^2 / t, t = 4 here, 8 at (3,577)
 
 
 def nproc() -> int:
@@ -127,15 +131,10 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     clear_caches()
     seq, t_table = timed(generate_threshold, pair)
     stages = {"table_pack_s": t_table}
-    folds, stages["blocks_fold_s"] = timed(lambda: list(lincomp._block_folds(seq)))
-    components, stages["components_s"] = timed(lambda: [
-        (block, f, v) for block, u in folds for f, v in lincomp._components(u, block)])
-    minpolys, stages["gcd_s"] = timed(lambda: [
-        sub for block, u in folds for _, sub in lincomp._gcd_route(u, block)])
+    subs, stages["plan_s"] = timed(lambda: list(lincomp._sub_blocks(seq)))
     lcs, stages["bm_s"] = timed(lambda: [
-        lincomp._component_lc(v, (f.bit_length() - 1) * block.stride, block.d, seq.origin)
-        for block, f, v in components if v is not None])
-    lc_gcd = sum(sub.bit_length() - 1 for sub in minpolys if sub is not None)
+        lincomp._component_lc(sub, seq.origin) for sub in subs if sub.component is not None])
+    lc_gcd = sum(sub.minpoly.bit_length() - 1 for sub in subs if sub.minpoly is not None)
     lc_bm = sum(lcs)
     period, stages["least_period_s"] = timed(least_period, seq)
     lc_predicted = None   # outside the closed form's hypotheses
@@ -300,8 +299,8 @@ def main() -> int:
 
     run = {"ladder": ladder(args.pairs, args.repeats),
            "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
-    if args.pairs:
-        run[f"verify_{args.pairs[-1].replace(',', '_')}"] = verify(args.pairs[-1], args.repeats)
+    for text in dict.fromkeys([*args.pairs[-1:], SLOWEST]):
+        run[f"verify_{text.replace(',', '_')}"] = verify(text, args.repeats)
     run[f"scan_{args.scan}"] = scans(args.scan, args.repeats)
     if args.full_scan:
         run["scan_1000000"] = scans(1_000_000, 1)

@@ -181,19 +181,7 @@ def _load_sequence(path: str) -> BitSequence:
 
 
 def _cmd_analyze(args) -> int:
-    have_pair = args.p is not None or args.q is not None
-    if have_pair == (args.infile is not None):
-        return _fail(EXIT_USAGE, "provide either --in or both --p and --q")
-    if have_pair:
-        if args.p is None or args.q is None:
-            return _fail(EXIT_USAGE, "--p and --q must be given together")
-        pair = PrimePair.create(args.p, args.q)
-        if not pair.divides:
-            return _fail(EXIT_INAPPLICABLE, "p must divide q-1")
-        seq = generate_threshold(pair)
-    else:
-        seq = _load_sequence(args.infile)
-
+    seq = _load_sequence(args.infile)
     if args.period is not None:
         t = args.period
         if t < 1 or t > seq.length:
@@ -310,9 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     ana = sub.add_parser("analyze", help="period/LC/minimal polynomial of a sequence")
-    ana.add_argument("--in", dest="infile", help="sequence file (ascii or packed)")
-    ana.add_argument("--p", type=int)
-    ana.add_argument("--q", type=int)
+    ana.add_argument("--in", dest="infile", required=True, help="sequence file (ascii or packed)")
     ana.add_argument("--period", type=int, help="treat the first PERIOD bits as one period")
     ana.set_defaults(func=_cmd_analyze)
 

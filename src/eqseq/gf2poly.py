@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedInputError
@@ -87,9 +88,9 @@ class Gf2Poly:
         return self.bits.bit_length() - 1
 
     def term_degrees(self) -> list[int]:
-        """Degrees of the nonzero terms, descending."""
+        """Degrees of the nonzero terms, descending, found by searching the digits for ones."""
         top = self.degree
-        return [top - i for i, c in enumerate(format(self.bits, "b")) if c == "1"]
+        return [top - m.start() for m in re.finditer("1", format(self.bits, "b"))]
 
     def __str__(self) -> str:
         return self.render()

@@ -17,13 +17,14 @@ Both run sub-block by sub-block.  With N = 2^k m, m odd, x^N + 1 is the
 product of the pairwise coprime blocks F_e = Phi_e(x^(2^k)) = Phi_r(x^s)
 over the divisors e of m, r the radical of e; and with Phi_r = prod_i f_i
 over GF(2), each F_e is the product of the pairwise coprime sub-blocks
-G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A), and each
-sub-block's LC is also found by Berlekamp-Massey on the sub-block's
-component of the sequence.  The two must agree on every sub-block.  Each
-route walks a product tree over the f_i apart from the other, from the fold
-u = A mod (x^d + 1): the components go down it as products with siblings,
-and the polyphase parts u_j of u = sum_j x^j u_j(x^s) as their residues,
-since u mod G_i = sum_j x^j (u_j mod f_i)(x^s).  Each run checks that the
+G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A).  A run
+plans, runs Berlekamp-Massey, then compares.  The plan folds the period to
+u = A mod (x^d + 1) per block and walks a product tree over the f_i twice,
+apart: the polyphase parts u_j of u = sum_j x^j u_j(x^s) go down it as
+their residues, since u mod G_i = sum_j x^j (u_j mod f_i)(x^s), and the
+components as products with siblings.  It pairs the walks leaf by leaf by
+f_i, one record per sub-block.  Berlekamp-Massey's LC on each record's
+component must equal deg(G_i / gcd(G_i, u)).  Each run checks that the
 sub-blocks multiply to x^N + 1, so the measured M does not rest on the
 cyclotomic construction or the factor split being right, and it never
 reads the prediction.  The cofactors H_r = (x^r + 1) / Phi_r that start the
@@ -273,12 +274,36 @@ def _gcd_route(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
     return walk(block.tree, reduced(enumerate(phases), block.tree.poly))
 
 
-def _component_lc(v: int, degree: int, d: int, origin) -> int:
-    """BM route: the LC of the component v of block d for a sub-block G of
-    the given degree, whose minimal polynomial is G / gcd(G, u).  That LC is
-    at most deg G, so 2 deg G bits of two periods of v determine it."""
-    nbits = 2 * degree
-    two = (v | (v << d)) & ((1 << nbits) - 1)
+class _SubBlock(NamedTuple):
+    """One sub-block G = f(x^s) of the block d, with what each walk found
+    there, None where that walk leaves G out."""
+
+    d: int
+    stride: int             # s
+    factor: int             # f
+    minpoly: int | None     # the gcd route's G / gcd(G, u)
+    component: int | None   # the component walk's u (x^d + 1) / G mod (x^d + 1)
+
+
+def _sub_blocks(seq: BitSequence) -> Iterator[_SubBlock]:
+    """The plan: every sub-block of x^N + 1, by ascending d and in leaf order,
+    with the two walks paired by factor.  Walks that name different factors,
+    or a different number of them, raise, naming the block."""
+    for block, u in _block_folds(seq):
+        for (f, sub), (f_bm, v) in itertools.zip_longest(
+                _gcd_route(u, block), _components(u, block), fillvalue=(None, None)):
+            if f != f_bm:
+                raise InternalConsistencyError(
+                    f"the LC walks name different sub-blocks for {seq.origin} in block d={block.d}")
+            yield _SubBlock(block.d, block.stride, f, sub, v)
+
+
+def _component_lc(sub: _SubBlock, origin) -> int:
+    """BM route: the LC of the sub-block's component v, whose minimal
+    polynomial is G / gcd(G, u).  That LC is at most deg G, so 2 deg G bits
+    of two periods of v determine it."""
+    nbits = 2 * (sub.factor.bit_length() - 1) * sub.stride
+    two = (sub.component | (sub.component << sub.d)) & ((1 << nbits) - 1)
     return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin))
 
 
@@ -292,17 +317,13 @@ def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
     component.  A sub-block that a walk leaves out has LC 0 on that route,
     and one that both leave out is not run."""
     out = {}
-    for block, u in _block_folds(seq):
-        s, d = block.stride, block.d
-        minpoly = 1
-        for (f, sub), (_, v) in zip(_gcd_route(u, block), _components(u, block), strict=True):
-            lc_gcd = 0 if sub is None else sub.bit_length() - 1
-            lc_bm = 0 if v is None else _component_lc(v, (f.bit_length() - 1) * s, d, seq.origin)
-            if lc_bm != lc_gcd:
-                raise InternalConsistencyError(
-                    f"LC disagreement for {seq.origin} in block d={d}: gcd={lc_gcd}, bm={lc_bm}")
-            minpoly = _int_mul(minpoly, sub) if lc_gcd else minpoly
-        out[d] = minpoly
+    for sub in _sub_blocks(seq):
+        lc_gcd = 0 if sub.minpoly is None else sub.minpoly.bit_length() - 1
+        lc_bm = 0 if sub.component is None else _component_lc(sub, seq.origin)
+        if lc_bm != lc_gcd:
+            raise InternalConsistencyError(
+                f"LC disagreement for {seq.origin} in block d={sub.d}: gcd={lc_gcd}, bm={lc_bm}")
+        out[sub.d] = _int_mul(out.get(sub.d, 1), sub.minpoly) if lc_gcd else out.get(sub.d, 1)
     return out
 
 

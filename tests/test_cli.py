@@ -190,8 +190,10 @@ class TestAnalyze:
         report = json.loads(stdout)
         assert (report["n"], report["least_period"]) == (7, 7)
 
-    def test_with_pair(self, capsys):
-        code, stdout, _ = run(capsys, "analyze", "--p", "3", "--q", "13")
+    def test_with_pair(self, capsys, tmp_path):
+        f = tmp_path / "s.txt"
+        run(capsys, "generate", "--p", "3", "--q", "13", "--out", str(f))
+        code, stdout, _ = run(capsys, "analyze", "--in", str(f))
         assert code == EXIT_OK
         assert json.loads(stdout)["lc_gcd"] == 312
 
@@ -564,7 +566,7 @@ class TestExitContract:
         (["--p", "3", "--q", "7"], "abc", "EQSEQ_MAX_PERIOD must be an integer, got 'abc'"),
     ]
 
-    @pytest.mark.parametrize("command", ["generate", "analyze", "verify", "structure"])
+    @pytest.mark.parametrize("command", ["generate", "verify", "structure"])
     @pytest.mark.parametrize("args,limit,message", CASES)
     def test_usage_errors(self, capsys, monkeypatch, command, args, limit, message):
         if limit is not None:

@@ -19,6 +19,7 @@ import inspect
 import json
 import math
 import random
+import re
 import signal
 import textwrap
 from unittest import mock
@@ -218,17 +219,6 @@ class TestIntDivisionDifferential:
         assert_divisions_match((g << 1) ^ rng.getrandbits(degree + 1), g)
 
 
-def walked_sub_blocks(u: int, block) -> list[tuple[int, int | None, int | None]]:
-    """Both walks of a block side by side: (G, G / gcd(G, u), component) per
-    sub-block G = f(x^s) in leaf order, None where a walk leaves G out."""
-    out = []
-    for (f, sub), (f_bm, v) in zip(lincomp._gcd_route(u, block), lincomp._components(u, block),
-                                   strict=True):
-        assert f == f_bm
-        out.append((_int_compose(f, block.stride), sub, v))
-    return out
-
-
 def assert_block_route_matches(seq: BitSequence) -> None:
     """The block route, which runs both LC routes on every sub-block, against
     the Euclidean oracle and whole-period BM."""
@@ -274,20 +264,22 @@ class TestBlockRouteDifferential:
         # only where it holds no part of the fold: G | u exactly when
         # x^d + 1 | u (x^d + 1) / G, so the two walks prune alike
         seq = KINDS[kind](seed, n)
+        subs = list(lincomp._sub_blocks(seq))
         for block, u in lincomp._block_folds(seq):
             d = block.d
             assert u == oracles.fold(seq.bits, n, d), d
-            walked = walked_sub_blocks(u, block)
-            assert [g for g, _, _ in walked] == [
-                _int_compose(f, block.stride) for f in block.tree.leaves], d
-            for g, sub, v in walked:
+            walked = [sub for sub in subs if sub.d == d]
+            assert [(sub.factor, sub.stride) for sub in walked] == [
+                (f, block.stride) for f in block.tree.leaves], d
+            for sub in walked:
+                g = _int_compose(sub.factor, sub.stride)
                 w = oracles.int_mod(u, g)
-                assert (sub is None) == (v is None), (d, g)
-                if sub is None:
+                assert (sub.minpoly is None) == (sub.component is None), (d, g)
+                if sub.minpoly is None:
                     assert w == 0 and block.tree.children, (d, g)
                     continue
-                assert sub == oracles.sub_minpoly(g, w, d), (d, g)
-                assert v == oracles.component(u, g, d), (d, g)
+                assert sub.minpoly == oracles.sub_minpoly(g, w, d), (d, g)
+                assert sub.component == oracles.component(u, g, d), (d, g)
 
     @pytest.mark.parametrize("n", [1, 2, 12, 147, 256, 6930, 15015])
     def test_blocks_are_the_cyclotomic_factors(self, n):
@@ -412,19 +404,17 @@ class TestGcdRouteWalk:
             return [x for child in node.children for x in divided(child, u, s, here)]
 
         seq = generate_threshold(PrimePair.create(p, q))
-        total = left_out = 0
-        for block, u in lincomp._block_folds(seq):
-            want = divided(block.tree, u, block.stride)
-            walked = walked_sub_blocks(u, block)
-            assert [sub is None for _, sub, _ in walked] == want, block.d
-            assert [v is None for _, _, v in walked] == want, block.d
-            total, left_out = total + len(want), left_out + sum(want)
-        assert left_out > 0
+        want = [x for block, u in lincomp._block_folds(seq)
+                for x in divided(block.tree, u, block.stride)]
+        subs = list(lincomp._sub_blocks(seq))
+        assert [sub.minpoly is None for sub in subs] == want
+        assert [sub.component is None for sub in subs] == want
+        assert any(want)
         runs = []
-        real = lincomp._component_lc
-        monkeypatch.setattr(lincomp, "_component_lc", lambda *args: runs.append(args) or real(*args))
+        real = lincomp.berlekamp_massey
+        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda seq: runs.append(seq) or real(seq))
         lincomp._minpolys_by_block(seq)
-        assert len(runs) == total - left_out
+        assert len(runs) == sum(sub.component is not None for sub in subs)
 
     def test_residue_degree_is_guarded(self, monkeypatch):
         # a residue too long for its sub-block is an internal error, not a
@@ -490,6 +480,38 @@ class TestWalkMutations:
             else:
                 assert got == want, seq.length
         assert caught > 0
+
+
+COMPONENT_ROOT = "walk(block.tree, _times_mod(u, block.cofactor, block.d))"
+PAIRING_FAULTS = {
+    "children_reversed": ("_components", "((left, right), (right, left))",
+                          "((right, left), (left, right))"),
+    "one_leaf_short": ("_components", f"return {COMPONENT_ROOT}", "return itertools.islice("
+                       f"{COMPONENT_ROOT}, max(len(block.tree.leaves) - 1, 1))"),
+}
+
+
+class TestWalkPairing:
+    """`_sub_blocks` pairs the two walks by factor.  A component walk that
+    visits the sub-blocks in another order, or misses one, is an error that
+    names the block, even where the LCs it pairs would all agree."""
+
+    @pytest.mark.parametrize("fault", sorted(PAIRING_FAULTS))
+    def test_sweep_pairs(self, monkeypatch, capsys, fault):
+        mutate(monkeypatch, *PAIRING_FAULTS[fault])
+        for p, q in SWEEP_PAIRS:
+            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
+            out, err = capsys.readouterr()
+            assert code == EXIT_USAGE and out == "", (p, q)
+            assert re.fullmatch(rf"eqseq: error: the LC walks name different sub-blocks "
+                                rf"for \({p}, {q}\) in block d=\d+\n", err), (p, q)
+
+    def test_short_walk_is_an_internal_error(self, monkeypatch, pair37):
+        # Phi_7 has two factors over GF(2), so d = 7 is the first block to lose one
+        mutate(monkeypatch, *PAIRING_FAULTS["one_leaf_short"])
+        with pytest.raises(InternalConsistencyError, match=r"^the LC walks name different "
+                           r"sub-blocks for \(3, 7\) in block d=7$"):
+            analyze_period(generate_threshold(pair37))
 
 
 def odd_squarefree(limit: int) -> list[int]:
@@ -700,6 +722,14 @@ class TestRenderDifferential:
         poly = Gf2Poly(bits)
         assert poly.term_degrees() == oracles.term_degrees(bits)
         assert poly.render() == oracles.render(bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(min_value=0, max_value=20_000), max_size=8))
+    @example({60029, 0})
+    def test_sparse_matches_per_bit_loop(self, degrees):
+        bits = sum(1 << d for d in degrees)
+        assert Gf2Poly(bits).term_degrees() == oracles.term_degrees(bits) == sorted(degrees)[::-1]
+        assert Gf2Poly(bits).render() == oracles.render(bits)
 
     def test_large_random(self):
         rng = random.Random(7)

@@ -1,7 +1,9 @@
-"""Smoke test of bench/ladder.py, which reaches into the private stages of
-`lincomp` (`_block_folds`, `_components`, `_gcd_route`, `_component_lc`)."""
+"""Smoke test of bench/ladder.py, which reaches into two private stages of
+`lincomp`: the plan (`_sub_blocks`) and Berlekamp-Massey on one of its
+records (`_component_lc`)."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -22,9 +24,14 @@ def ladder():
 def test_one_run_reports_both_routes(ladder):
     stages, lcs = ladder.one_run(PrimePair.create(3, 7))
     assert lcs == {"lc_gcd": 96, "lc_bm": 96, "lc_predicted": 96, "period": 147}
-    assert list(stages) == ["table_pack_s", "blocks_fold_s", "components_s", "gcd_s", "bm_s",
-                            "least_period_s", "prediction_s"]
+    assert list(stages) == ["table_pack_s", "plan_s", "bm_s", "least_period_s", "prediction_s"]
     assert all(seconds >= 0 for seconds in stages.values())
+
+
+def test_pairs_the_walks_only_through_the_plan():
+    # the ladder times the pairing that lincomp runs, not a copy of it
+    named = set(re.findall(r"lincomp\.(_\w+)", LADDER.read_text()))
+    assert named == {"_sub_blocks", "_component_lc"}
 
 
 def test_one_run_outside_the_closed_form(ladder):
