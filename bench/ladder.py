@@ -27,19 +27,22 @@ The audit stage times `lemma_failures` on a small, a large and the largest
 pair in budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
 from it, also cold, the Euler-quotient table (`table_s`), the coset index
-(`partition_s`, which builds its own table, so it includes `table_s` and
-is not comparable with `partition_s` in a BENCH file from before the
-index took only the pair), the counts on the (p, q) torus (`counts_s`), the
-(p, q^2) columns (`columns_s`), the lemma 5-7 multisets and the lemma 8-9
-congruences; then `audit_structure` over every pair of the timed scan, caches
-cleared once per run as in one `structure` call per pair from one process,
-with one more untimed run per pair under tracemalloc for its traced peak;
-and the same pairs through `eqseq.cli.main(["structure", ...])`,
-each run in a fresh interpreter that imports `eqseq.cli` untimed, as a
-perfbench `audit` pass runs them: against `audit_structure` this adds the
-command line (the parser, the JSON and the table on stderr) and the cold
-start of the first calls.  All are medians of --repeats.  `--pairs` with no
-pairs skips the ladder.
+(`partition_s`, `build_partition(pair)`, which lifts the index from the
+residues mod pq and builds no psi table, so `table_s` is not part of it),
+the counts on the (p, q) torus (`counts_s`), the (p, q^2) columns
+(`columns_s`), the lemma 5-7 multisets and the lemma 8-9 congruences; then
+`audit_structure` over every pair of the timed scan, caches cleared once per
+run as in one `structure` call per pair from one process, with one more
+untimed run per pair under tracemalloc for its traced peak; and the same
+pairs through `eqseq.cli.main(["structure", ...])`, each run in a fresh
+interpreter that imports `eqseq.cli` untimed, as a perfbench `audit` pass
+runs them: against `audit_structure` this adds the command line (the
+parser, the JSON and the table on stderr) and the cold start of the first
+calls.  The last audit pair also runs alone through the command in a fresh
+interpreter, for its seconds and the interpreter's peak resident memory
+(`peak_rss_mb`, the VmHWM of /proc/self/status, so Linux only; ru_maxrss
+would read this script's own peak, which a child started by fork and exec
+inherits).  All are medians of --repeats.  `--pairs` with no pairs skips the ladder.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.  Each
@@ -162,7 +165,9 @@ def ladder(pairs: list[str], repeats: int) -> dict:
     return out
 
 
-# one run of structure_cli: the structure command on each pair from argv, in this process
+# one run of structure_cli: the structure command on each pair from argv, in this
+# process, and the peak resident memory of this process (VmHWM: ru_maxrss of a
+# child started by fork and exec also counts the parent's resident memory)
 STRUCTURE_CLI = """
 import contextlib, io, json, sys, time
 from eqseq import cli
@@ -171,8 +176,23 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     start = time.perf_counter()
     codes = [cli.main(["structure", "--p", str(p), "--q", str(q)]) for p, q in pairs]
     seconds = time.perf_counter() - start
-print(json.dumps({"seconds": seconds, "codes": codes}))
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"seconds": seconds, "codes": codes, "peak_rss_mb": peak_kb / 1024}))
 """
+
+
+def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
+    """Median seconds and peak RSS of the structure command on the pairs, each
+    run in a fresh interpreter."""
+    argv = [sys.executable, "-c", STRUCTURE_CLI, json.dumps([[pair.p, pair.q] for pair in pairs])]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [json.loads(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                      check=True).stdout) for _ in range(repeats)]
+    return {"pairs": len(pairs), "pairs_ok": runs[0]["codes"].count(0), "median_of": repeats,
+            "seconds": statistics.median(run["seconds"] for run in runs),
+            "seconds_runs": [run["seconds"] for run in runs],
+            "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs)}
 
 
 def residue_stages(pair: PrimePair, gens, index) -> dict:
@@ -239,16 +259,13 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
           f"{out[f'structure_{bound}']['seconds']:.3f} s, "
           f"traced peak {max(peaks.values()):.2f} MB", file=sys.stderr)
 
-    argv = [sys.executable, "-c", STRUCTURE_CLI, json.dumps([[pair.p, pair.q] for pair in sweep])]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    runs = [json.loads(subprocess.run(argv, env=env, capture_output=True, text=True,
-                                      check=True).stdout) for _ in range(repeats)]
-    cli_runs = [run["seconds"] for run in runs]
-    out[f"structure_cli_{bound}"] = {
-        "pairs": len(sweep), "pairs_ok": runs[0]["codes"].count(0), "median_of": repeats,
-        "seconds": statistics.median(cli_runs), "seconds_runs": cli_runs}
+    out[f"structure_cli_{bound}"] = structure_cli(sweep, repeats)
     print(f"structure command over {len(sweep)} pairs to {bound}: "
           f"{out[f'structure_cli_{bound}']['seconds']:.3f} s", file=sys.stderr)
+    largest = PrimePair.create(*(int(v) for v in pairs[-1].split(",")))
+    result = out[f"structure_cli_{largest.p}_{largest.q}"] = structure_cli([largest], repeats)
+    print(f"structure command at ({pairs[-1]}): {result['seconds']:.3f} s, "
+          f"peak RSS {result['peak_rss_mb']:.1f} MB", file=sys.stderr)
     return out
 
 

@@ -23,7 +23,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DomainError, EqseqError, ParseError
 from .limits import check_budget
@@ -261,6 +260,8 @@ def _cmd_scan(args) -> int:
     workers = min(args.jobs, len(pairs), cpus or 1)
     # largest N first, so no long pair starts last; rows keep the sorted order
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loaded only for a pool
+
         by_size = sorted(pairs, key=lambda pq: pq[0] * pq[1] ** 2, reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = dict(zip(by_size, pool.map(_scan_row, by_size)))

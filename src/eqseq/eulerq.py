@@ -18,6 +18,9 @@ below N, so no bound on p or q beyond the period budget applies.
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
 sequence definition and the structural checks elsewhere in the package.
+`build_partition` lifts it from the same residues with no psi table: p
+divides pq, so psi(r + k*pq) is divisible by p for every k exactly when
+psi(r) and the step are, and then ell(r + k*pq) = psi(r)/p + k*step/p mod q.
 """
 
 from __future__ import annotations
@@ -112,6 +115,38 @@ def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
     psi[units] = [_unit_quotient(r, pair) for r in units]
     step[units] = [pair.phi_pq * pow(r, -1, pq) % pq for r in units]
     return psi, step
+
+
+def _lift(base: np.ndarray, step: np.ndarray, modulus: int) -> np.ndarray:
+    """Row k holds (base + k*step) mod modulus for k < modulus, with base and
+    step in [0, modulus): int32 while k*step + base, at most modulus^2 -
+    modulus, fits it, and int64 past that."""
+    dtype = np.int32 if modulus * modulus - modulus < 2**31 else np.int64
+    rows = np.arange(modulus, dtype=dtype)[:, None] * step.astype(dtype)
+    rows += base.astype(dtype)
+    rows %= modulus
+    return rows
+
+
+def build_partition(pair: PrimePair) -> np.ndarray:
+    """The coset index over one full period as an int32 array: psi(t)/p on
+    the units of Z_{pq^2}, -1 elsewhere, lifted from the residues mod pq.
+    Refused past the budget, and where some unit's psi is not divisible by p,
+    naming the first such t."""
+    pair.require_divides()
+    check_budget("period", pair.period)
+    p, q = pair.p, pair.q
+    psi, step = _residue_quotients(pair)
+    # mod p, row k is psi + k*step: p divides every row exactly when it divides
+    # rows 0 and 1, and the first t it does not divide lies in one of them
+    for k, row in enumerate((psi, (psi + step) % (p * q))):
+        stray = np.flatnonzero(row % p)
+        if stray.size:
+            r = int(stray[0])
+            raise InternalConsistencyError(f"psi({r + k * p * q}) = {row[r]} not divisible by p={p}")
+    index = _lift(psi // p, step // p, q)
+    index[:, ~unit_residues(pair)] = -1
+    return index.astype(np.int32, copy=False).reshape(-1)
 
 
 def build_table(pair: PrimePair) -> np.ndarray:

@@ -63,6 +63,8 @@ def _int_mod(f: int, g: int) -> int:
 
 def _int_compose(f: int, k: int) -> int:
     # f(x^k): bit i moves to bit i*k, by spreading the binary digits apart
+    if k == 1:
+        return f
     return int(("0" * (k - 1)).join(format(f, "b")), 2)
 
 
@@ -70,6 +72,9 @@ def _int_gcd(f: int, g: int) -> int:
     while g:
         f, g = g, _int_mod(f, g)
     return f
+
+
+_CHUNK = 8192   # digits per chunk of Gf2Poly.render
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,15 @@ class Gf2Poly:
         return self.render()
 
     def render(self) -> str:
-        """Text form in descending powers: \"x^3 + x + 1\", \"x\", \"1\", \"0\"."""
-        if self.bits == 0:
-            return "0"
-        parts = []
-        for d in self.term_degrees():
-            if d == 0:
-                parts.append("1")
-            elif d == 1:
-                parts.append("x")
-            else:
-                parts.append(f"x^{d}")
-        return " + ".join(parts)
+        """Text form in descending powers: \"x^3 + x + 1\", \"x\", \"1\", \"0\".
+        The terms of degree 2 and up are joined a chunk of digits at a time, so
+        no list holds them all."""
+        high = format(self.bits >> 2, "b") if self.bits > 3 else ""
+        top = len(high) + 1   # the degree of digit 0 of high
+        parts = [" + ".join([f"x^{top - i - m.start()}" for m in re.finditer("1", high[i:i + _CHUNK])])
+                 for i in range(0, len(high), _CHUNK)]
+        parts += ["x"] * (self.bits >> 1 & 1) + ["1"] * (self.bits & 1)
+        return " + ".join(filter(None, parts)) or "0"
 
 
 def gcd(f: Gf2Poly, g: Gf2Poly) -> Gf2Poly:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .eulerq import build_table
 from .ntcore import PrimePair
 
@@ -44,8 +44,15 @@ def pack_flags(flags: np.ndarray) -> int:
 
 
 def generate_threshold(pair: PrimePair) -> BitSequence:
-    """The threshold sequence of one full period pq^2."""
+    """The threshold sequence of one full period pq^2.  When p | q-1 its ones
+    are the (q-1)/2 upper cosets of phi(pq) units each, and a period of any
+    other weight is refused."""
     bits = pack_flags(2 * build_table(pair) >= pair.p * pair.q)
+    expected = (pair.q - 1) // 2 * pair.phi_pq
+    if pair.divides and bits.bit_count() != expected:
+        raise InternalConsistencyError(
+            f"threshold sequence of {(pair.p, pair.q)} has weight {bits.bit_count()}, "
+            f"expected (q-1)/2 * phi(pq) = {expected}")
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 

@@ -46,30 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
-from .eulerq import build_table, derive_generators, two_coset_index, unit_residues
+from .eulerq import build_partition, derive_generators, two_coset_index
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 from .sequence import check_index
-
-
-def build_partition(pair: PrimePair) -> np.ndarray:
-    """The coset index over one full period, from the Euler quotients of
-    build_table(pair)."""
-    pair.require_divides()
-    values = build_table(pair)
-    p, q = pair.p, pair.q
-    # row k of the (q, pq) view holds t = r + k*pq, a unit exactly when r is one
-    unit = unit_residues(pair)
-    quotient, rest = np.divmod(values.reshape(q, p * q), p)
-    stray = np.flatnonzero(unit & (rest != 0))
-    if stray.size:
-        t0 = int(stray[0])
-        raise InternalConsistencyError(
-            f"psi({t0}) = {values[t0]} not divisible by p={p}"
-        )
-    index = quotient.astype(np.int32)
-    index[:, ~unit] = -1
-    return index.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import PrimePair, build_table, derive_generators
+from eqseq import PrimePair, build_table, derive_generators, eulerq
 from eqseq import structverify as sv
 from eqseq.cli import enumerate_pairs
 from eqseq.errors import DomainError, InternalConsistencyError
@@ -292,12 +292,43 @@ class TestBuildPartition:
         assert np.flatnonzero(index >= 0).tolist() == sorted(set().union(*old.cosets))
 
     def test_quotient_not_divisible_by_p(self, monkeypatch):
+        # psi(4) one off in the residue quotients at (3, 7)
+        self.check_refused(monkeypatch, {"psi": 4}, "psi(4) = 13")
+        # with the step of r = 1 also off (first seen at t = 22), row 0 comes first
+        self.check_refused(monkeypatch, {"psi": 20, "step": 1}, "psi(20) = 10")
+
+    def test_step_not_divisible_by_p(self, monkeypatch):
+        # a step one off shows first at t = r + pq: psi(26) = 18 + 16 mod 21
+        self.check_refused(monkeypatch, {"step": 5}, "psi(26) = 13")
+
+    @staticmethod
+    def check_refused(monkeypatch, off, message):
+        # the residue quotients at (3, 7), each named one off by one at its r
         pair = PrimePair.create(3, 7)
-        values = build_table(pair).copy()
-        values[4] += 1
-        monkeypatch.setattr(sv, "build_table", lambda _: values)
-        with pytest.raises(InternalConsistencyError, match=r"^psi\(4\) = 13 not divisible by p=3$"):
-            sv.build_partition(pair)
+        real = eulerq._residue_quotients
+
+        def corrupted(pair):
+            psi, step = (values.copy() for values in real(pair))
+            for values, name in ((psi, "psi"), (step, "step")):
+                if name in off:
+                    values[off[name]] += 1
+            return psi, step
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eulerq, "_residue_quotients", corrupted)
+            with pytest.raises(InternalConsistencyError,
+                               match=rf"^{re.escape(message)} not divisible by p=3$"):
+                sv.build_partition(pair)
+
+    @pytest.mark.parametrize("p,q", enumerate_pairs(400_000))
+    def test_matches_the_psi_table(self, p, q):
+        # the lift from the residues against psi(t)/p read off the full table
+        pair = PrimePair.create(p, q)
+        t = np.arange(pair.period)
+        want = np.where(np.gcd(t, p * q) == 1, build_table(pair) // p, -1)
+        index = sv.build_partition(pair)
+        assert index.dtype == np.int32
+        assert np.array_equal(index, want)
 
 
 class TestIndexShape:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -336,20 +337,37 @@ class TestStructure:
         # in NumPy 2.4, np.unique without return_counts or an index takes a hash
         # path whose first call imports numpy.ma, 1.2 MB of resident memory that
         # no command needs; a fresh interpreter shows whether any path takes it
-        script = "\n".join([
-            "import contextlib, io, sys",
-            "from eqseq import cli",
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
-            "    for argv in (['structure', '--p', '3', '--q', '7'], ['structure', '--p', '5', '--q', '11'],",
-            "                 ['verify', '--p', '3', '--q', '7'], ['scan', '--max-period', '3000']):",
-            "        assert cli.main(argv) == 0, argv",
-            "assert 'numpy.ma' not in sys.modules",
-        ])
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh([["structure", "--p", "3", "--q", "7"], ["structure", "--p", "5", "--q", "11"],
+                   ["verify", "--p", "3", "--q", "7"], ["scan", "--max-period", "3000"]],
+                  "assert 'numpy.ma' not in sys.modules")
+
+    def test_process_pool_stays_unloaded(self, tmp_path):
+        # only scan --jobs > 1 starts a pool: its module (and multiprocessing)
+        # costs about 1.5 MB of resident memory that no other command needs
+        path = str(tmp_path / "seq.txt")
+        run_fresh([["generate", "--p", "3", "--q", "7", "--out", path], ["analyze", "--in", path],
+                   ["structure", "--p", "3", "--q", "7"], ["verify", "--p", "3", "--q", "7"],
+                   ["scan", "--max-period", "3000", "--jobs", "1"]],
+                  "assert 'concurrent.futures.process' not in sys.modules",
+                  "assert 'multiprocessing' not in sys.modules")
+
+
+def run_fresh(argvs, *checks):
+    """Run each argv through cli.main in a fresh interpreter, each to exit 0,
+    then the check lines."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from eqseq import cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        f"    for argv in {argvs!r}:",
+        "        assert cli.main(argv) == 0, argv",
+        *checks,
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestScan:
@@ -495,7 +513,9 @@ class TestScan:
     def stand_in_pool(monkeypatch, reverse=False):
         # a stand-in pool records its size and the pairs in the order it
         # computes them, in this process; with reverse it computes the last
-        # first, and returns the results in input order as Executor.map does
+        # first, and returns the results in input order as Executor.map does.
+        # It replaces the class in concurrent.futures, where the scan imports
+        # it from when it starts a pool
         started, computed = [], []
 
         class Pool:
@@ -514,7 +534,7 @@ class TestScan:
                 results = [fn(item) for item in order]
                 return results[::-1] if reverse else results
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return started, computed
 
     @classmethod

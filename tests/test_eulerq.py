@@ -184,6 +184,18 @@ class TestBuildTable:
             assert psi[r] == euler_quotient(r, pair), r
             assert step[r] == (pair.phi_pq * pow(r, -1, pq) % pq if unit else 0), r
 
+    @pytest.mark.parametrize("modulus,dtype", [(46341, np.int32), (46342, np.int64)])
+    def test_lift_widens_past_int32(self, modulus, dtype):
+        # k*step + base reaches modulus^2 - modulus: 2^31 - 41,708 at 46341
+        # and 2^31 + 50,974 at 46342, where int32 would wrap
+        base = np.array([0, 1, modulus - 1])
+        step = np.array([modulus - 1, 0, modulus - 1])
+        rows = eulerq._lift(base, step, modulus)
+        assert rows.dtype == dtype and rows.shape == (modulus, 3)
+        for c in range(3):
+            k = np.arange(modulus, dtype=object)
+            assert rows[:, c].tolist() == ((int(base[c]) + k * int(step[c])) % modulus).tolist(), c
+
     def test_wrong_phi_is_caught(self, pair37):
         # t^phi' - 1 with phi' = phi + 1 is t - 1 mod pq: 1 passes, 2 does not
         wrong = dataclasses.replace(pair37, phi_pq=pair37.phi_pq + 1)

@@ -38,7 +38,7 @@ from eqseq import (
     euler_quotient,
     generate_threshold,
 )
-from eqseq import InternalConsistencyError, analyze_period, cli, gf2poly, lincomp, verify_theorem
+from eqseq import InternalConsistencyError, analyze_period, cli, gf2poly, lincomp, sequence, verify_theorem
 from eqseq.cli import EXIT_OK, EXIT_USAGE, parse_ascii
 from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
@@ -426,13 +426,14 @@ class TestGcdRouteWalk:
             list(lincomp._gcd_route(u, block))
 
 
-def mutate(monkeypatch, name: str, old: str, new: str) -> None:
-    """Patch lincomp.<name> with its own source, old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(getattr(lincomp, name)))
+def mutate(monkeypatch, name: str, old: str, new: str, module=lincomp) -> None:
+    """Patch module.<name> (lincomp's by default) with its own source, old
+    replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, (name, old)
-    namespace = dict(vars(lincomp))
-    exec(compile(source.replace(old, new), lincomp.__file__, "exec"), namespace)
-    monkeypatch.setattr(lincomp, name, namespace[name])
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 STEP = "yield from walk(child, _times_mod(v, _int_compose(sibling.poly, block.stride), block.d))"
@@ -512,6 +513,30 @@ class TestWalkPairing:
         with pytest.raises(InternalConsistencyError, match=r"^the LC walks name different "
                            r"sub-blocks for \(3, 7\) in block d=7$"):
             analyze_period(generate_threshold(pair37))
+
+
+# the pairs on which the threshold one coset up passed for a theorem mismatch
+WEIGHT_PAIRS = [(3, 7), (5, 11), (3, 19), (7, 29), (3, 31), (5, 41), (11, 23), (3, 181)]
+
+
+class TestThresholdWeight:
+    """When p | q-1 the period's ones are the (q-1)/2 upper cosets of
+    phi(pq) units each, and generate_threshold checks that weight.  A
+    threshold one coset up, 2 psi >= pq + 2p, drops the lowest upper coset;
+    verify must stop on it with one error line (exit 1), not call it a
+    theorem mismatch (exit 3)."""
+
+    def test_threshold_one_coset_up(self, monkeypatch, capsys):
+        mutate(monkeypatch, "generate_threshold", ">= pair.p * pair.q)",
+               ">= pair.p * pair.q + 2 * pair.p)", module=sequence)
+        monkeypatch.setattr(lincomp, "generate_threshold", sequence.generate_threshold)
+        for p, q in WEIGHT_PAIRS:
+            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (EXIT_USAGE, ""), (p, q)
+            phi = (p - 1) * (q - 1)
+            assert err == (f"eqseq: error: threshold sequence of ({p}, {q}) has weight "
+                           f"{(q - 3) // 2 * phi}, expected (q-1)/2 * phi(pq) = {(q - 1) // 2 * phi}\n")
 
 
 def odd_squarefree(limit: int) -> list[int]:

@@ -1,6 +1,8 @@
 """The packed-int kernels, the one polynomial layer, and `Gf2Poly`, the report type."""
 
 import functools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +142,11 @@ class TestComposePower:
         f = B(6, 2, 0)
         assert _int_compose(f, 1) == f
 
+    def test_identity_returns_its_input(self):
+        # f(x^1) is f: no digit string is spread for it
+        f = (1 << 60029) - 1
+        assert _int_compose(f, 1) is f
+
 
 class TestCyclotomic:
     def test_small_values(self):
@@ -208,3 +215,26 @@ class TestRender:
         assert cyclotomic_f2(21).render() == (
             "x^12 + x^11 + x^9 + x^8 + x^6 + x^4 + x^3 + x + 1"
         )
+
+    def test_terms_at_chunk_edges(self):
+        # terms of degree 2 and up are joined gf2poly._CHUNK digits at a
+        # time; a chunk may hold no term, and x and 1 come after the last
+        chunk = gf2poly._CHUNK
+        for degrees in ([chunk + 1], [chunk + 1, chunk + 2, 1], [2 * chunk + 2, chunk + 1, 2, 0],
+                        [3 * chunk + 5, 3], [chunk, chunk + 1, chunk + 2, 1, 0]):
+            bits = sum(1 << d for d in degrees)
+            assert Gf2Poly(bits).render() == oracles.render(bits), degrees
+
+    def test_memory_is_bounded_by_the_text(self):
+        # no list holds every term: the traced peak stays under three times
+        # the text (the chunk texts, their join and one chunk's terms), where
+        # a list of all terms costs about ten times
+        bits = random.Random(7).getrandbits(60_000) | 1 << 59_999
+        tracemalloc.start()
+        try:
+            text = Gf2Poly(bits).render()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == oracles.render(bits)
+        assert peak < 3 * len(text)

@@ -60,6 +60,10 @@ def test_audit_reports_every_pair_ok(ladder):
         sweep = out[name]
         assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"], name
         assert sweep["seconds"] > 0, name
+    # the last audit pair alone through the command, with the peak RSS of its interpreter
+    largest = out["structure_cli_3_7"]
+    assert largest["pairs"] == largest["pairs_ok"] == 1
+    assert largest["seconds"] > 0 and largest["peak_rss_mb"] > 1
     peaks = out["structure_1000"]["traced_peak_mb_by_pair"]
     assert list(peaks) == ["3,7", "3,13", "5,11"]
     assert out["structure_1000"]["traced_peak_mb"] == max(peaks.values()) > 0

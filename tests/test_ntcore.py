@@ -3,6 +3,8 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import factorint, isprime
+from sympy.ntheory import is_primitive_root, n_order
 
 from eqseq import (
     DomainError,
@@ -123,6 +125,38 @@ class TestCommonPrimitiveRoot:
             g = find_common_primitive_root(pair)
             assert multiplicative_order(g, p) == p - 1
             assert multiplicative_order(g, q * q) == q * (q - 1)
+
+
+class TestSympyOracles:
+    """Outside oracles: sympy's own number theory, written apart from ours."""
+
+    def test_order_matches_n_order(self):
+        rng = random.Random(11)
+        for m in range(3, 5000, 2):
+            assert multiplicative_order(2, m) == n_order(2, m), m
+            a = rng.randrange(1, m)
+            if math.gcd(a, m) == 1:
+                assert multiplicative_order(a, m) == n_order(a, m), (a, m)
+
+    def test_is_prime_matches_isprime(self):
+        rng = random.Random(12)
+        # strong pseudoprimes to the bases 2-7 and 2-23, and random 64-bit values
+        special = [3215031751, 3825123056546413051, 2**61 - 1, 2**64 - 59]
+        for n in [*range(-2, 20000), *special, *(rng.getrandbits(64) for _ in range(500))]:
+            assert is_prime(n) == isprime(n), n
+
+    def test_factorize_matches_factorint(self):
+        rng = random.Random(13)
+        pair_values = [v for p, q in SWEEP_PAIRS for v in (p * q * q, (p - 1) * q * (q - 1))]
+        for n in [*range(1, 5000), *pair_values, *(rng.randrange(1, 10**9) for _ in range(200))]:
+            assert factorize(n) == [f for f, e in sorted(factorint(n).items()) for _ in range(e)], n
+
+    def test_common_root_is_the_least_primitive_mod_p_and_q2(self):
+        for p, q in SWEEP_PAIRS:
+            g = find_common_primitive_root(PrimePair.create(p, q))
+            both = [c for c in range(2, g + 1) if c % p and c % q
+                    and is_primitive_root(c, p) and is_primitive_root(c, q * q)]
+            assert both[:1] == [g], (p, q)
 
 
 class TestCrtLift:

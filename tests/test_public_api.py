@@ -105,7 +105,7 @@ def test_lemma_failures_derives_its_generators():
 
 
 def test_build_partition_builds_its_table():
-    # the index is built from build_table(pair), the one psi table
+    # the index is built from the pair alone, lifted from its residues mod pq
     assert list(inspect.signature(structverify.build_partition).parameters) == ["pair"]
 
 
