@@ -14,9 +14,12 @@ Euclid on the sub-blocks that split, and for the components, and pairs the
 two walks by factor), Berlekamp-Massey on every record with a component
 (`bm_s`), the least period and, for pairs inside the closed form's
 hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
-`match` compares the two routes.  `plan_s` and `bm_s` are not comparable
-with the `blocks_fold_s`, `components_s` and `gcd_s` of earlier BENCH files,
-which timed the fold and each walk apart.  Cyclotomic caches are cleared
+`match` compares the two routes.  Beside the stages, one more untimed
+`generate_threshold` runs under tracemalloc for its traced peak
+(`table_pack_traced_mb`, and `table_pack_bytes_per_position`, that peak over
+N).  `plan_s` and `bm_s` are not comparable with the `blocks_fold_s`,
+`components_s` and `gcd_s` of earlier BENCH files, which timed the fold and
+each walk apart.  Cyclotomic caches are cleared
 before every run, so each stage starts cold as in one command-line call.  It
 then times, each in a fresh interpreter and as the median of --repeats,
 `eqseq verify` on the last pair of the ladder and on (17, 239), the slowest
@@ -149,6 +152,17 @@ def one_run(pair: PrimePair) -> tuple[dict, dict]:
     return stages, lcs
 
 
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc traces during one call: steadier than the
+    RSS, which moves with heap layout."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def ladder(pairs: list[str], repeats: int) -> dict:
     out = {}
     for text in pairs:
@@ -157,11 +171,15 @@ def ladder(pairs: list[str], repeats: int) -> dict:
         runs = [one_run(pair) for _ in range(repeats)]
         stages = {name: statistics.median(r[name] for r, _ in runs) for name in runs[0][0]}
         lcs = runs[0][1]
-        out[text] = {"N": pair.period, "median_of": repeats, "stages": stages, **lcs,
+        peak = traced_peak(generate_threshold, pair)
+        out[text] = {"N": pair.period, "median_of": repeats, "stages": stages,
+                     "table_pack_traced_mb": peak / 2 ** 20,
+                     "table_pack_bytes_per_position": peak / pair.period, **lcs,
                      "match": lcs["lc_gcd"] == lcs["lc_bm"]
                      and lcs["lc_predicted"] in (None, lcs["lc_gcd"])}
         print(f"({text}) N={pair.period} " + " ".join(
-            f"{k}={v:.3f}" for k, v in stages.items()), file=sys.stderr)
+            f"{k}={v:.3f}" for k, v in stages.items())
+            + f" table_pack_traced={peak / pair.period:.1f} B/position", file=sys.stderr)
     return out
 
 
@@ -206,18 +224,6 @@ def residue_stages(pair: PrimePair, gens, index) -> dict:
             "lemmas_8_9_s": t_congruences}
 
 
-def traced_peak_mb(pair: PrimePair) -> float:
-    """Peak of the memory tracemalloc traces during one cold audit_structure:
-    steadier than the RSS, which moves with heap layout."""
-    clear_caches()
-    tracemalloc.start()
-    try:
-        audit_structure(pair)
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
     """Median seconds of lemma_failures, of the table and partition and of the
     residue stages per pair, and of audit_structure and of the structure
@@ -250,7 +256,10 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
         return [audit_structure(pair).all_ok for pair in sweep]
 
     runs = [timed(structure_all) for _ in range(repeats)]
-    peaks = {f"{pair.p},{pair.q}": traced_peak_mb(pair) for pair in sweep}
+    peaks = {}
+    for pair in sweep:
+        clear_caches()   # one cold audit_structure per pair
+        peaks[f"{pair.p},{pair.q}"] = traced_peak(audit_structure, pair) / 2 ** 20
     out[f"structure_{bound}"] = {
         "pairs": len(sweep), "pairs_ok": sum(runs[0][0]), "median_of": repeats,
         "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs],

@@ -11,9 +11,10 @@ t = r + k*pq with r in [0, pq), the binomial theorem gives
 r^-1 mod pq, so psi(r + k*pq) = psi(r) + phi*k*r^-1 (mod pq): the quotient is
 affine in k on each residue class.  `build_table` takes psi(r) from one
 modular power per unit r mod pq, by the same checked formula as
-`euler_quotient`, and the step phi*r^-1 from one modular inverse, then lifts
-both to the period in one numpy broadcast.  Every int64 value it holds is
-below N, so no bound on p or q beyond the period budget applies.
+`euler_quotient`, and the step phi*r^-1 from one modular inverse; `_lift`
+carries both to the period, in int32 while N - q < 2^31 and int64 past it.
+`build_table` first checks row 1 against one more modular power per unit:
+a right step for every r gives every other row by the affine law.
 
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
@@ -117,12 +118,12 @@ def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
     return psi, step
 
 
-def _lift(base: np.ndarray, step: np.ndarray, modulus: int) -> np.ndarray:
-    """Row k holds (base + k*step) mod modulus for k < modulus, with base and
-    step in [0, modulus): int32 while k*step + base, at most modulus^2 -
-    modulus, fits it, and int64 past that."""
-    dtype = np.int32 if modulus * modulus - modulus < 2**31 else np.int64
-    rows = np.arange(modulus, dtype=dtype)[:, None] * step.astype(dtype)
+def _lift(base: np.ndarray, step: np.ndarray, modulus: int, count: int) -> np.ndarray:
+    """Row k holds (base + k*step) mod modulus for k < count, with base and
+    step in [0, modulus): int32 while k*step + base, at most count*(modulus -
+    1), fits it, and int64 past that."""
+    dtype = np.int32 if count * (modulus - 1) < 2**31 else np.int64
+    rows = np.arange(count, dtype=dtype)[:, None] * step.astype(dtype)
     rows += base.astype(dtype)
     rows %= modulus
     return rows
@@ -144,20 +145,25 @@ def build_partition(pair: PrimePair) -> np.ndarray:
         if stray.size:
             r = int(stray[0])
             raise InternalConsistencyError(f"psi({r + k * p * q}) = {row[r]} not divisible by p={p}")
-    index = _lift(psi // p, step // p, q)
+    index = _lift(psi // p, step // p, q, q)
     index[:, ~unit_residues(pair)] = -1
     return index.astype(np.int32, copy=False).reshape(-1)
 
 
 def build_table(pair: PrimePair) -> np.ndarray:
     """psi(t) for every t in [0, pq^2), lifted from the residues mod pq, as a
-    read-only int64 array; entry t is 0 for non-units.  Refused with
-    ResourceError past the budget."""
+    read-only array, int32 while N - q < 2^31 and int64 past that; entry t is
+    0 for non-units.  Row 1 of the lift is checked against one modular power
+    per unit.  Refused with ResourceError past the budget."""
     check_budget("period", pair.period)
-    base, step = _residue_quotients(pair)
-    # row k holds t = r + k*pq; non-unit columns stay 0 since base and step are 0
-    values = np.arange(pair.q, dtype=np.int64)[:, None] * step
-    values += base
-    values %= pair.p * pair.q
+    psi, step = _residue_quotients(pair)
+    pq = pair.p * pair.q
+    row1 = ((psi + step) % pq).tolist()
+    for r in np.flatnonzero(unit_residues(pair)).tolist():
+        if row1[r] != (actual := _unit_quotient(r + pq, pair)):
+            raise InternalConsistencyError(f"row check of {(pair.p, pair.q)}: psi({r + pq}) = "
+                                           f"{actual}, but the lift gives {row1[r]}")
+    # row k holds t = r + k*pq; non-unit columns stay 0 since psi and step are 0
+    values = _lift(psi, step, pq, pair.q)
     values.flags.writeable = False
     return values.reshape(-1)

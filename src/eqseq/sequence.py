@@ -1,8 +1,8 @@
 """Binary threshold sequences over one period: generation and least period.
 
 Bit t is 1 exactly when the Euler quotient psi(t), as an integer in [0, pq),
-satisfies 2*psi(t) >= pq.  The comparison is pure integer arithmetic; no
-floating point is involved anywhere.
+satisfies 2*psi(t) >= pq, i.e. psi(t) >= (pq + 1)/2 since pq is odd: pure
+integer arithmetic, with no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     """The threshold sequence of one full period pq^2.  When p | q-1 its ones
     are the (q-1)/2 upper cosets of phi(pq) units each, and a period of any
     other weight is refused."""
-    bits = pack_flags(2 * build_table(pair) >= pair.p * pair.q)
+    bits = pack_flags(build_table(pair) >= (pair.p * pair.q + 1) // 2)
     expected = (pair.q - 1) // 2 * pair.phi_pq
     if pair.divides and bits.bit_count() != expected:
         raise InternalConsistencyError(

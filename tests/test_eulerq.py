@@ -165,10 +165,10 @@ class TestBuildTable:
     @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(7, 3), (5, 7), (3, 5), (3, 313), (101, 3), (997, 5)])
     def test_matches_one_power_per_position(self, p, q):
         # the sweep pairs, pairs outside p | q-1 (the last two with pq large
-        # against N) and a larger one
+        # against N) and a larger one; N - q < 2^31 at each, so int32
         pair = PrimePair.create(p, q)
         table = build_table(pair)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.dtype == np.int32 and not table.flags.writeable
         assert table.tolist() == oracles.build_table(pair)
 
     @pytest.mark.parametrize("p,q", [(65537, 3), (3, 65539)])
@@ -184,16 +184,24 @@ class TestBuildTable:
             assert psi[r] == euler_quotient(r, pair), r
             assert step[r] == (pair.phi_pq * pow(r, -1, pq) % pq if unit else 0), r
 
-    @pytest.mark.parametrize("modulus,dtype", [(46341, np.int32), (46342, np.int64)])
-    def test_lift_widens_past_int32(self, modulus, dtype):
-        # k*step + base reaches modulus^2 - modulus: 2^31 - 41,708 at 46341
-        # and 2^31 + 50,974 at 46342, where int32 would wrap
+    @pytest.mark.parametrize("modulus,count,dtype", [
+        pytest.param(46341, 46341, np.int32, id="46341-int32"),
+        pytest.param(46342, 46342, np.int64, id="46342-int64"),
+        pytest.param(3 * 26755, 26755, np.int32, id="pq=3*26755-int32"),
+        pytest.param(3 * 26756, 26756, np.int64, id="pq=3*26756-int64"),
+    ])
+    def test_lift_widens_past_int32(self, modulus, count, dtype):
+        # k*step + base reaches count*(modulus - 1): for the coset index
+        # (modulus and count q) q^2 - q, 2^31 - 41,708 at 46341 and
+        # 2^31 + 50,974 at 46342; for the psi table (modulus pq, count q)
+        # N - q, 2^31 - 20,328 at (3, 26755) and 2^31 + 140,204 at (3, 26756);
+        # past 2^31 int32 would wrap
         base = np.array([0, 1, modulus - 1])
         step = np.array([modulus - 1, 0, modulus - 1])
-        rows = eulerq._lift(base, step, modulus)
-        assert rows.dtype == dtype and rows.shape == (modulus, 3)
+        rows = eulerq._lift(base, step, modulus, count)
+        assert rows.dtype == dtype and rows.shape == (count, 3)
         for c in range(3):
-            k = np.arange(modulus, dtype=object)
+            k = np.arange(count, dtype=object)
             assert rows[:, c].tolist() == ((int(base[c]) + k * int(step[c])) % modulus).tolist(), c
 
     def test_wrong_phi_is_caught(self, pair37):

@@ -22,6 +22,7 @@ import random
 import re
 import signal
 import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,9 @@ from eqseq import (
     euler_quotient,
     generate_threshold,
 )
-from eqseq import InternalConsistencyError, analyze_period, cli, gf2poly, lincomp, sequence, verify_theorem
+from eqseq import (
+    InternalConsistencyError, analyze_period, cli, eulerq, gf2poly, lincomp, sequence, verify_theorem,
+)
 from eqseq.cli import EXIT_OK, EXIT_USAGE, parse_ascii
 from eqseq.errors import ParseError
 from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
@@ -515,20 +518,21 @@ class TestWalkPairing:
             analyze_period(generate_threshold(pair37))
 
 
-# the pairs on which the threshold one coset up passed for a theorem mismatch
+# the pairs on which, before the weight and row checks, the threshold one coset
+# up and the lift step (phi + 1)*r^-1 each passed for a theorem mismatch
 WEIGHT_PAIRS = [(3, 7), (5, 11), (3, 19), (7, 29), (3, 31), (5, 41), (11, 23), (3, 181)]
 
 
 class TestThresholdWeight:
     """When p | q-1 the period's ones are the (q-1)/2 upper cosets of
     phi(pq) units each, and generate_threshold checks that weight.  A
-    threshold one coset up, 2 psi >= pq + 2p, drops the lowest upper coset;
-    verify must stop on it with one error line (exit 1), not call it a
-    theorem mismatch (exit 3)."""
+    threshold one coset up, psi >= (pq + 1)/2 + p (the bits of 2 psi >= pq +
+    2p), drops the lowest upper coset; verify must stop on it with one error
+    line (exit 1), not call it a theorem mismatch (exit 3)."""
 
     def test_threshold_one_coset_up(self, monkeypatch, capsys):
-        mutate(monkeypatch, "generate_threshold", ">= pair.p * pair.q)",
-               ">= pair.p * pair.q + 2 * pair.p)", module=sequence)
+        mutate(monkeypatch, "generate_threshold", ">= (pair.p * pair.q + 1) // 2)",
+               ">= (pair.p * pair.q + 1) // 2 + pair.p)", module=sequence)
         monkeypatch.setattr(lincomp, "generate_threshold", sequence.generate_threshold)
         for p, q in WEIGHT_PAIRS:
             code = cli.main(["verify", "--p", str(p), "--q", str(q)])
@@ -537,6 +541,37 @@ class TestThresholdWeight:
             phi = (p - 1) * (q - 1)
             assert err == (f"eqseq: error: threshold sequence of ({p}, {q}) has weight "
                            f"{(q - 3) // 2 * phi}, expected (q-1)/2 * phi(pq) = {(q - 1) // 2 * phi}\n")
+
+
+class TestRowCheck:
+    """build_table checks row 1 of its lift against one modular power per
+    unit.  A lift step of (phi + 1)*r^-1 in place of phi*r^-1 leaves row 0
+    right and moves every other row; where p | q-1 it also moves the period's
+    weight, and structure, whose index refuses the same row as not divisible
+    by p, exits 1.  A step of (phi + p)*r^-1 keeps p dividing every row, so
+    neither the weight nor that refusal sees it, and without the row check
+    verify calls it a theorem mismatch (exit 3).  Outside p | q-1 no weight
+    is checked.  verify must stop on either fault with one error line (exit
+    1)."""
+
+    @pytest.mark.parametrize("shift", ["1", "pair.p"], ids=["phi_plus_1", "phi_plus_p"])
+    def test_lift_step_off(self, monkeypatch, capsys, shift):
+        mutate(monkeypatch, "_residue_quotients", "pair.phi_pq * pow(r, -1, pq)",
+               f"(pair.phi_pq + {shift}) * pow(r, -1, pq)", module=eulerq)
+        for p, q in WEIGHT_PAIRS + NON_DIVIDING_PAIRS:
+            # r = 1 is the first unit: psi(1 + pq) = phi, and the lift gives phi + shift
+            t, phi = 1 + p * q, (p - 1) * (q - 1)
+            lifted = phi + (1 if shift == "1" else p)
+            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (EXIT_USAGE, ""), (p, q)
+            assert err == (f"eqseq: error: row check of ({p}, {q}): psi({t}) = {phi}, "
+                           f"but the lift gives {lifted}\n"), (p, q)
+            if shift == "1" and (p, q) in WEIGHT_PAIRS:
+                code = cli.main(["structure", "--p", str(p), "--q", str(q)])
+                out, err = capsys.readouterr()
+                assert (code, out) == (EXIT_USAGE, ""), (p, q)
+                assert err == f"eqseq: error: psi({t}) = {lifted} not divisible by p={p}\n", (p, q)
 
 
 def odd_squarefree(limit: int) -> list[int]:
@@ -769,7 +804,7 @@ class TestEulerTableDifferential:
         pair = PrimePair.create(p, q)
         assert build_table(pair).tolist() == oracles.build_table(pair)
 
-    @pytest.mark.parametrize("p, q", SWEEP_PAIRS)
+    @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
     def test_threshold_matches_per_entry_flags(self, p, q):
         pair = PrimePair.create(p, q)
         assert generate_threshold(pair).bits == oracles.generate_threshold(pair)
@@ -788,13 +823,26 @@ class TestEulerTableDifferential:
         for t in random.Random(3).sample(range(pair.period), 20_000):
             assert values[t] == euler_quotient(t, pair), t
 
-    def test_read_only_int64(self, pair37):
+    def test_read_only_int32(self, pair37):
+        # int32 while N - q < 2^31; test_lift_widens_past_int32 covers int64
         values = build_table(pair37)
-        assert values.dtype == np.int64 and values.shape == (147,)
+        assert values.dtype == np.int32 and values.shape == (147,)
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[22] = 0
         assert values[22] == 12
+
+    def test_threshold_peak_per_position(self):
+        # the int32 psi lift (4 bytes per position) and the threshold's flags
+        # (1): an int64 table, or a doubled copy of the table, breaks the bound
+        pair = PrimePair.create(3, 313)
+        tracemalloc.start()
+        try:
+            generate_threshold(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * pair.period, peak / pair.period
 
 
 def parse_outcome(parse, text):

@@ -39,7 +39,11 @@ def test_one_run_outside_the_closed_form(ladder):
     stages, lcs = ladder.one_run(PrimePair.create(7, 3))
     assert lcs == {"lc_gcd": 60, "lc_bm": 60, "lc_predicted": None, "period": 63}
     assert "prediction_s" not in stages
-    assert ladder.ladder(["7,3"], 1)["7,3"]["match"]
+    result = ladder.ladder(["7,3"], 1)["7,3"]
+    assert result["match"]
+    # generate_threshold's traced peak, whole and per position
+    assert result["table_pack_traced_mb"] > 0
+    assert result["table_pack_bytes_per_position"] == result["table_pack_traced_mb"] * 2 ** 20 / 63
 
 
 def test_nproc_counts_the_cpus_the_process_may_use(ladder, monkeypatch):
