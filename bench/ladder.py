@@ -9,10 +9,10 @@ and the package under src/ (nothing is installed):
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
 `lincomp._sub_blocks`, which builds the cyclotomic blocks of x^N + 1, folds
-the period to each, walks each block's product tree for the gcd route, with
-Euclid on the sub-blocks that split, and for the components, and pairs the
-two walks by factor), Berlekamp-Massey on every record with a component
-(`bm_s`), the least period and, for pairs inside the closed form's
+the period to each and walks each block's product tree once, carrying the
+gcd route, with Euclid on the sub-blocks that split, and the components,
+checked against the tree's leaves), Berlekamp-Massey on every record with a
+component (`bm_s`), the least period and, for pairs inside the closed form's
 hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
 `match` compares the two routes.  Beside the stages, one more untimed
 `generate_threshold` runs under tracemalloc for its traced peak

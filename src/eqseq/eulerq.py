@@ -9,12 +9,12 @@ A full-period table never forms more than pq powers.  Writing
 t = r + k*pq with r in [0, pq), the binomial theorem gives
 (r + k*pq)^phi = r^phi + phi*k*pq*r^(phi-1) (mod (pq)^2), and r^(phi-1) is
 r^-1 mod pq, so psi(r + k*pq) = psi(r) + phi*k*r^-1 (mod pq): the quotient is
-affine in k on each residue class.  `build_table` takes psi(r) from one
-modular power per unit r mod pq, by the same checked formula as
-`euler_quotient`, and the step phi*r^-1 from one modular inverse; `_lift`
-carries both to the period, in int32 while N - q < 2^31 and int64 past it.
-`build_table` first checks row 1 against one more modular power per unit:
-a right step for every r gives every other row by the affine law.
+affine in k on each residue class.  `_residue_quotients` takes psi(r) from
+one modular power per unit r mod pq, by the same checked formula as
+`euler_quotient`, and the step phi*r^-1 from one modular inverse, and checks
+row 1 against one more modular power per unit: a right step for every r
+gives every other row by the affine law.  `_lift` carries both to the
+period, in int32 while N - q < 2^31 and int64 past it.
 
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
@@ -109,12 +109,19 @@ def unit_residues(pair: PrimePair) -> np.ndarray:
 
 
 def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
-    """psi(r) and the step phi*r^-1 mod pq for r in [0, pq), both 0 on non-units."""
+    """psi(r) and the step phi*r^-1 mod pq for r in [0, pq), both 0 on
+    non-units, with row 1 of the lift, (psi + step) mod pq, checked against
+    one modular power per unit."""
     pq = pair.p * pair.q
     units = np.flatnonzero(unit_residues(pair)).tolist()
     psi, step = np.zeros(pq, dtype=np.int64), np.zeros(pq, dtype=np.int64)
     psi[units] = [_unit_quotient(r, pair) for r in units]
     step[units] = [pair.phi_pq * pow(r, -1, pq) % pq for r in units]
+    row1 = ((psi + step) % pq).tolist()
+    for r in units:
+        if row1[r] != (actual := _unit_quotient(r + pq, pair)):
+            raise InternalConsistencyError(f"row check of {(pair.p, pair.q)}: psi({r + pq}) = "
+                                           f"{actual}, but the lift gives {row1[r]}")
     return psi, step
 
 
@@ -132,8 +139,8 @@ def _lift(base: np.ndarray, step: np.ndarray, modulus: int, count: int) -> np.nd
 def build_partition(pair: PrimePair) -> np.ndarray:
     """The coset index over one full period as an int32 array: psi(t)/p on
     the units of Z_{pq^2}, -1 elsewhere, lifted from the residues mod pq.
-    Refused past the budget, and where some unit's psi is not divisible by p,
-    naming the first such t."""
+    Refused past the budget, where row 1 of the lift fails its check, and
+    where some unit's psi is not divisible by p, naming the first such t."""
     pair.require_divides()
     check_budget("period", pair.period)
     p, q = pair.p, pair.q
@@ -153,17 +160,10 @@ def build_partition(pair: PrimePair) -> np.ndarray:
 def build_table(pair: PrimePair) -> np.ndarray:
     """psi(t) for every t in [0, pq^2), lifted from the residues mod pq, as a
     read-only array, int32 while N - q < 2^31 and int64 past that; entry t is
-    0 for non-units.  Row 1 of the lift is checked against one modular power
-    per unit.  Refused with ResourceError past the budget."""
+    0 for non-units.  Refused with ResourceError past the budget."""
     check_budget("period", pair.period)
     psi, step = _residue_quotients(pair)
-    pq = pair.p * pair.q
-    row1 = ((psi + step) % pq).tolist()
-    for r in np.flatnonzero(unit_residues(pair)).tolist():
-        if row1[r] != (actual := _unit_quotient(r + pq, pair)):
-            raise InternalConsistencyError(f"row check of {(pair.p, pair.q)}: psi({r + pq}) = "
-                                           f"{actual}, but the lift gives {row1[r]}")
     # row k holds t = r + k*pq; non-unit columns stay 0 since psi and step are 0
-    values = _lift(psi, step, pq, pair.q)
+    values = _lift(psi, step, pair.p * pair.q, pair.q)
     values.flags.writeable = False
     return values.reshape(-1)

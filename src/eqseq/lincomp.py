@@ -17,18 +17,18 @@ Both run sub-block by sub-block.  With N = 2^k m, m odd, x^N + 1 is the
 product of the pairwise coprime blocks F_e = Phi_e(x^(2^k)) = Phi_r(x^s)
 over the divisors e of m, r the radical of e; and with Phi_r = prod_i f_i
 over GF(2), each F_e is the product of the pairwise coprime sub-blocks
-G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A).  A run
-plans, runs Berlekamp-Massey, then compares.  The plan folds the period to
-u = A mod (x^d + 1) per block and walks a product tree over the f_i twice,
-apart: the polyphase parts u_j of u = sum_j x^j u_j(x^s) go down it as
-their residues, since u mod G_i = sum_j x^j (u_j mod f_i)(x^s), and the
-components as products with siblings.  It pairs the walks leaf by leaf by
-f_i, one record per sub-block.  Berlekamp-Massey's LC on each record's
-component must equal deg(G_i / gcd(G_i, u)).  Each run checks that the
-sub-blocks multiply to x^N + 1, so the measured M does not rest on the
-cyclotomic construction or the factor split being right, and it never
-reads the prediction.  The cofactors H_r = (x^r + 1) / Phi_r that start the
-component walk are checked once per r, where gf2poly builds them.
+G_i = f_i(x^s).  So M is the product of the G_i / gcd(G_i, A).  A run folds
+the period to u = A mod (x^d + 1) per block and walks a product tree over
+the f_i once, carrying both routes apart: the polyphase parts u_j of
+u = sum_j x^j u_j(x^s) as their residues, since u mod G_i =
+sum_j x^j (u_j mod f_i)(x^s), and the component as products with siblings.
+The walk yields one record per leaf and must name the leaves in order;
+Berlekamp-Massey's LC on each record's component must equal
+deg(G_i / gcd(G_i, u)).  Each run checks that the sub-blocks multiply to
+x^N + 1, so the measured M does not rest on the cyclotomic construction or
+the factor split being right, and it never reads the prediction.  The
+cofactors H_r = (x^r + 1) / Phi_r that start the components are checked
+once per r, where gf2poly builds them.
 
 Most sub-blocks need no Euclid.  For odd d every irreducible factor of Phi_d
 over GF(2) has degree ord_d(2) (Lidl and Niederreiter, Finite Fields,
@@ -198,48 +198,33 @@ def _fold(a: int, n: int, d: int) -> int:
     return a
 
 
-def _block_folds(seq: BitSequence) -> Iterator[tuple[_Block, int]]:
-    """Each block of x^N + 1 with one period folded to its length d."""
-    n = seq.length
-    check_budget("sequence length", n)
-    for block in _blocks(n):
-        yield block, _fold(seq.bits, n, block.d)
-
-
 def _times_mod(v: int, f: int, d: int) -> int:
     """v f mod (x^d + 1), for v and f of degree below d."""
     v = _int_mul(v, f)
     return (v & ((1 << d) - 1)) ^ (v >> d)
 
 
-def _components(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
-    """BM route: (f, v) for each sub-block G = f(x^s) in leaf order, v the
-    G-component u (x^d + 1) / G mod (x^d + 1) of the fold u, or None under
-    an inner node whose component is 0.  The root's component is u H, and a
-    child's is its parent's times the sibling."""
+class _SubBlock(NamedTuple):
+    """One sub-block G = f(x^s) of the block d, with what each route found
+    there, both None where the walk leaves G out."""
 
-    def walk(node, v):
-        if not node.children:
-            yield node.poly, v
-        elif not v:
-            yield from ((f, None) for f in node.leaves)
-        else:
-            left, right = node.children
-            for child, sibling in ((left, right), (right, left)):
-                yield from walk(child, _times_mod(v, _int_compose(sibling.poly, block.stride), block.d))
-
-    return walk(block.tree, _times_mod(u, block.cofactor, block.d))
+    d: int
+    stride: int             # s
+    factor: int             # f
+    minpoly: int | None     # the gcd route's G / gcd(G, u)
+    component: int | None   # the BM route's u (x^d + 1) / G mod (x^d + 1)
 
 
-def _gcd_route(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
-    """gcd route: (f, G / gcd(G, u)) for each sub-block G = f(x^s) in leaf
-    order, or None under an inner node whose residue is 0.
-
-    The parts u_j of u = sum_j x^j u_j(x^s) stream down the tree as their
-    nonzero residues, each reduced at a node only when a sub-block below
-    reads it.  An irreducible G reads up to its first nonzero u_j mod f; one
-    that splits reads every part, interleaving them into
-    u mod G = sum_j x^j (u_j mod f)(x^s) for Euclid."""
+def _walk(u: int, block: _Block) -> Iterator[_SubBlock]:
+    """Both LC routes down the block's product tree, apart, with one record
+    per sub-block G = f(x^s) in leaf order.  gcd route: the parts u_j of
+    u = sum_j x^j u_j(x^s) stream down as their nonzero residues, each
+    reduced at a node only when a sub-block below reads it; an irreducible
+    G reads up to its first nonzero u_j mod f, one that splits reads every
+    part, interleaving them into u mod G = sum_j x^j (u_j mod f)(x^s) for
+    Euclid.  BM route: the root's component is u H, and a child's is its
+    parent's times the sibling.  A subtree is left out only where both
+    routes see 0."""
     s, d = block.stride, block.d
     width = block.tree.leaves[0].bit_length() - 1   # deg f, equal for every factor of Phi_r
     irreducible = width * s == block.order
@@ -249,16 +234,19 @@ def _gcd_route(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
     def reduced(pairs, f):   # the nonzero (j, x mod f) for the (j, x) in pairs
         return ((j, y) for j, x in pairs if (y := _int_mod(x, f)))
 
-    def walk(node, parts):   # parts: the nonzero (j, u_j mod node), reduced as they are read
+    def walk(node, parts, v):   # parts: the nonzero (j, u_j mod node), reduced as they are read
         first = next(parts, None)
-        if node.children and first is None:
-            yield from ((f, None) for f in node.leaves)
+        parts = itertools.chain([first] if first else [], parts)
+        if node.children and not (first or v):
+            yield from (_SubBlock(d, s, f, None, None) for f in node.leaves)
         elif node.children:
-            for child, branch in zip(node.children, itertools.tee(itertools.chain([first], parts))):
-                yield from walk(child, reduced(branch, child.poly))
+            left, right = node.children
+            for (child, sibling), branch in zip(((left, right), (right, left)), itertools.tee(parts)):
+                yield from walk(child, reduced(branch, child.poly),
+                                _times_mod(v, _int_compose(sibling.poly, s), d))
         else:   # a G that splits runs Euclid through the public `gcd`, which perfbench spans
             w = bytearray(b"0" * (width * s))   # u mod G, coefficient i at index i
-            for j, x in itertools.chain([first] if first else [], () if irreducible else parts):
+            for j, x in itertools.islice(parts, 1 if irreducible else None):
                 if x.bit_length() > width:
                     raise InternalConsistencyError(
                         f"residue of degree {x.bit_length() - 1} exceeds its sub-block in block d={d}")
@@ -269,33 +257,26 @@ def _gcd_route(u: int, block: _Block) -> Iterator[tuple[int, int | None]]:
             quotient, remainder = (g, 0) if common == 1 else _int_divmod(g, common)
             if remainder:
                 raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
-            yield node.poly, quotient
+            yield _SubBlock(d, s, node.poly, quotient, v)
 
-    return walk(block.tree, reduced(enumerate(phases), block.tree.poly))
-
-
-class _SubBlock(NamedTuple):
-    """One sub-block G = f(x^s) of the block d, with what each walk found
-    there, None where that walk leaves G out."""
-
-    d: int
-    stride: int             # s
-    factor: int             # f
-    minpoly: int | None     # the gcd route's G / gcd(G, u)
-    component: int | None   # the component walk's u (x^d + 1) / G mod (x^d + 1)
+    yield from walk(block.tree, reduced(enumerate(phases), block.tree.poly),
+                    _times_mod(u, block.cofactor, d))
 
 
 def _sub_blocks(seq: BitSequence) -> Iterator[_SubBlock]:
-    """The plan: every sub-block of x^N + 1, by ascending d and in leaf order,
-    with the two walks paired by factor.  Walks that name different factors,
-    or a different number of them, raise, naming the block."""
-    for block, u in _block_folds(seq):
-        for (f, sub), (f_bm, v) in itertools.zip_longest(
-                _gcd_route(u, block), _components(u, block), fillvalue=(None, None)):
-            if f != f_bm:
-                raise InternalConsistencyError(
-                    f"the LC walks name different sub-blocks for {seq.origin} in block d={block.d}")
-            yield _SubBlock(block.d, block.stride, f, sub, v)
+    """The plan: every sub-block of x^N + 1 by ascending d, from one walk per
+    block over the period folded to length d.  A walk that does not name the
+    block's leaves in order raises once it ends, naming the block."""
+    n = seq.length
+    check_budget("sequence length", n)
+    for block in _blocks(n):
+        factors = []
+        for sub in _walk(_fold(seq.bits, n, block.d), block):
+            factors.append(sub.factor)
+            yield sub
+        if tuple(factors) != block.tree.leaves:
+            raise InternalConsistencyError(
+                f"the LC walk of {seq.origin} misses the leaf order of block d={block.d}")
 
 
 def _component_lc(sub: _SubBlock, origin) -> int:
@@ -312,10 +293,9 @@ def _product(polys: Iterable[int]) -> int:
 
 
 def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
-    """The minimal polynomial of each block by the gcd route, keyed by d,
-    with the LC of each sub-block checked against Berlekamp-Massey on its
-    component.  A sub-block that a walk leaves out has LC 0 on that route,
-    and one that both leave out is not run."""
+    """The minimal polynomial of each block by the gcd route, keyed by d, with
+    the LC of each sub-block checked against Berlekamp-Massey on its
+    component; a sub-block that the walk leaves out has LC 0 and is not run."""
     out = {}
     for sub in _sub_blocks(seq):
         lc_gcd = 0 if sub.minpoly is None else sub.minpoly.bit_length() - 1

@@ -76,11 +76,10 @@ def _unit_coordinates(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
     return np.outer(_powers(gens.h, p - 1, n), _powers(g2, pair.q * (pair.q - 1), n)) % n
 
 
-def _check_additivity(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
+def _check_additivity(pair: PrimePair, coords: np.ndarray, index: np.ndarray,
                       sizes: np.ndarray) -> list[str]:
     """Empty exactly when the index is a homomorphism from the units to Z_q
     that labels nothing else; otherwise one witness."""
-    coords = _unit_coordinates(pair, gens)
     labelled = int(sizes.sum())
     if labelled != coords.size:
         return [f"index additivity fails: {labelled} positions carry a label, "
@@ -121,18 +120,16 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
     return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
-def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
+def _check_kernel_image(pair: PrimePair, coords: np.ndarray, index: np.ndarray,
                         sizes: np.ndarray) -> list[str]:
     problems = []
-    n, p, q = pair.period, pair.p, pair.q
+    p, q = pair.p, pair.q
 
-    # kernel: the subgroup generated by g^q and h equals D_0
-    mark = np.zeros(n, dtype=bool)
-    mark[np.outer(_powers(pow(gens.g, q, n), pair.e, n), _powers(gens.h, pair.d, n)) % n] = True
-    if not np.array_equal(mark, index == 0):
-        problems.append(
-            f"subgroup <g^q, h> has {mark.sum()} elements and differs from D_0"
-        )
+    # kernel: <g^q, h> = <h, g2^q> (as g = h g2), the unit coordinates' columns
+    # b = 0 mod q, equals D_0 exactly when all labelled 0 and |D_0| is its size
+    kernel = coords[:, ::q]
+    if not ((index.take(kernel) == 0).all() and sizes[0] == kernel.size):
+        problems.append(f"subgroup <g^q, h> has {kernel.size} elements and differs from D_0")
 
     # image over units is exactly {0, p, 2p, ..., (q-1)p}
     image = np.flatnonzero(sizes)
@@ -281,11 +278,14 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     check_index(pair, index)
     gens = derive_generators(pair)
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
-    additivity = _check_additivity(pair, gens, index, sizes)
+    coords = _unit_coordinates(pair, gens)
+    additivity = _check_additivity(pair, coords, index, sizes)
+    lemma2 = _check_kernel_image(pair, coords, index, sizes) + additivity
+    del coords   # freed before the torus counts, the largest stage
     counts = _torus_counts(pair, index)
     bad_q2, odd_q2 = _q2_columns(pair, gens, index)
 
-    failures = {"lemma2": _check_kernel_image(pair, gens, index, sizes) + additivity}
+    failures = {"lemma2": lemma2}
     failures["lemma3"] = (_check_partition_shape(pair, sizes)
                           + _check_ghat_law(pair, gens, index, sizes))
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]

@@ -255,7 +255,8 @@ class TestGenerators:
             if kind:
                 index = corrupt(index, kind, q)
             sizes = np.bincount(index + 1, minlength=q + 1)[1:]
-            additive = not sv._check_additivity(pair, derive_generators(pair), index, sizes)
+            coords = sv._unit_coordinates(pair, derive_generators(pair))
+            additive = not sv._check_additivity(pair, coords, index, sizes)
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
 

@@ -13,6 +13,7 @@ residue and component against long division.  The structural audit has its
 own differential tests in test_audit_differential.py.
 """
 
+import collections
 import contextlib
 import functools
 import inspect
@@ -263,13 +264,14 @@ class TestBlockRouteDifferential:
     @example("periodic", 1, 1890)
     def test_fold_and_reduction_match_per_bit_loops(self, kind, seed, n):
         # each sub-block's gcd-route polynomial and component against long
-        # division; a sub-block is left out by both walks or by neither, and
+        # division; a sub-block is left out on both routes or on neither, and
         # only where it holds no part of the fold: G | u exactly when
-        # x^d + 1 | u (x^d + 1) / G, so the two walks prune alike
+        # x^d + 1 | u (x^d + 1) / G, so the two routes see 0 alike
         seq = KINDS[kind](seed, n)
         subs = list(lincomp._sub_blocks(seq))
-        for block, u in lincomp._block_folds(seq):
+        for block in lincomp._blocks(n):
             d = block.d
+            u = lincomp._fold(seq.bits, n, d)
             assert u == oracles.fold(seq.bits, n, d), d
             walked = [sub for sub in subs if sub.d == d]
             assert [(sub.factor, sub.stride) for sub in walked] == [
@@ -382,9 +384,10 @@ class TestGcdRouteWalk:
 
         monkeypatch.setattr(lincomp, "_int_mod", counting)
         read = []
-        for block, u in lincomp._block_folds(seq):
+        for block in lincomp._blocks(seq.length):
+            u = lincomp._fold(seq.bits, seq.length, block.d)
             divisors.clear()
-            list(lincomp._gcd_route(u, block))
+            list(lincomp._walk(u, block))
             read.append(divisors.count(block.tree.poly))
             s, leaves = block.stride, block.tree.leaves
             parts = polyphase_parts(u, s, block.d)
@@ -399,7 +402,7 @@ class TestGcdRouteWalk:
     @pytest.mark.parametrize("p, q", [(3, 7), (3, 13), (3, 31), (5, 31), (3, 43)])
     def test_walks_leave_out_what_an_inner_node_divides(self, monkeypatch, p, q):
         # a sub-block under an inner node whose product divides u is left out
-        # by both walks and run by neither; a single leaf is always run
+        # on both routes and run by neither; a single leaf is always run
         def divided(node, u, s, above=False):
             if not node.children:
                 return [above]
@@ -407,8 +410,8 @@ class TestGcdRouteWalk:
             return [x for child in node.children for x in divided(child, u, s, here)]
 
         seq = generate_threshold(PrimePair.create(p, q))
-        want = [x for block, u in lincomp._block_folds(seq)
-                for x in divided(block.tree, u, block.stride)]
+        want = [x for block in lincomp._blocks(seq.length)
+                for x in divided(block.tree, lincomp._fold(seq.bits, seq.length, block.d), block.stride)]
         subs = list(lincomp._sub_blocks(seq))
         assert [sub.minpoly is None for sub in subs] == want
         assert [sub.component is None for sub in subs] == want
@@ -423,10 +426,10 @@ class TestGcdRouteWalk:
         # a residue too long for its sub-block is an internal error, not a
         # ValueError from the interleaving
         monkeypatch.setattr(lincomp, "_int_mod", lambda f, g: f)
-        block, u = list(lincomp._block_folds(random_bits(5, 63)))[-1]
+        block = lincomp._blocks(63)[-1]
         with pytest.raises(InternalConsistencyError,
                            match=r"^residue of degree \d+ exceeds its sub-block in block d=63$"):
-            list(lincomp._gcd_route(u, block))
+            list(lincomp._walk(random_bits(5, 63).bits, block))
 
 
 def mutate(monkeypatch, name: str, old: str, new: str, module=lincomp) -> None:
@@ -439,42 +442,56 @@ def mutate(monkeypatch, name: str, old: str, new: str, module=lincomp) -> None:
     monkeypatch.setattr(module, name, namespace[name])
 
 
-STEP = "yield from walk(child, _times_mod(v, _int_compose(sibling.poly, block.stride), block.d))"
-WALK_MUTATIONS = {
-    "right_component_zeroed": ("_components", STEP, STEP.replace(
-        "_times_mod(", "0 if child is right else _times_mod(")),
-    "component_times_child": ("_components", "sibling.poly", "child.poly"),
-    "residue_by_sibling": ("_gcd_route", "reduced(branch, child.poly)",
-                           "reduced(branch, next(c for c in node.children if c is not child).poly)"),
+STEP = "_times_mod(v, _int_compose(sibling.poly, s), d)"
+ROOT = ("walk(block.tree, reduced(enumerate(phases), block.tree.poly),\n"
+        "                    _times_mod(u, block.cofactor, d))")
+# fault of _walk: (old, new, verify's outcomes over the sweep pairs), an outcome
+# being a match (exit 0) or one error line (exit 1), read as the leaf-order
+# check's where it names the leaves
+WALK_FAULTS = {
+    "right_component_zeroed": (STEP, f"0 if child is right else {STEP}", {"error": 36}),
+    "component_times_child": ("sibling.poly", "child.poly", {"error": 19, "match": 17}),
+    "residue_by_sibling": ("reduced(branch, child.poly)", "reduced(branch, sibling.poly)",
+                           {"error": 9, "match": 27}),
+    "children_reversed": ("((left, right), (right, left))", "((right, left), (left, right))",
+                          {"leaf order": 36}),
+    "one_leaf_short": (ROOT, f"itertools.islice({ROOT}, max(len(block.tree.leaves) - 1, 1))",
+                       {"leaf order": 36}),
 }
 
 
 class TestWalkMutations:
-    """Faults in one walk.  The routes share only the fold and M comes from
-    the gcd route, so a fault ends in InternalConsistencyError or leaves M
-    right: never a theorem mismatch (exit 3), never a traceback."""
+    """Faults in the one walk.  The routes are carried apart, M comes from the
+    gcd route and `_sub_blocks` checks the walk's factors against the tree's
+    leaves, so a fault ends in InternalConsistencyError or leaves M right:
+    never a theorem mismatch (exit 3), never a traceback.  A walk that visits
+    the sub-blocks in another order, or misses one, is an error that names
+    the block, even where the LCs it yields would all agree."""
 
-    @pytest.mark.parametrize("mutation", sorted(WALK_MUTATIONS))
-    def test_sweep_pairs(self, monkeypatch, capsys, mutation):
-        mutate(monkeypatch, *WALK_MUTATIONS[mutation])
-        caught = 0
+    @pytest.mark.parametrize("fault", sorted(WALK_FAULTS))
+    def test_sweep_pairs(self, monkeypatch, capsys, fault):
+        old, new, expected = WALK_FAULTS[fault]
+        mutate(monkeypatch, "_walk", old, new)
+        outcomes = []
         for p, q in SWEEP_PAIRS:
             code = cli.main(["verify", "--p", str(p), "--q", str(q)])
             out, err = capsys.readouterr()
             if code == EXIT_OK:
                 assert json.loads(out)["match"], (p, q)
+                outcomes.append("match")
             else:
                 assert code == EXIT_USAGE and out == "", (p, q)
                 assert err.startswith("eqseq: error: ") and err.count("\n") == 1, (p, q)
-                caught += 1
-        # every top block has a right child whose component is not 0
-        assert caught == len(SWEEP_PAIRS) if mutation == "right_component_zeroed" else caught > 0
+                leaves = re.fullmatch(rf"eqseq: error: the LC walk of \({p}, {q}\) misses the "
+                                      rf"leaf order of block d=\d+\n", err)
+                outcomes.append("leaf order" if leaves else "error")
+        assert collections.Counter(outcomes) == expected
 
-    @pytest.mark.parametrize("mutation", sorted(WALK_MUTATIONS))
-    def test_split_and_even_lengths(self, monkeypatch, mutation):
+    @pytest.mark.parametrize("fault", sorted(WALK_FAULTS))
+    def test_split_and_even_lengths(self, monkeypatch, fault):
         seqs = [random_bits(n, n) for n in SPLIT_D + [126, 1890, 2457, 4096]]
         wants = [oracles.minimal_polynomial_gcd(seq) for seq in seqs]
-        mutate(monkeypatch, *WALK_MUTATIONS[mutation])
+        mutate(monkeypatch, "_walk", *WALK_FAULTS[fault][:2])
         caught = 0
         for seq, want in zip(seqs, wants):
             try:
@@ -485,36 +502,11 @@ class TestWalkMutations:
                 assert got == want, seq.length
         assert caught > 0
 
-
-COMPONENT_ROOT = "walk(block.tree, _times_mod(u, block.cofactor, block.d))"
-PAIRING_FAULTS = {
-    "children_reversed": ("_components", "((left, right), (right, left))",
-                          "((right, left), (left, right))"),
-    "one_leaf_short": ("_components", f"return {COMPONENT_ROOT}", "return itertools.islice("
-                       f"{COMPONENT_ROOT}, max(len(block.tree.leaves) - 1, 1))"),
-}
-
-
-class TestWalkPairing:
-    """`_sub_blocks` pairs the two walks by factor.  A component walk that
-    visits the sub-blocks in another order, or misses one, is an error that
-    names the block, even where the LCs it pairs would all agree."""
-
-    @pytest.mark.parametrize("fault", sorted(PAIRING_FAULTS))
-    def test_sweep_pairs(self, monkeypatch, capsys, fault):
-        mutate(monkeypatch, *PAIRING_FAULTS[fault])
-        for p, q in SWEEP_PAIRS:
-            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
-            out, err = capsys.readouterr()
-            assert code == EXIT_USAGE and out == "", (p, q)
-            assert re.fullmatch(rf"eqseq: error: the LC walks name different sub-blocks "
-                                rf"for \({p}, {q}\) in block d=\d+\n", err), (p, q)
-
     def test_short_walk_is_an_internal_error(self, monkeypatch, pair37):
         # Phi_7 has two factors over GF(2), so d = 7 is the first block to lose one
-        mutate(monkeypatch, *PAIRING_FAULTS["one_leaf_short"])
-        with pytest.raises(InternalConsistencyError, match=r"^the LC walks name different "
-                           r"sub-blocks for \(3, 7\) in block d=7$"):
+        mutate(monkeypatch, "_walk", *WALK_FAULTS["one_leaf_short"][:2])
+        with pytest.raises(InternalConsistencyError, match=r"^the LC walk of \(3, 7\) misses "
+                           r"the leaf order of block d=7$"):
             analyze_period(generate_threshold(pair37))
 
 
@@ -544,15 +536,17 @@ class TestThresholdWeight:
 
 
 class TestRowCheck:
-    """build_table checks row 1 of its lift against one modular power per
-    unit.  A lift step of (phi + 1)*r^-1 in place of phi*r^-1 leaves row 0
-    right and moves every other row; where p | q-1 it also moves the period's
-    weight, and structure, whose index refuses the same row as not divisible
-    by p, exits 1.  A step of (phi + p)*r^-1 keeps p dividing every row, so
-    neither the weight nor that refusal sees it, and without the row check
-    verify calls it a theorem mismatch (exit 3).  Outside p | q-1 no weight
-    is checked.  verify must stop on either fault with one error line (exit
-    1)."""
+    """`_residue_quotients` checks row 1 of the lift against one modular
+    power per unit, so build_table and build_partition both run the check.
+    A lift step of (phi + 1)*r^-1 in place of phi*r^-1 leaves row 0 right
+    and moves every other row; where p | q-1 it also moves the period's
+    weight, and the index refuses the same row as not divisible by p.  A
+    step of (phi + p)*r^-1 keeps p dividing every row, so neither the weight
+    nor that refusal sees it, and without the row check verify calls it a
+    theorem mismatch and structure reports lemma 2 failures (exit 3).
+    Outside p | q-1 no weight is checked.  verify, and structure where
+    p | q-1, must stop on either fault with the row check's one error line
+    (exit 1)."""
 
     @pytest.mark.parametrize("shift", ["1", "pair.p"], ids=["phi_plus_1", "phi_plus_p"])
     def test_lift_step_off(self, monkeypatch, capsys, shift):
@@ -562,16 +556,12 @@ class TestRowCheck:
             # r = 1 is the first unit: psi(1 + pq) = phi, and the lift gives phi + shift
             t, phi = 1 + p * q, (p - 1) * (q - 1)
             lifted = phi + (1 if shift == "1" else p)
-            code = cli.main(["verify", "--p", str(p), "--q", str(q)])
-            out, err = capsys.readouterr()
-            assert (code, out) == (EXIT_USAGE, ""), (p, q)
-            assert err == (f"eqseq: error: row check of ({p}, {q}): psi({t}) = {phi}, "
-                           f"but the lift gives {lifted}\n"), (p, q)
-            if shift == "1" and (p, q) in WEIGHT_PAIRS:
-                code = cli.main(["structure", "--p", str(p), "--q", str(q)])
+            for command in ["verify", "structure"] if (p, q) in WEIGHT_PAIRS else ["verify"]:
+                code = cli.main([command, "--p", str(p), "--q", str(q)])
                 out, err = capsys.readouterr()
-                assert (code, out) == (EXIT_USAGE, ""), (p, q)
-                assert err == f"eqseq: error: psi({t}) = {lifted} not divisible by p={p}\n", (p, q)
+                assert (code, out) == (EXIT_USAGE, ""), (command, p, q)
+                assert err == (f"eqseq: error: row check of ({p}, {q}): psi({t}) = {phi}, "
+                               f"but the lift gives {lifted}\n"), (command, p, q)
 
 
 def odd_squarefree(limit: int) -> list[int]:
@@ -657,17 +647,18 @@ def assert_gcd_route_matches_euclid(seq: BitSequence) -> None:
         return real(f, g)
 
     with mock.patch.object(lincomp, "gcd", spy):
-        for block, u in lincomp._block_folds(seq):
+        for block in lincomp._blocks(seq.length):
+            u = lincomp._fold(seq.bits, seq.length, block.d)
             euclid.clear()
             ran = []
-            for f, sub in lincomp._gcd_route(u, block):
-                g = _int_compose(f, block.stride)
+            for sub in lincomp._walk(u, block):
+                g = _int_compose(sub.factor, block.stride)
                 want = oracles.sub_minpoly(g, oracles.int_mod(u, g), block.d)
                 irreducible = g.bit_length() - 1 == block.order
                 if irreducible:
                     assert want in (1, g), (block.d, g)
-                assert (1 if sub is None else sub) == want, (block.d, g)
-                if sub is not None and not irreducible:
+                assert (1 if sub.minpoly is None else sub.minpoly) == want, (block.d, g)
+                if sub.minpoly is not None and not irreducible:
                     ran.append(g)
             assert euclid == ran, block.d
 
