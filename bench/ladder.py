@@ -32,8 +32,12 @@ seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
 from it, also cold, the Euler-quotient table (`table_s`), the coset index
 (`partition_s`, `build_partition(pair)`, which lifts the index from the
 residues mod pq and builds no psi table, so `table_s` is not part of it),
-the counts on the (p, q) torus (`counts_s`), the (p, q^2) columns
-(`columns_s`), the lemma 5-7 multisets and the lemma 8-9 congruences; then
+the torus pass (`torus_s`: the counts on the (p, q) torus, a block of
+columns at a time, and the verdicts read off them, which also give the coset
+sizes), the (p, q^2) columns (`columns_s`), the polyphase parts of lemma 9's
+pq^2 term (`parts_s`), the lemma 5-7 multisets and the lemma 8-9
+congruences; one more untimed `lemma_failures` runs under tracemalloc for its
+traced peak (`traced_mb`, and `bytes_per_position`, that peak over N).  Then
 `audit_structure` over every pair of the timed scan, caches cleared once per
 run as in one `structure` call per pair from one process, with one more
 untimed run per pair under tracemalloc for its traced peak; and the same
@@ -85,6 +89,7 @@ from eqseq import (  # noqa: E402
     least_period,
     lincomp,
     predicted_minimal_polynomial,
+    residues,
     structverify,
     wieferich_ok,
 )
@@ -214,20 +219,23 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
 
 
 def residue_stages(pair: PrimePair, gens, index) -> dict:
-    """Seconds of the torus counts, of the q^2 columns and of the lemma 5-7
-    and 8-9 checks on them."""
-    counts, t_counts = timed(structverify._torus_counts, pair, index)
-    (bad_q2, odd_q2), t_columns = timed(structverify._q2_columns, pair, gens, index)
-    _, t_multisets = timed(structverify._check_residue_multisets, pair, counts, bad_q2)
-    _, t_congruences = timed(structverify._check_congruences, pair, index, counts, odd_q2)
-    return {"counts_s": t_counts, "columns_s": t_columns, "lemmas_5_7_s": t_multisets,
-            "lemmas_8_9_s": t_congruences}
+    """Seconds of the torus pass (the counts by blocks of columns and the
+    verdicts read off them), of the q^2 columns, of the polyphase parts of
+    lemma 9's pq^2 term and of the lemma 5-7 and 8-9 checks on them."""
+    torus, t_torus = timed(
+        lambda: residues._torus_verdicts(pair, residues._torus_counts(pair, index)))
+    (bad_q2, odd_q2), t_columns = timed(residues._q2_columns, pair, gens, index)
+    off_phi_n, t_parts = timed(residues._off_phi_n, pair, index)
+    _, t_multisets = timed(residues._check_residue_multisets, pair, torus, bad_q2)
+    _, t_congruences = timed(residues._check_congruences, pair, torus, odd_q2, off_phi_n)
+    return {"torus_s": t_torus, "columns_s": t_columns, "parts_s": t_parts,
+            "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
     """Median seconds of lemma_failures, of the table and partition and of the
-    residue stages per pair, and of audit_structure and of the structure
-    command over the scan's pairs."""
+    residue stages per pair, with the traced peak of lemma_failures, and of
+    audit_structure and of the structure command over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
         p, q = (int(v) for v in text.split(","))
@@ -242,12 +250,16 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             _, t_partition = timed(structverify.build_partition, pair)
             stages.append({"table_s": t_table, "partition_s": t_partition,
                            **residue_stages(pair, gens, index)})
+        clear_caches()
+        peak = traced_peak(structverify.lemma_failures, pair, index)
         result = out["lemma_failures"][text] = {
             "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
             **{name: statistics.median(s[name] for s in stages) for name in stages[0]},
+            "traced_mb": peak / 2 ** 20, "bytes_per_position": peak / pair.period,
             "ok": not any(runs[0][0].values())}
         print(f"lemma_failures ({text}) N={pair.period}: " + " ".join(
-            f"{k}={result[k]:.4f}" for k in ("seconds", *stages[0])), file=sys.stderr)
+            f"{k}={result[k]:.4f}" for k in ("seconds", *stages[0]))
+            + f" traced={peak / pair.period:.2f} B/position", file=sys.stderr)
 
     sweep = [PrimePair.create(p, q) for p, q in enumerate_pairs(bound)]
 

@@ -16,7 +16,8 @@ and read at each class mod pq, are checked against one bincount per modulus,
 the q^2 columns against the sorted keys and counts of np.unique, the torus
 test for Phi_pq, Phi_p and Phi_q against one reduction per row, and the
 polyphase test of lemma 9's pq^2 term against one reduction of the whole
-indicator.
+indicator.  Every check walks its input in blocks, and the audit with blocks
+of 1, 7 and 64 entries must match the audit with the default block.
 """
 
 import ast
@@ -32,6 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqseq import PrimePair, build_table, derive_generators, eulerq
+from eqseq import residues as rs
 from eqseq import structverify as sv
 from eqseq.cli import enumerate_pairs
 from eqseq.errors import DomainError, InternalConsistencyError
@@ -233,13 +235,15 @@ class TestGridRows:
 
 class TestGenerators:
     def test_unit_coordinates(self):
-        # row a, column b holds h^a g2^b: g^a mod p and g^b mod q^2, each unit once
+        # row a, column b holds h^a g2^b, the unit the additivity test reads
+        # at (a, b): g^a mod p and g^b mod q^2, each unit once
         for p, q in SMALL_PAIRS:
             pair = PrimePair.create(p, q)
             n, q2 = pair.period, q * q
             gens = derive_generators(pair)
             g = gens.g
-            coords = sv._unit_coordinates(pair, gens)
+            coords = np.multiply.outer(rs._powers(gens.h, p - 1, n),
+                                       rs._powers(sv._g2(pair, gens), q * (q - 1), n)) % n
             assert coords.shape == (p - 1, q * (q - 1)), (p, q)
             assert sorted(coords.ravel().tolist()) == [t for t in range(n) if math.gcd(t, n) == 1]
             assert (coords % p == np.array([pow(g, a, p) for a in range(p - 1)])[:, None]).all()
@@ -255,10 +259,39 @@ class TestGenerators:
             if kind:
                 index = corrupt(index, kind, q)
             sizes = np.bincount(index + 1, minlength=q + 1)[1:]
-            coords = sv._unit_coordinates(pair, derive_generators(pair))
-            additive = not sv._check_additivity(pair, coords, index, sizes)
+            additive = not sv._check_additivity(pair, derive_generators(pair), index, sizes)
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
+
+
+@functools.cache
+def default_block_failures() -> list:
+    """lemma_failures with the default block on SMALL_PAIRS and (3, 61): the
+    clean index, every corruption and the doubled labels."""
+    cases = []
+    for p, q in SMALL_PAIRS + [(3, 61)]:
+        pair = PrimePair.create(p, q)
+        clean = sv.build_partition(pair)
+        for kind in (None, "doubled") + CORRUPTIONS:
+            index = corrupt(clean, kind, q) if kind else clean
+            cases.append((pair, kind, index, sv.lemma_failures(pair, index)))
+    return cases
+
+
+class TestBlocks:
+    """Each check walks its input in blocks of rs._BLOCK entries (at least a
+    row of its view); with blocks of 1, 7 and 64 entries every verdict and
+    message is the default block's, the additivity witness among them."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks(self, monkeypatch, block):
+        cases = default_block_failures()
+        monkeypatch.setattr(rs, "_BLOCK", block)
+        for pair, kind, index, want in cases:
+            assert sv.lemma_failures(pair, index) == want, (pair.p, pair.q, kind)
+        # and among them lemma 2 names witnesses, which the walk finds by blocks
+        assert any(msg.startswith("index additivity fails: I(h^") for *_, want in cases
+                   for msg in want["lemma2"])
 
 
 POWER_COUNTS = st.one_of(
@@ -276,7 +309,7 @@ class TestPowers:
     @example(3, 1, 1)
     @example(10 ** 6 - 1, 4097, 10 ** 6)
     def test_doubling_matches_one_power_per_exponent(self, base, count, n):
-        got = sv._powers(base, count, n)
+        got = rs._powers(base, count, n)
         assert got.dtype == np.int64
         assert got.tolist() == oracles._powers(base, count, n).tolist()
 
@@ -376,10 +409,11 @@ class TestIndexShape:
 
 
 def table_congruences(pair, index) -> dict[str, list[str]]:
-    """The lemma 8 and 9 messages, from the torus counts and the q^2 columns."""
-    counts = sv._torus_counts(pair, index)
-    _, odd_q2 = sv._q2_columns(pair, derive_generators(pair), index)
-    return sv._check_congruences(pair, index, counts, odd_q2)
+    """The lemma 8 and 9 messages, from the torus counts, the q^2 columns and
+    the polyphase parts."""
+    torus = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
+    _, odd_q2 = rs._q2_columns(pair, derive_generators(pair), index)
+    return rs._check_congruences(pair, torus, odd_q2, rs._off_phi_n(pair, index))
 
 
 def residue_congruences(residues: dict[int, list[int]], pair, summed_n: int) -> dict[str, list[str]]:
@@ -462,7 +496,7 @@ class TestFoldedResidues:
         # of its keys; the folded residue of each row says the same
         q, keys = case
         residues = oracles.coset_residues((keys, np.ones_like(keys)), q * q, q)
-        assert sv._off_phi_q2(keys, q) == [ell for ell, r in enumerate(residues) if r]
+        assert rs._off_phi_q2(keys, q) == [ell for ell, r in enumerate(residues) if r]
 
 
 class TestTorusCongruences:
@@ -476,8 +510,7 @@ class TestTorusCongruences:
         pair = PrimePair.create(p, q)
         pq = p * q
         rand = random.Random(pq)
-        index = sv.build_partition(pair)
-        cells = sv._torus_cells(p, q)
+        columns = rs._torus_columns(p, q).ravel()   # the c of each cell
         batches = [[rand.getrandbits(pq) for _ in range(q)] for _ in range(2)]
         for m in (pq, p, q):
             phi = cyclotomic_f2(m).bits
@@ -487,12 +520,17 @@ class TestTorusCongruences:
             # each row as torus counts: bit c at the cell of c, plus an even count
             counts = np.array([[2 * rand.randrange(3) + (row >> c & 1) for c in range(pq)]
                                for row in rows])
-            torus = np.zeros_like(counts)
-            torus[:, cells] = counts
+            torus = counts[:, columns]
             residues = {m: [_int_mod(row, cyclotomic_f2(m).bits) for row in rows] for m in (pq, p, q)}
             residues[q * q] = [0] * q
-            got = sv._check_congruences(pair, index, torus.reshape(q, p, q), np.zeros(0, np.int64))
-            assert got == residue_congruences(residues, pair, 0), (p, q)
+            # entry (a, b, ell + 1), whole and as blocks of columns b, with
+            # entry (a, b, 0) the rest of the q labels of a cell
+            torus = torus.reshape(q, p, q).transpose(1, 2, 0)
+            torus = np.concatenate([q - torus.sum(axis=2, keepdims=True), torus], axis=2)
+            for blocks in ([torus], np.array_split(torus, 4, axis=1)):
+                verdicts = rs._torus_verdicts(pair, blocks)
+                got = rs._check_congruences(pair, verdicts, np.zeros(0, np.int64), False)
+                assert got == residue_congruences(residues, pair, 0), (p, q)
 
 
 class TestResidueTables:
@@ -510,10 +548,12 @@ class TestResidueTables:
             index = sv.build_partition(pair)
             if variant:
                 index = corrupt(index, variant, q)
-            torus = sv._torus_counts(pair, index)
-            bad_q2, odd_q2 = sv._q2_columns(pair, gens, index)
+            # entry (ell, a, b), from the blocks of columns b
+            torus = np.concatenate(list(rs._torus_counts(pair, index)), axis=1)[..., 1:].transpose(2, 0, 1)
+            verdicts = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
+            bad_q2, odd_q2 = rs._q2_columns(pair, gens, index)
             tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
-                      p * q: torus.reshape(q, p * q)[:, sv._torus_cells(p, q)]}
+                      p * q: torus.reshape(q, p * q)[:, np.argsort(rs._torus_columns(p, q).ravel())]}
             per_modulus = oracles.residue_tables(pair, index)
             assert tables.keys() == per_modulus.keys()
             assert all(np.array_equal(tables[m], per_modulus[m]) for m in tables), (p, q)
@@ -531,11 +571,11 @@ class TestResidueTables:
             assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q)
             # each message names one coset and one modulus, and the mod-p one
             # its dict: equal lists are equal bad-coset sets per m and equal dicts
-            got = sv._check_residue_multisets(pair, torus, bad_q2)
+            got = rs._check_residue_multisets(pair, verdicts, bad_q2)
             assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
             assert any(got.values()) == (variant is not None), (p, q)
             # lemma 9's pq^2 term reads the labels 0..q-1
-            lemma9 = sv._check_congruences(pair, index, torus, odd_q2)["lemma9"]
+            lemma9 = rs._check_congruences(pair, verdicts, odd_q2, rs._off_phi_n(pair, index))["lemma9"]
             assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
     def test_q2_targets_are_disjoint(self):
@@ -546,8 +586,8 @@ class TestResidueTables:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
             q2 = q * q
-            subgroup = sv._powers(pow(gens.g % q2, q, q2), q - 1, q2)
-            target = np.outer(sv._powers(gens.ghat % q2, q, q2), subgroup) % q2
+            subgroup = rs._powers(pow(gens.g % q2, q, q2), q - 1, q2)
+            target = np.outer(rs._powers(gens.ghat % q2, q, q2), subgroup) % q2
             assert np.unique(target).size == q * (q - 1), (p, q)
 
     def test_swap_same_pq_reaches_only_q2(self):

@@ -57,9 +57,13 @@ def test_nproc_counts_the_cpus_the_process_may_use(ladder, monkeypatch):
 def test_audit_reports_every_pair_ok(ladder):
     out = ladder.audit(["3,7"], 1000, 1)
     assert out["lemma_failures"]["3,7"]["ok"]
-    assert all(out["lemma_failures"]["3,7"][stage] >= 0
-               for stage in ("table_s", "partition_s", "counts_s", "columns_s", "lemmas_5_7_s",
-                             "lemmas_8_9_s"))
+    result = out["lemma_failures"]["3,7"]
+    assert all(result[stage] >= 0
+               for stage in ("table_s", "partition_s", "torus_s", "columns_s", "parts_s",
+                             "lemmas_5_7_s", "lemmas_8_9_s"))
+    # the traced peak of one lemma_failures run, whole and per position
+    assert result["traced_mb"] > 0
+    assert result["bytes_per_position"] == result["traced_mb"] * 2 ** 20 / 147
     for name in ("structure_1000", "structure_cli_1000"):
         sweep = out[name]
         assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"], name

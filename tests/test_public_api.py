@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import eqseq
-from eqseq import eulerq, gf2poly, lincomp, ntcore, sequence, structverify
+from eqseq import eulerq, gf2poly, lincomp, ntcore, residues, sequence, structverify
 
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
@@ -43,7 +43,7 @@ def test_removed_wrappers_are_gone():
     for name in REMOVED:
         assert name not in eqseq.__all__
         assert not hasattr(eqseq, name), name
-        for module in (eulerq, structverify, lincomp, gf2poly, ntcore, sequence):
+        for module in (eulerq, structverify, residues, lincomp, gf2poly, ntcore, sequence):
             assert not hasattr(module, name), (module.__name__, name)
 
 

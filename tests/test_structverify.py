@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -272,3 +273,19 @@ class TestAuditStructure:
     def test_requires_divisibility(self):
         with pytest.raises(DomainError):
             audit_structure(PrimePair.create(5, 7))
+
+
+class TestMemory:
+    def test_lemma_failures_streams_the_index(self):
+        # past the index every stage holds one block and tables of O(pq) or
+        # q^2 entries; one int64 array of N = 98283 entries alone is 0.75 MiB
+        pair = PrimePair.create(3, 181)
+        index = build_partition(pair)
+        tracemalloc.start()
+        try:
+            failures = lemma_failures(pair, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(failures.values())
+        assert peak <= 0.7 * 2 ** 20, peak
