@@ -16,11 +16,12 @@ class counts mod q, as Phi_{q^2}(x) = Phi_q(x^q).
 
 Every check of the audit streams: it walks the index, or the units it maps,
 in blocks of about _BLOCK entries and keeps only what its verdict reads.
-Past the index and one block the audit holds the q^2 claims of lemma 7,
-tables of O(pq) entries and the q^2 keys held an odd number of times (none
-for a sound index).  The torus is counted a block of its columns b at a
-time, and the Phi_pq test, which compares each cell with those of column
-b = 0, keeps that column from the first block.
+Past the index and one block the audit holds tables of O(pq) entries and
+the q^2 keys held an odd number of times (none for a sound index); lemma 7's
+claims are lifted a block at a time from q Fermat quotients.  The torus is
+counted a block of its columns b at a time, and the Phi_pq test, which
+compares each cell with those of column b = 0, keeps that column from the
+first block.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from .ntcore import GroupGenerators, PrimePair
 # product of generator powers, this many at a time (at least one row of its
 # view) and keeps only what its verdict reads
 _BLOCK = 1 << 13
+
+
+def _per_block(row_len: int = 1) -> int:
+    """Rows of row_len entries per block of the streamed checks, at least one."""
+    return max(1, _BLOCK // row_len)
 
 
 def _powers(base: int, count: int, n: int) -> np.ndarray:
@@ -59,6 +65,15 @@ def _torus_columns(p: int, q: int) -> np.ndarray:
     return (np.arange(p)[:, None] * crt_p + np.arange(q) * crt_q) % (p * q)
 
 
+def _torus_blocks(p: int, q: int):
+    """The columns b of the (p, q) torus a block at a time, b ascending: the
+    _torus_columns of the block's cells, a row per a (each a row of pq)."""
+    columns = _torus_columns(p, q)
+    step = _per_block(p * q)
+    for b0 in range(0, q, step):
+        yield columns[:, b0:b0 + step]
+
+
 def _torus_counts(pair: PrimePair, index: np.ndarray):
     """The counts on the (p, q) torus, a block of columns b at a time, b
     ascending: entry (a, j, ell + 1) of the block from b0 counts the t with
@@ -68,10 +83,8 @@ def _torus_counts(pair: PrimePair, index: np.ndarray):
     counts its columns."""
     p, q = pair.p, pair.q
     view = index.reshape(q, p * q)
-    columns = _torus_columns(p, q)
-    step = max(1, _BLOCK // (p * q))
-    for b0 in range(0, q, step):
-        cells = columns[:, b0:b0 + step].ravel()
+    for block in _torus_blocks(p, q):
+        cells = block.ravel()
         # cell i of the block with label ell: key i(q + 1) + ell + 1
         keys = view[:, cells] + np.arange(1, (q + 1) * cells.size, q + 1)
         counts = np.bincount(keys.ravel(), minlength=(q + 1) * cells.size)
@@ -127,45 +140,53 @@ def _torus_verdicts(pair: PrimePair, blocks) -> _Torus:
     return _Torus(mod_p[:, 1:].T, off[0, :q], off[1, :q], off[2], off[3])
 
 
+def _q2_claims(pair: PrimePair, gens: GroupGenerators):
+    """The coset that lemma 7 claims for each column r of the (p, q^2) view,
+    -1 for the non-units, as (r0, claims) for blocks of whole periods q of r,
+    r0 ascending.  D_ell mod q^2 is ghat^ell <g^q>, each p - 1 times, and the
+    Fermat quotient FQ(r) = (r^(q-1) - 1)/q mod q maps (Z/q^2)* onto Z_q with
+    kernel <g^q>, so r lies in ghat^ell <g^q> for ell = FQ(r) / FQ(ghat) mod q
+    (FQ(ghat) != 0: ghat is outside <g^q, h>, the kernel of the coset index,
+    as psi(ghat) = p).  FQ(s + kq) = FQ(s) - k/s mod q is affine in k."""
+    q = pair.q
+    q2 = q * q
+    inverse = pow(pow(gens.ghat, q - 1, q2) // q, -1, q)   # 1 / FQ(ghat)
+    lift = np.array([pow(s, q - 2, q2) for s in range(q)])   # s^(q-1) / s mod q^2
+    slope = lift % q * inverse % q   # the fall of the claim of s + kq as k rises by 1
+    rows = np.arange(_per_block(pair.p * q))[:, None]
+    claims = (lift * np.arange(q) % q2 // q * inverse - rows * slope) % q   # row k, column s
+    claims[:, 0] = -1   # the non-units, which slope 0 keeps
+    rise = -rows.size * slope % q
+    for r0 in range(0, q2, claims.size):
+        yield r0, claims.ravel()[:q2 - r0]
+        claims = claims + rise
+        claims -= q * (claims >= q)
+
+
 def _q2_columns(pair: PrimePair, gens: GroupGenerators,
                 index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2,
-    a block of columns at a time: whether each coset misses its multiset mod
-    q^2, and the keys coset * q^2 + r that an odd number of units hold."""
+    a block of the _q2_claims at a time: whether each coset misses its
+    multiset mod q^2, and the keys coset * q^2 + r that an odd number of
+    units hold."""
     p, q = pair.p, pair.q
     q2 = q * q
-    # D_ell mod q^2 is ghat^ell times the subgroup generated by g^q, each p - 1
-    # times, and no two cosets share a column: (Z/q^2)*/<g^q> has prime order
-    # q, so an overlap would put ghat in <g^q, h>, the kernel of the coset
-    # index, against psi(ghat) = p, which derive_generators checks
-    subgroup, shifts = _powers(pow(gens.g % q2, q, q2), q - 1, q2), _powers(gens.ghat % q2, q, q2)
-    expected = np.full(q2, -1, dtype=index.dtype)
-    rows = max(1, _BLOCK // q)
-    for ell in range(0, q, rows):
-        target = np.multiply.outer(shifts[ell:ell + rows], subgroup)
-        target %= q2
-        expected[target] = np.arange(ell, ell + len(target))[:, None]
     view = index.reshape(p, q2)
     bad, odd = np.zeros(q, dtype=bool), []
-    # t = r + j q^2 is a unit exactly when r is one mod q and t != 0 mod p, so
-    # blocks of whole periods p of r have their units in the same rows j
-    step = min(q2, p * max(1, _BLOCK // (p * p)))
-    units = (np.arange(step) + np.arange(0, p * q2, q2)[:, None]) % p != 0
-    for r0 in range(0, q2, step):
-        block, claims = view[:, r0:r0 + step], expected[r0:r0 + step]
-        if np.array_equal(block, np.where(units[:, :claims.size], claims, -1)):
-            continue   # each claim held p - 1 times, and nothing else labelled
+    for r0, claims in _q2_claims(pair, gens):
+        block = view[:, r0:r0 + claims.size]
         hit = block == claims
         per_column = hit.sum(axis=0)
         # the claims (claims[r], r) not held p - 1 times, among them, as p - 1
         # is even, all those held an odd number of times
         r = np.flatnonzero((claims >= 0) & (per_column != p - 1))
-        keys, counts = claims[r] * np.int64(q2) + (r0 + r), per_column[r]
-        off = ~hit & (block >= 0)
-        found = block[off] * np.int64(q2) + (r0 + np.nonzero(off)[1])
-        stray, times = np.unique(found, return_counts=True)
-        bad[np.concatenate([keys[counts != p - 1], stray]) // q2] = True
-        odd += [keys[counts % 2 == 1], stray[times % 2 == 1]]
+        off = (block >= 0) > hit   # labelled, but not with the claim
+        if r.size or off.any():   # else the block has nothing to collect
+            keys, counts = claims[r] * q2 + (r0 + r), per_column[r]
+            j, c = np.divmod(np.flatnonzero(off), claims.size)
+            stray, times = np.unique(block[j, c] * np.int64(q2) + (r0 + c), return_counts=True)
+            bad[np.concatenate([keys, stray]) // q2] = True
+            odd += [keys[counts % 2 == 1], stray[times % 2 == 1]]
     return bad, np.concatenate(odd or [np.zeros(0, dtype=np.int64)])
 
 
@@ -219,11 +240,10 @@ def _off_phi_n(pair: PrimePair, index: np.ndarray) -> bool:
     at the cell of i on the torus; the rows of a block of torus columns b are
     read at a time, as in _torus_counts."""
     p, q = pair.p, pair.q
-    view, rows = index.reshape(p * q, q), _torus_columns(p, q)
-    step = max(1, _BLOCK // (p * q))
-    for b0 in range(0, q, step):
-        parts = view[rows[:, b0:b0 + step]] >= 0
-        if b0 == 0:
+    view = index.reshape(p * q, q)
+    for i, rows in enumerate(_torus_blocks(p, q)):
+        parts = view[rows] >= 0
+        if i == 0:
             first = parts[:, :1]
         if _off_phi_pq(parts, first).any():
             return True
@@ -257,3 +277,13 @@ def _check_congruences(pair: PrimePair, torus: _Torus, odd_q2: np.ndarray,
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
+
+def residue_failures(pair: PrimePair, gens: GroupGenerators,
+                     index: np.ndarray) -> tuple[np.ndarray, dict[str, list[str]]]:
+    """The coset sizes |D_0|, ..., |D_(q-1)|, read off the torus counts, and
+    the failure messages of each of lemmas 5-9, empty where it holds."""
+    torus = _torus_verdicts(pair, _torus_counts(pair, index))
+    bad_q2, odd_q2 = _q2_columns(pair, gens, index)
+    failures = _check_residue_multisets(pair, torus, bad_q2)
+    failures.update(_check_congruences(pair, torus, odd_q2, _off_phi_n(pair, index)))
+    return torus.mod_p.sum(axis=1), failures

@@ -39,7 +39,7 @@ import numpy as np
 from . import residues
 from .eulerq import build_partition, derive_generators, two_coset_index
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-from .residues import _powers
+from .residues import _per_block, _powers
 from .sequence import check_index
 
 
@@ -53,23 +53,22 @@ def _g2(pair: PrimePair, gens: GroupGenerators) -> int:
     return crt_lift([(1, pair.p), (gens.g % q2, q2)])
 
 
-def _check_additivity(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
-                      sizes: np.ndarray) -> list[str]:
+def _check_additivity(pair: PrimePair, index: np.ndarray, sizes: np.ndarray,
+                      h_powers: np.ndarray, g2: int) -> list[str]:
     """Empty exactly when the index is a homomorphism from the units to Z_q
     that labels nothing else; otherwise one witness, the first h^a * g2^b (a,
-    then b, ascending) not labelled b * I(g2) mod q.  Each row a is walked in
-    blocks of whole periods q of b * I(g2) mod q."""
+    then b, ascending) not labelled b * I(g2) mod q.  h_powers holds the h^a;
+    each row a is walked in blocks of whole periods q of b * I(g2) mod q."""
     n, p, q = pair.period, pair.p, pair.q
     row = q * (q - 1)
     labelled = int(sizes.sum())
     if labelled != (p - 1) * row:
         return [f"index additivity fails: {labelled} positions carry a label, "
                 f"expected (p-1)q(q-1) = {(p - 1) * row}"]
-    g2 = _g2(pair, gens)
-    width = min(row, q * max(1, residues._BLOCK // q))
+    width = min(row, q * _per_block(q))
     powers, stride = _powers(g2, width, n), pow(g2, width, n)
     expected = (np.arange(width) * int(index[g2]) % q).astype(np.int32)   # b * I(g2), b mod width
-    for a, start in enumerate(_powers(gens.h, p - 1, n).tolist()):
+    for a, start in enumerate(h_powers.tolist()):
         for b in range(0, row, width):
             block = powers[:row - b] * start   # h^a * g2^(b + j)
             block %= n
@@ -106,9 +105,9 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
     n, q = pair.period, pair.q
     powers, labels = _powers(gens.ghat, q, n)[1:], np.arange(1, q)
     holds = sizes[1:] == sizes[0]
-    width = max(1, residues._BLOCK // (q - 1))
-    for start in range(0, n, residues._BLOCK):
-        d0 = np.flatnonzero(index[start:start + residues._BLOCK] == 0)
+    step, width = _per_block(), _per_block(q - 1)
+    for start in range(0, n, step):
+        d0 = np.flatnonzero(index[start:start + step] == 0)
         d0 += start
         for j in range(0, d0.size, width):
             images = d0[j:j + width, None] * powers   # row i, column ell - 1: ghat^ell * t_i
@@ -117,15 +116,14 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
     return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
 
 
-def _check_kernel_image(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
-                        sizes: np.ndarray) -> list[str]:
+def _check_kernel_image(pair: PrimePair, index: np.ndarray, sizes: np.ndarray,
+                        h_powers: np.ndarray, g2: int) -> list[str]:
     problems = []
     n, p, q = pair.period, pair.p, pair.q
 
     # kernel: <g^q, h> = <h, g2^q> (as g = h g2), the h^a * g2^b with b = 0
     # mod q, equals D_0 exactly when all labelled 0 and |D_0| is its size
-    kernel = np.multiply.outer(_powers(gens.h, p - 1, n),
-                               _powers(pow(_g2(pair, gens), q, n), q - 1, n))
+    kernel = np.multiply.outer(h_powers, _powers(pow(g2, q, n), q - 1, n))
     kernel %= n
     if not ((index.take(kernel) == 0).all() and sizes[0] == kernel.size):
         problems.append(f"subgroup <g^q, h> has {kernel.size} elements and differs from D_0")
@@ -143,24 +141,20 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     (p, q) fixes, from derive_generators.
 
     One exact additivity test from h and g2 serves lemmas 2 and 4, and the
-    torus counts, which also give the coset sizes, and the q^2 columns serve
-    lemmas 5-9.
+    residue checks, which also give the coset sizes, serve lemmas 5-9.
     """
     check_index(pair, index)
     gens = derive_generators(pair)
-    torus = residues._torus_verdicts(pair, residues._torus_counts(pair, index))
-    sizes = torus.mod_p.sum(axis=1)
-    additivity = _check_additivity(pair, gens, index, sizes)
-    bad_q2, odd_q2 = residues._q2_columns(pair, gens, index)
+    sizes, residue_failures = residues.residue_failures(pair, gens, index)
+    h_powers, g2 = _powers(gens.h, pair.p - 1, pair.period), _g2(pair, gens)
+    additivity = _check_additivity(pair, index, sizes, h_powers, g2)
 
-    failures = {"lemma2": _check_kernel_image(pair, gens, index, sizes) + additivity}
+    failures = {"lemma2": _check_kernel_image(pair, index, sizes, h_powers, g2) + additivity}
     failures["lemma3"] = (_check_partition_shape(pair, sizes)
                           + _check_ghat_law(pair, gens, index, sizes))
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]
                           if additivity else [])
-    failures.update(residues._check_residue_multisets(pair, torus, bad_q2))
-    off_phi_n = residues._off_phi_n(pair, index)
-    failures.update(residues._check_congruences(pair, torus, odd_q2, off_phi_n))
+    failures.update(residue_failures)
     return failures
 
 

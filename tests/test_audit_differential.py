@@ -259,7 +259,9 @@ class TestGenerators:
             if kind:
                 index = corrupt(index, kind, q)
             sizes = np.bincount(index + 1, minlength=q + 1)[1:]
-            additive = not sv._check_additivity(pair, derive_generators(pair), index, sizes)
+            gens = derive_generators(pair)
+            h_powers = rs._powers(gens.h, p - 1, pair.period)
+            additive = not sv._check_additivity(pair, index, sizes, h_powers, sv._g2(pair, gens))
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
 
@@ -589,6 +591,26 @@ class TestResidueTables:
             subgroup = rs._powers(pow(gens.g % q2, q, q2), q - 1, q2)
             target = np.outer(rs._powers(gens.ghat % q2, q, q2), subgroup) % q2
             assert np.unique(target).size == q * (q - 1), (p, q)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_q2_claims_are_the_cosets(self, monkeypatch, block):
+        # the claims lifted from Fermat quotients label each unit column r of
+        # the (p, q^2) view with the ell of ghat^ell <g^q> holding r, and the
+        # rest -1, in blocks of whole periods q from r0 = 0 on
+        if block:
+            monkeypatch.setattr(rs, "_BLOCK", block)
+        for p, q in enumerate_pairs(10**5 if block else 10**6):
+            pair = PrimePair.create(p, q)
+            gens = derive_generators(pair)
+            q2 = q * q
+            subgroup = rs._powers(pow(gens.g % q2, q, q2), q - 1, q2)
+            target = np.outer(rs._powers(gens.ghat % q2, q, q2), subgroup) % q2
+            expected = np.full(q2, -1)
+            expected[target] = np.arange(q)[:, None]
+            starts, claims = zip(*rs._q2_claims(pair, gens))
+            assert all(c.size % q == 0 for c in claims), (p, q)
+            assert list(starts) == np.cumsum([0] + [c.size for c in claims[:-1]]).tolist(), (p, q)
+            assert np.concatenate(claims).tolist() == expected.tolist(), (p, q, block)
 
     def test_swap_same_pq_reaches_only_q2(self):
         # the tables mod p, q and pq stay exact, so lemmas 5 and 6 hold while
