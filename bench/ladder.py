@@ -5,6 +5,7 @@ and the package under src/ (nothing is installed):
 
     python3 bench/ladder.py --label change --out BENCH.json
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
+    python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
@@ -26,18 +27,20 @@ then times, each in a fresh interpreter and as the median of --repeats,
 pair in the default budget, and `eqseq scan --max-period --jobs 2`, and with
 --full-scan one scan to 1000000.
 
-The audit stage times `lemma_failures` on a small, a large and the largest
-pair in budget, each run cold with the coset index built beforehand (its
+The audit stage times `lemma_failures` on a small and a mid-sized pair, on
+(17, 239) (N = 971057 on a torus of 17 rows) and on the largest pair in
+budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
 from it, also cold, the Euler-quotient table (`table_s`), the coset index
 (`partition_s`, `build_partition(pair)`, which lifts the index from the
 residues mod pq and builds no psi table, so `table_s` is not part of it),
 the torus pass (`torus_s`: the counts on the (p, q) torus, a block of
 columns at a time, and the verdicts read off them, which also give the coset
-sizes), the (p, q^2) columns (`columns_s`), the polyphase parts of lemma 9's
-pq^2 term (`parts_s`), the lemma 5-7 multisets and the lemma 8-9
-congruences; one more untimed `lemma_failures` runs under tracemalloc for its
-traced peak (`traced_mb`, and `bytes_per_position`, that peak over N).  Then
+sizes), the (p, q^2) columns (`columns_s`: lemma 7's claims and, in the same
+pass, the polyphase parts of lemma 9's pq^2 term), the lemma 5-7 multisets
+and the lemma 8-9 congruences; one more untimed `lemma_failures` runs under
+tracemalloc for its traced peak (`traced_mb`, and `bytes_per_position`, that
+peak over N).  Then
 `audit_structure` over every pair of the timed scan, caches cleared once per
 run as in one `structure` call per pair from one process, with one more
 untimed run per pair under tracemalloc for its traced peak; and the same
@@ -56,7 +59,14 @@ the runs of other labels, together with a description of the machine.  Each
 label is its own invocation, at its own time, so a change of the host between
 invocations (other load, clock, cache) reads as a change between labels: a
 stage that both labels run through the same code, such as the scan when only
-the audit changed, shows how far the host moved.
+the audit changed, shows how far the host moved.  With --against OTHER=PATH,
+naming a second source checkout, the audit stage also times `lemma_failures`
+at each audit pair in both trees, alternately: --repeats rounds, each of one
+fresh interpreter per tree (the tree that runs first alternates by round),
+timing the best of BEST_OF calls per pair.  The rounds go under "audit" ->
+"alternating", per pair and per label (LABEL for this tree, OTHER for the
+other): the seconds of each round, their median and quartiles, and the
+rounds in which each tree was the faster.
 """
 
 from __future__ import annotations
@@ -96,7 +106,8 @@ from eqseq import (  # noqa: E402
 from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
-AUDIT_PAIRS = ["5,41", "3,181", "3,577"]   # N = 8405, 98283 and 998787
+AUDIT_PAIRS = ["5,41", "3,181", "17,239", "3,577"]   # N = 8405, 98283, 971057 and 998787
+BEST_OF = 15   # lemma_failures calls per pair and round of the alternating audit
 SLOWEST = "17,239"   # slowest verify in budget: BM goes as phi(N)^2 / t, t = 4 here, 8 at (3,577)
 
 
@@ -220,16 +231,68 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
 
 def residue_stages(pair: PrimePair, gens, index) -> dict:
     """Seconds of the torus pass (the counts by blocks of columns and the
-    verdicts read off them), of the q^2 columns, of the polyphase parts of
-    lemma 9's pq^2 term and of the lemma 5-7 and 8-9 checks on them."""
+    verdicts read off them), of the q^2 columns (with the polyphase parts of
+    lemma 9's pq^2 term, read in the same pass) and of the lemma 5-7 and 8-9
+    checks on them."""
     torus, t_torus = timed(
         lambda: residues._torus_verdicts(pair, residues._torus_counts(pair, index)))
-    (bad_q2, odd_q2), t_columns = timed(residues._q2_columns, pair, gens, index)
-    off_phi_n, t_parts = timed(residues._off_phi_n, pair, index)
+    (bad_q2, odd_q2, off_phi_n), t_columns = timed(residues._q2_columns, pair, gens, index)
     _, t_multisets = timed(residues._check_residue_multisets, pair, torus, bad_q2)
     _, t_congruences = timed(residues._check_congruences, pair, torus, odd_q2, off_phi_n)
-    return {"torus_s": t_torus, "columns_s": t_columns, "parts_s": t_parts,
+    return {"torus_s": t_torus, "columns_s": t_columns,
             "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
+
+
+# one round of the alternating audit in one tree: for each pair from argv, the
+# best of argv[2] calls of lemma_failures on its coset index, built beforehand
+LEMMA_FAILURES = """
+import json, sys, time
+from eqseq import PrimePair, build_partition, lemma_failures
+best = {}
+for text in json.loads(sys.argv[1]):
+    pair = PrimePair.create(*(int(v) for v in text.split(",")))
+    index, seconds = build_partition(pair), []
+    for _ in range(int(sys.argv[2])):
+        start = time.perf_counter()
+        failures = lemma_failures(pair, index)
+        seconds.append(time.perf_counter() - start)
+        if any(failures.values()):
+            raise SystemExit(f"lemma_failures ({text}): {failures}")
+    best[text] = min(seconds)
+print(json.dumps(best))
+"""
+
+
+def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
+    """Per pair and per tree (two labels, each naming a source checkout), the
+    best-of-BEST_OF seconds of lemma_failures in each of the rounds, each
+    round one fresh interpreter per tree, the first tree alternating; their
+    median and quartiles, and the rounds in which the tree was the faster."""
+    labels = list(trees)
+    seconds: dict[str, list[dict]] = {label: [] for label in labels}
+    first = []
+    for k in range(rounds):
+        order = labels if k % 2 == 0 else labels[::-1]
+        first.append(order[0])
+        for label in order:
+            argv = [sys.executable, "-c", LEMMA_FAILURES, json.dumps(pairs), str(BEST_OF)]
+            env = dict(os.environ, PYTHONPATH=str(trees[label] / "src"))
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            seconds[label].append(json.loads(proc.stdout))
+    out: dict = {"rounds": rounds, "best_of": BEST_OF, "first": first}
+    for text in pairs:
+        runs = {label: [run[text] for run in seconds[label]] for label in labels}
+        entry = out[text] = {}
+        for label, rival in zip(labels, labels[::-1]):
+            values = runs[label]
+            entry[label] = {
+                "seconds_runs": values, "median": statistics.median(values),
+                "quartiles": statistics.quantiles(values, n=4)[::2] if rounds > 1 else values * 2,
+                "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival]))}
+        print(f"lemma_failures ({text}) alternating, median of {rounds}: " + " ".join(
+            f"{label}={entry[label]['median'] * 1e3:.2f} ms "
+            f"(faster in {entry[label]['rounds_faster']})" for label in labels), file=sys.stderr)
+    return out
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
@@ -333,10 +396,20 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--scan", type=int, default=100_000, help="period bound of the timed scan")
     ap.add_argument("--full-scan", action="store_true", help="also scan to 1000000 once")
+    ap.add_argument("--against", metavar="OTHER=PATH",
+                    help="also time lemma_failures alternately in the source checkout at PATH, "
+                         "recorded under the label OTHER")
     args = ap.parse_args()
+    if args.against:
+        other, sep, path = args.against.partition("=")
+        if not (other and sep and path) or other == args.label:
+            ap.error("--against takes OTHER=PATH, with OTHER not the --label")
 
     run = {"ladder": ladder(args.pairs, args.repeats),
            "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
+    if args.against:
+        trees = {args.label: ROOT, other: Path(path).resolve()}
+        run["audit"]["alternating"] = alternating(AUDIT_PAIRS, trees, args.repeats)
     for text in dict.fromkeys([*args.pairs[-1:], SLOWEST]):
         run[f"verify_{text.replace(',', '_')}"] = verify(text, args.repeats)
     run[f"scan_{args.scan}"] = scans(args.scan, args.repeats)

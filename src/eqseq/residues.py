@@ -8,11 +8,14 @@ gcd(p, q) = 1, x^i -> y^(i mod p) z^(i mod q) maps GF(2)[x]/(x^pq + 1) onto
 GF(2)[y, z]/(y^p + 1, z^q + 1), semisimple as pq is odd, where Phi_pq vanishes
 at the roots w*v with w, v != 1: so R = c mod Phi_pq exactly when
 (y + 1)(z + 1)(R - c) = 0, and for a prime m, R = c mod Phi_m exactly when
-R - c mod x^m + 1 is constant.  Lemma 9's pq^2 term tests the q polyphase
-parts of the labelled indicator alike, as Phi_{pq^2}(x) = Phi_pq(x^q).  Column
-r of the (p, q^2) view holds the t = r mod q^2, so a coset is counted in the
-columns of ghat^ell <g^q>, and its odd counts give the q^2 congruences by
-class counts mod q, as Phi_{q^2}(x) = Phi_q(x^q).
+R - c mod x^m + 1 is constant.  Column r of the (p, q^2) view holds the
+t = r mod q^2, so a coset is counted in the columns of ghat^ell <g^q>, and
+its odd counts give the q^2 congruences by class counts mod q, as
+Phi_{q^2}(x) = Phi_q(x^q).  Lemma 9's pq^2 term tests the q polyphase parts
+(bits j, j + q, ...) of the labelled indicator alike: as Phi_{pq^2}(x) =
+Phi_pq(x^q), part j of the remainder is the remainder of part j, on disjoint
+supports.  Bit iq + b of part j is at row i, column bq + j of that view and
+at torus cell ((i + b) mod p, b) as q = 1 mod p: the q^2 pass reads the parts.
 
 Every check of the audit streams: it walks the index, or the units it maps,
 in blocks of about _BLOCK entries and keeps only what its verdict reads.
@@ -60,18 +63,9 @@ def _powers(base: int, count: int, n: int) -> np.ndarray:
 
 def _torus_columns(p: int, q: int) -> np.ndarray:
     """For each cell (a, b) of the (p, q) torus, the c < pq with c = a mod p
-    and c = b mod q."""
-    crt_p, crt_q = q * pow(q, -1, p), p * pow(p, -1, q)   # 1 mod p and 0 mod q, and the reverse
-    return (np.arange(p)[:, None] * crt_p + np.arange(q) * crt_q) % (p * q)
-
-
-def _torus_blocks(p: int, q: int):
-    """The columns b of the (p, q) torus a block at a time, b ascending: the
-    _torus_columns of the block's cells, a row per a (each a row of pq)."""
-    columns = _torus_columns(p, q)
-    step = _per_block(p * q)
-    for b0 in range(0, q, step):
-        yield columns[:, b0:b0 + step]
+    and c = b mod q: c = b + q((a - b) mod p), as q = 1 mod p (p | q - 1)."""
+    b = np.arange(q)
+    return b + q * ((np.arange(p)[:, None] - b) % p)
 
 
 def _torus_counts(pair: PrimePair, index: np.ndarray):
@@ -83,8 +77,10 @@ def _torus_counts(pair: PrimePair, index: np.ndarray):
     counts its columns."""
     p, q = pair.p, pair.q
     view = index.reshape(q, p * q)
-    for block in _torus_blocks(p, q):
-        cells = block.ravel()
+    columns = _torus_columns(p, q)
+    step = _per_block(p * q)
+    for b0 in range(0, q, step):
+        cells = columns[:, b0:b0 + step].ravel()   # a row per a, each a row of pq
         # cell i of the block with label ell: key i(q + 1) + ell + 1
         keys = view[:, cells] + np.arange(1, (q + 1) * cells.size, q + 1)
         counts = np.bincount(keys.ravel(), minlength=(q + 1) * cells.size)
@@ -164,30 +160,38 @@ def _q2_claims(pair: PrimePair, gens: GroupGenerators):
 
 
 def _q2_columns(pair: PrimePair, gens: GroupGenerators,
-                index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                index: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2,
     a block of the _q2_claims at a time: whether each coset misses its
     multiset mod q^2, and the keys coset * q^2 + r that an odd number of
-    units hold."""
+    units hold; and, from the same blocks, each of whole torus columns b,
+    whether the labelled indicator, the cosets' sum, is nonzero mod Phi_{pq^2}."""
     p, q = pair.p, pair.q
     q2 = q * q
     view = index.reshape(p, q2)
-    bad, odd = np.zeros(q, dtype=bool), []
+    rows = _torus_columns(p, q) // q   # the row i = (a - b) mod p of cell (a, b)
+    first = view[:, None, :q] >= 0   # the parts' torus column b = 0, cell (i, 0) in row i
+    bad, odd, off_phi_n = np.zeros(q, dtype=bool), [], False
     for r0, claims in _q2_claims(pair, gens):
         block = view[:, r0:r0 + claims.size]
+        labelled = block >= 0
         hit = block == claims
         per_column = hit.sum(axis=0)
         # the claims (claims[r], r) not held p - 1 times, among them, as p - 1
         # is even, all those held an odd number of times
         r = np.flatnonzero((claims >= 0) & (per_column != p - 1))
-        off = (block >= 0) > hit   # labelled, but not with the claim
+        off = labelled > hit   # labelled, but not with the claim
         if r.size or off.any():   # else the block has nothing to collect
             keys, counts = claims[r] * q2 + (r0 + r), per_column[r]
             j, c = np.divmod(np.flatnonzero(off), claims.size)
             stray, times = np.unique(block[j, c] * np.int64(q2) + (r0 + c), return_counts=True)
             bad[np.concatenate([keys, stray]) // q2] = True
             odd += [keys[counts % 2 == 1], stray[times % 2 == 1]]
-    return bad, np.concatenate(odd or [np.zeros(0, dtype=np.int64)])
+        # the block's parts on the torus, a row per a and a column per b
+        b0, b = r0 // q, np.arange(claims.size // q)
+        parts = labelled.reshape(p, b.size, q)[rows[:, b0:b0 + b.size], b]
+        off_phi_n |= _off_phi_pq(parts, first).any()
+    return bad, np.concatenate(odd or [np.zeros(0, dtype=np.int64)]), bool(off_phi_n)
 
 
 def _check_residue_multisets(pair: PrimePair, torus: _Torus,
@@ -231,25 +235,6 @@ def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
     return sorted(set((np.flatnonzero(counts % q) // q).tolist()))
 
 
-def _off_phi_n(pair: PrimePair, index: np.ndarray) -> bool:
-    """Whether the sum over all cosets, the indicator of labels 0..q-1, is
-    nonzero mod the pq^2 cyclotomic Phi_pq(x^q): exactly when one of its q
-    polyphase parts (bits j, j + q, j + 2q, ...) is nonzero mod Phi_pq, since
-    part j of the remainder is the remainder of part j and the parts have
-    disjoint supports.  Row i of the (pq, q) view holds bit i of every part,
-    at the cell of i on the torus; the rows of a block of torus columns b are
-    read at a time, as in _torus_counts."""
-    p, q = pair.p, pair.q
-    view = index.reshape(p * q, q)
-    for i, rows in enumerate(_torus_blocks(p, q)):
-        parts = view[rows] >= 0
-        if i == 0:
-            first = parts[:, :1]
-        if _off_phi_pq(parts, first).any():
-            return True
-    return False
-
-
 def _check_congruences(pair: PrimePair, torus: _Torus, odd_q2: np.ndarray,
                        off_phi_n: bool) -> dict[str, list[str]]:
     q = pair.q
@@ -283,7 +268,7 @@ def residue_failures(pair: PrimePair, gens: GroupGenerators,
     """The coset sizes |D_0|, ..., |D_(q-1)|, read off the torus counts, and
     the failure messages of each of lemmas 5-9, empty where it holds."""
     torus = _torus_verdicts(pair, _torus_counts(pair, index))
-    bad_q2, odd_q2 = _q2_columns(pair, gens, index)
+    bad_q2, odd_q2, off_phi_n = _q2_columns(pair, gens, index)
     failures = _check_residue_multisets(pair, torus, bad_q2)
-    failures.update(_check_congruences(pair, torus, odd_q2, _off_phi_n(pair, index)))
+    failures.update(_check_congruences(pair, torus, odd_q2, off_phi_n))
     return torus.mod_p.sum(axis=1), failures

@@ -15,9 +15,10 @@ for Phi_{q^2} on random key sets.  The torus counts, summed over either axis
 and read at each class mod pq, are checked against one bincount per modulus,
 the q^2 columns against the sorted keys and counts of np.unique, the torus
 test for Phi_pq, Phi_p and Phi_q against one reduction per row, and the
-polyphase test of lemma 9's pq^2 term against one reduction of the whole
-indicator.  Every check walks its input in blocks, and the audit with blocks
-of 1, 7 and 64 entries must match the audit with the default block.
+polyphase test of lemma 9's pq^2 term, read in the q^2 pass, against one
+reduction of the whole indicator, with the default blocks and blocks of 1, 7
+and 64 entries.  Every check walks its input in blocks, and the audit with
+blocks of 1, 7 and 64 entries must match the audit with the default block.
 """
 
 import ast
@@ -411,11 +412,11 @@ class TestIndexShape:
 
 
 def table_congruences(pair, index) -> dict[str, list[str]]:
-    """The lemma 8 and 9 messages, from the torus counts, the q^2 columns and
-    the polyphase parts."""
+    """The lemma 8 and 9 messages, from the torus counts and the q^2 columns,
+    whose pass also reads the polyphase parts."""
     torus = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
-    _, odd_q2 = rs._q2_columns(pair, derive_generators(pair), index)
-    return rs._check_congruences(pair, torus, odd_q2, rs._off_phi_n(pair, index))
+    _, odd_q2, off_phi_n = rs._q2_columns(pair, derive_generators(pair), index)
+    return rs._check_congruences(pair, torus, odd_q2, off_phi_n)
 
 
 def residue_congruences(residues: dict[int, list[int]], pair, summed_n: int) -> dict[str, list[str]]:
@@ -553,7 +554,7 @@ class TestResidueTables:
             # entry (ell, a, b), from the blocks of columns b
             torus = np.concatenate(list(rs._torus_counts(pair, index)), axis=1)[..., 1:].transpose(2, 0, 1)
             verdicts = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
-            bad_q2, odd_q2 = rs._q2_columns(pair, gens, index)
+            bad_q2, odd_q2, off_phi_n = rs._q2_columns(pair, gens, index)
             tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
                       p * q: torus.reshape(q, p * q)[:, np.argsort(rs._torus_columns(p, q).ravel())]}
             per_modulus = oracles.residue_tables(pair, index)
@@ -576,8 +577,8 @@ class TestResidueTables:
             got = rs._check_residue_multisets(pair, verdicts, bad_q2)
             assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
             assert any(got.values()) == (variant is not None), (p, q)
-            # lemma 9's pq^2 term reads the labels 0..q-1
-            lemma9 = rs._check_congruences(pair, verdicts, odd_q2, rs._off_phi_n(pair, index))["lemma9"]
+            # lemma 9's pq^2 term, read in the q^2 pass, reads the labels 0..q-1
+            lemma9 = rs._check_congruences(pair, verdicts, odd_q2, off_phi_n)["lemma9"]
             assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
     def test_q2_targets_are_disjoint(self):
@@ -628,12 +629,18 @@ class TestResidueTables:
 
 class TestLemma9PhiN:
     """Lemma 9's pq^2 term sums the labels 0..q-1 and reduces the q polyphase
-    parts of that indicator by Phi_pq, since Phi_{pq^2}(x) = Phi_pq(x^q)."""
+    parts of that indicator by Phi_pq, since Phi_{pq^2}(x) = Phi_pq(x^q).  The
+    parts are read in the blocks of the q^2 pass, each of whole torus columns
+    b; with blocks of one column (rs._BLOCK = 1) a block compared with its own
+    first column, not with column b = 0, would let every one-flag flip through."""
 
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
     @pytest.mark.parametrize("p,q", [(3, 7), (3, 13)])
-    def test_verdict_matches_whole_reduction(self, p, q):
+    def test_verdict_matches_whole_reduction(self, monkeypatch, p, q, block):
         # the clean indicator, each one-flag flip of it, and multiples of
         # Phi_N (of degree below N) with and without one flag flipped
+        if block:
+            monkeypatch.setattr(rs, "_BLOCK", block)
         pair = PrimePair.create(p, q)
         n = pair.period
         phi_n = cyclotomic_f2(n).bits

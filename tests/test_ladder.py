@@ -59,8 +59,10 @@ def test_audit_reports_every_pair_ok(ladder):
     assert out["lemma_failures"]["3,7"]["ok"]
     result = out["lemma_failures"]["3,7"]
     assert all(result[stage] >= 0
-               for stage in ("table_s", "partition_s", "torus_s", "columns_s", "parts_s",
+               for stage in ("table_s", "partition_s", "torus_s", "columns_s",
                              "lemmas_5_7_s", "lemmas_8_9_s"))
+    # the polyphase parts of lemma 9's pq^2 term are read in the q^2 pass
+    assert "parts_s" not in result
     # the traced peak of one lemma_failures run, whole and per position
     assert result["traced_mb"] > 0
     assert result["bytes_per_position"] == result["traced_mb"] * 2 ** 20 / 147
@@ -75,3 +77,20 @@ def test_audit_reports_every_pair_ok(ladder):
     peaks = out["structure_1000"]["traced_peak_mb_by_pair"]
     assert list(peaks) == ["3,7", "3,13", "5,11"]
     assert out["structure_1000"]["traced_peak_mb"] == max(peaks.values()) > 0
+
+
+def test_alternating_audit_of_the_tree_against_itself(ladder):
+    # --against: lemma_failures in both trees, a fresh interpreter per tree
+    # and round, the tree that runs first alternating
+    out = ladder.alternating(["3,7"], {"change": ladder.ROOT, "self": ladder.ROOT}, 2)
+    assert out["rounds"] == 2 and out["best_of"] == ladder.BEST_OF
+    assert out["first"] == ["change", "self"]
+    entry = out["3,7"]
+    assert list(entry) == ["change", "self"]
+    for side in entry.values():
+        assert len(side["seconds_runs"]) == 2 and all(t > 0 for t in side["seconds_runs"])
+        assert side["median"] == sum(side["seconds_runs"]) / 2
+        low, high = side["quartiles"]
+        assert low <= side["median"] <= high
+    # a round is won by the strictly faster tree, so at most one per round
+    assert entry["change"]["rounds_faster"] + entry["self"]["rounds_faster"] <= 2

@@ -276,16 +276,27 @@ class TestAuditStructure:
 
 
 class TestMemory:
-    def test_lemma_failures_streams_the_index(self):
-        # past the index every stage holds one block and tables of O(pq) or
-        # q^2 entries; one int64 array of N = 98283 entries alone is 0.75 MiB
-        pair = PrimePair.create(3, 181)
+    @staticmethod
+    def traced(p, q):
+        """lemma_failures on the clean index of (p, q), and its traced peak."""
+        pair = PrimePair.create(p, q)
         index = build_partition(pair)
         tracemalloc.start()
         try:
             failures = lemma_failures(pair, index)
-            peak = tracemalloc.get_traced_memory()[1]
+            return failures, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_lemma_failures_streams_the_index(self):
+        # past the index every stage holds one block and tables of O(pq) or
+        # q^2 entries; one int64 array of N = 98283 entries alone is 0.75 MiB
+        failures, peak = self.traced(3, 181)
         assert not any(failures.values())
         assert peak <= 0.7 * 2 ** 20, peak
+
+    def test_lemma_failures_at_the_largest_pair_in_budget(self):
+        # (3, 577), N = 998787, walks the most blocks: 145 of 4 torus columns
+        failures, peak = self.traced(3, 577)
+        assert not any(failures.values())
+        assert peak <= 0.35 * 2 ** 20, peak
