@@ -6,6 +6,7 @@ and the package under src/ (nothing is installed):
     python3 bench/ladder.py --label change --out BENCH.json
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
     python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
+    python3 bench/ladder.py --label change --out BENCH.json --pairs --large 3,2011
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
@@ -18,7 +19,9 @@ hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
 `match` compares the two routes.  Beside the stages, one more untimed
 `generate_threshold` runs under tracemalloc for its traced peak
 (`table_pack_traced_mb`, and `table_pack_bytes_per_position`, that peak over
-N).  `plan_s` and `bm_s` are not comparable with the `blocks_fold_s`,
+N), and for pairs with p | q-1 one more `build_partition`
+(`partition_traced_mb`, `partition_bytes_per_position`).  `plan_s` and
+`bm_s` are not comparable with the `blocks_fold_s`,
 `components_s` and `gcd_s` of earlier BENCH files, which timed the fold and
 each walk apart.  Cyclotomic caches are cleared
 before every run, so each stage starts cold as in one command-line call.  It
@@ -54,6 +57,13 @@ interpreter, for its seconds and the interpreter's peak resident memory
 would read this script's own peak, which a child started by fork and exec
 inherits).  All are medians of --repeats.  `--pairs` with no pairs skips the ladder.
 
+With --large P,Q (default 3,2011, N = 12,132,363, past the default budget;
+an empty value skips it) the budget is raised to that period for one more
+stage, "large_P_Q": the traced peaks of `build_partition` and
+`generate_threshold` and their seconds (medians of --repeats), and the
+structure command on that pair in a fresh interpreter, for its seconds and
+peak resident memory.  No LC route runs there.
+
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.  Each
 label is its own invocation, at its own time, so a change of the host between
@@ -63,10 +73,14 @@ the audit changed, shows how far the host moved.  With --against OTHER=PATH,
 naming a second source checkout, the audit stage also times `lemma_failures`
 at each audit pair in both trees, alternately: --repeats rounds, each of one
 fresh interpreter per tree (the tree that runs first alternates by round),
-timing the best of BEST_OF calls per pair.  The rounds go under "audit" ->
-"alternating", per pair and per label (LABEL for this tree, OTHER for the
-other): the seconds of each round, their median and quartiles, and the
-rounds in which each tree was the faster.
+timing the best of BEST_OF calls per pair, and in the same way
+`build_partition` and `generate_threshold`.  The rounds go under "audit" ->
+"alternating", per stage, pair and label (LABEL for this tree, OTHER for
+the other): the seconds of each round, their median and quartiles, the
+rounds in which each tree was the faster, and the median over the rounds of
+its seconds over the other tree's in the same round (`ratio_median`, below
+1 where this tree is faster), a paired statistic that a change of host
+between rounds moves less than the medians.
 """
 
 from __future__ import annotations
@@ -84,6 +98,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -92,6 +107,7 @@ sys.path.insert(0, str(SRC))
 from eqseq import (  # noqa: E402
     PrimePair,
     audit_structure,
+    build_partition,
     build_table,
     derive_generators,
     generate_threshold,
@@ -107,7 +123,9 @@ from eqseq.cli import enumerate_pairs  # noqa: E402
 
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
 AUDIT_PAIRS = ["5,41", "3,181", "17,239", "3,577"]   # N = 8405, 98283, 971057 and 998787
-BEST_OF = 15   # lemma_failures calls per pair and round of the alternating audit
+BEST_OF = 15   # calls per stage, pair and round of the alternating audit
+LARGE = "3,2011"   # N = 12,132,363: the index and the threshold past the default budget
+ALTERNATED = ("lemma_failures", "build_partition", "generate_threshold")
 SLOWEST = "17,239"   # slowest verify in budget: BM goes as phi(N)^2 / t, t = 4 here, 8 at (3,577)
 
 
@@ -187,15 +205,44 @@ def ladder(pairs: list[str], repeats: int) -> dict:
         runs = [one_run(pair) for _ in range(repeats)]
         stages = {name: statistics.median(r[name] for r, _ in runs) for name in runs[0][0]}
         lcs = runs[0][1]
-        peak = traced_peak(generate_threshold, pair)
-        out[text] = {"N": pair.period, "median_of": repeats, "stages": stages,
-                     "table_pack_traced_mb": peak / 2 ** 20,
-                     "table_pack_bytes_per_position": peak / pair.period, **lcs,
+        peaks = traced_peaks(pair)
+        out[text] = {"N": pair.period, "median_of": repeats, "stages": stages, **peaks, **lcs,
                      "match": lcs["lc_gcd"] == lcs["lc_bm"]
                      and lcs["lc_predicted"] in (None, lcs["lc_gcd"])}
         print(f"({text}) N={pair.period} " + " ".join(
             f"{k}={v:.3f}" for k, v in stages.items())
-            + f" table_pack_traced={peak / pair.period:.1f} B/position", file=sys.stderr)
+            + "".join(f" {k}={v:.2f}" for k, v in peaks.items() if k.endswith("position")),
+            file=sys.stderr)
+    return out
+
+
+def traced_peaks(pair: PrimePair) -> dict:
+    """The traced peaks of generate_threshold and, where p | q-1,
+    build_partition, whole and per position."""
+    stages = {"table_pack": generate_threshold}
+    if pair.divides:
+        stages["partition"] = build_partition
+    out = {}
+    for name, fn in stages.items():
+        peak = traced_peak(fn, pair)
+        out[f"{name}_traced_mb"], out[f"{name}_bytes_per_position"] = peak / 2 ** 20, peak / pair.period
+    return out
+
+
+def large(text: str, repeats: int) -> dict:
+    """At one pair past the default budget, with the budget raised to its
+    period: the traced peaks and median seconds of build_partition and
+    generate_threshold, and the structure command in a fresh interpreter."""
+    pair = PrimePair.create(*(int(v) for v in text.split(",")))
+    # the raised budget reaches the fresh interpreter through the environment
+    with mock.patch.dict(os.environ, EQSEQ_MAX_PERIOD=str(pair.period)):
+        out = {"N": pair.period, "median_of": repeats, **traced_peaks(pair)}
+        for name, fn in (("partition_s", build_partition), ("table_pack_s", generate_threshold)):
+            out[name] = statistics.median(timed(fn, pair)[1] for _ in range(repeats))
+        out["structure_cli"] = structure_cli([pair], repeats)
+    print(f"({text}) N={pair.period}: partition traced {out['partition_traced_mb']:.2f} MiB, "
+          f"threshold traced {out['table_pack_traced_mb']:.2f} MiB, structure peak RSS "
+          f"{out['structure_cli']['peak_rss_mb']:.1f} MB", file=sys.stderr)
     return out
 
 
@@ -244,30 +291,36 @@ def residue_stages(pair: PrimePair, gens, index) -> dict:
 
 
 # one round of the alternating audit in one tree: for each pair from argv, the
-# best of argv[2] calls of lemma_failures on its coset index, built beforehand
-LEMMA_FAILURES = """
+# best of argv[2] calls of lemma_failures on its coset index, built beforehand,
+# and of build_partition and generate_threshold
+ALTERNATING = """
 import json, sys, time
-from eqseq import PrimePair, build_partition, lemma_failures
-best = {}
+from eqseq import PrimePair, build_partition, generate_threshold, lemma_failures
+best = {"lemma_failures": {}, "build_partition": {}, "generate_threshold": {}}
 for text in json.loads(sys.argv[1]):
     pair = PrimePair.create(*(int(v) for v in text.split(",")))
-    index, seconds = build_partition(pair), []
-    for _ in range(int(sys.argv[2])):
-        start = time.perf_counter()
-        failures = lemma_failures(pair, index)
-        seconds.append(time.perf_counter() - start)
-        if any(failures.values()):
-            raise SystemExit(f"lemma_failures ({text}): {failures}")
-    best[text] = min(seconds)
+    index = build_partition(pair)
+    for name, call in (("lemma_failures", lambda: lemma_failures(pair, index)),
+                       ("build_partition", lambda: build_partition(pair)),
+                       ("generate_threshold", lambda: generate_threshold(pair))):
+        seconds = []
+        for _ in range(int(sys.argv[2])):
+            start = time.perf_counter()
+            result = call()
+            seconds.append(time.perf_counter() - start)
+        if name == "lemma_failures" and any(result.values()):
+            raise SystemExit(f"lemma_failures ({text}): {result}")
+        best[name][text] = min(seconds)
 print(json.dumps(best))
 """
 
 
 def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
-    """Per pair and per tree (two labels, each naming a source checkout), the
-    best-of-BEST_OF seconds of lemma_failures in each of the rounds, each
+    """Per stage of ALTERNATED, pair and tree (two labels, each naming a
+    source checkout), the best-of-BEST_OF seconds in each of the rounds, each
     round one fresh interpreter per tree, the first tree alternating; their
-    median and quartiles, and the rounds in which the tree was the faster."""
+    median and quartiles, the rounds in which the tree was the faster, and
+    the median per-round ratio of its seconds to the other tree's."""
     labels = list(trees)
     seconds: dict[str, list[dict]] = {label: [] for label in labels}
     first = []
@@ -275,23 +328,26 @@ def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
         order = labels if k % 2 == 0 else labels[::-1]
         first.append(order[0])
         for label in order:
-            argv = [sys.executable, "-c", LEMMA_FAILURES, json.dumps(pairs), str(BEST_OF)]
+            argv = [sys.executable, "-c", ALTERNATING, json.dumps(pairs), str(BEST_OF)]
             env = dict(os.environ, PYTHONPATH=str(trees[label] / "src"))
             proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
             seconds[label].append(json.loads(proc.stdout))
     out: dict = {"rounds": rounds, "best_of": BEST_OF, "first": first}
-    for text in pairs:
-        runs = {label: [run[text] for run in seconds[label]] for label in labels}
-        entry = out[text] = {}
+    for stage, text in ((stage, text) for stage in ALTERNATED for text in pairs):
+        runs = {label: [run[stage][text] for run in seconds[label]] for label in labels}
+        entry = out.setdefault(stage, {})[text] = {}
         for label, rival in zip(labels, labels[::-1]):
             values = runs[label]
             entry[label] = {
                 "seconds_runs": values, "median": statistics.median(values),
                 "quartiles": statistics.quantiles(values, n=4)[::2] if rounds > 1 else values * 2,
-                "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival]))}
-        print(f"lemma_failures ({text}) alternating, median of {rounds}: " + " ".join(
+                "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival])),
+                "ratio_median": statistics.median(
+                    mine / theirs for mine, theirs in zip(values, runs[rival]))}
+        print(f"{stage} ({text}) alternating, median of {rounds}: " + " ".join(
             f"{label}={entry[label]['median'] * 1e3:.2f} ms "
-            f"(faster in {entry[label]['rounds_faster']})" for label in labels), file=sys.stderr)
+            f"(faster in {entry[label]['rounds_faster']}, "
+            f"ratio {entry[label]['ratio_median']:.3f})" for label in labels), file=sys.stderr)
     return out
 
 
@@ -396,6 +452,9 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--scan", type=int, default=100_000, help="period bound of the timed scan")
     ap.add_argument("--full-scan", action="store_true", help="also scan to 1000000 once")
+    ap.add_argument("--large", default=LARGE, metavar="P,Q",
+                    help="pair past the default budget for the index and threshold peaks "
+                         "and the structure command ('' skips it)")
     ap.add_argument("--against", metavar="OTHER=PATH",
                     help="also time lemma_failures alternately in the source checkout at PATH, "
                          "recorded under the label OTHER")
@@ -407,6 +466,8 @@ def main() -> int:
 
     run = {"ladder": ladder(args.pairs, args.repeats),
            "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
+    if args.large:
+        run[f"large_{args.large.replace(',', '_')}"] = large(args.large, args.repeats)
     if args.against:
         trees = {args.label: ROOT, other: Path(path).resolve()}
         run["audit"]["alternating"] = alternating(AUDIT_PAIRS, trees, args.repeats)

@@ -13,8 +13,10 @@ affine in k on each residue class.  `_residue_quotients` takes psi(r) from
 one modular power per unit r mod pq, by the same checked formula as
 `euler_quotient`, and the step phi*r^-1 from one modular inverse, and checks
 row 1 against one more modular power per unit: a right step for every r
-gives every other row by the affine law.  `_lift` carries both to the
-period, in int32 while N - q < 2^31 and int64 past it.
+gives every other row by the affine law.  `_lift_rows` carries both to the
+period a block of rows at a time, in int32 while N - q < 2^31 and int64 past
+it, so that each consumer keeps only what it reads: `build_table` the psi
+table, and `sequence.generate_threshold` one flag per position.
 
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
@@ -22,6 +24,8 @@ sequence definition and the structural checks elsewhere in the package.
 `build_partition` lifts it from the same residues with no psi table: p
 divides pq, so psi(r + k*pq) is divisible by p for every k exactly when
 psi(r) and the step are, and then ell(r + k*pq) = psi(r)/p + k*step/p mod q.
+It writes the labels into an int16 array, which limits.check_exact keeps
+sound: within the audit's exact range q < 2^15.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .limits import check_budget
+from .limits import check_budget, check_exact, per_block
 from .ntcore import GroupGenerators, PrimePair, crt_lift, find_common_primitive_root, wieferich_ok
 
 
@@ -125,24 +129,43 @@ def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
     return psi, step
 
 
-def _lift(base: np.ndarray, step: np.ndarray, modulus: int, count: int) -> np.ndarray:
-    """Row k holds (base + k*step) mod modulus for k < count, with base and
-    step in [0, modulus): int32 while k*step + base, at most count*(modulus -
-    1), fits it, and int64 past that."""
-    dtype = np.int32 if count * (modulus - 1) < 2**31 else np.int64
-    rows = np.arange(count, dtype=dtype)[:, None] * step.astype(dtype)
-    rows += base.astype(dtype)
-    rows %= modulus
-    return rows
+def _lift_dtype(modulus: int, count: int) -> type:
+    """int32 while k*step + base, at most count*(modulus - 1), fits it, and
+    int64 past that."""
+    return np.int32 if count * (modulus - 1) < 2**31 else np.int64
+
+
+def _lift_rows(base: np.ndarray, step: np.ndarray, modulus: int, count: int):
+    """Rows k < count of (base + k*step) mod modulus, with base and step in
+    [0, modulus), a block of per_block(len(base)) rows at a time: yields
+    (k0, rows) for k0 ascending, rows k0, k0 + 1, ... computed in place in
+    one buffer that the next block overwrites, in the _lift_dtype."""
+    dtype = _lift_dtype(modulus, count)
+    base, step = base.astype(dtype), step.astype(dtype)
+    height = min(per_block(base.size), count)
+    k = np.arange(height, dtype=dtype)[:, None]
+    buffer, whole = np.empty((2, height, base.size), dtype=dtype)
+    for k0 in range(0, count, height):
+        rows, below = buffer[:count - k0], whole[:count - k0]
+        np.multiply(k[:len(rows)] + k0, step, out=rows)
+        rows += base
+        # rows mod modulus, as rows - modulus * floor(rows / modulus): numpy
+        # divides by a scalar several times faster than it takes a remainder
+        np.floor_divide(rows, modulus, out=below)
+        below *= modulus
+        rows -= below
+        yield k0, rows
 
 
 def build_partition(pair: PrimePair) -> np.ndarray:
-    """The coset index over one full period as an int32 array: psi(t)/p on
-    the units of Z_{pq^2}, -1 elsewhere, lifted from the residues mod pq.
-    Refused past the budget, where row 1 of the lift fails its check, and
-    where some unit's psi is not divisible by p, naming the first such t."""
+    """The coset index over one full period as an int16 array: psi(t)/p on
+    the units of Z_{pq^2}, -1 elsewhere, lifted from the residues mod pq a
+    block of rows at a time.  Refused past the budget or the audit's exact
+    range, where row 1 of the lift fails its check, and where some unit's
+    psi is not divisible by p, naming the first such t."""
     pair.require_divides()
     check_budget("period", pair.period)
+    check_exact(pair.period)
     p, q = pair.p, pair.q
     psi, step = _residue_quotients(pair)
     # mod p, row k is psi + k*step: p divides every row exactly when it divides
@@ -152,9 +175,13 @@ def build_partition(pair: PrimePair) -> np.ndarray:
         if stray.size:
             r = int(stray[0])
             raise InternalConsistencyError(f"psi({r + k * p * q}) = {row[r]} not divisible by p={p}")
-    index = _lift(psi // p, step // p, q, q)
-    index[:, ~unit_residues(pair)] = -1
-    return index.astype(np.int32, copy=False).reshape(-1)
+    units = unit_residues(pair)
+    # off the units base and step are 0, so each row is 0 there, and 1 less is -1
+    off = (~units).astype(np.int16)
+    index = np.empty((q, p * q), dtype=np.int16)
+    for k0, rows in _lift_rows(psi // p * units, step // p * units, q, q):
+        np.subtract(rows, off, out=index[k0:k0 + len(rows)])
+    return index.reshape(-1)
 
 
 def build_table(pair: PrimePair) -> np.ndarray:
@@ -163,7 +190,10 @@ def build_table(pair: PrimePair) -> np.ndarray:
     0 for non-units.  Refused with ResourceError past the budget."""
     check_budget("period", pair.period)
     psi, step = _residue_quotients(pair)
+    pq, q = pair.p * pair.q, pair.q
+    values = np.empty((q, pq), dtype=_lift_dtype(pq, q))
     # row k holds t = r + k*pq; non-unit columns stay 0 since psi and step are 0
-    values = _lift(psi, step, pair.p * pair.q, pair.q)
+    for k0, rows in _lift_rows(psi, step, pq, q):
+        values[k0:k0 + len(rows)] = rows
     values.flags.writeable = False
     return values.reshape(-1)

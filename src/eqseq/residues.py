@@ -18,7 +18,7 @@ supports.  Bit iq + b of part j is at row i, column bq + j of that view and
 at torus cell ((i + b) mod p, b) as q = 1 mod p: the q^2 pass reads the parts.
 
 Every check of the audit streams: it walks the index, or the units it maps,
-in blocks of about _BLOCK entries and keeps only what its verdict reads.
+in blocks of about limits.BLOCK entries and keeps only what its verdict reads.
 Past the index and one block the audit holds tables of O(pq) entries and
 the q^2 keys held an odd number of times (none for a sound index); lemma 7's
 claims are lifted a block at a time from q Fermat quotients.  The torus is
@@ -33,24 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .limits import per_block
 from .ntcore import GroupGenerators, PrimePair
-
-# entries per block of the streamed checks: each walks the coset index, or a
-# product of generator powers, this many at a time (at least one row of its
-# view) and keeps only what its verdict reads
-_BLOCK = 1 << 13
-
-
-def _per_block(row_len: int = 1) -> int:
-    """Rows of row_len entries per block of the streamed checks, at least one."""
-    return max(1, _BLOCK // row_len)
-
 
 def _powers(base: int, count: int, n: int) -> np.ndarray:
     """base^0, base^1, ..., base^(count-1) mod n, doubling the filled prefix.
     Each product here and in the audit's streamed checks multiplies two
-    residues below n, so it stays below n^2 and is exact in int64 while
-    n < 3.03e9."""
+    residues below n, so it stays below n^2 and is exact in int64 while n is
+    at most limits.EXACT_PERIOD, which the audit checks first."""
     out = np.empty(count, dtype=np.int64)
     out[:1] = 1 % n
     k = 1
@@ -78,7 +68,7 @@ def _torus_counts(pair: PrimePair, index: np.ndarray):
     p, q = pair.p, pair.q
     view = index.reshape(q, p * q)
     columns = _torus_columns(p, q)
-    step = _per_block(p * q)
+    step = per_block(p * q)
     for b0 in range(0, q, step):
         cells = columns[:, b0:b0 + step].ravel()   # a row per a, each a row of pq
         # cell i of the block with label ell: key i(q + 1) + ell + 1
@@ -149,7 +139,7 @@ def _q2_claims(pair: PrimePair, gens: GroupGenerators):
     inverse = pow(pow(gens.ghat, q - 1, q2) // q, -1, q)   # 1 / FQ(ghat)
     lift = np.array([pow(s, q - 2, q2) for s in range(q)])   # s^(q-1) / s mod q^2
     slope = lift % q * inverse % q   # the fall of the claim of s + kq as k rises by 1
-    rows = np.arange(_per_block(pair.p * q))[:, None]
+    rows = np.arange(per_block(pair.p * q))[:, None]
     claims = (lift * np.arange(q) % q2 // q * inverse - rows * slope) % q   # row k, column s
     claims[:, 0] = -1   # the non-units, which slope 0 keeps
     rise = -rows.size * slope % q

@@ -2,7 +2,9 @@
 
 Bit t is 1 exactly when the Euler quotient psi(t), as an integer in [0, pq),
 satisfies 2*psi(t) >= pq, i.e. psi(t) >= (pq + 1)/2 since pq is odd: pure
-integer arithmetic, with no floating point anywhere.
+integer arithmetic, with no floating point anywhere.  The threshold lifts
+psi from the residues mod pq a block of rows at a time and keeps only the
+flags, so it builds no psi table.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eulerq
 from .errors import DomainError, InternalConsistencyError
-from .eulerq import build_table
+from .limits import check_budget
 from .ntcore import PrimePair
 
 
@@ -46,8 +49,14 @@ def pack_flags(flags: np.ndarray) -> int:
 def generate_threshold(pair: PrimePair) -> BitSequence:
     """The threshold sequence of one full period pq^2.  When p | q-1 its ones
     are the (q-1)/2 upper cosets of phi(pq) units each, and a period of any
-    other weight is refused."""
-    bits = pack_flags(build_table(pair) >= (pair.p * pair.q + 1) // 2)
+    other weight is refused, as is a period past the budget."""
+    check_budget("period", pair.period)
+    psi, step = eulerq._residue_quotients(pair)
+    pq = pair.p * pair.q
+    flags = np.empty((pair.q, pq), dtype=bool)
+    for k0, rows in eulerq._lift_rows(psi, step, pq, pair.q):
+        np.greater_equal(rows, (pq + 1) // 2, out=flags[k0:k0 + len(rows)])
+    bits = pack_flags(flags)
     expected = (pair.q - 1) // 2 * pair.phi_pq
     if pair.divides and bits.bit_count() != expected:
         raise InternalConsistencyError(

@@ -1,10 +1,12 @@
 """Structural audit of the coset partition behind the threshold sequence.
 
-The partition is the coset index itself, one int32 array over a period:
-index[t] = psi(t)/p on the units of Z_{pq^2} and -1 elsewhere, so
-D_ell = {t : index[t] == ell}.  Its length N = pq^2 fixes the pair, and
-lemma_failures refuses (sequence.check_index) an index that is not one period
-long, is not an array of signed integers, or has a label outside -1..q-1.
+The partition is the coset index itself, one array of signed integers over
+a period (build_partition gives int16): index[t] = psi(t)/p on the units of
+Z_{pq^2} and -1 elsewhere, so D_ell = {t : index[t] == ell}.  Its length
+N = pq^2 fixes the pair, and lemma_failures refuses (sequence.check_index) an
+index that is not one period long, is not an array of signed integers, or
+has a label outside -1..q-1; before that it refuses a period past the range
+in which its int64 products of two residues are exact (limits.check_exact).
 Eight facts are checked per pair: the quotient map is a surjective
 homomorphism with the stated kernel and image; the units split into q cosets
 of equal size; multiplication translates cosets; reductions of a coset modulo
@@ -38,8 +40,9 @@ import numpy as np
 
 from . import residues
 from .eulerq import build_partition, derive_generators, two_coset_index
+from .limits import check_exact, per_block
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-from .residues import _per_block, _powers
+from .residues import _powers
 from .sequence import check_index
 
 
@@ -65,7 +68,7 @@ def _check_additivity(pair: PrimePair, index: np.ndarray, sizes: np.ndarray,
     if labelled != (p - 1) * row:
         return [f"index additivity fails: {labelled} positions carry a label, "
                 f"expected (p-1)q(q-1) = {(p - 1) * row}"]
-    width = min(row, q * _per_block(q))
+    width = min(row, q * per_block(q))
     powers, stride = _powers(g2, width, n), pow(g2, width, n)
     expected = (np.arange(width) * int(index[g2]) % q).astype(np.int32)   # b * I(g2), b mod width
     for a, start in enumerate(h_powers.tolist()):
@@ -105,7 +108,7 @@ def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
     n, q = pair.period, pair.q
     powers, labels = _powers(gens.ghat, q, n)[1:], np.arange(1, q)
     holds = sizes[1:] == sizes[0]
-    step, width = _per_block(), _per_block(q - 1)
+    step, width = per_block(), per_block(q - 1)
     for start in range(0, n, step):
         d0 = np.flatnonzero(index[start:start + step] == 0)
         d0 += start
@@ -143,6 +146,7 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     One exact additivity test from h and g2 serves lemmas 2 and 4, and the
     residue checks, which also give the coset sizes, serve lemmas 5-9.
     """
+    check_exact(pair.period)
     check_index(pair, index)
     gens = derive_generators(pair)
     sizes, residue_failures = residues.residue_failures(pair, gens, index)

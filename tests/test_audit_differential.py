@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import PrimePair, build_table, derive_generators, eulerq
+from eqseq import PrimePair, build_table, derive_generators, eulerq, limits
 from eqseq import residues as rs
 from eqseq import structverify as sv
 from eqseq.cli import enumerate_pairs
@@ -282,14 +282,14 @@ def default_block_failures() -> list:
 
 
 class TestBlocks:
-    """Each check walks its input in blocks of rs._BLOCK entries (at least a
+    """Each check walks its input in blocks of limits.BLOCK entries (at least a
     row of its view); with blocks of 1, 7 and 64 entries every verdict and
     message is the default block's, the additivity witness among them."""
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_small_blocks(self, monkeypatch, block):
         cases = default_block_failures()
-        monkeypatch.setattr(rs, "_BLOCK", block)
+        monkeypatch.setattr(limits, "BLOCK", block)
         for pair, kind, index, want in cases:
             assert sv.lemma_failures(pair, index) == want, (pair.p, pair.q, kind)
         # and among them lemma 2 names witnesses, which the walk finds by blocks
@@ -364,7 +364,7 @@ class TestBuildPartition:
         t = np.arange(pair.period)
         want = np.where(np.gcd(t, p * q) == 1, build_table(pair) // p, -1)
         index = sv.build_partition(pair)
-        assert index.dtype == np.int32
+        assert index.dtype == np.int16
         assert np.array_equal(index, want)
 
 
@@ -399,7 +399,8 @@ class TestIndexShape:
         # the labels are -1 off the units and a coset 0..q-1 on them; any
         # other is refused before a bincount is sized by it
         pair = PrimePair.create(3, 7)
-        index = corrupt(sv.build_partition(pair), "label_q", 7)
+        # int16 holds no 5,000,000, so the labels are widened first
+        index = corrupt(sv.build_partition(pair).astype(np.int64), "label_q", 7)
         index[index == 7] = label
         tracemalloc.start()
         try:
@@ -599,7 +600,7 @@ class TestResidueTables:
         # the (p, q^2) view with the ell of ghat^ell <g^q> holding r, and the
         # rest -1, in blocks of whole periods q from r0 = 0 on
         if block:
-            monkeypatch.setattr(rs, "_BLOCK", block)
+            monkeypatch.setattr(limits, "BLOCK", block)
         for p, q in enumerate_pairs(10**5 if block else 10**6):
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
@@ -631,7 +632,7 @@ class TestLemma9PhiN:
     """Lemma 9's pq^2 term sums the labels 0..q-1 and reduces the q polyphase
     parts of that indicator by Phi_pq, since Phi_{pq^2}(x) = Phi_pq(x^q).  The
     parts are read in the blocks of the q^2 pass, each of whole torus columns
-    b; with blocks of one column (rs._BLOCK = 1) a block compared with its own
+    b; with blocks of one column (limits.BLOCK = 1) a block compared with its own
     first column, not with column b = 0, would let every one-flag flip through."""
 
     @pytest.mark.parametrize("block", [None, 1, 7, 64])
@@ -640,7 +641,7 @@ class TestLemma9PhiN:
         # the clean indicator, each one-flag flip of it, and multiples of
         # Phi_N (of degree below N) with and without one flag flipped
         if block:
-            monkeypatch.setattr(rs, "_BLOCK", block)
+            monkeypatch.setattr(limits, "BLOCK", block)
         pair = PrimePair.create(p, q)
         n = pair.period
         phi_n = cyclotomic_f2(n).bits

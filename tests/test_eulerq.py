@@ -10,12 +10,16 @@ from eqseq import (
     InternalConsistencyError,
     PrimePair,
     ResourceError,
+    build_partition,
     build_table,
     coset_index,
     derive_generators,
     euler_quotient,
     eulerq,
+    generate_threshold,
+    limits,
 )
+from eqseq.sequence import pack_flags
 
 import oracles
 from golden import SWEEP_PAIRS
@@ -195,10 +199,13 @@ class TestBuildTable:
         # (modulus and count q) q^2 - q, 2^31 - 41,708 at 46341 and
         # 2^31 + 50,974 at 46342; for the psi table (modulus pq, count q)
         # N - q, 2^31 - 20,328 at (3, 26755) and 2^31 + 140,204 at (3, 26756);
-        # past 2^31 int32 would wrap
+        # past 2^31 int32 would wrap; the rows come a block at a time
         base = np.array([0, 1, modulus - 1])
         step = np.array([modulus - 1, 0, modulus - 1])
-        rows = eulerq._lift(base, step, modulus, count)
+        starts, blocks = zip(*((k0, rows.copy())
+                               for k0, rows in eulerq._lift_rows(base, step, modulus, count)))
+        assert list(starts) == list(range(0, count, limits.per_block(3)))
+        rows = np.concatenate(blocks)
         assert rows.dtype == dtype and rows.shape == (count, 3)
         for c in range(3):
             k = np.arange(count, dtype=object)
@@ -210,3 +217,42 @@ class TestBuildTable:
         with pytest.raises(InternalConsistencyError,
                            match=r"t\^phi - 1 not divisible by pq for unit t=2$"):
             build_table(wrong)
+
+
+class TestLiftRows:
+    """_lift_rows yields the lift a block of limits.per_block(len(base)) rows
+    at a time, in one buffer.  With blocks of one row, of seven rows and the
+    default, on the sweep pairs and on two pairs outside p | q-1 (the second
+    with a last block shorter than the rest), the blocks put together are
+    the whole-array formula (base + k*step) mod modulus, and the psi table,
+    the threshold and the coset index read off them are that formula's."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, None], ids=["1", "7", "default"])
+    def test_blocks_match_the_whole_array(self, monkeypatch, rows_per_block):
+        for p, q in SWEEP_PAIRS + [(5, 7), (7, 13)]:
+            pair = PrimePair.create(p, q)
+            pq = p * q
+            if rows_per_block:
+                monkeypatch.setattr(limits, "BLOCK", rows_per_block * pq)
+            psi, step = eulerq._residue_quotients(pair)
+            k = np.arange(q, dtype=np.int64)[:, None]
+            whole = (psi + k * step) % pq
+            assert np.array_equal(self.lifted(psi, step, pq, q), whole), (p, q)
+            assert np.array_equal(build_table(pair), whole.ravel()), (p, q)
+            flags = whole.ravel() >= (pq + 1) // 2
+            assert generate_threshold(pair).bits == pack_flags(flags), (p, q)
+            if pair.divides:
+                labels = (psi // p + k * (step // p)) % q
+                assert np.array_equal(self.lifted(psi // p, step // p, q, q), labels), (p, q)
+                want = np.where(np.gcd(np.arange(pq), pq) == 1, labels, -1)
+                assert np.array_equal(build_partition(pair), want.ravel()), (p, q)
+
+    @staticmethod
+    def lifted(base, step, modulus, count):
+        """The blocks of the lift put together, each checked to start where
+        the last ended and to hold per_block(len(base)) rows but the last."""
+        height = limits.per_block(base.size)
+        blocks = [(k0, rows.copy()) for k0, rows in eulerq._lift_rows(base, step, modulus, count)]
+        assert [k0 for k0, _ in blocks] == list(range(0, count, height))
+        assert [len(rows) for _, rows in blocks] == [min(height, count - k0) for k0, _ in blocks]
+        return np.concatenate([rows for _, rows in blocks])

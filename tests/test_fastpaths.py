@@ -35,6 +35,7 @@ from eqseq import (
     BitSequence,
     Gf2Poly,
     PrimePair,
+    build_partition,
     build_table,
     cyclotomic_f2,
     euler_quotient,
@@ -523,8 +524,8 @@ class TestThresholdWeight:
     line (exit 1), not call it a theorem mismatch (exit 3)."""
 
     def test_threshold_one_coset_up(self, monkeypatch, capsys):
-        mutate(monkeypatch, "generate_threshold", ">= (pair.p * pair.q + 1) // 2)",
-               ">= (pair.p * pair.q + 1) // 2 + pair.p)", module=sequence)
+        mutate(monkeypatch, "generate_threshold", "(rows, (pq + 1) // 2,",
+               "(rows, (pq + 1) // 2 + pair.p,", module=sequence)
         monkeypatch.setattr(lincomp, "generate_threshold", sequence.generate_threshold)
         for p, q in WEIGHT_PAIRS:
             code = cli.main(["verify", "--p", str(p), "--q", str(q)])
@@ -823,17 +824,27 @@ class TestEulerTableDifferential:
             values[22] = 0
         assert values[22] == 12
 
-    def test_threshold_peak_per_position(self):
-        # the int32 psi lift (4 bytes per position) and the threshold's flags
-        # (1): an int64 table, or a doubled copy of the table, breaks the bound
-        pair = PrimePair.create(3, 313)
+    @staticmethod
+    def traced_per_position(build, pair):
         tracemalloc.start()
         try:
-            generate_threshold(pair)
-            peak = tracemalloc.get_traced_memory()[1]
+            build(pair)
+            return tracemalloc.get_traced_memory()[1] / pair.period
         finally:
             tracemalloc.stop()
-        assert peak < 6 * pair.period, peak / pair.period
+
+    def test_threshold_peak_per_position(self):
+        # the threshold's flags (1 byte per position) and their packing, with
+        # psi lifted a block of rows at a time: an int32 psi table alone
+        # (4 bytes per position) breaks the bound
+        per_position = self.traced_per_position(generate_threshold, PrimePair.create(3, 313))
+        assert per_position < 2.5, per_position
+
+    def test_partition_peak_per_position(self):
+        # the int16 index (2 bytes per position) and one block of the lift:
+        # an int32 index, or the lift of a whole period, breaks the bound
+        per_position = self.traced_per_position(build_partition, PrimePair.create(3, 313))
+        assert per_position < 3, per_position
 
 
 def parse_outcome(parse, text):

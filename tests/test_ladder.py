@@ -80,17 +80,43 @@ def test_audit_reports_every_pair_ok(ladder):
 
 
 def test_alternating_audit_of_the_tree_against_itself(ladder):
-    # --against: lemma_failures in both trees, a fresh interpreter per tree
-    # and round, the tree that runs first alternating
+    # --against: lemma_failures, build_partition and generate_threshold in
+    # both trees, a fresh interpreter per tree and round, the tree that runs
+    # first alternating
     out = ladder.alternating(["3,7"], {"change": ladder.ROOT, "self": ladder.ROOT}, 2)
     assert out["rounds"] == 2 and out["best_of"] == ladder.BEST_OF
     assert out["first"] == ["change", "self"]
-    entry = out["3,7"]
-    assert list(entry) == ["change", "self"]
-    for side in entry.values():
-        assert len(side["seconds_runs"]) == 2 and all(t > 0 for t in side["seconds_runs"])
-        assert side["median"] == sum(side["seconds_runs"]) / 2
-        low, high = side["quartiles"]
-        assert low <= side["median"] <= high
-    # a round is won by the strictly faster tree, so at most one per round
-    assert entry["change"]["rounds_faster"] + entry["self"]["rounds_faster"] <= 2
+    assert [key for key in out if key not in ("rounds", "best_of", "first")] == list(ladder.ALTERNATED)
+    for stage in ladder.ALTERNATED:
+        entry = out[stage]["3,7"]
+        assert list(entry) == ["change", "self"]
+        for side, rival in zip(entry.values(), list(entry.values())[::-1]):
+            assert len(side["seconds_runs"]) == 2 and all(t > 0 for t in side["seconds_runs"])
+            assert side["median"] == sum(side["seconds_runs"]) / 2
+            low, high = side["quartiles"]
+            assert low <= side["median"] <= high
+            # the paired statistic: the median of this tree's seconds over the
+            # other's, round by round
+            ratios = [mine / theirs for mine, theirs in zip(side["seconds_runs"], rival["seconds_runs"])]
+            assert side["ratio_median"] == pytest.approx(sum(ratios) / 2)
+        # a round is won by the strictly faster tree, so at most one per round
+        assert entry["change"]["rounds_faster"] + entry["self"]["rounds_faster"] <= 2
+
+
+def test_ladder_traces_the_index_where_p_divides(ladder):
+    result = ladder.ladder(["3,7"], 1)["3,7"]
+    for name in ("table_pack", "partition"):
+        assert result[f"{name}_traced_mb"] > 0, name
+        assert result[f"{name}_bytes_per_position"] == result[f"{name}_traced_mb"] * 2 ** 20 / 147
+    assert "partition_traced_mb" not in ladder.ladder(["7,3"], 1)["7,3"]
+
+
+def test_large_pair_under_a_raised_budget(ladder, monkeypatch):
+    # the budget is raised to the pair's period for the stage, and restored
+    monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
+    out = ladder.large("3,7", 1)
+    assert ladder.os.environ["EQSEQ_MAX_PERIOD"] == "100"
+    assert out["N"] == 147 and out["partition_traced_mb"] > 0 and out["table_pack_traced_mb"] > 0
+    assert out["partition_s"] > 0 and out["table_pack_s"] > 0
+    command = out["structure_cli"]
+    assert command["pairs"] == command["pairs_ok"] == 1 and command["peak_rss_mb"] > 1

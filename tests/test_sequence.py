@@ -74,7 +74,8 @@ class TestGenerateByCosets:
     def test_label_outside_range(self, pair37, label):
         # -1 and the cosets 0..q-1 are the only labels; the threshold would
         # read any other as a coset that is not there
-        index = build_partition(pair37)
+        # int16 holds no 5,000,000, so the labels are widened first
+        index = build_partition(pair37).astype(np.int64)
         index[1] = label
         with pytest.raises(DomainError, match=rf"^coset index holds label {label}, outside -1\.\.6$"):
             generate_by_cosets(pair37, index)

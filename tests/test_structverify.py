@@ -8,6 +8,7 @@ import pytest
 from eqseq import (
     DomainError,
     PrimePair,
+    ResourceError,
     audit_structure,
     build_partition,
     coset_index,
@@ -18,6 +19,8 @@ from eqseq import (
     lemma_failures,
     two_coset_index,
 )
+from eqseq import cli, eulerq, limits
+from eqseq.cli import EXIT_USAGE
 from eqseq.gf2poly import _int_mod
 
 
@@ -47,7 +50,7 @@ class TestBuildPartition:
         assert all(len(_coset(index, ell)) == 12 for ell in range(7))
         assert sizes.tolist() == [12] * 7
         assert len(_coset(index, -1)) == 63
-        assert index.dtype == np.int32 and len(index) == 147
+        assert index.dtype == np.int16 and len(index) == 147
 
     def test_membership(self, pair37):
         index = build_partition(pair37)
@@ -300,3 +303,48 @@ class TestMemory:
         failures, peak = self.traced(3, 577)
         assert not any(failures.values())
         assert peak <= 0.35 * 2 ** 20, peak
+
+
+class TestExactRange:
+    """The audit multiplies two residues below N in int64, exact while
+    N^2 < 2^63, that is N <= 3,037,000,499.  (3, 31849) is the first
+    qualifying pair past that bound; with the budget raised to 10^10 it is
+    refused before anything is lifted or allocated, with one error line."""
+
+    PAST = "eqseq: error: period 3043076403 exceeds the audit's exact range 3037000499: " \
+        "products of two residues below it overflow int64\n"
+
+    @pytest.fixture(autouse=True)
+    def nothing_lifted(self, monkeypatch):
+        monkeypatch.setenv("EQSEQ_MAX_PERIOD", str(10**10))
+
+        def reached(*args):
+            pytest.fail("the period was lifted past the exact range")
+
+        monkeypatch.setattr(eulerq, "_residue_quotients", reached)
+        monkeypatch.setattr(eulerq, "_lift_rows", reached)
+
+    def test_the_bound(self):
+        assert limits.EXACT_PERIOD ** 2 < 2 ** 63 <= (limits.EXACT_PERIOD + 1) ** 2
+        # the last qualifying pair inside it has q < 2^15, so labels fit int16
+        assert 3 * 31771 ** 2 <= limits.EXACT_PERIOD < 3 * 31849 ** 2
+        assert 31771 < 2 ** 15
+
+    def test_structure_refuses(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main(["structure", "--p", "3", "--q", "31849"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (EXIT_USAGE, "", self.PAST)
+        assert peak < 1 << 20, peak
+
+    def test_build_partition_and_lemma_failures_refuse(self):
+        pair = PrimePair.create(3, 31849)
+        with pytest.raises(ResourceError, match=r"^period 3043076403 exceeds the audit's exact range"):
+            build_partition(pair)
+        # an index of one period that holds no memory: refused before it is read
+        index = np.broadcast_to(np.int16(0), (pair.period,))
+        with pytest.raises(ResourceError, match=r"^period 3043076403 exceeds the audit's exact range"):
+            lemma_failures(pair, index)
