@@ -6,7 +6,6 @@ and the package under src/ (nothing is installed):
     python3 bench/ladder.py --label change --out BENCH.json
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
     python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
-    python3 bench/ladder.py --label change --out BENCH.json --pairs --large 3,2011
 
 For each pair it reports the median over --repeats runs of each stage:
 table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
@@ -57,12 +56,12 @@ interpreter, for its seconds and the interpreter's peak resident memory
 would read this script's own peak, which a child started by fork and exec
 inherits).  All are medians of --repeats.  `--pairs` with no pairs skips the ladder.
 
-With --large P,Q (default 3,2011, N = 12,132,363, past the default budget;
-an empty value skips it) the budget is raised to that period for one more
-stage, "large_P_Q": the traced peaks of `build_partition` and
-`generate_threshold` and their seconds (medians of --repeats), and the
-structure command on that pair in a fresh interpreter, for its seconds and
-peak resident memory.  No LC route runs there.
+At (3,2011), N = 12,132,363, past the default budget, the budget is
+raised to that period for one more stage, "large_3_2011": the traced peaks
+of `build_partition` and `generate_threshold` and their seconds (medians
+of --repeats), and the structure command on that pair in a fresh
+interpreter, for its seconds and peak resident memory.  No LC route runs
+there.
 
 The results go under "runs" -> LABEL in the --out JSON file, which keeps
 the runs of other labels, together with a description of the machine.  Each
@@ -452,9 +451,6 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--scan", type=int, default=100_000, help="period bound of the timed scan")
     ap.add_argument("--full-scan", action="store_true", help="also scan to 1000000 once")
-    ap.add_argument("--large", default=LARGE, metavar="P,Q",
-                    help="pair past the default budget for the index and threshold peaks "
-                         "and the structure command ('' skips it)")
     ap.add_argument("--against", metavar="OTHER=PATH",
                     help="also time lemma_failures alternately in the source checkout at PATH, "
                          "recorded under the label OTHER")
@@ -466,8 +462,7 @@ def main() -> int:
 
     run = {"ladder": ladder(args.pairs, args.repeats),
            "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
-    if args.large:
-        run[f"large_{args.large.replace(',', '_')}"] = large(args.large, args.repeats)
+    run[f"large_{LARGE.replace(',', '_')}"] = large(LARGE, args.repeats)
     if args.against:
         trees = {args.label: ROOT, other: Path(path).resolve()}
         run["audit"]["alternating"] = alternating(AUDIT_PAIRS, trees, args.repeats)

@@ -175,11 +175,10 @@ def build_partition(pair: PrimePair) -> np.ndarray:
         if stray.size:
             r = int(stray[0])
             raise InternalConsistencyError(f"psi({r + k * p * q}) = {row[r]} not divisible by p={p}")
-    units = unit_residues(pair)
     # off the units base and step are 0, so each row is 0 there, and 1 less is -1
-    off = (~units).astype(np.int16)
+    off = (~unit_residues(pair)).astype(np.int16)
     index = np.empty((q, p * q), dtype=np.int16)
-    for k0, rows in _lift_rows(psi // p * units, step // p * units, q, q):
+    for k0, rows in _lift_rows(psi // p, step // p, q, q):
         np.subtract(rows, off, out=index[k0:k0 + len(rows)])
     return index.reshape(-1)
 
