@@ -40,9 +40,12 @@ the torus pass (`torus_s`: the counts on the (p, q) torus, a block of
 columns at a time, and the verdicts read off them, which also give the coset
 sizes), the (p, q^2) columns (`columns_s`: lemma 7's claims and, in the same
 pass, the polyphase parts of lemma 9's pq^2 term), the lemma 5-7 multisets
-and the lemma 8-9 congruences; one more untimed `lemma_failures` runs under
-tracemalloc for its traced peak (`traced_mb`, and `bytes_per_position`, that
-peak over N).  Then
+and the lemma 8-9 congruences, and the three walks over the units
+(`walks_s`: the powers of h and g2, index additivity, the kernel and image
+and the ghat law) on the clean index, which `lemma_failures` skips there
+since lemmas 6 and 7 hold, so `walks_s` is not part of its seconds; one
+more untimed `lemma_failures` runs under tracemalloc for its traced peak
+(`traced_mb`, and `bytes_per_position`, that peak over N).  Then
 `audit_structure` over every pair of the timed scan, caches cleared once per
 run as in one `structure` call per pair from one process, with one more
 untimed run per pair under tracemalloc for its traced peak; and the same
@@ -98,6 +101,8 @@ import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -289,6 +294,19 @@ def residue_stages(pair: PrimePair, gens, index) -> dict:
             "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
 
 
+def walks(pair: PrimePair, gens, index) -> float:
+    """Seconds of the three walks over the units on the index, with the
+    powers of h and g2 they share; lemma_failures runs them only where lemma
+    6 or 7 fails."""
+    sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
+    start = time.perf_counter()
+    h_powers, g2 = residues._powers(gens.h, pair.p - 1, pair.period), structverify._g2(pair, gens)
+    structverify._check_additivity(pair, index, sizes, h_powers, g2)
+    structverify._check_kernel_image(pair, index, sizes, h_powers, g2)
+    structverify._check_ghat_law(pair, gens, index, sizes)
+    return time.perf_counter() - start
+
+
 # one round of the alternating audit in one tree: for each pair from argv, the
 # best of argv[2] calls of lemma_failures on its coset index, built beforehand,
 # and of build_partition and generate_threshold
@@ -367,7 +385,8 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             _, t_table = timed(build_table, pair)
             _, t_partition = timed(structverify.build_partition, pair)
             stages.append({"table_s": t_table, "partition_s": t_partition,
-                           **residue_stages(pair, gens, index)})
+                           **residue_stages(pair, gens, index),
+                           "walks_s": walks(pair, gens, index)})
         clear_caches()
         peak = traced_peak(structverify.lemma_failures, pair, index)
         result = out["lemma_failures"][text] = {

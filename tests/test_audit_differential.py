@@ -19,6 +19,9 @@ polyphase test of lemma 9's pq^2 term, read in the q^2 pass, against one
 reduction of the whole indicator, with the default blocks and blocks of 1, 7
 and 64 entries.  Every check walks its input in blocks, and the audit with
 blocks of 1, 7 and 64 entries must match the audit with the default block.
+The three walks over the units, which the audit skips where lemmas 6 and 7
+hold, are run directly: they hold on every clean index, and every corrupted
+index that fails one of them also fails lemma 6 or 7.
 """
 
 import ast
@@ -265,6 +268,57 @@ class TestGenerators:
             additive = not sv._check_additivity(pair, index, sizes, h_powers, sv._g2(pair, gens))
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
+
+
+def walk_failures(pair, index) -> list[str]:
+    """The messages of the three walks over the units (additivity, kernel and
+    image, ghat law), run directly, as lemma_failures runs them where lemma 6
+    or 7 fails."""
+    gens = derive_generators(pair)
+    sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
+    h_powers, g2 = rs._powers(gens.h, pair.p - 1, pair.period), sv._g2(pair, gens)
+    return (sv._check_additivity(pair, index, sizes, h_powers, g2)
+            + sv._check_kernel_image(pair, index, sizes, h_powers, g2)
+            + sv._check_ghat_law(pair, gens, index, sizes))
+
+
+CORRUPTED_PAIRS = sorted(set(SMALL_PAIRS) | {(5, 31), (3, 61)})
+
+
+class TestWalksDecided:
+    """Where lemmas 6 and 7 hold, the index is the Fermat-quotient logarithm
+    mod q^2 on exactly the units, so lemmas 2-4 hold and lemma_failures skips
+    the walks over the units; they run only to name a fault."""
+
+    @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(3, 313), (3, 577), (17, 239)])
+    def test_walks_hold_on_the_clean_index(self, p, q):
+        pair = PrimePair.create(p, q)
+        assert walk_failures(pair, sv.build_partition(pair)) == []
+
+    @pytest.mark.parametrize("kind", ("doubled",) + CORRUPTIONS)
+    def test_a_walk_fault_comes_with_lemma_6_or_7(self, kind):
+        walked = 0
+        for p, q in CORRUPTED_PAIRS:
+            pair = PrimePair.create(p, q)
+            index = corrupt(sv.build_partition(pair), kind, q)
+            failures = sv.lemma_failures(pair, index)
+            if walk_failures(pair, index):
+                walked += 1
+                assert failures["lemma6"] or failures["lemma7"], (p, q, kind)
+        # every kind fails a walk at every pair, so none of this is vacuous
+        assert walked == len(CORRUPTED_PAIRS), kind
+
+    def test_the_walks_are_skipped(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked the units")
+        for name in ("_check_additivity", "_check_kernel_image", "_check_ghat_law"):
+            monkeypatch.setattr(sv, name, walk)
+        pair = PrimePair.create(3, 61)
+        clean = sv.build_partition(pair)
+        assert not any(sv.lemma_failures(pair, clean).values())
+        # an index that fails lemma 6 or 7 is still walked, to name the fault
+        with pytest.raises(AssertionError, match="walked the units"):
+            sv.lemma_failures(pair, corrupt(clean, "swap", 61))
 
 
 @functools.cache

@@ -60,7 +60,7 @@ def test_audit_reports_every_pair_ok(ladder):
     result = out["lemma_failures"]["3,7"]
     assert all(result[stage] >= 0
                for stage in ("table_s", "partition_s", "torus_s", "columns_s",
-                             "lemmas_5_7_s", "lemmas_8_9_s"))
+                             "lemmas_5_7_s", "lemmas_8_9_s", "walks_s"))
     # the polyphase parts of lemma 9's pq^2 term are read in the q^2 pass
     assert "parts_s" not in result
     # the traced peak of one lemma_failures run, whole and per position
