@@ -33,13 +33,12 @@ The audit stage times `lemma_failures` on a small and a mid-sized pair, on
 (17, 239) (N = 971057 on a torus of 17 rows) and on the largest pair in
 budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
-from it, also cold, the Euler-quotient table (`table_s`), the coset index
-(`partition_s`, `build_partition(pair)`, which lifts the index from the
-residues mod pq and builds no psi table, so `table_s` is not part of it),
-the torus pass (`torus_s`: the counts on the (p, q) torus, a block of
-columns at a time, and the verdicts read off them, which also give the coset
-sizes), the (p, q^2) columns (`columns_s`: lemma 7's claims and, in the same
-pass, the polyphase parts of lemma 9's pq^2 term), the lemma 5-7 multisets
+from it, also cold, the coset index (`partition_s`, `build_partition(pair)`,
+which lifts the index from the residues mod pq), the torus pass (`torus_s`:
+the counts on the (p, q) torus, a block of columns at a time, and the
+verdicts read off them, which also give the coset sizes), the (p, q^2)
+columns (`columns_s`: lemma 7's claims and, in the same pass, the polyphase
+parts of lemma 9's pq^2 term), the lemma 5-7 multisets
 and the lemma 8-9 congruences, and the three walks over the units
 (`walks_s`: the powers of h and g2, index additivity, the kernel and image
 and the ghat law) on the clean index, which `lemma_failures` skips there
@@ -112,7 +111,6 @@ from eqseq import (  # noqa: E402
     PrimePair,
     audit_structure,
     build_partition,
-    build_table,
     derive_generators,
     generate_threshold,
     gf2poly,
@@ -300,7 +298,7 @@ def walks(pair: PrimePair, gens, index) -> float:
     6 or 7 fails."""
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
     start = time.perf_counter()
-    h_powers, g2 = residues._powers(gens.h, pair.p - 1, pair.period), structverify._g2(pair, gens)
+    h_powers, g2 = structverify._powers(gens.h, pair.p - 1, pair.period), structverify._g2(pair, gens)
     structverify._check_additivity(pair, index, sizes, h_powers, g2)
     structverify._check_kernel_image(pair, index, sizes, h_powers, g2)
     structverify._check_ghat_law(pair, gens, index, sizes)
@@ -369,8 +367,8 @@ def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
-    """Median seconds of lemma_failures, of the table and partition and of the
-    residue stages per pair, with the traced peak of lemma_failures, and of
+    """Median seconds of lemma_failures, of the partition and of the residue
+    stages per pair, with the traced peak of lemma_failures, and of
     audit_structure and of the structure command over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
@@ -382,9 +380,8 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             clear_caches()
             runs.append(timed(structverify.lemma_failures, pair, index))
             clear_caches()
-            _, t_table = timed(build_table, pair)
             _, t_partition = timed(structverify.build_partition, pair)
-            stages.append({"table_s": t_table, "partition_s": t_partition,
+            stages.append({"partition_s": t_partition,
                            **residue_stages(pair, gens, index),
                            "walks_s": walks(pair, gens, index)})
         clear_caches()

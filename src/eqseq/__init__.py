@@ -15,7 +15,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .eulerq import (
-    build_table,
     coset_index,
     derive_generators,
     euler_quotient,
@@ -66,7 +65,6 @@ __all__ = [
     "audit_structure",
     "berlekamp_massey",
     "build_partition",
-    "build_table",
     "coset_index",
     "crt_lift",
     "cyclotomic_f2",

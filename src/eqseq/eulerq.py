@@ -5,7 +5,7 @@ extended by psi(t) = 0 for the remaining t.  The huge power is never formed:
 t^phi(pq) mod (pq)^2 determines the quotient mod pq exactly, because
 t^phi(pq) - 1 is divisible by pq for units.
 
-A full-period table never forms more than pq powers.  Writing
+The lift over a full period never forms more than pq powers.  Writing
 t = r + k*pq with r in [0, pq), the binomial theorem gives
 (r + k*pq)^phi = r^phi + phi*k*pq*r^(phi-1) (mod (pq)^2), and r^(phi-1) is
 r^-1 mod pq, so psi(r + k*pq) = psi(r) + phi*k*r^-1 (mod pq): the quotient is
@@ -14,9 +14,9 @@ one modular power per unit r mod pq, by the same checked formula as
 `euler_quotient`, and the step phi*r^-1 from one modular inverse, and checks
 row 1 against one more modular power per unit: a right step for every r
 gives every other row by the affine law.  `_lift_rows` carries both to the
-period a block of rows at a time, in int32 while N - q < 2^31 and int64 past
-it, so that each consumer keeps only what it reads: `build_table` the psi
-table, and `sequence.generate_threshold` one flag per position.
+period a block of rows at a time, so that each consumer keeps only what it
+reads: `sequence.generate_threshold` one flag per position, and
+`build_partition` the coset index.
 
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
@@ -129,18 +129,13 @@ def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
     return psi, step
 
 
-def _lift_dtype(modulus: int, count: int) -> type:
-    """int32 while k*step + base, at most count*(modulus - 1), fits it, and
-    int64 past that."""
-    return np.int32 if count * (modulus - 1) < 2**31 else np.int64
-
-
 def _lift_rows(base: np.ndarray, step: np.ndarray, modulus: int, count: int):
     """Rows k < count of (base + k*step) mod modulus, with base and step in
     [0, modulus), a block of per_block(len(base)) rows at a time: yields
     (k0, rows) for k0 ascending, rows k0, k0 + 1, ... computed in place in
-    one buffer that the next block overwrites, in the _lift_dtype."""
-    dtype = _lift_dtype(modulus, count)
+    one buffer that the next block overwrites, in int32 while k*step + base,
+    at most count*(modulus - 1), fits it, and in int64 past that."""
+    dtype = np.int32 if count * (modulus - 1) < 2**31 else np.int64
     base, step = base.astype(dtype), step.astype(dtype)
     height = min(per_block(base.size), count)
     k = np.arange(height, dtype=dtype)[:, None]
@@ -181,18 +176,3 @@ def build_partition(pair: PrimePair) -> np.ndarray:
     for k0, rows in _lift_rows(psi // p, step // p, q, q):
         np.subtract(rows, off, out=index[k0:k0 + len(rows)])
     return index.reshape(-1)
-
-
-def build_table(pair: PrimePair) -> np.ndarray:
-    """psi(t) for every t in [0, pq^2), lifted from the residues mod pq, as a
-    read-only array, int32 while N - q < 2^31 and int64 past that; entry t is
-    0 for non-units.  Refused with ResourceError past the budget."""
-    check_budget("period", pair.period)
-    psi, step = _residue_quotients(pair)
-    pq, q = pair.p * pair.q, pair.q
-    values = np.empty((q, pq), dtype=_lift_dtype(pq, q))
-    # row k holds t = r + k*pq; non-unit columns stay 0 since psi and step are 0
-    for k0, rows in _lift_rows(psi, step, pq, q):
-        values[k0:k0 + len(rows)] = rows
-    values.flags.writeable = False
-    return values.reshape(-1)

@@ -36,20 +36,6 @@ import numpy as np
 from .limits import per_block
 from .ntcore import GroupGenerators, PrimePair
 
-def _powers(base: int, count: int, n: int) -> np.ndarray:
-    """base^0, base^1, ..., base^(count-1) mod n, doubling the filled prefix.
-    Each product here and in the audit's streamed checks multiplies two
-    residues below n, so it stays below n^2 and is exact in int64 while n is
-    at most limits.EXACT_PERIOD, which the audit checks first."""
-    out = np.empty(count, dtype=np.int64)
-    out[:1] = 1 % n
-    k = 1
-    while k < count:
-        step = min(k, count - k)
-        out[k:k + step] = out[:step] * pow(base, k, n) % n
-        k += step
-    return out
-
 
 def _torus_columns(p: int, q: int) -> np.ndarray:
     """For each cell (a, b) of the (p, q) torus, the c < pq with c = a mod p

@@ -42,12 +42,26 @@ from . import residues
 from .eulerq import build_partition, derive_generators, two_coset_index
 from .limits import check_exact, per_block
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-from .residues import _powers
 from .sequence import check_index
 
 
 # ---------------------------------------------------------------------------
 # the checks behind lemma_failures; each returns failure messages
+
+
+def _powers(base: int, count: int, n: int) -> np.ndarray:
+    """base^0, base^1, ..., base^(count-1) mod n, doubling the filled prefix.
+    Each product here and in the audit's streamed checks multiplies two
+    residues below n, so it stays below n^2 and is exact in int64 while n is
+    at most limits.EXACT_PERIOD, which the audit checks first."""
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1 % n
+    k = 1
+    while k < count:
+        step = min(k, count - k)
+        out[k:k + step] = out[:step] * pow(base, k, n) % n
+        k += step
+    return out
 
 
 def _g2(pair: PrimePair, gens: GroupGenerators) -> int:

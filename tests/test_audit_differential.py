@@ -21,7 +21,7 @@ and 64 entries.  Every check walks its input in blocks, and the audit with
 blocks of 1, 7 and 64 entries must match the audit with the default block.
 The three walks over the units, which the audit skips where lemmas 6 and 7
 hold, are run directly: they hold on every clean index, and every corrupted
-index that fails one of them also fails lemma 6 or 7.
+index that fails one of them, or fails lemma 5, 8 or 9, also fails lemma 6 or 7.
 """
 
 import ast
@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eqseq import PrimePair, build_table, derive_generators, eulerq, limits
+from eqseq import PrimePair, derive_generators, eulerq, limits
 from eqseq import residues as rs
 from eqseq import structverify as sv
 from eqseq.cli import enumerate_pairs
@@ -154,7 +154,7 @@ class TestAuditDifferential:
     def test_every_sweep_pair(self):
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
-            table = build_table(pair)
+            table = oracles.build_table(pair)
             index = sv.build_partition(pair)
             got = assert_same_audit(pair, table, derive_generators(pair), index, ORACLE_SEEDS[0])
             assert not any(got.values()), (p, q)
@@ -164,7 +164,7 @@ class TestAuditDifferential:
     def test_corrupted_index(self, p, q, kind):
         # (3, 61) is above the oracle's exhaustive limit, so the oracle samples
         pair = PrimePair.create(p, q)
-        table = build_table(pair)
+        table = oracles.build_table(pair)
         index = corrupt(sv.build_partition(pair), kind, q)
         for seed in ORACLE_SEEDS:
             got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
@@ -174,7 +174,7 @@ class TestAuditDifferential:
     def test_doubled_labels(self, p, q):
         # only the ghat law (lemma 3) and the cosets mod q^2 (lemma 7) see it
         pair = PrimePair.create(p, q)
-        table = build_table(pair)
+        table = oracles.build_table(pair)
         index = corrupt(sv.build_partition(pair), "doubled", q)
         for seed in ORACLE_SEEDS:
             got = assert_same_audit(pair, table, derive_generators(pair), index, seed)
@@ -183,7 +183,7 @@ class TestAuditDifferential:
     def test_swap_fails_lemma_4_once(self):
         # the oracle's grid rows named every coset; lemma 4 now names the cause once
         pair = PrimePair.create(3, 7)
-        table = build_table(pair)
+        table = oracles.build_table(pair)
         gens = derive_generators(pair)
         index = corrupt(sv.build_partition(pair), "swap", 7)
         got = assert_same_audit(pair, table, gens, index, ORACLE_SEEDS[0])
@@ -246,8 +246,8 @@ class TestGenerators:
             n, q2 = pair.period, q * q
             gens = derive_generators(pair)
             g = gens.g
-            coords = np.multiply.outer(rs._powers(gens.h, p - 1, n),
-                                       rs._powers(sv._g2(pair, gens), q * (q - 1), n)) % n
+            coords = np.multiply.outer(sv._powers(gens.h, p - 1, n),
+                                       sv._powers(sv._g2(pair, gens), q * (q - 1), n)) % n
             assert coords.shape == (p - 1, q * (q - 1)), (p, q)
             assert sorted(coords.ravel().tolist()) == [t for t in range(n) if math.gcd(t, n) == 1]
             assert (coords % p == np.array([pow(g, a, p) for a in range(p - 1)])[:, None]).all()
@@ -264,7 +264,7 @@ class TestGenerators:
                 index = corrupt(index, kind, q)
             sizes = np.bincount(index + 1, minlength=q + 1)[1:]
             gens = derive_generators(pair)
-            h_powers = rs._powers(gens.h, p - 1, pair.period)
+            h_powers = sv._powers(gens.h, p - 1, pair.period)
             additive = not sv._check_additivity(pair, index, sizes, h_powers, sv._g2(pair, gens))
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
@@ -276,7 +276,7 @@ def walk_failures(pair, index) -> list[str]:
     or 7 fails."""
     gens = derive_generators(pair)
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
-    h_powers, g2 = rs._powers(gens.h, pair.p - 1, pair.period), sv._g2(pair, gens)
+    h_powers, g2 = sv._powers(gens.h, pair.p - 1, pair.period), sv._g2(pair, gens)
     return (sv._check_additivity(pair, index, sizes, h_powers, g2)
             + sv._check_kernel_image(pair, index, sizes, h_powers, g2)
             + sv._check_ghat_law(pair, gens, index, sizes))
@@ -288,7 +288,10 @@ CORRUPTED_PAIRS = sorted(set(SMALL_PAIRS) | {(5, 31), (3, 61)})
 class TestWalksDecided:
     """Where lemmas 6 and 7 hold, the index is the Fermat-quotient logarithm
     mod q^2 on exactly the units, so lemmas 2-4 hold and lemma_failures skips
-    the walks over the units; they run only to name a fault."""
+    the walks over the units; they run only to name a fault.  Lemmas 5, 8 and
+    9 hold then too: every coset reduces mod x^pq + 1 to the unit indicator
+    (1 mod Phi_pq, 0 mod Phi_p and Phi_q), every key mod q^2 is held p - 1
+    times, and each polyphase part of the indicator depends on t mod p alone."""
 
     @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(3, 313), (3, 577), (17, 239)])
     def test_walks_hold_on_the_clean_index(self, p, q):
@@ -297,16 +300,22 @@ class TestWalksDecided:
 
     @pytest.mark.parametrize("kind", ("doubled",) + CORRUPTIONS)
     def test_a_walk_fault_comes_with_lemma_6_or_7(self, kind):
-        walked = 0
+        walked = residue = 0
         for p, q in CORRUPTED_PAIRS:
             pair = PrimePair.create(p, q)
             index = corrupt(sv.build_partition(pair), kind, q)
             failures = sv.lemma_failures(pair, index)
+            decided = failures["lemma6"] or failures["lemma7"]
             if walk_failures(pair, index):
                 walked += 1
-                assert failures["lemma6"] or failures["lemma7"], (p, q, kind)
-        # every kind fails a walk at every pair, so none of this is vacuous
+                assert decided, (p, q, kind)
+            if failures["lemma5"] or failures["lemma8"] or failures["lemma9"]:
+                residue += 1
+                assert decided, (p, q, kind)
+        # every kind fails a walk at every pair, and every kind but doubled
+        # fails lemma 5, 8 or 9 at every pair, so none of this is vacuous
         assert walked == len(CORRUPTED_PAIRS), kind
+        assert residue == (0 if kind == "doubled" else len(CORRUPTED_PAIRS)), kind
 
     def test_the_walks_are_skipped(self, monkeypatch):
         def walk(*args):
@@ -366,7 +375,7 @@ class TestPowers:
     @example(3, 1, 1)
     @example(10 ** 6 - 1, 4097, 10 ** 6)
     def test_doubling_matches_one_power_per_exponent(self, base, count, n):
-        got = rs._powers(base, count, n)
+        got = sv._powers(base, count, n)
         assert got.dtype == np.int64
         assert got.tolist() == oracles._powers(base, count, n).tolist()
 
@@ -413,10 +422,12 @@ class TestBuildPartition:
 
     @pytest.mark.parametrize("p,q", enumerate_pairs(400_000))
     def test_matches_the_psi_table(self, p, q):
-        # the lift from the residues against psi(t)/p read off the full table
+        # the lift from the residues against psi(t)/p read off the whole-array
+        # formula psi(r + k*pq) = psi(r) + k*step mod pq
         pair = PrimePair.create(p, q)
-        t = np.arange(pair.period)
-        want = np.where(np.gcd(t, p * q) == 1, build_table(pair) // p, -1)
+        psi, step = eulerq._residue_quotients(pair)
+        table = (psi + np.arange(q)[:, None] * step) % (p * q)
+        want = np.where(np.gcd(np.arange(p * q), p * q) == 1, table // p, -1).ravel()
         index = sv.build_partition(pair)
         assert index.dtype == np.int16
         assert np.array_equal(index, want)
@@ -644,8 +655,8 @@ class TestResidueTables:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
             q2 = q * q
-            subgroup = rs._powers(pow(gens.g % q2, q, q2), q - 1, q2)
-            target = np.outer(rs._powers(gens.ghat % q2, q, q2), subgroup) % q2
+            subgroup = sv._powers(pow(gens.g % q2, q, q2), q - 1, q2)
+            target = np.outer(sv._powers(gens.ghat % q2, q, q2), subgroup) % q2
             assert np.unique(target).size == q * (q - 1), (p, q)
 
     @pytest.mark.parametrize("block", [1, 7, None])
@@ -659,8 +670,8 @@ class TestResidueTables:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
             q2 = q * q
-            subgroup = rs._powers(pow(gens.g % q2, q, q2), q - 1, q2)
-            target = np.outer(rs._powers(gens.ghat % q2, q, q2), subgroup) % q2
+            subgroup = sv._powers(pow(gens.g % q2, q, q2), q - 1, q2)
+            target = np.outer(sv._powers(gens.ghat % q2, q, q2), subgroup) % q2
             expected = np.full(q2, -1)
             expected[target] = np.arange(q)[:, None]
             starts, claims = zip(*rs._q2_claims(pair, gens))

@@ -11,7 +11,6 @@ from eqseq import (
     PrimePair,
     ResourceError,
     build_partition,
-    build_table,
     coset_index,
     derive_generators,
     euler_quotient,
@@ -23,6 +22,26 @@ from eqseq.sequence import pack_flags
 
 import oracles
 from golden import SWEEP_PAIRS
+
+
+def lifted(base, step, modulus, count):
+    """The blocks of eulerq._lift_rows put together, each checked to start
+    where the last ended and to hold per_block(len(base)) rows but the last."""
+    height = limits.per_block(base.size)
+    blocks = [(k0, rows.copy()) for k0, rows in eulerq._lift_rows(base, step, modulus, count)]
+    assert [k0 for k0, _ in blocks] == list(range(0, count, height))
+    assert [len(rows) for _, rows in blocks] == [min(height, count - k0) for k0, _ in blocks]
+    return np.concatenate([rows for _, rows in blocks])
+
+
+def lifted_table(pair):
+    """psi(t) for every t in [0, pq^2) as the package lifts it for the
+    threshold: the rows of _lift_rows(psi, step, pq, q), asserted int32, as
+    N - q < 2^31 at every pair the tests lift."""
+    psi, step = eulerq._residue_quotients(pair)
+    values = lifted(psi, step, pair.p * pair.q, pair.q)
+    assert values.dtype == np.int32
+    return values.ravel()
 
 
 class TestEulerQuotient:
@@ -42,7 +61,7 @@ class TestEulerQuotient:
 
     def test_homomorphism_exhaustive(self, pair37):
         n, pq = pair37.period, 21
-        table = build_table(pair37)
+        table = oracles.build_table(pair37)
         units = [t for t in range(n) if math.gcd(t, pq) == 1]
         for u in units:
             for v in units:
@@ -51,7 +70,7 @@ class TestEulerQuotient:
     def test_homomorphism_sampled(self, pair313):
         rng = random.Random(11)
         n, pq = pair313.period, 39
-        table = build_table(pair313)
+        table = oracles.build_table(pair313)
         units = [t for t in range(n) if math.gcd(t, pq) == 1]
         for _ in range(2000):
             u, v = rng.choice(units), rng.choice(units)
@@ -60,7 +79,7 @@ class TestEulerQuotient:
     def test_image_is_multiples_of_p(self, pair37, pair313):
         for pair in (pair37, pair313):
             pq = pair.p * pair.q
-            table = build_table(pair)
+            table = oracles.build_table(pair)
             image = {
                 v for t, v in enumerate(table) if math.gcd(t, pq) == 1
             }
@@ -77,7 +96,7 @@ class TestEulerQuotient:
         # psi(t + k*pq) = psi(t) + k * t^-1 * (p-1)(q-1), for units t
         for pair in (pair37, pair313):
             n, pq, phi = pair.period, pair.p * pair.q, pair.phi_pq
-            table = build_table(pair)
+            table = oracles.build_table(pair)
             for t in range(n):
                 if math.gcd(t, pq) != 1:
                     continue
@@ -140,8 +159,11 @@ class TestFindGhat:
 
 
 class TestBuildTable:
+    """psi over one period: the per-t oracle's entries, and the rows of the
+    lift against it."""
+
     def test_counts(self, pair37):
-        table = build_table(pair37)
+        table = oracles.build_table(pair37)
         units = sum(1 for t in range(147) if math.gcd(t, 21) == 1)
         assert units == 84
         forced_zero = sum(
@@ -153,27 +175,20 @@ class TestBuildTable:
         )
 
     def test_entries(self, pair37):
-        table = build_table(pair37)
+        table = oracles.build_table(pair37)
         assert table[22] == 12
         assert table[21] == 0
 
     def test_values_divisible_by_p(self, pair37):
-        table = build_table(pair37)
+        table = oracles.build_table(pair37)
         assert all(v % 3 == 0 for v in table)
-
-    def test_budget(self, pair37, monkeypatch):
-        monkeypatch.setenv("EQSEQ_MAX_PERIOD", "100")
-        with pytest.raises(ResourceError):
-            build_table(pair37)
 
     @pytest.mark.parametrize("p,q", SWEEP_PAIRS + [(7, 3), (5, 7), (3, 5), (3, 313), (101, 3), (997, 5)])
     def test_matches_one_power_per_position(self, p, q):
         # the sweep pairs, pairs outside p | q-1 (the last two with pq large
         # against N) and a larger one; N - q < 2^31 at each, so int32
         pair = PrimePair.create(p, q)
-        table = build_table(pair)
-        assert table.dtype == np.int32 and not table.flags.writeable
-        assert table.tolist() == oracles.build_table(pair)
+        assert lifted_table(pair).tolist() == oracles.build_table(pair)
 
     @pytest.mark.parametrize("p,q", [(65537, 3), (3, 65539)])
     def test_residue_step_past_int64_squares(self, p, q):
@@ -197,7 +212,7 @@ class TestBuildTable:
     def test_lift_widens_past_int32(self, modulus, count, dtype):
         # k*step + base reaches count*(modulus - 1): for the coset index
         # (modulus and count q) q^2 - q, 2^31 - 41,708 at 46341 and
-        # 2^31 + 50,974 at 46342; for the psi table (modulus pq, count q)
+        # 2^31 + 50,974 at 46342; for psi (modulus pq, count q)
         # N - q, 2^31 - 20,328 at (3, 26755) and 2^31 + 140,204 at (3, 26756);
         # past 2^31 int32 would wrap; the rows come a block at a time
         base = np.array([0, 1, modulus - 1])
@@ -212,11 +227,13 @@ class TestBuildTable:
             assert rows[:, c].tolist() == ((int(base[c]) + k * int(step[c])) % modulus).tolist(), c
 
     def test_wrong_phi_is_caught(self, pair37):
-        # t^phi' - 1 with phi' = phi + 1 is t - 1 mod pq: 1 passes, 2 does not
+        # t^phi' - 1 with phi' = phi + 1 is t - 1 mod pq: 1 passes, 2 does not;
+        # both lifts read the residue quotients
         wrong = dataclasses.replace(pair37, phi_pq=pair37.phi_pq + 1)
-        with pytest.raises(InternalConsistencyError,
-                           match=r"t\^phi - 1 not divisible by pq for unit t=2$"):
-            build_table(wrong)
+        for build in (build_partition, generate_threshold):
+            with pytest.raises(InternalConsistencyError,
+                               match=r"t\^phi - 1 not divisible by pq for unit t=2$"):
+                build(wrong)
 
 
 class TestLiftRows:
@@ -224,8 +241,8 @@ class TestLiftRows:
     at a time, in one buffer.  With blocks of one row, of seven rows and the
     default, on the sweep pairs and on two pairs outside p | q-1 (the second
     with a last block shorter than the rest), the blocks put together are
-    the whole-array formula (base + k*step) mod modulus, and the psi table,
-    the threshold and the coset index read off them are that formula's."""
+    the whole-array formula (base + k*step) mod modulus, and the threshold
+    and the coset index read off them are that formula's."""
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, None], ids=["1", "7", "default"])
     def test_blocks_match_the_whole_array(self, monkeypatch, rows_per_block):
@@ -237,22 +254,11 @@ class TestLiftRows:
             psi, step = eulerq._residue_quotients(pair)
             k = np.arange(q, dtype=np.int64)[:, None]
             whole = (psi + k * step) % pq
-            assert np.array_equal(self.lifted(psi, step, pq, q), whole), (p, q)
-            assert np.array_equal(build_table(pair), whole.ravel()), (p, q)
+            assert np.array_equal(lifted(psi, step, pq, q), whole), (p, q)
             flags = whole.ravel() >= (pq + 1) // 2
             assert generate_threshold(pair).bits == pack_flags(flags), (p, q)
             if pair.divides:
                 labels = (psi // p + k * (step // p)) % q
-                assert np.array_equal(self.lifted(psi // p, step // p, q, q), labels), (p, q)
+                assert np.array_equal(lifted(psi // p, step // p, q, q), labels), (p, q)
                 want = np.where(np.gcd(np.arange(pq), pq) == 1, labels, -1)
                 assert np.array_equal(build_partition(pair), want.ravel()), (p, q)
-
-    @staticmethod
-    def lifted(base, step, modulus, count):
-        """The blocks of the lift put together, each checked to start where
-        the last ended and to hold per_block(len(base)) rows but the last."""
-        height = limits.per_block(base.size)
-        blocks = [(k0, rows.copy()) for k0, rows in eulerq._lift_rows(base, step, modulus, count)]
-        assert [k0 for k0, _ in blocks] == list(range(0, count, height))
-        assert [len(rows) for _, rows in blocks] == [min(height, count - k0) for k0, _ in blocks]
-        return np.concatenate([rows for _, rows in blocks])

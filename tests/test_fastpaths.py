@@ -36,7 +36,6 @@ from eqseq import (
     Gf2Poly,
     PrimePair,
     build_partition,
-    build_table,
     cyclotomic_f2,
     euler_quotient,
     generate_threshold,
@@ -52,6 +51,7 @@ from eqseq.ntcore import euler_phi, multiplicative_order
 
 import oracles
 from golden import SWEEP_PAIRS
+from test_eulerq import lifted_table
 
 # pairs with p not dividing q - 1: the lift holds for every pair, not only these
 NON_DIVIDING_PAIRS = [(5, 7), (7, 3), (11, 13)]
@@ -538,7 +538,7 @@ class TestThresholdWeight:
 
 class TestRowCheck:
     """`_residue_quotients` checks row 1 of the lift against one modular
-    power per unit, so build_table and build_partition both run the check.
+    power per unit, so the threshold and build_partition both run the check.
     A lift step of (phi + 1)*r^-1 in place of phi*r^-1 leaves row 0 right
     and moves every other row; where p | q-1 it also moves the period's
     weight, and the index refuses the same row as not divisible by p.  A
@@ -794,7 +794,7 @@ class TestEulerTableDifferential:
     @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
     def test_matches_per_position_loop(self, p, q):
         pair = PrimePair.create(p, q)
-        assert build_table(pair).tolist() == oracles.build_table(pair)
+        assert lifted_table(pair).tolist() == oracles.build_table(pair)
 
     @pytest.mark.parametrize("p, q", SWEEP_PAIRS + NON_DIVIDING_PAIRS)
     def test_threshold_matches_per_entry_flags(self, p, q):
@@ -806,23 +806,14 @@ class TestEulerTableDifferential:
     def test_small_pairs(self, p, q):
         assume(p != q)
         pair = PrimePair.create(p, q)
-        assert build_table(pair).tolist() == oracles.build_table(pair)
+        assert lifted_table(pair).tolist() == oracles.build_table(pair)
         assert generate_threshold(pair).bits == oracles.generate_threshold(pair)
 
     def test_sampled_entries_of_largest_pair(self):
         pair = PrimePair.create(3, 577)
-        values = build_table(pair)
+        values = lifted_table(pair)
         for t in random.Random(3).sample(range(pair.period), 20_000):
             assert values[t] == euler_quotient(t, pair), t
-
-    def test_read_only_int32(self, pair37):
-        # int32 while N - q < 2^31; test_lift_widens_past_int32 covers int64
-        values = build_table(pair37)
-        assert values.dtype == np.int32 and values.shape == (147,)
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[22] = 0
-        assert values[22] == 12
 
     @staticmethod
     def traced_per_position(build, pair):

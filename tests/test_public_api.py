@@ -8,16 +8,16 @@ from eqseq import eulerq, gf2poly, lincomp, ntcore, residues, sequence, structve
 
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
-    "check_translation", "compose_power", "CosetPartition", "EulerQuotientTable", "find_ghat",
-    "generating_polynomial", "linear_complexity", "minimal_polynomial_gcd", "pow_wide_mod",
-    "synthesize_sequence",
+    "build_table", "check_translation", "compose_power", "CosetPartition", "EulerQuotientTable",
+    "find_ghat", "generating_polynomial", "linear_complexity", "minimal_polynomial_gcd",
+    "pow_wide_mod", "synthesize_sequence",
 ]
 
 PUBLIC = [
     "AnalysisReport", "BitSequence", "DomainError", "EqseqError",
     "Gf2Poly", "GroupGenerators", "InternalConsistencyError",
     "ParseError", "PrimePair", "ResourceError", "StructureReport", "UnsupportedInputError",
-    "analyze_period", "audit_structure", "berlekamp_massey", "build_partition", "build_table",
+    "analyze_period", "audit_structure", "berlekamp_massey", "build_partition",
     "coset_index", "crt_lift", "cyclotomic_f2", "derive_generators", "euler_quotient",
     "factorize", "find_common_primitive_root", "gcd", "generate_by_cosets",
     "generate_threshold", "is_prime", "least_period", "lemma_failures",

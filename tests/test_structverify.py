@@ -182,13 +182,14 @@ class TestTwoCosetIndex:
 
     def test_zero_for_wieferich_q(self, monkeypatch):
         # 2^1092 == 1 mod 1093^2 puts 2 in the kernel coset; N = 3583947 is
-        # over the default budget, so sigma must come without a table
+        # over the default budget, so sigma must come without lifting the period
         from eqseq import eulerq
 
-        def no_table(pair):
-            raise AssertionError("two_coset_index built a table")
+        def no_lift(*args):
+            raise AssertionError("two_coset_index lifted the period")
 
-        monkeypatch.setattr(eulerq, "build_table", no_table)
+        monkeypatch.setattr(eulerq, "_residue_quotients", no_lift)
+        monkeypatch.setattr(eulerq, "_lift_rows", no_lift)
         assert two_coset_index(PrimePair.create(3, 1093)) == 0
 
 
