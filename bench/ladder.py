@@ -35,15 +35,15 @@ budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
 from it, also cold, the coset index (`partition_s`, `build_partition(pair)`,
 which lifts the index from the residues mod pq), the torus pass (`torus_s`:
-the counts on the (p, q) torus, a block of columns at a time, and the
-verdicts read off them, which also give the coset sizes), the (p, q^2)
-columns (`columns_s`: lemma 7's claims and, in the same pass, the polyphase
-parts of lemma 9's pq^2 term), the lemma 5-7 multisets
-and the lemma 8-9 congruences, and the three walks over the units
-(`walks_s`: the powers of h and g2, index additivity, the kernel and image
-and the ghat law) on the clean index, which `lemma_failures` skips there
-since lemmas 6 and 7 hold, so `walks_s` is not part of its seconds; one
-more untimed `lemma_failures` runs under tracemalloc for its traced peak
+`_torus_failures` over the counts on the (p, q) torus, a block of columns at
+a time: the coset sizes and the messages of lemmas 5 and 6 and of the
+Phi_pq, Phi_p and Phi_q congruences), the q^2 pass (`columns_s`:
+`_q2_failures`, lemma 7's claims, the Phi_{q^2} congruences and, in the same
+blocks, the polyphase parts of lemma 9's pq^2 term), and the three walks
+over the units (`walks_s`: the powers of h and g2, index additivity, the
+kernel and image and the ghat law) on the clean index, which
+`lemma_failures` skips there since lemmas 6 and 7 hold, so `walks_s` is not
+part of its seconds; one more untimed `lemma_failures` runs under tracemalloc for its traced peak
 (`traced_mb`, and `bytes_per_position`, that peak over N).  Then
 `audit_structure` over every pair of the timed scan, caches cleared once per
 run as in one `structure` call per pair from one process, with one more
@@ -280,16 +280,12 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
 
 def residue_stages(pair: PrimePair, gens, index) -> dict:
     """Seconds of the torus pass (the counts by blocks of columns and the
-    verdicts read off them), of the q^2 columns (with the polyphase parts of
-    lemma 9's pq^2 term, read in the same pass) and of the lemma 5-7 and 8-9
-    checks on them."""
-    torus, t_torus = timed(
-        lambda: residues._torus_verdicts(pair, residues._torus_counts(pair, index)))
-    (bad_q2, odd_q2, off_phi_n), t_columns = timed(residues._q2_columns, pair, gens, index)
-    _, t_multisets = timed(residues._check_residue_multisets, pair, torus, bad_q2)
-    _, t_congruences = timed(residues._check_congruences, pair, torus, odd_q2, off_phi_n)
-    return {"torus_s": t_torus, "columns_s": t_columns,
-            "lemmas_5_7_s": t_multisets, "lemmas_8_9_s": t_congruences}
+    messages worded from them) and of the q^2 pass (lemma 7, with the
+    polyphase parts of lemma 9's pq^2 term read in the same blocks)."""
+    _, t_torus = timed(
+        lambda: residues._torus_failures(pair, residues._torus_counts(pair, index)))
+    _, t_columns = timed(residues._q2_failures, pair, gens, index)
+    return {"torus_s": t_torus, "columns_s": t_columns}
 
 
 def walks(pair: PrimePair, gens, index) -> float:

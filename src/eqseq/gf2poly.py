@@ -92,11 +92,6 @@ class Gf2Poly:
         """Degree, or -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
 
-    def term_degrees(self) -> list[int]:
-        """Degrees of the nonzero terms, descending, found by searching the digits for ones."""
-        top = self.degree
-        return [top - m.start() for m in re.finditer("1", format(self.bits, "b"))]
-
     def __str__(self) -> str:
         return self.render()
 

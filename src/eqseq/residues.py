@@ -16,6 +16,9 @@ Phi_{q^2}(x) = Phi_q(x^q).  Lemma 9's pq^2 term tests the q polyphase parts
 Phi_pq(x^q), part j of the remainder is the remainder of part j, on disjoint
 supports.  Bit iq + b of part j is at row i, column bq + j of that view and
 at torus cell ((i + b) mod p, b) as q = 1 mod p: the q^2 pass reads the parts.
+Each pass words the messages its evidence decides: the torus pass those of
+lemmas 5 and 6 and of the Phi_pq, Phi_p and Phi_q congruences, the q^2 pass
+those of lemma 7, of the Phi_{q^2} congruences and of lemma 9's pq^2 term.
 
 Every check of the audit streams: it walks the index, or the units it maps,
 in blocks of about limits.BLOCK entries and keeps only what its verdict reads.
@@ -28,8 +31,6 @@ first block.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,23 +65,23 @@ def _torus_counts(pair: PrimePair, index: np.ndarray):
         yield counts.reshape(p, -1, q + 1)
 
 
-class _Torus(NamedTuple):
-    """What lemmas 5, 6, 8 and 9 read of the torus counts: row ell of mod_p
-    counts D_ell by t mod p; per coset, whether its counts miss the units'
-    cells (lemma 6) or p - 1 units per unit class mod q (lemma 5); per coset
-    and for their sum (entry q), whether its polynomial is off 1 mod Phi_pq
-    or off a constant mod x^q + 1."""
+def _congruences(out: dict[str, list[str]], q: int, verdicts) -> None:
+    """Word into out the lemma 8 and 9 messages of each (modulus name,
+    expected residue, rows off it) of verdicts, row q the cosets' sum."""
+    for name, expect, off in verdicts:
+        bad = [ell for ell in off if ell < q]
+        if bad:
+            out["lemma8"].append(
+                f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
+            )
+        if q in off:
+            out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
 
-    mod_p: np.ndarray
-    off_cells: np.ndarray
-    off_mod_q: np.ndarray
-    off_phi_pq: np.ndarray
-    off_phi_q: np.ndarray
 
-
-def _torus_verdicts(pair: PrimePair, blocks) -> _Torus:
-    """The _Torus of the torus counts of one period, given as blocks of
-    columns b ascending (see _torus_counts)."""
+def _torus_failures(pair: PrimePair, blocks) -> tuple[np.ndarray, dict[str, list[str]]]:
+    """The coset sizes and the messages of lemmas 5 and 6 and of the Phi_pq,
+    Phi_p and Phi_q congruences of lemmas 8 and 9, read off the torus counts
+    of one period, given as blocks of columns b ascending (see _torus_counts)."""
     p, q = pair.p, pair.q
     unit_q = np.arange(q) != 0
     units, per_q = np.outer(np.arange(p) != 0, unit_q)[..., None], (p - 1) * unit_q[:, None]
@@ -108,8 +109,31 @@ def _torus_verdicts(pair: PrimePair, blocks) -> _Torus:
         off[2] |= _off_phi_pq(planes, first)
         off[3] |= (parity_q != first_q).any(axis=0)
         b0 += width
-    off = np.roll(off, -1, axis=1)   # the cosets first, their sum as entry q
-    return _Torus(mod_p[:, 1:].T, off[0, :q], off[1, :q], off[2], off[3])
+    # the cosets first, their sum as entry q; row ell of mod_p counts D_ell by t mod p
+    off_cells, off_mod_q, off_phi_pq, off_phi_q = np.roll(off, -1, axis=1)
+    mod_p = mod_p[:, 1:].T
+    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma8": [], "lemma9": []}
+    # a coset meets each unit class mod pq, a torus cell (a, b) with a, b != 0,
+    # once, and so each unit class mod p q - 1 times and mod q p - 1 times
+    bad = zip((mod_p != (np.arange(p) != 0) * (q - 1)).any(axis=1).tolist(),
+              off_mod_q[:q].tolist(), off_cells[:q].tolist())
+    for ell, (off_p, off_q, off_pq) in enumerate(bad):
+        if off_p:
+            residues = {r: c for r, c in enumerate(mod_p[ell].tolist()) if c}
+            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {residues}")
+        if off_q:
+            out["lemma5"].append(f"D_{ell} mod q multiset wrong")
+        if off_pq:
+            out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
+    # each coset polynomial, and so their sum (row q), is 1 modulo the pq
+    # cyclotomic and 0 modulo the p and q ones; mod x^m + 1 for m = p or q it
+    # is its counts by t mod m, which is c mod the prime Phi_m exactly when it
+    # is c plus 0 or Phi_m (all ones)
+    parity = np.concatenate([mod_p, mod_p.sum(axis=0, keepdims=True)]) & 1
+    _congruences(out, q, (("pq", 1, np.flatnonzero(off_phi_pq).tolist()),
+                          ("p", 0, np.flatnonzero((parity != parity[:, :1]).any(axis=1)).tolist()),
+                          ("q", 0, np.flatnonzero(off_phi_q).tolist())))
+    return mod_p.sum(axis=1), out
 
 
 def _q2_claims(pair: PrimePair, gens: GroupGenerators):
@@ -135,11 +159,11 @@ def _q2_claims(pair: PrimePair, gens: GroupGenerators):
         claims -= q * (claims >= q)
 
 
-def _q2_columns(pair: PrimePair, gens: GroupGenerators,
-                index: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Lemma 7 on the (p, q^2) view, whose column r holds the t = r mod q^2,
-    a block of the _q2_claims at a time: whether each coset misses its
-    multiset mod q^2, and the keys coset * q^2 + r that an odd number of
+def _q2_failures(pair: PrimePair, gens: GroupGenerators, index: np.ndarray) -> dict[str, list[str]]:
+    """The messages of lemma 7 and of the Phi_{q^2} and Phi_{pq^2} congruences
+    of lemmas 8 and 9, on the (p, q^2) view, whose column r holds the
+    t = r mod q^2, a block of the _q2_claims at a time: the cosets that miss
+    their multiset mod q^2, and the keys coset * q^2 + r that an odd number of
     units hold; and, from the same blocks, each of whole torus columns b,
     whether the labelled indicator, the cosets' sum, is nonzero mod Phi_{pq^2}."""
     p, q = pair.p, pair.q
@@ -167,27 +191,14 @@ def _q2_columns(pair: PrimePair, gens: GroupGenerators,
         b0, b = r0 // q, np.arange(claims.size // q)
         parts = labelled.reshape(p, b.size, q)[rows[:, b0:b0 + b.size], b]
         off_phi_n |= _off_phi_pq(parts, first).any()
-    return bad, np.concatenate(odd or [np.zeros(0, dtype=np.int64)]), bool(off_phi_n)
-
-
-def _check_residue_multisets(pair: PrimePair, torus: _Torus,
-                             bad_q2: np.ndarray) -> dict[str, list[str]]:
-    p, q = pair.p, pair.q
-    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma7": []}
-    # a coset meets each unit class mod pq, a torus cell (a, b) with a, b != 0,
-    # once, and so each unit class mod p q - 1 times and mod q p - 1 times
-    off_p = (torus.mod_p != (np.arange(p) != 0) * (q - 1)).any(axis=1)
-    bad = zip(off_p.tolist(), torus.off_mod_q.tolist(), torus.off_cells.tolist(), bad_q2.tolist())
-    for ell, (off_p, off_q, off_pq, off_q2) in enumerate(bad):
-        if off_p:
-            residues = {r: c for r, c in enumerate(torus.mod_p[ell].tolist()) if c}
-            out["lemma5"].append(f"D_{ell} mod p multiset wrong: {residues}")
-        if off_q:
-            out["lemma5"].append(f"D_{ell} mod q multiset wrong")
-        if off_pq:
-            out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
-        if off_q2:
-            out["lemma7"].append(f"D_{ell} mod q^2 multiset wrong")
+    odd = np.concatenate(odd or [np.zeros(0, dtype=np.int64)])
+    out = {"lemma7": [f"D_{ell} mod q^2 multiset wrong" for ell in np.flatnonzero(bad).tolist()],
+           "lemma8": [], "lemma9": []}
+    # each coset polynomial, and so their sum, is 0 mod Phi_{q^2}
+    summed = np.flatnonzero(np.bincount(odd % q2) % 2)
+    _congruences(out, q, [("q2", 0, _off_phi_q2(odd, q) + [q] * bool(_off_phi_q2(summed, q)))])
+    if off_phi_n:
+        out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
 
@@ -211,40 +222,11 @@ def _off_phi_q2(keys: np.ndarray, q: int) -> list[int]:
     return sorted(set((np.flatnonzero(counts % q) // q).tolist()))
 
 
-def _check_congruences(pair: PrimePair, torus: _Torus, odd_q2: np.ndarray,
-                       off_phi_n: bool) -> dict[str, list[str]]:
-    q = pair.q
-    out: dict[str, list[str]] = {"lemma8": [], "lemma9": []}
-
-    # each coset polynomial, and so their sum (row q), is 1 modulo the pq
-    # cyclotomic and 0 modulo the p, q and q^2 ones; mod x^m + 1 for m = p or q
-    # it is its counts by t mod m, which is c mod the prime Phi_m exactly when
-    # it is c plus 0 or Phi_m (all ones)
-    mod_p = np.concatenate([torus.mod_p, torus.mod_p.sum(axis=0, keepdims=True)]) & 1
-    summed_q2 = np.flatnonzero(np.bincount(odd_q2 % (q * q)) % 2)
-    for name, expect, off in (
-            ("pq", 1, np.flatnonzero(torus.off_phi_pq).tolist()),
-            ("p", 0, np.flatnonzero((mod_p != mod_p[:, :1]).any(axis=1)).tolist()),
-            ("q", 0, np.flatnonzero(torus.off_phi_q).tolist()),
-            ("q2", 0, _off_phi_q2(odd_q2, q) + [q] * bool(_off_phi_q2(summed_q2, q)))):
-        bad = [ell for ell in off if ell < q]
-        if bad:
-            out["lemma8"].append(
-                f"coset polynomial(s) {bad} are not {expect} modulo the {name} cyclotomic"
-            )
-        if q in off:
-            out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
-    if off_phi_n:
-        out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
-    return out
-
-
 def residue_failures(pair: PrimePair, gens: GroupGenerators,
                      index: np.ndarray) -> tuple[np.ndarray, dict[str, list[str]]]:
     """The coset sizes |D_0|, ..., |D_(q-1)|, read off the torus counts, and
     the failure messages of each of lemmas 5-9, empty where it holds."""
-    torus = _torus_verdicts(pair, _torus_counts(pair, index))
-    bad_q2, odd_q2, off_phi_n = _q2_columns(pair, gens, index)
-    failures = _check_residue_multisets(pair, torus, bad_q2)
-    failures.update(_check_congruences(pair, torus, odd_q2, off_phi_n))
-    return torus.mod_p.sum(axis=1), failures
+    sizes, torus = _torus_failures(pair, _torus_counts(pair, index))
+    q2 = _q2_failures(pair, gens, index)
+    return sizes, {f"lemma{k}": torus.get(f"lemma{k}", []) + q2.get(f"lemma{k}", [])
+                   for k in range(5, 10)}

@@ -478,11 +478,10 @@ class TestIndexShape:
 
 
 def table_congruences(pair, index) -> dict[str, list[str]]:
-    """The lemma 8 and 9 messages, from the torus counts and the q^2 columns,
-    whose pass also reads the polyphase parts."""
-    torus = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
-    _, odd_q2, off_phi_n = rs._q2_columns(pair, derive_generators(pair), index)
-    return rs._check_congruences(pair, torus, odd_q2, off_phi_n)
+    """The lemma 8 and 9 messages, from the torus pass and the q^2 pass,
+    which also reads the polyphase parts."""
+    failures = rs.residue_failures(pair, derive_generators(pair), index)[1]
+    return {name: failures[name] for name in ("lemma8", "lemma9")}
 
 
 def residue_congruences(residues: dict[int, list[int]], pair, summed_n: int) -> dict[str, list[str]]:
@@ -597,20 +596,25 @@ class TestTorusCongruences:
             torus = torus.reshape(q, p, q).transpose(1, 2, 0)
             torus = np.concatenate([q - torus.sum(axis=2, keepdims=True), torus], axis=2)
             for blocks in ([torus], np.array_split(torus, 4, axis=1)):
-                verdicts = rs._torus_verdicts(pair, blocks)
-                got = rs._check_congruences(pair, verdicts, np.zeros(0, np.int64), False)
+                failures = rs._torus_failures(pair, blocks)[1]
+                got = {name: failures[name] for name in ("lemma8", "lemma9")}
                 assert got == residue_congruences(residues, pair, 0), (p, q)
 
 
 class TestResidueTables:
     """The torus counts, summed over b and over a and read at the cell of each
     class mod pq, against a bincount per modulus and the np.unique keys and
-    counts; the q^2 columns against the np.unique keys and counts mod q^2; the
-    lemma 5-7 check on them against the check on those keys
-    (oracles._check_key_multisets)."""
+    counts; the odd keys of the q^2 pass against the np.unique keys and
+    counts mod q^2; the lemma 5-7 messages of residue_failures against the
+    check on those keys (oracles._check_key_multisets)."""
 
     @pytest.mark.parametrize("variant", (None, "doubled") + CORRUPTIONS)
-    def test_match_sorted_keys(self, variant):
+    def test_match_sorted_keys(self, monkeypatch, variant):
+        # the q^2 pass hands the keys held an odd number of times to _off_phi_q2
+        odd_keys = []
+        off_phi_q2 = rs._off_phi_q2
+        monkeypatch.setattr(rs, "_off_phi_q2",
+                            lambda keys, q: odd_keys.append(keys) or off_phi_q2(keys, q))
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
@@ -619,8 +623,8 @@ class TestResidueTables:
                 index = corrupt(index, variant, q)
             # entry (ell, a, b), from the blocks of columns b
             torus = np.concatenate(list(rs._torus_counts(pair, index)), axis=1)[..., 1:].transpose(2, 0, 1)
-            verdicts = rs._torus_verdicts(pair, rs._torus_counts(pair, index))
-            bad_q2, odd_q2, off_phi_n = rs._q2_columns(pair, gens, index)
+            odd_keys.clear()
+            failures = rs.residue_failures(pair, gens, index)[1]
             tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
                       p * q: torus.reshape(q, p * q)[:, np.argsort(rs._torus_columns(p, q).ravel())]}
             per_modulus = oracles.residue_tables(pair, index)
@@ -637,15 +641,14 @@ class TestResidueTables:
             # the q^2 columns find the keys of cosets below q held an odd number of times
             keys, multiplicity = counts[q * q]
             odd = keys[(multiplicity % 2 == 1) & (keys < q ** 3)]
-            assert sorted(odd_q2.tolist()) == odd.tolist(), (p, q)
+            assert sorted(odd_keys[0].tolist()) == odd.tolist(), (p, q)
             # each message names one coset and one modulus, and the mod-p one
             # its dict: equal lists are equal bad-coset sets per m and equal dicts
-            got = rs._check_residue_multisets(pair, verdicts, bad_q2)
+            got = {name: failures[name] for name in ("lemma5", "lemma6", "lemma7")}
             assert got == oracles._check_key_multisets(pair, gens, counts), (p, q)
             assert any(got.values()) == (variant is not None), (p, q)
             # lemma 9's pq^2 term, read in the q^2 pass, reads the labels 0..q-1
-            lemma9 = rs._check_congruences(pair, verdicts, odd_q2, off_phi_n)["lemma9"]
-            assert (PHI_N in lemma9) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
+            assert (PHI_N in failures["lemma9"]) == (labelled_mod_phi_n(pair, index) != 0), (p, q)
 
     def test_q2_targets_are_disjoint(self):
         # ghat^ell <g^q> mod q^2 (ell < q) are pairwise disjoint for the

@@ -772,7 +772,6 @@ class TestRenderDifferential:
     @example(3)
     def test_matches_per_bit_loop(self, bits):
         poly = Gf2Poly(bits)
-        assert poly.term_degrees() == oracles.term_degrees(bits)
         assert poly.render() == oracles.render(bits)
 
     @settings(max_examples=40, deadline=None)
@@ -780,7 +779,6 @@ class TestRenderDifferential:
     @example({60029, 0})
     def test_sparse_matches_per_bit_loop(self, degrees):
         bits = sum(1 << d for d in degrees)
-        assert Gf2Poly(bits).term_degrees() == oracles.term_degrees(bits) == sorted(degrees)[::-1]
         assert Gf2Poly(bits).render() == oracles.render(bits)
 
     def test_large_random(self):

@@ -60,7 +60,7 @@ def test_gf2poly_is_a_report_type():
     # arithmetic runs on the packed-int kernels; Gf2Poly only reports a result
     for name in ("one", "from_coeffs", "from_terms", "is_zero", "num_terms", "coefficient",
                  "__bool__", "__add__", "__sub__", "__mul__", "__divmod__", "__floordiv__",
-                 "__mod__"):
+                 "__mod__", "term_degrees"):
         assert not hasattr(eqseq.Gf2Poly, name), name
     for name in ("__len__", "bit", "iter_bits", "two_periods"):
         assert not hasattr(eqseq.BitSequence, name), name
