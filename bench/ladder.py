@@ -34,16 +34,20 @@ The audit stage times `lemma_failures` on a small and a mid-sized pair, on
 budget, each run cold with the coset index built beforehand (its
 seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
 from it, also cold, the coset index (`partition_s`, `build_partition(pair)`,
-which lifts the index from the residues mod pq), the torus pass (`torus_s`:
+which lifts the index from the residues mod pq), the comparison with the
+Fermat-quotient index (`fermat_s`: `residues.is_fermat_index`, lemma 7's
+claims against every cell of the (p, q^2) view), the torus pass (`torus_s`:
 `_torus_failures` over the counts on the (p, q) torus, a block of columns at
 a time: the coset sizes and the messages of lemmas 5 and 6 and of the
 Phi_pq, Phi_p and Phi_q congruences), the q^2 pass (`columns_s`:
 `_q2_failures`, lemma 7's claims, the Phi_{q^2} congruences and, in the same
 blocks, the polyphase parts of lemma 9's pq^2 term), and the three walks
 over the units (`walks_s`: the powers of h and g2, index additivity, the
-kernel and image and the ghat law) on the clean index, which
-`lemma_failures` skips there since lemmas 6 and 7 hold, so `walks_s` is not
-part of its seconds; one more untimed `lemma_failures` runs under tracemalloc for its traced peak
+kernel and image and the ghat law) on the clean index.  On a clean index
+`lemma_failures` runs only the comparison past `derive_generators` and the
+label check: the two passes and the walks run where it fails, so `torus_s`,
+`columns_s` and `walks_s` are not part of its seconds.  One more untimed
+`lemma_failures` runs under tracemalloc for its traced peak
 (`traced_mb`, and `bytes_per_position`, that peak over N).  Then
 `audit_structure` over every pair of the timed scan, caches cleared once per
 run as in one `structure` call per pair from one process, with one more
@@ -279,13 +283,15 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
 
 
 def residue_stages(pair: PrimePair, gens, index) -> dict:
-    """Seconds of the torus pass (the counts by blocks of columns and the
-    messages worded from them) and of the q^2 pass (lemma 7, with the
-    polyphase parts of lemma 9's pq^2 term read in the same blocks)."""
+    """Seconds of the comparison with the Fermat-quotient index, of the torus
+    pass (the counts by blocks of columns and the messages worded from them)
+    and of the q^2 pass (lemma 7, with the polyphase parts of lemma 9's pq^2
+    term read in the same blocks)."""
+    _, t_fermat = timed(residues.is_fermat_index, pair, gens, index)
     _, t_torus = timed(
         lambda: residues._torus_failures(pair, residues._torus_counts(pair, index)))
     _, t_columns = timed(residues._q2_failures, pair, gens, index)
-    return {"torus_s": t_torus, "columns_s": t_columns}
+    return {"fermat_s": t_fermat, "torus_s": t_torus, "columns_s": t_columns}
 
 
 def walks(pair: PrimePair, gens, index) -> float:

@@ -19,6 +19,7 @@ at torus cell ((i + b) mod p, b) as q = 1 mod p: the q^2 pass reads the parts.
 Each pass words the messages its evidence decides: the torus pass those of
 lemmas 5 and 6 and of the Phi_pq, Phi_p and Phi_q congruences, the q^2 pass
 those of lemma 7, of the Phi_{q^2} congruences and of lemma 9's pq^2 term.
+A sound index runs neither: is_fermat_index matches it to lemma 7's claims.
 
 Every check of the audit streams: it walks the index, or the units it maps,
 in blocks of about limits.BLOCK entries and keeps only what its verdict reads.
@@ -157,6 +158,25 @@ def _q2_claims(pair: PrimePair, gens: GroupGenerators):
         yield r0, claims.ravel()[:q2 - r0]
         claims = claims + rise
         claims -= q * (claims >= q)
+
+
+def is_fermat_index(pair: PrimePair, gens: GroupGenerators, index: np.ndarray) -> bool:
+    """Whether the index, its labels in -1..q-1, is the Fermat-quotient index:
+    the claim of its column of the (p, q^2) view on the units (_q2_claims),
+    -1 elsewhere.  Row i, column r holds t = iq^2 + r = i + r mod p, as
+    q = 1 mod p, so column r holds one t = 0 mod p; where all those are -1,
+    a block of the claims, w columns, w/q of them claiming -1, is matched
+    by at most (p - 1)w + w/q cells, and by that many exactly when every
+    other cell holds its claim.  Claims fit int16, as q < 2^15."""
+    p, q = pair.p, pair.q
+    if index[::p].max() >= 0:
+        return False
+    view = index.reshape(p, -1)
+    for r0, claims in _q2_claims(pair, gens):
+        w = claims.size
+        if np.count_nonzero(view[:, r0:r0 + w] == claims.astype(np.int16)) != (p - 1) * w + w // q:
+            return False
+    return True
 
 
 def _q2_failures(pair: PrimePair, gens: GroupGenerators, index: np.ndarray) -> dict[str, list[str]]:

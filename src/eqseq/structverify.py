@@ -16,8 +16,8 @@ cyclotomic polynomial is agreement at every primitive n-th root, in
 GF(2)[x] arithmetic.
 
 The residue checks of lemmas 5-9, and the block walk that every check shares,
-are in residues.  They run first: where lemmas 6 and 7 hold they decide
-lemmas 2-4 (lemma_failures), and the walks below name the faults.
+are in residues.  A sound index runs none of them, nor the walks below: one
+comparison decides it (lemma_failures); on any other index they name faults.
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -157,28 +157,24 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     check_index), empty where it holds, for the generators g, h and ghat that
     (p, q) fixes, from derive_generators.
 
-    The residue checks, which also give the coset sizes, serve lemmas 5-9.
-    Where lemmas 6 and 7 hold, they decide lemmas 2-4, and the walks over the
-    units (additivity, kernel and image, ghat law) are skipped, as each would
-    return no message.  Lemma 6 says each coset meets every unit class mod pq
-    once and no other class, so the labelled positions are exactly the
-    (p-1)q(q-1) units; lemma 7 says each labelled t carries the claim of its
-    column, FQ(t mod q^2) / FQ(ghat) mod q (residues._q2_claims).  The Fermat
-    quotient FQ is a surjective homomorphism (Z/q^2)* -> Z_q and h = 1 mod q^2,
-    so the index is then a surjective homomorphism on the units with I(h) = 0
-    and I(ghat) = 1: it is additive, its kernel <h, g2^q> is D_0 of size
-    (p-1)(q-1), its image is all of Z_q, ghat^ell * D_0 = D_ell and every
-    unit translates the cosets.  Lemma 3 is then the coset sizes alone.
-    Otherwise one exact additivity test from h and g2 serves lemmas 2 and 4,
-    and the walks name the faults.
+    Lemmas 6 and 7 hold exactly when the index is the Fermat-quotient index,
+    FQ(t mod q^2) / FQ(ghat) mod q on the units and -1 elsewhere: lemma 6
+    puts the labels on exactly the units, lemma 7 gives each the claim of its
+    column (residues._q2_claims), and that index meets each unit class mod pq
+    once per coset, as FQ(s + kq) = FQ(s) - k/s mod q.  FQ is a surjective
+    homomorphism (Z/q^2)* -> Z_q and h = 1 mod q^2, so the index is then a
+    surjective homomorphism on the units with I(h) = 0 and I(ghat) = 1, and
+    every lemma holds: one comparison (residues.is_fermat_index) decides a
+    sound index.  Otherwise the residue checks, which also give the coset
+    sizes, serve lemmas 5-9, one exact additivity test from h and g2 serves
+    lemmas 2 and 4, and the walks over the units name the faults.
     """
     check_exact(pair.period)
     check_index(pair, index)
     gens = derive_generators(pair)
+    if residues.is_fermat_index(pair, gens, index):
+        return {f"lemma{k}": [] for k in range(2, 10)}
     sizes, residue_failures = residues.residue_failures(pair, gens, index)
-    if not (residue_failures["lemma6"] or residue_failures["lemma7"]):
-        return {"lemma2": [], "lemma3": _check_partition_shape(pair, sizes), "lemma4": [],
-                **residue_failures}
     h_powers, g2 = _powers(gens.h, pair.p - 1, pair.period), _g2(pair, gens)
     additivity = _check_additivity(pair, index, sizes, h_powers, g2)
 

@@ -22,6 +22,10 @@ blocks of 1, 7 and 64 entries must match the audit with the default block.
 The three walks over the units, which the audit skips where lemmas 6 and 7
 hold, are run directly: they hold on every clean index, and every corrupted
 index that fails one of them, or fails lemma 5, 8 or 9, also fails lemma 6 or 7.
+The comparison with the Fermat-quotient index, which decides a sound index
+and skips the residue passes too, holds exactly where the residue passes word
+no lemma 6 or 7 message: on the clean, doubled and corrupted indices of the
+sweep pairs and on every one-label move at (3, 7) and (5, 11).
 """
 
 import ast
@@ -328,6 +332,68 @@ class TestWalksDecided:
         # an index that fails lemma 6 or 7 is still walked, to name the fault
         with pytest.raises(AssertionError, match="walked the units"):
             sv.lemma_failures(pair, corrupt(clean, "swap", 61))
+
+    def test_the_residue_passes_are_skipped(self, monkeypatch):
+        def residue_pass(*args):
+            raise AssertionError("ran a residue pass")
+        for name in ("_torus_failures", "_q2_failures"):
+            monkeypatch.setattr(rs, name, residue_pass)
+        pair = PrimePair.create(3, 61)
+        clean = sv.build_partition(pair)
+        assert sv.lemma_failures(pair, clean) == {f"lemma{k}": [] for k in range(2, 10)}
+        # any other index reaches them, to name its faults
+        with pytest.raises(AssertionError, match="ran a residue pass"):
+            sv.lemma_failures(pair, corrupt(clean, "swap", 61))
+
+
+LEMMAS = [f"lemma{k}" for k in range(2, 10)]
+
+
+class TestFermatIndex:
+    """lemma_failures first compares the index with the Fermat-quotient index
+    (residues.is_fermat_index), and on a match returns every lemma empty.  Its
+    verdict is "residue_failures words no lemma 6 or 7 message", and where it
+    holds every check of the full passes and walks holds too; where it fails,
+    lemmas 5-9 are those of residue_failures, in the same key order."""
+
+    @staticmethod
+    def verdict(pair, gens, index):
+        sizes, failures = rs.residue_failures(pair, gens, index)
+        holds = rs.is_fermat_index(pair, gens, index)
+        assert holds == (not failures["lemma6"] and not failures["lemma7"])
+        return holds, sizes, failures
+
+    @pytest.mark.parametrize("kind", (None, "doubled") + CORRUPTIONS)
+    def test_sweep_pairs(self, kind):
+        for p, q in SWEEP_PAIRS:
+            pair = PrimePair.create(p, q)
+            gens = derive_generators(pair)
+            index = sv.build_partition(pair)
+            if kind:
+                index = corrupt(index, kind, q)
+            holds, sizes, failures = self.verdict(pair, gens, index)
+            assert holds == (kind is None), (p, q, kind)
+            got = sv.lemma_failures(pair, index)
+            assert list(got) == LEMMAS, (p, q, kind)
+            if holds:
+                assert not any(failures.values()) and not walk_failures(pair, index), (p, q)
+                assert not sv._check_partition_shape(pair, sizes) and not any(got.values()), (p, q)
+            else:
+                assert {name: got[name] for name in LEMMAS[3:]} == failures, (p, q, kind)
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (5, 11)])
+    def test_every_one_label_move(self, p, q):
+        # each position given each other label of -1..q-1: none is sound
+        pair = PrimePair.create(p, q)
+        gens = derive_generators(pair)
+        clean = sv.build_partition(pair)
+        assert self.verdict(pair, gens, clean)[0]
+        for t in range(pair.period):
+            for label in range(-1, q):
+                if label != clean[t]:
+                    index = clean.copy()
+                    index[t] = label
+                    assert not self.verdict(pair, gens, index)[0], (t, label)
 
 
 @functools.cache

@@ -1,9 +1,10 @@
 """Smoke test of bench/ladder.py, which reaches into private stages of three
 modules: of `lincomp`, the plan (`_sub_blocks`) and Berlekamp-Massey on one
-of its records (`_component_lc`); of `residues`, the torus pass
-(`_torus_counts`, `_torus_failures`) and the q^2 pass (`_q2_failures`),
-each wording its own lemma messages; and of `structverify`, the three
-walks over the units with the powers of h and g2 they share."""
+of its records (`_component_lc`); of `residues`, the comparison with the
+Fermat-quotient index (`is_fermat_index`), the torus pass (`_torus_counts`,
+`_torus_failures`) and the q^2 pass (`_q2_failures`), each wording its own
+lemma messages; and of `structverify`, the three walks over the units with
+the powers of h and g2 they share."""
 
 import importlib.util
 import re
@@ -62,7 +63,7 @@ def test_audit_reports_every_pair_ok(ladder):
     assert out["lemma_failures"]["3,7"]["ok"]
     result = out["lemma_failures"]["3,7"]
     assert all(result[stage] >= 0
-               for stage in ("partition_s", "torus_s", "columns_s", "walks_s"))
+               for stage in ("partition_s", "fermat_s", "torus_s", "columns_s", "walks_s"))
     # each pass words its own lemma messages, so no stage times the wording apart
     assert "lemmas_5_7_s" not in result and "lemmas_8_9_s" not in result
     # the polyphase parts of lemma 9's pq^2 term are read in the q^2 pass,

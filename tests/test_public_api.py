@@ -1,6 +1,8 @@
 import ast
+import gc
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import eqseq
@@ -136,3 +138,26 @@ def test_one_count_only_berlekamp_massey():
     assert type(eqseq.berlekamp_massey(seq)) is int
     assert not hasattr(sequence, "pack_bits") and not hasattr(sequence, "_DIGITS")
     assert not hasattr(lincomp, "_as_packed")
+
+
+def test_no_module_compiles_with_a_higher_peak_than_cli():
+    # every interpreter that imports eqseq.cli with no bytecode cache compiles
+    # each module from source, so the largest compile sets the peak heap of
+    # the import; a module whose compile outgrows cli.py's moves the peak RSS
+    # of every command, also of those that never run it.  Each peak is the
+    # least of three, after a collection: a collection inside a compile can
+    # raise one reading
+    peaks = {}
+    for path in sorted(Path(eqseq.__file__).resolve().parent.glob("*.py")):
+        source = path.read_text()
+        readings = []
+        for _ in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                compile(source, str(path), "exec")
+                readings.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks[path.name] = min(readings)
+    assert max(peaks, key=peaks.get) == "cli.py", peaks
