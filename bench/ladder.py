@@ -8,7 +8,9 @@ and the package under src/ (nothing is installed):
     python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
 
 For each pair it reports the median over --repeats runs of each stage:
-table + pack (`generate_threshold`, `table_pack_s`), the plan (`plan_s`:
+the threshold (`table_pack_s`: `generate_threshold`, which lifts psi a block
+of rows at a time with `eulerq._psi_rows` and packs the flags, with no psi
+table; the key keeps the name it had when a table was built), the plan (`plan_s`:
 `lincomp._sub_blocks`, which builds the cyclotomic blocks of x^N + 1, folds
 the period to each and walks each block's product tree once, carrying the
 gcd route, with Euclid on the sub-blocks that split, and the components,

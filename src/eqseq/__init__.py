@@ -38,7 +38,7 @@ from .ntcore import (
     multiplicative_order,
     wieferich_ok,
 )
-from .sequence import BitSequence, generate_by_cosets, generate_threshold, least_period
+from .sequence import BitSequence, generate_threshold, least_period
 from .structverify import (
     StructureReport,
     audit_structure,
@@ -73,7 +73,6 @@ __all__ = [
     "factorize",
     "find_common_primitive_root",
     "gcd",
-    "generate_by_cosets",
     "generate_threshold",
     "is_prime",
     "least_period",

@@ -13,7 +13,7 @@ affine in k on each residue class.  `_residue_quotients` takes psi(r) from
 one modular power per unit r mod pq, by the same checked formula as
 `euler_quotient`, and the step phi*r^-1 from one modular inverse, and checks
 row 1 against one more modular power per unit: a right step for every r
-gives every other row by the affine law.  `_lift_rows` carries both to the
+gives every other row by the affine law.  `_psi_rows` carries both to the
 period a block of rows at a time, so that each consumer keeps only what it
 reads: `sequence.generate_threshold` one flag per position, and
 `build_partition` the coset index.
@@ -21,11 +21,12 @@ reads: `sequence.generate_threshold` one flag per position, and
 When p | q-1 every unit's quotient is divisible by p, and ell = psi(t)/p
 partitions the units of Z_{pq^2} into q cosets; that index drives both the
 sequence definition and the structural checks elsewhere in the package.
-`build_partition` lifts it from the same residues with no psi table: p
-divides pq, so psi(r + k*pq) is divisible by p for every k exactly when
-psi(r) and the step are, and then ell(r + k*pq) = psi(r)/p + k*step/p mod q.
-It writes the labels into an int16 array, which limits.check_exact keeps
-sound: within the audit's exact range q < 2^15.
+Since p divides pq, psi(r + k*pq) is divisible by p for every k exactly when
+rows 0 and 1 are, which `_psi_rows` checks for both consumers, and
+`build_partition` floor-divides its rows by p into an int16 array, which
+limits.check_exact keeps sound: within the audit's exact range q < 2^15.
+The rows are psi mod pq, not psi/p mod q, since the threshold also serves
+pairs where p does not divide q-1, which have no index.
 """
 
 from __future__ import annotations
@@ -129,50 +130,54 @@ def _residue_quotients(pair: PrimePair) -> tuple[np.ndarray, np.ndarray]:
     return psi, step
 
 
-def _lift_rows(base: np.ndarray, step: np.ndarray, modulus: int, count: int):
-    """Rows k < count of (base + k*step) mod modulus, with base and step in
-    [0, modulus), a block of per_block(len(base)) rows at a time: yields
-    (k0, rows) for k0 ascending, rows k0, k0 + 1, ... computed in place in
-    one buffer that the next block overwrites, in int32 while k*step + base,
-    at most count*(modulus - 1), fits it, and in int64 past that."""
-    dtype = np.int32 if count * (modulus - 1) < 2**31 else np.int64
-    base, step = base.astype(dtype), step.astype(dtype)
-    height = min(per_block(base.size), count)
+def _psi_rows(pair: PrimePair):
+    """Rows k < q of psi(r + k*pq) = (psi(r) + k*step) mod pq over r in
+    [0, pq), the whole lift of psi to one period: yields (k0, rows) for k0
+    ascending, a block of per_block(pq) rows k0, k0 + 1, ... computed in one
+    buffer that the next block overwrites, in int32 while k*step + psi, at
+    most q*(pq - 1) = N - q, fits it, and in int64 past that.  Before the
+    first block it runs the row check of _residue_quotients and, where
+    p | q-1, refuses a psi not divisible by p, naming the first such t."""
+    p, q = pair.p, pair.q
+    pq = p * q
+    psi, step = _residue_quotients(pair)
+    # mod p, row k is psi + k*step: p divides every row exactly when it divides
+    # rows 0 and 1, and the first t it does not divide lies in one of them
+    for k, row in enumerate((psi, (psi + step) % pq) if pair.divides else ()):
+        if (stray := np.flatnonzero(row % p)).size:
+            r = int(stray[0])
+            raise InternalConsistencyError(f"psi({r + k * pq}) = {row[r]} not divisible by p={p}")
+    dtype = np.int32 if pair.period - q < 2**31 else np.int64
+    psi, step = psi.astype(dtype), step.astype(dtype)
+    height = min(per_block(pq), q)
     k = np.arange(height, dtype=dtype)[:, None]
-    buffer, whole = np.empty((2, height, base.size), dtype=dtype)
-    for k0 in range(0, count, height):
-        rows, below = buffer[:count - k0], whole[:count - k0]
+    buffer, whole = np.empty((2, height, pq), dtype=dtype)
+    for k0 in range(0, q, height):
+        rows, below = buffer[:q - k0], whole[:q - k0]
         np.multiply(k[:len(rows)] + k0, step, out=rows)
-        rows += base
-        # rows mod modulus, as rows - modulus * floor(rows / modulus): numpy
-        # divides by a scalar several times faster than it takes a remainder
-        np.floor_divide(rows, modulus, out=below)
-        below *= modulus
+        rows += psi
+        # rows mod pq, as rows - pq * floor(rows / pq): numpy divides by a
+        # scalar several times faster than it takes a remainder
+        np.floor_divide(rows, pq, out=below)
+        below *= pq
         rows -= below
         yield k0, rows
 
 
 def build_partition(pair: PrimePair) -> np.ndarray:
     """The coset index over one full period as an int16 array: psi(t)/p on
-    the units of Z_{pq^2}, -1 elsewhere, lifted from the residues mod pq a
-    block of rows at a time.  Refused past the budget or the audit's exact
-    range, where row 1 of the lift fails its check, and where some unit's
-    psi is not divisible by p, naming the first such t."""
+    the units of Z_{pq^2}, -1 elsewhere, read off the rows of _psi_rows.
+    Refused past the budget or the audit's exact range, and where
+    _psi_rows refuses its rows."""
     pair.require_divides()
     check_budget("period", pair.period)
     check_exact(pair.period)
     p, q = pair.p, pair.q
-    psi, step = _residue_quotients(pair)
-    # mod p, row k is psi + k*step: p divides every row exactly when it divides
-    # rows 0 and 1, and the first t it does not divide lies in one of them
-    for k, row in enumerate((psi, (psi + step) % (p * q))):
-        stray = np.flatnonzero(row % p)
-        if stray.size:
-            r = int(stray[0])
-            raise InternalConsistencyError(f"psi({r + k * p * q}) = {row[r]} not divisible by p={p}")
-    # off the units base and step are 0, so each row is 0 there, and 1 less is -1
+    # off the units psi and its step are 0, so each row // p is 0 there, and 1 less is -1
     off = (~unit_residues(pair)).astype(np.int16)
     index = np.empty((q, p * q), dtype=np.int16)
-    for k0, rows in _lift_rows(psi // p, step // p, q, q):
-        np.subtract(rows, off, out=index[k0:k0 + len(rows)])
+    for k0, rows in _psi_rows(pair):
+        block = index[k0:k0 + len(rows)]
+        np.floor_divide(rows, p, out=block)
+        block -= off
     return index.reshape(-1)

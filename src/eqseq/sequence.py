@@ -2,9 +2,9 @@
 
 Bit t is 1 exactly when the Euler quotient psi(t), as an integer in [0, pq),
 satisfies 2*psi(t) >= pq, i.e. psi(t) >= (pq + 1)/2 since pq is odd: pure
-integer arithmetic, with no floating point anywhere.  The threshold lifts
-psi from the residues mod pq a block of rows at a time and keeps only the
-flags, so it builds no psi table.
+integer arithmetic, with no floating point anywhere.  The threshold reads
+psi a block of rows at a time from eulerq._psi_rows, the lift that also
+feeds the coset index, and keeps only the flags, so it builds no psi table.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     are the (q-1)/2 upper cosets of phi(pq) units each, and a period of any
     other weight is refused, as is a period past the budget."""
     check_budget("period", pair.period)
-    psi, step = eulerq._residue_quotients(pair)
     pq = pair.p * pair.q
     flags = np.empty((pair.q, pq), dtype=bool)
-    for k0, rows in eulerq._lift_rows(psi, step, pq, pair.q):
+    for k0, rows in eulerq._psi_rows(pair):
         np.greater_equal(rows, (pq + 1) // 2, out=flags[k0:k0 + len(rows)])
     bits = pack_flags(flags)
     expected = (pair.q - 1) // 2 * pair.phi_pq
@@ -78,17 +77,6 @@ def check_index(pair: PrimePair, index: np.ndarray) -> None:
     if low < -1 or high >= pair.q:
         raise DomainError(f"coset index holds label {low if low < -1 else high}, "
                           f"outside -1..{pair.q - 1}")
-
-
-def generate_by_cosets(pair: PrimePair, index: np.ndarray) -> BitSequence:
-    """Equivalent coset form: bit t = 1 iff t lies in an upper-half coset of
-    the coset index (see check_index).
-
-    Must agree bit-for-bit with generate_threshold for the same pair.
-    """
-    check_index(pair, index)
-    bits = pack_flags(index >= (pair.q + 1) // 2)
-    return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 
 def _divisors_ascending(n: int) -> list[int]:

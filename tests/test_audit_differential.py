@@ -47,7 +47,7 @@ from eqseq.cli import enumerate_pairs
 from eqseq.errors import DomainError, InternalConsistencyError
 from eqseq.gf2poly import _int_mod, _int_mul, cyclotomic_f2
 from eqseq.ntcore import crt_lift
-from eqseq.sequence import pack_flags
+from eqseq.sequence import generate_threshold, pack_flags
 
 import oracles
 from golden import SWEEP_PAIRS
@@ -469,7 +469,8 @@ class TestBuildPartition:
 
     @staticmethod
     def check_refused(monkeypatch, off, message):
-        # the residue quotients at (3, 7), each named one off by one at its r
+        # the residue quotients at (3, 7), each named one off by one at its r;
+        # both consumers of eulerq._psi_rows read its one check that p | psi
         pair = PrimePair.create(3, 7)
         real = eulerq._residue_quotients
 
@@ -482,9 +483,10 @@ class TestBuildPartition:
 
         with monkeypatch.context() as patch:
             patch.setattr(eulerq, "_residue_quotients", corrupted)
-            with pytest.raises(InternalConsistencyError,
-                               match=rf"^{re.escape(message)} not divisible by p=3$"):
-                sv.build_partition(pair)
+            for build in (sv.build_partition, generate_threshold):
+                with pytest.raises(InternalConsistencyError,
+                                   match=rf"^{re.escape(message)} not divisible by p=3$"):
+                    build(pair)
 
     @pytest.mark.parametrize("p,q", enumerate_pairs(400_000))
     def test_matches_the_psi_table(self, p, q):

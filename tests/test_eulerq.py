@@ -24,22 +24,21 @@ import oracles
 from golden import SWEEP_PAIRS
 
 
-def lifted(base, step, modulus, count):
-    """The blocks of eulerq._lift_rows put together, each checked to start
-    where the last ended and to hold per_block(len(base)) rows but the last."""
-    height = limits.per_block(base.size)
-    blocks = [(k0, rows.copy()) for k0, rows in eulerq._lift_rows(base, step, modulus, count)]
-    assert [k0 for k0, _ in blocks] == list(range(0, count, height))
-    assert [len(rows) for _, rows in blocks] == [min(height, count - k0) for k0, _ in blocks]
+def lifted(pair):
+    """The blocks of eulerq._psi_rows(pair) put together, each checked to
+    start where the last ended and to hold per_block(pq) rows but the last."""
+    height, q = limits.per_block(pair.p * pair.q), pair.q
+    blocks = [(k0, rows.copy()) for k0, rows in eulerq._psi_rows(pair)]
+    assert [k0 for k0, _ in blocks] == list(range(0, q, height))
+    assert [len(rows) for _, rows in blocks] == [min(height, q - k0) for k0, _ in blocks]
     return np.concatenate([rows for _, rows in blocks])
 
 
 def lifted_table(pair):
-    """psi(t) for every t in [0, pq^2) as the package lifts it for the
-    threshold: the rows of _lift_rows(psi, step, pq, q), asserted int32, as
-    N - q < 2^31 at every pair the tests lift."""
-    psi, step = eulerq._residue_quotients(pair)
-    values = lifted(psi, step, pair.p * pair.q, pair.q)
+    """psi(t) for every t in [0, pq^2) as the package lifts it: the rows of
+    _psi_rows(pair), asserted int32, as N - q < 2^31 at every pair the tests
+    lift whole."""
+    values = lifted(pair)
     assert values.dtype == np.int32
     return values.ravel()
 
@@ -203,32 +202,24 @@ class TestBuildTable:
             assert psi[r] == euler_quotient(r, pair), r
             assert step[r] == (pair.phi_pq * pow(r, -1, pq) % pq if unit else 0), r
 
-    @pytest.mark.parametrize("modulus,count,dtype", [
-        pytest.param(46341, 46341, np.int32, id="46341-int32"),
-        pytest.param(46342, 46342, np.int64, id="46342-int64"),
-        pytest.param(3 * 26755, 26755, np.int32, id="pq=3*26755-int32"),
-        pytest.param(3 * 26756, 26756, np.int64, id="pq=3*26756-int64"),
+    @pytest.mark.parametrize("q,past,dtype", [
+        pytest.param(26737, -2_908_878, np.int32, id="3-26737-int32"),
+        pytest.param(26759, 621_836, np.int64, id="3-26759-int64"),
     ])
-    def test_lift_widens_past_int32(self, modulus, count, dtype):
-        # k*step + base reaches count*(modulus - 1): for the coset index
-        # (modulus and count q) q^2 - q, 2^31 - 41,708 at 46341 and
-        # 2^31 + 50,974 at 46342; for psi (modulus pq, count q)
-        # N - q, 2^31 - 20,328 at (3, 26755) and 2^31 + 140,204 at (3, 26756);
-        # past 2^31 int32 would wrap; the rows come a block at a time
-        base = np.array([0, 1, modulus - 1])
-        step = np.array([modulus - 1, 0, modulus - 1])
-        starts, blocks = zip(*((k0, rows.copy())
-                               for k0, rows in eulerq._lift_rows(base, step, modulus, count)))
-        assert list(starts) == list(range(0, count, limits.per_block(3)))
-        rows = np.concatenate(blocks)
-        assert rows.dtype == dtype and rows.shape == (count, 3)
-        for c in range(3):
-            k = np.arange(count, dtype=object)
-            assert rows[:, c].tolist() == ((int(base[c]) + k * int(step[c])) % modulus).tolist(), c
+    def test_lift_widens_past_int32(self, q, past, dtype):
+        # k*step + psi reaches q*(pq - 1) = N - q, here 2^31 + past, and past
+        # 2^31 int32 would wrap; only the first block is lifted, its one row
+        # psi(r) itself (pq is more than a block)
+        pair = PrimePair.create(3, q)
+        assert pair.period - q - 2**31 == past
+        k0, rows = next(eulerq._psi_rows(pair))
+        assert (k0, rows.shape, rows.dtype) == (0, (1, 3 * q), dtype)
+        for r in range(0, 3 * q, 997):
+            assert rows[0, r] == euler_quotient(r, pair), r
 
     def test_wrong_phi_is_caught(self, pair37):
         # t^phi' - 1 with phi' = phi + 1 is t - 1 mod pq: 1 passes, 2 does not;
-        # both lifts read the residue quotients
+        # both consumers read the one lift, _psi_rows
         wrong = dataclasses.replace(pair37, phi_pq=pair37.phi_pq + 1)
         for build in (build_partition, generate_threshold):
             with pytest.raises(InternalConsistencyError,
@@ -237,12 +228,12 @@ class TestBuildTable:
 
 
 class TestLiftRows:
-    """_lift_rows yields the lift a block of limits.per_block(len(base)) rows
-    at a time, in one buffer.  With blocks of one row, of seven rows and the
+    """_psi_rows yields the lift a block of limits.per_block(pq) rows at a
+    time, in one buffer.  With blocks of one row, of seven rows and the
     default, on the sweep pairs and on two pairs outside p | q-1 (the second
     with a last block shorter than the rest), the blocks put together are
-    the whole-array formula (base + k*step) mod modulus, and the threshold
-    and the coset index read off them are that formula's."""
+    the whole-array formula (psi + k*step) mod pq, and the threshold and the
+    coset index read off them are that formula's."""
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, None], ids=["1", "7", "default"])
     def test_blocks_match_the_whole_array(self, monkeypatch, rows_per_block):
@@ -252,13 +243,10 @@ class TestLiftRows:
             if rows_per_block:
                 monkeypatch.setattr(limits, "BLOCK", rows_per_block * pq)
             psi, step = eulerq._residue_quotients(pair)
-            k = np.arange(q, dtype=np.int64)[:, None]
-            whole = (psi + k * step) % pq
-            assert np.array_equal(lifted(psi, step, pq, q), whole), (p, q)
+            whole = (psi + np.arange(q, dtype=np.int64)[:, None] * step) % pq
+            assert np.array_equal(lifted(pair), whole), (p, q)
             flags = whole.ravel() >= (pq + 1) // 2
             assert generate_threshold(pair).bits == pack_flags(flags), (p, q)
             if pair.divides:
-                labels = (psi // p + k * (step // p)) % q
-                assert np.array_equal(lifted(psi // p, step // p, q, q), labels), (p, q)
-                want = np.where(np.gcd(np.arange(pq), pq) == 1, labels, -1)
+                want = np.where(np.gcd(np.arange(pq), pq) == 1, whole // p, -1)
                 assert np.array_equal(build_partition(pair), want.ravel()), (p, q)

@@ -11,8 +11,8 @@ from eqseq import eulerq, gf2poly, lincomp, ntcore, residues, sequence, structve
 REMOVED = [
     "balance", "check_congruences", "check_kernel_image", "check_residue_multisets",
     "build_table", "check_translation", "compose_power", "CosetPartition", "EulerQuotientTable",
-    "find_ghat", "generating_polynomial", "linear_complexity", "minimal_polynomial_gcd",
-    "pow_wide_mod", "synthesize_sequence",
+    "find_ghat", "generate_by_cosets", "generating_polynomial", "linear_complexity",
+    "minimal_polynomial_gcd", "pow_wide_mod", "synthesize_sequence", "_lift_rows",
 ]
 
 PUBLIC = [
@@ -21,8 +21,8 @@ PUBLIC = [
     "ParseError", "PrimePair", "ResourceError", "StructureReport", "UnsupportedInputError",
     "analyze_period", "audit_structure", "berlekamp_massey", "build_partition",
     "coset_index", "crt_lift", "cyclotomic_f2", "derive_generators", "euler_quotient",
-    "factorize", "find_common_primitive_root", "gcd", "generate_by_cosets",
-    "generate_threshold", "is_prime", "least_period", "lemma_failures",
+    "factorize", "find_common_primitive_root", "gcd", "generate_threshold", "is_prime",
+    "least_period", "lemma_failures",
     "multiplicative_order", "predicted_minimal_polynomial",
     "two_coset_index", "verify_theorem", "wieferich_ok",
 ]
@@ -56,6 +56,14 @@ def test_sequence_imports_nothing_from_structverify():
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]
     assert not [name for name in imported if name and "structverify" in name], imported
+
+
+def test_sequence_reads_one_lift_from_eulerq():
+    # the threshold and the coset index read psi from the one lift, _psi_rows
+    tree = ast.parse(Path(sequence.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "eulerq"}
+    assert read == {"_psi_rows"}, read
 
 
 def test_gf2poly_is_a_report_type():

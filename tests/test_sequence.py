@@ -1,4 +1,5 @@
-import numpy as np
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,12 +8,13 @@ from eqseq import (
     DomainError,
     PrimePair,
     build_partition,
-    generate_by_cosets,
+    coset_index,
     generate_threshold,
     least_period,
 )
+from eqseq.sequence import pack_flags
 
-from golden import EXAMPLE1_BITS, EXAMPLE1_ONES, EXAMPLE1_STRING
+from golden import EXAMPLE1_BITS, EXAMPLE1_ONES, EXAMPLE1_STRING, SWEEP_PAIRS
 
 
 class TestGenerateThreshold:
@@ -33,52 +35,26 @@ class TestGenerateThreshold:
 
 
 class TestGenerateByCosets:
-    def test_agrees_with_threshold(self, pair37, pair313, pair511):
-        for pair in (pair37, pair313, pair511):
-            index = build_partition(pair)
-            assert generate_by_cosets(pair, index).bits == generate_threshold(pair).bits
+    """Where p | q-1 the threshold sequence is the coset form: bit t is set
+    exactly where t lies in an upper-half coset of the index, psi(t)/p >=
+    (q + 1)/2, and off the units (index -1) it is clear."""
+
+    def test_agrees_with_threshold(self):
+        for p, q in SWEEP_PAIRS:
+            pair = PrimePair.create(p, q)
+            want = pack_flags(build_partition(pair) >= (q + 1) // 2)
+            assert generate_threshold(pair).bits == want, (p, q)
 
     def test_bit_two_is_zero(self, pair37):
         # coset index of 2 is 2, below the threshold half
-        index = build_partition(pair37)
-        assert (generate_by_cosets(pair37, index).bits >> 2) & 1 == 0
+        assert coset_index(2, pair37) == 2
+        assert (generate_threshold(pair37).bits >> 2) & 1 == 0
 
     def test_non_units_are_zero(self, pair37):
-        import math
-
-        seq = generate_by_cosets(pair37, build_partition(pair37))
+        seq = generate_threshold(pair37)
         for t in range(147):
             if math.gcd(t, 21) != 1:
                 assert (seq.bits >> t) & 1 == 0
-
-    def test_pair_mismatch(self, pair37, pair313):
-        # N = pq^2 fixes the pair, so another pair's index has the wrong length
-        index = build_partition(pair37)
-        with pytest.raises(DomainError, match=r"^coset index of shape \(147,\) is not one period N = 507$"):
-            generate_by_cosets(pair313, index)
-
-    def test_short_index(self, pair37):
-        # a sequence of one period is never built from fewer labels
-        for index in (np.zeros(10), build_partition(pair37)[:-1], build_partition(pair37).reshape(21, 7)):
-            with pytest.raises(DomainError, match=r"is not one period N = 147$"):
-                generate_by_cosets(pair37, index)
-
-    def test_float_or_list_index(self, pair37):
-        # the right length, but not integer labels
-        index = build_partition(pair37)
-        for bad, kind in ((index.astype(float), "float64"), (index.tolist(), "list")):
-            with pytest.raises(DomainError, match=rf"^coset index of type {kind} is not a signed integer array$"):
-                generate_by_cosets(pair37, bad)
-
-    @pytest.mark.parametrize("label", [-2, 7, 8, 5_000_000])
-    def test_label_outside_range(self, pair37, label):
-        # -1 and the cosets 0..q-1 are the only labels; the threshold would
-        # read any other as a coset that is not there
-        # int16 holds no 5,000,000, so the labels are widened first
-        index = build_partition(pair37).astype(np.int64)
-        index[1] = label
-        with pytest.raises(DomainError, match=rf"^coset index holds label {label}, outside -1\.\.6$"):
-            generate_by_cosets(pair37, index)
 
 
 class TestLeastPeriod:

@@ -189,7 +189,7 @@ class TestTwoCosetIndex:
             raise AssertionError("two_coset_index lifted the period")
 
         monkeypatch.setattr(eulerq, "_residue_quotients", no_lift)
-        monkeypatch.setattr(eulerq, "_lift_rows", no_lift)
+        monkeypatch.setattr(eulerq, "_psi_rows", no_lift)
         assert two_coset_index(PrimePair.create(3, 1093)) == 0
 
 
@@ -323,7 +323,7 @@ class TestExactRange:
             pytest.fail("the period was lifted past the exact range")
 
         monkeypatch.setattr(eulerq, "_residue_quotients", reached)
-        monkeypatch.setattr(eulerq, "_lift_rows", reached)
+        monkeypatch.setattr(eulerq, "_psi_rows", reached)
 
     def test_the_bound(self):
         assert limits.EXACT_PERIOD ** 2 < 2 ** 63 <= (limits.EXACT_PERIOD + 1) ** 2
