@@ -9,60 +9,43 @@ and the package under src/ (nothing is installed):
 
 For each pair it reports the median over --repeats runs of each stage:
 the threshold (`table_pack_s`: `generate_threshold`, which lifts psi a block
-of rows at a time with `eulerq._psi_rows` and packs the flags, with no psi
-table; the key keeps the name it had when a table was built), the plan (`plan_s`:
-`lincomp._sub_blocks`, which builds the cyclotomic blocks of x^N + 1, folds
-the period to each and walks each block's product tree once, carrying the
-gcd route, with Euclid on the sub-blocks that split, and the components,
-checked against the tree's leaves), Berlekamp-Massey on every record with a
-component (`bm_s`), the least period and, for pairs inside the closed form's
-hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
-`match` compares the two routes.  Beside the stages, one more untimed
-`generate_threshold` runs under tracemalloc for its traced peak
-(`table_pack_traced_mb`, and `table_pack_bytes_per_position`, that peak over
-N), and for pairs with p | q-1 one more `build_partition`
-(`partition_traced_mb`, `partition_bytes_per_position`).  `plan_s` and
-`bm_s` are not comparable with the `blocks_fold_s`,
-`components_s` and `gcd_s` of earlier BENCH files, which timed the fold and
-each walk apart.  Cyclotomic caches are cleared
-before every run, so each stage starts cold as in one command-line call.  It
-then times, each in a fresh interpreter and as the median of --repeats,
-`eqseq verify` on the last pair of the ladder and on (17, 239), the slowest
-pair in the default budget, and `eqseq scan --max-period --jobs 2`, and with
---full-scan one scan to 1000000.
+of rows at a time with `eulerq._psi_rows` and packs the flags), the plan
+(`plan_s`: `lincomp._sub_blocks`, which builds the cyclotomic blocks of
+x^N + 1, folds the period to each and walks each block's product tree once,
+carrying the gcd route, with Euclid on the sub-blocks that split, and the
+components, checked against the tree's leaves), Berlekamp-Massey on every
+record with a component (`bm_s`), the least period and, for pairs inside the
+closed form's hypotheses, the closed-form prediction; elsewhere
+`lc_predicted` is null and `match` compares the two routes.  Beside the
+stages, one more untimed `generate_threshold` runs under tracemalloc for its
+traced peak (`table_pack_traced_mb`, and `table_pack_bytes_per_position`,
+that peak over N), and for pairs with p | q-1 one more `build_partition`
+(`partition_traced_mb`, `partition_bytes_per_position`).  Cyclotomic caches
+are cleared before every run, so each stage starts cold as in one
+command-line call.  It then times, each in a fresh interpreter and as the
+median of --repeats, `eqseq verify` on the last pair of the ladder and on
+(17, 239), the slowest pair in the default budget, and
+`eqseq scan --max-period --jobs 2`, and with --full-scan one scan to 1000000.
 
 The audit stage times `lemma_failures` on a small and a mid-sized pair, on
 (17, 239) (N = 971057 on a torus of 17 rows) and on the largest pair in
-budget, each run cold with the coset index built beforehand (its
-seconds include `derive_generators`, about 0.1 ms at (3,577)), and apart
-from it, also cold, the coset index (`partition_s`, `build_partition(pair)`,
-which lifts the index from the residues mod pq), the comparison with the
-Fermat-quotient index (`fermat_s`: `residues.is_fermat_index`, lemma 7's
-claims against every cell of the (p, q^2) view), the torus pass (`torus_s`:
-`_torus_failures` over the counts on the (p, q) torus, a block of columns at
-a time: the coset sizes and the messages of lemmas 5 and 6 and of the
-Phi_pq, Phi_p and Phi_q congruences), the q^2 pass (`columns_s`:
-`_q2_failures`, lemma 7's claims, the Phi_{q^2} congruences and, in the same
-blocks, the polyphase parts of lemma 9's pq^2 term), and the three walks
-over the units (`walks_s`: the powers of h and g2, index additivity, the
-kernel and image and the ghat law) on the clean index.  On a clean index
-`lemma_failures` runs only the comparison past `derive_generators` and the
-label check: the two passes and the walks run where it fails, so `torus_s`,
-`columns_s` and `walks_s` are not part of its seconds.  One more untimed
-`lemma_failures` runs under tracemalloc for its traced peak
-(`traced_mb`, and `bytes_per_position`, that peak over N).  Then
-`audit_structure` over every pair of the timed scan, caches cleared once per
-run as in one `structure` call per pair from one process, with one more
-untimed run per pair under tracemalloc for its traced peak; and the same
-pairs through `eqseq.cli.main(["structure", ...])`, each run in a fresh
-interpreter that imports `eqseq.cli` untimed, as a perfbench `audit` pass
-runs them: against `audit_structure` this adds the command line (the
-parser, the JSON and the table on stderr) and the cold start of the first
-calls.  The last audit pair also runs alone through the command in a fresh
-interpreter, for its seconds and the interpreter's peak resident memory
-(`peak_rss_mb`, the VmHWM of /proc/self/status, so Linux only; ru_maxrss
-would read this script's own peak, which a child started by fork and exec
-inherits).  All are medians of --repeats.  `--pairs` with no pairs skips the ladder.
+budget, with the coset index built beforehand (its seconds include
+`derive_generators`, about 0.1 ms at (3,577)), and apart from it the coset
+index (`partition_s`: `build_partition(pair)`, which lifts the index from the
+residues mod pq) and the comparison with the Fermat-quotient index
+(`fermat_s`: `residues.is_fermat_index`, lemma 7's claims against every cell
+of the (p, q^2) view), all that `lemma_failures` runs on a sound index past
+`derive_generators` and the index check.  One more untimed `lemma_failures`
+runs under tracemalloc for its traced peak (`traced_mb`, and
+`bytes_per_position`, that peak over N).  Then `audit_structure` over every
+pair of the timed scan, as in one `structure` call per pair from one
+process, with one more untimed run per pair under tracemalloc for its traced
+peak; perfbench `audit` times the same pairs through the command line.  The
+last audit pair also runs alone through the command in a fresh interpreter,
+for its seconds and the interpreter's peak resident memory (`peak_rss_mb`,
+the VmHWM of /proc/self/status, so Linux only; ru_maxrss would read this
+script's own peak, which a child started by fork and exec inherits).  All
+are medians of --repeats.  `--pairs` with no pairs skips the ladder.
 
 At (3,2011), N = 12,132,363, past the default budget, the budget is
 raised to that period for one more stage, "large_3_2011": the traced peaks
@@ -107,8 +90,6 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
@@ -121,10 +102,10 @@ from eqseq import (  # noqa: E402
     generate_threshold,
     gf2poly,
     least_period,
+    lemma_failures,
     lincomp,
     predicted_minimal_polynomial,
     residues,
-    structverify,
     wieferich_ok,
 )
 from eqseq.cli import enumerate_pairs  # noqa: E402
@@ -284,31 +265,6 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
             "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs)}
 
 
-def residue_stages(pair: PrimePair, gens, index) -> dict:
-    """Seconds of the comparison with the Fermat-quotient index, of the torus
-    pass (the counts by blocks of columns and the messages worded from them)
-    and of the q^2 pass (lemma 7, with the polyphase parts of lemma 9's pq^2
-    term read in the same blocks)."""
-    _, t_fermat = timed(residues.is_fermat_index, pair, gens, index)
-    _, t_torus = timed(
-        lambda: residues._torus_failures(pair, residues._torus_counts(pair, index)))
-    _, t_columns = timed(residues._q2_failures, pair, gens, index)
-    return {"fermat_s": t_fermat, "torus_s": t_torus, "columns_s": t_columns}
-
-
-def walks(pair: PrimePair, gens, index) -> float:
-    """Seconds of the three walks over the units on the index, with the
-    powers of h and g2 they share; lemma_failures runs them only where lemma
-    6 or 7 fails."""
-    sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
-    start = time.perf_counter()
-    h_powers, g2 = structverify._powers(gens.h, pair.p - 1, pair.period), structverify._g2(pair, gens)
-    structverify._check_additivity(pair, index, sizes, h_powers, g2)
-    structverify._check_kernel_image(pair, index, sizes, h_powers, g2)
-    structverify._check_ghat_law(pair, gens, index, sizes)
-    return time.perf_counter() - start
-
-
 # one round of the alternating audit in one tree: for each pair from argv, the
 # best of argv[2] calls of lemma_failures on its coset index, built beforehand,
 # and of build_partition and generate_threshold
@@ -371,25 +327,20 @@ def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
 
 
 def audit(pairs: list[str], bound: int, repeats: int) -> dict:
-    """Median seconds of lemma_failures, of the partition and of the residue
-    stages per pair, with the traced peak of lemma_failures, and of
-    audit_structure and of the structure command over the scan's pairs."""
+    """Median seconds of lemma_failures, of the partition and of the
+    comparison with the Fermat-quotient index per pair, with the traced peak
+    of lemma_failures, and of audit_structure over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
         p, q = (int(v) for v in text.split(","))
         pair = PrimePair.create(p, q)
-        gens, index = derive_generators(pair), structverify.build_partition(pair)
+        gens, index = derive_generators(pair), build_partition(pair)
         runs, stages = [], []
         for _ in range(repeats):
-            clear_caches()
-            runs.append(timed(structverify.lemma_failures, pair, index))
-            clear_caches()
-            _, t_partition = timed(structverify.build_partition, pair)
-            stages.append({"partition_s": t_partition,
-                           **residue_stages(pair, gens, index),
-                           "walks_s": walks(pair, gens, index)})
-        clear_caches()
-        peak = traced_peak(structverify.lemma_failures, pair, index)
+            runs.append(timed(lemma_failures, pair, index))
+            stages.append({"partition_s": timed(build_partition, pair)[1],
+                           "fermat_s": timed(residues.is_fermat_index, pair, gens, index)[1]})
+        peak = traced_peak(lemma_failures, pair, index)
         result = out["lemma_failures"][text] = {
             "N": pair.period, "median_of": repeats, "seconds": statistics.median(t for _, t in runs),
             **{name: statistics.median(s[name] for s in stages) for name in stages[0]},
@@ -400,16 +351,8 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
             + f" traced={peak / pair.period:.2f} B/position", file=sys.stderr)
 
     sweep = [PrimePair.create(p, q) for p, q in enumerate_pairs(bound)]
-
-    def structure_all():
-        clear_caches()
-        return [audit_structure(pair).all_ok for pair in sweep]
-
-    runs = [timed(structure_all) for _ in range(repeats)]
-    peaks = {}
-    for pair in sweep:
-        clear_caches()   # one cold audit_structure per pair
-        peaks[f"{pair.p},{pair.q}"] = traced_peak(audit_structure, pair) / 2 ** 20
+    runs = [timed(lambda: [audit_structure(pair).all_ok for pair in sweep]) for _ in range(repeats)]
+    peaks = {f"{pair.p},{pair.q}": traced_peak(audit_structure, pair) / 2 ** 20 for pair in sweep}
     out[f"structure_{bound}"] = {
         "pairs": len(sweep), "pairs_ok": sum(runs[0][0]), "median_of": repeats,
         "seconds": statistics.median(t for _, t in runs), "seconds_runs": [t for _, t in runs],
@@ -418,9 +361,6 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
           f"{out[f'structure_{bound}']['seconds']:.3f} s, "
           f"traced peak {max(peaks.values()):.2f} MB", file=sys.stderr)
 
-    out[f"structure_cli_{bound}"] = structure_cli(sweep, repeats)
-    print(f"structure command over {len(sweep)} pairs to {bound}: "
-          f"{out[f'structure_cli_{bound}']['seconds']:.3f} s", file=sys.stderr)
     largest = PrimePair.create(*(int(v) for v in pairs[-1].split(",")))
     result = out[f"structure_cli_{largest.p}_{largest.q}"] = structure_cli([largest], repeats)
     print(f"structure command at ({pairs[-1]}): {result['seconds']:.3f} s, "

@@ -227,7 +227,7 @@ class TestBuildTable:
                 build(wrong)
 
 
-class TestLiftRows:
+class TestPsiRows:
     """_psi_rows yields the lift a block of limits.per_block(pq) rows at a
     time, in one buffer.  With blocks of one row, of seven rows and the
     default, on the sweep pairs and on two pairs outside p | q-1 (the second

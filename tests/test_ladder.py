@@ -1,10 +1,6 @@
-"""Smoke test of bench/ladder.py, which reaches into private stages of three
-modules: of `lincomp`, the plan (`_sub_blocks`) and Berlekamp-Massey on one
-of its records (`_component_lc`); of `residues`, the comparison with the
-Fermat-quotient index (`is_fermat_index`), the torus pass (`_torus_counts`,
-`_torus_failures`) and the q^2 pass (`_q2_failures`), each wording its own
-lemma messages; and of `structverify`, the three walks over the units with
-the powers of h and g2 they share."""
+"""Smoke test of bench/ladder.py, which reaches into two private stages of
+`lincomp`: the plan (`_sub_blocks`) and Berlekamp-Massey on one of its
+records (`_component_lc`)."""
 
 import importlib.util
 import re
@@ -38,6 +34,11 @@ def test_pairs_the_walks_only_through_the_plan():
     assert named == {"_sub_blocks", "_component_lc"}
 
 
+def test_reads_no_private_of_the_audit():
+    # the audit stage times what structure runs, through public names only
+    assert not re.findall(r"(?:residues|structverify)\._\w+", LADDER.read_text())
+
+
 def test_one_run_outside_the_closed_form(ladder):
     # p does not divide q-1: no prediction, and match compares the two routes
     stages, lcs = ladder.one_run(PrimePair.create(7, 3))
@@ -62,20 +63,22 @@ def test_audit_reports_every_pair_ok(ladder):
     out = ladder.audit(["3,7"], 1000, 1)
     assert out["lemma_failures"]["3,7"]["ok"]
     result = out["lemma_failures"]["3,7"]
-    assert all(result[stage] >= 0
-               for stage in ("partition_s", "fermat_s", "torus_s", "columns_s", "walks_s"))
-    # each pass words its own lemma messages, so no stage times the wording apart
-    assert "lemmas_5_7_s" not in result and "lemmas_8_9_s" not in result
-    # the polyphase parts of lemma 9's pq^2 term are read in the q^2 pass,
-    # and no command builds a psi table to time
-    assert "parts_s" not in result and "table_s" not in result
+    assert result["partition_s"] >= 0 and result["fermat_s"] >= 0
+    # on a sound index lemma_failures runs neither residue pass nor the walks
+    # over the units, so no stage times them, and no stage times the wording
+    # of the messages, the polyphase parts or a psi table apart
+    assert list(result) == ["N", "median_of", "seconds", "partition_s", "fermat_s",
+                            "traced_mb", "bytes_per_position", "ok"]
+    assert not {"torus_s", "columns_s", "walks_s"} & set(result)
     # the traced peak of one lemma_failures run, whole and per position
     assert result["traced_mb"] > 0
     assert result["bytes_per_position"] == result["traced_mb"] * 2 ** 20 / 147
-    for name in ("structure_1000", "structure_cli_1000"):
-        sweep = out[name]
-        assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"], name
-        assert sweep["seconds"] > 0, name
+    sweep = out["structure_1000"]
+    assert sweep["pairs"] == 3 and sweep["pairs_ok"] == sweep["pairs"]
+    assert sweep["seconds"] > 0
+    # perfbench audit times the sweep through the command line
+    assert "structure_cli_1000" not in out
+    assert list(out) == ["lemma_failures", "structure_1000", "structure_cli_3_7"]
     # the last audit pair alone through the command, with the peak RSS of its interpreter
     largest = out["structure_cli_3_7"]
     assert largest["pairs"] == largest["pairs_ok"] == 1
