@@ -163,11 +163,16 @@ def _cmd_generate(args) -> int:
 
 
 def _load_sequence(path: str) -> BitSequence:
+    """The sequence in the file; a packed header's N is held to the budget
+    before its payload is read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] == PACKED_MAGIC:
-        _, _, seq = parse_packed(data)
-        return seq
+        data = fh.read(24)
+        if data[:8] == PACKED_MAGIC:
+            if len(data) == 24:
+                check_budget("sequence length", int.from_bytes(data[16:24], "little"))
+            _, _, seq = parse_packed(data + fh.read())
+            return seq
+        data += fh.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

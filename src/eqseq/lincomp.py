@@ -68,13 +68,8 @@ from .gf2poly import (
     gcd,
 )
 from .limits import check_budget
-from .ntcore import PrimePair, euler_phi, factorize, multiplicative_order, wieferich_ok
-from .sequence import (
-    BitSequence,
-    _divisors_ascending,
-    generate_threshold,
-    least_period,
-)
+from .ntcore import PrimePair, divisors, euler_phi, factorize, multiplicative_order, wieferich_ok
+from .sequence import BitSequence, generate_threshold, least_period
 
 
 #: Steps between truncations of the working products in berlekamp_massey.
@@ -171,7 +166,7 @@ def _blocks(n: int) -> list[_Block]:
     blocks = []
     trees: dict[int, _Node] = {}
     product = 1
-    for e in _divisors_ascending(n >> k):
+    for e in divisors(n >> k):
         radical = math.prod(set(factorize(e)))
         if radical not in trees:
             trees[radical] = _factor_tree(_cyclotomic_factors(radical))

@@ -66,6 +66,19 @@ def factorize(n: int) -> list[int]:
     return factors
 
 
+def divisors(n: int) -> list[int]:
+    """Every divisor of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient, from the factorization of n."""
     result = n
@@ -135,8 +148,6 @@ class PrimePair:
 
     p: int
     q: int
-    d: int        # gcd(p-1, q-1)
-    e: int        # lcm(p-1, q-1)
     phi_pq: int   # (p-1)(q-1)
     period: int   # p * q**2
 
@@ -147,9 +158,7 @@ class PrimePair:
         for name, value in (("p", p), ("q", q)):
             if value % 2 == 0 or not is_prime(value):
                 raise DomainError(f"{name} must be an odd prime, got {value}")
-        d = math.gcd(p - 1, q - 1)
-        return cls(p=p, q=q, d=d, e=(p - 1) * (q - 1) // d,
-                   phi_pq=(p - 1) * (q - 1), period=p * q * q)
+        return cls(p=p, q=q, phi_pq=(p - 1) * (q - 1), period=p * q * q)
 
     @property
     def divides(self) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from . import eulerq
 from .errors import DomainError, InternalConsistencyError
 from .limits import check_budget
-from .ntcore import PrimePair
+from .ntcore import PrimePair, divisors
 
 
 @dataclass(frozen=True)
@@ -64,33 +64,6 @@ def generate_threshold(pair: PrimePair) -> BitSequence:
     return BitSequence(bits=bits, length=pair.period, origin=(pair.p, pair.q))
 
 
-def check_index(pair: PrimePair, index: np.ndarray) -> None:
-    """Refuse a coset index that is not one period N = pq^2 long (N fixes the
-    pair), is not an array of signed integers, or holds a label outside
-    -1..q-1 (-1 off the units, a coset of Z_q on them)."""
-    if np.shape(index) != (pair.period,):
-        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
-    if not isinstance(index, np.ndarray) or index.dtype.kind != "i":
-        kind = getattr(index, "dtype", type(index).__name__)
-        raise DomainError(f"coset index of type {kind} is not a signed integer array")
-    low, high = int(index.min()), int(index.max())
-    if low < -1 or high >= pair.q:
-        raise DomainError(f"coset index holds label {low if low < -1 else high}, "
-                          f"outside -1..{pair.q - 1}")
-
-
-def _divisors_ascending(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def least_period(seq: BitSequence) -> int:
     """Smallest T with s_{t+T} = s_t for all t, indices mod the stored length.
 
@@ -100,7 +73,7 @@ def least_period(seq: BitSequence) -> int:
     n = seq.length
     s = seq.bits
     mask = (1 << n) - 1
-    for t in _divisors_ascending(n):
+    for t in divisors(n):
         if (((s << t) & mask) | (s >> (n - t))) == s:
             return t
     return n

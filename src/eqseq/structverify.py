@@ -3,7 +3,7 @@
 The partition is the coset index itself, one array of signed integers over
 a period (build_partition gives int16): index[t] = psi(t)/p on the units of
 Z_{pq^2} and -1 elsewhere, so D_ell = {t : index[t] == ell}.  Its length
-N = pq^2 fixes the pair, and lemma_failures refuses (sequence.check_index) an
+N = pq^2 fixes the pair, and lemma_failures refuses (check_index) an
 index that is not one period long, is not an array of signed integers, or
 has a label outside -1..q-1; before that it refuses a period past the range
 in which its int64 products of two residues are exact (limits.check_exact).
@@ -39,10 +39,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import residues
+from .errors import DomainError
 from .eulerq import build_partition, derive_generators, two_coset_index
 from .limits import check_exact, per_block
 from .ntcore import GroupGenerators, PrimePair, crt_lift
-from .sequence import check_index
+
+
+def check_index(pair: PrimePair, index: np.ndarray) -> None:
+    """Refuse a coset index that is not one period N = pq^2 long (N fixes the
+    pair), is not an array of signed integers, or holds a label outside
+    -1..q-1 (-1 off the units, a coset of Z_q on them)."""
+    if np.shape(index) != (pair.period,):
+        raise DomainError(f"coset index of shape {np.shape(index)} is not one period N = {pair.period}")
+    if not isinstance(index, np.ndarray) or index.dtype.kind != "i":
+        kind = getattr(index, "dtype", type(index).__name__)
+        raise DomainError(f"coset index of type {kind} is not a signed integer array")
+    low, high = int(index.min()), int(index.max())
+    if low < -1 or high >= pair.q:
+        raise DomainError(f"coset index holds label {low if low < -1 else high}, "
+                          f"outside -1..{pair.q - 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -438,11 +438,12 @@ def _check_kernel_image(
 
     # kernel: the subgroup generated by g^q and h equals D_0
     gq = pow(gens.g, q, n)
+    d = math.gcd(p - 1, q - 1)
     kernel = set()
     x = 1
-    for _ in range(pair.e):
+    for _ in range(math.lcm(p - 1, q - 1)):
         y = x
-        for _ in range(pair.d):
+        for _ in range(d):
             kernel.add(y)
             y = y * gens.h % n
         x = x * gq % n

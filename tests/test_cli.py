@@ -1,8 +1,10 @@
 import concurrent.futures
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +576,27 @@ class TestBudget:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "sequence length 3000 exceeds budget 100" in err
+
+    def test_packed_header_over_budget_reads_no_payload(self, capsys, monkeypatch, tmp_path):
+        # the header's N is refused before the payload is read: a sparse
+        # 64 MiB payload behind it is never loaded
+        monkeypatch.delenv("EQSEQ_MAX_PERIOD", raising=False)
+        f = tmp_path / "big.packed"
+        with open(f, "wb") as fh:
+            fh.write(PACKED_MAGIC + (3).to_bytes(4, "little") + (7).to_bytes(4, "little")
+                     + (1_000_001).to_bytes(8, "little"))
+            fh.truncate(24 + 64 * 2**20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "analyze", "--in", str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == "eqseq: error: sequence length 1000001 exceeds budget 1000000 (EQSEQ_MAX_PERIOD)\n"
+        assert peak < 2**20, peak
 
 
 class TestExitContract:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import factorint, isprime
+from sympy import divisors as sympy_divisors, factorint, isprime
 from sympy.ntheory import is_primitive_root, n_order
 
 from eqseq import (
@@ -16,7 +17,7 @@ from eqseq import (
     multiplicative_order,
     wieferich_ok,
 )
-from eqseq.ntcore import euler_phi
+from eqseq.ntcore import divisors, euler_phi
 
 from golden import SWEEP_PAIRS
 
@@ -151,6 +152,12 @@ class TestSympyOracles:
         for n in [*range(1, 5000), *pair_values, *(rng.randrange(1, 10**9) for _ in range(200))]:
             assert factorize(n) == [f for f, e in sorted(factorint(n).items()) for _ in range(e)], n
 
+    def test_divisors_match_sympy(self):
+        # the sweep periods and the lengths of perfbench's analyze files
+        lengths = [p * q * q for p, q in SWEEP_PAIRS] + [60029, 61425, 20000, 160000]
+        for n in [*range(1, 3001), *lengths]:
+            assert divisors(n) == sympy_divisors(n), n
+
     def test_common_root_is_the_least_primitive_mod_p_and_q2(self):
         for p, q in SWEEP_PAIRS:
             g = find_common_primitive_root(PrimePair.create(p, q))
@@ -182,9 +189,15 @@ class TestCrtLift:
 
 class TestPrimePair:
     def test_derived_constants(self, pair37):
-        assert (pair37.d, pair37.e, pair37.phi_pq, pair37.period) == (2, 6, 12, 147)
-        assert pair37.d * pair37.e == pair37.phi_pq
+        assert (pair37.phi_pq, pair37.period) == (12, 147)
+        p1, q1 = pair37.p - 1, pair37.q - 1
+        assert (math.gcd(p1, q1), math.lcm(p1, q1)) == (2, 6)
+        assert math.gcd(p1, q1) * math.lcm(p1, q1) == pair37.phi_pq
         assert pair37.divides
+
+    def test_fields(self):
+        # gcd(p-1, q-1) and lcm(p-1, q-1) are computed where they are read
+        assert [f.name for f in dataclasses.fields(PrimePair)] == ["p", "q", "phi_pq", "period"]
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(DomainError):
@@ -212,9 +225,10 @@ class TestUnitGroupFactorization:
             n = pair.period
             seen = set()
             x = 1
-            for _ in range(pair.q * pair.e):
+            d = math.gcd(p - 1, q - 1)
+            for _ in range(q * math.lcm(p - 1, q - 1)):
                 y = x
-                for _ in range(pair.d):
+                for _ in range(d):
                     seen.add(y)
                     y = y * gens.h % n
                 x = x * gens.g % n

@@ -66,6 +66,43 @@ def test_sequence_reads_one_lift_from_eulerq():
     assert read == {"_psi_rows"}, read
 
 
+def _package_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for each name the file reads from another module of the
+    package: `from .module import name`, and `module.name` after `from . import module`."""
+    tree = ast.parse(path.read_text())
+    reads, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("eqseq")):
+            source = (node.module or "").removeprefix("eqseq").lstrip(".")
+            if source:
+                reads |= {(source, alias.name) for alias in node.names}
+            else:
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    reads |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules}
+    return reads
+
+
+def test_import_graph_is_pinned():
+    # the lemma audit stands apart from the LC pipeline, and a module reads
+    # another's privates only in the one polynomial layer and the one psi lift
+    reads = {path.stem: _package_reads(path)
+             for path in sorted(Path(eqseq.__file__).resolve().parent.glob("*.py"))}
+    for module in ("eulerq", "residues", "structverify"):
+        sources = {source for source, _ in reads[module]}
+        assert not sources & {"sequence", "lincomp", "gf2poly", "cli"}, (module, sources)
+    private = sorted((module, source, name) for module, pairs in reads.items()
+                     for source, name in pairs if name.startswith("_"))
+    assert [read for read in private if not _pinned_private_read(*read)] == [], private
+
+
+def _pinned_private_read(module: str, source: str, name: str) -> bool:
+    if (module, source) == ("lincomp", "gf2poly"):
+        return name.startswith("_int_") or name in ("_cyclotomic_pair", "_cyclotomic_factors")
+    return (module, source, name) == ("sequence", "eulerq", "_psi_rows")
+
+
 def test_gf2poly_is_a_report_type():
     # arithmetic runs on the packed-int kernels; Gf2Poly only reports a result
     for name in ("one", "from_coeffs", "from_terms", "is_zero", "num_terms", "coefficient",
