@@ -7,70 +7,62 @@ and the package under src/ (nothing is installed):
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
     python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
 
-For each pair it reports the median over --repeats runs of each stage:
-the threshold (`table_pack_s`: `generate_threshold`, which lifts psi a block
-of rows at a time with `eulerq._psi_rows` and packs the flags), the plan
-(`plan_s`: `lincomp._sub_blocks`, which builds the cyclotomic blocks of
-x^N + 1, folds the period to each and walks each block's product tree once,
-carrying the gcd route, with Euclid on the sub-blocks that split, and the
-components, checked against the tree's leaves), Berlekamp-Massey on every
-record with a component (`bm_s`), the least period and, for pairs inside the
-closed form's hypotheses, the closed-form prediction; elsewhere
-`lc_predicted` is null and `match` compares the two routes.  Beside the
-stages, one more untimed `generate_threshold` runs under tracemalloc for its
-traced peak (`table_pack_traced_mb`, and `table_pack_bytes_per_position`,
-that peak over N), and for pairs with p | q-1 one more `build_partition`
+For each pair it reports the median over --repeats runs of each stage: the
+threshold (`table_pack_s`: `generate_threshold`), the plan (`plan_s`:
+`lincomp._sub_blocks`, one walk per cyclotomic block of x^N + 1 carrying the
+gcd route and the components), Berlekamp-Massey on every record with a
+component (`bm_s`), the least period and, for pairs inside the closed form's
+hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
+`match` compares the two routes.  Beside the stages, one more untimed
+`generate_threshold` runs under tracemalloc for its traced peak
+(`table_pack_traced_mb`, and `table_pack_bytes_per_position`, that peak over
+N), and for pairs with p | q-1 one more `build_partition`
 (`partition_traced_mb`, `partition_bytes_per_position`).  Cyclotomic caches
-are cleared before every run, so each stage starts cold as in one
-command-line call.  It then times, each in a fresh interpreter and as the
-median of --repeats, `eqseq verify` on the last pair of the ladder and on
-(17, 239), the slowest pair in the default budget, and
-`eqseq scan --max-period --jobs 2`, and with --full-scan one scan to 1000000.
+are cleared before every run, so each stage starts cold as in one command-line
+call.  It then times, each in a fresh interpreter and as the median of
+--repeats, `eqseq verify` on the last pair of the ladder and on (17, 239), the
+slowest pair in the default budget, and `eqseq scan --max-period --jobs 2`,
+and with --full-scan one scan to 1000000.
 
-The audit stage times `lemma_failures` on a small and a mid-sized pair, on
-(17, 239) (N = 971057 on a torus of 17 rows) and on the largest pair in
-budget, with the coset index built beforehand (its seconds include
-`derive_generators`, about 0.1 ms at (3,577)), and apart from it the coset
-index (`partition_s`: `build_partition(pair)`, which lifts the index from the
-residues mod pq) and the comparison with the Fermat-quotient index
-(`fermat_s`: `residues.is_fermat_index`, lemma 7's claims against every cell
-of the (p, q^2) view), all that `lemma_failures` runs on a sound index past
-`derive_generators` and the index check.  One more untimed `lemma_failures`
-runs under tracemalloc for its traced peak (`traced_mb`, and
+The audit stage times, at a small and a mid-sized pair, at (17, 239) and at
+the largest pair in budget, `lemma_failures` on the coset index built
+beforehand, and apart from it the coset index (`partition_s`:
+`build_partition(pair)`) and the comparison with the Fermat-quotient index
+(`fermat_s`: `residues.is_fermat_index`), all that `lemma_failures` runs on a
+sound index past `derive_generators` and the index check, with the traced peak
+of one more `lemma_failures` under tracemalloc (`traced_mb`, and
 `bytes_per_position`, that peak over N).  Then `audit_structure` over every
-pair of the timed scan, as in one `structure` call per pair from one
-process, with one more untimed run per pair under tracemalloc for its traced
-peak; perfbench `audit` times the same pairs through the command line.  The
-last audit pair also runs alone through the command in a fresh interpreter,
-for its seconds and the interpreter's peak resident memory (`peak_rss_mb`,
-the VmHWM of /proc/self/status, so Linux only; ru_maxrss would read this
-script's own peak, which a child started by fork and exec inherits).  All
-are medians of --repeats.  `--pairs` with no pairs skips the ladder.
+pair of the timed scan, as in one `structure` call per pair from one process,
+with the traced peak of one more run per pair; perfbench `audit` times the
+same pairs through the command line.  The last audit pair also runs alone
+through the command in a fresh interpreter, for its seconds and the
+interpreter's peak resident memory (`peak_rss_mb`, the VmHWM of
+/proc/self/status, so Linux only; ru_maxrss would read this script's own peak,
+which a child started by fork and exec inherits).  All are medians of
+--repeats.  `--pairs` with no pairs skips the ladder.
 
-At (3,2011), N = 12,132,363, past the default budget, the budget is
-raised to that period for one more stage, "large_3_2011": the traced peaks
-of `build_partition` and `generate_threshold` and their seconds (medians
-of --repeats), and the structure command on that pair in a fresh
-interpreter, for its seconds and peak resident memory.  No LC route runs
-there.
+At (3,2011), N = 12,132,363, past the default budget, the budget is raised to
+that period for one more stage, "large_3_2011": the traced peaks of
+`build_partition` and `generate_threshold` and their seconds (medians of
+--repeats), and the structure command on that pair in a fresh interpreter,
+for its seconds and peak resident memory.  No LC route runs there.
 
-The results go under "runs" -> LABEL in the --out JSON file, which keeps
-the runs of other labels, together with a description of the machine.  Each
-label is its own invocation, at its own time, so a change of the host between
-invocations (other load, clock, cache) reads as a change between labels: a
-stage that both labels run through the same code, such as the scan when only
-the audit changed, shows how far the host moved.  With --against OTHER=PATH,
-naming a second source checkout, the audit stage also times `lemma_failures`
-at each audit pair in both trees, alternately: --repeats rounds, each of one
-fresh interpreter per tree (the tree that runs first alternates by round),
-timing the best of BEST_OF calls per pair, and in the same way
-`build_partition` and `generate_threshold`.  The rounds go under "audit" ->
-"alternating", per stage, pair and label (LABEL for this tree, OTHER for
-the other): the seconds of each round, their median and quartiles, the
-rounds in which each tree was the faster, and the median over the rounds of
-its seconds over the other tree's in the same round (`ratio_median`, below
-1 where this tree is faster), a paired statistic that a change of host
-between rounds moves less than the medians.
+The results go under "runs" -> LABEL in the --out JSON file, which keeps the
+runs of other labels, together with a description of the machine.  Each label
+is its own invocation, at its own time, so a change of the host between
+invocations (other load, clock, cache) reads as a change between labels.
+With --against OTHER=PATH, naming a second source checkout, the audit stage
+also loads the src/eqseq of both trees into this process under private
+package names and, at each audit pair, stops unless they agree (the coset
+index by value, the threshold, no lemma failure), then times each of
+`lemma_failures`, `build_partition` and `generate_threshold` in --repeats
+interleaved rounds of the best of BEST_OF calls per tree, the first tree
+alternating by round.  Under "audit" -> "alternating", per stage, pair and
+label (LABEL for this tree, OTHER for the other): each round's seconds, their
+median and quartiles, the rounds the tree won, the median per-round ratio of
+its seconds to the other tree's (`ratio_median`, below 1 where it is faster)
+and its 95% bootstrap interval (`ratio_interval`); a printed line ends in
+`resolved` where LABEL's interval excludes 1, else `unresolved`.
 """
 
 from __future__ import annotations
@@ -78,10 +70,13 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.metadata
+import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -113,8 +108,14 @@ from eqseq.cli import enumerate_pairs  # noqa: E402
 LADDER = ["23,47", "3,181", "3,313", "3,577"]
 AUDIT_PAIRS = ["5,41", "3,181", "17,239", "3,577"]   # N = 8405, 98283, 971057 and 998787
 BEST_OF = 15   # calls per stage, pair and round of the alternating audit
+RESAMPLES = 10_000   # bootstrap resamples of the alternating audit's per-round ratios
 LARGE = "3,2011"   # N = 12,132,363: the index and the threshold past the default budget
-ALTERNATED = ("lemma_failures", "build_partition", "generate_threshold")
+# each stage of the alternating audit, with what two trees must agree on before it is timed
+ALTERNATED = {
+    "lemma_failures": lambda mine, theirs: not any(mine.values()) and not any(theirs.values()),
+    "build_partition": lambda mine, theirs: len(mine) == len(theirs) and bool((mine == theirs).all()),
+    "generate_threshold": lambda mine, theirs: (mine.bits, mine.length) == (theirs.bits, theirs.length),
+}
 SLOWEST = "17,239"   # slowest verify in budget: BM goes as phi(N)^2 / t, t = 4 here, 8 at (3,577)
 
 
@@ -189,8 +190,7 @@ def traced_peak(fn, *args) -> int:
 def ladder(pairs: list[str], repeats: int) -> dict:
     out = {}
     for text in pairs:
-        p, q = (int(v) for v in text.split(","))
-        pair = PrimePair.create(p, q)
+        pair = PrimePair.create(*(int(v) for v in text.split(",")))
         runs = [one_run(pair) for _ in range(repeats)]
         stages = {name: statistics.median(r[name] for r, _ in runs) for name in runs[0][0]}
         lcs = runs[0][1]
@@ -265,64 +265,61 @@ def structure_cli(pairs: list[PrimePair], repeats: int) -> dict:
             "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs)}
 
 
-# one round of the alternating audit in one tree: for each pair from argv, the
-# best of argv[2] calls of lemma_failures on its coset index, built beforehand,
-# and of build_partition and generate_threshold
-ALTERNATING = """
-import json, sys, time
-from eqseq import PrimePair, build_partition, generate_threshold, lemma_failures
-best = {"lemma_failures": {}, "build_partition": {}, "generate_threshold": {}}
-for text in json.loads(sys.argv[1]):
-    pair = PrimePair.create(*(int(v) for v in text.split(",")))
-    index = build_partition(pair)
-    for name, call in (("lemma_failures", lambda: lemma_failures(pair, index)),
-                       ("build_partition", lambda: build_partition(pair)),
-                       ("generate_threshold", lambda: generate_threshold(pair))):
-        seconds = []
-        for _ in range(int(sys.argv[2])):
-            start = time.perf_counter()
-            result = call()
-            seconds.append(time.perf_counter() - start)
-        if name == "lemma_failures" and any(result.values()):
-            raise SystemExit(f"lemma_failures ({text}): {result}")
-        best[name][text] = min(seconds)
-print(json.dumps(best))
-"""
+def load_tree(root: Path):
+    """root/src/eqseq imported under a private name of its own, which its
+    relative imports follow, beside the `eqseq` that the other stages run."""
+    init = root / "src" / "eqseq" / "__init__.py"
+    name = next(f"_eqseq_{k}" for k in itertools.count() if f"_eqseq_{k}" not in sys.modules)
+    spec = importlib.util.spec_from_file_location(name, init)   # a package: its __init__.py
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    if not Path(package.__file__).resolve().is_relative_to(root.resolve()):
+        raise ImportError(f"{name} loaded {package.__file__}, outside {root}")
+    return package
+
+
+def ratio_interval(ratios: list[float]) -> tuple[float, float]:
+    """The 95% percentile bootstrap interval of the median of the ratios, from a fixed seed."""
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES))
+    return medians[RESAMPLES // 40], medians[-1 - RESAMPLES // 40]
 
 
 def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
-    """Per stage of ALTERNATED, pair and tree (two labels, each naming a
-    source checkout), the best-of-BEST_OF seconds in each of the rounds, each
-    round one fresh interpreter per tree, the first tree alternating; their
-    median and quartiles, the rounds in which the tree was the faster, and
-    the median per-round ratio of its seconds to the other tree's."""
+    """The --against audit of the module's docstring, on two trees imported by load_tree."""
     labels = list(trees)
-    seconds: dict[str, list[dict]] = {label: [] for label in labels}
-    first = []
-    for k in range(rounds):
-        order = labels if k % 2 == 0 else labels[::-1]
-        first.append(order[0])
-        for label in order:
-            argv = [sys.executable, "-c", ALTERNATING, json.dumps(pairs), str(BEST_OF)]
-            env = dict(os.environ, PYTHONPATH=str(trees[label] / "src"))
-            proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-            seconds[label].append(json.loads(proc.stdout))
-    out: dict = {"rounds": rounds, "best_of": BEST_OF, "first": first}
-    for stage, text in ((stage, text) for stage in ALTERNATED for text in pairs):
-        runs = {label: [run[stage][text] for run in seconds[label]] for label in labels}
-        entry = out.setdefault(stage, {})[text] = {}
-        for label, rival in zip(labels, labels[::-1]):
-            values = runs[label]
-            entry[label] = {
-                "seconds_runs": values, "median": statistics.median(values),
-                "quartiles": statistics.quantiles(values, n=4)[::2] if rounds > 1 else values * 2,
-                "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival])),
-                "ratio_median": statistics.median(
-                    mine / theirs for mine, theirs in zip(values, runs[rival]))}
-        print(f"{stage} ({text}) alternating, median of {rounds}: " + " ".join(
-            f"{label}={entry[label]['median'] * 1e3:.2f} ms "
-            f"(faster in {entry[label]['rounds_faster']}, "
-            f"ratio {entry[label]['ratio_median']:.3f})" for label in labels), file=sys.stderr)
+    packages = {label: load_tree(root) for label, root in trees.items()}
+    orders = [labels if k % 2 == 0 else labels[::-1] for k in range(rounds)]
+    out: dict = {"rounds": rounds, "best_of": BEST_OF, "first": [order[0] for order in orders]}
+    for text in pairs:
+        calls = {}   # per label and stage, a function and its arguments
+        for label, eq in packages.items():
+            pair = eq.PrimePair.create(*(int(v) for v in text.split(",")))
+            index = eq.build_partition(pair)
+            calls[label] = {"lemma_failures": (eq.lemma_failures, pair, index),
+                            "build_partition": (eq.build_partition, pair),
+                            "generate_threshold": (eq.generate_threshold, pair)}
+        for stage, agree in ALTERNATED.items():
+            if not agree(*(timed(*calls[label][stage])[0] for label in labels)):
+                raise SystemExit(f"{stage} ({text}): {' and '.join(labels)} do not agree")
+            runs = {label: [] for label in labels}
+            for label in (label for order in orders for label in order):
+                runs[label].append(min(timed(*calls[label][stage])[1] for _ in range(BEST_OF)))
+            entry = out.setdefault(stage, {})[text] = {}
+            for label, rival in zip(labels, labels[::-1]):
+                values = runs[label]
+                ratios = [mine / theirs for mine, theirs in zip(values, runs[rival])]
+                entry[label] = {
+                    "seconds_runs": values, "median": statistics.median(values),
+                    "quartiles": statistics.quantiles(values, n=4)[::2] if rounds > 1 else values * 2,
+                    "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival])),
+                    "ratio_median": statistics.median(ratios), "ratio_interval": ratio_interval(ratios)}
+            low, high = entry[labels[0]]["ratio_interval"]
+            print(f"{stage} ({text}) alternating, median of {rounds}: " + " ".join(
+                f"{label}={side['median'] * 1e3:.2f} ms (faster in {side['rounds_faster']}, "
+                f"ratio {side['ratio_median']:.3f})" for label, side in entry.items())
+                + f", {labels[0]}'s in [{low:.3f}, {high:.3f}]: "
+                + ("unresolved" if low <= 1 <= high else "resolved"), file=sys.stderr)
     return out
 
 
@@ -332,8 +329,7 @@ def audit(pairs: list[str], bound: int, repeats: int) -> dict:
     of lemma_failures, and of audit_structure over the scan's pairs."""
     out: dict = {"lemma_failures": {}}
     for text in pairs:
-        p, q = (int(v) for v in text.split(","))
-        pair = PrimePair.create(p, q)
+        pair = PrimePair.create(*(int(v) for v in text.split(",")))
         gens, index = derive_generators(pair), build_partition(pair)
         runs, stages = [], []
         for _ in range(repeats):
@@ -412,19 +408,22 @@ def main() -> int:
     ap.add_argument("--scan", type=int, default=100_000, help="period bound of the timed scan")
     ap.add_argument("--full-scan", action="store_true", help="also scan to 1000000 once")
     ap.add_argument("--against", metavar="OTHER=PATH",
-                    help="also time lemma_failures alternately in the source checkout at PATH, "
-                         "recorded under the label OTHER")
+                    help="also time lemma_failures, build_partition and generate_threshold "
+                         "alternately in this tree and in the source checkout at PATH, both "
+                         "loaded into this process, recorded under the label OTHER")
     args = ap.parse_args()
     if args.against:
         other, sep, path = args.against.partition("=")
         if not (other and sep and path) or other == args.label:
             ap.error("--against takes OTHER=PATH, with OTHER not the --label")
+        if not (Path(path) / "src" / "eqseq" / "__init__.py").is_file():
+            ap.error(f"--against: {path} holds no src/eqseq/__init__.py")
 
     run = {"ladder": ladder(args.pairs, args.repeats),
            "audit": audit(AUDIT_PAIRS, args.scan, args.repeats)}
     run[f"large_{LARGE.replace(',', '_')}"] = large(LARGE, args.repeats)
     if args.against:
-        trees = {args.label: ROOT, other: Path(path).resolve()}
+        trees = {args.label: ROOT, other: Path(path)}
         run["audit"]["alternating"] = alternating(AUDIT_PAIRS, trees, args.repeats)
     for text in dict.fromkeys([*args.pairs[-1:], SLOWEST]):
         run[f"verify_{text.replace(',', '_')}"] = verify(text, args.repeats)

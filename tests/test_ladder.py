@@ -4,6 +4,8 @@ records (`_component_lc`)."""
 
 import importlib.util
 import re
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,8 +92,8 @@ def test_audit_reports_every_pair_ok(ladder):
 
 def test_alternating_audit_of_the_tree_against_itself(ladder):
     # --against: lemma_failures, build_partition and generate_threshold in
-    # both trees, a fresh interpreter per tree and round, the tree that runs
-    # first alternating
+    # both trees, each loaded into this process, the tree that runs first
+    # alternating by round
     out = ladder.alternating(["3,7"], {"change": ladder.ROOT, "self": ladder.ROOT}, 2)
     assert out["rounds"] == 2 and out["best_of"] == ladder.BEST_OF
     assert out["first"] == ["change", "self"]
@@ -105,11 +107,66 @@ def test_alternating_audit_of_the_tree_against_itself(ladder):
             low, high = side["quartiles"]
             assert low <= side["median"] <= high
             # the paired statistic: the median of this tree's seconds over the
-            # other's, round by round
+            # other's, round by round, and its bootstrap interval; no timing
+            # outcome, such as the interval holding 1, is asserted
             ratios = [mine / theirs for mine, theirs in zip(side["seconds_runs"], rival["seconds_runs"])]
             assert side["ratio_median"] == pytest.approx(sum(ratios) / 2)
+            low, high = side["ratio_interval"]
+            assert low <= side["ratio_median"] <= high
         # a round is won by the strictly faster tree, so at most one per round
         assert entry["change"]["rounds_faster"] + entry["self"]["rounds_faster"] <= 2
+
+
+def test_ratio_interval_is_fixed_by_the_rounds(ladder):
+    seconds = [0.004, 0.0051, 0.0039, 0.0062]
+    assert ladder.ratio_interval([mine / theirs for mine, theirs in zip(seconds, seconds)]) == (1.0, 1.0)
+    ratios = [1.02, 0.97, 1.05, 0.99, 1.01]
+    low, high = ladder.ratio_interval(ratios)
+    assert ladder.ratio_interval(ratios) == (low, high)
+    assert min(ratios) <= low <= high <= max(ratios)
+
+
+def test_load_tree_imports_a_package_of_its_own(ladder):
+    eqseq = sys.modules["eqseq"]
+    first, second = ladder.load_tree(ladder.ROOT), ladder.load_tree(ladder.ROOT)
+    assert first is not second and first.__name__ != second.__name__
+    assert first.build_partition is not second.build_partition
+    for package in (first, second):
+        assert Path(package.__file__).is_relative_to(ladder.ROOT / "src" / "eqseq")
+        assert Path(package.structverify.__file__).is_relative_to(ladder.ROOT / "src" / "eqseq")
+    assert sys.modules["eqseq"] is eqseq
+    assert (first.build_partition(first.PrimePair.create(3, 7)).tolist()
+            == second.build_partition(second.PrimePair.create(3, 7)).tolist())
+
+
+def test_alternating_refuses_trees_that_disagree(ladder, tmp_path):
+    # a copy whose index changes dtype still agrees; a threshold with one
+    # bit flipped does not, and nothing is timed
+    shutil.copytree(ladder.ROOT / "src" / "eqseq", tmp_path / "src" / "eqseq")
+    with open(tmp_path / "src" / "eqseq" / "__init__.py", "a") as fh:
+        fh.write("\n_partition, _threshold = build_partition, generate_threshold\n"
+                 "def build_partition(pair):\n"
+                 "    return _partition(pair).astype('int64')\n"
+                 "def generate_threshold(pair):\n"
+                 "    seq = _threshold(pair)\n"
+                 "    return BitSequence(seq.bits ^ 1, seq.length, seq.origin)\n")
+    with pytest.raises(SystemExit, match=r"generate_threshold \(3,7\): change and other do not agree"):
+        ladder.alternating(["3,7"], {"change": ladder.ROOT, "other": tmp_path}, 1)
+
+
+def test_bad_against_path_is_a_usage_error(ladder, tmp_path, monkeypatch, capsys):
+    def stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(ladder, "ladder", stage)
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(sys, "argv", ["ladder.py", "--label", "change", "--out", str(out),
+                                      "--against", f"parent={tmp_path}"])
+    with pytest.raises(SystemExit) as exit_info:
+        ladder.main()
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ladder_traces_the_index_where_p_divides(ladder):
