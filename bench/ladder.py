@@ -5,7 +5,7 @@ and the package under src/ (nothing is installed):
 
     python3 bench/ladder.py --label change --out BENCH.json
     python3 bench/ladder.py --label change --out BENCH.json --full-scan
-    python3 bench/ladder.py --label change --out BENCH.json --against parent=../parent
+    python3 bench/ladder.py --label change --out BENCH.json --repeats 20 --against parent=../parent
 
 For each pair it reports the median over --repeats runs of each stage: the
 threshold (`table_pack_s`: `generate_threshold`), the plan (`plan_s`:
@@ -62,7 +62,10 @@ label (LABEL for this tree, OTHER for the other): each round's seconds, their
 median and quartiles, the rounds the tree won, the median per-round ratio of
 its seconds to the other tree's (`ratio_median`, below 1 where it is faster)
 and its 95% bootstrap interval (`ratio_interval`); a printed line ends in
-`resolved` where LABEL's interval excludes 1, else `unresolved`.
+`resolved` where LABEL's interval excludes 1 over at least MIN_ROUNDS rounds,
+in `unresolved (too few rounds)` below MIN_ROUNDS (a few rounds that all
+favour one tree give an interval that excludes 1 on identical code), else in
+`unresolved`.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ LADDER = ["23,47", "3,181", "3,313", "3,577"]
 AUDIT_PAIRS = ["5,41", "3,181", "17,239", "3,577"]   # N = 8405, 98283, 971057 and 998787
 BEST_OF = 15   # calls per stage, pair and round of the alternating audit
 RESAMPLES = 10_000   # bootstrap resamples of the alternating audit's per-round ratios
+MIN_ROUNDS = 10   # fewest rounds of the alternating audit whose interval can read resolved
 LARGE = "3,2011"   # N = 12,132,363: the index and the threshold past the default budget
 # each stage of the alternating audit, with what two trees must agree on before it is timed
 ALTERNATED = {
@@ -315,11 +319,12 @@ def alternating(pairs: list[str], trees: dict[str, Path], rounds: int) -> dict:
                     "rounds_faster": sum(mine < theirs for mine, theirs in zip(values, runs[rival])),
                     "ratio_median": statistics.median(ratios), "ratio_interval": ratio_interval(ratios)}
             low, high = entry[labels[0]]["ratio_interval"]
+            verdict = ("unresolved (too few rounds)" if rounds < MIN_ROUNDS
+                       else "unresolved" if low <= 1 <= high else "resolved")
             print(f"{stage} ({text}) alternating, median of {rounds}: " + " ".join(
                 f"{label}={side['median'] * 1e3:.2f} ms (faster in {side['rounds_faster']}, "
                 f"ratio {side['ratio_median']:.3f})" for label, side in entry.items())
-                + f", {labels[0]}'s in [{low:.3f}, {high:.3f}]: "
-                + ("unresolved" if low <= 1 <= high else "resolved"), file=sys.stderr)
+                + f", {labels[0]}'s in [{low:.3f}, {high:.3f}]: {verdict}", file=sys.stderr)
     return out
 
 

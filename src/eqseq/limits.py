@@ -20,9 +20,9 @@ DEFAULT_MAX_PERIOD = 10**6
 # the longest period whose products of two residues below it fit int64
 EXACT_PERIOD = math.isqrt(2**63 - 1)
 
-# entries per block of the streamed passes: each lifts or walks an array, or
-# a product of generator powers, this many at a time (at least one row of its
-# view), so that it holds its output and one block, not period-length temporaries
+# entries per block of the two streamed passes, the psi lift (eulerq._psi_rows)
+# and lemma 7's claims (residues._q2_claims), so that each reader holds one
+# block (at least one row of its view), not period-length temporaries
 BLOCK = 1 << 13
 
 _ENV_VAR = "EQSEQ_MAX_PERIOD"
@@ -57,6 +57,6 @@ def check_exact(period: int) -> None:
                             "products of two residues below it overflow int64")
 
 
-def per_block(row_len: int = 1) -> int:
+def per_block(row_len: int) -> int:
     """Rows of row_len entries per block of the streamed passes, at least one."""
     return max(1, BLOCK // row_len)

@@ -1,5 +1,5 @@
-"""Residue checks of the coset index, lemmas 5-9, and the block walk that
-every check of the structural audit shares.
+"""Residue checks of the coset index, lemmas 5-9, and the comparison that
+decides a sound index.
 
 Residues are read off two views of the index.  Column c of the (q, pq) view
 holds the t = c mod pq, so bincounts count each coset on the (p, q) torus of
@@ -20,15 +20,9 @@ Each pass words the messages its evidence decides: the torus pass those of
 lemmas 5 and 6 and of the Phi_pq, Phi_p and Phi_q congruences, the q^2 pass
 those of lemma 7, of the Phi_{q^2} congruences and of lemma 9's pq^2 term.
 A sound index runs neither: is_fermat_index matches it to lemma 7's claims.
-
-Every check of the audit streams: it walks the index, or the units it maps,
-in blocks of about limits.BLOCK entries and keeps only what its verdict reads.
-Past the index and one block the audit holds tables of O(pq) entries and
-the q^2 keys held an odd number of times (none for a sound index); lemma 7's
-claims are lifted a block at a time from q Fermat quotients.  The torus is
-counted a block of its columns b at a time, and the Phi_pq test, which
-compares each cell with those of column b = 0, keeps that column from the
-first block.
+Each pass reads its view whole, so on an index that fails the comparison the
+audit holds temporaries of O(N) entries; the comparison alone walks the view
+a block of lemma 7's claims at a time, lifted from q Fermat quotients.
 """
 
 from __future__ import annotations
@@ -46,26 +40,6 @@ def _torus_columns(p: int, q: int) -> np.ndarray:
     return b + q * ((np.arange(p)[:, None] - b) % p)
 
 
-def _torus_counts(pair: PrimePair, index: np.ndarray):
-    """The counts on the (p, q) torus, a block of columns b at a time, b
-    ascending: entry (a, j, ell + 1) of the block from b0 counts the t with
-    label ell (-1 for the non-units), t = a mod p and t = b0 + j mod q.
-    Cell (a, b) is column c of the (q, pq) view, whose column c holds the
-    t = c mod pq, for c = a mod p and c = b mod q; one bincount per block
-    counts its columns."""
-    p, q = pair.p, pair.q
-    view = index.reshape(q, p * q)
-    columns = _torus_columns(p, q)
-    step = per_block(p * q)
-    for b0 in range(0, q, step):
-        cells = columns[:, b0:b0 + step].ravel()   # a row per a, each a row of pq
-        # cell i of the block with label ell: key i(q + 1) + ell + 1
-        keys = view[:, cells] + np.arange(1, (q + 1) * cells.size, q + 1)
-        counts = np.bincount(keys.ravel(), minlength=(q + 1) * cells.size)
-        del keys   # freed while the block is read
-        yield counts.reshape(p, -1, q + 1)
-
-
 def _congruences(out: dict[str, list[str]], q: int, verdicts) -> None:
     """Word into out the lemma 8 and 9 messages of each (modulus name,
     expected residue, rows off it) of verdicts, row q the cosets' sum."""
@@ -79,46 +53,39 @@ def _congruences(out: dict[str, list[str]], q: int, verdicts) -> None:
             out["lemma9"].append(f"summed coset polynomial is not {expect} mod {name}")
 
 
-def _torus_failures(pair: PrimePair, blocks) -> tuple[np.ndarray, dict[str, list[str]]]:
+def _torus_failures(pair: PrimePair, counts: np.ndarray) -> tuple[np.ndarray, dict[str, list[str]]]:
     """The coset sizes and the messages of lemmas 5 and 6 and of the Phi_pq,
-    Phi_p and Phi_q congruences of lemmas 8 and 9, read off the torus counts
-    of one period, given as blocks of columns b ascending (see _torus_counts)."""
+    Phi_p and Phi_q congruences of lemmas 8 and 9, read off the counts on the
+    (p, q) torus of one period: entry (a, b, ell + 1) counts the t with label
+    ell (-1 for the non-units), t = a mod p and t = b mod q."""
     p, q = pair.p, pair.q
-    unit_q = np.arange(q) != 0
-    units, per_q = np.outer(np.arange(p) != 0, unit_q)[..., None], (p - 1) * unit_q[:, None]
-    mod_p = np.zeros((p, q + 1), dtype=np.int64)
-    off = np.zeros((4, q + 1), dtype=bool)
-    b0 = 0
-    for counts in blocks:
-        width = counts.shape[1]
-        by_q = counts.sum(axis=0)
-        mod_p += counts.sum(axis=1)
-        # a coset meets each unit cell once, and so each unit class mod q p - 1
-        # times (entry 0, the non-units, is compared too and dropped)
-        off[0] |= (counts != units[:, b0:b0 + width]).any(axis=(0, 1))
-        off[1] |= (by_q != per_q[b0:b0 + width]).any(axis=0)
-        # the parities; each cell holds q entries, q odd, so flipping entry 0
-        # gives the parity of the sum over the cosets (uint8 wraps mod 256,
-        # which keeps the parity)
-        planes = counts.astype(np.uint8)
-        planes &= 1
-        planes[..., 0] ^= 1
-        parity_q = planes.sum(axis=0, dtype=np.uint8) & 1   # by t mod q
-        if b0 == 0:
-            planes[0, 0] ^= 1   # each coset polynomial, and their sum, is 1 mod Phi_pq
-            first, first_q = planes[:, :1].copy(), parity_q[:1].copy()
-        off[2] |= _off_phi_pq(planes, first)
-        off[3] |= (parity_q != first_q).any(axis=0)
-        b0 += width
-    # the cosets first, their sum as entry q; row ell of mod_p counts D_ell by t mod p
-    off_cells, off_mod_q, off_phi_pq, off_phi_q = np.roll(off, -1, axis=1)
-    mod_p = mod_p[:, 1:].T
-    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma8": [], "lemma9": []}
+    unit_p, unit_q = np.arange(p) != 0, np.arange(q) != 0
+    by_p = counts.sum(axis=1)
+    # the parities; each cell holds q entries, q odd, so flipping entry 0
+    # gives the parity of the sum over the cosets (uint8 wraps mod 256, which
+    # keeps the parity)
+    planes = counts.astype(np.uint8)
+    planes &= 1
+    planes[..., 0] ^= 1
+    parity_p, parity_q = (planes.sum(axis=axis, dtype=np.uint8) & 1 for axis in (1, 0))
+    planes[0, 0] ^= 1   # each coset polynomial, and their sum, is 1 mod Phi_pq
     # a coset meets each unit class mod pq, a torus cell (a, b) with a, b != 0,
     # once, and so each unit class mod p q - 1 times and mod q p - 1 times
-    bad = zip((mod_p != (np.arange(p) != 0) * (q - 1)).any(axis=1).tolist(),
-              off_mod_q[:q].tolist(), off_cells[:q].tolist())
-    for ell, (off_p, off_q, off_pq) in enumerate(bad):
+    # (entry 0, the non-units, is compared too and dropped); each coset
+    # polynomial, and so their sum, is 1 modulo the pq cyclotomic and 0 modulo
+    # the p and q ones; mod x^m + 1 for m = p or q it is its counts by t mod m,
+    # which is c mod the prime Phi_m exactly when it is c plus 0 or Phi_m (all
+    # ones), so when its parities by t mod m are all equal
+    off = [(by_p != (q - 1) * unit_p[:, None]).any(axis=0),
+           (counts.sum(axis=0) != (p - 1) * unit_q[:, None]).any(axis=0),
+           (counts != np.outer(unit_p, unit_q)[..., None]).any(axis=(0, 1)), _off_phi_pq(planes),
+           (parity_p != parity_p[:1]).any(axis=0), (parity_q != parity_q[:1]).any(axis=0)]
+    # the cosets first, their sum as entry q
+    off_mod_p, off_mod_q, off_cells, *congruent = np.roll(off, -1, axis=1)
+    mod_p = by_p[:, 1:].T   # row ell counts D_ell by t mod p
+    out: dict[str, list[str]] = {"lemma5": [], "lemma6": [], "lemma8": [], "lemma9": []}
+    for ell, (off_p, off_q, off_pq) in enumerate(zip(off_mod_p[:q].tolist(), off_mod_q[:q].tolist(),
+                                                     off_cells[:q].tolist())):
         if off_p:
             residues = {r: c for r, c in enumerate(mod_p[ell].tolist()) if c}
             out["lemma5"].append(f"D_{ell} mod p multiset wrong: {residues}")
@@ -126,14 +93,8 @@ def _torus_failures(pair: PrimePair, blocks) -> tuple[np.ndarray, dict[str, list
             out["lemma5"].append(f"D_{ell} mod q multiset wrong")
         if off_pq:
             out["lemma6"].append(f"D_{ell} mod pq is not a bijection onto the units")
-    # each coset polynomial, and so their sum (row q), is 1 modulo the pq
-    # cyclotomic and 0 modulo the p and q ones; mod x^m + 1 for m = p or q it
-    # is its counts by t mod m, which is c mod the prime Phi_m exactly when it
-    # is c plus 0 or Phi_m (all ones)
-    parity = np.concatenate([mod_p, mod_p.sum(axis=0, keepdims=True)]) & 1
-    _congruences(out, q, (("pq", 1, np.flatnonzero(off_phi_pq).tolist()),
-                          ("p", 0, np.flatnonzero((parity != parity[:, :1]).any(axis=1)).tolist()),
-                          ("q", 0, np.flatnonzero(off_phi_q).tolist())))
+    _congruences(out, q, [(name, expect, np.flatnonzero(rows).tolist())
+                          for name, expect, rows in zip(("pq", "p", "q"), (1, 0, 0), congruent)])
     return mod_p.sum(axis=1), out
 
 
@@ -182,54 +143,44 @@ def is_fermat_index(pair: PrimePair, gens: GroupGenerators, index: np.ndarray) -
 def _q2_failures(pair: PrimePair, gens: GroupGenerators, index: np.ndarray) -> dict[str, list[str]]:
     """The messages of lemma 7 and of the Phi_{q^2} and Phi_{pq^2} congruences
     of lemmas 8 and 9, on the (p, q^2) view, whose column r holds the
-    t = r mod q^2, a block of the _q2_claims at a time: the cosets that miss
-    their multiset mod q^2, and the keys coset * q^2 + r that an odd number of
-    units hold; and, from the same blocks, each of whole torus columns b,
-    whether the labelled indicator, the cosets' sum, is nonzero mod Phi_{pq^2}."""
+    t = r mod q^2, against the _q2_claims: the cosets that miss their multiset
+    mod q^2, and the keys coset * q^2 + r that an odd number of units hold;
+    and whether the labelled indicator, the cosets' sum, is nonzero mod
+    Phi_{pq^2}."""
     p, q = pair.p, pair.q
     q2 = q * q
     view = index.reshape(p, q2)
-    rows = _torus_columns(p, q) // q   # the row i = (a - b) mod p of cell (a, b)
-    first = view[:, None, :q] >= 0   # the parts' torus column b = 0, cell (i, 0) in row i
-    bad, odd, off_phi_n = np.zeros(q, dtype=bool), [], False
-    for r0, claims in _q2_claims(pair, gens):
-        block = view[:, r0:r0 + claims.size]
-        labelled = block >= 0
-        hit = block == claims
-        per_column = hit.sum(axis=0)
-        # the claims (claims[r], r) not held p - 1 times, among them, as p - 1
-        # is even, all those held an odd number of times
-        r = np.flatnonzero((claims >= 0) & (per_column != p - 1))
-        off = labelled > hit   # labelled, but not with the claim
-        if r.size or off.any():   # else the block has nothing to collect
-            keys, counts = claims[r] * q2 + (r0 + r), per_column[r]
-            j, c = np.divmod(np.flatnonzero(off), claims.size)
-            stray, times = np.unique(block[j, c] * np.int64(q2) + (r0 + c), return_counts=True)
-            bad[np.concatenate([keys, stray]) // q2] = True
-            odd += [keys[counts % 2 == 1], stray[times % 2 == 1]]
-        # the block's parts on the torus, a row per a and a column per b
-        b0, b = r0 // q, np.arange(claims.size // q)
-        parts = labelled.reshape(p, b.size, q)[rows[:, b0:b0 + b.size], b]
-        off_phi_n |= _off_phi_pq(parts, first).any()
-    odd = np.concatenate(odd or [np.zeros(0, dtype=np.int64)])
-    out = {"lemma7": [f"D_{ell} mod q^2 multiset wrong" for ell in np.flatnonzero(bad).tolist()],
+    claims = np.concatenate([block for _, block in _q2_claims(pair, gens)])
+    labelled = view >= 0
+    hit = view == claims
+    per_column = hit.sum(axis=0)
+    # the claims (claims[r], r) not held p - 1 times, among them, as p - 1 is
+    # even, all those held an odd number of times
+    r = np.flatnonzero((claims >= 0) & (per_column != p - 1))
+    keys, counts = claims[r] * q2 + r, per_column[r]
+    i, c = np.nonzero(labelled > hit)   # labelled, but not with the claim
+    stray, times = np.unique(view[i, c] * np.int64(q2) + c, return_counts=True)
+    odd = np.concatenate([keys[counts % 2 == 1], stray[times % 2 == 1]])
+    bad = np.unique(np.concatenate([keys, stray]) // q2)
+    out = {"lemma7": [f"D_{ell} mod q^2 multiset wrong" for ell in bad.tolist()],
            "lemma8": [], "lemma9": []}
     # each coset polynomial, and so their sum, is 0 mod Phi_{q^2}
     summed = np.flatnonzero(np.bincount(odd % q2) % 2)
     _congruences(out, q, [("q2", 0, _off_phi_q2(odd, q) + [q] * bool(_off_phi_q2(summed, q)))])
-    if off_phi_n:
+    # the parts on the torus, a row per a and a column per b
+    parts = labelled.reshape(p, q, q)[_torus_columns(p, q) // q, np.arange(q)]
+    if _off_phi_pq(parts).any():
         out["lemma9"].append("summed coset polynomial is nonzero mod the pq^2 cyclotomic")
     return out
 
 
-def _off_phi_pq(planes: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _off_phi_pq(planes: np.ndarray) -> np.ndarray:
     """Whether each plane of parities on the (p, q) torus (the first two axes,
     a plane per entry of the last), as the polynomial it sets through
     x^i -> y^(i mod p) z^(i mod q), is nonzero mod Phi_pq: exactly when
     (y + 1)(z + 1) times it is nonzero, that is when some entry (a, b) differs
-    from the sum of (a, 0), (0, b) and (0, 0).  The planes may hold a block
-    of the columns b, with first their column b = 0."""
-    mixed = planes ^ first
+    from the sum of (a, 0), (0, b) and (0, 0)."""
+    mixed = planes ^ planes[:, :1]
     return (mixed ^ mixed[:1]).any(axis=(0, 1))
 
 
@@ -246,7 +197,14 @@ def residue_failures(pair: PrimePair, gens: GroupGenerators,
                      index: np.ndarray) -> tuple[np.ndarray, dict[str, list[str]]]:
     """The coset sizes |D_0|, ..., |D_(q-1)|, read off the torus counts, and
     the failure messages of each of lemmas 5-9, empty where it holds."""
-    sizes, torus = _torus_failures(pair, _torus_counts(pair, index))
+    p, q = pair.p, pair.q
+    # cell (a, b) of the torus is column c of the (q, pq) view, which holds
+    # the t = c mod pq, for c = a mod p and c = b mod q; one bincount of the
+    # keys c(q + 1) + ell + 1 counts every column
+    keys = index.reshape(q, p * q) + np.arange(1, (q + 1) * p * q, q + 1)
+    counts = np.bincount(keys.ravel(), minlength=(q + 1) * p * q).reshape(p * q, q + 1)
+    del keys   # freed before the cells are gathered
+    sizes, torus = _torus_failures(pair, counts[_torus_columns(p, q)])
     q2 = _q2_failures(pair, gens, index)
     return sizes, {f"lemma{k}": torus.get(f"lemma{k}", []) + q2.get(f"lemma{k}", [])
                    for k in range(5, 10)}

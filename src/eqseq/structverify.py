@@ -15,9 +15,9 @@ exact congruences modulo cyclotomic polynomials.  Agreement modulo the n-th
 cyclotomic polynomial is agreement at every primitive n-th root, in
 GF(2)[x] arithmetic.
 
-The residue checks of lemmas 5-9, and the block walk that every check shares,
-are in residues.  A sound index runs none of them, nor the walks below: one
-comparison decides it (lemma_failures); on any other index they name faults.
+The residue checks of lemmas 5-9 are in residues.  A sound index runs none of
+them, nor the walks below: one comparison decides it (lemma_failures); on any
+other index they name faults, each on whole arrays of O(N) entries.
 
 Index additivity (lemmas 2 and 4) is decided exactly from two generators, at
 every period.  The units are the direct product <h> x <g2>, with
@@ -41,7 +41,7 @@ import numpy as np
 from . import residues
 from .errors import DomainError
 from .eulerq import build_partition, derive_generators, two_coset_index
-from .limits import check_exact, per_block
+from .limits import check_exact
 from .ntcore import GroupGenerators, PrimePair, crt_lift
 
 
@@ -66,7 +66,7 @@ def check_index(pair: PrimePair, index: np.ndarray) -> None:
 
 def _powers(base: int, count: int, n: int) -> np.ndarray:
     """base^0, base^1, ..., base^(count-1) mod n, doubling the filled prefix.
-    Each product here and in the audit's streamed checks multiplies two
+    Each product here and in the walks over the units multiplies two
     residues below n, so it stays below n^2 and is exact in int64 while n is
     at most limits.EXACT_PERIOD, which the audit checks first."""
     out = np.empty(count, dtype=np.int64)
@@ -79,38 +79,34 @@ def _powers(base: int, count: int, n: int) -> np.ndarray:
     return out
 
 
-def _g2(pair: PrimePair, gens: GroupGenerators) -> int:
-    """g2 = CRT(1 mod p, g mod q^2), of order q(q-1)."""
-    q2 = pair.q * pair.q
-    return crt_lift([(1, pair.p), (gens.g % q2, q2)])
+def _units(pair: PrimePair, gens: GroupGenerators) -> np.ndarray:
+    """The units of Z_N, each once, as h^a * g2^b in row a < p - 1, column
+    b < q(q - 1), for g2 = CRT(1 mod p, g mod q^2), of order q(q-1)."""
+    n, p, q = pair.period, pair.p, pair.q
+    g2 = crt_lift([(1, p), (gens.g % (q * q), q * q)])
+    units = np.multiply.outer(_powers(gens.h, p - 1, n), _powers(g2, q * (q - 1), n))
+    units %= n
+    return units
 
 
 def _check_additivity(pair: PrimePair, index: np.ndarray, sizes: np.ndarray,
-                      h_powers: np.ndarray, g2: int) -> list[str]:
+                      units: np.ndarray) -> list[str]:
     """Empty exactly when the index is a homomorphism from the units to Z_q
     that labels nothing else; otherwise one witness, the first h^a * g2^b (a,
-    then b, ascending) not labelled b * I(g2) mod q.  h_powers holds the h^a;
-    each row a is walked in blocks of whole periods q of b * I(g2) mod q."""
-    n, p, q = pair.period, pair.p, pair.q
-    row = q * (q - 1)
+    then b, ascending) not labelled b * I(g2) mod q.  units holds the h^a * g2^b
+    in row a, column b."""
     labelled = int(sizes.sum())
-    if labelled != (p - 1) * row:
+    if labelled != units.size:
         return [f"index additivity fails: {labelled} positions carry a label, "
-                f"expected (p-1)q(q-1) = {(p - 1) * row}"]
-    width = min(row, q * per_block(q))
-    powers, stride = _powers(g2, width, n), pow(g2, width, n)
-    expected = (np.arange(width) * int(index[g2]) % q).astype(np.int32)   # b * I(g2), b mod width
-    for a, start in enumerate(h_powers.tolist()):
-        for b in range(0, row, width):
-            block = powers[:row - b] * start   # h^a * g2^(b + j)
-            block %= n
-            bad = np.flatnonzero(index.take(block) != expected[:block.size])
-            if bad.size:
-                j = int(bad[0])
-                t = int(block[j])
-                return [f"index additivity fails: I(h^{a} * g2^{b + j}) = I({t}) = {index[t]}, "
-                        f"expected b * I(g2) = {expected[j]} mod q"]
-            start = start * stride % n
+                f"expected (p-1)q(q-1) = {units.size}"]
+    row = units.shape[1]
+    expected = np.arange(row) * int(index[units[0, 1]]) % pair.q   # b * I(g2), g2 at (0, 1)
+    bad = np.flatnonzero(index.take(units) != expected)
+    if bad.size:
+        a, b = divmod(int(bad[0]), row)
+        t = int(units[a, b])
+        return [f"index additivity fails: I(h^{a} * g2^{b}) = I({t}) = {index[t]}, "
+                f"expected b * I(g2) = {expected[b]} mod q"]
     return []
 
 
@@ -132,31 +128,26 @@ def _check_partition_shape(pair: PrimePair, sizes: np.ndarray) -> list[str]:
 def _check_ghat_law(pair: PrimePair, gens: GroupGenerators, index: np.ndarray,
                     sizes: np.ndarray) -> list[str]:
     # multiplication by the unit ghat^ell is injective, so ghat^ell * D_0 = D_ell
-    # exactly when every image is labelled ell and |D_ell| = |D_0|; D_0 is read
-    # a block of the index at a time, and mapped a slice of it at a time
-    n, q = pair.period, pair.q
-    powers, labels = _powers(gens.ghat, q, n)[1:], np.arange(1, q)
-    holds = sizes[1:] == sizes[0]
-    step, width = per_block(), per_block(q - 1)
-    for start in range(0, n, step):
-        d0 = np.flatnonzero(index[start:start + step] == 0)
-        d0 += start
-        for j in range(0, d0.size, width):
-            images = d0[j:j + width, None] * powers   # row i, column ell - 1: ghat^ell * t_i
-            images %= n
-            holds &= (index.take(images) == labels).all(axis=0)
-    return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds) + 1).tolist()]
+    # exactly when every image is labelled ell and |D_ell| = |D_0|; D_0 is
+    # mapped only by the ell with |D_ell| = |D_0|, as those cosets and D_0
+    # hold no more than N positions, so the images are fewer than N
+    n = pair.period
+    ells = np.flatnonzero(sizes == sizes[0])[1:]
+    images = np.multiply.outer(np.flatnonzero(index == 0), _powers(gens.ghat, pair.q, n)[ells])
+    images %= n   # row i, column j: ghat^ells[j] * t_i
+    holds = np.zeros(pair.q, dtype=bool)
+    holds[ells] = (index.take(images) == ells).all(axis=0)
+    return [f"ghat^{ell} * D_0 != D_{ell}" for ell in (np.flatnonzero(~holds[1:]) + 1).tolist()]
 
 
 def _check_kernel_image(pair: PrimePair, index: np.ndarray, sizes: np.ndarray,
-                        h_powers: np.ndarray, g2: int) -> list[str]:
+                        units: np.ndarray) -> list[str]:
     problems = []
-    n, p, q = pair.period, pair.p, pair.q
+    p, q = pair.p, pair.q
 
     # kernel: <g^q, h> = <h, g2^q> (as g = h g2), the h^a * g2^b with b = 0
     # mod q, equals D_0 exactly when all labelled 0 and |D_0| is its size
-    kernel = np.multiply.outer(h_powers, _powers(pow(g2, q, n), q - 1, n))
-    kernel %= n
+    kernel = units[:, ::q]
     if not ((index.take(kernel) == 0).all() and sizes[0] == kernel.size):
         problems.append(f"subgroup <g^q, h> has {kernel.size} elements and differs from D_0")
 
@@ -190,10 +181,10 @@ def lemma_failures(pair: PrimePair, index: np.ndarray) -> dict[str, list[str]]:
     if residues.is_fermat_index(pair, gens, index):
         return {f"lemma{k}": [] for k in range(2, 10)}
     sizes, residue_failures = residues.residue_failures(pair, gens, index)
-    h_powers, g2 = _powers(gens.h, pair.p - 1, pair.period), _g2(pair, gens)
-    additivity = _check_additivity(pair, index, sizes, h_powers, g2)
+    units = _units(pair, gens)
+    additivity = _check_additivity(pair, index, sizes, units)
 
-    failures = {"lemma2": _check_kernel_image(pair, index, sizes, h_powers, g2) + additivity}
+    failures = {"lemma2": _check_kernel_image(pair, index, sizes, units) + additivity}
     failures["lemma3"] = (_check_partition_shape(pair, sizes)
                           + _check_ghat_law(pair, gens, index, sizes))
     failures["lemma4"] = (["the index is not additive, so a translation leaves its target coset"]

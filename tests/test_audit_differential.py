@@ -16,9 +16,9 @@ and read at each class mod pq, are checked against one bincount per modulus,
 the q^2 columns against the sorted keys and counts of np.unique, the torus
 test for Phi_pq, Phi_p and Phi_q against one reduction per row, and the
 polyphase test of lemma 9's pq^2 term, read in the q^2 pass, against one
-reduction of the whole indicator, with the default blocks and blocks of 1, 7
-and 64 entries.  Every check walks its input in blocks, and the audit with
-blocks of 1, 7 and 64 entries must match the audit with the default block.
+reduction of the whole indicator.  Only lemma 7's claims are lifted in blocks,
+which the comparison walks and the q^2 pass joins, so the audit with blocks of
+1, 7 and 64 entries must match the audit with the default block.
 The three walks over the units, which the audit skips where lemmas 6 and 7
 hold, are run directly: they hold on every clean index, and every corrupted
 index that fails one of them, or fails lemma 5, 8 or 9, also fails lemma 6 or 7.
@@ -92,6 +92,9 @@ def corrupt(index: np.ndarray, kind: str, q: int) -> np.ndarray:
     elif kind == "label_q":
         # a label q names no coset, so the index is refused
         out[units[-1]] = q
+    elif kind == "one_coset":
+        # every unit in D_0: the ghat law has an image for each unit and coset
+        out[units] = 0
     elif kind == "doubled":
         # ell -> 2 ell mod q, an automorphism of Z_q: still additive, but
         # ghat^ell * D_0 is now D_{2 ell}
@@ -250,8 +253,7 @@ class TestGenerators:
             n, q2 = pair.period, q * q
             gens = derive_generators(pair)
             g = gens.g
-            coords = np.multiply.outer(sv._powers(gens.h, p - 1, n),
-                                       sv._powers(sv._g2(pair, gens), q * (q - 1), n)) % n
+            coords = sv._units(pair, gens)
             assert coords.shape == (p - 1, q * (q - 1)), (p, q)
             assert sorted(coords.ravel().tolist()) == [t for t in range(n) if math.gcd(t, n) == 1]
             assert (coords % p == np.array([pow(g, a, p) for a in range(p - 1)])[:, None]).all()
@@ -268,8 +270,7 @@ class TestGenerators:
                 index = corrupt(index, kind, q)
             sizes = np.bincount(index + 1, minlength=q + 1)[1:]
             gens = derive_generators(pair)
-            h_powers = sv._powers(gens.h, p - 1, pair.period)
-            additive = not sv._check_additivity(pair, index, sizes, h_powers, sv._g2(pair, gens))
+            additive = not sv._check_additivity(pair, index, sizes, sv._units(pair, gens))
             assert additive == (oracles._grid_failures(pair, index).size == 0), (p, q, kind)
             assert additive == (kind is None), (p, q, kind)
 
@@ -280,9 +281,9 @@ def walk_failures(pair, index) -> list[str]:
     or 7 fails."""
     gens = derive_generators(pair)
     sizes = np.bincount(index + 1, minlength=pair.q + 1)[1:]
-    h_powers, g2 = sv._powers(gens.h, pair.p - 1, pair.period), sv._g2(pair, gens)
-    return (sv._check_additivity(pair, index, sizes, h_powers, g2)
-            + sv._check_kernel_image(pair, index, sizes, h_powers, g2)
+    units = sv._units(pair, gens)
+    return (sv._check_additivity(pair, index, sizes, units)
+            + sv._check_kernel_image(pair, index, sizes, units)
             + sv._check_ghat_law(pair, gens, index, sizes))
 
 
@@ -336,7 +337,8 @@ class TestWalksDecided:
     def test_the_residue_passes_are_skipped(self, monkeypatch):
         def residue_pass(*args):
             raise AssertionError("ran a residue pass")
-        for name in ("_torus_failures", "_q2_failures"):
+        # residue_failures counts the torus itself, then runs the two passes
+        for name in ("residue_failures", "_torus_failures", "_q2_failures"):
             monkeypatch.setattr(rs, name, residue_pass)
         pair = PrimePair.create(3, 61)
         clean = sv.build_partition(pair)
@@ -411,9 +413,11 @@ def default_block_failures() -> list:
 
 
 class TestBlocks:
-    """Each check walks its input in blocks of limits.BLOCK entries (at least a
-    row of its view); with blocks of 1, 7 and 64 entries every verdict and
-    message is the default block's, the additivity witness among them."""
+    """The audit reads limits.BLOCK only through lemma 7's claims (_q2_claims),
+    lifted in blocks of at least a row of pq entries: the comparison walks the
+    index by them, and the q^2 pass joins them into one array.  With blocks of
+    1, 7 and 64 entries every verdict and message is the default block's, the
+    additivity witness among them."""
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_small_blocks(self, monkeypatch, block):
@@ -421,7 +425,7 @@ class TestBlocks:
         monkeypatch.setattr(limits, "BLOCK", block)
         for pair, kind, index, want in cases:
             assert sv.lemma_failures(pair, index) == want, (pair.p, pair.q, kind)
-        # and among them lemma 2 names witnesses, which the walk finds by blocks
+        # and among them lemma 2 names witnesses, found on the whole h^a g2^b grid
         assert any(msg.startswith("index additivity fails: I(h^") for *_, want in cases
                    for msg in want["lemma2"])
 
@@ -659,40 +663,43 @@ class TestTorusCongruences:
             torus = counts[:, columns]
             residues = {m: [_int_mod(row, cyclotomic_f2(m).bits) for row in rows] for m in (pq, p, q)}
             residues[q * q] = [0] * q
-            # entry (a, b, ell + 1), whole and as blocks of columns b, with
-            # entry (a, b, 0) the rest of the q labels of a cell
+            # entry (a, b, ell + 1), with entry (a, b, 0) the rest of the q
+            # labels of a cell
             torus = torus.reshape(q, p, q).transpose(1, 2, 0)
             torus = np.concatenate([q - torus.sum(axis=2, keepdims=True), torus], axis=2)
-            for blocks in ([torus], np.array_split(torus, 4, axis=1)):
-                failures = rs._torus_failures(pair, blocks)[1]
-                got = {name: failures[name] for name in ("lemma8", "lemma9")}
-                assert got == residue_congruences(residues, pair, 0), (p, q)
+            failures = rs._torus_failures(pair, torus)[1]
+            got = {name: failures[name] for name in ("lemma8", "lemma9")}
+            assert got == residue_congruences(residues, pair, 0), (p, q)
 
 
 class TestResidueTables:
-    """The torus counts, summed over b and over a and read at the cell of each
-    class mod pq, against a bincount per modulus and the np.unique keys and
+    """The torus counts that residue_failures hands to the torus pass, summed
+    over b and over a and read at the cell of each class mod pq, against a
+    bincount per modulus and the np.unique keys and
     counts; the odd keys of the q^2 pass against the np.unique keys and
     counts mod q^2; the lemma 5-7 messages of residue_failures against the
     check on those keys (oracles._check_key_multisets)."""
 
     @pytest.mark.parametrize("variant", (None, "doubled") + CORRUPTIONS)
     def test_match_sorted_keys(self, monkeypatch, variant):
-        # the q^2 pass hands the keys held an odd number of times to _off_phi_q2
-        odd_keys = []
-        off_phi_q2 = rs._off_phi_q2
+        # the q^2 pass hands the keys held an odd number of times to
+        # _off_phi_q2, and residue_failures the torus counts to _torus_failures
+        odd_keys, tori = [], []
+        off_phi_q2, torus_failures = rs._off_phi_q2, rs._torus_failures
         monkeypatch.setattr(rs, "_off_phi_q2",
                             lambda keys, q: odd_keys.append(keys) or off_phi_q2(keys, q))
+        monkeypatch.setattr(rs, "_torus_failures",
+                            lambda pair, counts: tori.append(counts) or torus_failures(pair, counts))
         for p, q in SWEEP_PAIRS:
             pair = PrimePair.create(p, q)
             gens = derive_generators(pair)
             index = sv.build_partition(pair)
             if variant:
                 index = corrupt(index, variant, q)
-            # entry (ell, a, b), from the blocks of columns b
-            torus = np.concatenate(list(rs._torus_counts(pair, index)), axis=1)[..., 1:].transpose(2, 0, 1)
             odd_keys.clear()
+            tori.clear()
             failures = rs.residue_failures(pair, gens, index)[1]
+            torus = tori[0][..., 1:].transpose(2, 0, 1)   # entry (ell, a, b)
             tables = {p: torus.sum(axis=2), q: torus.sum(axis=1),
                       p * q: torus.reshape(q, p * q)[:, np.argsort(rs._torus_columns(p, q).ravel())]}
             per_modulus = oracles.residue_tables(pair, index)
@@ -767,9 +774,9 @@ class TestResidueTables:
 class TestLemma9PhiN:
     """Lemma 9's pq^2 term sums the labels 0..q-1 and reduces the q polyphase
     parts of that indicator by Phi_pq, since Phi_{pq^2}(x) = Phi_pq(x^q).  The
-    parts are read in the blocks of the q^2 pass, each of whole torus columns
-    b; with blocks of one column (limits.BLOCK = 1) a block compared with its own
-    first column, not with column b = 0, would let every one-flag flip through."""
+    q^2 pass reads the parts off the whole (p, q^2) view, so limits.BLOCK sizes
+    only the blocks of lemma 7's claims, which the comparison walks and the
+    q^2 pass joins; the verdict is the same at every block size."""
 
     @pytest.mark.parametrize("block", [None, 1, 7, 64])
     @pytest.mark.parametrize("p,q", [(3, 7), (3, 13)])

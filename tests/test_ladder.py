@@ -90,11 +90,16 @@ def test_audit_reports_every_pair_ok(ladder):
     assert out["structure_1000"]["traced_peak_mb"] == max(peaks.values()) > 0
 
 
-def test_alternating_audit_of_the_tree_against_itself(ladder):
+def test_alternating_audit_of_the_tree_against_itself(ladder, capsys):
     # --against: lemma_failures, build_partition and generate_threshold in
     # both trees, each loaded into this process, the tree that runs first
     # alternating by round
     out = ladder.alternating(["3,7"], {"change": ladder.ROOT, "self": ladder.ROOT}, 2)
+    # two rounds are below MIN_ROUNDS, so no printed line reads resolved
+    assert 2 < ladder.MIN_ROUNDS
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(ladder.ALTERNATED)
+    assert all(line.endswith(": unresolved (too few rounds)") for line in lines), lines
     assert out["rounds"] == 2 and out["best_of"] == ladder.BEST_OF
     assert out["first"] == ["change", "self"]
     assert [key for key in out if key not in ("rounds", "best_of", "first")] == list(ladder.ALTERNATED)

@@ -97,6 +97,18 @@ def test_import_graph_is_pinned():
     assert [read for read in private if not _pinned_private_read(*read)] == [], private
 
 
+def test_only_the_sound_path_reads_the_block_rule():
+    # the comparison walks lemma 7's claims in blocks; the residue passes and
+    # the walks over the units, which only a faulty index reaches, read their
+    # views whole
+    assert not {("limits", "BLOCK"), ("limits", "per_block")} & _package_reads(Path(structverify.__file__))
+    tree = ast.parse(Path(residues.__file__).read_text())
+    callers = {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if isinstance(node, ast.Name)
+               and node.id in ("per_block", "BLOCK")}
+    assert callers == {"_q2_claims"}, callers
+
+
 def _pinned_private_read(module: str, source: str, name: str) -> bool:
     if (module, source) == ("lincomp", "gf2poly"):
         return name.startswith("_int_") or name in ("_cyclotomic_pair", "_cyclotomic_factors")

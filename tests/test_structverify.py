@@ -23,6 +23,8 @@ from eqseq import cli, eulerq, limits
 from eqseq.cli import EXIT_USAGE
 from eqseq.gf2poly import _int_mod
 
+from test_audit_differential import corrupt
+
 
 def _coset_poly(coset) -> int:
     bits = 0
@@ -281,10 +283,13 @@ class TestAuditStructure:
 
 class TestMemory:
     @staticmethod
-    def traced(p, q):
-        """lemma_failures on the clean index of (p, q), and its traced peak."""
+    def traced(p, q, kind=None):
+        """lemma_failures on the index of (p, q), clean or corrupted in the
+        given way, and its traced peak."""
         pair = PrimePair.create(p, q)
         index = build_partition(pair)
+        if kind:
+            index = corrupt(index, kind, q)
         tracemalloc.start()
         try:
             failures = lemma_failures(pair, index)
@@ -293,17 +298,34 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_lemma_failures_streams_the_index(self):
-        # past the index every stage holds one block and tables of O(pq) or
-        # q^2 entries; one int64 array of N = 98283 entries alone is 0.75 MiB
+        # on the clean index only the comparison runs, holding one block of
+        # the claims and its cells; one int64 array of N = 98283 entries
+        # alone is 0.75 MiB
         failures, peak = self.traced(3, 181)
         assert not any(failures.values())
         assert peak <= 0.7 * 2 ** 20, peak
 
     def test_lemma_failures_at_the_largest_pair_in_budget(self):
-        # (3, 577), N = 998787, walks the most blocks: 145 of 4 torus columns
+        # (3, 577), N = 998787, walks the most blocks of the claims: 145 of
+        # 4 periods q
         failures, peak = self.traced(3, 577)
         assert not any(failures.values())
         assert peak <= 0.35 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("p,q,kind,bound", [(3, 577, "swap", 24), (3, 181, "one_coset", 64)])
+    def test_fault_path_peak_per_position(self, p, q, kind, bound):
+        # an index that fails the comparison runs the residue passes and the
+        # walks on whole arrays.  On swap at (3, 577) they trace 20.5 bytes
+        # per position (19.5 MiB), most of it the torus keys, bincount and
+        # cells, 8 bytes per position each.  With every unit in D_0 nearly
+        # every unit is off its claim, and the q^2 pass's stray keys and
+        # their sort take most of 53.5 bytes per position at (3, 181); there
+        # the ghat law maps D_0 by no ghat^ell, as no other coset has its
+        # size, where phi(N)(q - 1) images would add 955.  The bounds leave
+        # 17% and 20% headroom
+        failures, peak = self.traced(p, q, kind)
+        assert any(failures.values())
+        assert peak <= bound * p * q * q, peak
 
 
 class TestExactRange:
