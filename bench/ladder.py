@@ -11,18 +11,20 @@ For each pair it reports the median over --repeats runs of each stage: the
 threshold (`table_pack_s`: `generate_threshold`), the plan (`plan_s`:
 `lincomp._sub_blocks`, one walk per cyclotomic block of x^N + 1 carrying the
 gcd route and the components), Berlekamp-Massey on every record with a
-component (`bm_s`), the least period and, for pairs inside the closed form's
-hypotheses, the closed-form prediction; elsewhere `lc_predicted` is null and
-`match` compares the two routes.  Beside the stages, one more untimed
-`generate_threshold` runs under tracemalloc for its traced peak
-(`table_pack_traced_mb`, and `table_pack_bytes_per_position`, that peak over
-N), and for pairs with p | q-1 one more `build_partition`
+component (`bm_s`: `lincomp._component_lc`, on the stride-s parts of each
+irreducible sub-block f(x^s)), the least period and, for pairs inside the
+closed form's hypotheses, the closed-form prediction; elsewhere
+`lc_predicted` is null and `match` compares the two routes.  Beside the
+stages, one more untimed `generate_threshold` runs under tracemalloc for its
+traced peak (`table_pack_traced_mb`, and `table_pack_bytes_per_position`,
+that peak over N), and for pairs with p | q-1 one more `build_partition`
 (`partition_traced_mb`, `partition_bytes_per_position`).  Cyclotomic caches
 are cleared before every run, so each stage starts cold as in one command-line
 call.  It then times, each in a fresh interpreter and as the median of
---repeats, `eqseq verify` on the last pair of the ladder and on (17, 239), the
-slowest pair in the default budget, and `eqseq scan --max-period --jobs 2`,
-and with --full-scan one scan to 1000000.
+--repeats, `eqseq verify` on the last pair of the ladder and on (17, 239) and
+(19, 191), the widest strides in the default budget (s = 239 and 191, so the
+most Berlekamp-Massey parts), and `eqseq scan --max-period --jobs 2`, and
+with --full-scan one scan to 1000000.
 
 The audit stage times, at a small and a mid-sized pair, at (17, 239) and at
 the largest pair in budget, `lemma_failures` on the coset index built
@@ -120,7 +122,7 @@ ALTERNATED = {
     "build_partition": lambda mine, theirs: len(mine) == len(theirs) and bool((mine == theirs).all()),
     "generate_threshold": lambda mine, theirs: (mine.bits, mine.length) == (theirs.bits, theirs.length),
 }
-SLOWEST = "17,239"   # slowest verify in budget: BM goes as phi(N)^2 / t, t = 4 here, 8 at (3,577)
+VERIFIED = ["17,239", "19,191"]   # verify beside the last ladder pair: the widest strides in budget
 
 
 def nproc() -> int:
@@ -377,6 +379,11 @@ def run_cli(*args: str) -> tuple[subprocess.CompletedProcess, float]:
     return proc, time.perf_counter() - start
 
 
+def verify_pairs(pairs: list[str]) -> list[str]:
+    """The pairs `eqseq verify` is timed on: the last of the ladder, then VERIFIED."""
+    return list(dict.fromkeys([*pairs[-1:], *VERIFIED]))
+
+
 def verify(text: str, repeats: int) -> dict:
     p, q = text.split(",")
     runs = [run_cli("verify", "--p", p, "--q", q) for _ in range(repeats)]
@@ -430,7 +437,7 @@ def main() -> int:
     if args.against:
         trees = {args.label: ROOT, other: Path(path)}
         run["audit"]["alternating"] = alternating(AUDIT_PAIRS, trees, args.repeats)
-    for text in dict.fromkeys([*args.pairs[-1:], SLOWEST]):
+    for text in verify_pairs(args.pairs):
         run[f"verify_{text.replace(',', '_')}"] = verify(text, args.repeats)
     run[f"scan_{args.scan}"] = scans(args.scan, args.repeats)
     if args.full_scan:

@@ -2,10 +2,10 @@
 
 A polynomial a_0 + a_1 x + ... + a_n x^n is the Python integer with bit i
 equal to a_i, the same convention used for bit sequences.  Addition is XOR,
-and the kernels `_int_mul`, `_int_divmod`, `_int_mod`, `_int_compose` and
-`_int_gcd` are the package's one polynomial layer.  Two polynomials are equal
-exactly when their integers are equal, so the representation is canonical by
-construction.  `Gf2Poly` wraps a finished result for reports: its degree,
+and the kernels `_int_mul`, `_int_divmod`, `_int_mod`, `_int_compose`,
+`_int_polyphase` and `_int_gcd` are the package's one polynomial layer.  Two
+polynomials are equal exactly when their integers are equal, so the
+representation is canonical by construction.  `Gf2Poly` wraps a finished result for reports: its degree,
 terms and rendering.
 
 The module also builds cyclotomic polynomials over GF(2) by composition:
@@ -66,6 +66,13 @@ def _int_compose(f: int, k: int) -> int:
     if k == 1:
         return f
     return int(("0" * (k - 1)).join(format(f, "b")), 2)
+
+
+def _int_polyphase(f: int, s: int, d: int) -> list[int]:
+    # the parts f_j of f = sum_j x^j f_j(x^s), for f of degree below d: part
+    # j takes every s-th binary digit from digit j on
+    digits = format(f, f"0{d}b")[::-1]   # coefficient i at index i
+    return [int(digits[j::s][::-1], 2) for j in range(s)]
 
 
 def _int_gcd(f: int, g: int) -> int:

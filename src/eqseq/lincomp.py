@@ -1,17 +1,11 @@
 """Linear-complexity engine: LFSR synthesis, exact minimal polynomial, prediction.
 
-Two independent routes to the linear complexity are implemented and always
-cross-checked:
-
-* Count-only Berlekamp-Massey: the length of the shortest LFSR generating a
-  bit prefix, with no connection polynomial built.  The discrepancy is not
-  recomputed from scratch each step; instead the products of the input with
-  the two working connection polynomials are maintained incrementally as
-  packed integers, so each step costs a constant number of big-integer
-  operations instead of a coefficient loop.
-
-* The closed form  M(x) = (x^N + 1) / gcd(x^N + 1, A(x))  from the generating
-  polynomial A of one period, with LC = deg M.
+Two independent routes to the linear complexity are always cross-checked:
+count-only Berlekamp-Massey, the length of the shortest LFSR generating a bit
+prefix, which keeps the products of the input with its two connection
+polynomials as packed integers, so a step costs a few big-integer operations;
+and the closed form M(x) = (x^N + 1) / gcd(x^N + 1, A(x)) from the generating
+polynomial A of one period, with LC = deg M.
 
 Both run sub-block by sub-block.  With N = 2^k m, m odd, x^N + 1 is the
 product of the pairwise coprime blocks F_e = Phi_e(x^(2^k)) = Phi_r(x^s)
@@ -30,14 +24,20 @@ the factor split being right, and it never reads the prediction.  The
 cofactors H_r = (x^r + 1) / Phi_r that start the components are checked
 once per r, where gf2poly builds them.
 
-Most sub-blocks need no Euclid.  For odd d every irreducible factor of Phi_d
-over GF(2) has degree ord_d(2) (Lidl and Niederreiter, Finite Fields,
-Thm 2.47), and a sub-block G of the block d divides Phi_d, so G is
-irreducible exactly when deg G = ord_d(2); then gcd(G, A) is 1 if some
-u_j mod f_i is nonzero, settled at the first such part, and G if none is.
-Euclid runs only on the sub-blocks that split and on the blocks of even d,
-where f(x^(2^k)) = f^(2^k) always splits.  A wrong verdict would still be
-caught: Berlekamp-Massey runs on every sub-block.
+Most sub-blocks need neither Euclid nor a long Berlekamp-Massey run.  For
+odd d every irreducible factor of Phi_d over GF(2) has degree ord_d(2)
+(Lidl and Niederreiter, Finite Fields, Thm 2.47), and a sub-block
+G = f(x^s) of the block d divides Phi_d, so G is irreducible exactly when
+deg G = ord_d(2).  Then gcd(G, A) is 1 if some u_j mod f is nonzero,
+settled at the first such part, and G if none is; and the component v has
+minimal polynomial 1 or G.  G links only terms s apart, so it annihilates
+v exactly when f annihilates each stride-s part v_j (bits j, j + s, ...),
+the interleaved view (ibid., ch. 8; Gong, IEEE Trans. Inform. Theory
+41(2), 1995): Berlekamp-Massey reads 2 deg f bits of each part, each must
+read LC 0 or deg f, and LC(v) = s max_j LC(v_j), for s times less work
+than one run on 2 deg G bits.  Sub-blocks that split, and the blocks of
+even d, where f(x^(2^k)) = f^(2^k), get Euclid and one full run.  Both
+routes read the verdict, so ord_d(2) is certified where the blocks are built.
 
 The predicted minimal polynomial is a product of cyclotomic polynomials
 selected by q mod 4; `verify_theorem` compares it against the measured one
@@ -52,7 +52,6 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
-from typing import Sequence as SequenceABC
 
 from . import eulerq
 from .errors import DomainError, InternalConsistencyError
@@ -64,11 +63,13 @@ from .gf2poly import (
     _int_divmod,
     _int_mod,
     _int_mul,
+    _int_polyphase,
     cyclotomic_f2,
     gcd,
 )
 from .limits import check_budget
-from .ntcore import PrimePair, divisors, euler_phi, factorize, multiplicative_order, wieferich_ok
+from .ntcore import (PrimePair, certified_order, divisors, euler_phi, factorize,
+                     multiplicative_order, wieferich_ok)
 from .sequence import BitSequence, generate_threshold, least_period
 
 
@@ -131,28 +132,20 @@ class _Node(NamedTuple):
     leaves: tuple[int, ...]  # the factors below, in leaf order
 
 
-def _factor_tree(factors: SequenceABC[int]) -> _Node:
+def _factor_tree(factors: tuple[int, ...]) -> _Node:
     if len(factors) == 1:
-        return _Node(factors[0], (), tuple(factors))
+        return _Node(factors[0], (), factors)
     half = len(factors) // 2
     left, right = _factor_tree(factors[:half]), _factor_tree(factors[half:])
-    return _Node(_int_mul(left.poly, right.poly), (left, right), tuple(factors))
+    return _Node(_int_mul(left.poly, right.poly), (left, right), factors)
 
 
 class _Block(NamedTuple):
-    """One factor F_e of x^N + 1 = prod_e F_e, over the divisors e of the odd
-    part m of N = 2^k m.
-
-    F_e = Phi_e(x^(2^k)) = Phi_r(x^s) for the radical r of e and the stride
-    s = d / r, where d = 2^k e; F_e divides x^d + 1 with cofactor
-    H = H_r(x^s).  With Phi_r = prod_i f_i over GF(2), F_e is the product of
-    the sub-blocks G_i = f_i(x^s), held as a product tree over the f_i.  All
-    the G_i are pairwise coprime, so the minimal polynomial of a period A is
-    the product over the sub-blocks of G_i / gcd(G_i, A mod (x^d + 1)).
-    """
+    """One factor F_e = Phi_r(x^s) of x^N + 1, N = 2^k m, for a divisor e of m
+    with radical r, d = 2^k e and s = d / r (see the module docstring)."""
 
     d: int
-    order: int     # ord_d(2), the degree of every GF(2) factor of Phi_d; 0 for even d
+    order: int     # ord_d(2), the degree of every GF(2) factor of Phi_d, certified; 0 for even d
     stride: int    # s
     tree: _Node    # over the factors of Phi_r; its root is their product, F_e = root(x^s)
     cofactor: int  # H = (x^d + 1) / F_e
@@ -161,7 +154,8 @@ class _Block(NamedTuple):
 def _blocks(n: int) -> list[_Block]:
     """The blocks of x^n + 1 by ascending d, checked on every call for all
     their sub-blocks together to multiply to x^n + 1; Phi_r H_r = x^r + 1 is
-    checked once per radical r, where `_cyclotomic_pair` builds the pair."""
+    checked once per radical r, where `_cyclotomic_pair` builds the pair,
+    and ord_d(2) of an odd d on every call, by `certified_order`."""
     k = (n & -n).bit_length() - 1
     blocks = []
     trees: dict[int, _Node] = {}
@@ -172,7 +166,7 @@ def _blocks(n: int) -> list[_Block]:
             trees[radical] = _factor_tree(_cyclotomic_factors(radical))
         tree = trees[radical]
         d = e << k
-        order = 1 if d == 1 else 0 if k else multiplicative_order(2, d)
+        order = 1 if d == 1 else 0 if k else certified_order(2, multiplicative_order(2, d), d)
         stride = d // radical
         product = _int_mul(product, _int_compose(tree.poly, stride))
         blocks.append(_Block(d, order, stride, tree,
@@ -208,6 +202,7 @@ class _SubBlock(NamedTuple):
     factor: int             # f
     minpoly: int | None     # the gcd route's G / gcd(G, u)
     component: int | None   # the BM route's u (x^d + 1) / G mod (x^d + 1)
+    parts: int              # of v that BM runs on: s where G is irreducible, else 1
 
 
 def _walk(u: int, block: _Block) -> Iterator[_SubBlock]:
@@ -223,8 +218,8 @@ def _walk(u: int, block: _Block) -> Iterator[_SubBlock]:
     s, d = block.stride, block.d
     width = block.tree.leaves[0].bit_length() - 1   # deg f, equal for every factor of Phi_r
     irreducible = width * s == block.order
-    digits = format(u, f"0{d}b")[::-1]   # coefficient i at index i
-    phases = [int(digits[j::s][::-1], 2) for j in range(s)]
+    n_parts = s if irreducible else 1
+    phases = _int_polyphase(u, s, d)
 
     def reduced(pairs, f):   # the nonzero (j, x mod f) for the (j, x) in pairs
         return ((j, y) for j, x in pairs if (y := _int_mod(x, f)))
@@ -233,7 +228,7 @@ def _walk(u: int, block: _Block) -> Iterator[_SubBlock]:
         first = next(parts, None)
         parts = itertools.chain([first] if first else [], parts)
         if node.children and not (first or v):
-            yield from (_SubBlock(d, s, f, None, None) for f in node.leaves)
+            yield from (_SubBlock(d, s, f, None, None, n_parts) for f in node.leaves)
         elif node.children:
             left, right = node.children
             for (child, sibling), branch in zip(((left, right), (right, left)), itertools.tee(parts)):
@@ -252,7 +247,7 @@ def _walk(u: int, block: _Block) -> Iterator[_SubBlock]:
             quotient, remainder = (g, 0) if common == 1 else _int_divmod(g, common)
             if remainder:
                 raise InternalConsistencyError(f"gcd does not divide the block factor for d={d}")
-            yield _SubBlock(d, s, node.poly, quotient, v)
+            yield _SubBlock(d, s, node.poly, quotient, v, n_parts)
 
     yield from walk(block.tree, reduced(enumerate(phases), block.tree.poly),
                     _times_mod(u, block.cofactor, d))
@@ -275,12 +270,17 @@ def _sub_blocks(seq: BitSequence) -> Iterator[_SubBlock]:
 
 
 def _component_lc(sub: _SubBlock, origin) -> int:
-    """BM route: the LC of the sub-block's component v, whose minimal
-    polynomial is G / gcd(G, u).  That LC is at most deg G, so 2 deg G bits
-    of two periods of v determine it."""
-    nbits = 2 * (sub.factor.bit_length() - 1) * sub.stride
-    two = (sub.component | (sub.component << sub.d)) & ((1 << nbits) - 1)
-    return berlekamp_massey(BitSequence(bits=two, length=nbits, origin=origin))
+    """BM route: the LC of the sub-block's component v, at most deg G, from
+    2 deg G / c bits of two periods of each of its c = sub.parts polyphase
+    parts.  With c > 1, G = f(x^c) is irreducible: each part must read LC 0
+    or deg f, and LC(v) = c max_j LC(v_j)."""
+    c, n = sub.parts, 2 * (sub.factor.bit_length() - 1) * sub.stride // sub.parts
+    lcs = {berlekamp_massey(BitSequence((v | v << sub.d // c) & ((1 << n) - 1), n, origin))
+           for v in _int_polyphase(sub.component, c, sub.d)}
+    if c > 1 and lcs - {0, n // 2}:
+        raise InternalConsistencyError(
+            f"parts of {origin} in block d={sub.d} read LCs {sorted(lcs)}, not 0 or {n // 2}")
+    return c * max(lcs)
 
 
 def _product(polys: Iterable[int]) -> int:
@@ -303,13 +303,8 @@ def _minpolys_by_block(seq: BitSequence) -> dict[int, int]:
 
 
 def analyze_period(seq: BitSequence) -> tuple[int, Gf2Poly]:
-    """Least period and minimal polynomial of one period, by both LC routes.
-
-    Both routes run on every sub-block of x^N + 1: the gcd route gives the
-    sub-block's minimal polynomial, Berlekamp-Massey on the sub-block's
-    component must reach the same LC, and a disagreement raises, naming the
-    block, rather than being silently resolved.
-    """
+    """Least period and minimal polynomial of one period, by both LC routes
+    on every sub-block of x^N + 1; a disagreement raises, naming the block."""
     return least_period(seq), Gf2Poly(_product(_minpolys_by_block(seq).values()))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # far beyond anything the period budget allows.
@@ -107,6 +107,14 @@ def multiplicative_order(a: int, n: int) -> int:
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p
     return order
+
+
+def certified_order(a: int, k: int, n: int) -> int:
+    """k, once certified as the multiplicative order of a mod n: a^k == 1
+    (mod n), and a^(k/l) != 1 (mod n) for each prime l dividing k."""
+    if pow(a, k, n) != 1 or any(pow(a, k // l, n) == 1 for l in set(factorize(k))):
+        raise InternalConsistencyError(f"ord_{n}({a}) = {k} fails its certificate")
+    return k
 
 
 def crt_lift(residues: list[tuple[int, int]]) -> int:

@@ -17,8 +17,10 @@ even by zero, `minimal_polynomial_gcd` is the Euclidean gcd route on the
 whole of x^N + 1 that the block route replaced, `sub_minpoly` the gcd route
 on one sub-block with Euclid on every sub-block, before irreducible ones
 were decided by their degree, `component` the sub-block's component of a
-fold by long division and a per-bit product `int_mul`, and `fold` reduces a
-period mod x^d + 1 one bit at a time.  `coset_residues` is the per-coset loop that
+fold by long division and a per-bit product `int_mul`, `component_lc` the
+BM route on a whole component, before it ran on the polyphase parts of an
+irreducible sub-block, and `fold` reduces a period mod x^d + 1 one bit at a
+time.  `coset_residues` is the per-coset loop that
 folded each coset's residue keys into its own boolean array.
 `synthesize_sequence` runs an LFSR recurrence, the generator that the
 Berlekamp-Massey tests regenerate sequences with, and `two_periods` writes a
@@ -55,6 +57,7 @@ from eqseq import BitSequence, Gf2Poly
 from eqseq.errors import DomainError, InternalConsistencyError, ParseError
 from eqseq.gf2poly import _int_divmod, _int_gcd, cyclotomic_f2
 from eqseq.limits import check_budget
+from eqseq.lincomp import berlekamp_massey as count_only_berlekamp_massey
 from eqseq.ntcore import GroupGenerators, PrimePair
 from eqseq.sequence import pack_flags
 
@@ -203,6 +206,16 @@ def component(u: int, g: int, d: int) -> int:
     if rest:
         raise InternalConsistencyError(f"g does not divide x^{d} + 1")
     return int_mod(int_mul(u, cofactor), (1 << d) | 1)
+
+
+def component_lc(component: int, degree: int, d: int) -> int:
+    """The BM route on a whole sub-block component v of period d, as it ran
+    on every record before it read the polyphase parts of an irreducible
+    sub-block: count-only Berlekamp-Massey on the first 2 deg G bits of two
+    periods of v, deg G being the bound on its LC."""
+    nbits = 2 * degree
+    two = (component | component << d) & ((1 << nbits) - 1)
+    return count_only_berlekamp_massey(BitSequence(bits=two, length=nbits, origin="external"))
 
 
 def fold(bits: int, n: int, d: int) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, factor_list, symbols
+from sympy.ntheory import n_order
 
 from eqseq import (
     BitSequence,
@@ -45,7 +46,9 @@ from eqseq import (
 )
 from eqseq.cli import EXIT_OK, EXIT_USAGE, parse_ascii
 from eqseq.errors import ParseError
-from eqseq.gf2poly import _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul
+from eqseq.gf2poly import (
+    _cyclotomic_factors, _int_compose, _int_divmod, _int_mod, _int_mul, _int_polyphase,
+)
 from eqseq.lincomp import berlekamp_massey
 from eqseq.ntcore import euler_phi, multiplicative_order
 
@@ -343,11 +346,14 @@ class TestBlockRuntimeChecks:
             gf2poly._cyclotomic_pair.__wrapped__(21)
 
     def test_wrong_cofactor_reaches_the_routes(self, monkeypatch, pair37):
-        # a wrong H handed to the blocks starts the component walk wrong
+        # a wrong H handed to the blocks starts the component walk wrong; the
+        # first block it moves is the top one, whose sub-blocks f(x^7) are
+        # irreducible, so BM reads the component's 7 parts, and one of them
+        # reads an LC that is neither 0 nor deg f = 6
         real = lincomp._cyclotomic_pair
         monkeypatch.setattr(lincomp, "_cyclotomic_pair", lambda r: (real(r)[0], real(r)[1] ^ 0b10))
-        with pytest.raises(InternalConsistencyError,
-                           match=r"^LC disagreement for \(3, 7\) in block d=\d+: gcd=\d+, bm=\d+$"):
+        with pytest.raises(InternalConsistencyError, match=r"^parts of \(3, 7\) in block d=147 read "
+                           r"LCs \[(\d+, )+\d+\], not 0 or 6$"):
             analyze_period(generate_threshold(pair37))
 
     def test_block_routes_must_agree(self, monkeypatch, pair37):
@@ -363,6 +369,41 @@ class TestBlockRuntimeChecks:
 def polyphase_parts(u: int, s: int, d: int) -> list[int]:
     """The s polyphase parts of u, of degree below d, one bit at a time."""
     return [sum(((u >> (j + i * s)) & 1) << i for i in range(d // s)) for j in range(s)]
+
+
+def spy_component_lc(monkeypatch) -> list:
+    """The records that `_component_lc` runs BM on from here on, in order."""
+    runs = []
+    real = lincomp._component_lc
+    monkeypatch.setattr(lincomp, "_component_lc",
+                        lambda sub, origin: runs.append(sub) or real(sub, origin))
+    return runs
+
+
+def sub_block_parts(sub) -> int:
+    """The parts BM splits a sub-block's component into: s where G = f(x^s)
+    is irreducible, of degree ord_d(2) for odd d (by sympy), else 1."""
+    degree = (sub.factor.bit_length() - 1) * sub.stride
+    irreducible = sub.d % 2 and sub.d > 1 and degree == n_order(2, sub.d)
+    return sub.stride if irreducible else 1
+
+
+class TestPolyphaseKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=40), seeds)
+    @example(1, 1, 0)
+    @example(7, 21, 1)
+    def test_matches_per_bit_loop(self, s, r, seed):
+        # the parts of f of degree below d = r s, each with r digits, and
+        # f = sum_j x^j f_j(x^s) back from them
+        d = r * s
+        f = random.Random(seed).getrandbits(d)
+        parts = _int_polyphase(f, s, d)
+        assert parts == polyphase_parts(f, s, d)
+        whole = 0
+        for j, x in enumerate(parts):
+            whole ^= _int_compose(x, s) << j
+        assert whole == f
 
 
 class TestGcdRouteWalk:
@@ -417,11 +458,10 @@ class TestGcdRouteWalk:
         assert [sub.minpoly is None for sub in subs] == want
         assert [sub.component is None for sub in subs] == want
         assert any(want)
-        runs = []
-        real = lincomp.berlekamp_massey
-        monkeypatch.setattr(lincomp, "berlekamp_massey", lambda seq: runs.append(seq) or real(seq))
+        runs = spy_component_lc(monkeypatch)
         lincomp._minpolys_by_block(seq)
-        assert len(runs) == sum(sub.component is not None for sub in subs)
+        assert runs == [sub for sub in subs if sub.component is not None]
+        assert [sub.parts for sub in runs] == [sub_block_parts(sub) for sub in runs]
 
     def test_residue_degree_is_guarded(self, monkeypatch):
         # a residue too long for its sub-block is an internal error, not a
@@ -611,17 +651,13 @@ class TestCyclotomicFactors:
         top = lincomp._blocks(147)[-1]
         assert top.d == 147 and top.stride == 7
         assert [leaf.poly for leaf in top.tree.children] == list(_cyclotomic_factors(21))
-        lengths = []
-        real = lincomp.berlekamp_massey
-
-        def spy(seq):
-            lengths.append(seq.length)
-            return real(seq)
-
-        monkeypatch.setattr(lincomp, "berlekamp_massey", spy)
+        # ord_147(2) = 42, so both are irreducible and BM runs on their 7 parts
+        assert top.order == 42
+        runs = spy_component_lc(monkeypatch)
         report = lincomp.verify_theorem(pair37)
         assert report.match and dict(report.lc_by_divisor)[147] == 84
-        assert lengths.count(2 * 42) == 2
+        assert [(sub.factor, sub.parts) for sub in runs if sub.d == 147] == [
+            (f, 7) for f in _cyclotomic_factors(21)]
 
 
 def sympy_factor_multiplicities(bits: int) -> list[int]:
@@ -710,22 +746,112 @@ class TestIrreducibleSubBlocks:
         assert {d for d, v in verdicts.items() if False in v} == {
             2, 6, 12, 18, 20, *SPLIT_D}
 
+    def test_order_matches_sympy(self):
+        # the order behind every verdict, certified in _blocks, for each odd
+        # d | N at the sweep pairs and the two widest strides in budget
+        for p, q in SWEEP_PAIRS + [(3, 577), (17, 239)]:
+            for block in lincomp._blocks(p * q * q):
+                assert block.order == (n_order(2, block.d) if block.d > 1 else 1), (p, q, block.d)
+
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy's own sort of GF(2) factors
-    def test_bm_catches_a_wrong_verdict(self, monkeypatch):
+    def test_certificate_catches_a_wrong_order(self, monkeypatch, capsys):
         # an LFSR whose minimal polynomial is one degree-6 factor of Phi_63:
         # it lies in a sub-block f(x^3) of degree 18 that splits into three
         h = sympy_factors_mod2(63)[0]
         seed = BitSequence(bits=1, length=6, origin="lfsr")
         seq = oracles.synthesize_sequence(Gf2Poly(h), seed, 63)
         assert analyze_period(seq) == (63, Gf2Poly(h))
-        # every sub-block counted as irreducible
-        real = lincomp._blocks
-        monkeypatch.setattr(lincomp, "_blocks", lambda n: [
-            b._replace(order=b.stride * (_cyclotomic_factors(b.d // b.stride)[0].bit_length() - 1))
-            for b in real(n)])
-        with pytest.raises(InternalConsistencyError,
-                           match=r"^LC disagreement for lfsr in block d=63: gcd=18, bm=6$"):
+        # ord_63(2) read as 18, the degree of those sub-blocks, calls them
+        # irreducible on both routes at once: the gcd route keeps G, and each
+        # of BM's three parts reads deg f = 6, so both reach LC 18; only the
+        # certificate of the order stands between that and a wrong answer
+        real = lincomp.multiplicative_order
+        monkeypatch.setattr(lincomp, "multiplicative_order",
+                            lambda a, n: 3 * real(a, n) if n == 63 else real(a, n))
+        with monkeypatch.context() as uncertified:
+            uncertified.setattr(lincomp, "certified_order", lambda a, k, n: k)
+            assert analyze_period(seq)[1].degree == 18
+        with pytest.raises(InternalConsistencyError, match=r"^ord_63\(2\) = 18 fails its certificate$"):
             analyze_period(seq)
+        # twice the order, through the command line: one error line, exit 1
+        monkeypatch.setattr(lincomp, "multiplicative_order", lambda a, n: 2 * real(a, n))
+        assert cli.main(["verify", "--p", "3", "--q", "7"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "eqseq: error: ord_3(2) = 4 fails its certificate\n")
+
+
+def lfsr_61425(seed: int) -> BitSequence:
+    """An LFSR built as perfbench's analyze input is: 42 distinct irreducible
+    polynomials of degree 12 (sympy's test) make a 504-bit register whose
+    period divides 2^12 - 1, run for 15 (2^12 - 1) = 61425 bits."""
+    rng = random.Random(seed)
+    factors = set()
+    while len(factors) < 42:
+        f = (1 << 12) | rng.getrandbits(12) | 1
+        if Poly([(f >> i) & 1 for i in range(12, -1, -1)], symbols("x"), modulus=2).is_irreducible:
+            factors.add(f)
+    connection = Gf2Poly(functools.reduce(_int_mul, sorted(factors)))
+    start = BitSequence(bits=rng.getrandbits(504) | 1, length=504, origin="lfsr")
+    return oracles.synthesize_sequence(connection, start, 61425)
+
+
+class TestPolyphaseBerlekampMassey:
+    """Where G = f(x^s) is irreducible, BM runs on the s stride-s parts of
+    the component, each 2 deg f bits of two periods, every part must read LC
+    0 or deg f, and LC = s max_j LC(v_j); BM on the whole component, as the
+    route ran before, is the oracle."""
+
+    @staticmethod
+    def assert_parts_match_whole(seq: BitSequence) -> int:
+        split = 0
+        for sub in lincomp._sub_blocks(seq):
+            if sub.component is None:
+                continue
+            assert sub.parts == sub_block_parts(sub), (sub.d, sub.factor)
+            degree = (sub.factor.bit_length() - 1) * sub.stride
+            want = oracles.component_lc(sub.component, degree, sub.d)
+            assert lincomp._component_lc(sub, seq.origin) == want, (sub.d, sub.factor)
+            split += sub.parts > 1 and want > 0
+        return split
+
+    def test_sweep_pairs(self):
+        split = sum(self.assert_parts_match_whole(generate_threshold(PrimePair.create(p, q)))
+                    for p, q in SWEEP_PAIRS)
+        assert split >= len(SWEEP_PAIRS)   # every top block is read in parts
+
+    def test_lfsr_input(self):
+        # its LC lies in the blocks d | 4095; at d = 45 = 9 * 5 its sub-blocks
+        # f(x^3), f | Phi_15, are irreducible and read in 3 parts
+        seq = lfsr_61425(1)
+        assert analyze_period(seq)[1].degree == 504
+        assert self.assert_parts_match_whole(seq) >= 1
+
+    @pytest.fixture
+    def top(self, pair37):
+        # a record of N = 147's top block: G = f(x^7), deg f = 6, irreducible
+        sub = next(sub for sub in lincomp._sub_blocks(generate_threshold(pair37)) if sub.d == 147)
+        assert (sub.parts, sub.factor.bit_length() - 1) == (7, 6)
+        return sub
+
+    @pytest.mark.parametrize("bit, lcs", [(2, "[0, 3]"), (6, "[0, 7]")],
+                             ids=["between_0_and_deg_f", "deg_f_plus_1"])
+    def test_part_check(self, top, bit, lcs):
+        # part 0 of a component holding one 1, at bit 7 i, has that 1 at
+        # its bit i and LC i + 1: 3 lies strictly between 0 and deg f, and 7
+        # is deg f + 1; the other parts are 0
+        forged = top._replace(component=1 << (7 * bit))
+        with pytest.raises(InternalConsistencyError, match=rf"^parts of \(3, 7\) in block d=147 read "
+                           rf"LCs {re.escape(lcs)}, not 0 or 6$"):
+            lincomp._component_lc(forged, (3, 7))
+
+    def test_component_of_lc_deg_f_plus_1(self, top):
+        # minimal polynomial x^7 + 1, of degree deg f + 1, does not divide G:
+        # every part of the period-7 pulse train is constant, and part 0,
+        # all ones, reads LC 1
+        pulses = sum(1 << i for i in range(0, 147, 7))
+        assert oracles.component_lc(pulses, 42, 147) == 7
+        with pytest.raises(InternalConsistencyError, match=r"^parts of \(3, 7\) in block d=147 read "
+                           r"LCs \[0, 1\], not 0 or 6$"):
+            lincomp._component_lc(top._replace(component=pulses), (3, 7))
 
 
 def sympy_cyclotomic_mod2(n: int) -> Gf2Poly:

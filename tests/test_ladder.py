@@ -30,6 +30,14 @@ def test_one_run_reports_both_routes(ladder):
     assert all(seconds >= 0 for seconds in stages.values())
 
 
+def test_verify_runs_at_the_widest_strides(ladder):
+    # beside the last ladder pair, (17, 239) and (19, 191), whose top blocks
+    # are read in 239 and 191 Berlekamp-Massey parts; a pair named twice runs once
+    assert ladder.verify_pairs(ladder.LADDER) == ["3,577", "17,239", "19,191"]
+    assert ladder.verify_pairs(["5,41", "19,191"]) == ["19,191", "17,239"]
+    assert ladder.verify_pairs([]) == ["17,239", "19,191"]
+
+
 def test_pairs_the_walks_only_through_the_plan():
     # the ladder times the pairing that lincomp runs, not a copy of it
     named = set(re.findall(r"lincomp\.(_\w+)", LADDER.read_text()))

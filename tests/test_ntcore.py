@@ -17,7 +17,8 @@ from eqseq import (
     multiplicative_order,
     wieferich_ok,
 )
-from eqseq.ntcore import divisors, euler_phi
+from eqseq.errors import InternalConsistencyError
+from eqseq.ntcore import certified_order, divisors, euler_phi
 
 from golden import SWEEP_PAIRS
 
@@ -112,6 +113,23 @@ class TestMultiplicativeOrder:
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):
             multiplicative_order(7, 49)
+
+
+class TestCertifiedOrder:
+    def test_passes_the_order_through(self):
+        for n in (3, 7, 49, 63, 147, 4095):
+            k = n_order(2, n)
+            assert certified_order(2, k, n) == multiplicative_order(2, n) == k
+
+    @pytest.mark.parametrize("n", [3, 7, 49, 63, 147])
+    def test_refuses_a_multiple_or_a_divisor(self, n):
+        # a proper multiple passes a^k = 1 but not the prime-divisor test; a
+        # proper divisor fails a^k = 1
+        k = n_order(2, n)
+        for wrong in {2 * k, 3 * k, *(k // l for l in factorint(k))} - {k}:
+            with pytest.raises(InternalConsistencyError,
+                               match=rf"^ord_{n}\(2\) = {wrong} fails its certificate$"):
+                certified_order(2, wrong, n)
 
 
 class TestCommonPrimitiveRoot:
