@@ -8,8 +8,9 @@ per-position Euler-quotient table with the threshold flags packed from it,
 the per-bit loop that rendered polynomials, and the
 per-character ASCII parser; sympy gives an outside check of the cyclotomic
 polynomials and of their factors over GF(2).  The sub-block route is also
-checked against Berlekamp-Massey on two whole periods, and each sub-block's
-residue and component against long division.  The structural audit has its
+checked against Berlekamp-Massey on two whole periods, each sub-block's
+residue and component against long division, and BM on the stride-s parts
+of an irreducible sub-block against BM on its whole component.  The structural audit has its
 own differential tests in test_audit_differential.py.
 """
 
